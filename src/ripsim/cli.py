@@ -20,19 +20,22 @@ from .controller import EmptyRegion, region_rho
 from .simulate import NonFiniteState, Trace, run
 
 
+CSV_CHUNK_ROWS = 256  # rows per write: keeps the temporary floats and strings well under 1 MB
+
+
 def write_trace_csv(trace: Trace, path: str):
     """Fixed-schema CSV, 9 significant digits, byte-stable across runs."""
     ell = trace.theta_hat.shape[1]
     header = "t,q1,q2,p1,p2,u,d,d_hat,H,Hd,V_lyap,ptilde1"
     header += "".join(f",theta_hat_{i + 1}" for i in range(ell))
+    columns = (trace.t, trace.q, trace.p, trace.u, trace.d, trace.d_hat, trace.H,
+               trace.Hd, trace.V_lyap, trace.ptilde1, trace.theta_hat)
+    line = ",".join(["%.9g"] * len(header.split(","))) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(trace.t.shape[0]):
-            row = [trace.t[i], trace.q[i, 0], trace.q[i, 1], trace.p[i, 0],
-                   trace.p[i, 1], trace.u[i], trace.d[i], trace.d_hat[i],
-                   trace.H[i], trace.Hd[i], trace.V_lyap[i], trace.ptilde1[i]]
-            row.extend(trace.theta_hat[i])
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        for start in range(0, trace.t.shape[0], CSV_CHUNK_ROWS):
+            block = np.column_stack([col[start:start + CSV_CHUNK_ROWS] for col in columns])
+            fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
 def trace_summary(trace: Trace) -> dict:

@@ -29,6 +29,12 @@ DEFAULTS = {
     "adaptive": {"gamma": 1.0, "theta_hat0": None, "enabled": True},
     "output": {"dir": ".", "plots": True},
 }
+# Inclusive ranges of the integer verify options. The upper bounds cap the
+# arrays verify allocates (about 8 floats per scan point, planar_grid squared)
+# and the pure-Python loops over grid points and samples.
+VERIFY_COUNTS = {"grid_points": (1, 10 ** 6), "planar_grid": (1, 1000),
+                 "samples": (1, 10 ** 6), "seed": (0, 2 ** 63 - 1),
+                 "scan_cells": (1, 10 ** 7), "md_scan_points": (1, 10 ** 6)}
 
 
 class ConfigError(Exception):
@@ -57,6 +63,19 @@ def _number(section: dict, path: str, key: str, default=None) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: must be finite")
     return float(value)
+
+
+def _count(section: dict, path: str, key: str, lo: int, hi: int) -> int:
+    """An integer in [lo, hi]; integral floats such as 1.0e+6 are accepted."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        value = _number(section, path, key)
+        if not value.is_integer():
+            raise ConfigError(f"{path}.{key}: expected an integer, got {section[key]!r}")
+        value = int(value)
+    if not lo <= value <= hi:
+        raise ConfigError(f"{path}.{key}: must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def _vector(section: dict, path: str, key: str, length: int, default=None):
@@ -202,10 +221,9 @@ def _load_verify(section) -> VerifyOptions:
                "counterexample"}
     _require_keys(section, "verify", allowed)
     kwargs = {}
-    for key in ("grid_points", "planar_grid", "samples", "seed",
-                "scan_cells", "md_scan_points"):
+    for key, (lo, hi) in VERIFY_COUNTS.items():
         if key in section:
-            kwargs[key] = int(_number(section, "verify", key))
+            kwargs[key] = _count(section, "verify", key, lo, hi)
     for key in ("span", "psi3_offset"):
         if key in section:
             kwargs[key] = _number(section, "verify", key)

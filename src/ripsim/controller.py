@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RobotParams, State, inertia_entries
+from .model import RobotParams, State
 
 FD_STEP = 1e-7  # central-difference step for the derivative fallback
 
@@ -77,18 +77,100 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
     return math.acos(math.sqrt(arg))
 
 
+# The closed forms, each written once in arithmetic only (floats or ndarrays) on
+# s = sin q2, c = cos q2 and shared terms; control_terms threads one (s, c) through.
+def shape_terms(params: RobotParams, gains: ControllerGains, s: float, c: float):
+    """(w, den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
+    w = params.p2 / (params.p3 * gains.psi40)
+    den = gains.k1 + w * s * s
+    m11 = params.p1 + params.p2 * s * s
+    d2 = c * (m11 / den - params.p3 * gains.psi40)
+    d4 = params.p3 * c * c / den - params.p4 * gains.psi40
+    return w, den, m11, c / den, d2, d4
+
+
+def _md_prime(params: RobotParams, gains: ControllerGains, s: float, c: float,
+              w: float, den: float, m11: float) -> tuple[float, float]:
+    """(d2', d4') by the quotient rule; d1' = 0 since d1 = k2."""
+    s2 = 2.0 * s * c
+    dden = w * s2
+    dm11 = params.p2 * s2
+    dd2 = -s * (m11 / den - params.p3 * gains.psi40) \
+        + c * (dm11 * den - m11 * dden) / (den * den)
+    dd4 = -params.p3 * s2 * (den + w * c * c) / (den * den)
+    return dd2, dd4
+
+
+def _md_inverse(gains: ControllerGains, q2: float, d2: float,
+                d4: float) -> tuple[float, float, float, float]:
+    """(i11, i12, i22, det Md) of Md^{-1}; raises DefinitenessLost when Md is not PD."""
+    d1 = gains.k2
+    det = d1 * d4 - d2 * d2
+    if d1 <= 0.0 or det <= 0.0:
+        raise DefinitenessLost(q2, det)
+    return d4 / det, -d2 / det, d1 / det, det
+
+
+def _psi_row1(params: RobotParams, gains: ControllerGains, c: float, m11: float,
+              d2: float) -> tuple[float, float]:
+    """(psi1, psi2) from [psi1, psi2] = [d1, d2] M^{-1}."""
+    m12 = params.p3 * c
+    det = m11 * params.p4 - m12 * m12
+    return ((params.p4 * gains.k2 - m12 * d2) / det,
+            (-m12 * gains.k2 + m11 * d2) / det)
+
+
+def _psi_row1_prime(params: RobotParams, gains: ControllerGains, s: float, c: float,
+                    m11: float, d2: float, dd2: float) -> tuple[float, float]:
+    """(psi1', psi2') by the quotient rule on the closed forms."""
+    s2 = 2.0 * s * c
+    det = m11 * params.p4 - params.p3 ** 2 * c * c
+    ddet = (params.p2 * params.p4 + params.p3 ** 2) * s2
+    n1 = params.p4 * gains.k2 - params.p3 * c * d2
+    dn1 = params.p3 * s * d2 - params.p3 * c * dd2
+    n2 = -params.p3 * c * gains.k2 + m11 * d2
+    dn2 = params.p3 * s * gains.k2 + params.p2 * s2 * d2 + m11 * dd2
+    return ((dn1 * det - n1 * ddet) / (det * det),
+            (dn2 * det - n2 * ddet) / (det * det))
+
+
+def alpha_from_psi(params: RobotParams, gains: ControllerGains, s: float, c: float,
+                   m11: float, ps1: float, ps2: float, ps3: float,
+                   dps1: float, dps2: float) -> tuple[float, float]:
+    """Interconnection coefficients (alpha1, alpha2) at (s, c), m11 = p1 + p2 s^2."""
+    p2_, p3_, p4_ = params.p2, params.p3, params.p4
+    ps4 = -gains.psi40
+    two_a1 = (-2.0 * p2_ * ps1 * ps1 * s * c
+              + 2.0 * p3_ * ps1 * ps2 * s
+              + ps4 * m11 * dps1
+              - p3_ * ps4 * ps2 * s
+              + 2.0 * p2_ * ps4 * ps1 * s * c
+              + p3_ * ps4 * c * dps2)
+    a2 = (p3_ * ps2 * ps3 * s
+          - 2.0 * p2_ * ps1 * ps3 * s * c
+          + p3_ * ps1 * ps4 * s
+          + p3_ * ps4 * c * dps1
+          + p4_ * ps4 * dps2
+          - p3_ * ps4 * ps1 * s)
+    return 0.5 * two_a1, a2  # the published expression gives 2*alpha1
+
+
+def _z_offset(params: RobotParams, gains: ControllerGains, s: float) -> float:
+    """z(q) - q1 = a atan(b sin q2)."""
+    a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))
+    b = math.sqrt(params.p2 / (gains.k1 * params.p3 * gains.psi40))
+    return a * math.atan(b * s)
+
+
 def psi3(params: RobotParams, gains: ControllerGains, q2: float) -> float:
     """Closed-form solution of the kinetic-matching Riccati equation."""
-    s = math.sin(q2)
-    den = gains.k1 + params.p2 / (params.p3 * gains.psi40) * s * s
-    return math.cos(q2) / den
+    return shape_terms(params, gains, math.sin(q2), math.cos(q2))[3]
 
 
 def psi3_derivative(params: RobotParams, gains: ControllerGains, q2: float) -> float:
     """Analytic d(psi3)/dq2 by the quotient rule."""
     s, c = math.sin(q2), math.cos(q2)
-    w = params.p2 / (params.p3 * gains.psi40)
-    den = gains.k1 + w * s * s
+    w, den = shape_terms(params, gains, s, c)[:2]
     dden = 2.0 * w * s * c
     return (-s * den - c * dden) / (den * den)
 
@@ -96,12 +178,7 @@ def psi3_derivative(params: RobotParams, gains: ControllerGains, q2: float) -> f
 def desired_inertia_entries(params: RobotParams, gains: ControllerGains,
                             q2: float) -> tuple[float, float, float]:
     """Entries (d1, d2, d4) of the symmetric desired inertia Md(q2)."""
-    s, c = math.sin(q2), math.cos(q2)
-    w = params.p2 / (params.p3 * gains.psi40)
-    den = gains.k1 + w * s * s
-    m11 = params.p1 + params.p2 * s * s
-    d2 = c * (m11 / den - params.p3 * gains.psi40)
-    d4 = params.p3 * c * c / den - params.p4 * gains.psi40
+    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
     return gains.k2, d2, d4
 
 
@@ -109,16 +186,8 @@ def desired_inertia_entries_derivative(params: RobotParams, gains: ControllerGai
                                        q2: float) -> tuple[float, float, float]:
     """Analytic (d1', d2', d4'); d1' = 0 since d1 = k2."""
     s, c = math.sin(q2), math.cos(q2)
-    s2 = 2.0 * s * c
-    w = params.p2 / (params.p3 * gains.psi40)
-    den = gains.k1 + w * s * s
-    dden = w * s2
-    m11 = params.p1 + params.p2 * s * s
-    dm11 = params.p2 * s2
-    dd2 = -s * (m11 / den - params.p3 * gains.psi40) \
-        + c * (dm11 * den - m11 * dden) / (den * den)
-    dd4 = -params.p3 * s2 * (den + w * c * c) / (den * den)
-    return 0.0, dd2, dd4
+    w, den, m11 = shape_terms(params, gains, s, c)[:3]
+    return (0.0, *_md_prime(params, gains, s, c, w, den, m11))
 
 
 def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
@@ -126,40 +195,21 @@ def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> n
     return np.array([[d1, d2], [d2, d4]])
 
 
-def desired_inertia_derivative(params: RobotParams, gains: ControllerGains,
-                               q2: float) -> np.ndarray:
-    _, dd2, dd4 = desired_inertia_entries_derivative(params, gains, q2)
-    return np.array([[0.0, dd2], [dd2, dd4]])
-
-
 def psi_row1(params: RobotParams, gains: ControllerGains,
              q2: float) -> tuple[float, float]:
     """(psi1, psi2) from [psi1, psi2] = [d1, d2] M^{-1}(q2)."""
-    _, d2, _ = desired_inertia_entries(params, gains, q2)
-    m11, m12, m22 = inertia_entries(params, q2)
-    det = m11 * m22 - m12 * m12
-    psi1 = (m22 * gains.k2 - m12 * d2) / det
-    psi2 = (-m12 * gains.k2 + m11 * d2) / det
-    return psi1, psi2
+    c = math.cos(q2)
+    _, _, m11, _, d2, _ = shape_terms(params, gains, math.sin(q2), c)
+    return _psi_row1(params, gains, c, m11, d2)
 
 
 def psi_row1_derivative(params: RobotParams, gains: ControllerGains,
                         q2: float) -> tuple[float, float]:
     """Analytic (psi1', psi2') by the quotient rule on the closed forms."""
     s, c = math.sin(q2), math.cos(q2)
-    s2 = 2.0 * s * c
-    _, d2, _ = desired_inertia_entries(params, gains, q2)
-    _, dd2, _ = desired_inertia_entries_derivative(params, gains, q2)
-    m11 = params.p1 + params.p2 * s * s
-    det = m11 * params.p4 - params.p3 ** 2 * c * c
-    ddet = (params.p2 * params.p4 + params.p3 ** 2) * s2
-    n1 = params.p4 * gains.k2 - params.p3 * c * d2
-    dn1 = params.p3 * s * d2 - params.p3 * c * dd2
-    n2 = -params.p3 * c * gains.k2 + m11 * d2
-    dn2 = params.p3 * s * gains.k2 + params.p2 * s2 * d2 + m11 * dd2
-    dpsi1 = (dn1 * det - n1 * ddet) / (det * det)
-    dpsi2 = (dn2 * det - n2 * ddet) / (det * det)
-    return dpsi1, dpsi2
+    w, den, m11, _, d2, _ = shape_terms(params, gains, s, c)
+    dd2, _ = _md_prime(params, gains, s, c, w, den, m11)
+    return _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
 
 
 def psi_row1_derivative_fd(params: RobotParams, gains: ControllerGains,
@@ -178,31 +228,13 @@ def psi_matrix(params: RobotParams, gains: ControllerGains, q2: float) -> np.nda
 
 def alpha_entries(params: RobotParams, gains: ControllerGains,
                   q2: float) -> tuple[float, float]:
-    """Interconnection coefficients (alpha1, alpha2) that close kinetic matching.
-
-    Uses the analytic psi1', psi2'. The published expression gives 2*alpha1;
-    it is halved here.
-    """
+    """Interconnection coefficients (alpha1, alpha2) that close kinetic matching."""
     s, c = math.sin(q2), math.cos(q2)
-    ps1, ps2 = psi_row1(params, gains, q2)
-    ps3 = psi3(params, gains, q2)
-    ps4 = -gains.psi40
-    dps1, dps2 = psi_row1_derivative(params, gains, q2)
-    m11 = params.p1 + params.p2 * s * s
-    p2_, p3_, p4_ = params.p2, params.p3, params.p4
-    two_a1 = (-2.0 * p2_ * ps1 * ps1 * s * c
-              + 2.0 * p3_ * ps1 * ps2 * s
-              + ps4 * m11 * dps1
-              - p3_ * ps4 * ps2 * s
-              + 2.0 * p2_ * ps4 * ps1 * s * c
-              + p3_ * ps4 * c * dps2)
-    a2 = (p3_ * ps2 * ps3 * s
-          - 2.0 * p2_ * ps1 * ps3 * s * c
-          + p3_ * ps1 * ps4 * s
-          + p3_ * ps4 * c * dps1
-          + p4_ * ps4 * dps2
-          - p3_ * ps4 * ps1 * s)
-    return 0.5 * two_a1, a2
+    w, den, m11, ps3, d2, _ = shape_terms(params, gains, s, c)
+    dd2, _ = _md_prime(params, gains, s, c, w, den, m11)
+    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
+    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    return alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
 
 
 def alpha(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
@@ -232,9 +264,7 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
 
 def potential_offset(params: RobotParams, gains: ControllerGains, q2: float) -> float:
     """z(q) - q1: the q2-dependent part of the shaped-potential coordinate."""
-    a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))
-    b = math.sqrt(params.p2 / (gains.k1 * params.p3 * gains.psi40))
-    return a * math.atan(b * math.sin(q2))
+    return _z_offset(params, gains, math.sin(q2))
 
 
 def shaped_potential(params: RobotParams, gains: ControllerGains, q) -> float:
@@ -270,11 +300,8 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
 def md_inverse_entries(params: RobotParams, gains: ControllerGains,
                        q2: float) -> tuple[float, float, float, float]:
     """Entries (i11, i12, i22) of Md^{-1} plus det(Md); raises when Md is not PD."""
-    d1, d2, d4 = desired_inertia_entries(params, gains, q2)
-    det = d1 * d4 - d2 * d2
-    if d1 <= 0.0 or det <= 0.0:
-        raise DefinitenessLost(q2, det)
-    return d4 / det, -d2 / det, d1 / det, det
+    _, d2, d4 = desired_inertia_entries(params, gains, q2)
+    return _md_inverse(gains, q2, d2, d4)
 
 
 def momentum_tilde(params: RobotParams, gains: ControllerGains,
@@ -284,11 +311,16 @@ def momentum_tilde(params: RobotParams, gains: ControllerGains,
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 
+def desired_hamiltonian_flat(params: RobotParams, gains: ControllerGains, q1: float,
+                             q2: float, p1c: float, p2c: float) -> float:
+    """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
+    pt1, pt2 = momentum_tilde(params, gains, q2, p1c, p2c)
+    return 0.5 * (p1c * pt1 + p2c * pt2) + shaped_potential(params, gains, (q1, q2))
+
+
 def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q)."""
-    pt1, pt2 = momentum_tilde(params, gains, s.q[1], s.p[0], s.p[1])
-    kin = 0.5 * (s.p[0] * pt1 + s.p[1] * pt2)
-    return kin + shaped_potential(params, gains, s.q)
+    return desired_hamiltonian_flat(params, gains, s.q[0], s.q[1], s.p[0], s.p[1])
 
 
 def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarray:
@@ -303,19 +335,21 @@ def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarr
 def control_terms(params: RobotParams, gains: ControllerGains,
                   q1: float, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
     """Scalar fast path: returns (u, ptilde1). Raises DefinitenessLost."""
-    i11, i12, i22, _ = md_inverse_entries(params, gains, q2)
+    s, c = math.sin(q2), math.cos(q2)
+    w, den, m11, ps3, d2, d4 = shape_terms(params, gains, s, c)
+    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     # grad_q Hd
-    z = q1 + potential_offset(params, gains, q2)
-    ps3 = psi3(params, gains, q2)
+    z = q1 + _z_offset(params, gains, s)
     gq1 = gains.kappa * z
-    _, dd2, dd4 = desired_inertia_entries_derivative(params, gains, q2)
+    dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
     gq2 = (gains.kappa * z * ps3 / gains.psi40
-           + params.p5 / gains.psi40 * math.sin(q2)
+           + params.p5 / gains.psi40 * s
            - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4))
-    ps1, ps2 = psi_row1(params, gains, q2)
-    a1, a2 = alpha_entries(params, gains, q2)
+    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
+    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
     u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - gains.kv * pt1
     return u, pt1

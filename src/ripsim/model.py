@@ -102,9 +102,14 @@ def kinetic_energy(params: RobotParams, q2: float, p1c: float, p2c: float) -> fl
     return 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
 
 
+def hamiltonian_flat(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
+    """Total energy H = p5*cos(q2) + kinetic from scalar components (hot-path form)."""
+    return params.p5 * math.cos(q2) + kinetic_energy(params, q2, p1c, p2c)
+
+
 def hamiltonian(params: RobotParams, s: State) -> float:
     """Total energy H = p5*cos(q2) + kinetic."""
-    return params.p5 * math.cos(s.q[1]) + kinetic_energy(params, s.q[1], s.p[0], s.p[1])
+    return hamiltonian_flat(params, s.q[1], s.p[0], s.p[1])
 
 
 def grad_q_H(params: RobotParams, s: State) -> np.ndarray:

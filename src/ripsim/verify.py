@@ -5,10 +5,9 @@ grids or random samples: the kinetic matching equation and its three
 scalar rows, the Riccati solution, the potential matching identity, the
 positive-definiteness region of Md, the shaped-potential Hessian, the
 equivalence of the assembled closed loop with its target form, and the
-prior-work counterexample. Where the controller module supplies
-closed-form scalar routines, this module re-assembles the same
-quantities through an independent route (vectorized numpy formulas,
-finite differences, sign scans) so transcription errors cannot cancel.
+prior-work counterexample. The closed forms are the controller's own;
+each identity is checked through a route independent of them (finite
+differences, alpha_from_matching, a linear solve, sign scans).
 """
 from __future__ import annotations
 
@@ -66,29 +65,6 @@ class ResidualReport:
         }
 
 
-def _alpha_formula(params: RobotParams, gains: ControllerGains, q2: float,
-                   ps1: float, ps2: float, ps3: float,
-                   dps1: float, dps2: float) -> tuple[float, float]:
-    """The published (alpha1, alpha2) expressions for given psi values."""
-    s, c = math.sin(q2), math.cos(q2)
-    p2_, p3_, p4_ = params.p2, params.p3, params.p4
-    ps4 = -gains.psi40
-    m11 = params.p1 + p2_ * s * s
-    two_a1 = (-2.0 * p2_ * ps1 * ps1 * s * c
-              + 2.0 * p3_ * ps1 * ps2 * s
-              + ps4 * m11 * dps1
-              - p3_ * ps4 * ps2 * s
-              + 2.0 * p2_ * ps4 * ps1 * s * c
-              + p3_ * ps4 * c * dps2)
-    a2 = (p3_ * ps2 * ps3 * s
-          - 2.0 * p2_ * ps1 * ps3 * s * c
-          + p3_ * ps1 * ps4 * s
-          + p3_ * ps4 * c * dps1
-          + p4_ * ps4 * dps2
-          - p3_ * ps4 * ps1 * s)
-    return 0.5 * two_a1, a2
-
-
 def kinetic_matching(params: RobotParams, gains: ControllerGains,
                      n: int = 1000, span: float = 1.5,
                      derivatives: str = "analytic",
@@ -128,7 +104,8 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
             dps1, dps2 = controller.psi_row1_derivative(params, gains, q2)
             _, dd2, dd4 = controller.desired_inertia_entries_derivative(params, gains, q2)
             dps3 = controller.psi3_derivative(params, gains, q2)
-        a1, a2 = _alpha_formula(params, gains, q2, ps1, ps2, ps3, dps1, dps2)
+        a1, a2 = controller.alpha_from_psi(params, gains, s, c, m11,
+                                           ps1, ps2, ps3, dps1, dps2)
         # matrix residual of -Psi M' Psi^T + psi4 Md' - [[2a1, a2], [a2, 0]]
         r11 = -(dm11 * ps1 * ps1 + 2.0 * dm12 * ps1 * ps2) - 2.0 * a1
         r12 = -(dm11 * ps1 * ps3 + dm12 * (ps1 * ps4 + ps2 * ps3)) + ps4 * dd2 - a2
@@ -177,18 +154,15 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
                        kappa_skew: float = 0.0) -> ResidualReport:
     """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid.
 
-    Assembled in vectorized numpy independently of the controller's
-    scalar routines. kappa_skew perturbs kappa in the dVd/dq2 component
-    only (sensitivity hook); the identity is exact at kappa_skew = 0.
+    Assembles grad Vd in vectorized numpy from the controller's psi3 and
+    z offset. kappa_skew perturbs kappa in the dVd/dq2 component only
+    (sensitivity hook); the identity is exact at kappa_skew = 0.
     """
     q1 = np.linspace(-q1_span, q1_span, n)[:, None]
     q2 = np.linspace(-q2_span, q2_span, n)[None, :]
     s, c = np.sin(q2), np.cos(q2)
-    w = params.p2 / (params.p3 * gains.psi40)
-    ps3 = c / (gains.k1 + w * s ** 2)
-    a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))
-    b = math.sqrt(params.p2 / (gains.k1 * params.p3 * gains.psi40))
-    z = q1 + a * np.arctan(b * s)
+    ps3 = controller.shape_terms(params, gains, s, c)[3]
+    z = q1 + np.array([[controller.potential_offset(params, gains, v) for v in q2[0]]])
     dv1 = gains.kappa * z
     dv2 = ((gains.kappa + kappa_skew) * z * ps3 / gains.psi40
            + params.p5 / gains.psi40 * s)
@@ -203,10 +177,12 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
         details={"q1_dependence_of_residual": q1_spread})
 
 
+SCAN_BLOCK = 1 << 14  # points per block: the scan's temporaries stay small and in cache
+
+
 def _d4_array(params: RobotParams, gains: ControllerGains, q2: np.ndarray) -> np.ndarray:
-    s, c = np.sin(q2), np.cos(q2)
-    den = gains.k1 + params.p2 / (params.p3 * gains.psi40) * s ** 2
-    return params.p3 * c ** 2 / den - params.p4 * gains.psi40
+    return np.concatenate([controller.shape_terms(params, gains, np.sin(b), np.cos(b))[5]
+                           for b in np.split(q2, range(SCAN_BLOCK, q2.size, SCAN_BLOCK))])
 
 
 def region_scan(params: RobotParams, gains: ControllerGains,
@@ -240,6 +216,14 @@ def region_report(params: RobotParams, gains: ControllerGains,
         details={"rho_formula": rho, "rho_scan": scan, "cell": cell})
 
 
+def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> float:
+    """Last of n cells on [0, pi/2] before d1 > 0 and det Md > 0 first fail."""
+    q2 = np.linspace(0.0, math.pi / 2, n + 1)
+    _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))
+    bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]  # d1 = k2 > 0 by ControllerGains
+    return math.pi / 2 if bad.size == 0 else float(q2[max(int(bad[0]) - 1, 0)])
+
+
 def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
                          n: int = 10 ** 5) -> ResidualReport:
     """Maximal symmetric interval around 0 with d1 > 0 and det Md > 0.
@@ -249,15 +233,7 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
     than a grid cell.
     """
     rho = controller.region_rho(params, gains)
-    q2 = np.linspace(0.0, math.pi / 2, n + 1)
-    s, c = np.sin(q2), np.cos(q2)
-    den = gains.k1 + params.p2 / (params.p3 * gains.psi40) * s ** 2
-    m11 = params.p1 + params.p2 * s ** 2
-    d2 = c * (m11 / den - params.p3 * gains.psi40)
-    d4 = params.p3 * c ** 2 / den - params.p4 * gains.psi40
-    ok = (gains.k2 > 0.0) & (gains.k2 * d4 - d2 ** 2 > 0.0)
-    bad = np.nonzero(~ok)[0]
-    endpoint = math.pi / 2 if bad.size == 0 else float(q2[max(int(bad[0]) - 1, 0)])
+    endpoint = _pd_endpoint(params, gains, n)
     cell = math.pi / 2 / n
     overshoot = max(0.0, endpoint - rho)
     md0 = controller.desired_inertia(params, gains, 0.0)
@@ -302,18 +278,6 @@ def hessian_vd_check(params: RobotParams, gains: ControllerGains) -> ResidualRep
         details={"hessian": [[float(x) for x in row] for row in hess],
                  "grad_norm_at_qstar": float(np.max(np.abs(grad))),
                  "fd_max_diff": fd_diff})
-
-
-def _pd_endpoint(params: RobotParams, gains: ControllerGains) -> float:
-    """Endpoint of the det-based PD interval (coarse scan for sampling)."""
-    q2 = np.linspace(0.0, math.pi / 2, 4001)
-    s, c = np.sin(q2), np.cos(q2)
-    den = gains.k1 + params.p2 / (params.p3 * gains.psi40) * s ** 2
-    m11 = params.p1 + params.p2 * s ** 2
-    d2 = c * (m11 / den - params.p3 * gains.psi40)
-    d4 = params.p3 * c ** 2 / den - params.p4 * gains.psi40
-    bad = np.nonzero(gains.k2 * d4 - d2 ** 2 <= 0.0)[0]
-    return math.pi / 2 if bad.size == 0 else float(q2[max(int(bad[0]) - 1, 0)])
 
 
 def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,

@@ -128,6 +128,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "d4(0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["samples: 0", "grid_points: -5", "scan_cells: 0",
+                                    "grid_points: 2.7"])
+def test_invalid_verify_option_exits_2(tmp_path, capsys, option):
+    cfg = cfg_file(tmp_path, ROBOT + f"verify: {{{option}}}\n")
+    assert main(["verify", "--config", cfg]) == 2
+    assert f"verify.{option.split(':')[0]}" in capsys.readouterr().err
+
+
 def test_config_flag_position_flexible(tmp_path):
     cfg = cfg_file(tmp_path, ROBOT + SHORT_SIM)
     assert main(["--config", cfg, "simulate", "--out", str(tmp_path / "o1")]) == 0

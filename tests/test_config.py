@@ -264,3 +264,22 @@ def test_scenario_roundtrip_runs(tmp_path):
     assert trace.status == "ok"
     assert len(trace.t) == 51
     assert not np.array_equal(trace.theta_hat[-1], trace.theta_hat[0])
+
+
+@pytest.mark.parametrize("option, key", [
+    ("samples: 0", "samples"),            # was a vacuous closed_loop_equivalence pass
+    ("grid_points: -5", "grid_points"),   # was a ValueError traceback
+    ("scan_cells: 0", "scan_cells"),      # was a ZeroDivisionError traceback
+    ("grid_points: 2.7", "grid_points"),  # was silently truncated to 2
+    ("planar_grid: 1001", "planar_grid"),
+    ("seed: -1", "seed"),
+])
+def test_verify_counts_validated(tmp_path, option, key):
+    with pytest.raises(ConfigError, match=rf"verify\.{key}"):
+        load_config(write(tmp_path, MINIMAL + f"verify: {{{option}}}\n"))
+
+
+def test_verify_counts_accept_integral_floats(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL + "verify: {scan_cells: 1.0e+5, seed: 0}\n"))
+    assert cfg.verify.scan_cells == 100000 and isinstance(cfg.verify.scan_cells, int)
+    assert cfg.verify.seed == 0
