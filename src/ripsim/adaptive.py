@@ -20,7 +20,7 @@ assumed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,16 @@ class DisturbanceSpec:
                 f"theta has {theta.shape[0]} entries for {self.regressor.ell} regressor terms")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
+        object.__setattr__(self, "_theta", theta.tolist())
 
     def value(self, s: State) -> float:
-        """True disturbance d = f(q,p)^T theta."""
-        return float(eval_regressor(self.regressor, s) @ self.theta)
+        """True disturbance d = f(q,p)^T theta, summed term by term as simulate.run does."""
+        q1, q2 = s.q.tolist()
+        p1, p2 = s.p.tolist()
+        d = 0.0
+        for fv, th in zip(self.regressor.eval_flat(q1, q2, p1, p2), self._theta):
+            d += fv * th
+        return d
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,17 @@ def robust_control(params: RobotParams, gains: ControllerGains,
     return u + float(eval_regressor(regressor, s) @ np.asarray(theta_hat))
 
 
-def lyapunov_value(gamma_inv: np.ndarray, theta_hat: np.ndarray,
-                   theta: np.ndarray, hd: float) -> float:
-    """V = Hd + 1/2 theta_err^T Gamma^{-1} theta_err (see module docstring)."""
-    err = np.asarray(theta_hat, dtype=float) - np.asarray(theta, dtype=float)
-    return hd + 0.5 * float(err @ gamma_inv @ err)
+def lyapunov_value(gamma_inv, theta_hat, theta, hd: float) -> float:
+    """V = Hd + 1/2 theta_err^T Gamma^{-1} theta_err (see module docstring).
+
+    gamma_inv (rows), theta_hat and theta are ndarrays or lists of floats;
+    the quadratic form is summed row by row in the same order for both.
+    """
+    err = [a - b for a, b in zip(theta_hat, theta)]
+    quad = 0.0
+    for row, ei in zip(gamma_inv, err):
+        acc = 0.0
+        for gij, ej in zip(row, err):
+            acc += gij * ej
+        quad += ei * acc
+    return hd + 0.5 * quad

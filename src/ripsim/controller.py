@@ -155,6 +155,22 @@ def alpha_from_psi(params: RobotParams, gains: ControllerGains, s: float, c: flo
     return 0.5 * two_a1, a2  # the published expression gives 2*alpha1
 
 
+def kinetic_matching_rows(params: RobotParams, gains: ControllerGains, s: float, c: float,
+                          ps1: float, ps2: float, ps3: float, dd2: float, dd4: float,
+                          a1: float, a2: float) -> tuple[float, float, float]:
+    """Entries (r11, r12, r22) of -Psi M' Psi^T + psi4 Md' - [[2a1, a2], [a2, 0]].
+
+    All three vanish where kinetic matching holds (Md' = [[0, dd2], [dd2, dd4]]).
+    """
+    ps4 = -gains.psi40
+    dm11 = 2.0 * params.p2 * s * c
+    dm12 = -params.p3 * s
+    r11 = -(dm11 * ps1 * ps1 + 2.0 * dm12 * ps1 * ps2) - 2.0 * a1
+    r12 = -(dm11 * ps1 * ps3 + dm12 * (ps1 * ps4 + ps2 * ps3)) + ps4 * dd2 - a2
+    r22 = -(dm11 * ps3 * ps3 + 2.0 * dm12 * ps3 * ps4) + ps4 * dd4
+    return r11, r12, r22
+
+
 def _z_offset(params: RobotParams, gains: ControllerGains, s: float) -> float:
     """z(q) - q1 = a atan(b sin q2)."""
     a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))

@@ -65,7 +65,7 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(2))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(2))
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
+        if not all(map(math.isfinite, self.q.tolist() + self.p.tolist())):
             raise ValueError("state components must be finite")
 
 

@@ -8,6 +8,9 @@ cos(...) applied to another such expression:
     factor := NUMBER | VAR | FN '(' expr ')'
     FN     := 'sin' | 'cos'
 
+Evaluation follows IEEE float arithmetic: a product may overflow to
+inf, and sin/cos of inf is nan (where math.sin raises), as in numpy.
+
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
 weights living in theta. Extending the grammar (e.g. '+', powers) only
@@ -89,7 +92,11 @@ class Call:
     arg: object
 
     def __call__(self, q1, q2, p1, p2):
-        return FUNCTIONS[self.fn](self.arg(q1, q2, p1, p2))
+        arg = self.arg(q1, q2, p1, p2)
+        try:
+            return FUNCTIONS[self.fn](arg)
+        except ValueError:  # math.sin/cos of +-inf; IEEE (and numpy) give nan
+            return math.nan
 
     def unparse(self) -> str:
         return f"{self.fn}({self.arg.unparse()})"

@@ -105,14 +105,35 @@ class Trace:
         return State(q=self.q[-1], p=self.p[-1])
 
 
-def step_rk4(rhs, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of the autonomous ODE x' = rhs(x)."""
-    k1 = rhs(x)
-    k2 = rhs(x + (0.5 * dt) * k1)
-    k3 = rhs(x + (0.5 * dt) * k2)
-    k4 = rhs(x + dt * k3)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+def step_rk4(rhs, x: list[float], dt: float) -> list[float]:
+    """One classical 4th-order Runge-Kutta step of the autonomous ODE x' = rhs(x).
+
+    x and the values of rhs are sequences of floats; the stages and the
+    update are formed element by element in the IEEE order of the vector
+    expression x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), and the new state is a
+    list. Raises NonFiniteState when the new state is not finite, and in
+    place of any error that rhs raises at a stage state holding inf or nan
+    (math.sin(inf) raises ValueError; DefinitenessLost there is a blow-up,
+    not a region exit).
+    """
+    h = 0.5 * dt
+    y = x
+    try:
+        k1 = rhs(y)
+        y = [a + h * b for a, b in zip(x, k1)]
+        k2 = rhs(y)
+        y = [a + h * b for a, b in zip(x, k2)]
+        k3 = rhs(y)
+        y = [a + dt * b for a, b in zip(x, k3)]
+        k4 = rhs(y)
+    except (ArithmeticError, ValueError, DefinitenessLost) as e:
+        if all(map(math.isfinite, y)):
+            raise
+        raise NonFiniteState(f"non-finite RK4 stage state: {y}") from e
+    d6 = dt / 6.0
+    out = [a + d6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise NonFiniteState(f"non-finite state after RK4 step: {out}")
     return out
 
@@ -121,27 +142,20 @@ def _spot_residuals(params: RobotParams, gains: ControllerGains,
                     q2: float) -> tuple[float, float]:
     """Pointwise kinetic/potential matching residuals for trace spot checks.
 
-    Kinetic: the two actuated scalar rows plus the unactuated ODE row of
-    -Psi M' Psi^T + psi4 Md' = [[2a1, a2], [a2, 0]]; potential: the
-    unactuated row of the potential matching identity (q1-independent).
+    Kinetic: the largest entry of controller.kinetic_matching_rows;
+    potential: the unactuated row of the potential matching identity
+    (q1-independent).
     """
     s, c = math.sin(q2), math.cos(q2)
     ps1, ps2 = controller.psi_row1(params, gains, q2)
     ps3 = controller.psi3(params, gains, q2)
-    ps4 = -gains.psi40
     _, dd2, dd4 = controller.desired_inertia_entries_derivative(params, gains, q2)
     a1, a2 = controller.alpha_entries(params, gains, q2)
-    m11 = params.p1 + params.p2 * s * s
-    dm11 = 2.0 * params.p2 * s * c
-    dm12 = -params.p3 * s
-    # rows of -Psi M' Psi^T + psi4*Md' (Md' entries: [[0, dd2],[dd2, dd4]])
-    r11 = -(ps1 * (dm11 * ps1 + dm12 * ps2) + ps2 * dm12 * ps1) + ps4 * 0.0 - 2.0 * a1
-    r12 = -(ps1 * (dm11 * ps3 + dm12 * ps4) + ps2 * dm12 * ps3) + ps4 * dd2 - a2
-    r22 = -(ps3 * (dm11 * ps3 + dm12 * ps4) + ps4 * dm12 * ps3) + ps4 * dd4
-    kin = max(abs(r11), abs(r12), abs(r22))
+    kin = max(map(abs, controller.kinetic_matching_rows(
+        params, gains, s, c, ps1, ps2, ps3, dd2, dd4, a1, a2)))
     # potential row: psi3 * dVd/dq1 + psi4 * dVd/dq2 = -p5 sin(q2); z-part cancels
     g = controller.shaped_potential_gradient(params, gains, (0.0, q2))
-    pot = abs(ps3 * g[0] + ps4 * g[1] + params.p5 * s)
+    pot = abs(ps3 * g[0] - gains.psi40 * g[1] + params.p5 * s)
     return kin, pot
 
 
@@ -167,10 +181,10 @@ def run(scenario: Scenario) -> Trace:
         dterms = dist.regressor.terms
         dtheta = dist.theta.tolist()
 
-    # The stages and the recorded rows work on Python floats (x.tolist()):
+    # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
-    def rhs(x: np.ndarray) -> np.ndarray:
-        q1, q2, p1c, p2c, *theta_hat = x.tolist()
+    def rhs(x: list[float]) -> list[float]:
+        q1, q2, p1c, p2c, *theta_hat = x
         u, pt1 = control_terms(params, gains, q1, q2, p1c, p2c)
         if dist is None:
             d = 0.0
@@ -189,24 +203,16 @@ def run(scenario: Scenario) -> Trace:
                 for gij, fv in zip(row, fvals):
                     acc += gij * fv
                 out.append(-pt1 * acc)
-        return np.array(out)
+        return out
 
     t_grid = np.arange(n + 1) * dt
-    q = np.empty((n + 1, 2))
-    p = np.empty((n + 1, 2))
-    u_tr = np.empty(n + 1)
-    d_tr = np.empty(n + 1)
-    dhat_tr = np.empty(n + 1)
-    h_tr = np.empty(n + 1)
-    hd_tr = np.empty(n + 1)
-    v_tr = np.empty(n + 1)
-    pt1_tr = np.empty(n + 1)
-    th_tr = np.empty((n + 1, ell))
+    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
+    rec = np.empty((n + 1, 11 + ell))
 
     p0 = scenario.initial_momentum()
-    x = np.array([scenario.q0[0], scenario.q0[1], p0[0], p0[1]])
+    x = [float(v) for v in (*scenario.q0, *p0)]
     if robust:
-        x = np.concatenate([x, scenario.adaptive.theta_hat])
+        x += scenario.adaptive.theta_hat.tolist()
 
     spot_every = max(n // N_SPOT_CHECKS, 1)
     spots: list[tuple[float, float, float]] = []
@@ -214,7 +220,7 @@ def run(scenario: Scenario) -> Trace:
     rows = n + 1
 
     for i in range(n + 1):
-        q1, q2, p1c, p2c, *theta_hat = x.tolist()
+        q1, q2, p1c, p2c, *theta_hat = x
         try:
             u_now, pt1 = control_terms(params, gains, q1, q2, p1c, p2c)
             hd = controller.desired_hamiltonian_flat(params, gains, q1, q2, p1c, p2c)
@@ -226,15 +232,11 @@ def run(scenario: Scenario) -> Trace:
             fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
             dhat = sum(fv * th for fv, th in zip(fvals, theta_hat))
             u_now += dhat
-            v_now = lyapunov_value(scenario.adaptive.gamma_inv, x[4:], dist.theta, hd)
-            th_tr[i] = theta_hat
+            v_now = lyapunov_value(ginv_rows, theta_hat, dtheta, hd)
         else:
             dhat, v_now = 0.0, hd
-        q[i] = q1, q2
-        p[i] = p1c, p2c
-        u_tr[i], d_tr[i], dhat_tr[i] = u_now, d_now, dhat
-        h_tr[i] = hamiltonian_flat(params, q2, p1c, p2c)
-        hd_tr[i], v_tr[i], pt1_tr[i] = hd, v_now, pt1
+        rec[i] = (q1, q2, p1c, p2c, u_now, d_now, dhat,
+                  hamiltonian_flat(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
         if i % spot_every == 0:
             kin, pot = _spot_residuals(params, gains, q2)
             spots.append((float(t_grid[i]), kin, pot))
@@ -246,10 +248,11 @@ def run(scenario: Scenario) -> Trace:
             status, reason, rows = "region_exit", str(e), i + 1
             break
 
+    rec = rec[:rows]
     return Trace(
-        t=t_grid[:rows], q=q[:rows], p=p[:rows], u=u_tr[:rows], d=d_tr[:rows],
-        d_hat=dhat_tr[:rows], H=h_tr[:rows], Hd=hd_tr[:rows], V_lyap=v_tr[:rows],
-        ptilde1=pt1_tr[:rows], theta_hat=th_tr[:rows], status=status,
+        t=t_grid[:rows], q=rec[:, 0:2], p=rec[:, 2:4], u=rec[:, 4], d=rec[:, 5],
+        d_hat=rec[:, 6], H=rec[:, 7], Hd=rec[:, 8], V_lyap=rec[:, 9],
+        ptilde1=rec[:, 10], theta_hat=rec[:, 11:], status=status,
         exit_reason=reason, spot_checks=spots)
 
 

@@ -90,7 +90,6 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
         s, c = math.sin(q2), math.cos(q2)
         m11 = params.p1 + p2_ * s * s
         dm11 = 2.0 * p2_ * s * c
-        dm12 = -p3_ * s
         ps1, ps2 = controller.psi_row1(params, gains, q2)
         ps3 = controller.psi3(params, gains, q2) + psi3_offset
         if fd:
@@ -106,10 +105,8 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
             dps3 = controller.psi3_derivative(params, gains, q2)
         a1, a2 = controller.alpha_from_psi(params, gains, s, c, m11,
                                            ps1, ps2, ps3, dps1, dps2)
-        # matrix residual of -Psi M' Psi^T + psi4 Md' - [[2a1, a2], [a2, 0]]
-        r11 = -(dm11 * ps1 * ps1 + 2.0 * dm12 * ps1 * ps2) - 2.0 * a1
-        r12 = -(dm11 * ps1 * ps3 + dm12 * (ps1 * ps4 + ps2 * ps3)) + ps4 * dd2 - a2
-        r22 = -(dm11 * ps3 * ps3 + 2.0 * dm12 * ps3 * ps4) + ps4 * dd4
+        rows = controller.kinetic_matching_rows(params, gains, s, c, ps1, ps2, ps3,
+                                                dd2, dd4, a1, a2)
         # scalar rows with the derivative brackets expanded by product rule
         db1 = dps1 * m11 + ps1 * dm11 + p3_ * (dps2 * c - ps2 * s)
         al1 = (2.0 * p3_ * ps1 * ps2 * s - 2.0 * p2_ * ps1 * ps1 * s * c
@@ -120,7 +117,7 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
         db4 = p3_ * (dps3 * c - ps3 * s)
         ode = (-2.0 * p2_ * ps3 * ps3 * s * c + 2.0 * p3_ * ps3 * ps4 * s
                + ps4 * db4)
-        vals = (max(abs(r11), abs(r12), abs(r22)), abs(al1), abs(al2), abs(ode))
+        vals = (max(map(abs, rows)), abs(al1), abs(al2), abs(ode))
         for k, v in enumerate(vals):
             if v > worst[k]:
                 worst[k], arg[k] = v, q2

@@ -2,7 +2,7 @@
 
 Covers:
   - simulate: exit codes, trace.csv schema and byte-stability, SVG plots,
-    --out override, --json summary, region-exit reporting
+    --out override, --json summary, region-exit and blow-up reporting
   - verify: seven-row report, --json records, failure exit on a broken check
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line
@@ -92,6 +92,17 @@ def test_simulate_region_exit_is_failure(tmp_path, capsys):
     assert "region_exit" in capsys.readouterr().out
     header, rows = read_csv(tmp_path / "out" / "trace.csv")
     assert header == BASE_COLUMNS and rows == []
+
+
+def test_simulate_blowup_is_reported(tmp_path, capsys):
+    text = ("robot: {p: [1.5, 0.1, 0.25, 0.13333333333333333, 3.924]}\n"
+            "controller: {psi40: 1.0, k1: 0.1, k2: 100.0, kappa: 0.006, kv: 400.0}\n"
+            "simulation: {mode: disturbed_nominal, q0: [-0.8, 0.8], dt: 0.001, t_end: 2.0}\n"
+            "disturbance: {f: ['sin(p1*p1*p1*p1*p1*p1*p1)*p1*p1*p1'], theta: [1.0e+12]}\n")
+    cfg = cfg_file(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "simulation failed" in err and "Traceback" not in err
 
 
 def test_plots_emitted(tmp_path):

@@ -3,6 +3,7 @@
 Covers:
   - the reference disturbance basis ["1","q1","sin(q2)*cos(p1)"]
   - literal, variable, nested-call and product evaluation
+  - sin/cos of an overflowed argument give nan, not a ValueError
   - unknown variables and malformed inputs raise with position info
   - unparse/parse round-trip on randomly generated trees
   - RegressorSpec validation (at least one term)
@@ -67,6 +68,13 @@ def test_nested_calls():
     t2 = parse_term("cos(2*q1*sin(p2))")
     assert t2(0.4, 0, 0, 0.2) == pytest.approx(
         math.cos(2 * 0.4 * math.sin(0.2)), abs=1e-15)
+
+
+def test_trig_of_overflow_is_nan():
+    # p1^3 overflows to inf at p1 = 1e103; math.sin(inf) would raise
+    for text in ("sin(p1*p1*p1)", "cos(p1*p1*p1)*q1"):
+        assert math.isnan(parse_term(text)(1.0, 0.0, 1e103, 0.0))
+    assert parse_term("sin(p1*p1*p1)")(1.0, 0.0, 1e102, 0.0) == math.sin(1e306)
 
 
 def test_unknown_variable():

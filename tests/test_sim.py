@@ -3,14 +3,18 @@
 Covers:
   - one RK4 step of x' = -x equals 0.9048375 exactly (and e^{-0.1} to 1e-7)
   - harmonic-oscillator energy drift < 1e-8 over 10^4 steps
-  - NonFiniteState on integrator blowup
+  - the list step_rk4 equals the ndarray RK4 expression bit for bit
+  - NonFiniteState on integrator blowup, also when rhs fails at a blown-up
+    stage (a finite stage's error propagates)
   - equilibrium start stays exactly at the target, u = 0
   - bitwise determinism of repeated runs
   - velocity -> momentum initial-condition conversion
   - nominal mode: Hd nonincreasing (slope tolerance 1e-7) and the global
     energy balance Hd(T)-Hd(0) = -kv int ptilde1^2 holds to O(dt^4)
   - grid refinement: halving dt shrinks the endpoint error ~16x
-  - region exit: flagged + truncated, never clamped; require_ok raises
+  - region exit: flagged + truncated, never clamped; require_ok raises;
+    after an exit in a stage or on a recorded row every Trace array has
+    the same, fully written rows
   - closed_loop_rhs_direct equals plant + control_law composition
   - Scenario validation and out-of-region warning
 """
@@ -19,9 +23,10 @@ import math
 import numpy as np
 import pytest
 
+import ripsim.simulate as sim
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
-from ripsim.controller import ControllerGains, control_law
-from ripsim.model import RobotParams, State, inertia, open_loop_rhs
+from ripsim.controller import ControllerGains, DefinitenessLost, control_law, control_terms
+from ripsim.model import RobotParams, State, hamiltonian_flat, inertia, open_loop_rhs
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import (
     NonFiniteState, RegionExit, Scenario, Trace, closed_loop_rhs_direct, run,
@@ -38,7 +43,7 @@ def nominal(q0, t_end=5.0, dt=1e-3, gains=G_CONV, qdot0=(0.0, 0.0)):
 
 
 def test_rk4_linear_decay_step():
-    out = step_rk4(lambda x: -x, np.array([1.0]), 0.1)
+    out = step_rk4(lambda x: [-v for v in x], [1.0], 0.1)
     # one classical RK4 step of x' = -x from 1: 1 - 0.1 + 0.005 - ... exactly
     assert abs(out[0] - 0.9048375) < 1e-15
     assert abs(out[0] - math.exp(-0.1)) < 1e-7
@@ -51,17 +56,54 @@ def test_rk4_identity_rhs():
 
 
 def test_rk4_harmonic_energy_drift():
-    x = np.array([1.0, 0.0])
-    rhs = lambda v: np.array([v[1], -v[0]])
-    e0 = 0.5 * (x @ x)
+    x = [1.0, 0.0]
+    rhs = lambda v: [v[1], -v[0]]
+    e0 = 0.5 * (x[0] * x[0] + x[1] * x[1])
     for _ in range(10_000):
         x = step_rk4(rhs, x, 1e-3)
-    assert abs(0.5 * (x @ x) - e0) < 1e-8
+    assert abs(0.5 * (x[0] * x[0] + x[1] * x[1]) - e0) < 1e-8
 
 
 def test_rk4_nonfinite_raises():
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        step_rk4(lambda x: x * 1e308, np.array([1.0]), 1.0)
+    with pytest.raises(NonFiniteState):
+        step_rk4(lambda x: [v * 1e308 for v in x], [1.0], 1.0)
+
+
+def test_rk4_equals_vector_formula():
+    # the list stages and update against the ndarray expression, bit for bit
+    rng = np.random.default_rng(40)
+    a = rng.normal(size=(6, 6))
+    for _ in range(1000):
+        x = rng.normal(size=int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 3)
+        dt = 10.0 ** rng.uniform(-5, -1)
+        m = a[:x.size, :x.size]
+        rhs = lambda v: m @ np.asarray(v) + np.sin(v)
+        k1 = rhs(x)
+        k2 = rhs(x + (0.5 * dt) * k1)
+        k3 = rhs(x + (0.5 * dt) * k2)
+        k4 = rhs(x + dt * k3)
+        want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = step_rk4(lambda v: rhs(v).tolist(), x.tolist(), dt)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert got == want.tolist()
+
+
+def test_rk4_error_at_blown_up_stage_raises_nonfinite():
+    # the k1 slope is inf, so the k2 stage holds q2 = inf and math.sin raises
+    def rhs(y):
+        control_terms(P_SYN, G_CONV, *y)
+        return [0.0, math.inf, 0.0, 0.0]
+
+    with pytest.raises(NonFiniteState, match="stage"):
+        step_rk4(rhs, [0.0, 0.1, 0.0, 0.0], 1e-3)
+
+
+def test_rk4_error_at_finite_stage_propagates():
+    def rhs(y):
+        raise ValueError("not a blow-up")
+
+    with pytest.raises(ValueError, match="not a blow-up"):
+        step_rk4(rhs, [0.0, 0.1, 0.0, 0.0], 1e-3)
 
 
 def test_equilibrium_stays_exact():
@@ -151,6 +193,83 @@ def test_midrun_region_exit_truncates():
     assert tr.status == "region_exit"
     assert 0 < len(tr.t) < 10_001
     assert len(tr.q) == len(tr.t) == len(tr.u)
+    assert_rows_complete(tr)
+
+
+TRACE_ARRAYS = ("t", "q", "p", "u", "d", "d_hat", "H", "Hd", "V_lyap", "ptilde1",
+                "theta_hat")
+
+
+def assert_rows_complete(tr):
+    """Every Trace array has the same rows, all written: finite, and H is H(q, p)."""
+    rows = tr.t.shape[0]
+    for name in TRACE_ARRAYS:
+        arr = getattr(tr, name)
+        assert arr.shape[0] == rows, name
+        assert np.all(np.isfinite(arr)), name
+    for k in range(rows):
+        assert tr.H[k] == hamiltonian_flat(P_SYN, tr.q[k, 1], tr.p[k, 0], tr.p[k, 1])
+
+
+def robust_exit_scenario():
+    # a large constant disturbance that the estimate cannot follow in time
+    spec = DisturbanceSpec(parse_regressor(["1", "q1"]), np.array([50.0, 1.0]))
+    return Scenario(params=P_SYN, gains=G_CONV, mode="disturbed_robust",
+                    q0=(0.0, 0.3), qdot0=(0.0, 0.0), t_end=10.0, dt=1e-3,
+                    disturbance=spec, adaptive=AdaptiveState(np.zeros(2), 1.0))
+
+
+def test_region_exit_inside_stage_keeps_rows_complete(monkeypatch):
+    raised = []
+
+    def spy(rhs, x, dt):
+        try:
+            return step_rk4(rhs, x, dt)
+        except DefinitenessLost:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(sim, "step_rk4", spy)
+    tr = run(robust_exit_scenario())
+    assert tr.status == "region_exit" and raised == [1]
+    assert 0 < len(tr.t) < 10_001
+    assert tr.theta_hat.shape == (len(tr.t), 2)
+    assert_rows_complete(tr)
+
+
+def test_region_exit_on_recorded_row_keeps_rows_complete(monkeypatch):
+    # the run stops in the record block: control_terms raises at a recorded
+    # row but never inside a stage
+    calls = []
+
+    def failing(params, gains, q1, q2, p1c, p2c):
+        calls.append(1)
+        if len(calls) == 5 * 40 + 1:   # the 41st recorded row (4 stages + 1 row per step)
+            raise DefinitenessLost(q2, -1.0)
+        return control_terms(params, gains, q1, q2, p1c, p2c)
+
+    monkeypatch.setattr(sim, "control_terms", failing)
+    tr = run(robust_exit_scenario())
+    assert tr.status == "region_exit" and len(tr.t) == 40
+    assert_rows_complete(tr)
+
+
+def test_nominal_trace_has_empty_theta_columns():
+    tr = run(nominal((0.1, 0.3), t_end=0.1))
+    assert tr.theta_hat.shape == (101, 0)
+    assert_rows_complete(tr)
+
+
+def test_blowup_in_stage_raises_nonfinite():
+    # p1^7 overflows to inf inside a stage; sin(inf) is nan, never a ValueError
+    spec = DisturbanceSpec(parse_regressor(["sin(p1*p1*p1*p1*p1*p1*p1)*p1*p1*p1"]),
+                           np.array([1.0e12]))
+    fig3 = RobotParams(1.5, 0.1, 0.25, 0.13333333333333333, 3.924)
+    sc = Scenario(params=fig3, gains=ControllerGains(1.0, 0.1, 100.0, kappa=0.006, kv=400.0),
+                  mode="disturbed_nominal", q0=(-0.8, 0.8), t_end=2.0, dt=1e-3,
+                  disturbance=spec)
+    with pytest.raises(NonFiniteState):
+        run(sc)
 
 
 def test_closed_loop_equivalence_pointwise():
