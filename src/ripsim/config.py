@@ -26,12 +26,12 @@ DEFAULTS = {
     "controller": {"psi40": 1.0, "k1": 0.1, "k2": 100.0, "kappa": 1.0, "kv": 1.0},
     "simulation": {"mode": "nominal", "q0": [0.0, 0.0], "qdot0": [0.0, 0.0],
                    "dt": 1e-3, "t_end": 30.0},
-    "adaptive": {"gamma": 1.0, "theta_hat0": None, "enabled": True},
+    "adaptive": {"gamma": 1.0, "theta_hat0": None},
     "output": {"dir": ".", "plots": True},
 }
 # Inclusive ranges of the integer verify options. The upper bounds cap the
-# arrays verify allocates (about 8 floats per scan point, planar_grid squared)
-# and the pure-Python loops over grid points and samples.
+# arrays verify allocates (about 8 floats per scan point, 4 per kinetic grid
+# point, planar_grid squared) and the pure-Python loop over samples.
 VERIFY_COUNTS = {"grid_points": (1, 10 ** 6), "planar_grid": (1, 1000),
                  "samples": (1, 10 ** 6), "seed": (0, 2 ** 63 - 1),
                  "scan_cells": (1, 10 ** 7), "md_scan_points": (1, 10 ** 6)}
@@ -88,6 +88,8 @@ def _vector(section: dict, path: str, key: str, length: int, default=None):
     for i, v in enumerate(value):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{path}.{key}[{i}]: expected a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}.{key}[{i}]: must be finite")
         out.append(float(v))
     return out
 
@@ -105,7 +107,6 @@ class Config:
     t_end: float
     disturbance: DisturbanceSpec | None
     adaptive: AdaptiveState | None
-    adaptive_enabled: bool
     verify: VerifyOptions
     out_dir: str
     plots: bool
@@ -177,39 +178,36 @@ def _load_disturbance(section) -> DisturbanceSpec | None:
     return DisturbanceSpec(regressor=regressor, theta=np.array(theta))
 
 
-def _load_adaptive(section, dist: DisturbanceSpec | None) -> tuple[AdaptiveState | None, bool]:
+def _load_adaptive(section, dist: DisturbanceSpec | None) -> AdaptiveState | None:
     defaults = DEFAULTS["adaptive"]
     section = section if section is not None else {}
     if not isinstance(section, dict):
         raise ConfigError("adaptive: not a mapping")
     _require_keys(section, "adaptive", set(defaults))
-    enabled = section.get("enabled", defaults["enabled"])
-    if not isinstance(enabled, bool):
-        raise ConfigError("adaptive.enabled: expected true/false")
     if dist is None:
         if section:
             raise ConfigError("adaptive: requires a disturbance section (nothing to adapt)")
-        return None, enabled
+        return None
     ell = dist.regressor.ell
     theta_hat0 = (_vector(section, "adaptive", "theta_hat0", ell)
                   if section.get("theta_hat0") is not None else [0.0] * ell)
     gamma = section.get("gamma", defaults["gamma"])
-    if isinstance(gamma, (int, float)) and not isinstance(gamma, bool):
-        if gamma <= 0:
-            raise ConfigError("adaptive.gamma: must be > 0")
-        gamma_arr = float(gamma) * np.eye(ell)
-    elif isinstance(gamma, list):
-        rows = [_vector({"row": r}, "adaptive.gamma", "row", ell) for r in gamma]
+    if isinstance(gamma, list):
+        rows = [_vector({f"gamma[{j}]": r}, "adaptive", f"gamma[{j}]", ell)
+                for j, r in enumerate(gamma)]
         if len(rows) != ell:
             raise ConfigError(f"adaptive.gamma: expected {ell}x{ell} matrix")
         gamma_arr = np.array(rows)
     else:
-        raise ConfigError("adaptive.gamma: expected a number or a matrix")
+        gamma = _number(section, "adaptive", "gamma", defaults["gamma"])
+        if gamma <= 0:
+            raise ConfigError("adaptive.gamma: must be > 0")
+        gamma_arr = gamma * np.eye(ell)
     try:
         state = AdaptiveState(theta_hat=np.array(theta_hat0), gamma=gamma_arr)
     except ValueError as e:
         raise ConfigError(f"adaptive: {e}") from e
-    return state, enabled
+    return state
 
 
 def _load_verify(section) -> VerifyOptions:
@@ -227,6 +225,8 @@ def _load_verify(section) -> VerifyOptions:
     for key in ("span", "psi3_offset"):
         if key in section:
             kwargs[key] = _number(section, "verify", key)
+    if kwargs.get("span", 1.0) <= 0.0:
+        raise ConfigError(f"verify.span: must be > 0, got {kwargs['span']}")
     if "derivatives" in section:
         if section["derivatives"] not in ("analytic", "fd"):
             raise ConfigError("verify.derivatives: expected 'analytic' or 'fd'")
@@ -277,14 +277,12 @@ def load_config(path: str) -> Config:
     t_end = _number(sim, "simulation", "t_end", sim_defaults["t_end"])
 
     dist = _load_disturbance(raw.get("disturbance"))
-    adaptive, enabled = _load_adaptive(raw.get("adaptive"), dist)
+    adaptive = _load_adaptive(raw.get("adaptive"), dist)
 
     if mode not in ("nominal", "disturbed_nominal", "disturbed_robust"):
         raise ConfigError(f"simulation.mode: unknown mode {mode!r}")
     if mode != "nominal" and dist is None:
         raise ConfigError(f"simulation.mode: {mode} requires a disturbance section")
-    if mode == "disturbed_robust" and not enabled:
-        raise ConfigError("simulation.mode: disturbed_robust requires adaptive.enabled")
     if dt <= 0 or t_end < dt:
         raise ConfigError("simulation: need dt > 0 and t_end >= dt")
 
@@ -301,5 +299,4 @@ def load_config(path: str) -> Config:
 
     return Config(params=params, gains=gains, mode=mode, q0=q0, qdot0=qdot0,
                   dt=dt, t_end=t_end, disturbance=dist, adaptive=adaptive,
-                  adaptive_enabled=enabled, verify=_load_verify(raw.get("verify")),
-                  out_dir=out_dir, plots=plots)
+                  verify=_load_verify(raw.get("verify")), out_dir=out_dir, plots=plots)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,8 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
 
 
 # The closed forms, each written once in arithmetic only (floats or ndarrays) on
-# s = sin q2, c = cos q2 and shared terms; control_terms threads one (s, c) through.
+# s = sin q2, c = cos q2 and shared terms; shaping() evaluates them all at one
+# (s, c), and the hot path control_terms threads one (s, c) through the helpers.
 def shape_terms(params: RobotParams, gains: ControllerGains, s: float, c: float):
     """(w, den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
     w = params.p2 / (params.p3 * gains.psi40)
@@ -171,91 +173,78 @@ def kinetic_matching_rows(params: RobotParams, gains: ControllerGains, s: float,
     return r11, r12, r22
 
 
-def _z_offset(params: RobotParams, gains: ControllerGains, s: float) -> float:
-    """z(q) - q1 = a atan(b sin q2)."""
+def _z_offset(params: RobotParams, gains: ControllerGains, s: float,
+              atan=math.atan) -> float:
+    """z(q) - q1 = a atan(b sin q2); pass np.arctan for arrays."""
     a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))
     b = math.sqrt(params.p2 / (gains.k1 * params.p3 * gains.psi40))
-    return a * math.atan(b * s)
+    return a * atan(b * s)
 
 
-def psi3(params: RobotParams, gains: ControllerGains, q2: float) -> float:
-    """Closed-form solution of the kinetic-matching Riccati equation."""
-    return shape_terms(params, gains, math.sin(q2), math.cos(q2))[3]
+def _vd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float,
+                 ps3: float) -> tuple[float, float]:
+    """grad Vd = (kappa z, kappa z psi3/psi40 + (p5/psi40) sin q2), as dz/dq2 = psi3/psi40."""
+    return (gains.kappa * z,
+            gains.kappa * z * ps3 / gains.psi40 + params.p5 / gains.psi40 * s)
 
 
-def psi3_derivative(params: RobotParams, gains: ControllerGains, q2: float) -> float:
-    """Analytic d(psi3)/dq2 by the quotient rule."""
-    s, c = math.sin(q2), math.cos(q2)
-    w, den = shape_terms(params, gains, s, c)[:2]
-    dden = 2.0 * w * s * c
-    return (-s * den - c * dden) / (den * den)
+def potential_matching_row(params: RobotParams, gains: ControllerGains, s: float,
+                           ps3: float, g1: float, g2: float) -> float:
+    """psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin q2 for grad Vd = (g1, g2); 0 where matching holds."""
+    return ps3 * g1 - gains.psi40 * g2 + params.p5 * s
 
 
-def desired_inertia_entries(params: RobotParams, gains: ControllerGains,
-                            q2: float) -> tuple[float, float, float]:
-    """Entries (d1, d2, d4) of the symmetric desired inertia Md(q2)."""
-    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
-    return gains.k2, d2, d4
+class Shaping(NamedTuple):
+    """Every per-q2 closed form: m11 = p1 + p2 s^2, the Psi entries, the Md
+    entries d2, d4 (d1 = k2), the q2-derivatives (d-prefixed) and alpha."""
+
+    m11: float
+    ps1: float
+    ps2: float
+    ps3: float
+    d2: float
+    d4: float
+    dd2: float
+    dd4: float
+    dps1: float
+    dps2: float
+    dps3: float
+    a1: float
+    a2: float
 
 
-def desired_inertia_entries_derivative(params: RobotParams, gains: ControllerGains,
-                                       q2: float) -> tuple[float, float, float]:
-    """Analytic (d1', d2', d4'); d1' = 0 since d1 = k2."""
-    s, c = math.sin(q2), math.cos(q2)
-    w, den, m11 = shape_terms(params, gains, s, c)[:3]
-    return (0.0, *_md_prime(params, gains, s, c, w, den, m11))
+def shaping(params: RobotParams, gains: ControllerGains, s: float, c: float) -> Shaping:
+    """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
+    w, den, m11, ps3, d2, d4 = shape_terms(params, gains, s, c)
+    dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
+    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
+    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    dps3 = (-s * den - c * (2.0 * w * s * c)) / (den * den)
+    a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
+
+
+def shaping_at(params: RobotParams, gains: ControllerGains, q2: float) -> Shaping:
+    """shaping() at a float q2."""
+    return shaping(params, gains, math.sin(q2), math.cos(q2))
 
 
 def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    d1, d2, d4 = desired_inertia_entries(params, gains, q2)
-    return np.array([[d1, d2], [d2, d4]])
-
-
-def psi_row1(params: RobotParams, gains: ControllerGains,
-             q2: float) -> tuple[float, float]:
-    """(psi1, psi2) from [psi1, psi2] = [d1, d2] M^{-1}(q2)."""
-    c = math.cos(q2)
-    _, _, m11, _, d2, _ = shape_terms(params, gains, math.sin(q2), c)
-    return _psi_row1(params, gains, c, m11, d2)
-
-
-def psi_row1_derivative(params: RobotParams, gains: ControllerGains,
-                        q2: float) -> tuple[float, float]:
-    """Analytic (psi1', psi2') by the quotient rule on the closed forms."""
-    s, c = math.sin(q2), math.cos(q2)
-    w, den, m11, _, d2, _ = shape_terms(params, gains, s, c)
-    dd2, _ = _md_prime(params, gains, s, c, w, den, m11)
-    return _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
+    return np.array([[gains.k2, d2], [d2, d4]])
 
 
 def psi_row1_derivative_fd(params: RobotParams, gains: ControllerGains,
                            q2: float, h: float = FD_STEP) -> tuple[float, float]:
     """Central-difference fallback for (psi1', psi2')."""
-    p1p, p2p = psi_row1(params, gains, q2 + h)
-    p1m, p2m = psi_row1(params, gains, q2 - h)
-    return (p1p - p1m) / (2.0 * h), (p2p - p2m) / (2.0 * h)
+    up, dn = shaping_at(params, gains, q2 + h), shaping_at(params, gains, q2 - h)
+    return (up.ps1 - dn.ps1) / (2.0 * h), (up.ps2 - dn.ps2) / (2.0 * h)
 
 
 def psi_matrix(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
     """Psi(q2) = Md M^{-1} as a 2x2 array [[psi1, psi2], [psi3, psi4]]."""
-    p1, p2 = psi_row1(params, gains, q2)
-    return np.array([[p1, p2], [psi3(params, gains, q2), -gains.psi40]])
-
-
-def alpha_entries(params: RobotParams, gains: ControllerGains,
-                  q2: float) -> tuple[float, float]:
-    """Interconnection coefficients (alpha1, alpha2) that close kinetic matching."""
-    s, c = math.sin(q2), math.cos(q2)
-    w, den, m11, ps3, d2, _ = shape_terms(params, gains, s, c)
-    dd2, _ = _md_prime(params, gains, s, c, w, den, m11)
-    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
-    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
-    return alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
-
-
-def alpha(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    a1, a2 = alpha_entries(params, gains, q2)
-    return np.array([a1, a2])
+    sh = shaping_at(params, gains, q2)
+    return np.array([[sh.ps1, sh.ps2], [sh.ps3, -gains.psi40]])
 
 
 def alpha_from_matching(params: RobotParams, gains: ControllerGains,
@@ -264,48 +253,40 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
 
     Independent of psi1', psi2': the derivative brackets in those rows are
     the Md entries d1 = k2 (constant) and d2 (closed form), so only the
-    analytic d2' is needed. Serves as a cross-check oracle for `alpha`.
+    analytic d2' is needed. Serves as a cross-check oracle for shaping's alpha.
     """
     s, c = math.sin(q2), math.cos(q2)
-    ps1, ps2 = psi_row1(params, gains, q2)
-    ps3 = psi3(params, gains, q2)
-    ps4 = -gains.psi40
-    _, dd2, _ = desired_inertia_entries_derivative(params, gains, q2)
+    sh = shaping(params, gains, s, c)
+    ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, -gains.psi40
     a1 = params.p3 * ps1 * ps2 * s - params.p2 * ps1 * ps1 * s * c
     a2 = (params.p3 * s * (ps2 * ps3 + ps1 * ps4)
           - 2.0 * params.p2 * ps1 * ps3 * s * c
-          + ps4 * dd2)
+          + ps4 * sh.dd2)
     return np.array([a1, a2])
-
-
-def potential_offset(params: RobotParams, gains: ControllerGains, q2: float) -> float:
-    """z(q) - q1: the q2-dependent part of the shaped-potential coordinate."""
-    return _z_offset(params, gains, math.sin(q2))
 
 
 def shaped_potential(params: RobotParams, gains: ControllerGains, q) -> float:
     """Vd(q) = kappa/2 * z^2 - (p5/psi40) cos(q2), minimized at the upright."""
     q1, q2 = float(q[0]), float(q[1])
-    z = q1 + potential_offset(params, gains, q2)
+    z = q1 + _z_offset(params, gains, math.sin(q2))
     return 0.5 * gains.kappa * z * z - params.p5 / gains.psi40 * math.cos(q2)
 
 
 def shaped_potential_gradient(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
     """Analytic grad Vd; satisfies the potential matching identity exactly."""
     q1, q2 = float(q[0]), float(q[1])
-    z = q1 + potential_offset(params, gains, q2)
-    dz = psi3(params, gains, q2) / gains.psi40
-    g1 = gains.kappa * z
-    g2 = gains.kappa * z * dz + params.p5 / gains.psi40 * math.sin(q2)
-    return np.array([g1, g2])
+    s = math.sin(q2)
+    ps3 = shape_terms(params, gains, s, math.cos(q2))[3]
+    return np.array(_vd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3))
 
 
 def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
     """Analytic Hessian of Vd at q."""
     q1, q2 = float(q[0]), float(q[1])
-    z = q1 + potential_offset(params, gains, q2)
-    dz = psi3(params, gains, q2) / gains.psi40
-    ddz = psi3_derivative(params, gains, q2) / gains.psi40
+    sh = shaping_at(params, gains, q2)
+    z = q1 + _z_offset(params, gains, math.sin(q2))
+    dz = sh.ps3 / gains.psi40
+    ddz = sh.dps3 / gains.psi40
     k = gains.kappa
     h11 = k
     h12 = k * dz
@@ -316,7 +297,7 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
 def md_inverse_entries(params: RobotParams, gains: ControllerGains,
                        q2: float) -> tuple[float, float, float, float]:
     """Entries (i11, i12, i22) of Md^{-1} plus det(Md); raises when Md is not PD."""
-    _, d2, d4 = desired_inertia_entries(params, gains, q2)
+    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
     return _md_inverse(gains, q2, d2, d4)
 
 
@@ -342,8 +323,8 @@ def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -
 def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarray:
     """Gradient of Hd wrt q: grad Vd plus the shaped kinetic term in q2."""
     pt1, pt2 = momentum_tilde(params, gains, s.q[1], s.p[0], s.p[1])
-    _, dd2, dd4 = desired_inertia_entries_derivative(params, gains, s.q[1])
-    quad = 2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4
+    sh = shaping_at(params, gains, s.q[1])
+    quad = 2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4
     g = shaped_potential_gradient(params, gains, s.q)
     return np.array([g[0], g[1] - 0.5 * quad])
 
@@ -357,12 +338,9 @@ def control_terms(params: RobotParams, gains: ControllerGains,
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     # grad_q Hd
-    z = q1 + _z_offset(params, gains, s)
-    gq1 = gains.kappa * z
+    gq1, gv2 = _vd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3)
     dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
-    gq2 = (gains.kappa * z * ps3 / gains.psi40
-           + params.p5 / gains.psi40 * s
-           - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4))
+    gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4)
     ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
     dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
     a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)

@@ -143,20 +143,16 @@ def _spot_residuals(params: RobotParams, gains: ControllerGains,
     """Pointwise kinetic/potential matching residuals for trace spot checks.
 
     Kinetic: the largest entry of controller.kinetic_matching_rows;
-    potential: the unactuated row of the potential matching identity
-    (q1-independent).
+    potential: controller.potential_matching_row at q1 = 0 (the row is
+    q1-independent: its z-part cancels).
     """
     s, c = math.sin(q2), math.cos(q2)
-    ps1, ps2 = controller.psi_row1(params, gains, q2)
-    ps3 = controller.psi3(params, gains, q2)
-    _, dd2, dd4 = controller.desired_inertia_entries_derivative(params, gains, q2)
-    a1, a2 = controller.alpha_entries(params, gains, q2)
+    sh = controller.shaping(params, gains, s, c)
     kin = max(map(abs, controller.kinetic_matching_rows(
-        params, gains, s, c, ps1, ps2, ps3, dd2, dd4, a1, a2)))
-    # potential row: psi3 * dVd/dq1 + psi4 * dVd/dq2 = -p5 sin(q2); z-part cancels
-    g = controller.shaped_potential_gradient(params, gains, (0.0, q2))
-    pot = abs(ps3 * g[0] - gains.psi40 * g[1] + params.p5 * s)
-    return kin, pot
+        params, gains, s, c, sh.ps1, sh.ps2, sh.ps3, sh.dd2, sh.dd4, sh.a1, sh.a2)))
+    g1, g2 = controller._vd_gradient(params, gains, controller._z_offset(params, gains, s),
+                                     s, sh.ps3)
+    return kin, abs(controller.potential_matching_row(params, gains, s, sh.ps3, g1, g2))
 
 
 def run(scenario: Scenario) -> Trace:
@@ -271,8 +267,8 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     md = controller.desired_inertia(params, gains, q2)
     psi = controller.psi_matrix(params, gains, q2)
     pt = np.array(controller.momentum_tilde(params, gains, q2, s.p[0], s.p[1]))
-    a = controller.alpha(params, gains, q2)
-    j2s = float(pt @ a)
+    sh = controller.shaping_at(params, gains, q2)
+    j2s = float(pt @ np.array([sh.a1, sh.a2]))
     j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
     gkg = gains.kv * (G @ G.T)
     gq = controller.grad_q_Hd(params, gains, s)

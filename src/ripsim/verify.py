@@ -26,6 +26,7 @@ TOL_FD = 1e-5         # identities with finite-difference derivatives
 TOL_EXACT = 1e-10     # exact algebraic identities
 TOL_EQUIV = 1e-9      # dual-formulation closed-loop agreement
 FD_H = 1e-6
+SCAN_BLOCK = 1 << 14  # grid points per block: the temporaries stay small and in cache
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,45 @@ class ResidualReport:
         }
 
 
+def _max_and_arg(res: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
+    """max(res) and the grid point of its first occurrence (0.0 when res is all 0)."""
+    k = int(np.argmax(res))
+    return float(res[k]), float(grid[k]) if res[k] > 0.0 else 0.0
+
+
+def _kinetic_residuals(params: RobotParams, gains: ControllerGains, q2: np.ndarray,
+                       fd: bool, psi3_offset: float) -> tuple[np.ndarray, ...]:
+    """|largest matrix entry|, |al1|, |al2|, |ode| of kinetic matching at each q2."""
+    p2_, p3_, p4_ = params.p2, params.p3, params.p4
+    ps4 = -gains.psi40
+    s, c = np.sin(q2), np.cos(q2)
+    sh = controller.shaping(params, gains, s, c)
+    m11, ps1, ps2 = sh.m11, sh.ps1, sh.ps2
+    ps3 = sh.ps3 + psi3_offset
+    if fd:
+        up = controller.shaping(params, gains, np.sin(q2 + FD_H), np.cos(q2 + FD_H))
+        dn = controller.shaping(params, gains, np.sin(q2 - FD_H), np.cos(q2 - FD_H))
+        dps1, dps2, dps3, dd2, dd4 = ((getattr(up, k) - getattr(dn, k)) / (2 * FD_H)
+                                      for k in ("ps1", "ps2", "ps3", "d2", "d4"))
+    else:
+        dps1, dps2, dps3, dd2, dd4 = sh.dps1, sh.dps2, sh.dps3, sh.dd2, sh.dd4
+    a1, a2 = controller.alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    rows = controller.kinetic_matching_rows(params, gains, s, c, ps1, ps2, ps3,
+                                            dd2, dd4, a1, a2)
+    # scalar rows with the derivative brackets expanded by product rule
+    dm11 = 2.0 * p2_ * s * c
+    db1 = dps1 * m11 + ps1 * dm11 + p3_ * (dps2 * c - ps2 * s)
+    al1 = (2.0 * p3_ * ps1 * ps2 * s - 2.0 * p2_ * ps1 * ps1 * s * c
+           + ps4 * db1 - 2.0 * a1)
+    db2 = p3_ * (dps1 * c - ps1 * s) + p4_ * dps2
+    al2 = (p3_ * s * (ps2 * ps3 + ps1 * ps4) - 2.0 * p2_ * ps1 * ps3 * s * c
+           + ps4 * db2 - a2)
+    db4 = p3_ * (dps3 * c - ps3 * s)
+    ode = (-2.0 * p2_ * ps3 * ps3 * s * c + 2.0 * p3_ * ps3 * ps4 * s
+           + ps4 * db4)
+    return np.max(np.abs(rows), axis=0), np.abs(al1), np.abs(al2), np.abs(ode)
+
+
 def kinetic_matching(params: RobotParams, gains: ControllerGains,
                      n: int = 1000, span: float = 1.5,
                      derivatives: str = "analytic",
@@ -80,53 +120,17 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
     if derivatives not in ("analytic", "fd"):
         raise ValueError("derivatives must be 'analytic' or 'fd'")
     fd = derivatives == "fd"
-    h = FD_H
-    p2_, p3_, p4_ = params.p2, params.p3, params.p4
-    ps4 = -gains.psi40
     grid = np.linspace(-span, span, n)
-    worst = np.zeros(4)   # matrix, al1, al2, ode
-    arg = np.zeros(4)
-    for q2 in grid:
-        s, c = math.sin(q2), math.cos(q2)
-        m11 = params.p1 + p2_ * s * s
-        dm11 = 2.0 * p2_ * s * c
-        ps1, ps2 = controller.psi_row1(params, gains, q2)
-        ps3 = controller.psi3(params, gains, q2) + psi3_offset
-        if fd:
-            dps1, dps2 = controller.psi_row1_derivative_fd(params, gains, q2, h)
-            _, d2p, d4p = controller.desired_inertia_entries(params, gains, q2 + h)
-            _, d2m, d4m = controller.desired_inertia_entries(params, gains, q2 - h)
-            dd2, dd4 = (d2p - d2m) / (2 * h), (d4p - d4m) / (2 * h)
-            dps3 = (controller.psi3(params, gains, q2 + h)
-                    - controller.psi3(params, gains, q2 - h)) / (2 * h)
-        else:
-            dps1, dps2 = controller.psi_row1_derivative(params, gains, q2)
-            _, dd2, dd4 = controller.desired_inertia_entries_derivative(params, gains, q2)
-            dps3 = controller.psi3_derivative(params, gains, q2)
-        a1, a2 = controller.alpha_from_psi(params, gains, s, c, m11,
-                                           ps1, ps2, ps3, dps1, dps2)
-        rows = controller.kinetic_matching_rows(params, gains, s, c, ps1, ps2, ps3,
-                                                dd2, dd4, a1, a2)
-        # scalar rows with the derivative brackets expanded by product rule
-        db1 = dps1 * m11 + ps1 * dm11 + p3_ * (dps2 * c - ps2 * s)
-        al1 = (2.0 * p3_ * ps1 * ps2 * s - 2.0 * p2_ * ps1 * ps1 * s * c
-               + ps4 * db1 - 2.0 * a1)
-        db2 = p3_ * (dps1 * c - ps1 * s) + p4_ * dps2
-        al2 = (p3_ * s * (ps2 * ps3 + ps1 * ps4) - 2.0 * p2_ * ps1 * ps3 * s * c
-               + ps4 * db2 - a2)
-        db4 = p3_ * (dps3 * c - ps3 * s)
-        ode = (-2.0 * p2_ * ps3 * ps3 * s * c + 2.0 * p3_ * ps3 * ps4 * s
-               + ps4 * db4)
-        vals = (max(map(abs, rows)), abs(al1), abs(al2), abs(ode))
-        for k, v in enumerate(vals):
-            if v > worst[k]:
-                worst[k], arg[k] = v, q2
+    matrix, al1, al2, ode = (np.concatenate(col) for col in zip(*(
+        _kinetic_residuals(params, gains, b, fd, psi3_offset)
+        for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
+    worst, arg = _max_and_arg(matrix, grid)
     tol = TOL_FD if fd else TOL_ANALYTIC
     return ResidualReport(
         name="kinetic_matching", grid=f"{n} points on [-{span}, {span}]",
-        max_abs_residual=float(worst[0]), arg_at_max=(float(arg[0]),), tol=tol,
-        details={"al1": float(worst[1]), "al2": float(worst[2]),
-                 "ode": float(worst[3]), "derivatives": derivatives})
+        max_abs_residual=worst, arg_at_max=(arg,), tol=tol,
+        details={"al1": float(al1.max()), "al2": float(al2.max()),
+                 "ode": float(ode.max()), "derivatives": derivatives})
 
 
 def riccati_residual(params: RobotParams, gains: ControllerGains,
@@ -134,13 +138,10 @@ def riccati_residual(params: RobotParams, gains: ControllerGains,
     """Residual of psi3' = -tan(q2) psi3 - (2 p2/(p3 psi40)) sin(q2) psi3^2."""
     grid = np.linspace(-span, span, n)
     coef = 2.0 * params.p2 / (params.p3 * gains.psi40)
-    worst, arg = 0.0, 0.0
-    for q2 in grid:
-        ps3 = controller.psi3(params, gains, q2)
-        r = (controller.psi3_derivative(params, gains, q2)
-             + math.tan(q2) * ps3 + coef * math.sin(q2) * ps3 * ps3)
-        if abs(r) > worst:
-            worst, arg = abs(r), q2
+    s = np.sin(grid)
+    sh = controller.shaping(params, gains, s, np.cos(grid))
+    worst, arg = _max_and_arg(np.abs(sh.dps3 + np.tan(grid) * sh.ps3
+                                     + coef * s * sh.ps3 * sh.ps3), grid)
     return ResidualReport(
         name="riccati_solution", grid=f"{n} points on [-{span}, {span}]",
         max_abs_residual=worst, arg_at_max=(arg,), tol=TOL_ANALYTIC)
@@ -151,19 +152,18 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
                        kappa_skew: float = 0.0) -> ResidualReport:
     """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid.
 
-    Assembles grad Vd in vectorized numpy from the controller's psi3 and
-    z offset. kappa_skew perturbs kappa in the dVd/dq2 component only
-    (sensitivity hook); the identity is exact at kappa_skew = 0.
+    Evaluates the controller's psi3, z offset and grad Vd on the grid.
+    kappa_skew perturbs kappa in the dVd/dq2 component only (sensitivity
+    hook); the identity is exact at kappa_skew = 0.
     """
     q1 = np.linspace(-q1_span, q1_span, n)[:, None]
     q2 = np.linspace(-q2_span, q2_span, n)[None, :]
     s, c = np.sin(q2), np.cos(q2)
     ps3 = controller.shape_terms(params, gains, s, c)[3]
-    z = q1 + np.array([[controller.potential_offset(params, gains, v) for v in q2[0]]])
-    dv1 = gains.kappa * z
-    dv2 = ((gains.kappa + kappa_skew) * z * ps3 / gains.psi40
-           + params.p5 / gains.psi40 * s)
-    res = np.abs(ps3 * dv1 - gains.psi40 * dv2 + params.p5 * s)
+    z = q1 + controller._z_offset(params, gains, s, np.arctan)
+    dv1, dv2 = controller._vd_gradient(params, gains, z, s, ps3)
+    dv2 = dv2 + kappa_skew * z * ps3 / gains.psi40
+    res = np.abs(controller.potential_matching_row(params, gains, s, ps3, dv1, dv2))
     i, j = np.unravel_index(np.argmax(res), res.shape)
     q1_spread = float(np.max(res.max(axis=0) - res.min(axis=0)))
     return ResidualReport(
@@ -172,9 +172,6 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
         max_abs_residual=float(res[i, j]),
         arg_at_max=(float(q1[i, 0]), float(q2[0, j])), tol=TOL_EXACT,
         details={"q1_dependence_of_residual": q1_spread})
-
-
-SCAN_BLOCK = 1 << 14  # points per block: the scan's temporaries stay small and in cache
 
 
 def _d4_array(params: RobotParams, gains: ControllerGains, q2: np.ndarray) -> np.ndarray:

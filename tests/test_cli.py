@@ -6,14 +6,32 @@ Covers:
   - verify: seven-row report, --json records, failure exit on a broken check
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line
-  - config errors exit 2
+  - config errors exit 2, non-finite list entries included
+  - trace.csv bytes of every preset at a 1 s horizon, pinned by SHA-256
 """
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ripsim.cli import main
+from ripsim.cli import main, write_trace_csv
+from ripsim.config import load_config
+from ripsim.simulate import run
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+# SHA-256 of trace.csv for each preset cut to t_end = 1 s. trace.csv comes from
+# Python float arithmetic and math.sin/cos only, so a refactor of the control
+# law, the integrator or the writer must leave these bytes as they are.
+TRACE_SHA256_1S = {
+    "default": "46aa6f49fa879c854a7d47f92f21043bc81d1c9aa8a44c338bdc1015e73bf4da",
+    "fig2": "e6dc5af007290881d0c7565146e23f12ba3c8ae72940c39079a1eebbfbf319c7",
+    "fig3": "e2d8185764a55ea2063cd452811098cdca385a35fc8b0ae973b419522389bb28",
+    "fig4": "704caea65387e00c11130ba3bb65f75a78d4a75bf7076d4335b103732609b3bb",
+    "synthetic": "d2e0f81a7f8632fb9209805a5c0852ffe17137421f152e078996be26bbbeeda8",
+}
 
 ROBOT = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
 SHORT_SIM = ("controller: {kappa: 0.5, kv: 2.0}\n"
@@ -105,6 +123,14 @@ def test_simulate_blowup_is_reported(tmp_path, capsys):
     assert "simulation failed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256_1S))
+def test_preset_trace_bytes_pinned(tmp_path, name):
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    write_trace_csv(run(dataclasses.replace(cfg, t_end=1.0).scenario()), tmp_path / "trace.csv")
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256_1S[name]
+
+
 def test_plots_emitted(tmp_path):
     cfg = cfg_file(tmp_path, ROBUST)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -139,8 +165,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "d4(0)" in capsys.readouterr().err
 
 
+def test_nonfinite_theta_exits_2(tmp_path, capsys):
+    text = (PRESETS / "fig4.yaml").read_text().replace(
+        "theta: [0.1, 0.1, -0.3]", "theta: [.inf, .inf, .inf]")
+    cfg = cfg_file(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "disturbance.theta[0]: must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", ["samples: 0", "grid_points: -5", "scan_cells: 0",
-                                    "grid_points: 2.7"])
+                                    "grid_points: 2.7", "span: 0"])
 def test_invalid_verify_option_exits_2(tmp_path, capsys, option):
     cfg = cfg_file(tmp_path, ROBOT + f"verify: {{{option}}}\n")
     assert main(["verify", "--config", cfg]) == 2

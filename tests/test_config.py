@@ -6,7 +6,8 @@ Covers:
   - lumped p vs physical constants, including the p-wins warning
   - controller gains validated against the d4(0) > 0 requirement
   - disturbance parsing errors surface with position info
-  - adaptive section: gamma scalar/matrix, theta_hat0, enabled gating
+  - adaptive section: gamma scalar/matrix, theta_hat0; adaptive.enabled is unknown
+  - non-finite list entries (index in the path) and gamma rejected; verify.span > 0
   - mode/disturbance/adaptive cross-checks
   - verify options plumbing
   - Config.scenario() produces a runnable Scenario
@@ -36,7 +37,6 @@ def test_minimal_defaults(tmp_path):
     assert cfg.q0 == (0.0, 0.0) and cfg.qdot0 == (0.0, 0.0)
     assert (cfg.dt, cfg.t_end) == (1e-3, 30.0)
     assert cfg.disturbance is None and cfg.adaptive is None
-    assert cfg.adaptive_enabled is True
     assert cfg.out_dir == "." and cfg.plots is True
     assert cfg.verify.grid_points == 1000
 
@@ -145,7 +145,6 @@ def test_adaptive_defaults_and_scalar_gamma(tmp_path):
     cfg = load_config(write(tmp_path, text))
     assert np.array_equal(cfg.adaptive.theta_hat, [0.0, 0.0])
     assert np.allclose(cfg.adaptive.gamma, 2.0 * np.eye(2))
-    assert cfg.adaptive_enabled is True
 
 
 def test_adaptive_matrix_gamma(tmp_path):
@@ -196,13 +195,41 @@ def test_disturbed_modes_require_disturbance(tmp_path, mode):
         load_config(write(tmp_path, text))
 
 
-def test_robust_requires_enabled(tmp_path):
+def test_adaptive_enabled_is_unknown_key(tmp_path):
+    # mode alone selects adaptation: disturbed_robust runs it, the others do not
     text = (MINIMAL +
             "simulation: {mode: disturbed_robust}\n"
             "disturbance: {f: ['1'], theta: [0.5]}\n"
-            "adaptive: {enabled: false}\n")
-    with pytest.raises(ConfigError, match="enabled"):
+            "adaptive: {enabled: true}\n")
+    with pytest.raises(ConfigError, match=r"adaptive\.enabled: unknown key"):
         load_config(write(tmp_path, text))
+
+
+DIST2 = "disturbance: {f: ['1', 'q1'], theta: [0.5, -0.2]}\n"
+
+
+@pytest.mark.parametrize("text, path", [
+    ("robot: {p: [2.0, .inf, 1.0, 2.0, 1.0]}\n", r"robot\.p\[1\]"),
+    (MINIMAL + "simulation: {q0: [.nan, 0.0]}\n", r"simulation\.q0\[0\]"),
+    (MINIMAL + "simulation: {qdot0: [0.0, -.inf]}\n", r"simulation\.qdot0\[1\]"),
+    (MINIMAL + "disturbance: {f: ['1', 'q1', 'q2'], theta: [.inf, .inf, .inf]}\n",
+     r"disturbance\.theta\[0\]"),
+    (MINIMAL + DIST2 + "adaptive: {theta_hat0: [0.0, .nan]}\n",
+     r"adaptive\.theta_hat0\[1\]"),
+    (MINIMAL + DIST2 + "adaptive: {gamma: [[1.0, 0.0], [.inf, 1.0]]}\n",
+     r"adaptive\.gamma\[1\]\[0\]"),
+    (MINIMAL + DIST2 + "adaptive: {gamma: .inf}\n", r"adaptive\.gamma"),
+], ids=["robot.p", "q0", "qdot0", "theta", "theta_hat0", "gamma_row", "gamma_scalar"])
+def test_nonfinite_list_entries_rejected(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=path + ": must be finite"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("span", ["0", "-1.5"])
+def test_verify_span_must_be_positive(tmp_path, span):
+    # span 0 collapses the kinetic grid to q2 = 0, where every residual is exactly 0
+    with pytest.raises(ConfigError, match=r"verify\.span: must be > 0"):
+        load_config(write(tmp_path, MINIMAL + f"verify: {{span: {span}}}\n"))
 
 
 def test_unknown_mode(tmp_path):

@@ -18,13 +18,11 @@ import numpy as np
 import pytest
 
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, alpha, alpha_from_matching,
-    control_law, d4_at_origin, desired_hamiltonian, desired_inertia,
-    desired_inertia_entries, desired_inertia_entries_derivative, grad_q_Hd,
-    md_inverse_entries, momentum_tilde, potential_offset, psi3,
-    psi3_derivative, psi_matrix, psi_row1, psi_row1_derivative,
-    psi_row1_derivative_fd, region_rho, shaped_potential,
-    shaped_potential_gradient, shaped_potential_hessian,
+    ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching,
+    control_law, d4_at_origin, desired_hamiltonian, desired_inertia, grad_q_Hd,
+    md_inverse_entries, momentum_tilde, psi_matrix, psi_row1_derivative_fd,
+    region_rho, shaped_potential, shaped_potential_gradient,
+    shaped_potential_hessian, shaping_at,
 )
 from ripsim.model import RobotParams, State
 
@@ -56,7 +54,8 @@ def test_gains_validation():
 
 
 def test_desired_inertia_at_origin():
-    d1, d2, d4 = desired_inertia_entries(P_SYN, G_REF, 0.0)
+    sh = shaping_at(P_SYN, G_REF, 0.0)
+    d1, d2, d4 = G_REF.k2, sh.d2, sh.d4
     assert (d1, d2, d4) == (100.0, 19.0, 8.0)
     assert d4_at_origin(P_SYN, G_REF) == pytest.approx(8.0, abs=1e-14)
     md = desired_inertia(P_SYN, G_REF, 0.0)
@@ -65,8 +64,9 @@ def test_desired_inertia_at_origin():
 
 
 def test_psi_values_at_origin():
-    assert psi3(P_SYN, G_REF, 0.0) == pytest.approx(10.0, abs=1e-13)
-    ps1, ps2 = psi_row1(P_SYN, G_REF, 0.0)
+    sh = shaping_at(P_SYN, G_REF, 0.0)
+    assert sh.ps3 == pytest.approx(10.0, abs=1e-13)
+    ps1, ps2 = sh.ps1, sh.ps2
     assert ps1 == pytest.approx(181.0 / 3.0, abs=1e-10)
     assert ps2 == pytest.approx(-62.0 / 3.0, abs=1e-10)
 
@@ -78,7 +78,7 @@ def test_psi_matrix_bottom_row_structure():
         g = rand_gains(rng)
         q2 = rng.uniform(-0.95, 0.95) * region_rho(P_SYN, g)
         psi = psi_matrix(P_SYN, g, q2)
-        assert psi[1, 0] == pytest.approx(psi3(P_SYN, g, q2), rel=1e-10, abs=1e-10)
+        assert psi[1, 0] == pytest.approx(shaping_at(P_SYN, g, q2).ps3, rel=1e-10, abs=1e-10)
         assert psi[1, 1] == pytest.approx(-g.psi40, rel=1e-10, abs=1e-12)
 
 
@@ -86,15 +86,16 @@ def test_evenness_in_q2():
     rng = np.random.default_rng(11)
     for _ in range(100):
         q2 = rng.uniform(0.0, 0.5)
-        assert psi3(P_SYN, G_REF, q2) == pytest.approx(psi3(P_SYN, G_REF, -q2), rel=1e-12)
-        a = desired_inertia_entries(P_SYN, G_REF, q2)
-        b = desired_inertia_entries(P_SYN, G_REF, -q2)
+        sp, sm = shaping_at(P_SYN, G_REF, q2), shaping_at(P_SYN, G_REF, -q2)
+        assert sp.ps3 == pytest.approx(sm.ps3, rel=1e-12)
+        a = (G_REF.k2, sp.d2, sp.d4)
+        b = (G_REF.k2, sm.d2, sm.d4)
         assert a == pytest.approx(b, rel=1e-12)
-        pa = psi_row1(P_SYN, G_REF, q2)
-        pb = psi_row1(P_SYN, G_REF, -q2)
+        pa = (sp.ps1, sp.ps2)
+        pb = (sm.ps1, sm.ps2)
         assert pa == pytest.approx(pb, rel=1e-12)
-        assert potential_offset(P_SYN, G_REF, q2) == pytest.approx(
-            -potential_offset(P_SYN, G_REF, -q2), rel=1e-12)
+        assert _z_offset(P_SYN, G_REF, math.sin(q2)) == pytest.approx(
+            -_z_offset(P_SYN, G_REF, math.sin(-q2)), rel=1e-12)
 
 
 def test_psi3_derivative_matches_fd():
@@ -103,8 +104,8 @@ def test_psi3_derivative_matches_fd():
     for _ in range(300):
         g = rand_gains(rng)
         q2 = rng.uniform(-1.3, 1.3)
-        fd = (psi3(P_SYN, g, q2 + h) - psi3(P_SYN, g, q2 - h)) / (2 * h)
-        assert psi3_derivative(P_SYN, g, q2) == pytest.approx(fd, rel=2e-6, abs=2e-6)
+        fd = (shaping_at(P_SYN, g, q2 + h).ps3 - shaping_at(P_SYN, g, q2 - h).ps3) / (2 * h)
+        assert shaping_at(P_SYN, g, q2).dps3 == pytest.approx(fd, rel=2e-6, abs=2e-6)
 
 
 def test_desired_inertia_derivative_matches_fd():
@@ -113,12 +114,13 @@ def test_desired_inertia_derivative_matches_fd():
     for _ in range(300):
         g = rand_gains(rng)
         q2 = rng.uniform(-1.3, 1.3)
-        dd1, dd2, dd4 = desired_inertia_entries_derivative(P_SYN, g, q2)
-        ap = desired_inertia_entries(P_SYN, g, q2 + h)
-        am = desired_inertia_entries(P_SYN, g, q2 - h)
-        assert dd1 == 0.0
-        assert dd2 == pytest.approx((ap[1] - am[1]) / (2 * h), rel=2e-5, abs=2e-5)
-        assert dd4 == pytest.approx((ap[2] - am[2]) / (2 * h), rel=2e-5, abs=2e-5)
+        sh = shaping_at(P_SYN, g, q2)
+        dd2, dd4 = sh.dd2, sh.dd4
+        ap = desired_inertia(P_SYN, g, q2 + h)
+        am = desired_inertia(P_SYN, g, q2 - h)
+        assert ap[0, 0] - am[0, 0] == 0.0   # d1 = k2: d1' = 0
+        assert dd2 == pytest.approx((ap[0, 1] - am[0, 1]) / (2 * h), rel=2e-5, abs=2e-5)
+        assert dd4 == pytest.approx((ap[1, 1] - am[1, 1]) / (2 * h), rel=2e-5, abs=2e-5)
 
 
 def test_psi_row1_derivative_matches_fd():
@@ -126,7 +128,8 @@ def test_psi_row1_derivative_matches_fd():
     for _ in range(200):
         g = rand_gains(rng)
         q2 = rng.uniform(-1.2, 1.2)
-        an = psi_row1_derivative(P_SYN, g, q2)
+        sh = shaping_at(P_SYN, g, q2)
+        an = (sh.dps1, sh.dps2)
         fd = psi_row1_derivative_fd(P_SYN, g, q2)
         assert an == pytest.approx(fd, rel=5e-5, abs=5e-5)
 
@@ -137,7 +140,8 @@ def test_alpha_routes_agree():
     for _ in range(300):
         g = rand_gains(rng)
         q2 = rng.uniform(-1.3, 1.3)
-        a = alpha(P_SYN, g, q2)
+        sh = shaping_at(P_SYN, g, q2)
+        a = np.array([sh.a1, sh.a2])
         b = alpha_from_matching(P_SYN, g, q2)
         scale = max(1.0, np.abs(b).max())
         assert np.allclose(a, b, atol=1e-8 * scale)

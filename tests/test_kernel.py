@@ -5,6 +5,8 @@ Covers:
     bit, at 10^4 random states (inside and outside the admissible band,
     Python floats and numpy scalars), raising DefinitenessLost at the same
     states with the same message
+  - shaping, the kinetic- and potential-matching rows and grad Vd give the
+    same doubles on ndarrays (the verify grids) as on floats (the simulator)
   - a disturbed_robust run with the fig4 plant and gains: every recorded
     row equals the State-based public functions at the recorded state,
     and every step equals step_rk4 over open_loop_rhs + robust_control +
@@ -20,9 +22,10 @@ import pytest
 from ripsim.adaptive import adaptation_rhs, lyapunov_value, robust_control
 from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, alpha_entries, control_terms,
-    desired_hamiltonian, desired_inertia_entries_derivative, md_inverse_entries,
-    potential_offset, psi3, psi_row1, region_rho,
+    ControllerGains, DefinitenessLost, EmptyRegion, _vd_gradient, _z_offset, control_terms,
+    desired_hamiltonian, kinetic_matching_rows, md_inverse_entries, potential_matching_row,
+    region_rho,
+    shaped_potential_gradient, shaping, shaping_at,
 )
 from ripsim.model import RobotParams, State, hamiltonian, open_loop_rhs
 from ripsim.regressor import eval_regressor
@@ -37,17 +40,11 @@ def composed_control_terms(params, gains, q1, q2, p1c, p2c):
     i11, i12, i22, _ = md_inverse_entries(params, gains, q2)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    z = q1 + potential_offset(params, gains, q2)
-    ps3 = psi3(params, gains, q2)
-    gq1 = gains.kappa * z
-    _, dd2, dd4 = desired_inertia_entries_derivative(params, gains, q2)
-    gq2 = (gains.kappa * z * ps3 / gains.psi40
-           + params.p5 / gains.psi40 * math.sin(q2)
-           - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4))
-    ps1, ps2 = psi_row1(params, gains, q2)
-    a1, a2 = alpha_entries(params, gains, q2)
-    j2s = a1 * pt1 + a2 * pt2
-    u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - gains.kv * pt1
+    gq1, gv2 = shaped_potential_gradient(params, gains, (q1, q2))
+    sh = shaping_at(params, gains, q2)
+    gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4)
+    j2s = sh.a1 * pt1 + sh.a2 * pt2
+    u = -(sh.ps1 * gq1 + sh.ps2 * gq2) + j2s * pt2 - gains.kv * pt1
     return u, pt1
 
 
@@ -90,6 +87,40 @@ def test_control_terms_equals_composition():
             assert got == outcome(composed_control_terms, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def rows_at(params, gains, s, c, sh):
+    return kinetic_matching_rows(params, gains, s, c, sh.ps1, sh.ps2, sh.ps3, sh.dd2, sh.dd4,
+                                 sh.a1, sh.a2)
+
+
+def test_array_route_equals_float_route():
+    # verify evaluates the closed forms on grids, the simulator on floats:
+    # at the same (s, c, z) both must give the same doubles
+    rng = np.random.default_rng(21)
+    presets = [load_config(str(PRESETS / f"{name}.yaml")) for name in ("fig2", "default",
+                                                                        "synthetic")]
+    cases = [(cfg.params, cfg.gains) for cfg in presets] + kernel_cases(rng)[3:]
+    for params, gains in cases:
+        q2 = rng.uniform(-1.5, 1.5, 200)
+        s, c = np.sin(q2), np.cos(q2)
+        z = rng.uniform(-3.0, 3.0, 200) + _z_offset(params, gains, s, np.arctan)
+        grid = shaping(params, gains, s, c)
+        kin = rows_at(params, gains, s, c, grid)
+        g1, g2 = _vd_gradient(params, gains, z, s, grid.ps3)
+        row = potential_matching_row(params, gains, s, grid.ps3, g1, g2)
+        for i in range(q2.size):
+            si, ci, zi = float(s[i]), float(c[i]), float(z[i])
+            one = shaping(params, gains, si, ci)
+            assert all(type(v) is float for v in one)
+            g = _vd_gradient(params, gains, zi, si, one.ps3)
+            want = [*one, *rows_at(params, gains, si, ci, one), *g,
+                    potential_matching_row(params, gains, si, one.ps3, *g)]
+            assert bits([v[i] for v in (*grid, *kin, g1, g2, row)]) == bits(want)
 
 
 @pytest.fixture(scope="module")

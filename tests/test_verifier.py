@@ -3,7 +3,7 @@
 Covers:
   - the seven-report bundle: names, order, all passing on the synthetic set
   - kinetic matching: analytic/FD tolerances, psi3-perturbation detector
-  - Riccati residual for psi3
+  - Riccati residual for psi3; the grid maximum and its first location
   - potential matching: exactness, q1-independence, kappa-skew detector
   - region: formula vs million-cell sign scan, EmptyRegion, 100 random draws
   - Md definiteness: endpoint <= rho, k2 growth widens the interval,
@@ -28,7 +28,7 @@ from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
     hessian_fd, hessian_vd_check, kinetic_matching, md_definiteness_scan,
     potential_matching, region_report, region_scan, remark2_residual,
-    riccati_residual, verify_all, _d4_array,
+    riccati_residual, verify_all, _d4_array, _max_and_arg,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -90,6 +90,12 @@ def test_kinetic_matching_detects_psi3_shift():
 def test_kinetic_matching_rejects_bad_mode():
     with pytest.raises(ValueError):
         kinetic_matching(P_SYN, G_REF, derivatives="symbolic")
+
+
+def test_grid_max_takes_first_argmax():
+    grid = np.array([-1.0, -0.5, 0.0, 0.5])
+    assert _max_and_arg(np.array([0.0, 3.0, 1.0, 3.0]), grid) == (3.0, -0.5)
+    assert _max_and_arg(np.zeros(4), grid) == (0.0, 0.0)   # no residual: no location
 
 
 def test_riccati_residual():
