@@ -46,10 +46,8 @@ class DisturbanceSpec:
             raise ValueError("theta must be finite")
         object.__setattr__(self, "_theta", theta.tolist())
 
-    def value(self, s: State) -> float:
+    def value(self, q1: float, q2: float, p1: float, p2: float) -> float:
         """True disturbance d = f(q,p)^T theta, summed term by term as simulate.run does."""
-        q1, q2 = s.q.tolist()
-        p1, p2 = s.p.tolist()
         d = 0.0
         for fv, th in zip(self.regressor.eval_flat(q1, q2, p1, p2), self._theta):
             d += fv * th

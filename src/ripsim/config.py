@@ -19,7 +19,7 @@ from .adaptive import AdaptiveState, DisturbanceSpec
 from .controller import ControllerGains, d4_at_origin
 from .model import RobotParams
 from .regressor import ParseError, parse_regressor
-from .simulate import Scenario
+from .simulate import Scenario, step_count
 from .verify import CounterexampleSpec, VerifyOptions
 
 DEFAULTS = {
@@ -285,6 +285,10 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"simulation.mode: {mode} requires a disturbance section")
     if dt <= 0 or t_end < dt:
         raise ConfigError("simulation: need dt > 0 and t_end >= dt")
+    try:
+        step_count(t_end, dt)
+    except ValueError as e:
+        raise ConfigError(f"simulation.t_end: {e}") from e
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):

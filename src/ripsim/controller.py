@@ -83,23 +83,25 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
 # (s, c), and the hot path control_terms threads one (s, c) through the helpers.
 def shape_terms(params: RobotParams, gains: ControllerGains, s: float, c: float):
     """(w, den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
-    w = params.p2 / (params.p3 * gains.psi40)
+    p2, p3, psi40 = params.p2, params.p3, gains.psi40
+    w = p2 / (p3 * psi40)
     den = gains.k1 + w * s * s
-    m11 = params.p1 + params.p2 * s * s
-    d2 = c * (m11 / den - params.p3 * gains.psi40)
-    d4 = params.p3 * c * c / den - params.p4 * gains.psi40
+    m11 = params.p1 + p2 * s * s
+    d2 = c * (m11 / den - p3 * psi40)
+    d4 = p3 * c * c / den - params.p4 * psi40
     return w, den, m11, c / den, d2, d4
 
 
 def _md_prime(params: RobotParams, gains: ControllerGains, s: float, c: float,
               w: float, den: float, m11: float) -> tuple[float, float]:
     """(d2', d4') by the quotient rule; d1' = 0 since d1 = k2."""
+    p3 = params.p3
     s2 = 2.0 * s * c
     dden = w * s2
     dm11 = params.p2 * s2
-    dd2 = -s * (m11 / den - params.p3 * gains.psi40) \
-        + c * (dm11 * den - m11 * dden) / (den * den)
-    dd4 = -params.p3 * s2 * (den + w * c * c) / (den * den)
+    den2 = den * den
+    dd2 = -s * (m11 / den - p3 * gains.psi40) + c * (dm11 * den - m11 * dden) / den2
+    dd4 = -p3 * s2 * (den + w * c * c) / den2
     return dd2, dd4
 
 
@@ -113,27 +115,24 @@ def _md_inverse(gains: ControllerGains, q2: float, d2: float,
     return d4 / det, -d2 / det, d1 / det, det
 
 
-def _psi_row1(params: RobotParams, gains: ControllerGains, c: float, m11: float,
-              d2: float) -> tuple[float, float]:
-    """(psi1, psi2) from [psi1, psi2] = [d1, d2] M^{-1}."""
-    m12 = params.p3 * c
-    det = m11 * params.p4 - m12 * m12
-    return ((params.p4 * gains.k2 - m12 * d2) / det,
-            (-m12 * gains.k2 + m11 * d2) / det)
-
-
-def _psi_row1_prime(params: RobotParams, gains: ControllerGains, s: float, c: float,
-                    m11: float, d2: float, dd2: float) -> tuple[float, float]:
-    """(psi1', psi2') by the quotient rule on the closed forms."""
+def _psi_row1(params: RobotParams, gains: ControllerGains, s: float, c: float,
+              m11: float, d2: float, dd2: float) -> tuple[float, float, float, float]:
+    """(psi1, psi2, psi1', psi2'): [psi1, psi2] = [d1, d2] M^{-1} = [n1, n2] / det M,
+    and its q2-derivative by the quotient rule."""
+    p2, p3, p4, k2 = params.p2, params.p3, params.p4, gains.k2
+    m12 = p3 * c
+    det = m11 * p4 - m12 * m12
+    n1 = p4 * k2 - m12 * d2
+    n2 = -m12 * k2 + m11 * d2
+    # det M once more, as p3**2 c c: it may round apart from m12 * m12, and psi'
+    # keeps the rounding it has always had
+    det_ = m11 * p4 - p3 ** 2 * c * c
     s2 = 2.0 * s * c
-    det = m11 * params.p4 - params.p3 ** 2 * c * c
-    ddet = (params.p2 * params.p4 + params.p3 ** 2) * s2
-    n1 = params.p4 * gains.k2 - params.p3 * c * d2
-    dn1 = params.p3 * s * d2 - params.p3 * c * dd2
-    n2 = -params.p3 * c * gains.k2 + m11 * d2
-    dn2 = params.p3 * s * gains.k2 + params.p2 * s2 * d2 + m11 * dd2
-    return ((dn1 * det - n1 * ddet) / (det * det),
-            (dn2 * det - n2 * ddet) / (det * det))
+    ddet = (p2 * p4 + p3 ** 2) * s2
+    dn1 = p3 * s * d2 - m12 * dd2
+    dn2 = p3 * s * k2 + p2 * s2 * d2 + m11 * dd2
+    det2 = det_ * det_
+    return n1 / det, n2 / det, (dn1 * det_ - n1 * ddet) / det2, (dn2 * det_ - n2 * ddet) / det2
 
 
 def alpha_from_psi(params: RobotParams, gains: ControllerGains, s: float, c: float,
@@ -176,16 +175,15 @@ def kinetic_matching_rows(params: RobotParams, gains: ControllerGains, s: float,
 def _z_offset(params: RobotParams, gains: ControllerGains, s: float,
               atan=math.atan) -> float:
     """z(q) - q1 = a atan(b sin q2); pass np.arctan for arrays."""
-    a = math.sqrt(params.p3 / (gains.k1 * params.p2 * gains.psi40))
-    b = math.sqrt(params.p2 / (gains.k1 * params.p3 * gains.psi40))
-    return a * atan(b * s)
+    p2, p3, k1, psi40 = params.p2, params.p3, gains.k1, gains.psi40
+    return math.sqrt(p3 / (k1 * p2 * psi40)) * atan(math.sqrt(p2 / (k1 * p3 * psi40)) * s)
 
 
 def _vd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float,
                  ps3: float) -> tuple[float, float]:
     """grad Vd = (kappa z, kappa z psi3/psi40 + (p5/psi40) sin q2), as dz/dq2 = psi3/psi40."""
-    return (gains.kappa * z,
-            gains.kappa * z * ps3 / gains.psi40 + params.p5 / gains.psi40 * s)
+    kappa, psi40 = gains.kappa, gains.psi40
+    return kappa * z, kappa * z * ps3 / psi40 + params.p5 / psi40 * s
 
 
 def potential_matching_row(params: RobotParams, gains: ControllerGains, s: float,
@@ -217,8 +215,7 @@ def shaping(params: RobotParams, gains: ControllerGains, s: float, c: float) -> 
     """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
     w, den, m11, ps3, d2, d4 = shape_terms(params, gains, s, c)
     dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
-    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
-    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    ps1, ps2, dps1, dps2 = _psi_row1(params, gains, s, c, m11, d2, dd2)
     dps3 = (-s * den - c * (2.0 * w * s * c)) / (den * den)
     a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
@@ -265,11 +262,16 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
     return np.array([a1, a2])
 
 
+def _vd(params: RobotParams, gains: ControllerGains, q1: float, s: float, c: float) -> float:
+    """Vd at (q1, s = sin q2, c = cos q2)."""
+    z = q1 + _z_offset(params, gains, s)
+    return 0.5 * gains.kappa * z * z - params.p5 / gains.psi40 * c
+
+
 def shaped_potential(params: RobotParams, gains: ControllerGains, q) -> float:
     """Vd(q) = kappa/2 * z^2 - (p5/psi40) cos(q2), minimized at the upright."""
     q1, q2 = float(q[0]), float(q[1])
-    z = q1 + _z_offset(params, gains, math.sin(q2))
-    return 0.5 * gains.kappa * z * z - params.p5 / gains.psi40 * math.cos(q2)
+    return _vd(params, gains, q1, math.sin(q2), math.cos(q2))
 
 
 def shaped_potential_gradient(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
@@ -311,8 +313,12 @@ def momentum_tilde(params: RobotParams, gains: ControllerGains,
 def desired_hamiltonian_flat(params: RobotParams, gains: ControllerGains, q1: float,
                              q2: float, p1c: float, p2c: float) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
-    pt1, pt2 = momentum_tilde(params, gains, q2, p1c, p2c)
-    return 0.5 * (p1c * pt1 + p2c * pt2) + shaped_potential(params, gains, (q1, q2))
+    s, c = math.sin(q2), math.cos(q2)
+    _, _, _, _, d2, d4 = shape_terms(params, gains, s, c)
+    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
+    pt1 = i11 * p1c + i12 * p2c
+    pt2 = i12 * p1c + i22 * p2c
+    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(params, gains, q1, s, c)
 
 
 def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -> float:
@@ -341,8 +347,7 @@ def control_terms(params: RobotParams, gains: ControllerGains,
     gq1, gv2 = _vd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3)
     dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
     gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4)
-    ps1, ps2 = _psi_row1(params, gains, c, m11, d2)
-    dps1, dps2 = _psi_row1_prime(params, gains, s, c, m11, d2, dd2)
+    ps1, ps2, dps1, dps2 = _psi_row1(params, gains, s, c, m11, d2, dd2)
     a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
     u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - gains.kv * pt1

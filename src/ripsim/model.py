@@ -69,10 +69,14 @@ class State:
             raise ValueError("state components must be finite")
 
 
+def _inertia(params: RobotParams, s: float, c: float) -> tuple[float, float, float]:
+    """Entries (m11, m12, m22) of M at s = sin q2, c = cos q2; arithmetic only."""
+    return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
+
+
 def inertia_entries(params: RobotParams, q2: float) -> tuple[float, float, float]:
     """Entries (m11, m12, m22) of the symmetric inertia matrix at q2."""
-    s, c = math.sin(q2), math.cos(q2)
-    return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
+    return _inertia(params, math.sin(q2), math.cos(q2))
 
 
 def inertia(params: RobotParams, q2: float) -> np.ndarray:
@@ -95,16 +99,25 @@ def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float, floa
     return m22 / det, -m12 / det, m11 / det, det
 
 
-def kinetic_energy(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    """0.5 * p^T M^{-1} p from scalar components (hot-path form)."""
-    m11, m12, m22 = inertia_entries(params, q2)
-    i11, i12, i22, _ = _inv2(m11, m12, m22)
-    return 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
+def _plant(params: RobotParams, s: float, c: float, p1c: float,
+           p2c: float) -> tuple[float, float, float]:
+    """(qdot1, qdot2, dH/dq2) at s = sin q2, c = cos q2, forming M^{-1} once.
+
+    qdot = M^{-1} p and dH/dq2 = -p5 s - 0.5 qdot^T (dM/dq2) qdot; arithmetic only.
+    """
+    i11, i12, i22, _ = _inv2(*_inertia(params, s, c))
+    v1 = i11 * p1c + i12 * p2c
+    v2 = i12 * p1c + i22 * p2c
+    d11 = 2.0 * params.p2 * s * c
+    d12 = -params.p3 * s
+    return v1, v2, -params.p5 * s - 0.5 * (d11 * v1 * v1 + 2.0 * d12 * v1 * v2)
 
 
 def hamiltonian_flat(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    """Total energy H = p5*cos(q2) + kinetic from scalar components (hot-path form)."""
-    return params.p5 * math.cos(q2) + kinetic_energy(params, q2, p1c, p2c)
+    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p from scalar components (hot-path form)."""
+    s, c = math.sin(q2), math.cos(q2)
+    i11, i12, i22, _ = _inv2(*_inertia(params, s, c))
+    return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
 
 
 def hamiltonian(params: RobotParams, s: State) -> float:
@@ -118,23 +131,13 @@ def grad_q_H(params: RobotParams, s: State) -> np.ndarray:
 
 
 def _dH_dq2(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    # dH/dq2 = -p5 sin(q2) - 0.5 p^T M^{-1} (dM/dq2) M^{-1} p
-    s, c = math.sin(q2), math.cos(q2)
-    m11, m12, m22 = inertia_entries(params, q2)
-    i11, i12, i22, _ = _inv2(m11, m12, m22)
-    v1 = i11 * p1c + i12 * p2c  # M^{-1} p
-    v2 = i12 * p1c + i22 * p2c
-    d11 = 2.0 * params.p2 * s * c
-    d12 = -params.p3 * s
-    quad = d11 * v1 * v1 + 2.0 * d12 * v1 * v2
-    return -params.p5 * s - 0.5 * quad
+    return _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)[2]
 
 
 def velocity(params: RobotParams, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
     """qdot = M^{-1} p as scalars."""
-    m11, m12, m22 = inertia_entries(params, q2)
-    i11, i12, i22, _ = _inv2(m11, m12, m22)
-    return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
+    qd1, qd2, _ = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
+    return qd1, qd2
 
 
 def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[float, float]:
@@ -145,13 +148,13 @@ def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[fl
 
 def open_loop_rhs(params: RobotParams, s: State, u: float, d: float = 0.0):
     """Plant vector field: qdot = M^{-1} p, pdot = -grad_q H + G (u - d)."""
-    qd1, qd2 = velocity(params, s.q[1], s.p[0], s.p[1])
-    pd2 = -_dH_dq2(params, s.q[1], s.p[0], s.p[1])
-    return np.array([qd1, qd2]), np.array([u - d, pd2])
+    q2 = s.q[1]
+    qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), s.p[0], s.p[1])
+    return np.array([qd1, qd2]), np.array([u - d, -dh])
 
 
 def open_loop_rhs_flat(params: RobotParams, q2: float, p1c: float, p2c: float,
                        u: float, d: float) -> tuple[float, float, float, float]:
-    """Scalar form of open_loop_rhs for the integration loop."""
-    qd1, qd2 = velocity(params, q2, p1c, p2c)
-    return qd1, qd2, u - d, -_dH_dq2(params, q2, p1c, p2c)
+    """Scalar form of open_loop_rhs for the integration loop: one sin/cos per call."""
+    qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
+    return qd1, qd2, u - d, -dh

@@ -10,14 +10,18 @@ cos(...) applied to another such expression:
 
 Evaluation follows IEEE float arithmetic: a product may overflow to
 inf, and sin/cos of inf is nan (where math.sin raises), as in numpy.
+Each term is compiled once, when it is parsed, into one Python function
+of (q1, q2, p1, p2); the source is generated from the parsed tree alone.
 
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
 weights living in theta. Extending the grammar (e.g. '+', powers) only
-requires new alternatives in _parse_factor and one AST node each.
+requires new alternatives in _parse_factor, one AST node each and its
+statements in _emit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -56,64 +60,115 @@ class UnknownVariable(ParseError):
             f"unknown variable {name!r} (expected one of {', '.join(VARIABLES)})")
 
 
+class _Node:
+    """Evaluation shared by the node classes: the node compiled to one function.
+
+    The function of (q1, q2, p1, p2) is built once per node, on first use;
+    parse_term builds it for the term it returns.
+    """
+
+    @functools.cached_property
+    def compiled(self):
+        return _compile(self)
+
+    def __call__(self, q1, q2, p1, p2):
+        return self.compiled(q1, q2, p1, p2)
+
+
 @dataclass(frozen=True)
-class Number:
+class Number(_Node):
     value: float
 
-    def __call__(self, q1, q2, p1, p2):
-        return self.value
-
     def unparse(self) -> str:
-        return repr(self.value)
+        # repr(inf) is 'inf', which would read back as an unknown variable
+        return "1e999" if self.value == math.inf else repr(self.value)
 
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     name: str
-
-    def __call__(self, q1, q2, p1, p2):
-        # positional lookup compiled at parse time would not beat this
-        # dict-free branch for the four-name alphabet
-        if self.name == "q1":
-            return q1
-        if self.name == "q2":
-            return q2
-        if self.name == "p1":
-            return p1
-        return p2
 
     def unparse(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: object
-
-    def __call__(self, q1, q2, p1, p2):
-        arg = self.arg(q1, q2, p1, p2)
-        try:
-            return FUNCTIONS[self.fn](arg)
-        except ValueError:  # math.sin/cos of +-inf; IEEE (and numpy) give nan
-            return math.nan
 
     def unparse(self) -> str:
         return f"{self.fn}({self.arg.unparse()})"
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Node):
     factors: tuple
-
-    def __call__(self, q1, q2, p1, p2):
-        out = 1.0
-        for f in self.factors:
-            out *= f(q1, q2, p1, p2)
-        return out
 
     def unparse(self) -> str:
         return "*".join(f.unparse() for f in self.factors)
+
+
+def _emit(node, lines: list, consts: dict, guard: bool) -> str:
+    """Append the statements that evaluate node; return the name that holds its value.
+
+    Only names are printed: the variables and functions of the grammar,
+    temporaries and the names that literals are bound to. One statement per
+    operation, so nesting depth is not limited by the Python compiler.
+    """
+    if isinstance(node, Number):
+        name = f"_k{len(consts)}"
+        consts[name] = node.value
+        return name
+    if isinstance(node, Variable):
+        if node.name not in VARIABLES:
+            raise ValueError(f"unknown variable {node.name!r}")
+        return node.name
+    if isinstance(node, Call):
+        if node.fn not in FUNCTIONS:
+            raise ValueError(f"unknown function {node.fn!r}")
+        arg = _emit(node.arg, lines, consts, guard)
+        out = f"_t{len(lines)}"  # numbered by statement, so unique
+        if guard:  # math.sin/cos raise on +-inf; IEEE (and numpy) give nan
+            lines.append(f"{out} = nan if isinf({arg}) else {node.fn}({arg})")
+        else:
+            lines.append(f"{out} = {node.fn}({arg})")
+        return out
+    if isinstance(node, Product):
+        out = f"_t{len(lines)}"
+        lines.append(f"{out} = 1.0")
+        for f in node.factors:  # folded left to right from 1.0
+            value = _emit(f, lines, consts, guard)
+            lines.append(f"{out} = {out} * {value}")
+        return out
+    raise TypeError(f"not a regressor node: {node!r}")
+
+
+def _compile(node):
+    """node as one Python function of (q1, q2, p1, p2), IEEE-equal to the tree walk.
+
+    The body runs with plain math.sin/cos; only when one of them raises
+    (an argument overflowed to inf) is the value recomputed with the
+    sin/cos(+-inf) = nan rule.
+    """
+    consts: dict = {}
+    fast: list = []
+    guarded: list = []
+    fast_result = _emit(node, fast, consts, guard=False)
+    # the second pass binds the same literals, in the same order, to the same names
+    guarded_result = _emit(node, guarded, {}, guard=True)
+    source = "".join(f"{line}\n" for line in (
+        "def term(q1, q2, p1, p2):",
+        "    try:",
+        *(f"        {line}" for line in fast),
+        f"        return {fast_result}",
+        "    except ValueError:",
+        "        pass",
+        *(f"    {line}" for line in guarded),
+        f"    return {guarded_result}"))
+    namespace = {**FUNCTIONS, "isinf": math.isinf, "nan": math.nan, **consts}
+    exec(compile(source, "<regressor term>", "exec"), namespace)
+    return namespace["term"]
 
 
 class _Tokens:
@@ -182,6 +237,7 @@ def parse_term(text: str):
     kind, value, pos = toks.peek()
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")
+    node.compiled  # compiled here, once, rather than on the first evaluation
     return node
 
 

@@ -24,6 +24,9 @@ from .model import (  # noqa: F401  hamiltonian stays a module attribute for ben
 
 MODES = ("nominal", "disturbed_nominal", "disturbed_robust")
 N_SPOT_CHECKS = 8  # matching-residual samples recorded along a run
+# Largest n = t_end/dt: run() allocates its (n+1) x (11+ell) trace buffer up
+# front, 1.1 GB at this limit for ell = 3.
+MAX_STEPS = 10 ** 7
 
 
 class NonFiniteState(Exception):
@@ -55,6 +58,7 @@ class Scenario:
             raise ValueError("dt must be > 0")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step dt")
+        step_count(self.t_end, self.dt)
         if self.mode != "nominal" and self.disturbance is None:
             raise ValueError(f"mode {self.mode!r} requires a disturbance")
         if self.mode == "disturbed_robust":
@@ -103,6 +107,14 @@ class Trace:
     @property
     def final_state(self) -> State:
         return State(q=self.q[-1], p=self.p[-1])
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Steps n = round(t_end/dt), at least 1; ValueError when n exceeds MAX_STEPS."""
+    ratio = t_end / dt
+    if not (math.isfinite(ratio) and round(ratio) <= MAX_STEPS):
+        raise ValueError(f"t_end/dt = {ratio:.10g}, more than the limit of {MAX_STEPS} steps")
+    return max(int(round(ratio)), 1)
 
 
 def step_rk4(rhs, x: list[float], dt: float) -> list[float]:
@@ -166,8 +178,7 @@ def run(scenario: Scenario) -> Trace:
     robust = scenario.mode == "disturbed_robust"
     ell = dist.regressor.ell if robust else 0
 
-    n = int(round(scenario.t_end / scenario.dt))
-    n = max(n, 1)
+    n = step_count(scenario.t_end, scenario.dt)
     dt = scenario.dt
 
     if robust:
@@ -223,10 +234,11 @@ def run(scenario: Scenario) -> Trace:
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break
-        d_now = dist.value(State(q=(q1, q2), p=(p1c, p2c))) if dist is not None else 0.0
+        d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
         if robust:
-            fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
-            dhat = sum(fv * th for fv, th in zip(fvals, theta_hat))
+            dhat = 0.0  # term by term, as the stages: sum() is compensated on 3.12
+            for tm, th in zip(terms, theta_hat):
+                dhat += tm(q1, q2, p1c, p2c) * th
             u_now += dhat
             v_now = lyapunov_value(ginv_rows, theta_hat, dtheta, hd)
         else:

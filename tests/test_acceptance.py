@@ -164,7 +164,8 @@ def test_criterion_09_adaptive_disturbance_rejection():
     rng = np.random.default_rng(9)
     for _ in range(50):
         s = State(rng.uniform(-2.0, 2.0, size=2), rng.uniform(-3.0, 3.0, size=2))
-        assert abs(cfg.disturbance.value(s) - cfg3.disturbance.value(s)) < 1e-12
+        assert abs(cfg.disturbance.value(*s.q.tolist(), *s.p.tolist())
+                   - cfg3.disturbance.value(*s.q.tolist(), *s.p.tolist())) < 1e-12
     trace = run(cfg.scenario())
     q_final = np.abs(trace.q[-1]).max()
     d_gap = abs(trace.d_hat[-1] - trace.d[-1])

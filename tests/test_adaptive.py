@@ -32,7 +32,7 @@ TH_REF = np.array([0.1, 0.1, -0.3])
 
 def test_disturbance_spec_validation():
     spec = DisturbanceSpec(F_REF, TH_REF)
-    assert spec.value(State(q=[0, 0], p=[0, 0])) == pytest.approx(0.1, abs=1e-15)
+    assert spec.value(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError):
         DisturbanceSpec(F_REF, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):

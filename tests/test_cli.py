@@ -6,7 +6,7 @@ Covers:
   - verify: seven-row report, --json records, failure exit on a broken check
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line
-  - config errors exit 2, non-finite list entries included
+  - config errors exit 2, non-finite list entries and an over-long t_end included
   - trace.csv bytes of every preset at a 1 s horizon, pinned by SHA-256
 """
 import dataclasses
@@ -172,6 +172,13 @@ def test_nonfinite_theta_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "disturbance.theta[0]: must be finite" in err and "Traceback" not in err
+
+
+def test_t_end_over_step_limit_exits_2(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, ROBOT + "simulation: {t_end: 1.0e+12}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "simulation.t_end" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("option", ["samples: 0", "grid_points: -5", "scan_cells: 0",

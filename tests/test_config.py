@@ -9,6 +9,7 @@ Covers:
   - adaptive section: gamma scalar/matrix, theta_hat0; adaptive.enabled is unknown
   - non-finite list entries (index in the path) and gamma rejected; verify.span > 0
   - mode/disturbance/adaptive cross-checks
+  - simulation.t_end bounded by MAX_STEPS steps of dt (at the limit loads)
   - verify options plumbing
   - Config.scenario() produces a runnable Scenario
 """
@@ -17,7 +18,7 @@ import pytest
 
 from ripsim.config import Config, ConfigError, load_config
 from ripsim.regressor import ParseError
-from ripsim.simulate import Scenario, run
+from ripsim.simulate import MAX_STEPS, Scenario, run
 
 MINIMAL = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
 
@@ -243,6 +244,16 @@ def test_bad_timestep(tmp_path):
     with pytest.raises(ConfigError, match="dt"):
         load_config(write(tmp_path,
                           MINIMAL + "simulation: {dt: 0.5, t_end: 0.1}\n"))
+
+
+def test_t_end_step_limit(tmp_path):
+    at_limit = load_config(write(tmp_path, MINIMAL + "simulation: {dt: 1.0e-3, t_end: 1.0e+4}\n"))
+    assert round(at_limit.t_end / at_limit.dt) == MAX_STEPS
+    for t_end in ("10000.001", "1.0e+12"):
+        with pytest.raises(ConfigError, match=r"simulation\.t_end: .*limit of 10000000 steps"):
+            load_config(write(tmp_path, MINIMAL + f"simulation: {{dt: 1.0e-3, t_end: {t_end}}}\n"))
+    with pytest.raises(ValueError, match="limit"):
+        Scenario(at_limit.params, at_limit.gains, t_end=10000.001, dt=1e-3)
 
 
 def test_verify_options(tmp_path):

@@ -1,16 +1,17 @@
 """The fused shaping kernel and the simulator's float path, against the public API.
 
 Covers:
-  - control_terms equals the per-quantity composition it replaced, bit for
-    bit, at 10^4 random states (inside and outside the admissible band,
-    Python floats and numpy scalars), raising DefinitenessLost at the same
-    states with the same message
+  - control_terms and desired_hamiltonian_flat equal the per-quantity
+    compositions they replaced, bit for bit, at 10^4 random states (inside
+    and outside the admissible band, Python floats and numpy scalars),
+    raising DefinitenessLost at the same states with the same message
   - shaping, the kinetic- and potential-matching rows and grad Vd give the
     same doubles on ndarrays (the verify grids) as on floats (the simulator)
   - a disturbed_robust run with the fig4 plant and gains: every recorded
     row equals the State-based public functions at the recorded state,
     and every step equals step_rk4 over open_loop_rhs + robust_control +
-    adaptation_rhs, so the adaptive tests cover the simulator's own law
+    adaptation_rhs, so the adaptive tests cover the simulator's own law;
+    the recorded d_hat is f^T theta_hat summed term by term, bit for bit
 """
 import dataclasses
 import math
@@ -23,9 +24,9 @@ from ripsim.adaptive import adaptation_rhs, lyapunov_value, robust_control
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd_gradient, _z_offset, control_terms,
-    desired_hamiltonian, kinetic_matching_rows, md_inverse_entries, potential_matching_row,
-    region_rho,
-    shaped_potential_gradient, shaping, shaping_at,
+    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows, md_inverse_entries,
+    momentum_tilde, potential_matching_row, region_rho, shaped_potential, shaped_potential_gradient,
+    shaping, shaping_at,
 )
 from ripsim.model import RobotParams, State, hamiltonian, open_loop_rhs
 from ripsim.regressor import eval_regressor
@@ -46,6 +47,12 @@ def composed_control_terms(params, gains, q1, q2, p1c, p2c):
     j2s = sh.a1 * pt1 + sh.a2 * pt2
     u = -(sh.ps1 * gq1 + sh.ps2 * gq2) + j2s * pt2 - gains.kv * pt1
     return u, pt1
+
+
+def composed_desired_hamiltonian(params, gains, q1, q2, p1c, p2c):
+    """desired_hamiltonian_flat as Md^{-1} p and Vd, each evaluating its own sin/cos."""
+    pt1, pt2 = momentum_tilde(params, gains, q2, p1c, p2c)
+    return 0.5 * (p1c * pt1 + p2c * pt2) + shaped_potential(params, gains, (q1, q2))
 
 
 def outcome(fn, *args):
@@ -85,6 +92,8 @@ def test_control_terms_equals_composition():
                 args = tuple(float(v) for v in args)   # the simulator passes floats
             got = outcome(control_terms, params, gains, *args)
             assert got == outcome(composed_control_terms, params, gains, *args)
+            assert outcome(desired_hamiltonian_flat, params, gains, *args) == \
+                outcome(composed_desired_hamiltonian, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
 
@@ -151,8 +160,12 @@ def test_robust_rows_equal_public_functions(fig4_short):
         f = eval_regressor(dist.regressor, s)
         dot_scale = float(np.abs(f) @ np.abs(theta_hat))
         assert trace.ptilde1[k] == pt1
-        assert trace.d[k] == dist.value(s)
+        assert trace.d[k] == dist.value(*s.q.tolist(), *s.p.tolist())
         assert abs(trace.d_hat[k] - float(f @ theta_hat)) <= ULPS * dot_scale
+        dhat = 0.0  # as the stages add f^T theta_hat into u; not sum(), compensated on 3.12
+        for fv, th in zip(f.tolist(), theta_hat.tolist()):
+            dhat += fv * th
+        assert bits([trace.d_hat[k]]) == bits([dhat])
         assert abs(trace.u[k] - robust_control(params, gains, dist.regressor, theta_hat, s)) \
             <= ULPS * (abs(u_shaping) + dot_scale)
         assert trace.H[k] == hamiltonian(params, s)
@@ -168,7 +181,7 @@ def test_robust_steps_equal_public_rk4(fig4_short):
     def rhs(x):
         s = State(q=x[:2], p=x[2:4])
         u = robust_control(params, gains, dist.regressor, x[4:], s)
-        qdot, pdot = open_loop_rhs(params, s, u, dist.value(s))
+        qdot, pdot = open_loop_rhs(params, s, u, dist.value(*s.q.tolist(), *s.p.tolist()))
         return np.concatenate([qdot, pdot, adaptation_rhs(params, gains, dist.regressor,
                                                           adaptive, s)])
 

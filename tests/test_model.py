@@ -8,6 +8,8 @@ Covers:
   - grad_q_H against finite differences; q1 component identically zero
   - open-loop RHS: equilibrium, u-d cancellation, underactuation,
     q1 translation invariance
+  - the one-trig open_loop_rhs_flat and hamiltonian_flat equal, bit for bit,
+    the composition of per-quantity calls that each evaluate sin/cos and M^{-1}
   - energy conservation of the free plant under RK4
   - parameter validation and the physical-constant constructor
 """
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from ripsim.model import (
-    G, G_PERP, RobotParams, State, grad_q_H, hamiltonian, inertia,
+    G, G_PERP, RobotParams, State, grad_q_H, hamiltonian, hamiltonian_flat, inertia,
     inertia_derivative, momentum, open_loop_rhs, open_loop_rhs_flat, velocity,
 )
 from ripsim.simulate import step_rk4
@@ -170,6 +172,57 @@ def test_flat_rhs_matches_vector_rhs():
         qd, pd = open_loop_rhs(params, s, u, d)
         flat = open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], u, d)
         assert np.allclose([qd[0], qd[1], pd[0], pd[1]], flat, atol=0)
+
+
+# The plant as separate per-quantity calls, each with its own sin/cos, M entries
+# and M^{-1}: the reference for the fused helper.
+def inertia_entries_ref(params, q2):
+    s, c = math.sin(q2), math.cos(q2)
+    return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
+
+
+def inv2_ref(m11, m12, m22):
+    det = m11 * m22 - m12 * m12
+    return m22 / det, -m12 / det, m11 / det, det
+
+
+def velocity_ref(params, q2, p1c, p2c):
+    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+    return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
+
+
+def dh_dq2_ref(params, q2, p1c, p2c):
+    s, c = math.sin(q2), math.cos(q2)
+    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+    v1 = i11 * p1c + i12 * p2c
+    v2 = i12 * p1c + i22 * p2c
+    d11 = 2.0 * params.p2 * s * c
+    d12 = -params.p3 * s
+    quad = d11 * v1 * v1 + 2.0 * d12 * v1 * v2
+    return -params.p5 * s - 0.5 * quad
+
+
+def hamiltonian_ref(params, q2, p1c, p2c):
+    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+    kinetic = 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
+    return params.p5 * math.cos(q2) + kinetic
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def test_fused_plant_equals_composition():
+    rng = np.random.default_rng(31)
+    param_sets = [P_SYN, RobotParams(1.5, 0.1, 0.25, 0.13333333333333333, 3.924)]
+    param_sets += [rand_params(rng) for _ in range(98)]
+    for params in param_sets:
+        for q2, p1c, p2c, u, d in rng.uniform(-4.0, 4.0, size=(100, 5)).tolist():
+            q2 *= 2.0
+            want = (*velocity_ref(params, q2, p1c, p2c), u - d, -dh_dq2_ref(params, q2, p1c, p2c))
+            assert bits(open_loop_rhs_flat(params, q2, p1c, p2c, u, d)) == bits(want)
+            assert bits([hamiltonian_flat(params, q2, p1c, p2c)]) == \
+                bits([hamiltonian_ref(params, q2, p1c, p2c)])
 
 
 def test_free_plant_conserves_energy():

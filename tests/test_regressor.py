@@ -6,17 +6,23 @@ Covers:
   - sin/cos of an overflowed argument give nan, not a ValueError
   - unknown variables and malformed inputs raise with position info
   - unparse/parse round-trip on randomly generated trees
+  - property (hypothesis): on grammar expressions with the literals 1e999
+    and 5e-324 and products that overflow inside sin/cos, unparse/parse
+    gives back the same term, and the compiled term equals a tree-walk
+    evaluator bit for bit (nan equal to nan)
   - RegressorSpec validation (at least one term)
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ripsim.model import State
 from ripsim.regressor import (
-    ParseError, RegressorSpec, UnknownVariable, VARIABLES, eval_regressor,
-    parse_regressor, parse_term,
+    Call, Number, ParseError, Product, RegressorSpec, UnknownVariable, VARIABLES, Variable,
+    eval_regressor, parse_regressor, parse_term,
 )
 
 F_REF = ["1", "q1", "sin(q2)*cos(p1)"]
@@ -134,6 +140,52 @@ def test_spec_unparse_round_trip():
         args = rng.uniform(-3, 3, 4)
         assert spec2.eval_flat(*args) == pytest.approx(spec.eval_flat(*args),
                                                        rel=1e-15, abs=1e-15)
+
+
+def tree_eval(node, q1, q2, p1, p2):
+    """Reference: evaluate the tree node by node, sin/cos(+-inf) = nan, products from 1.0."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return dict(zip(VARIABLES, (q1, q2, p1, p2)))[node.name]
+    if isinstance(node, Call):
+        arg = tree_eval(node.arg, q1, q2, p1, p2)
+        try:
+            return getattr(math, node.fn)(arg)
+        except ValueError:
+            return math.nan
+    assert isinstance(node, Product)
+    out = 1.0
+    for f in node.factors:
+        out *= tree_eval(f, q1, q2, p1, p2)
+    return out
+
+
+def same_double(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+LITERALS = (st.sampled_from(["1e999", "5e-324", "0", "1", ".5", "2.5", "1e308", "3e200"])
+            | st.floats(min_value=0.0, allow_infinity=False).map(repr))
+FACTORS = st.recursive(
+    LITERALS | st.sampled_from(VARIABLES),
+    lambda inner: st.builds("{}({})".format, st.sampled_from(["sin", "cos"]),
+                            st.lists(inner, min_size=1, max_size=4).map("*".join)),
+    max_leaves=12)
+TERMS = st.lists(FACTORS, min_size=1, max_size=4).map("*".join)
+STATES = st.tuples(*[st.floats() | st.sampled_from([1e103, -1e155, 1e308])] * 4)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(TERMS, STATES)
+@example("sin(p1*p1*p1)*cos(1e999*q1)*5e-324", (1.0, 0.0, 1e103, 0.0))
+@example("cos(q2*q2*1e308)*sin(0*1e999)", (0.0, 2.0, 0.0, 0.0))
+def test_compiled_term_property(text, state):
+    term = parse_term(text)
+    assert parse_term(term.unparse()) == term
+    assert same_double(term(*state), tree_eval(term, *state))
 
 
 def test_empty_regressor_rejected():
