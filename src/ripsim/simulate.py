@@ -262,28 +262,3 @@ def run(scenario: Scenario) -> Trace:
         d_hat=rec[:, 6], H=rec[:, 7], Hd=rec[:, 8], V_lyap=rec[:, 9],
         ptilde1=rec[:, 10], theta_hat=rec[:, 11:], status=status,
         exit_reason=reason, spot_checks=spots)
-
-
-def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
-                           s: State) -> tuple[np.ndarray, np.ndarray]:
-    """Target-form vector field, evaluated from the shaped quantities.
-
-    Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
-    literally; exists as an independent oracle against the composition
-    open_loop_rhs + control_law, which must agree with it identically.
-    """
-    from .model import G, inertia
-
-    q2 = float(s.q[1])
-    m = inertia(params, q2)
-    md = controller.desired_inertia(params, gains, q2)
-    psi = controller.psi_matrix(params, gains, q2)
-    pt = np.array(controller.momentum_tilde(params, gains, q2, s.p[0], s.p[1]))
-    sh = controller.shaping_at(params, gains, q2)
-    j2s = float(pt @ np.array([sh.a1, sh.a2]))
-    j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
-    gkg = gains.kv * (G @ G.T)
-    gq = controller.grad_q_Hd(params, gains, s)
-    qdot = np.linalg.solve(m, md) @ pt
-    pdot = -psi @ gq + (j2 - gkg) @ pt
-    return qdot, pdot

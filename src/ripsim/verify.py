@@ -7,7 +7,11 @@ positive-definiteness region of Md, the shaped-potential Hessian, the
 equivalence of the assembled closed loop with its target form, and the
 prior-work counterexample. The closed forms are the controller's own;
 each identity is checked through a route independent of them (finite
-differences, alpha_from_matching, a linear solve, sign scans).
+differences, alpha_from_matching, a linear solve, sign scans). The
+closed-loop check compares the float route simulate.run takes
+(control_terms, open_loop_rhs_flat) with closed_loop_rhs_direct, which
+assembles the target form on stacked (N, 2, 2) matrices and solves all
+samples of a block in one batched np.linalg.solve.
 """
 from __future__ import annotations
 
@@ -18,8 +22,7 @@ import numpy as np
 
 from . import controller
 from .controller import ControllerGains, EmptyRegion
-from .model import RobotParams, State, inertia, open_loop_rhs
-from .simulate import closed_loop_rhs_direct
+from .model import G, RobotParams, _inertia, _inv2, open_loop_rhs_flat
 
 TOL_ANALYTIC = 1e-8   # identities assembled from analytic derivatives
 TOL_FD = 1e-5         # identities with finite-difference derivatives
@@ -274,6 +277,53 @@ def hessian_vd_check(params: RobotParams, gains: ControllerGains) -> ResidualRep
                  "fd_max_diff": fd_diff})
 
 
+def _stack2x2(n: int, a11, a12, a21, a22) -> np.ndarray:
+    """(n, 2, 2) stack of [[a11, a12], [a21, a22]]; each entry an (n,) array or a float."""
+    out = np.empty((n, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a11, a12, a21, a22
+    return out
+
+
+def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
+                           q1: np.ndarray, q2: np.ndarray, p1: np.ndarray,
+                           p2: np.ndarray, alpha_zeroed: bool = False
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Target-form vector field at N states (q1, q2, p1, p2), as (N, 2) qdot and pdot.
+
+    Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
+    literally, on stacked (N, 2, 2) M, Md and Psi with one batched
+    np.linalg.solve for M^{-1}Md; an oracle independent by route of
+    control_terms + open_loop_rhs_flat, which must agree with it
+    identically. sin, cos and the z offset are taken per state with
+    math, as on the float route. alpha_zeroed drops J2 and takes ptilde
+    from a batched solve of Md ptilde = p (sensitivity hook).
+    """
+    n = q2.shape[0]
+    s = np.array([math.sin(v) for v in q2.tolist()])
+    c = np.array([math.cos(v) for v in q2.tolist()])
+    z = q1 + np.array([controller._z_offset(params, gains, v) for v in s.tolist()])
+    sh = controller.shaping(params, gains, s, c)
+    m11, m12, m22 = _inertia(params, s, c)
+    m = _stack2x2(n, m11, m12, m12, m22)
+    md = _stack2x2(n, gains.k2, sh.d2, sh.d2, sh.d4)
+    psi = _stack2x2(n, sh.ps1, sh.ps2, sh.ps3, -gains.psi40)
+    i11, i12, i22, _ = _inv2(gains.k2, sh.d2, sh.d4)
+    pt1, pt2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
+    g1, g2 = controller._vd_gradient(params, gains, z, s, sh.ps3)
+    gq = np.stack([g1, g2 - 0.5 * (2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4)], axis=1)
+    if alpha_zeroed:
+        pt = np.linalg.solve(md, np.stack([p1, p2], axis=1)[:, :, None])
+        j2s = np.zeros(n)
+    else:
+        pt = np.stack([pt1, pt2], axis=1)[:, :, None]
+        alpha = np.stack([sh.a1, sh.a2], axis=1)[:, :, None]
+        j2s = (pt.transpose(0, 2, 1) @ alpha)[:, 0, 0]
+    j2 = _stack2x2(n, 0.0, j2s, -j2s, 0.0)
+    qdot = np.linalg.solve(m, md) @ pt
+    pdot = -psi @ gq[:, :, None] + (j2 - gains.kv * (G @ G.T)) @ pt
+    return qdot[:, :, 0], pdot[:, :, 0]
+
+
 def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
                             n_samples: int = 1000, seed: int = 0,
                             alpha_zeroed: bool = False) -> ResidualReport:
@@ -281,32 +331,31 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
 
     Samples random in-region states and compares the open-loop RHS
     driven by the control law with the directly assembled shaped
-    dynamics; the matching construction makes them identical.
-    alpha_zeroed drops J2 from the direct form (sensitivity hook).
+    dynamics; the matching construction makes them identical. Works in
+    blocks of at most SCAN_BLOCK states; each state's draws
+    (q1, q2, p1, p2) are those of four successive rng.uniform calls. The
+    residual is the largest component difference; a non-finite one is
+    reported (and fails) at its first sample. alpha_zeroed drops J2 from
+    the direct form (sensitivity hook).
     """
     rng = np.random.default_rng(seed)
     q2_max = 0.99 * _pd_endpoint(params, gains)
+    low = np.array([-3.0, -q2_max, -2.0, -2.0])
+    high = -low
     worst, arg = 0.0, (0.0, 0.0, 0.0, 0.0)
-    for _ in range(n_samples):
-        q1 = rng.uniform(-3.0, 3.0)
-        q2 = rng.uniform(-q2_max, q2_max)
-        p = rng.uniform(-2.0, 2.0, size=2)
-        s = State(q=np.array([q1, q2]), p=p)
-        u = controller.control_law(params, gains, s)
-        qd_o, pd_o = open_loop_rhs(params, s, u, 0.0)
-        if alpha_zeroed:
-            md = controller.desired_inertia(params, gains, q2)
-            psi = controller.psi_matrix(params, gains, q2)
-            pt = np.linalg.solve(md, p)
-            gq = controller.grad_q_Hd(params, gains, s)
-            qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
-            pd_d = -psi @ gq - gains.kv * np.array([pt[0], 0.0])
-        else:
-            qd_d, pd_d = closed_loop_rhs_direct(params, gains, s)
-        diff = max(float(np.max(np.abs(qd_o - qd_d))),
-                   float(np.max(np.abs(pd_o - pd_d))))
-        if diff > worst:
-            worst, arg = diff, (q1, q2, float(p[0]), float(p[1]))
+    for start in range(0, n_samples, SCAN_BLOCK):
+        x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
+        # the plant under the feedback torque, on the float route simulate.run takes
+        ctrl = np.array([open_loop_rhs_flat(
+            params, q2, p1, p2, controller.control_terms(params, gains, q1, q2, p1, p2)[0], 0.0)
+            for q1, q2, p1, p2 in x.tolist()])
+        qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T, alpha_zeroed=alpha_zeroed)
+        res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
+        k = int(np.argmax(res))  # the first nan, else the first maximum
+        if not res[k] <= worst:
+            worst, arg = float(res[k]), tuple(x[k].tolist())
+        if math.isnan(worst):
+            break
     return ResidualReport(
         name="closed_loop_equivalence",
         grid=f"{n_samples} random states, |q2| < {q2_max:.4g}, seed {seed}",

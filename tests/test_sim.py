@@ -15,7 +15,6 @@ Covers:
   - region exit: flagged + truncated, never clamped; require_ok raises;
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows
-  - closed_loop_rhs_direct equals plant + control_law composition
   - Scenario validation and out-of-region warning
 """
 import math
@@ -25,12 +24,11 @@ import pytest
 
 import ripsim.simulate as sim
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
-from ripsim.controller import ControllerGains, DefinitenessLost, control_law, control_terms
-from ripsim.model import RobotParams, State, hamiltonian_flat, inertia, open_loop_rhs
+from ripsim.controller import ControllerGains, DefinitenessLost, control_terms
+from ripsim.model import RobotParams, hamiltonian_flat, inertia
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import (
-    NonFiniteState, RegionExit, Scenario, Trace, closed_loop_rhs_direct, run,
-    step_rk4,
+    NonFiniteState, RegionExit, Scenario, Trace, run, step_rk4,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -270,18 +268,6 @@ def test_blowup_in_stage_raises_nonfinite():
                   disturbance=spec)
     with pytest.raises(NonFiniteState):
         run(sc)
-
-
-def test_closed_loop_equivalence_pointwise():
-    rng = np.random.default_rng(30)
-    for _ in range(200):
-        s = State(q=rng.uniform(-1, 1, 2) * [2.0, 0.45],
-                  p=rng.uniform(-1, 1, 2))
-        qd_a, pd_a = closed_loop_rhs_direct(P_SYN, G_CONV, s)
-        u = control_law(P_SYN, G_CONV, s)
-        qd_b, pd_b = open_loop_rhs(P_SYN, s, u, d=0.0)
-        assert np.allclose(qd_a, qd_b, atol=1e-9)
-        assert np.allclose(pd_a, pd_b, atol=1e-9)
 
 
 def test_scenario_validation():

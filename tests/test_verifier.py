@@ -9,30 +9,45 @@ Covers:
   - Md definiteness: endpoint <= rho, k2 growth widens the interval,
     frozen Md(0) eigenvalues
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws
-  - closed-loop equivalence: 1e-9 agreement, alpha-zeroed sensitivity
+  - closed-loop equivalence: 1e-9 agreement, alpha-zeroed sensitivity; a
+    nan from the control route fails; the batched check equals the
+    per-sample loop it replaced bit for bit (five presets and the synthetic
+    set, seeds 0-3, alpha-zeroed on and off, across blocks); the block
+    draws equal successive rng.uniform draws; closed_loop_rhs_direct
+    equals plant + control_law composition
+  - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
     integrated-solution soundness < 1e-6
   - pointwise residuals even in q2
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ripsim.verify as verify
+from ripsim import controller
+from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, EmptyRegion, desired_inertia, region_rho,
+    ControllerGains, EmptyRegion, control_law, desired_inertia, grad_q_Hd,
+    momentum_tilde, psi_matrix, region_rho, shaping_at,
 )
-from ripsim.model import RobotParams
+from ripsim.model import G, RobotParams, State, inertia, open_loop_rhs
 from ripsim.simulate import _spot_residuals
 from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
-    hessian_fd, hessian_vd_check, kinetic_matching, md_definiteness_scan,
-    potential_matching, region_report, region_scan, remark2_residual,
-    riccati_residual, verify_all, _d4_array, _max_and_arg,
+    closed_loop_rhs_direct, hessian_fd, hessian_vd_check, kinetic_matching,
+    md_definiteness_scan, potential_matching, region_report, region_scan,
+    remark2_residual, riccati_residual, verify_all, _d4_array, _max_and_arg,
+    _pd_endpoint,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)
+G_CONV = ControllerGains(1.0, 0.1, 100.0, kappa=1.0, kv=2.0)
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+PRESET_NAMES = ("default", "fig2", "fig3", "fig4", "synthetic")
 
 EXPECTED_ORDER = (
     "kinetic_matching", "potential_matching", "region_rho", "md_definiteness",
@@ -183,6 +198,107 @@ def test_closed_loop_equivalence_alpha_sensitivity():
     r = closed_loop_equivalence(P_SYN, G_REF, n_samples=200, alpha_zeroed=True)
     assert not r.passed
     assert r.max_abs_residual > 1e-9
+
+
+def test_closed_loop_equivalence_fails_on_nan(monkeypatch):
+    # a nan torque must fail the check, not vanish in the running maximum
+    monkeypatch.setattr(controller, "control_terms", lambda *args: (math.nan, math.nan))
+    r = closed_loop_equivalence(P_SYN, G_REF)
+    assert math.isnan(r.max_abs_residual) and not r.passed
+
+
+def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0,
+                                 alpha_zeroed=False):
+    """The per-sample check 6 that the batched one replaced: one State, a
+    control_law call and a 2x2 solve per state."""
+    rng = np.random.default_rng(seed)
+    q2_max = 0.99 * _pd_endpoint(params, gains)
+    worst, arg = 0.0, (0.0, 0.0, 0.0, 0.0)
+    for _ in range(n_samples):
+        q1 = rng.uniform(-3.0, 3.0)
+        q2 = rng.uniform(-q2_max, q2_max)
+        p = rng.uniform(-2.0, 2.0, size=2)
+        s = State(q=np.array([q1, q2]), p=p)
+        u = control_law(params, gains, s)
+        qd_o, pd_o = open_loop_rhs(params, s, u, 0.0)
+        md = desired_inertia(params, gains, q2)
+        psi = psi_matrix(params, gains, q2)
+        gq = grad_q_Hd(params, gains, s)
+        if alpha_zeroed:
+            pt = np.linalg.solve(md, p)
+            qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
+            pd_d = -psi @ gq - gains.kv * np.array([pt[0], 0.0])
+        else:
+            pt = np.array(momentum_tilde(params, gains, q2, p[0], p[1]))
+            sh = shaping_at(params, gains, q2)
+            j2s = float(pt @ np.array([sh.a1, sh.a2]))
+            j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
+            qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
+            pd_d = -psi @ gq + (j2 - gains.kv * (G @ G.T)) @ pt
+        diff = max(float(np.max(np.abs(qd_o - qd_d))),
+                   float(np.max(np.abs(pd_o - pd_d))))
+        if diff > worst:
+            worst, arg = diff, (q1, q2, float(p[0]), float(p[1]))
+    return worst, arg
+
+
+def plant_and_gains(name):
+    if name == "P_SYN":
+        return P_SYN, G_REF
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    return cfg.params, cfg.gains
+
+
+@pytest.mark.parametrize("name", ("P_SYN",) + PRESET_NAMES)
+def test_closed_loop_equivalence_equals_per_sample_loop(name):
+    params, gains = plant_and_gains(name)
+    for seed in range(4):
+        for alpha_zeroed, n in ((False, 1000), (True, 200)):
+            r = closed_loop_equivalence(params, gains, n, seed, alpha_zeroed)
+            worst, arg = loop_closed_loop_equivalence(params, gains, n, seed, alpha_zeroed)
+            assert (r.max_abs_residual, r.arg_at_max) == (worst, arg), (seed, alpha_zeroed)
+    if name == "default":   # seeds 1-3 exceed the absolute 1e-9 bound near |q2| = 1.06
+        assert not any(closed_loop_equivalence(params, gains, 1000, seed).passed
+                       for seed in range(1, 4))
+
+
+def test_closed_loop_equivalence_blocks_equal_one_pass(monkeypatch):
+    params, gains = plant_and_gains("default")
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 64)
+    for seed in range(4):
+        r = closed_loop_equivalence(params, gains, 300, seed)
+        assert (r.max_abs_residual, r.arg_at_max) == loop_closed_loop_equivalence(
+            params, gains, 300, seed)
+
+
+def test_block_draws_equal_uniform_draws():
+    q2_max = 0.99 * _pd_endpoint(P_SYN, G_REF)
+    low = np.array([-3.0, -q2_max, -2.0, -2.0])
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    x = np.concatenate([low + (-low - low) * a.random((k, 4)) for k in (7, 64, 29)])
+    y = [(b.uniform(-3.0, 3.0), b.uniform(-q2_max, q2_max), *b.uniform(-2.0, 2.0, size=2))
+         for _ in range(100)]
+    assert x.tolist() == [list(map(float, row)) for row in y]
+
+
+def test_closed_loop_equivalence_pointwise():
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        s = State(q=rng.uniform(-1, 1, 2) * [2.0, 0.45],
+                  p=rng.uniform(-1, 1, 2))
+        qd_a, pd_a = (v[0] for v in closed_loop_rhs_direct(
+            P_SYN, G_CONV, *np.concatenate([s.q, s.p])[:, None]))
+        u = control_law(P_SYN, G_CONV, s)
+        qd_b, pd_b = open_loop_rhs(P_SYN, s, u, d=0.0)
+        assert np.allclose(qd_a, qd_b, atol=1e-9)
+        assert np.allclose(pd_a, pd_b, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_verify_all_passes_on_preset(name):
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    for r in verify_all(cfg.params, cfg.gains, cfg.verify):
+        assert r.passed, (r.name, r.max_abs_residual, r.tol)
 
 
 def test_remark2_frozen_point():
