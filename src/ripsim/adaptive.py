@@ -29,6 +29,14 @@ from .model import RobotParams, State
 from .regressor import RegressorSpec, eval_regressor
 
 
+def dot(a, b, acc: float = 0.0) -> float:
+    """acc + sum of a_i * b_i added left to right: the one term-by-term sum of the
+    closed loop (sum() and math.sumprod are compensated from Python 3.12 on)."""
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Regressor basis plus the true parameters (plant side only)."""
@@ -47,11 +55,8 @@ class DisturbanceSpec:
         object.__setattr__(self, "_theta", theta.tolist())
 
     def value(self, q1: float, q2: float, p1: float, p2: float) -> float:
-        """True disturbance d = f(q,p)^T theta, summed term by term as simulate.run does."""
-        d = 0.0
-        for fv, th in zip(self.regressor.eval_flat(q1, q2, p1, p2), self._theta):
-            d += fv * th
-        return d
+        """True disturbance d = f(q,p)^T theta, summed by dot() as simulate.run does."""
+        return dot(self.regressor.eval_flat(q1, q2, p1, p2), self._theta)
 
 
 @dataclass(frozen=True)
@@ -100,16 +105,7 @@ def robust_control(params: RobotParams, gains: ControllerGains,
 
 
 def lyapunov_value(gamma_inv, theta_hat, theta, hd: float) -> float:
-    """V = Hd + 1/2 theta_err^T Gamma^{-1} theta_err (see module docstring).
-
-    gamma_inv (rows), theta_hat and theta are ndarrays or lists of floats;
-    the quadratic form is summed row by row in the same order for both.
-    """
+    """V = Hd + 1/2 theta_err^T Gamma^{-1} theta_err (see module docstring), summed by
+    dot(); gamma_inv (rows), theta_hat and theta are ndarrays or lists of floats."""
     err = [a - b for a, b in zip(theta_hat, theta)]
-    quad = 0.0
-    for row, ei in zip(gamma_inv, err):
-        acc = 0.0
-        for gij, ej in zip(row, err):
-            acc += gij * ej
-        quad += ei * acc
-    return hd + 0.5 * quad
+    return hd + 0.5 * dot(err, [dot(row, err) for row in gamma_inv])

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .adaptive import AdaptiveState, DisturbanceSpec
-from .controller import ControllerGains, d4_at_origin
+from .controller import ControllerGains, EmptyRegion, _z_offset, region_rho, shape_terms
 from .model import RobotParams
 from .regressor import ParseError, parse_regressor
 from .simulate import Scenario, step_count
@@ -152,12 +152,22 @@ def _load_gains(section, params: RobotParams) -> ControllerGains:
         gains = ControllerGains(**values)
     except ValueError as e:
         raise ConfigError(f"controller: {e}") from e
-    d40 = d4_at_origin(params, gains)
-    if d40 <= 0.0:
-        raise ConfigError(
-            f"controller: d4(0) = p3/k1 - p4*psi40 = {d40:.6g} <= 0 — "
-            "Md cannot be positive definite at the equilibrium; "
-            "decrease k1*psi40")
+    # the region, Md(0) and z(q) - q1 = a atan(b sin q2) as the controller and verify see them
+    try:
+        region_rho(params, gains)
+        _, _, _, _, d2, d4 = shape_terms(params, gains, 0.0, 1.0)
+        det = gains.k2 * d4 - d2 * d2
+        z0, z1 = _z_offset(params, gains, 0.0), _z_offset(params, gains, 1.0)
+    except EmptyRegion as e:
+        raise ConfigError(f"controller: {e}") from e
+    except ArithmeticError as e:
+        raise ConfigError(f"controller: gains out of scale for the robot ({e})") from e
+    if not det > 0.0:
+        raise ConfigError(f"controller: det Md(0) = k2*d4(0) - d2(0)^2 = {det:.6g} is not > 0 "
+                          "— Md is not positive definite at the equilibrium; increase k2")
+    if not (z0 == 0.0 and math.isfinite(z1)):  # nan or inf unless a and b are finite
+        raise ConfigError("controller: z offset constants a = sqrt(p3/(k1*p2*psi40)) and "
+                          "b = sqrt(p2/(k1*p3*psi40)) not finite; rescale k1*psi40")
     return gains
 
 

@@ -186,6 +186,13 @@ def _vd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float
     return kappa * z, kappa * z * ps3 / psi40 + params.p5 / psi40 * s
 
 
+def _hd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float, ps3: float,
+                 dd2: float, dd4: float, pt1: float, pt2: float) -> tuple[float, float]:
+    """grad_q Hd = grad Vd - (0, 1/2 ptilde^T Md' ptilde), Md' = [[0, dd2], [dd2, dd4]]."""
+    g1, g2 = _vd_gradient(params, gains, z, s, ps3)
+    return g1, g2 - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4)
+
+
 def potential_matching_row(params: RobotParams, gains: ControllerGains, s: float,
                            ps3: float, g1: float, g2: float) -> float:
     """psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin q2 for grad Vd = (g1, g2); 0 where matching holds."""
@@ -296,17 +303,11 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
     return np.array([[h11, h12], [h12, h22]])
 
 
-def md_inverse_entries(params: RobotParams, gains: ControllerGains,
-                       q2: float) -> tuple[float, float, float, float]:
-    """Entries (i11, i12, i22) of Md^{-1} plus det(Md); raises when Md is not PD."""
-    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
-    return _md_inverse(gains, q2, d2, d4)
-
-
 def momentum_tilde(params: RobotParams, gains: ControllerGains,
                    q2: float, p1c: float, p2c: float) -> tuple[float, float]:
-    """ptilde = Md^{-1} p; ptilde[0] is the passive output that kv damps."""
-    i11, i12, i22, _ = md_inverse_entries(params, gains, q2)
+    """ptilde = Md^{-1} p, ptilde[0] the passive output kv damps; raises DefinitenessLost."""
+    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
+    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 
@@ -328,11 +329,11 @@ def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -
 
 def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarray:
     """Gradient of Hd wrt q: grad Vd plus the shaped kinetic term in q2."""
-    pt1, pt2 = momentum_tilde(params, gains, s.q[1], s.p[0], s.p[1])
-    sh = shaping_at(params, gains, s.q[1])
-    quad = 2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4
-    g = shaped_potential_gradient(params, gains, s.q)
-    return np.array([g[0], g[1] - 0.5 * quad])
+    q2 = float(s.q[1])
+    pt1, pt2 = momentum_tilde(params, gains, q2, s.p[0], s.p[1])
+    sh, sin = shaping_at(params, gains, q2), math.sin(q2)
+    z = float(s.q[0]) + _z_offset(params, gains, sin)
+    return np.array(_hd_gradient(params, gains, z, sin, sh.ps3, sh.dd2, sh.dd4, pt1, pt2))
 
 
 def control_terms(params: RobotParams, gains: ControllerGains,
@@ -343,10 +344,9 @@ def control_terms(params: RobotParams, gains: ControllerGains,
     i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    # grad_q Hd
-    gq1, gv2 = _vd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3)
     dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
-    gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4)
+    gq1, gq2 = _hd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3,
+                            dd2, dd4, pt1, pt2)
     ps1, ps2, dps1, dps2 = _psi_row1(params, gains, s, c, m11, d2, dd2)
     a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2

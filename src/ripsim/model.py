@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Input map and its left annihilator (constant for this system).
+# Input map (constant for this system).
 G = np.array([[1.0], [0.0]])
-G_PERP = np.array([[0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -35,24 +34,21 @@ class RobotParams:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "p4", "p5"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"robot parameter {name} must be > 0")
-        if self.p1 * self.p4 - self.p3 ** 2 <= 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"robot parameter {name} must be finite and > 0")
+        if not self.p1 * self.p4 - self.p3 * self.p3 > 0.0:  # nan when the products overflow
             raise ValueError("p1*p4 - p3^2 must be > 0 (inertia matrix definiteness)")
 
     @classmethod
     def from_physical(cls, m1, m2, l1, l2, I1, I2, g=9.81) -> "RobotParams":
         """Build the lumped constants from link masses, lengths and inertias."""
         return cls(
-            p1=I1 + m1 * l1 ** 2,
-            p2=m2 * l2 ** 2,
+            p1=I1 + m1 * (l1 * l1),
+            p2=m2 * (l2 * l2),
             p3=m2 * l1 * l2,
-            p4=I2 + m2 * l2 ** 2,
+            p4=I2 + m2 * (l2 * l2),
             p5=m2 * l2 * g,
         )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3, self.p4, self.p5])
 
 
 @dataclass(frozen=True)
@@ -74,23 +70,10 @@ def _inertia(params: RobotParams, s: float, c: float) -> tuple[float, float, flo
     return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
 
 
-def inertia_entries(params: RobotParams, q2: float) -> tuple[float, float, float]:
-    """Entries (m11, m12, m22) of the symmetric inertia matrix at q2."""
-    return _inertia(params, math.sin(q2), math.cos(q2))
-
-
 def inertia(params: RobotParams, q2: float) -> np.ndarray:
     """Inertia matrix M(q2); symmetric positive definite for all q2."""
-    m11, m12, m22 = inertia_entries(params, q2)
+    m11, m12, m22 = _inertia(params, math.sin(q2), math.cos(q2))
     return np.array([[m11, m12], [m12, m22]])
-
-
-def inertia_derivative(params: RobotParams, q2: float) -> np.ndarray:
-    """dM/dq2, used in the q2 component of grad_q H."""
-    s, c = math.sin(q2), math.cos(q2)
-    d11 = 2.0 * params.p2 * s * c
-    d12 = -params.p3 * s
-    return np.array([[d11, d12], [d12, 0.0]])
 
 
 def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float, float]:
@@ -125,24 +108,9 @@ def hamiltonian(params: RobotParams, s: State) -> float:
     return hamiltonian_flat(params, s.q[1], s.p[0], s.p[1])
 
 
-def grad_q_H(params: RobotParams, s: State) -> np.ndarray:
-    """Gradient of H wrt q. The q1 component is identically zero."""
-    return np.array([0.0, _dH_dq2(params, s.q[1], s.p[0], s.p[1])])
-
-
-def _dH_dq2(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    return _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)[2]
-
-
-def velocity(params: RobotParams, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
-    """qdot = M^{-1} p as scalars."""
-    qd1, qd2, _ = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
-    return qd1, qd2
-
-
 def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[float, float]:
     """p = M(q2) qdot as scalars."""
-    m11, m12, m22 = inertia_entries(params, q2)
+    m11, m12, m22 = _inertia(params, math.sin(q2), math.cos(q2))
     return m11 * qd1 + m12 * qd2, m12 * qd1 + m22 * qd2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controller
-from .adaptive import AdaptiveState, DisturbanceSpec, lyapunov_value
+from .adaptive import AdaptiveState, DisturbanceSpec, dot, lyapunov_value
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import (  # noqa: F401  hamiltonian stays a module attribute for bench/tracing.py
     RobotParams, State, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
@@ -181,12 +181,11 @@ def run(scenario: Scenario) -> Trace:
     n = step_count(scenario.t_end, scenario.dt)
     dt = scenario.dt
 
+    if dist is not None:
+        terms = dist.regressor.terms
+        dtheta = dist.theta.tolist()
     if robust:
         ginv_rows = scenario.adaptive.gamma_inv.tolist()
-        terms = dist.regressor.terms
-    if dist is not None:
-        dterms = dist.regressor.terms
-        dtheta = dist.theta.tolist()
 
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
@@ -196,21 +195,14 @@ def run(scenario: Scenario) -> Trace:
         if dist is None:
             d = 0.0
         else:
-            d = 0.0
-            fvals = [t(q1, q2, p1c, p2c) for t in dterms]
-            for fv, th in zip(fvals, dtheta):
-                d += fv * th
-        if robust:
-            for fv, th in zip(fvals, theta_hat):
-                u += fv * th
-        out = [*open_loop_rhs_flat(params, q2, p1c, p2c, u, d)]
-        if robust:
-            for row in ginv_rows:
-                acc = 0.0
-                for gij, fv in zip(row, fvals):
-                    acc += gij * fv
-                out.append(-pt1 * acc)
-        return out
+            fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
+            d = dot(fvals, dtheta)
+        if not robust:
+            return [*open_loop_rhs_flat(params, q2, p1c, p2c, u, d)]
+        # ((u + f0 th0) + f1 th1) + ...: u is dot's accumulator, not added after
+        u = dot(fvals, theta_hat, u)
+        return [*open_loop_rhs_flat(params, q2, p1c, p2c, u, d),
+                *[-pt1 * dot(row, fvals) for row in ginv_rows]]
 
     t_grid = np.arange(n + 1) * dt
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
@@ -236,9 +228,7 @@ def run(scenario: Scenario) -> Trace:
             break
         d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
         if robust:
-            dhat = 0.0  # term by term, as the stages: sum() is compensated on 3.12
-            for tm, th in zip(terms, theta_hat):
-                dhat += tm(q1, q2, p1c, p2c) * th
+            dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
             u_now += dhat
             v_now = lyapunov_value(ginv_rows, theta_hat, dtheta, hd)
         else:

@@ -7,8 +7,8 @@ positive-definiteness region of Md, the shaped-potential Hessian, the
 equivalence of the assembled closed loop with its target form, and the
 prior-work counterexample. The closed forms are the controller's own;
 each identity is checked through a route independent of them (finite
-differences, alpha_from_matching, a linear solve, sign scans). The
-closed-loop check compares the float route simulate.run takes
+differences, a linear solve, sign scans; checks 3 and 4 share one blocked
+sign scan). The closed-loop check compares the float route simulate.run takes
 (control_terms, open_loop_rhs_flat) with closed_loop_rhs_direct, which
 assembles the target form on stacked (N, 2, 2) matrices and solves all
 samples of a block in one batched np.linalg.solve.
@@ -177,9 +177,18 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
         details={"q1_dependence_of_residual": q1_spread})
 
 
-def _d4_array(params: RobotParams, gains: ControllerGains, q2: np.ndarray) -> np.ndarray:
-    return np.concatenate([controller.shape_terms(params, gains, np.sin(b), np.cos(b))[5]
-                           for b in np.split(q2, range(SCAN_BLOCK, q2.size, SCAN_BLOCK))])
+def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
+               value) -> tuple[np.ndarray, int]:
+    """linspace(0, pi/2, n+1) and the index of its first point where value(d2, d4) is
+    not > 0 (n + 1 if none), found block by block (SCAN_BLOCK points each); nan fails."""
+    q2 = np.linspace(0.0, math.pi / 2, n + 1)
+    for start in range(0, n + 1, SCAN_BLOCK):
+        b = q2[start:start + SCAN_BLOCK]
+        _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(b), np.cos(b))
+        bad = np.flatnonzero(~(value(d2, d4) > 0.0))
+        if bad.size:
+            return q2, start + int(bad[0])
+    return q2, n + 1
 
 
 def region_scan(params: RobotParams, gains: ControllerGains,
@@ -190,15 +199,10 @@ def region_scan(params: RobotParams, gains: ControllerGains,
     nonpositive grid cell; d4 is even and strictly decreasing in |q2|
     there, so the crossing is unique.
     """
-    q2 = np.linspace(0.0, math.pi / 2, cells + 1)
-    d4 = _d4_array(params, gains, q2)
-    if d4[0] <= 0.0:
-        raise EmptyRegion(f"d4(0) = {d4[0]:.6g} <= 0")
-    bad = np.nonzero(d4 <= 0.0)[0]
-    if bad.size == 0:
-        return math.pi / 2
-    k = int(bad[0])
-    return 0.5 * float(q2[k - 1] + q2[k])
+    q2, k = _sign_scan(params, gains, cells, lambda d2, d4: d4)
+    if k == 0:
+        raise EmptyRegion(f"d4(0) = {controller.d4_at_origin(params, gains):.6g} <= 0")
+    return math.pi / 2 if k > cells else 0.5 * float(q2[k - 1] + q2[k])
 
 
 def region_report(params: RobotParams, gains: ControllerGains,
@@ -214,11 +218,10 @@ def region_report(params: RobotParams, gains: ControllerGains,
 
 
 def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> float:
-    """Last of n cells on [0, pi/2] before d1 > 0 and det Md > 0 first fail."""
-    q2 = np.linspace(0.0, math.pi / 2, n + 1)
-    _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))
-    bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]  # d1 = k2 > 0 by ControllerGains
-    return math.pi / 2 if bad.size == 0 else float(q2[max(int(bad[0]) - 1, 0)])
+    """Last of n cells on [0, pi/2] before det Md > 0 first fails (d1 = k2 > 0 by
+    ControllerGains); nan when Md(0) is not positive definite."""
+    q2, k = _sign_scan(params, gains, n, lambda d2, d4: gains.k2 * d4 - d2 * d2)
+    return math.nan if k == 0 else math.pi / 2 if k > n else float(q2[k - 1])
 
 
 def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
@@ -227,12 +230,12 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
 
     Its endpoint can only fall short of rho (the det condition is
     stricter than d4 > 0); the report fails if it exceeds rho by more
-    than a grid cell.
+    than a grid cell, or with a nan residual when Md(0) is not PD (no interval).
     """
     rho = controller.region_rho(params, gains)
     endpoint = _pd_endpoint(params, gains, n)
     cell = math.pi / 2 / n
-    overshoot = max(0.0, endpoint - rho)
+    overshoot = math.nan if math.isnan(endpoint) else max(0.0, endpoint - rho)
     md0 = controller.desired_inertia(params, gains, 0.0)
     eigs = np.linalg.eigvalsh(md0)
     return ResidualReport(
@@ -309,8 +312,8 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     psi = _stack2x2(n, sh.ps1, sh.ps2, sh.ps3, -gains.psi40)
     i11, i12, i22, _ = _inv2(gains.k2, sh.d2, sh.d4)
     pt1, pt2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
-    g1, g2 = controller._vd_gradient(params, gains, z, s, sh.ps3)
-    gq = np.stack([g1, g2 - 0.5 * (2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4)], axis=1)
+    gq = np.stack(controller._hd_gradient(params, gains, z, s, sh.ps3, sh.dd2, sh.dd4,
+                                          pt1, pt2), axis=1)
     if alpha_zeroed:
         pt = np.linalg.solve(md, np.stack([p1, p2], axis=1)[:, :, None])
         j2s = np.zeros(n)
@@ -335,8 +338,8 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
     blocks of at most SCAN_BLOCK states; each state's draws
     (q1, q2, p1, p2) are those of four successive rng.uniform calls. The
     residual is the largest component difference; a non-finite one is
-    reported (and fails) at its first sample. alpha_zeroed drops J2 from
-    the direct form (sensitivity hook).
+    reported (and fails) at its first sample; all are nan when Md(0) is not
+    PD. alpha_zeroed drops J2 from the direct form (sensitivity hook).
     """
     rng = np.random.default_rng(seed)
     q2_max = 0.99 * _pd_endpoint(params, gains)
@@ -380,15 +383,15 @@ class CounterexampleSpec:
 def claimed_m22(spec: CounterexampleSpec, q2):
     """The solution claimed in prior work (vectorized)."""
     q2 = np.asarray(q2, dtype=float)
-    return (2.0 * spec.frak_k1 / (spec.b ** 2 * np.cos(q2) ** 2)
-            + spec.frak_k1 / (spec.frak_k2 ** 2 + np.sin(q2) ** 2))
+    return (2.0 * spec.frak_k1 / (spec.b * spec.b * np.cos(q2) ** 2)
+            + spec.frak_k1 / (spec.frak_k2 * spec.frak_k2 + np.sin(q2) ** 2))
 
 
 def _claimed_m22_derivative(spec: CounterexampleSpec, q2):
     q2 = np.asarray(q2, dtype=float)
     s, c = np.sin(q2), np.cos(q2)
-    return (4.0 * spec.frak_k1 * s / (spec.b ** 2 * c ** 3)
-            - spec.frak_k1 * np.sin(2.0 * q2) / (spec.frak_k2 ** 2 + s ** 2) ** 2)
+    return (4.0 * spec.frak_k1 * s / (spec.b * spec.b * c ** 3)
+            - spec.frak_k1 * np.sin(2.0 * q2) / (spec.frak_k2 * spec.frak_k2 + s ** 2) ** 2)
 
 
 def _ode_residual(spec: CounterexampleSpec, q2, m22, dm22):

@@ -6,7 +6,9 @@ Covers:
   - verify: seven-row report, --json records, failure exit on a broken check
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line
-  - config errors exit 2, non-finite list entries and an over-long t_end included
+  - config errors exit 2, non-finite list entries and an over-long t_end included;
+    an overflowing robot constant (lumped or physical) and gains with det Md(0) <= 0
+    or an underflowing z offset exit 2 from simulate, verify and region
   - trace.csv bytes of every preset at a 1 s horizon, pinned by SHA-256
 """
 import dataclasses
@@ -163,6 +165,32 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path, ROBOT + "controller: {k1: 0.6}\n")
     assert main(["simulate", "--config", cfg]) == 2
     assert "d4(0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("robot", [
+    "robot: {p: [1.0, 1.0, 1.0e+200, 1.0, 1.0]}\n",
+    "robot: {m1: 1.0e+200, m2: 1.0e+200, l1: 1.0e+200, l2: 1.0, I1: 1.0, I2: 1.0}\n",
+])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_overflowing_robot_exits_2(tmp_path, capsys, robot, command):
+    # p3^2 (lumped) and l1^2 (physical) overflow
+    cfg = cfg_file(tmp_path, robot)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: robot") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("controller, message", [
+    ("{k2: 1.0}", "det Md(0)"),                              # 1*8 - 19^2 = -353
+    ("{psi40: 1.0e-300, k1: 1.0e-300}", "out of scale"),     # k1*p2*psi40 underflows to 0
+])
+@pytest.mark.parametrize("command", ["simulate", "verify", "region"])
+def test_gains_without_pd_md0_exit_2(tmp_path, capsys, controller, message, command):
+    cfg = cfg_file(tmp_path, ROBOT + f"controller: {controller}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: controller") and message in err
+    assert "Traceback" not in err
 
 
 def test_nonfinite_theta_exits_2(tmp_path, capsys):

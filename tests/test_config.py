@@ -4,7 +4,8 @@ Covers:
   - minimal robot-only file falls back to documented defaults
   - unknown keys rejected with their full path, in every section
   - lumped p vs physical constants, including the p-wins warning
-  - controller gains validated against the d4(0) > 0 requirement
+  - controller gains validated against the d4(0) > 0 requirement and a
+    finite z offset (det Md(0) > 0: test_cli and the property examples)
   - disturbance parsing errors surface with position info
   - adaptive section: gamma scalar/matrix, theta_hat0; adaptive.enabled is unknown
   - non-finite list entries (index in the path) and gamma rejected; verify.span > 0
@@ -12,13 +13,27 @@ Covers:
   - simulation.t_end bounded by MAX_STEPS steps of dt (at the limit loads)
   - verify options plumbing
   - Config.scenario() produces a runnable Scenario
+  - property (hypothesis): numeric entries of a valid config mutated to edge
+    values (0, -1, 5e-324, 1e-300, 1e300, 1.7e308, ...) raise only ConfigError,
+    and a config that loads runs region_rho and verify_all at small grids;
+    explicit examples: p3 = 1e200, m1 = m2 = l1 = 1e200, k2 = 1 (det Md(0) < 0),
+    psi40 = k1 = 1e-300 (z offset divides by 0), counterexample b = 1e300
 """
+import copy
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ripsim.config import Config, ConfigError, load_config
+from ripsim.controller import region_rho
 from ripsim.regressor import ParseError
 from ripsim.simulate import MAX_STEPS, Scenario, run
+from ripsim.verify import verify_all
 
 MINIMAL = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
 
@@ -104,6 +119,13 @@ def test_p_wins_over_physical_with_warning(tmp_path):
 def test_gains_rejected_when_d4_not_positive(tmp_path):
     text = MINIMAL + "controller: {k1: 0.6}\n"
     with pytest.raises(ConfigError, match=r"d4\(0\)"):
+        load_config(write(tmp_path, text))
+
+
+def test_gains_rejected_when_z_offset_not_finite(tmp_path):
+    # det Md(0) > 0, but a = sqrt(p3/(k1*p2*psi40)) overflows: p3/1e-311 = inf
+    text = "robot: {p: [2.0, 1.0e-300, 1.0, 2.0, 1.0]}\ncontroller: {psi40: 1.0e-10}\n"
+    with pytest.raises(ConfigError, match=r"^controller: z offset"):
         load_config(write(tmp_path, text))
 
 
@@ -321,3 +343,73 @@ def test_verify_counts_accept_integral_floats(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL + "verify: {scan_cells: 1.0e+5, seed: 0}\n"))
     assert cfg.verify.scan_cells == 100000 and isinstance(cfg.verify.scan_cells, int)
     assert cfg.verify.seed == 0
+
+
+# Property test: every numeric entry of a valid config, mutated to edge values.
+BASES = {
+    "lumped": {"robot": {"p": [0.2499875, 0.03675, 0.091875, 0.049, 1.03005]}},
+    "physical": {"robot": {"m1": 0.5, "m2": 0.25, "l1": 0.4, "l2": 0.3, "I1": 0.01,
+                           "I2": 0.005, "g": 9.81}},
+}
+COMMON = {
+    "controller": {"psi40": 1.0, "k1": 0.1, "k2": 100.0, "kappa": 0.5, "kv": 20.0},
+    "simulation": {"mode": "disturbed_robust", "q0": [0.1, 0.2], "qdot0": [0.0, 0.0],
+                   "dt": 0.001, "t_end": 1.0},
+    "disturbance": {"f": ["1", "q1", "sin(q2)*cos(p1)"], "theta": [0.1, 0.1, -0.3]},
+    "adaptive": {"gamma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 "theta_hat0": [0.0, 0.0, 0.0]},
+    "verify": {"grid_points": 50, "span": 1.5, "planar_grid": 10, "samples": 20, "seed": 0,
+               "scan_cells": 200, "md_scan_points": 200, "psi3_offset": 0.0,
+               "counterexample": {"frak_k1": 1.0, "frak_k2": 1.0, "b": 1.0}},
+}
+EDGE_VALUES = [0, -1, 5e-324, 1e-300, 1e-3, 2.5, 1e6, 1e300, 1.7e308, -1.7e308]
+
+
+def numeric_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_paths(value, path + (key,))
+        elif isinstance(value, (int, float)):
+            yield path + (key,)
+
+
+def mutated(base, mutations):
+    doc = copy.deepcopy({**BASES[base], **COMMON})
+    for path, value in mutations:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return yaml.safe_dump(doc)
+
+
+PATHS = {b: sorted(numeric_paths({**BASES[b], **COMMON}), key=str) for b in BASES}
+MUTATIONS = st.sampled_from(sorted(BASES)).flatmap(lambda b: st.tuples(st.just(b), st.lists(
+    st.tuples(st.sampled_from(PATHS[b]), st.sampled_from(EDGE_VALUES)),
+    min_size=1, max_size=4)))
+SMALL_GRIDS = {"grid_points": 20, "planar_grid": 5, "samples": 10, "scan_cells": 100,
+               "md_scan_points": 100}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(MUTATIONS)
+@example(("lumped", [(("robot", "p", 2), 1e200)]))    # p3 ** 2 overflowed
+@example(("physical", [(("robot", "m1"), 1e200), (("robot", "m2"), 1e200),
+                       (("robot", "l1"), 1e200)]))
+@example(("lumped", [(("controller", "k2"), 1.0)]))
+@example(("lumped", [(("controller", "psi40"), 1e-300), (("controller", "k1"), 1e-300)]))
+@example(("lumped", [(("verify", "counterexample", "b"), 1e300)]))   # b ** 2 overflowed
+def test_load_config_property(tmp_path_factory, case):
+    base, mutations = case
+    path = tmp_path_factory.getbasetemp() / "property.yaml"
+    path.write_text(mutated(base, mutations))
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    # a config that loads is ready to run: the reports may fail, nothing raises
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        region_rho(cfg.params, cfg.gains)
+        verify_all(cfg.params, cfg.gains, dataclasses.replace(cfg.verify, **SMALL_GRIDS))

@@ -9,7 +9,8 @@ Covers:
   - the interconnection coefficients via two independent routes
   - shaped potential: critical point, frozen Hessian, kappa -> 0 boundary
   - region: frozen rho, monotone growth as psi40*k1 decreases, EmptyRegion
-  - Md definiteness loss raised with context
+  - Md definiteness loss raised with context; Md^{-1} at 0 through
+    desired_inertia and momentum_tilde
   - controller vanishes at the target and Hd decreases along the true flow
 """
 import math
@@ -20,7 +21,7 @@ import pytest
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching,
     control_law, d4_at_origin, desired_hamiltonian, desired_inertia, grad_q_Hd,
-    md_inverse_entries, momentum_tilde, psi_matrix, psi_row1_derivative_fd,
+    momentum_tilde, psi_matrix, psi_row1_derivative_fd,
     region_rho, shaped_potential, shaped_potential_gradient,
     shaped_potential_hessian, shaping_at,
 )
@@ -205,13 +206,15 @@ def test_empty_region():
 
 def test_definiteness_lost_carries_context():
     with pytest.raises(DefinitenessLost) as exc:
-        md_inverse_entries(P_SYN, G_REF, 0.54)
+        momentum_tilde(P_SYN, G_REF, 0.54, 1.0, 0.0)
     assert exc.value.q2 == pytest.approx(0.54)
     assert exc.value.det_md <= 0.0
 
 
-def test_md_inverse_entries_at_origin():
-    i11, i12, i22, det = md_inverse_entries(P_SYN, G_REF, 0.0)
+def test_md_inverse_at_origin():
+    md = desired_inertia(P_SYN, G_REF, 0.0)
+    det = md[0, 0] * md[1, 1] - md[0, 1] * md[1, 0]
+    (i11, i12), (_, i22) = (momentum_tilde(P_SYN, G_REF, 0.0, *e) for e in ((1, 0), (0, 1)))
     assert det == pytest.approx(439.0, rel=1e-13)
     assert (i11, i12, i22) == pytest.approx((8 / 439, -19 / 439, 100 / 439), rel=1e-12)
     pt = momentum_tilde(P_SYN, G_REF, 0.0, 1.0, 0.0)

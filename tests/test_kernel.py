@@ -24,9 +24,9 @@ from ripsim.adaptive import adaptation_rhs, lyapunov_value, robust_control
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd_gradient, _z_offset, control_terms,
-    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows, md_inverse_entries,
-    momentum_tilde, potential_matching_row, region_rho, shaped_potential, shaped_potential_gradient,
-    shaping, shaping_at,
+    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows, momentum_tilde,
+    potential_matching_row, region_rho, shaped_potential, shaped_potential_gradient, shaping,
+    shaping_at,
 )
 from ripsim.model import RobotParams, State, hamiltonian, open_loop_rhs
 from ripsim.regressor import eval_regressor
@@ -38,9 +38,7 @@ P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 
 def composed_control_terms(params, gains, q1, q2, p1c, p2c):
     """control_terms as one call per closed form, each evaluating its own sin/cos."""
-    i11, i12, i22, _ = md_inverse_entries(params, gains, q2)
-    pt1 = i11 * p1c + i12 * p2c
-    pt2 = i12 * p1c + i22 * p2c
+    pt1, pt2 = momentum_tilde(params, gains, q2, p1c, p2c)
     gq1, gv2 = shaped_potential_gradient(params, gains, (q1, q2))
     sh = shaping_at(params, gains, q2)
     gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4)

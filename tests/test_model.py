@@ -3,9 +3,10 @@
 Covers:
   - inertia values at q2 = 0 and pi/2 for the synthetic parameter set
   - positive definiteness of M over a dense q2 grid
-  - dM/dq2 against central finite differences
-  - Hamiltonian values and the 0.5*qd^T M qd + V identity
-  - grad_q_H against finite differences; q1 component identically zero
+  - Hamiltonian values and the 0.5*qd^T M qd + V identity, with qd from
+    open_loop_rhs_flat at u = d = 0 (the simulator's plant)
+  - -pdot of open_loop_rhs_flat at u = d = 0 as grad_q H: dH/dq2 against
+    finite differences, dH/dq1 identically zero; momentum/qdot round trip
   - open-loop RHS: equilibrium, u-d cancellation, underactuation,
     q1 translation invariance
   - the one-trig open_loop_rhs_flat and hamiltonian_flat equal, bit for bit,
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from ripsim.model import (
-    G, G_PERP, RobotParams, State, grad_q_H, hamiltonian, hamiltonian_flat, inertia,
-    inertia_derivative, momentum, open_loop_rhs, open_loop_rhs_flat, velocity,
+    G, RobotParams, State, hamiltonian, hamiltonian_flat, inertia, momentum, open_loop_rhs,
+    open_loop_rhs_flat,
 )
 from ripsim.simulate import step_rk4
 
@@ -39,8 +40,7 @@ def rand_state(rng, scale=2.0):
 
 
 def test_input_map_constants():
-    assert G.shape == (2, 1) and G_PERP.shape == (1, 2)
-    assert (G_PERP @ G).item() == 0.0
+    assert G.shape == (2, 1)
     assert np.array_equal(G.ravel(), [1.0, 0.0])
 
 
@@ -62,22 +62,6 @@ def test_inertia_positive_definite_on_grid():
             assert np.linalg.eigvalsh(m).min() > 0.0
 
 
-def test_inertia_derivative_values():
-    assert np.array_equal(inertia_derivative(P_SYN, 0.0), np.zeros((2, 2)))
-    d = inertia_derivative(P_SYN, math.pi / 2)
-    assert np.allclose(d, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
-
-
-def test_inertia_derivative_matches_fd():
-    rng = np.random.default_rng(1)
-    h = 1e-6
-    for _ in range(200):
-        params = rand_params(rng)
-        q2 = rng.uniform(-3, 3)
-        fd = (inertia(params, q2 + h) - inertia(params, q2 - h)) / (2 * h)
-        assert np.allclose(inertia_derivative(params, q2), fd, atol=1e-8)
-
-
 def test_hamiltonian_values():
     assert hamiltonian(P_SYN, State(q=[0, 0], p=[0, 0])) == pytest.approx(1.0, abs=1e-15)
     assert hamiltonian(P_SYN, State(q=[0, math.pi], p=[0, 0])) == pytest.approx(-1.0, abs=1e-12)
@@ -89,7 +73,7 @@ def test_hamiltonian_velocity_identity():
     for _ in range(300):
         params = rand_params(rng)
         s = rand_state(rng)
-        qd = np.array(velocity(params, s.q[1], s.p[0], s.p[1]))
+        qd = np.array(open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[:2])
         m = inertia(params, s.q[1])
         ref = 0.5 * qd @ m @ qd + params.p5 * math.cos(s.q[1])
         assert hamiltonian(params, s) == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -103,14 +87,16 @@ def test_momentum_velocity_roundtrip():
         q2 = rng.uniform(-3, 3)
         qd = rng.uniform(-2, 2, 2)
         p = momentum(params, q2, *qd)
-        back = velocity(params, q2, *p)
+        back = open_loop_rhs_flat(params, q2, *p, 0.0, 0.0)[:2]
         assert np.allclose(back, qd, atol=1e-12)
 
 
 def test_grad_q_h_first_component_zero():
+    # pdot1 = -dH/dq1 + u - d
     rng = np.random.default_rng(4)
     for _ in range(100):
-        assert grad_q_H(rand_params(rng), rand_state(rng))[0] == 0.0
+        params, s = rand_params(rng), rand_state(rng)
+        assert open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[2] == 0.0
 
 
 def test_grad_q_h_matches_fd():
@@ -119,7 +105,7 @@ def test_grad_q_h_matches_fd():
     for _ in range(1000):
         params = rand_params(rng)
         s = rand_state(rng)
-        g2 = grad_q_H(params, s)[1]
+        g2 = -open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[3]
         hp = hamiltonian(params, State(q=s.q + [0, h], p=s.p))
         hm = hamiltonian(params, State(q=s.q - [0, h], p=s.p))
         fd = (hp - hm) / (2 * h)
@@ -176,7 +162,7 @@ def test_flat_rhs_matches_vector_rhs():
 
 # The plant as separate per-quantity calls, each with its own sin/cos, M entries
 # and M^{-1}: the reference for the fused helper.
-def inertia_entries_ref(params, q2):
+def inertia_ref(params, q2):
     s, c = math.sin(q2), math.cos(q2)
     return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
 
@@ -186,14 +172,14 @@ def inv2_ref(m11, m12, m22):
     return m22 / det, -m12 / det, m11 / det, det
 
 
-def velocity_ref(params, q2, p1c, p2c):
-    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+def qdot_ref(params, q2, p1c, p2c):
+    i11, i12, i22, _ = inv2_ref(*inertia_ref(params, q2))
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 
 def dh_dq2_ref(params, q2, p1c, p2c):
     s, c = math.sin(q2), math.cos(q2)
-    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+    i11, i12, i22, _ = inv2_ref(*inertia_ref(params, q2))
     v1 = i11 * p1c + i12 * p2c
     v2 = i12 * p1c + i22 * p2c
     d11 = 2.0 * params.p2 * s * c
@@ -203,7 +189,7 @@ def dh_dq2_ref(params, q2, p1c, p2c):
 
 
 def hamiltonian_ref(params, q2, p1c, p2c):
-    i11, i12, i22, _ = inv2_ref(*inertia_entries_ref(params, q2))
+    i11, i12, i22, _ = inv2_ref(*inertia_ref(params, q2))
     kinetic = 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
     return params.p5 * math.cos(q2) + kinetic
 
@@ -219,7 +205,7 @@ def test_fused_plant_equals_composition():
     for params in param_sets:
         for q2, p1c, p2c, u, d in rng.uniform(-4.0, 4.0, size=(100, 5)).tolist():
             q2 *= 2.0
-            want = (*velocity_ref(params, q2, p1c, p2c), u - d, -dh_dq2_ref(params, q2, p1c, p2c))
+            want = (*qdot_ref(params, q2, p1c, p2c), u - d, -dh_dq2_ref(params, q2, p1c, p2c))
             assert bits(open_loop_rhs_flat(params, q2, p1c, p2c, u, d)) == bits(want)
             assert bits([hamiltonian_flat(params, q2, p1c, p2c)]) == \
                 bits([hamiltonian_ref(params, q2, p1c, p2c)])

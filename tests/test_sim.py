@@ -8,7 +8,7 @@ Covers:
     stage (a finite stage's error propagates)
   - equilibrium start stays exactly at the target, u = 0
   - bitwise determinism of repeated runs
-  - velocity -> momentum initial-condition conversion
+  - qdot0 -> p0 = M(q2) qdot0 initial-condition conversion
   - nominal mode: Hd nonincreasing (slope tolerance 1e-7) and the global
     energy balance Hd(T)-Hd(0) = -kv int ptilde1^2 holds to O(dt^4)
   - grid refinement: halving dt shrinks the endpoint error ~16x

@@ -7,7 +7,9 @@ Covers:
   - potential matching: exactness, q1-independence, kappa-skew detector
   - region: formula vs million-cell sign scan, EmptyRegion, 100 random draws
   - Md definiteness: endpoint <= rho, k2 growth widens the interval,
-    frozen Md(0) eigenvalues
+    frozen Md(0) eigenvalues; checks 4 and 6 fail when Md(0) is not PD
+  - the shared d4 / det Md sign scan walked in blocks of 64 points equals
+    the one-pass scans it replaced (presets, random draws, grid edges)
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws
   - closed-loop equivalence: 1e-9 agreement, alpha-zeroed sensitivity; a
     nan from the control route fails; the batched check equals the
@@ -18,7 +20,7 @@ Covers:
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
     integrated-solution soundness < 1e-6
-  - pointwise residuals even in q2
+  - pointwise residuals and d4 even in q2
 """
 import math
 from pathlib import Path
@@ -39,8 +41,7 @@ from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
     closed_loop_rhs_direct, hessian_fd, hessian_vd_check, kinetic_matching,
     md_definiteness_scan, potential_matching, region_report, region_scan,
-    remark2_residual, riccati_residual, verify_all, _d4_array, _max_and_arg,
-    _pd_endpoint,
+    remark2_residual, riccati_residual, verify_all, _max_and_arg, _pd_endpoint,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -157,6 +158,41 @@ def test_md_definiteness_synthetic():
     ref = np.linalg.eigvalsh(np.array([[100.0, 19.0], [19.0, 8.0]]))
     assert r.details["md_at_0_eigs"] == pytest.approx(list(ref), rel=1e-12)
     assert min(r.details["md_at_0_eigs"]) > 0
+
+
+def test_md_definiteness_fails_without_pd_origin():
+    # det Md(0) = 1*8 - 19^2 < 0: there is no interval, and checks 4 and 6
+    # fail (load_config rejects these gains; a library call does not)
+    g = ControllerGains(1.0, 0.1, 1.0)
+    r = md_definiteness_scan(P_SYN, g, n=10 ** 4)
+    assert not r.passed and math.isnan(r.details["pd_endpoint"])
+    assert r.details["pd_at_0"] is False
+    assert not closed_loop_equivalence(P_SYN, g, n_samples=50).passed
+
+
+def one_pass_scans(params, gains, cells, n):
+    """region_scan's d4 scan and _pd_endpoint's det Md scan as they were
+    before the shared blocked scan: whole-grid temporaries, one pass each."""
+    q2 = np.linspace(0.0, math.pi / 2, cells + 1)
+    d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))[5]
+    bad = np.nonzero(d4 <= 0.0)[0]
+    rho = math.pi / 2 if bad.size == 0 else 0.5 * float(q2[bad[0] - 1] + q2[bad[0]])
+    q2 = np.linspace(0.0, math.pi / 2, n + 1)
+    _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))
+    bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]
+    return rho, math.pi / 2 if bad.size == 0 else float(q2[bad[0] - 1])
+
+
+def test_sign_scans_blocks_equal_one_pass(monkeypatch):
+    rng = np.random.default_rng(35)
+    cases = [plant_and_gains(name) for name in ("P_SYN",) + PRESET_NAMES]
+    cases += [rand_draw(rng) for _ in range(10)]
+    cases += [(P_SYN, ControllerGains(1.0, 0.1, 1000.0)), (P_SYN, ControllerGains(1.0, 1e-3, 1e6))]
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 64)
+    for params, gains in cases:
+        for cells, n in ((10 ** 4, 4000), (63, 64), (64, 63), (5000, 129)):
+            scans = (region_scan(params, gains, cells), _pd_endpoint(params, gains, n))
+            assert scans == one_pass_scans(params, gains, cells, n), (params, gains, cells, n)
 
 
 def test_md_interval_widens_with_k2():
@@ -333,4 +369,6 @@ def test_pointwise_residuals_even_in_q2():
         kin_m, pot_m = _spot_residuals(P_SYN, G_REF, -q2)
         assert kin_p == kin_m and pot_p == pot_m
     q2 = np.array([0.3, 0.7, 1.2])
-    assert np.array_equal(_d4_array(P_SYN, G_REF, q2), _d4_array(P_SYN, G_REF, -q2))
+    d4p = controller.shape_terms(P_SYN, G_REF, np.sin(q2), np.cos(q2))[5]
+    d4m = controller.shape_terms(P_SYN, G_REF, np.sin(-q2), np.cos(-q2))[5]
+    assert np.array_equal(d4p, d4m)
