@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerGains, control_terms
+from .controller import ControllerGains, coeffs, control_terms
 from .model import RobotParams, State
 from .regressor import RegressorSpec, eval_regressor
 
@@ -74,8 +74,9 @@ class AdaptiveState:
             gamma = float(gamma) * np.eye(ell)
         if gamma.shape != (ell, ell):
             raise ValueError(f"gamma must be {ell}x{ell}, got {gamma.shape}")
-        if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12):
-            raise ValueError("gamma must be symmetric")
+        with np.errstate(over="ignore"):  # gamma - gamma.T may overflow to inf
+            if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12):
+                raise ValueError("gamma must be symmetric")
         if np.linalg.eigvalsh(gamma).min() <= 0.0:
             raise ValueError("gamma must be positive definite")
         object.__setattr__(self, "theta_hat", theta_hat)
@@ -91,7 +92,7 @@ def adaptation_rhs(params: RobotParams, gains: ControllerGains,
                    regressor: RegressorSpec, adaptive: AdaptiveState,
                    s: State) -> np.ndarray:
     """dtheta_hat/dt = -ptilde1 * Gamma^{-1} f(q,p)."""
-    _, pt1 = control_terms(params, gains, s.q[0], s.q[1], s.p[0], s.p[1])
+    _, pt1 = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
     f = eval_regressor(regressor, s)
     return -pt1 * (adaptive.gamma_inv @ f)
 
@@ -100,7 +101,7 @@ def robust_control(params: RobotParams, gains: ControllerGains,
                    regressor: RegressorSpec, theta_hat: np.ndarray,
                    s: State) -> float:
     """u = energy-shaping torque + f^T theta_hat."""
-    u, _ = control_terms(params, gains, s.q[0], s.q[1], s.p[0], s.p[1])
+    u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
     return u + float(eval_regressor(regressor, s) @ np.asarray(theta_hat))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .adaptive import AdaptiveState, DisturbanceSpec
-from .controller import ControllerGains, EmptyRegion, _z_offset, region_rho, shape_terms
+from .controller import ControllerGains, EmptyRegion, _z_offset, coeffs, region_rho, shape_terms
 from .model import RobotParams
 from .regressor import ParseError, parse_regressor
 from .simulate import Scenario, step_count
@@ -152,12 +152,13 @@ def _load_gains(section, params: RobotParams) -> ControllerGains:
         gains = ControllerGains(**values)
     except ValueError as e:
         raise ConfigError(f"controller: {e}") from e
-    # the region, Md(0) and z(q) - q1 = a atan(b sin q2) as the controller and verify see them
+    # the region, Md(0) and z(q) - q1 = a atan(b sin q2) from the Coeffs that run() builds
     try:
         region_rho(params, gains)
-        _, _, _, _, d2, d4 = shape_terms(params, gains, 0.0, 1.0)
-        det = gains.k2 * d4 - d2 * d2
-        z0, z1 = _z_offset(params, gains, 0.0), _z_offset(params, gains, 1.0)
+        k = coeffs(params, gains)
+        _, _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)
+        det = k.k2 * d4 - d2 * d2
+        z0, z1 = _z_offset(k, 0.0), _z_offset(k, 1.0)
     except EmptyRegion as e:
         raise ConfigError(f"controller: {e}") from e
     except ArithmeticError as e:

@@ -56,6 +56,45 @@ class ControllerGains:
                 raise ValueError(f"controller gain {name} must be > 0")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Coeffs:
+    """The constants of the closed forms for one (params, gains), bound once per run:
+    p1..p5, the gains and each parameter-only sub-expression the helpers use, formed
+    by the expression and IEEE association it replaces (so the doubles are the same)."""
+
+    p1: float
+    p2: float
+    p3: float
+    p4: float
+    p5: float
+    k1: float
+    k2: float
+    kv: float
+    kappa: float
+    psi40: float
+    w: float         # p2/(p3*psi40)
+    p3psi40: float   # p3*psi40
+    p4psi40: float   # p4*psi40
+    za: float        # sqrt(p3/(k1*p2*psi40)), the a of z - q1 = a atan(b sin q2)
+    zb: float        # sqrt(p2/(k1*p3*psi40)), its b
+    p5_psi40: float  # p5/psi40
+    p3sq: float      # p3**2
+    ddet: float      # p2*p4 + p3**2, d(det M)/dq2 over 2 s c
+    ps4: float       # psi4 = -psi40
+    p4k2: float      # p4*k2
+
+
+def coeffs(params: RobotParams, gains: ControllerGains) -> Coeffs:
+    """The Coeffs of (params, gains); raises ZeroDivisionError when a product of the
+    constants underflows to 0 (the z offset's k1*p2*psi40 first)."""
+    p2, p3, p4, p5 = params.p2, params.p3, params.p4, params.p5
+    k1, k2, psi40 = gains.k1, gains.k2, gains.psi40
+    return Coeffs(params.p1, p2, p3, p4, p5, k1, k2, gains.kv, gains.kappa, psi40,
+                  p2 / (p3 * psi40), p3 * psi40, p4 * psi40,
+                  math.sqrt(p3 / (k1 * p2 * psi40)), math.sqrt(p2 / (k1 * p3 * psi40)),
+                  p5 / psi40, p3 ** 2, p2 * p4 + p3 ** 2, -psi40, p4 * k2)
+
+
 def d4_at_origin(params: RobotParams, gains: ControllerGains) -> float:
     """d4(0) = p3/k1 - p4*psi40; must be positive for Md > 0 at the equilibrium."""
     return params.p3 / gains.k1 - params.p4 * gains.psi40
@@ -79,68 +118,65 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
 
 
 # The closed forms, each written once in arithmetic only (floats or ndarrays) on
-# s = sin q2, c = cos q2 and shared terms; shaping() evaluates them all at one
-# (s, c), and the hot path control_terms threads one (s, c) through the helpers.
-def shape_terms(params: RobotParams, gains: ControllerGains, s: float, c: float):
+# s = sin q2, c = cos q2 and shared terms, with the constants read from a Coeffs
+# k; shaping() evaluates them all at one (s, c), and the hot path control_terms
+# threads one (s, c) through the helpers.
+def shape_terms(k: Coeffs, s: float, c: float):
     """(w, den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
-    p2, p3, psi40 = params.p2, params.p3, gains.psi40
-    w = p2 / (p3 * psi40)
-    den = gains.k1 + w * s * s
-    m11 = params.p1 + p2 * s * s
-    d2 = c * (m11 / den - p3 * psi40)
-    d4 = p3 * c * c / den - params.p4 * psi40
+    w = k.w
+    den = k.k1 + w * s * s
+    m11 = k.p1 + k.p2 * s * s
+    d2 = c * (m11 / den - k.p3psi40)
+    d4 = k.p3 * c * c / den - k.p4psi40
     return w, den, m11, c / den, d2, d4
 
 
-def _md_prime(params: RobotParams, gains: ControllerGains, s: float, c: float,
-              w: float, den: float, m11: float) -> tuple[float, float]:
+def _md_prime(k: Coeffs, s: float, c: float, w: float, den: float,
+              m11: float) -> tuple[float, float]:
     """(d2', d4') by the quotient rule; d1' = 0 since d1 = k2."""
-    p3 = params.p3
     s2 = 2.0 * s * c
     dden = w * s2
-    dm11 = params.p2 * s2
+    dm11 = k.p2 * s2
     den2 = den * den
-    dd2 = -s * (m11 / den - p3 * gains.psi40) + c * (dm11 * den - m11 * dden) / den2
-    dd4 = -p3 * s2 * (den + w * c * c) / den2
+    dd2 = -s * (m11 / den - k.p3psi40) + c * (dm11 * den - m11 * dden) / den2
+    dd4 = -k.p3 * s2 * (den + w * c * c) / den2
     return dd2, dd4
 
 
-def _md_inverse(gains: ControllerGains, q2: float, d2: float,
+def _md_inverse(k: Coeffs, q2: float, d2: float,
                 d4: float) -> tuple[float, float, float, float]:
     """(i11, i12, i22, det Md) of Md^{-1}; raises DefinitenessLost when Md is not PD."""
-    d1 = gains.k2
+    d1 = k.k2
     det = d1 * d4 - d2 * d2
     if d1 <= 0.0 or det <= 0.0:
         raise DefinitenessLost(q2, det)
     return d4 / det, -d2 / det, d1 / det, det
 
 
-def _psi_row1(params: RobotParams, gains: ControllerGains, s: float, c: float,
-              m11: float, d2: float, dd2: float) -> tuple[float, float, float, float]:
+def _psi_row1(k: Coeffs, s: float, c: float, m11: float, d2: float,
+              dd2: float) -> tuple[float, float, float, float]:
     """(psi1, psi2, psi1', psi2'): [psi1, psi2] = [d1, d2] M^{-1} = [n1, n2] / det M,
     and its q2-derivative by the quotient rule."""
-    p2, p3, p4, k2 = params.p2, params.p3, params.p4, gains.k2
+    p3, p4, k2 = k.p3, k.p4, k.k2
     m12 = p3 * c
     det = m11 * p4 - m12 * m12
-    n1 = p4 * k2 - m12 * d2
+    n1 = k.p4k2 - m12 * d2
     n2 = -m12 * k2 + m11 * d2
     # det M once more, as p3**2 c c: it may round apart from m12 * m12, and psi'
     # keeps the rounding it has always had
-    det_ = m11 * p4 - p3 ** 2 * c * c
+    det_ = m11 * p4 - k.p3sq * c * c
     s2 = 2.0 * s * c
-    ddet = (p2 * p4 + p3 ** 2) * s2
+    ddet = k.ddet * s2
     dn1 = p3 * s * d2 - m12 * dd2
-    dn2 = p3 * s * k2 + p2 * s2 * d2 + m11 * dd2
+    dn2 = p3 * s * k2 + k.p2 * s2 * d2 + m11 * dd2
     det2 = det_ * det_
     return n1 / det, n2 / det, (dn1 * det_ - n1 * ddet) / det2, (dn2 * det_ - n2 * ddet) / det2
 
 
-def alpha_from_psi(params: RobotParams, gains: ControllerGains, s: float, c: float,
-                   m11: float, ps1: float, ps2: float, ps3: float,
-                   dps1: float, dps2: float) -> tuple[float, float]:
+def alpha_from_psi(k: Coeffs, s: float, c: float, m11: float, ps1: float, ps2: float,
+                   ps3: float, dps1: float, dps2: float) -> tuple[float, float]:
     """Interconnection coefficients (alpha1, alpha2) at (s, c), m11 = p1 + p2 s^2."""
-    p2_, p3_, p4_ = params.p2, params.p3, params.p4
-    ps4 = -gains.psi40
+    p2_, p3_, p4_, ps4 = k.p2, k.p3, k.p4, k.ps4
     two_a1 = (-2.0 * p2_ * ps1 * ps1 * s * c
               + 2.0 * p3_ * ps1 * ps2 * s
               + ps4 * m11 * dps1
@@ -156,47 +192,43 @@ def alpha_from_psi(params: RobotParams, gains: ControllerGains, s: float, c: flo
     return 0.5 * two_a1, a2  # the published expression gives 2*alpha1
 
 
-def kinetic_matching_rows(params: RobotParams, gains: ControllerGains, s: float, c: float,
-                          ps1: float, ps2: float, ps3: float, dd2: float, dd4: float,
+def kinetic_matching_rows(k: Coeffs, s: float, c: float, ps1: float, ps2: float,
+                          ps3: float, dd2: float, dd4: float,
                           a1: float, a2: float) -> tuple[float, float, float]:
     """Entries (r11, r12, r22) of -Psi M' Psi^T + psi4 Md' - [[2a1, a2], [a2, 0]].
 
     All three vanish where kinetic matching holds (Md' = [[0, dd2], [dd2, dd4]]).
     """
-    ps4 = -gains.psi40
-    dm11 = 2.0 * params.p2 * s * c
-    dm12 = -params.p3 * s
+    ps4 = k.ps4
+    dm11 = 2.0 * k.p2 * s * c
+    dm12 = -k.p3 * s
     r11 = -(dm11 * ps1 * ps1 + 2.0 * dm12 * ps1 * ps2) - 2.0 * a1
     r12 = -(dm11 * ps1 * ps3 + dm12 * (ps1 * ps4 + ps2 * ps3)) + ps4 * dd2 - a2
     r22 = -(dm11 * ps3 * ps3 + 2.0 * dm12 * ps3 * ps4) + ps4 * dd4
     return r11, r12, r22
 
 
-def _z_offset(params: RobotParams, gains: ControllerGains, s: float,
-              atan=math.atan) -> float:
+def _z_offset(k: Coeffs, s: float, atan=math.atan) -> float:
     """z(q) - q1 = a atan(b sin q2); pass np.arctan for arrays."""
-    p2, p3, k1, psi40 = params.p2, params.p3, gains.k1, gains.psi40
-    return math.sqrt(p3 / (k1 * p2 * psi40)) * atan(math.sqrt(p2 / (k1 * p3 * psi40)) * s)
+    return k.za * atan(k.zb * s)
 
 
-def _vd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float,
-                 ps3: float) -> tuple[float, float]:
+def _vd_gradient(k: Coeffs, z: float, s: float, ps3: float) -> tuple[float, float]:
     """grad Vd = (kappa z, kappa z psi3/psi40 + (p5/psi40) sin q2), as dz/dq2 = psi3/psi40."""
-    kappa, psi40 = gains.kappa, gains.psi40
-    return kappa * z, kappa * z * ps3 / psi40 + params.p5 / psi40 * s
+    kappa = k.kappa
+    return kappa * z, kappa * z * ps3 / k.psi40 + k.p5_psi40 * s
 
 
-def _hd_gradient(params: RobotParams, gains: ControllerGains, z: float, s: float, ps3: float,
-                 dd2: float, dd4: float, pt1: float, pt2: float) -> tuple[float, float]:
+def _hd_gradient(k: Coeffs, z: float, s: float, ps3: float, dd2: float, dd4: float,
+                 pt1: float, pt2: float) -> tuple[float, float]:
     """grad_q Hd = grad Vd - (0, 1/2 ptilde^T Md' ptilde), Md' = [[0, dd2], [dd2, dd4]]."""
-    g1, g2 = _vd_gradient(params, gains, z, s, ps3)
+    g1, g2 = _vd_gradient(k, z, s, ps3)
     return g1, g2 - 0.5 * (2.0 * pt1 * pt2 * dd2 + pt2 * pt2 * dd4)
 
 
-def potential_matching_row(params: RobotParams, gains: ControllerGains, s: float,
-                           ps3: float, g1: float, g2: float) -> float:
+def potential_matching_row(k: Coeffs, s: float, ps3: float, g1: float, g2: float) -> float:
     """psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin q2 for grad Vd = (g1, g2); 0 where matching holds."""
-    return ps3 * g1 - gains.psi40 * g2 + params.p5 * s
+    return ps3 * g1 - k.psi40 * g2 + k.p5 * s
 
 
 class Shaping(NamedTuple):
@@ -218,23 +250,23 @@ class Shaping(NamedTuple):
     a2: float
 
 
-def shaping(params: RobotParams, gains: ControllerGains, s: float, c: float) -> Shaping:
+def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
-    w, den, m11, ps3, d2, d4 = shape_terms(params, gains, s, c)
-    dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
-    ps1, ps2, dps1, dps2 = _psi_row1(params, gains, s, c, m11, d2, dd2)
+    w, den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    dd2, dd4 = _md_prime(k, s, c, w, den, m11)
+    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
     dps3 = (-s * den - c * (2.0 * w * s * c)) / (den * den)
-    a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
 
 def shaping_at(params: RobotParams, gains: ControllerGains, q2: float) -> Shaping:
     """shaping() at a float q2."""
-    return shaping(params, gains, math.sin(q2), math.cos(q2))
+    return shaping(coeffs(params, gains), math.sin(q2), math.cos(q2))
 
 
 def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
+    _, _, _, _, d2, d4 = shape_terms(coeffs(params, gains), math.sin(q2), math.cos(q2))
     return np.array([[gains.k2, d2], [d2, d4]])
 
 
@@ -260,7 +292,7 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
     analytic d2' is needed. Serves as a cross-check oracle for shaping's alpha.
     """
     s, c = math.sin(q2), math.cos(q2)
-    sh = shaping(params, gains, s, c)
+    sh = shaping(coeffs(params, gains), s, c)
     ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, -gains.psi40
     a1 = params.p3 * ps1 * ps2 * s - params.p2 * ps1 * ps1 * s * c
     a2 = (params.p3 * s * (ps2 * ps3 + ps1 * ps4)
@@ -269,31 +301,31 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
     return np.array([a1, a2])
 
 
-def _vd(params: RobotParams, gains: ControllerGains, q1: float, s: float, c: float) -> float:
+def _vd(k: Coeffs, q1: float, s: float, c: float) -> float:
     """Vd at (q1, s = sin q2, c = cos q2)."""
-    z = q1 + _z_offset(params, gains, s)
-    return 0.5 * gains.kappa * z * z - params.p5 / gains.psi40 * c
+    z = q1 + _z_offset(k, s)
+    return 0.5 * k.kappa * z * z - k.p5_psi40 * c
 
 
 def shaped_potential(params: RobotParams, gains: ControllerGains, q) -> float:
     """Vd(q) = kappa/2 * z^2 - (p5/psi40) cos(q2), minimized at the upright."""
     q1, q2 = float(q[0]), float(q[1])
-    return _vd(params, gains, q1, math.sin(q2), math.cos(q2))
+    return _vd(coeffs(params, gains), q1, math.sin(q2), math.cos(q2))
 
 
 def shaped_potential_gradient(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
     """Analytic grad Vd; satisfies the potential matching identity exactly."""
     q1, q2 = float(q[0]), float(q[1])
-    s = math.sin(q2)
-    ps3 = shape_terms(params, gains, s, math.cos(q2))[3]
-    return np.array(_vd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3))
+    k, s = coeffs(params, gains), math.sin(q2)
+    ps3 = shape_terms(k, s, math.cos(q2))[3]
+    return np.array(_vd_gradient(k, q1 + _z_offset(k, s), s, ps3))
 
 
 def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
     """Analytic Hessian of Vd at q."""
     q1, q2 = float(q[0]), float(q[1])
     sh = shaping_at(params, gains, q2)
-    z = q1 + _z_offset(params, gains, math.sin(q2))
+    z = q1 + _z_offset(coeffs(params, gains), math.sin(q2))
     dz = sh.ps3 / gains.psi40
     ddz = sh.dps3 / gains.psi40
     k = gains.kappa
@@ -303,54 +335,53 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
     return np.array([[h11, h12], [h12, h22]])
 
 
-def momentum_tilde(params: RobotParams, gains: ControllerGains,
-                   q2: float, p1c: float, p2c: float) -> tuple[float, float]:
+def momentum_tilde(k: Coeffs, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
     """ptilde = Md^{-1} p, ptilde[0] the passive output kv damps; raises DefinitenessLost."""
-    _, _, _, _, d2, d4 = shape_terms(params, gains, math.sin(q2), math.cos(q2))
-    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
+    _, _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
+    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 
-def desired_hamiltonian_flat(params: RobotParams, gains: ControllerGains, q1: float,
-                             q2: float, p1c: float, p2c: float) -> float:
+def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,
+                             p2c: float) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
     s, c = math.sin(q2), math.cos(q2)
-    _, _, _, _, d2, d4 = shape_terms(params, gains, s, c)
-    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
+    _, _, _, _, d2, d4 = shape_terms(k, s, c)
+    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(params, gains, q1, s, c)
+    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c)
 
 
 def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q)."""
-    return desired_hamiltonian_flat(params, gains, s.q[0], s.q[1], s.p[0], s.p[1])
+    return desired_hamiltonian_flat(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
 
 
 def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarray:
     """Gradient of Hd wrt q: grad Vd plus the shaped kinetic term in q2."""
-    q2 = float(s.q[1])
-    pt1, pt2 = momentum_tilde(params, gains, q2, s.p[0], s.p[1])
-    sh, sin = shaping_at(params, gains, q2), math.sin(q2)
-    z = float(s.q[0]) + _z_offset(params, gains, sin)
-    return np.array(_hd_gradient(params, gains, z, sin, sh.ps3, sh.dd2, sh.dd4, pt1, pt2))
+    q2, k = float(s.q[1]), coeffs(params, gains)
+    pt1, pt2 = momentum_tilde(k, q2, s.p[0], s.p[1])
+    sin = math.sin(q2)
+    sh = shaping(k, sin, math.cos(q2))
+    z = float(s.q[0]) + _z_offset(k, sin)
+    return np.array(_hd_gradient(k, z, sin, sh.ps3, sh.dd2, sh.dd4, pt1, pt2))
 
 
-def control_terms(params: RobotParams, gains: ControllerGains,
-                  q1: float, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
+def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
+                  p2c: float) -> tuple[float, float]:
     """Scalar fast path: returns (u, ptilde1). Raises DefinitenessLost."""
     s, c = math.sin(q2), math.cos(q2)
-    w, den, m11, ps3, d2, d4 = shape_terms(params, gains, s, c)
-    i11, i12, i22, _ = _md_inverse(gains, q2, d2, d4)
+    w, den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    dd2, dd4 = _md_prime(params, gains, s, c, w, den, m11)
-    gq1, gq2 = _hd_gradient(params, gains, q1 + _z_offset(params, gains, s), s, ps3,
-                            dd2, dd4, pt1, pt2)
-    ps1, ps2, dps1, dps2 = _psi_row1(params, gains, s, c, m11, d2, dd2)
-    a1, a2 = alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    dd2, dd4 = _md_prime(k, s, c, w, den, m11)
+    gq1, gq2 = _hd_gradient(k, q1 + _z_offset(k, s), s, ps3, dd2, dd4, pt1, pt2)
+    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
+    a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
-    u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - gains.kv * pt1
+    u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - k.kv * pt1
     return u, pt1
 
 
@@ -360,5 +391,5 @@ def control_law(params: RobotParams, gains: ControllerGains, s: State) -> float:
     Raises DefinitenessLost outside the region where Md is positive
     definite; the simulation engine decides the policy there.
     """
-    u, _ = control_terms(params, gains, s.q[0], s.q[1], s.p[0], s.p[1])
+    u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
     return u

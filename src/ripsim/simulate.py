@@ -120,11 +120,12 @@ def step_count(t_end: float, dt: float) -> int:
 def step_rk4(rhs, x: list[float], dt: float) -> list[float]:
     """One classical 4th-order Runge-Kutta step of the autonomous ODE x' = rhs(x).
 
-    x and the values of rhs are sequences of floats; the stages and the
-    update are formed element by element in the IEEE order of the vector
-    expression x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), and the new state is a
-    list. Raises NonFiniteState when the new state is not finite, and in
-    place of any error that rhs raises at a stage state holding inf or nan
+    x is a sequence of floats and rhs returns one of the same length (a
+    tuple or a list: it is only zipped); the stages and the update are formed
+    element by element in the IEEE order of the vector expression
+    x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), and the new state is a list. Raises
+    NonFiniteState when the new state is not finite, and in place of any
+    error that rhs raises at a stage state holding inf or nan
     (math.sin(inf) raises ValueError; DefinitenessLost there is a blow-up,
     not a region exit).
     """
@@ -150,8 +151,7 @@ def step_rk4(rhs, x: list[float], dt: float) -> list[float]:
     return out
 
 
-def _spot_residuals(params: RobotParams, gains: ControllerGains,
-                    q2: float) -> tuple[float, float]:
+def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     """Pointwise kinetic/potential matching residuals for trace spot checks.
 
     Kinetic: the largest entry of controller.kinetic_matching_rows;
@@ -159,12 +159,11 @@ def _spot_residuals(params: RobotParams, gains: ControllerGains,
     q1-independent: its z-part cancels).
     """
     s, c = math.sin(q2), math.cos(q2)
-    sh = controller.shaping(params, gains, s, c)
+    sh = controller.shaping(k, s, c)
     kin = max(map(abs, controller.kinetic_matching_rows(
-        params, gains, s, c, sh.ps1, sh.ps2, sh.ps3, sh.dd2, sh.dd4, sh.a1, sh.a2)))
-    g1, g2 = controller._vd_gradient(params, gains, controller._z_offset(params, gains, s),
-                                     s, sh.ps3)
-    return kin, abs(controller.potential_matching_row(params, gains, s, sh.ps3, g1, g2))
+        k, s, c, sh.ps1, sh.ps2, sh.ps3, sh.dd2, sh.dd4, sh.a1, sh.a2)))
+    g1, g2 = controller._vd_gradient(k, controller._z_offset(k, s), s, sh.ps3)
+    return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
 def run(scenario: Scenario) -> Trace:
@@ -173,7 +172,7 @@ def run(scenario: Scenario) -> Trace:
     Stops early with status "region_exit" when the controller loses Md
     definiteness; raises NonFiniteState if integration blows up.
     """
-    params, gains = scenario.params, scenario.gains
+    params, k = scenario.params, controller.coeffs(scenario.params, scenario.gains)
     dist = scenario.disturbance
     robust = scenario.mode == "disturbed_robust"
     ell = dist.regressor.ell if robust else 0
@@ -189,20 +188,27 @@ def run(scenario: Scenario) -> Trace:
 
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
-    def rhs(x: list[float]) -> list[float]:
-        q1, q2, p1c, p2c, *theta_hat = x
-        u, pt1 = control_terms(params, gains, q1, q2, p1c, p2c)
-        if dist is None:
-            d = 0.0
-        else:
+    # One stage closure per mode: no stage tests the mode.
+    if dist is None:
+        def rhs(x: list[float]) -> tuple[float, ...]:
+            q1, q2, p1c, p2c = x
+            u, _ = control_terms(k, q1, q2, p1c, p2c)
+            return open_loop_rhs_flat(params, q2, p1c, p2c, u, 0.0)
+    elif not robust:
+        def rhs(x: list[float]) -> tuple[float, ...]:
+            q1, q2, p1c, p2c = x
+            u, _ = control_terms(k, q1, q2, p1c, p2c)
+            d = dot([tm(q1, q2, p1c, p2c) for tm in terms], dtheta)
+            return open_loop_rhs_flat(params, q2, p1c, p2c, u, d)
+    else:
+        def rhs(x: list[float]) -> list[float]:
+            q1, q2, p1c, p2c = x[:4]
+            u, pt1 = control_terms(k, q1, q2, p1c, p2c)
             fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
-            d = dot(fvals, dtheta)
-        if not robust:
-            return [*open_loop_rhs_flat(params, q2, p1c, p2c, u, d)]
-        # ((u + f0 th0) + f1 th1) + ...: u is dot's accumulator, not added after
-        u = dot(fvals, theta_hat, u)
-        return [*open_loop_rhs_flat(params, q2, p1c, p2c, u, d),
-                *[-pt1 * dot(row, fvals) for row in ginv_rows]]
+            # ((u + f0 th0) + f1 th1) + ...: u is dot's accumulator, not added after
+            return [*open_loop_rhs_flat(params, q2, p1c, p2c, dot(fvals, x[4:], u),
+                                        dot(fvals, dtheta)),
+                    *[-pt1 * dot(row, fvals) for row in ginv_rows]]
 
     t_grid = np.arange(n + 1) * dt
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
@@ -221,8 +227,8 @@ def run(scenario: Scenario) -> Trace:
     for i in range(n + 1):
         q1, q2, p1c, p2c, *theta_hat = x
         try:
-            u_now, pt1 = control_terms(params, gains, q1, q2, p1c, p2c)
-            hd = controller.desired_hamiltonian_flat(params, gains, q1, q2, p1c, p2c)
+            u_now, pt1 = control_terms(k, q1, q2, p1c, p2c)
+            hd = controller.desired_hamiltonian_flat(k, q1, q2, p1c, p2c)
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break
@@ -236,7 +242,7 @@ def run(scenario: Scenario) -> Trace:
         rec[i] = (q1, q2, p1c, p2c, u_now, d_now, dhat,
                   hamiltonian_flat(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
         if i % spot_every == 0:
-            kin, pot = _spot_residuals(params, gains, q2)
+            kin, pot = _spot_residuals(k, q2)
             spots.append((float(t_grid[i]), kin, pot))
         if i == n:
             break

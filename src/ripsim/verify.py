@@ -75,25 +75,23 @@ def _max_and_arg(res: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     return float(res[k]), float(grid[k]) if res[k] > 0.0 else 0.0
 
 
-def _kinetic_residuals(params: RobotParams, gains: ControllerGains, q2: np.ndarray,
-                       fd: bool, psi3_offset: float) -> tuple[np.ndarray, ...]:
+def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray, fd: bool,
+                       psi3_offset: float) -> tuple[np.ndarray, ...]:
     """|largest matrix entry|, |al1|, |al2|, |ode| of kinetic matching at each q2."""
-    p2_, p3_, p4_ = params.p2, params.p3, params.p4
-    ps4 = -gains.psi40
+    p2_, p3_, p4_, ps4 = k.p2, k.p3, k.p4, k.ps4
     s, c = np.sin(q2), np.cos(q2)
-    sh = controller.shaping(params, gains, s, c)
+    sh = controller.shaping(k, s, c)
     m11, ps1, ps2 = sh.m11, sh.ps1, sh.ps2
     ps3 = sh.ps3 + psi3_offset
     if fd:
-        up = controller.shaping(params, gains, np.sin(q2 + FD_H), np.cos(q2 + FD_H))
-        dn = controller.shaping(params, gains, np.sin(q2 - FD_H), np.cos(q2 - FD_H))
+        up = controller.shaping(k, np.sin(q2 + FD_H), np.cos(q2 + FD_H))
+        dn = controller.shaping(k, np.sin(q2 - FD_H), np.cos(q2 - FD_H))
         dps1, dps2, dps3, dd2, dd4 = ((getattr(up, k) - getattr(dn, k)) / (2 * FD_H)
                                       for k in ("ps1", "ps2", "ps3", "d2", "d4"))
     else:
         dps1, dps2, dps3, dd2, dd4 = sh.dps1, sh.dps2, sh.dps3, sh.dd2, sh.dd4
-    a1, a2 = controller.alpha_from_psi(params, gains, s, c, m11, ps1, ps2, ps3, dps1, dps2)
-    rows = controller.kinetic_matching_rows(params, gains, s, c, ps1, ps2, ps3,
-                                            dd2, dd4, a1, a2)
+    a1, a2 = controller.alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    rows = controller.kinetic_matching_rows(k, s, c, ps1, ps2, ps3, dd2, dd4, a1, a2)
     # scalar rows with the derivative brackets expanded by product rule
     dm11 = 2.0 * p2_ * s * c
     db1 = dps1 * m11 + ps1 * dm11 + p3_ * (dps2 * c - ps2 * s)
@@ -123,9 +121,9 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
     if derivatives not in ("analytic", "fd"):
         raise ValueError("derivatives must be 'analytic' or 'fd'")
     fd = derivatives == "fd"
-    grid = np.linspace(-span, span, n)
+    grid, k = np.linspace(-span, span, n), controller.coeffs(params, gains)
     matrix, al1, al2, ode = (np.concatenate(col) for col in zip(*(
-        _kinetic_residuals(params, gains, b, fd, psi3_offset)
+        _kinetic_residuals(k, b, fd, psi3_offset)
         for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
     worst, arg = _max_and_arg(matrix, grid)
     tol = TOL_FD if fd else TOL_ANALYTIC
@@ -142,7 +140,7 @@ def riccati_residual(params: RobotParams, gains: ControllerGains,
     grid = np.linspace(-span, span, n)
     coef = 2.0 * params.p2 / (params.p3 * gains.psi40)
     s = np.sin(grid)
-    sh = controller.shaping(params, gains, s, np.cos(grid))
+    sh = controller.shaping(controller.coeffs(params, gains), s, np.cos(grid))
     worst, arg = _max_and_arg(np.abs(sh.dps3 + np.tan(grid) * sh.ps3
                                      + coef * s * sh.ps3 * sh.ps3), grid)
     return ResidualReport(
@@ -161,12 +159,12 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
     """
     q1 = np.linspace(-q1_span, q1_span, n)[:, None]
     q2 = np.linspace(-q2_span, q2_span, n)[None, :]
-    s, c = np.sin(q2), np.cos(q2)
-    ps3 = controller.shape_terms(params, gains, s, c)[3]
-    z = q1 + controller._z_offset(params, gains, s, np.arctan)
-    dv1, dv2 = controller._vd_gradient(params, gains, z, s, ps3)
+    s, c, k = np.sin(q2), np.cos(q2), controller.coeffs(params, gains)
+    ps3 = controller.shape_terms(k, s, c)[3]
+    z = q1 + controller._z_offset(k, s, np.arctan)
+    dv1, dv2 = controller._vd_gradient(k, z, s, ps3)
     dv2 = dv2 + kappa_skew * z * ps3 / gains.psi40
-    res = np.abs(controller.potential_matching_row(params, gains, s, ps3, dv1, dv2))
+    res = np.abs(controller.potential_matching_row(k, s, ps3, dv1, dv2))
     i, j = np.unravel_index(np.argmax(res), res.shape)
     q1_spread = float(np.max(res.max(axis=0) - res.min(axis=0)))
     return ResidualReport(
@@ -181,10 +179,10 @@ def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
                value) -> tuple[np.ndarray, int]:
     """linspace(0, pi/2, n+1) and the index of its first point where value(d2, d4) is
     not > 0 (n + 1 if none), found block by block (SCAN_BLOCK points each); nan fails."""
-    q2 = np.linspace(0.0, math.pi / 2, n + 1)
+    q2, k = np.linspace(0.0, math.pi / 2, n + 1), controller.coeffs(params, gains)
     for start in range(0, n + 1, SCAN_BLOCK):
         b = q2[start:start + SCAN_BLOCK]
-        _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(b), np.cos(b))
+        _, _, _, _, d2, d4 = controller.shape_terms(k, np.sin(b), np.cos(b))
         bad = np.flatnonzero(~(value(d2, d4) > 0.0))
         if bad.size:
             return q2, start + int(bad[0])
@@ -301,19 +299,18 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     math, as on the float route. alpha_zeroed drops J2 and takes ptilde
     from a batched solve of Md ptilde = p (sensitivity hook).
     """
-    n = q2.shape[0]
+    n, k = q2.shape[0], controller.coeffs(params, gains)
     s = np.array([math.sin(v) for v in q2.tolist()])
     c = np.array([math.cos(v) for v in q2.tolist()])
-    z = q1 + np.array([controller._z_offset(params, gains, v) for v in s.tolist()])
-    sh = controller.shaping(params, gains, s, c)
+    z = q1 + np.array([controller._z_offset(k, v) for v in s.tolist()])
+    sh = controller.shaping(k, s, c)
     m11, m12, m22 = _inertia(params, s, c)
     m = _stack2x2(n, m11, m12, m12, m22)
     md = _stack2x2(n, gains.k2, sh.d2, sh.d2, sh.d4)
     psi = _stack2x2(n, sh.ps1, sh.ps2, sh.ps3, -gains.psi40)
     i11, i12, i22, _ = _inv2(gains.k2, sh.d2, sh.d4)
     pt1, pt2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
-    gq = np.stack(controller._hd_gradient(params, gains, z, s, sh.ps3, sh.dd2, sh.dd4,
-                                          pt1, pt2), axis=1)
+    gq = np.stack(controller._hd_gradient(k, z, s, sh.ps3, sh.dd2, sh.dd4, pt1, pt2), axis=1)
     if alpha_zeroed:
         pt = np.linalg.solve(md, np.stack([p1, p2], axis=1)[:, :, None])
         j2s = np.zeros(n)
@@ -341,7 +338,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
     reported (and fails) at its first sample; all are nan when Md(0) is not
     PD. alpha_zeroed drops J2 from the direct form (sensitivity hook).
     """
-    rng = np.random.default_rng(seed)
+    rng, k = np.random.default_rng(seed), controller.coeffs(params, gains)
     q2_max = 0.99 * _pd_endpoint(params, gains)
     low = np.array([-3.0, -q2_max, -2.0, -2.0])
     high = -low
@@ -350,13 +347,13 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
         x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
         # the plant under the feedback torque, on the float route simulate.run takes
         ctrl = np.array([open_loop_rhs_flat(
-            params, q2, p1, p2, controller.control_terms(params, gains, q1, q2, p1, p2)[0], 0.0)
+            params, q2, p1, p2, controller.control_terms(k, q1, q2, p1, p2)[0], 0.0)
             for q1, q2, p1, p2 in x.tolist()])
         qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T, alpha_zeroed=alpha_zeroed)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
-        k = int(np.argmax(res))  # the first nan, else the first maximum
-        if not res[k] <= worst:
-            worst, arg = float(res[k]), tuple(x[k].tolist())
+        i = int(np.argmax(res))  # the first nan, else the first maximum
+        if not res[i] <= worst:
+            worst, arg = float(res[i]), tuple(x[i].tolist())
         if math.isnan(worst):
             break
     return ResidualReport(

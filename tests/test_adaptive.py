@@ -20,7 +20,7 @@ from ripsim.adaptive import (
     AdaptiveState, DisturbanceSpec, adaptation_rhs, lyapunov_value,
     robust_control,
 )
-from ripsim.controller import ControllerGains, control_law, momentum_tilde
+from ripsim.controller import ControllerGains, coeffs, control_law, momentum_tilde
 from ripsim.model import RobotParams, State, open_loop_rhs
 from ripsim.regressor import parse_regressor, eval_regressor
 
@@ -73,7 +73,7 @@ def test_adaptation_rhs_scalar_case():
     rng = np.random.default_rng(24)
     for _ in range(50):
         s = State(q=rng.uniform(-0.5, 0.5, 2), p=rng.uniform(-1, 1, 2))
-        pt1, _ = momentum_tilde(P_SYN, G_REF, s.q[1], s.p[0], s.p[1])
+        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), s.q[1], s.p[0], s.p[1])
         got = adaptation_rhs(P_SYN, G_REF, f1, a, s)
         assert got == pytest.approx([-pt1], rel=1e-14, abs=1e-16)
 
@@ -84,7 +84,7 @@ def test_adaptation_rhs_matrix_gamma():
     rng = np.random.default_rng(25)
     for _ in range(50):
         s = State(q=rng.uniform(-0.5, 0.5, 2), p=rng.uniform(-1, 1, 2))
-        pt1, _ = momentum_tilde(P_SYN, G_REF, s.q[1], s.p[0], s.p[1])
+        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), s.q[1], s.p[0], s.p[1])
         f = eval_regressor(F_REF, s)
         ref = -pt1 * np.linalg.solve(gamma, f)
         assert np.allclose(adaptation_rhs(P_SYN, G_REF, F_REF, a, s), ref,

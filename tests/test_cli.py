@@ -8,16 +8,22 @@ Covers:
   - counterexample: residual report plus checker soundness line
   - config errors exit 2, non-finite list entries and an over-long t_end included;
     an overflowing robot constant (lumped or physical) and gains with det Md(0) <= 0
-    or an underflowing z offset exit 2 from simulate, verify and region
+    or an underflowing z offset exit 2 from simulate, verify and region; a gamma
+    whose symmetry test overflows exits 2 from `python -m ripsim` with only the
+    config-error line on stderr
   - trace.csv bytes of every preset at a 1 s horizon, pinned by SHA-256
 """
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from ripsim.cli import main, write_trace_csv
 from ripsim.config import load_config
@@ -178,6 +184,22 @@ def test_overflowing_robot_exits_2(tmp_path, capsys, robot, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: robot") and "Traceback" not in err
+
+
+def test_overflowing_gamma_asymmetry_exits_2(tmp_path):
+    # gamma - gamma.T overflows to inf in the symmetry test: rejected, with no
+    # numpy RuntimeWarning printed ahead of the config error
+    doc = yaml.safe_load((PRESETS / "fig4.yaml").read_text())
+    doc["adaptive"]["gamma"] = [[1.0, 1.7e308, 0.0], [-1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    cfg = cfg_file(tmp_path, yaml.safe_dump(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "ripsim", "--config", cfg, "simulate",
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: adaptive: gamma must be symmetric\n"
 
 
 @pytest.mark.parametrize("controller, message", [

@@ -18,6 +18,8 @@ Covers:
     and a config that loads runs region_rho and verify_all at small grids;
     explicit examples: p3 = 1e200, m1 = m2 = l1 = 1e200, k2 = 1 (det Md(0) < 0),
     psi40 = k1 = 1e-300 (z offset divides by 0), counterexample b = 1e300
+  - property (hypothesis), same mutations: a config that loads runs 5 steps of
+    simulate.run to a Trace (ok or region_exit) or raises NonFiniteState
 """
 import copy
 import dataclasses
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from ripsim.config import Config, ConfigError, load_config
 from ripsim.controller import region_rho
 from ripsim.regressor import ParseError
-from ripsim.simulate import MAX_STEPS, Scenario, run
+from ripsim.simulate import MAX_STEPS, NonFiniteState, Scenario, run
 from ripsim.verify import verify_all
 
 MINIMAL = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
@@ -413,3 +415,26 @@ def test_load_config_property(tmp_path_factory, case):
         warnings.simplefilter("ignore")
         region_rho(cfg.params, cfg.gains)
         verify_all(cfg.params, cfg.gains, dataclasses.replace(cfg.verify, **SMALL_GRIDS))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(MUTATIONS)
+@example(("lumped", [(("simulation", "qdot0", 1), 1.7e308)]))  # the 1st step is not finite
+@example(("lumped", [(("controller", "psi40"), 1e-300), (("controller", "k1"), 1e-300)]))
+def test_loaded_config_runs_property(tmp_path_factory, case):
+    # a config that loads also runs: 5 steps (fewer when t_end is shorter) end
+    # with a trace, ok or at a region exit, or raise NonFiniteState
+    base, mutations = case
+    path = tmp_path_factory.getbasetemp() / "property_run.yaml"
+    path.write_text(mutated(base, mutations))
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            trace = run(dataclasses.replace(cfg, t_end=min(cfg.t_end, 5 * cfg.dt)).scenario())
+        except NonFiniteState:
+            return
+    assert trace.status in ("ok", "region_exit")

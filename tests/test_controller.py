@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching,
+    ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching, coeffs,
     control_law, d4_at_origin, desired_hamiltonian, desired_inertia, grad_q_Hd,
     momentum_tilde, psi_matrix, psi_row1_derivative_fd,
     region_rho, shaped_potential, shaped_potential_gradient,
@@ -95,8 +95,8 @@ def test_evenness_in_q2():
         pa = (sp.ps1, sp.ps2)
         pb = (sm.ps1, sm.ps2)
         assert pa == pytest.approx(pb, rel=1e-12)
-        assert _z_offset(P_SYN, G_REF, math.sin(q2)) == pytest.approx(
-            -_z_offset(P_SYN, G_REF, math.sin(-q2)), rel=1e-12)
+        assert _z_offset(coeffs(P_SYN, G_REF), math.sin(q2)) == pytest.approx(
+            -_z_offset(coeffs(P_SYN, G_REF), math.sin(-q2)), rel=1e-12)
 
 
 def test_psi3_derivative_matches_fd():
@@ -206,7 +206,7 @@ def test_empty_region():
 
 def test_definiteness_lost_carries_context():
     with pytest.raises(DefinitenessLost) as exc:
-        momentum_tilde(P_SYN, G_REF, 0.54, 1.0, 0.0)
+        momentum_tilde(coeffs(P_SYN, G_REF), 0.54, 1.0, 0.0)
     assert exc.value.q2 == pytest.approx(0.54)
     assert exc.value.det_md <= 0.0
 
@@ -214,10 +214,11 @@ def test_definiteness_lost_carries_context():
 def test_md_inverse_at_origin():
     md = desired_inertia(P_SYN, G_REF, 0.0)
     det = md[0, 0] * md[1, 1] - md[0, 1] * md[1, 0]
-    (i11, i12), (_, i22) = (momentum_tilde(P_SYN, G_REF, 0.0, *e) for e in ((1, 0), (0, 1)))
+    k = coeffs(P_SYN, G_REF)
+    (i11, i12), (_, i22) = (momentum_tilde(k, 0.0, *e) for e in ((1, 0), (0, 1)))
     assert det == pytest.approx(439.0, rel=1e-13)
     assert (i11, i12, i22) == pytest.approx((8 / 439, -19 / 439, 100 / 439), rel=1e-12)
-    pt = momentum_tilde(P_SYN, G_REF, 0.0, 1.0, 0.0)
+    pt = momentum_tilde(k, 0.0, 1.0, 0.0)
     assert pt == pytest.approx((8 / 439, -19 / 439), rel=1e-12)
 
 
@@ -260,6 +261,6 @@ def test_hd_decreases_along_true_flow():
         x1 = step_rk4(rhs, x0, dt)
         hd0 = desired_hamiltonian(P_SYN, G_REF, State(q=x0[:2], p=x0[2:]))
         hd1 = desired_hamiltonian(P_SYN, G_REF, State(q=x1[:2], p=x1[2:]))
-        pt1, _ = momentum_tilde(P_SYN, G_REF, q[1], p[0], p[1])
+        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), q[1], p[0], p[1])
         assert (hd1 - hd0) / dt == pytest.approx(-G_REF.kv * pt1 * pt1,
                                                  rel=1e-4, abs=1e-6)

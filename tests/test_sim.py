@@ -24,7 +24,7 @@ import pytest
 
 import ripsim.simulate as sim
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
-from ripsim.controller import ControllerGains, DefinitenessLost, control_terms
+from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
 from ripsim.model import RobotParams, hamiltonian_flat, inertia
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import (
@@ -89,7 +89,7 @@ def test_rk4_equals_vector_formula():
 def test_rk4_error_at_blown_up_stage_raises_nonfinite():
     # the k1 slope is inf, so the k2 stage holds q2 = inf and math.sin raises
     def rhs(y):
-        control_terms(P_SYN, G_CONV, *y)
+        control_terms(coeffs(P_SYN, G_CONV), *y)
         return [0.0, math.inf, 0.0, 0.0]
 
     with pytest.raises(NonFiniteState, match="stage"):
@@ -240,11 +240,11 @@ def test_region_exit_on_recorded_row_keeps_rows_complete(monkeypatch):
     # row but never inside a stage
     calls = []
 
-    def failing(params, gains, q1, q2, p1c, p2c):
+    def failing(k, q1, q2, p1c, p2c):
         calls.append(1)
         if len(calls) == 5 * 40 + 1:   # the 41st recorded row (4 stages + 1 row per step)
             raise DefinitenessLost(q2, -1.0)
-        return control_terms(params, gains, q1, q2, p1c, p2c)
+        return control_terms(k, q1, q2, p1c, p2c)
 
     monkeypatch.setattr(sim, "control_terms", failing)
     tr = run(robust_exit_scenario())

@@ -174,11 +174,12 @@ def one_pass_scans(params, gains, cells, n):
     """region_scan's d4 scan and _pd_endpoint's det Md scan as they were
     before the shared blocked scan: whole-grid temporaries, one pass each."""
     q2 = np.linspace(0.0, math.pi / 2, cells + 1)
-    d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))[5]
+    d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2), np.cos(q2))[5]
     bad = np.nonzero(d4 <= 0.0)[0]
     rho = math.pi / 2 if bad.size == 0 else 0.5 * float(q2[bad[0] - 1] + q2[bad[0]])
     q2 = np.linspace(0.0, math.pi / 2, n + 1)
-    _, _, _, _, d2, d4 = controller.shape_terms(params, gains, np.sin(q2), np.cos(q2))
+    _, _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2),
+                                                np.cos(q2))
     bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]
     return rho, math.pi / 2 if bad.size == 0 else float(q2[bad[0] - 1])
 
@@ -265,7 +266,7 @@ def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0,
             qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
             pd_d = -psi @ gq - gains.kv * np.array([pt[0], 0.0])
         else:
-            pt = np.array(momentum_tilde(params, gains, q2, p[0], p[1]))
+            pt = np.array(momentum_tilde(controller.coeffs(params, gains), q2, p[0], p[1]))
             sh = shaping_at(params, gains, q2)
             j2s = float(pt @ np.array([sh.a1, sh.a2]))
             j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
@@ -365,10 +366,10 @@ def test_pointwise_residuals_even_in_q2():
     rng = np.random.default_rng(34)
     for _ in range(50):
         q2 = rng.uniform(0.0, 0.5)
-        kin_p, pot_p = _spot_residuals(P_SYN, G_REF, q2)
-        kin_m, pot_m = _spot_residuals(P_SYN, G_REF, -q2)
+        kin_p, pot_p = _spot_residuals(controller.coeffs(P_SYN, G_REF), q2)
+        kin_m, pot_m = _spot_residuals(controller.coeffs(P_SYN, G_REF), -q2)
         assert kin_p == kin_m and pot_p == pot_m
     q2 = np.array([0.3, 0.7, 1.2])
-    d4p = controller.shape_terms(P_SYN, G_REF, np.sin(q2), np.cos(q2))[5]
-    d4m = controller.shape_terms(P_SYN, G_REF, np.sin(-q2), np.cos(-q2))[5]
+    d4p = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(q2), np.cos(q2))[5]
+    d4m = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(-q2), np.cos(-q2))[5]
     assert np.array_equal(d4p, d4m)
