@@ -133,18 +133,16 @@ def cmd_region(cfg: Config, as_json: bool) -> int:
 def cmd_counterexample(cfg: Config, as_json: bool) -> int:
     report = verify_mod.remark2_residual(cfg.verify.counterexample,
                                          cfg.verify.grid_points)
-    sound = (report.details["integrated_solution_max_residual"]
-             <= report.details["soundness_tol"])
     if as_json:
         record = report.to_record()
-        record["checker_sound"] = sound
+        record["checker_sound"] = report.sound
         print(json.dumps(record, indent=2))
     else:
         print("\n".join(_report_lines([report])))
         print(f"checker soundness on integrated solution: "
               f"{report.details['integrated_solution_max_residual']:.3e} "
-              f"({'pass' if sound else 'FAIL'})")
-    return 0 if report.passed and sound else 1
+              f"({'pass' if report.sound else 'FAIL'})")
+    return 0 if report.passed else 1
 
 
 def _add_common(parser, suppress: bool):

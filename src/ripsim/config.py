@@ -156,7 +156,7 @@ def _load_gains(section, params: RobotParams) -> ControllerGains:
     try:
         region_rho(params, gains)
         k = coeffs(params, gains)
-        _, _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)
+        _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)
         det = k.k2 * d4 - d2 * d2
         z0, z1 = _z_offset(k, 0.0), _z_offset(k, 1.0)
     except EmptyRegion as e:

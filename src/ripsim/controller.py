@@ -122,18 +122,17 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
 # k; shaping() evaluates them all at one (s, c), and the hot path control_terms
 # threads one (s, c) through the helpers.
 def shape_terms(k: Coeffs, s: float, c: float):
-    """(w, den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
-    w = k.w
-    den = k.k1 + w * s * s
+    """(den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
+    den = k.k1 + k.w * s * s
     m11 = k.p1 + k.p2 * s * s
     d2 = c * (m11 / den - k.p3psi40)
     d4 = k.p3 * c * c / den - k.p4psi40
-    return w, den, m11, c / den, d2, d4
+    return den, m11, c / den, d2, d4
 
 
-def _md_prime(k: Coeffs, s: float, c: float, w: float, den: float,
-              m11: float) -> tuple[float, float]:
+def _md_prime(k: Coeffs, s: float, c: float, den: float, m11: float) -> tuple[float, float]:
     """(d2', d4') by the quotient rule; d1' = 0 since d1 = k2."""
+    w = k.w
     s2 = 2.0 * s * c
     dden = w * s2
     dm11 = k.p2 * s2
@@ -252,10 +251,10 @@ class Shaping(NamedTuple):
 
 def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
-    w, den, m11, ps3, d2, d4 = shape_terms(k, s, c)
-    dd2, dd4 = _md_prime(k, s, c, w, den, m11)
+    den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    dd2, dd4 = _md_prime(k, s, c, den, m11)
     ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
-    dps3 = (-s * den - c * (2.0 * w * s * c)) / (den * den)
+    dps3 = (-s * den - c * (2.0 * k.w * s * c)) / (den * den)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
@@ -266,7 +265,7 @@ def shaping_at(params: RobotParams, gains: ControllerGains, q2: float) -> Shapin
 
 
 def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    _, _, _, _, d2, d4 = shape_terms(coeffs(params, gains), math.sin(q2), math.cos(q2))
+    _, _, _, d2, d4 = shape_terms(coeffs(params, gains), math.sin(q2), math.cos(q2))
     return np.array([[gains.k2, d2], [d2, d4]])
 
 
@@ -317,7 +316,7 @@ def shaped_potential_gradient(params: RobotParams, gains: ControllerGains, q) ->
     """Analytic grad Vd; satisfies the potential matching identity exactly."""
     q1, q2 = float(q[0]), float(q[1])
     k, s = coeffs(params, gains), math.sin(q2)
-    ps3 = shape_terms(k, s, math.cos(q2))[3]
+    ps3 = shape_terms(k, s, math.cos(q2))[2]
     return np.array(_vd_gradient(k, q1 + _z_offset(k, s), s, ps3))
 
 
@@ -337,7 +336,7 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
 
 def momentum_tilde(k: Coeffs, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
     """ptilde = Md^{-1} p, ptilde[0] the passive output kv damps; raises DefinitenessLost."""
-    _, _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
+    _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
     i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
@@ -346,7 +345,7 @@ def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,
                              p2c: float) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
     s, c = math.sin(q2), math.cos(q2)
-    _, _, _, _, d2, d4 = shape_terms(k, s, c)
+    _, _, _, d2, d4 = shape_terms(k, s, c)
     i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
@@ -372,11 +371,11 @@ def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
                   p2c: float) -> tuple[float, float]:
     """Scalar fast path: returns (u, ptilde1). Raises DefinitenessLost."""
     s, c = math.sin(q2), math.cos(q2)
-    w, den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    den, m11, ps3, d2, d4 = shape_terms(k, s, c)
     i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    dd2, dd4 = _md_prime(k, s, c, w, den, m11)
+    dd2, dd4 = _md_prime(k, s, c, den, m11)
     gq1, gq2 = _hd_gradient(k, q1 + _z_offset(k, s), s, ps3, dd2, dd4, pt1, pt2)
     ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)

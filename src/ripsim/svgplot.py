@@ -52,6 +52,7 @@ def line_plot(path: str, x, series: list[tuple[str, np.ndarray]],
     px_w = WIDTH - MARGIN_L - MARGIN_R
     px_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # data to pixel coordinates, for floats or ndarrays
     def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * px_w
 
@@ -93,10 +94,10 @@ def line_plot(path: str, x, series: list[tuple[str, np.ndarray]],
 
     # thin long traces so files stay small; 2000 points is visually dense
     stride = max(len(x) // 2000, 1)
+    px = sx(x[::stride]).tolist()
     for k, (label, y) in enumerate(ys):
         color = COLORS[k % len(COLORS)]
-        pts = " ".join(f"{sx(xv):.1f},{sy(yv):.1f}"
-                       for xv, yv in zip(x[::stride], y[::stride]))
+        pts = " ".join(f"{a:.1f},{b:.1f}" for a, b in zip(px, sy(y[::stride]).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = MARGIN_T + 14 + 16 * k

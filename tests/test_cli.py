@@ -5,13 +5,16 @@ Covers:
     --out override, --json summary, region-exit and blow-up reporting
   - verify: seven-row report, --json records, failure exit on a broken check
   - region: formula/scan/interval printout and EmptyRegion handling
-  - counterexample: residual report plus checker soundness line
+  - counterexample: residual report plus checker soundness line; a soundness
+    control that blows up to nan fails counterexample and verify alike (exit 1,
+    run as `python -m ripsim`, no numpy warning on stderr)
   - config errors exit 2, non-finite list entries and an over-long t_end included;
     an overflowing robot constant (lumped or physical) and gains with det Md(0) <= 0
     or an underflowing z offset exit 2 from simulate, verify and region; a gamma
     whose symmetry test overflows exits 2 from `python -m ripsim` with only the
     config-error line on stderr
-  - trace.csv bytes of every preset at a 1 s horizon, pinned by SHA-256
+  - trace.csv bytes of every preset at a 1 s horizon, and fig4's three SVG
+    plots at 5 s, pinned by SHA-256
 """
 import dataclasses
 import hashlib
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ripsim.cli import main, write_trace_csv
+from ripsim.cli import _emit_plots, main, write_trace_csv
 from ripsim.config import load_config
 from ripsim.simulate import run
 
@@ -39,6 +42,13 @@ TRACE_SHA256_1S = {
     "fig3": "e2d8185764a55ea2063cd452811098cdca385a35fc8b0ae973b419522389bb28",
     "fig4": "704caea65387e00c11130ba3bb65f75a78d4a75bf7076d4335b103732609b3bb",
     "synthetic": "d2e0f81a7f8632fb9209805a5c0852ffe17137421f152e078996be26bbbeeda8",
+}
+# SHA-256 of the three SVG plots of fig4 cut to t_end = 5 s: 5001 points, so the
+# polylines take every 2nd one; the plot writer must leave these bytes as they are.
+SVG_SHA256_FIG4_5S = {
+    "q.svg": "b3b70438a82bf3bf5e6b5dba542e309a03bb14c0a880f24c8ca8a02b410e60e2",
+    "u.svg": "2ab0c415492878fa9286585fb5d157b27b87b136f71d9eeaaa2caf156c9173d0",
+    "d_est.svg": "6999b6aaae0dd3b196052df34f356f623b742b6eb985704aee455efe8afe53e3",
 }
 
 ROBOT = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
@@ -139,6 +149,13 @@ def test_preset_trace_bytes_pinned(tmp_path, name):
     assert digest == TRACE_SHA256_1S[name]
 
 
+def test_fig4_svg_bytes_pinned(tmp_path):
+    cfg = dataclasses.replace(load_config(str(PRESETS / "fig4.yaml")), t_end=5.0)
+    _emit_plots(run(cfg.scenario()), cfg, str(tmp_path))
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SVG_SHA256_FIG4_5S} == SVG_SHA256_FIG4_5S
+
+
 def test_plots_emitted(tmp_path):
     cfg = cfg_file(tmp_path, ROBUST)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -186,18 +203,22 @@ def test_overflowing_robot_exits_2(tmp_path, capsys, robot, command):
     assert err.startswith("config error: robot") and "Traceback" not in err
 
 
+def run_module(*args):
+    """`python -m ripsim ARGS` on this checkout's sources, output captured."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "ripsim", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_overflowing_gamma_asymmetry_exits_2(tmp_path):
     # gamma - gamma.T overflows to inf in the symmetry test: rejected, with no
     # numpy RuntimeWarning printed ahead of the config error
     doc = yaml.safe_load((PRESETS / "fig4.yaml").read_text())
     doc["adaptive"]["gamma"] = [[1.0, 1.7e308, 0.0], [-1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]]
     cfg = cfg_file(tmp_path, yaml.safe_dump(doc))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "ripsim", "--config", cfg, "simulate",
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module("--config", cfg, "simulate", "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == "config error: adaptive: gamma must be symmetric\n"
 
@@ -314,6 +335,22 @@ def test_counterexample_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "remark2_counterexample" in out
     assert "checker soundness" in out and "pass" in out
+
+
+def test_counterexample_blowup_fails_in_both_commands(tmp_path):
+    # the soundness control's integration blows up to nan: check 7 fails, in
+    # counterexample and in verify alike, with no numpy RuntimeWarning printed
+    doc = yaml.safe_load((PRESETS / "default.yaml").read_text())
+    doc["verify"] = {"counterexample": {"frak_k1": 1.0e-5, "frak_k2": 1.0, "b": 1.0e-4}}
+    cfg = cfg_file(tmp_path, yaml.safe_dump(doc))
+    proc = run_module("--config", cfg, "counterexample")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert "checker soundness on integrated solution: nan (FAIL)" in proc.stdout
+    assert "remark2_counterexample" in proc.stdout and "FAIL" in proc.stdout.splitlines()[1]
+    proc = run_module("--config", cfg, "verify")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].startswith("remark2_counterexample")
+    assert proc.stdout.splitlines()[-1].endswith("FAIL")
 
 
 def test_counterexample_json(tmp_path, capsys):

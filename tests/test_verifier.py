@@ -19,10 +19,13 @@ Covers:
     equals plant + control_law composition
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
-    integrated-solution soundness < 1e-6
+    integrated-solution soundness < 1e-6; the one-loop integrator equals the
+    per-stage loop it replaced bit for bit (50 random specs on two spans, a
+    blow-up spec nan for nan); a nan soundness control fails check 7 silently
   - pointwise residuals and d4 even in q2
 """
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +177,12 @@ def one_pass_scans(params, gains, cells, n):
     """region_scan's d4 scan and _pd_endpoint's det Md scan as they were
     before the shared blocked scan: whole-grid temporaries, one pass each."""
     q2 = np.linspace(0.0, math.pi / 2, cells + 1)
-    d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2), np.cos(q2))[5]
+    d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2), np.cos(q2))[4]
     bad = np.nonzero(d4 <= 0.0)[0]
     rho = math.pi / 2 if bad.size == 0 else 0.5 * float(q2[bad[0] - 1] + q2[bad[0]])
     q2 = np.linspace(0.0, math.pi / 2, n + 1)
-    _, _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2),
-                                                np.cos(q2))
+    _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2),
+                                             np.cos(q2))
     bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]
     return rho, math.pi / 2 if bad.size == 0 else float(q2[bad[0] - 1])
 
@@ -357,6 +360,63 @@ def test_remark2_random_draws():
         assert r.details["integrated_solution_max_residual"] < 1e-6
 
 
+def integrated_solution_ref(spec, span, h):
+    """The soundness control as it read with one rhs call per RK4 stage and
+    numpy scalar stores, its maximum reduced so that a nan stays nan."""
+    def rhs(q2, m):
+        return (-math.sin(2.0 * q2) * m * m - 4.0 * m
+                + 2.0 * spec.frak_k1 / math.cos(q2) ** 2) / spec.frak_k1
+
+    n = int(round(span / h))
+    m0 = float(claimed_m22(spec, 0.0))
+    worst = []
+    for sign in (1.0, -1.0):
+        qs, ms = np.empty(n + 1), np.empty(n + 1)
+        qs[0], ms[0] = 0.0, m0
+        q, m, hh = 0.0, m0, sign * h
+        for i in range(n):
+            k1 = rhs(q, m)
+            k2 = rhs(q + 0.5 * hh, m + 0.5 * hh * k1)
+            k3 = rhs(q + 0.5 * hh, m + 0.5 * hh * k2)
+            k4 = rhs(q + hh, m + hh * k3)
+            m += hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            q += hh
+            qs[i + 1], ms[i + 1] = q, m
+        with np.errstate(invalid="ignore", over="ignore"):
+            dm = (-ms[4:] + 8 * ms[3:-1] - 8 * ms[1:-3] + ms[:-4]) / (12.0 * (qs[1] - qs[0]))
+            worst.append(np.max(np.abs(verify._ode_residual(spec, qs[2:-2], ms[2:-2], dm))))
+    return float(np.max(worst))
+
+
+BLOWUP_SPEC = CounterexampleSpec(frak_k1=1.0e-5, frak_k2=1.0, b=1.0e-4)
+
+
+def test_integrated_solution_equals_per_stage_loop():
+    # 50 random specs on two spans at h = 1e-3, then the default spec and one
+    # whose integration blows up at the default h = 1e-4: equal bit for bit,
+    # nan for nan
+    rng = np.random.default_rng(35)
+    cases = [(CounterexampleSpec(*np.exp(rng.uniform(-3, 2, 3)).tolist()), span, 1e-3)
+             for _ in range(50) for span in (1.0, float(rng.uniform(0.05, 1.5)))]
+    cases += [(CounterexampleSpec(), 1.0, 1e-4), (BLOWUP_SPEC, 1.0, 1e-4)]
+    nans = 0
+    for spec, span, h in cases:
+        got = verify._integrated_solution_residual(spec, span, h)
+        want = integrated_solution_ref(spec, span, h)
+        assert got == want or math.isnan(got) and math.isnan(want), (spec, span, got, want)
+        nans += math.isnan(got)
+    assert math.isnan(got) and nans < len(cases) // 2
+
+
+def test_soundness_nan_fails_check_7():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = remark2_residual(BLOWUP_SPEC)
+    assert math.isnan(r.details["integrated_solution_max_residual"])
+    assert r.max_abs_residual > r.tol and not r.sound and not r.passed
+    assert r.to_record()["pass"] is False
+
+
 def test_counterexample_validation():
     with pytest.raises(ValueError):
         CounterexampleSpec(frak_k1=-1.0)
@@ -370,6 +430,6 @@ def test_pointwise_residuals_even_in_q2():
         kin_m, pot_m = _spot_residuals(controller.coeffs(P_SYN, G_REF), -q2)
         assert kin_p == kin_m and pot_p == pot_m
     q2 = np.array([0.3, 0.7, 1.2])
-    d4p = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(q2), np.cos(q2))[5]
-    d4m = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(-q2), np.cos(-q2))[5]
+    d4p = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(q2), np.cos(q2))[4]
+    d4m = controller.shape_terms(controller.coeffs(P_SYN, G_REF), np.sin(-q2), np.cos(-q2))[4]
     assert np.array_equal(d4p, d4m)
