@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerGains, coeffs, control_terms
-from .model import RobotParams, State
-from .regressor import RegressorSpec, eval_regressor
+from .regressor import RegressorSpec
 
 
 def dot(a, b, acc: float = 0.0) -> float:
@@ -86,23 +84,6 @@ class AdaptiveState:
     @property
     def gamma_inv(self) -> np.ndarray:
         return self._gamma_inv
-
-
-def adaptation_rhs(params: RobotParams, gains: ControllerGains,
-                   regressor: RegressorSpec, adaptive: AdaptiveState,
-                   s: State) -> np.ndarray:
-    """dtheta_hat/dt = -ptilde1 * Gamma^{-1} f(q,p)."""
-    _, pt1 = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-    f = eval_regressor(regressor, s)
-    return -pt1 * (adaptive.gamma_inv @ f)
-
-
-def robust_control(params: RobotParams, gains: ControllerGains,
-                   regressor: RegressorSpec, theta_hat: np.ndarray,
-                   s: State) -> float:
-    """u = energy-shaping torque + f^T theta_hat."""
-    u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-    return u + float(eval_regressor(regressor, s) @ np.asarray(theta_hat))
 
 
 def lyapunov_value(gamma_inv, theta_hat, theta, hd: float) -> float:

@@ -38,6 +38,12 @@ def write_trace_csv(trace: Trace, path: str):
             fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
+def _print_json(obj):
+    """Print obj as strict JSON (RFC 8259): nan and +-inf are written as null."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda name: None)
+    print(json.dumps(strict, indent=2, allow_nan=False))
+
+
 def trace_summary(trace: Trace) -> dict:
     out = {"status": trace.status, "steps": max(int(trace.t.shape[0]) - 1, 0)}
     if trace.t.shape[0] > 0:
@@ -83,7 +89,7 @@ def cmd_simulate(cfg: Config, out_dir: str, as_json: bool) -> int:
         _emit_plots(trace, cfg, out_dir)
     summary = trace_summary(trace)
     if as_json:
-        print(json.dumps(summary, indent=2))
+        _print_json(summary)
     else:
         for key, value in summary.items():
             print(f"{key}: {value}")
@@ -93,15 +99,19 @@ def cmd_simulate(cfg: Config, out_dir: str, as_json: bool) -> int:
 def _report_lines(reports) -> list[str]:
     lines = [f"{'check':<26} {'value':>13} {'tol':>10} {'kind':<10} result"]
     for r in reports:
-        lines.append(f"{r.name:<26} {r.max_abs_residual:>13.4e} {r.tol:>10.1e} "
-                     f"{r.kind:<10} {'pass' if r.passed else 'FAIL'}")
+        line = (f"{r.name:<26} {r.max_abs_residual:>13.4e} {r.tol:>10.1e} "
+                f"{r.kind:<10} {'pass' if r.passed else 'FAIL'}")
+        if not r.sound:  # only check 7 has a soundness control
+            line += (f" (soundness control {r.details['integrated_solution_max_residual']:.3e}"
+                     f", must be <= {r.details['soundness_tol']:.1e})")
+        lines.append(line)
     return lines
 
 
 def cmd_verify(cfg: Config, as_json: bool) -> int:
     reports = verify_mod.verify_all(cfg.params, cfg.gains, cfg.verify)
     if as_json:
-        print(json.dumps([r.to_record() for r in reports], indent=2))
+        _print_json([r.to_record() for r in reports])
     else:
         print("\n".join(_report_lines(reports)))
     return 0 if all(r.passed for r in reports) else 1
@@ -122,7 +132,7 @@ def cmd_region(cfg: Config, as_json: bool) -> int:
         "md_pd_interval_endpoint": md.details["pd_endpoint"],
     }
     if as_json:
-        print(json.dumps(record, indent=2))
+        _print_json(record)
     else:
         print(f"rho (formula): {rho:.9g}")
         print(f"rho (d4 sign scan): {scan:.9g}")
@@ -136,7 +146,7 @@ def cmd_counterexample(cfg: Config, as_json: bool) -> int:
     if as_json:
         record = report.to_record()
         record["checker_sound"] = report.sound
-        print(json.dumps(record, indent=2))
+        _print_json(record)
     else:
         print("\n".join(_report_lines([report])))
         print(f"checker soundness on integrated solution: "

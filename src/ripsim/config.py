@@ -8,9 +8,10 @@ to run.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -19,7 +20,7 @@ from .adaptive import AdaptiveState, DisturbanceSpec
 from .controller import ControllerGains, EmptyRegion, _z_offset, coeffs, region_rho, shape_terms
 from .model import RobotParams
 from .regressor import ParseError, parse_regressor
-from .simulate import Scenario, step_count
+from .simulate import MODES, Scenario, step_count
 from .verify import CounterexampleSpec, VerifyOptions
 
 DEFAULTS = {
@@ -48,21 +49,25 @@ def _require_keys(section: dict, path: str, allowed: set):
                               f"(expected one of: {', '.join(sorted(allowed))})")
 
 
-def _number(section: dict, path: str, key: str, default=None) -> float:
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}: required key missing")
+def _real(value, where: str) -> float:
+    """value as a finite float; YAML 1.1 reads "1e-3" (no dot) as a string, accepted anyway."""
     if isinstance(value, str):
-        # YAML 1.1 reads "1e-3" (no dot) as a string; accept it anyway.
         try:
             value = float(value)
         except ValueError:
             pass
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
+        raise ConfigError(f"{where}: must be finite")
     return float(value)
+
+
+def _number(section: dict, path: str, key: str, default=None) -> float:
+    value = section.get(key, default)
+    if value is None:
+        raise ConfigError(f"{path}.{key}: required key missing")
+    return _real(value, f"{path}.{key}")
 
 
 def _count(section: dict, path: str, key: str, lo: int, hi: int) -> int:
@@ -84,14 +89,7 @@ def _vector(section: dict, path: str, key: str, length: int, default=None):
         raise ConfigError(f"{path}.{key}: required key missing")
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ConfigError(f"{path}.{key}: expected a list of {length} numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ConfigError(f"{path}.{key}[{i}]: must be finite")
-        out.append(float(v))
-    return out
+    return [_real(v, f"{path}.{key}[{i}]") for i, v in enumerate(value)]
 
 
 @dataclass(frozen=True)
@@ -225,10 +223,7 @@ def _load_verify(section) -> VerifyOptions:
     section = section if section is not None else {}
     if not isinstance(section, dict):
         raise ConfigError("verify: not a mapping")
-    allowed = {"grid_points", "span", "planar_grid", "samples", "seed",
-               "scan_cells", "md_scan_points", "psi3_offset", "derivatives",
-               "counterexample"}
-    _require_keys(section, "verify", allowed)
+    _require_keys(section, "verify", {f.name for f in dataclasses.fields(VerifyOptions)})
     kwargs = {}
     for key, (lo, hi) in VERIFY_COUNTS.items():
         if key in section:
@@ -290,7 +285,7 @@ def load_config(path: str) -> Config:
     dist = _load_disturbance(raw.get("disturbance"))
     adaptive = _load_adaptive(raw.get("adaptive"), dist)
 
-    if mode not in ("nominal", "disturbed_nominal", "disturbed_robust"):
+    if mode not in MODES:
         raise ConfigError(f"simulation.mode: unknown mode {mode!r}")
     if mode != "nominal" and dist is None:
         raise ConfigError(f"simulation.mode: {mode} requires a disturbance section")

@@ -276,12 +276,6 @@ def psi_row1_derivative_fd(params: RobotParams, gains: ControllerGains,
     return (up.ps1 - dn.ps1) / (2.0 * h), (up.ps2 - dn.ps2) / (2.0 * h)
 
 
-def psi_matrix(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    """Psi(q2) = Md M^{-1} as a 2x2 array [[psi1, psi2], [psi3, psi4]]."""
-    sh = shaping_at(params, gains, q2)
-    return np.array([[sh.ps1, sh.ps2], [sh.ps3, -gains.psi40]])
-
-
 def alpha_from_matching(params: RobotParams, gains: ControllerGains,
                         q2: float) -> np.ndarray:
     """(alpha1, alpha2) solved directly from the two actuated matching rows.
@@ -334,13 +328,6 @@ def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> 
     return np.array([[h11, h12], [h12, h22]])
 
 
-def momentum_tilde(k: Coeffs, q2: float, p1c: float, p2c: float) -> tuple[float, float]:
-    """ptilde = Md^{-1} p, ptilde[0] the passive output kv damps; raises DefinitenessLost."""
-    _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
-    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
-    return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
-
-
 def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,
                              p2c: float) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
@@ -355,16 +342,6 @@ def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,
 def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q)."""
     return desired_hamiltonian_flat(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-
-
-def grad_q_Hd(params: RobotParams, gains: ControllerGains, s: State) -> np.ndarray:
-    """Gradient of Hd wrt q: grad Vd plus the shaped kinetic term in q2."""
-    q2, k = float(s.q[1]), coeffs(params, gains)
-    pt1, pt2 = momentum_tilde(k, q2, s.p[0], s.p[1])
-    sin = math.sin(q2)
-    sh = shaping(k, sin, math.cos(q2))
-    z = float(s.q[0]) + _z_offset(k, sin)
-    return np.array(_hd_gradient(k, z, sin, sh.ps3, sh.dd2, sh.dd4, pt1, pt2))
 
 
 def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,

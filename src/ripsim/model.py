@@ -70,12 +70,6 @@ def _inertia(params: RobotParams, s: float, c: float) -> tuple[float, float, flo
     return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
 
 
-def inertia(params: RobotParams, q2: float) -> np.ndarray:
-    """Inertia matrix M(q2); symmetric positive definite for all q2."""
-    m11, m12, m22 = _inertia(params, math.sin(q2), math.cos(q2))
-    return np.array([[m11, m12], [m12, m22]])
-
-
 def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float, float]:
     """Inverse of a symmetric 2x2 given by entries; returns (i11, i12, i22, det)."""
     det = m11 * m22 - m12 * m12
@@ -114,15 +108,9 @@ def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[fl
     return m11 * qd1 + m12 * qd2, m12 * qd1 + m22 * qd2
 
 
-def open_loop_rhs(params: RobotParams, s: State, u: float, d: float = 0.0):
-    """Plant vector field: qdot = M^{-1} p, pdot = -grad_q H + G (u - d)."""
-    q2 = s.q[1]
-    qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), s.p[0], s.p[1])
-    return np.array([qd1, qd2]), np.array([u - d, -dh])
-
-
 def open_loop_rhs_flat(params: RobotParams, q2: float, p1c: float, p2c: float,
                        u: float, d: float) -> tuple[float, float, float, float]:
-    """Scalar form of open_loop_rhs for the integration loop: one sin/cos per call."""
+    """Plant vector field (qdot1, qdot2, pdot1, pdot2): qdot = M^{-1} p and
+    pdot = -grad_q H + G (u - d), from scalar components with one sin/cos per call."""
     qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
     return qd1, qd2, u - d, -dh

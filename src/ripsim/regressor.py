@@ -26,8 +26,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 VARIABLES = ("q1", "q2", "p1", "p2")
 FUNCTIONS = {"sin": math.sin, "cos": math.cos}
 
@@ -109,7 +107,7 @@ class Product(_Node):
         return "*".join(f.unparse() for f in self.factors)
 
 
-def _emit(node, lines: list, consts: dict, guard: bool) -> str:
+def _emit(node, lines: list, consts: dict) -> str:
     """Append the statements that evaluate node; return the name that holds its value.
 
     Only names are printed: the variables and functions of the grammar,
@@ -127,18 +125,15 @@ def _emit(node, lines: list, consts: dict, guard: bool) -> str:
     if isinstance(node, Call):
         if node.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {node.fn!r}")
-        arg = _emit(node.arg, lines, consts, guard)
+        arg = _emit(node.arg, lines, consts)
         out = f"_t{len(lines)}"  # numbered by statement, so unique
-        if guard:  # math.sin/cos raise on +-inf; IEEE (and numpy) give nan
-            lines.append(f"{out} = nan if isinf({arg}) else {node.fn}({arg})")
-        else:
-            lines.append(f"{out} = {node.fn}({arg})")
+        lines.append(f"{out} = {node.fn}({arg})")
         return out
     if isinstance(node, Product):
         out = f"_t{len(lines)}"
         lines.append(f"{out} = 1.0")
         for f in node.factors:  # folded left to right from 1.0
-            value = _emit(f, lines, consts, guard)
+            value = _emit(f, lines, consts)
             lines.append(f"{out} = {out} * {value}")
         return out
     raise TypeError(f"not a regressor node: {node!r}")
@@ -147,26 +142,21 @@ def _emit(node, lines: list, consts: dict, guard: bool) -> str:
 def _compile(node):
     """node as one Python function of (q1, q2, p1, p2), IEEE-equal to the tree walk.
 
-    The body runs with plain math.sin/cos; only when one of them raises
-    (an argument overflowed to inf) is the value recomputed with the
-    sin/cos(+-inf) = nan rule.
+    The body runs with plain math.sin/cos, which raise ValueError where an
+    argument overflowed to +-inf. IEEE (and numpy) give nan there, and a nan
+    factor makes every enclosing product and sin/cos nan, so the term is nan.
     """
     consts: dict = {}
-    fast: list = []
-    guarded: list = []
-    fast_result = _emit(node, fast, consts, guard=False)
-    # the second pass binds the same literals, in the same order, to the same names
-    guarded_result = _emit(node, guarded, {}, guard=True)
+    lines: list = []
+    result = _emit(node, lines, consts)
     source = "".join(f"{line}\n" for line in (
         "def term(q1, q2, p1, p2):",
         "    try:",
-        *(f"        {line}" for line in fast),
-        f"        return {fast_result}",
+        *(f"        {line}" for line in lines),
+        f"        return {result}",
         "    except ValueError:",
-        "        pass",
-        *(f"    {line}" for line in guarded),
-        f"    return {guarded_result}"))
-    namespace = {**FUNCTIONS, "isinf": math.isinf, "nan": math.nan, **consts}
+        "        return nan"))
+    namespace = {**FUNCTIONS, "nan": math.nan, **consts}
     exec(compile(source, "<regressor term>", "exec"), namespace)
     return namespace["term"]
 
@@ -265,8 +255,3 @@ class RegressorSpec:
 def parse_regressor(texts: list[str]) -> RegressorSpec:
     """Parse the list of component expressions, preserving order."""
     return RegressorSpec(tuple(parse_term(t) for t in texts))
-
-
-def eval_regressor(spec: RegressorSpec, s) -> np.ndarray:
-    """f(q,p) at a State."""
-    return np.array(spec.eval_flat(s.q[0], s.q[1], s.p[0], s.p[1]))

@@ -19,7 +19,7 @@ from . import controller
 from .adaptive import AdaptiveState, DisturbanceSpec, dot, lyapunov_value
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import (  # noqa: F401  hamiltonian stays a module attribute for bench/tracing.py
-    RobotParams, State, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
+    RobotParams, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
 )
 
 MODES = ("nominal", "disturbed_nominal", "disturbed_robust")
@@ -103,10 +103,6 @@ class Trace:
     def require_ok(self):
         if self.status != "ok":
             raise RegionExit(self.exit_reason)
-
-    @property
-    def final_state(self) -> State:
-        return State(q=self.q[-1], p=self.p[-1])
 
 
 def step_count(t_end: float, dt: float) -> int:

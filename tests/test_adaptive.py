@@ -2,9 +2,10 @@
 
 Covers:
   - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix)
-  - adaptation law -ptilde1 * Gamma^{-1} f: zero at rest, scalar case,
-    general matrix Gamma
-  - robust_control with zero estimate reduces to the bare controller
+  - adaptation law -ptilde1 * Gamma^{-1} f (the State-form composition in
+    oracles.py, which test_kernel ties to the simulator's steps): zero at
+    rest, scalar case, general matrix Gamma
+  - robust control with zero estimate reduces to the bare controller
   - matched cancellation: disturbed RHS minus nominal RHS = G f^T (theta-hat
     - theta) exactly; perfect estimate cancels the disturbance
   - constant regressor f=["1"] turns the augmentation into integral action
@@ -16,13 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from ripsim.adaptive import (
-    AdaptiveState, DisturbanceSpec, adaptation_rhs, lyapunov_value,
-    robust_control,
-)
-from ripsim.controller import ControllerGains, coeffs, control_law, momentum_tilde
-from ripsim.model import RobotParams, State, open_loop_rhs
-from ripsim.regressor import parse_regressor, eval_regressor
+from ripsim.adaptive import AdaptiveState, DisturbanceSpec, lyapunov_value
+from ripsim.controller import ControllerGains, coeffs, control_law
+from ripsim.model import RobotParams, State
+from ripsim.regressor import parse_regressor
+
+from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)

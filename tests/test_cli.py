@@ -7,7 +7,8 @@ Covers:
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line; a soundness
     control that blows up to nan fails counterexample and verify alike (exit 1,
-    run as `python -m ripsim`, no numpy warning on stderr)
+    run as `python -m ripsim`, no numpy warning on stderr), the verify row names
+    the control's value, and --json writes it as null (strict JSON, no NaN)
   - config errors exit 2, non-finite list entries and an over-long t_end included;
     an overflowing robot constant (lumped or physical) and gains with det Md(0) <= 0
     or an underflowing z offset exit 2 from simulate, verify and region; a gamma
@@ -19,6 +20,7 @@ Covers:
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ripsim import cli
 from ripsim.cli import _emit_plots, main, write_trace_csv
 from ripsim.config import load_config
 from ripsim.simulate import run
@@ -350,7 +353,43 @@ def test_counterexample_blowup_fails_in_both_commands(tmp_path):
     proc = run_module("--config", cfg, "verify")
     assert proc.returncode == 1 and proc.stderr == ""
     assert proc.stdout.splitlines()[-1].startswith("remark2_counterexample")
-    assert proc.stdout.splitlines()[-1].endswith("FAIL")
+    assert proc.stdout.splitlines()[-1].endswith("FAIL (soundness control nan, must be <= 1.0e-06)")
+
+
+NAN_CONTROL = ("verify: {counterexample: {frak_k1: 1.0e-5, frak_k2: 1.0, b: 1.0e-4},"
+               " scan_cells: 100000, md_scan_points: 10000}\n")
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_json_output_is_strict(tmp_path, capsys):
+    # a nan soundness control is written as null, never as a bare NaN
+    cfg = cfg_file(tmp_path, ROBOT + NAN_CONTROL)
+    assert main(["counterexample", "--config", cfg, "--json"]) == 1
+    rec = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert rec["details"]["integrated_solution_max_residual"] is None
+    assert rec["pass"] is False and rec["checker_sound"] is False
+    assert main(["verify", "--config", cfg, "--json"]) == 1
+    records = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert records[-1]["details"]["integrated_solution_max_residual"] is None
+    cli._print_json({"a": [math.inf, (-math.inf, np.float64("nan"))], "b": 1.5})
+    assert json.loads(capsys.readouterr().out) == {"a": [None, [None, None]], "b": 1.5}
+
+
+def test_verify_row_says_why_check_7_failed(tmp_path, capsys):
+    # the row of a check failed by its soundness control names the control's value;
+    # the rows of the passing checks are those of a passing run
+    passing = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n",
+                       "pass.yaml")
+    assert main(["verify", "--config", passing]) == 0
+    want = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--config", cfg_file(tmp_path, ROBOT + NAN_CONTROL)]) == 1
+    got = capsys.readouterr().out.splitlines()
+    assert got[:-1] == want[:-1]
+    assert got[-1].startswith("remark2_counterexample")
+    assert got[-1].endswith("min_above  FAIL (soundness control nan, must be <= 1.0e-06)")
 
 
 def test_counterexample_json(tmp_path, capsys):

@@ -8,7 +8,8 @@ Covers:
     finite z offset (det Md(0) > 0: test_cli and the property examples)
   - disturbance parsing errors surface with position info
   - adaptive section: gamma scalar/matrix, theta_hat0; adaptive.enabled is unknown
-  - non-finite list entries (index in the path) and gamma rejected; verify.span > 0
+  - non-finite list entries (index in the path) and gamma rejected; list entries
+    follow the scalar number rule (YAML 1.1 strings such as 1e-3 load); verify.span > 0
   - mode/disturbance/adaptive cross-checks
   - simulation.t_end bounded by MAX_STEPS steps of dt (at the limit loads)
   - verify options plumbing
@@ -248,6 +249,25 @@ DIST2 = "disturbance: {f: ['1', 'q1'], theta: [0.5, -0.2]}\n"
 def test_nonfinite_list_entries_rejected(tmp_path, text, path):
     with pytest.raises(ConfigError, match=path + ": must be finite"):
         load_config(write(tmp_path, text))
+
+
+def test_list_entries_follow_the_scalar_number_rule(tmp_path):
+    # YAML 1.1 reads 1e-3 (no dot) as a string: a list entry loads as dt: 1e-3 does
+    text = ("robot: {p: [2e0, 1.0, 1.0, 2.0, 1.0]}\n"
+            "simulation: {mode: disturbed_robust, q0: [1e-3, 0.0], qdot0: [0.0, -2e-2],"
+            " dt: 1e-3}\n"
+            "disturbance: {f: ['1', 'q1'], theta: [5e-1, -0.2]}\n"
+            "adaptive: {theta_hat0: [1e-2, 0.0], gamma: [[2e0, 0.0], [0.0, 1.0]]}\n")
+    cfg = load_config(write(tmp_path, text))
+    assert cfg.params.p1 == 2.0 and cfg.dt == 1e-3
+    assert cfg.q0 == (1e-3, 0.0) and cfg.qdot0 == (0.0, -2e-2)
+    assert cfg.disturbance.theta.tolist() == [0.5, -0.2]
+    assert cfg.adaptive.theta_hat.tolist() == [1e-2, 0.0]
+    assert cfg.adaptive.gamma.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+    for bad, message in (("q0: [abc, 0.0]", r"simulation\.q0\[0\]: expected a number, got 'abc'"),
+                         ("qdot0: [0.0, nan]", r"simulation\.qdot0\[1\]: must be finite")):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, MINIMAL + f"simulation: {{{bad}}}\n"))
 
 
 @pytest.mark.parametrize("span", ["0", "-1.5"])

@@ -3,7 +3,8 @@
 Covers:
   - closed-form values at q2 = 0 for the synthetic parameter set
     (Md entries, psi row, psi3, rho) frozen from hand computation
-  - structure of the full Psi = Md M^{-1}: bottom row is [psi3, -psi40]
+  - structure of the full Psi = Md M^{-1}: bottom row is [psi3, -psi40],
+    and Psi M = Md
   - evenness of psi1, psi2, psi3, d2, d4 in q2; oddness of u in the state
   - analytic derivatives vs central finite differences
   - the interconnection coefficients via two independent routes
@@ -20,12 +21,13 @@ import pytest
 
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching, coeffs,
-    control_law, d4_at_origin, desired_hamiltonian, desired_inertia, grad_q_Hd,
-    momentum_tilde, psi_matrix, psi_row1_derivative_fd,
+    control_law, d4_at_origin, desired_hamiltonian, desired_inertia, psi_row1_derivative_fd,
     region_rho, shaped_potential, shaped_potential_gradient,
     shaped_potential_hessian, shaping_at,
 )
 from ripsim.model import RobotParams, State
+
+from oracles import grad_q_Hd, inertia, momentum_tilde, psi_matrix
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)  # kappa = kv = 1
@@ -81,6 +83,8 @@ def test_psi_matrix_bottom_row_structure():
         psi = psi_matrix(P_SYN, g, q2)
         assert psi[1, 0] == pytest.approx(shaping_at(P_SYN, g, q2).ps3, rel=1e-10, abs=1e-10)
         assert psi[1, 1] == pytest.approx(-g.psi40, rel=1e-10, abs=1e-12)
+        md = desired_inertia(P_SYN, g, q2)
+        assert np.allclose(psi @ inertia(P_SYN, q2), md, rtol=1e-10, atol=1e-10 * abs(md).max())
 
 
 def test_evenness_in_q2():

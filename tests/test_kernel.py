@@ -11,9 +11,9 @@ Covers:
   - shaping, the kinetic- and potential-matching rows and grad Vd give the
     same doubles on ndarrays (the verify grids) as on floats (the simulator)
   - a disturbed_robust run with the fig4 plant and gains: every recorded
-    row equals the State-based public functions at the recorded state,
-    and every step equals step_rk4 over open_loop_rhs + robust_control +
-    adaptation_rhs, so the adaptive tests cover the simulator's own law;
+    row equals the State-form compositions at the recorded state, and
+    every step equals step_rk4 over oracles.open_loop_rhs + robust_control
+    + adaptation_rhs, so the adaptive tests cover the simulator's own law;
     the recorded d_hat is f^T theta_hat summed term by term, bit for bit
 """
 import dataclasses
@@ -23,18 +23,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ripsim.adaptive import adaptation_rhs, lyapunov_value, robust_control
+from ripsim.adaptive import lyapunov_value
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd_gradient, _z_offset, coeffs,
     control_terms,
-    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows, momentum_tilde,
+    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows,
     potential_matching_row, region_rho, shaped_potential, shaped_potential_gradient, shaping,
     shaping_at,
 )
-from ripsim.model import RobotParams, State, hamiltonian, open_loop_rhs
-from ripsim.regressor import eval_regressor
+from ripsim.model import RobotParams, State, hamiltonian
 from ripsim.simulate import run, step_rk4
+
+from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -320,7 +321,7 @@ def recorded(trace, k):
     return State(q=trace.q[k], p=trace.p[k]), trace.theta_hat[k]
 
 
-# The simulator sums f^T theta_hat term by term; the public functions use
+# The simulator sums f^T theta_hat term by term; the State-form compositions use
 # numpy's dot product, which may add in another order or fuse a
 # multiply-add. Any such order is within 3 eps * sum |f_i theta_hat_i| of
 # the exact value (measured: 1.2 eps over a 5 s run), so d_hat, u and the

@@ -8,7 +8,8 @@ Covers:
   - -pdot of open_loop_rhs_flat at u = d = 0 as grad_q H: dH/dq2 against
     finite differences, dH/dq1 identically zero; momentum/qdot round trip
   - open-loop RHS: equilibrium, u-d cancellation, underactuation,
-    q1 translation invariance
+    q1 translation invariance; open_loop_rhs_flat against the matrix form
+    qdot = M^{-1} p (a 2x2 solve), pdot2 = p5 sin q2 + 1/2 qdot^T M' qdot
   - the one-trig open_loop_rhs_flat and hamiltonian_flat equal, bit for bit,
     the composition of per-quantity calls that each evaluate sin/cos and M^{-1}
   - energy conservation of the free plant under RK4
@@ -20,10 +21,11 @@ import numpy as np
 import pytest
 
 from ripsim.model import (
-    G, RobotParams, State, hamiltonian, hamiltonian_flat, inertia, momentum, open_loop_rhs,
-    open_loop_rhs_flat,
+    G, RobotParams, State, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
 )
 from ripsim.simulate import step_rk4
+
+from oracles import inertia, open_loop_rhs
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 
@@ -155,7 +157,11 @@ def test_flat_rhs_matches_vector_rhs():
         params = rand_params(rng)
         s = rand_state(rng)
         u, d = rng.uniform(-2, 2, 2)
-        qd, pd = open_loop_rhs(params, s, u, d)
+        sin, cos = math.sin(s.q[1]), math.cos(s.q[1])
+        qd = np.linalg.solve(inertia(params, s.q[1]), s.p)
+        dm = np.array([[2.0 * params.p2 * sin * cos, -params.p3 * sin],
+                       [-params.p3 * sin, 0.0]])
+        pd = [u - d, params.p5 * sin + 0.5 * qd @ dm @ qd]
         flat = open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], u, d)
         assert np.allclose([qd[0], qd[1], pd[0], pd[1]], flat, atol=0)
 

@@ -19,10 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ripsim.model import State
 from ripsim.regressor import (
     Call, Number, ParseError, Product, RegressorSpec, UnknownVariable, VARIABLES, Variable,
-    eval_regressor, parse_regressor, parse_term,
+    parse_regressor, parse_term,
 )
 
 F_REF = ["1", "q1", "sin(q2)*cos(p1)"]
@@ -31,20 +30,20 @@ F_REF = ["1", "q1", "sin(q2)*cos(p1)"]
 def test_reference_basis_shape_and_origin():
     spec = parse_regressor(F_REF)
     assert spec.ell == 3
-    vals = eval_regressor(spec, State(q=[0, 0], p=[0, 0]))
+    vals = np.array(spec.eval_flat(0.0, 0.0, 0.0, 0.0))
     assert np.array_equal(vals, [1.0, 0.0, 0.0])
 
 
 def test_reference_basis_all_ones_state():
     spec = parse_regressor(F_REF)
-    vals = eval_regressor(spec, State(q=[1.0, math.pi / 2], p=[0.0, 0.7]))
+    vals = spec.eval_flat(1.0, math.pi / 2, 0.0, 0.7)
     assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_disturbance_value_at_origin():
     spec = parse_regressor(F_REF)
     theta = np.array([0.1, 0.1, -0.3])
-    vals = eval_regressor(spec, State(q=[0, 0], p=[0, 0]))
+    vals = np.array(spec.eval_flat(0.0, 0.0, 0.0, 0.0))
     assert vals @ theta == pytest.approx(0.1, abs=1e-15)
 
 

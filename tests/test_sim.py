@@ -25,11 +25,13 @@ import pytest
 import ripsim.simulate as sim
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
-from ripsim.model import RobotParams, hamiltonian_flat, inertia
+from ripsim.model import RobotParams, hamiltonian_flat
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import (
     NonFiniteState, RegionExit, Scenario, Trace, run, step_rk4,
 )
+
+from oracles import inertia
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_CONV = ControllerGains(1.0, 0.1, 100.0, kappa=1.0, kv=2.0)
@@ -288,9 +290,3 @@ def test_scenario_validation():
         Scenario(params=P_SYN, gains=G_CONV, dt=0.0)
     with pytest.raises(ValueError, match="t_end"):
         Scenario(params=P_SYN, gains=G_CONV, dt=0.1, t_end=0.01)
-
-
-def test_trace_final_state():
-    tr = run(nominal((0.1, 0.2), t_end=0.5))
-    fs = tr.final_state
-    assert np.array_equal(fs.q, tr.q[-1]) and np.array_equal(fs.p, tr.p[-1])

@@ -35,10 +35,9 @@ import ripsim.verify as verify
 from ripsim import controller
 from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, EmptyRegion, control_law, desired_inertia, grad_q_Hd,
-    momentum_tilde, psi_matrix, region_rho, shaping_at,
+    ControllerGains, EmptyRegion, control_law, desired_inertia, region_rho, shaping_at,
 )
-from ripsim.model import G, RobotParams, State, inertia, open_loop_rhs
+from ripsim.model import G, RobotParams, State
 from ripsim.simulate import _spot_residuals
 from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
@@ -46,6 +45,8 @@ from ripsim.verify import (
     md_definiteness_scan, potential_matching, region_report, region_scan,
     remark2_residual, riccati_residual, verify_all, _max_and_arg, _pd_endpoint,
 )
+
+from oracles import grad_q_Hd, inertia, momentum_tilde, open_loop_rhs, psi_matrix
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)
