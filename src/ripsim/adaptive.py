@@ -9,14 +9,12 @@ f^T theta_hat and integrating
 turns the disturbed closed loop into the nominal one plus G f^T
 (theta_hat - theta), and
 
-    V = Hd + 1/2 (theta_hat - theta)^T Gamma^{-1} (theta_hat - theta)
+    V = Hd + 1/2 (theta_hat - theta)^T Gamma (theta_hat - theta)
 
-decreases at rate -kv*ptilde1^2 along trajectories at the shipped
-default Gamma = I. For Gamma != I the Gamma^{-1}-weighted V carries a
-residual cross term ptilde1 * err^T (Gamma^{-2} - I) f; the weight that
-cancels it for every positive definite Gamma is Gamma itself, and the
-two conventions coincide at the identity. No integrability of f is
-assumed.
+decreases at rate -kv*ptilde1^2 along trajectories for every symmetric
+positive definite Gamma: the weight Gamma cancels the cross term
+ptilde1 * f^T (theta_hat - theta) that the law's Gamma^{-1} leaves in dHd/dt.
+No integrability of f is assumed.
 """
 from __future__ import annotations
 
@@ -86,8 +84,8 @@ class AdaptiveState:
         return self._gamma_inv
 
 
-def lyapunov_value(gamma_inv, theta_hat, theta, hd: float) -> float:
-    """V = Hd + 1/2 theta_err^T Gamma^{-1} theta_err (see module docstring), summed by
-    dot(); gamma_inv (rows), theta_hat and theta are ndarrays or lists of floats."""
+def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:
+    """V = Hd + 1/2 theta_err^T Gamma theta_err (see module docstring), summed by
+    dot(); gamma (rows), theta_hat and theta are ndarrays or lists of floats."""
     err = [a - b for a, b in zip(theta_hat, theta)]
-    return hd + 0.5 * dot(err, [dot(row, err) for row in gamma_inv])
+    return hd + 0.5 * dot(err, [dot(row, err) for row in gamma])

@@ -101,9 +101,9 @@ def _report_lines(reports) -> list[str]:
     for r in reports:
         line = (f"{r.name:<26} {r.max_abs_residual:>13.4e} {r.tol:>10.1e} "
                 f"{r.kind:<10} {'pass' if r.passed else 'FAIL'}")
-        if not r.sound:  # only check 7 has a soundness control
-            line += (f" (soundness control {r.details['integrated_solution_max_residual']:.3e}"
-                     f", must be <= {r.details['soundness_tol']:.1e})")
+        if not r.sound:
+            label, value, tol = r.control
+            line += f" ({label} {value:.3e}, must be <= {tol:.1e})"
         lines.append(line)
     return lines
 

@@ -31,7 +31,7 @@ DEFAULTS = {
     "output": {"dir": ".", "plots": True},
 }
 # Inclusive ranges of the integer verify options. The upper bounds cap the
-# arrays verify allocates (about 8 floats per scan point, 4 per kinetic grid
+# arrays verify allocates (about 8 floats per scan point, 5 per kinetic grid
 # point, planar_grid squared) and the pure-Python loop over samples.
 VERIFY_COUNTS = {"grid_points": (1, 10 ** 6), "planar_grid": (1, 1000),
                  "samples": (1, 10 ** 6), "seed": (0, 2 ** 63 - 1),
@@ -228,15 +228,10 @@ def _load_verify(section) -> VerifyOptions:
     for key, (lo, hi) in VERIFY_COUNTS.items():
         if key in section:
             kwargs[key] = _count(section, "verify", key, lo, hi)
-    for key in ("span", "psi3_offset"):
-        if key in section:
-            kwargs[key] = _number(section, "verify", key)
-    if kwargs.get("span", 1.0) <= 0.0:
-        raise ConfigError(f"verify.span: must be > 0, got {kwargs['span']}")
-    if "derivatives" in section:
-        if section["derivatives"] not in ("analytic", "fd"):
-            raise ConfigError("verify.derivatives: expected 'analytic' or 'fd'")
-        kwargs["derivatives"] = section["derivatives"]
+    if "span" in section:
+        kwargs["span"] = _number(section, "verify", "span")
+        if kwargs["span"] <= 0.0:
+            raise ConfigError(f"verify.span: must be > 0, got {kwargs['span']}")
     if "counterexample" in section:
         ce = section["counterexample"]
         if not isinstance(ce, dict):

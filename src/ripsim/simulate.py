@@ -181,6 +181,7 @@ def run(scenario: Scenario) -> Trace:
         dtheta = dist.theta.tolist()
     if robust:
         ginv_rows = scenario.adaptive.gamma_inv.tolist()
+        gamma_rows = scenario.adaptive.gamma.tolist()
 
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
@@ -232,7 +233,7 @@ def run(scenario: Scenario) -> Trace:
         if robust:
             dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
             u_now += dhat
-            v_now = lyapunov_value(ginv_rows, theta_hat, dtheta, hd)
+            v_now = lyapunov_value(gamma_rows, theta_hat, dtheta, hd)
         else:
             dhat, v_now = 0.0, hd
         rec[i] = (q1, q2, p1c, p2c, u_now, d_now, dhat,

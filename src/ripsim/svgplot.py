@@ -43,6 +43,8 @@ def line_plot(path: str, x, series: list[tuple[str, np.ndarray]],
     x = np.asarray(x, dtype=float)
     ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
     x_lo, x_hi = float(x.min()), float(x.max())
+    if x_hi - x_lo < 1e-12:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     y_lo = min(float(y.min()) for _, y in ys)
     y_hi = max(float(y.max()) for _, y in ys)
     if y_hi - y_lo < 1e-12:

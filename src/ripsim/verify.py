@@ -41,8 +41,9 @@ class ResidualReport:
     kind "max_below": passes when max_abs_residual <= tol (residuals of
     identities). kind "min_above": max_abs_residual holds a quantity
     that must exceed tol (smallest eigenvalue, counterexample
-    magnitude) and passes when it is strictly greater. sound is False
-    when the check's own soundness control failed; the report fails then.
+    magnitude) and passes when it is strictly greater. control is the
+    (label, value, tol) of a second route or soundness control the check
+    runs, if any; the report fails unless value <= tol (nan fails).
     """
 
     name: str
@@ -52,7 +53,11 @@ class ResidualReport:
     tol: float
     kind: str = "max_below"
     details: dict = field(default_factory=dict)
-    sound: bool = True
+    control: tuple = ()
+
+    @property
+    def sound(self) -> bool:
+        return not self.control or self.control[1] <= self.control[2]
 
     @property
     def passed(self) -> bool:
@@ -79,63 +84,60 @@ def _max_and_arg(res: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     return float(res[k]), float(grid[k]) if res[k] > 0.0 else 0.0
 
 
-def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray, fd: bool,
-                       psi3_offset: float) -> tuple[np.ndarray, ...]:
-    """|largest matrix entry|, |al1|, |al2|, |ode| of kinetic matching at each q2."""
+def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|largest matrix entry|, |al1|, |al2|, |ode| of kinetic matching at each q2 with
+    the analytic q2-derivatives, and |largest matrix entry| with central differences."""
     p2_, p3_, p4_, ps4 = k.p2, k.p3, k.p4, k.ps4
     s, c = np.sin(q2), np.cos(q2)
     sh = controller.shaping(k, s, c)
-    m11, ps1, ps2 = sh.m11, sh.ps1, sh.ps2
-    ps3 = sh.ps3 + psi3_offset
-    if fd:
-        up = controller.shaping(k, np.sin(q2 + FD_H), np.cos(q2 + FD_H))
-        dn = controller.shaping(k, np.sin(q2 - FD_H), np.cos(q2 - FD_H))
-        dps1, dps2, dps3, dd2, dd4 = ((getattr(up, k) - getattr(dn, k)) / (2 * FD_H)
-                                      for k in ("ps1", "ps2", "ps3", "d2", "d4"))
-    else:
-        dps1, dps2, dps3, dd2, dd4 = sh.dps1, sh.dps2, sh.dps3, sh.dd2, sh.dd4
-    a1, a2 = controller.alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
-    rows = controller.kinetic_matching_rows(k, s, c, ps1, ps2, ps3, dd2, dd4, a1, a2)
+    m11, ps1, ps2, ps3 = sh.m11, sh.ps1, sh.ps2, sh.ps3
+
+    def matrix(a1, a2, dd2, dd4):
+        rows = controller.kinetic_matching_rows(k, s, c, ps1, ps2, ps3, dd2, dd4, a1, a2)
+        return np.max(np.abs(rows), axis=0)
+
+    up = controller.shaping(k, np.sin(q2 + FD_H), np.cos(q2 + FD_H))
+    dn = controller.shaping(k, np.sin(q2 - FD_H), np.cos(q2 - FD_H))
+    fps1, fps2, fd2, fd4 = ((getattr(up, f) - getattr(dn, f)) / (2 * FD_H)
+                            for f in ("ps1", "ps2", "d2", "d4"))
+    fd = matrix(*controller.alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, fps1, fps2), fd2, fd4)
+    dps1, dps2, dps3, dd2, dd4 = sh.dps1, sh.dps2, sh.dps3, sh.dd2, sh.dd4
     # scalar rows with the derivative brackets expanded by product rule
     dm11 = 2.0 * p2_ * s * c
     db1 = dps1 * m11 + ps1 * dm11 + p3_ * (dps2 * c - ps2 * s)
     al1 = (2.0 * p3_ * ps1 * ps2 * s - 2.0 * p2_ * ps1 * ps1 * s * c
-           + ps4 * db1 - 2.0 * a1)
+           + ps4 * db1 - 2.0 * sh.a1)
     db2 = p3_ * (dps1 * c - ps1 * s) + p4_ * dps2
     al2 = (p3_ * s * (ps2 * ps3 + ps1 * ps4) - 2.0 * p2_ * ps1 * ps3 * s * c
-           + ps4 * db2 - a2)
+           + ps4 * db2 - sh.a2)
     db4 = p3_ * (dps3 * c - ps3 * s)
     ode = (-2.0 * p2_ * ps3 * ps3 * s * c + 2.0 * p3_ * ps3 * ps4 * s
            + ps4 * db4)
-    return np.max(np.abs(rows), axis=0), np.abs(al1), np.abs(al2), np.abs(ode)
+    return matrix(sh.a1, sh.a2, dd2, dd4), np.abs(al1), np.abs(al2), np.abs(ode), fd
 
 
 def kinetic_matching(params: RobotParams, gains: ControllerGains,
-                     n: int = 1000, span: float = 1.5,
-                     derivatives: str = "analytic",
-                     psi3_offset: float = 0.0) -> ResidualReport:
+                     n: int = 1000, span: float = 1.5) -> ResidualReport:
     """Entrywise residual of the matrix matching equation over a q2 grid.
 
     Also reports the three scalar rows (the two actuated ones defining
-    alpha and the unactuated ODE) separately in details. derivatives =
-    "fd" replaces every analytic q2-derivative with central
-    differences, giving an independent check at a coarser tolerance.
-    psi3_offset shifts psi3 in the assembly only (detector test hook).
+    alpha and the unactuated ODE) separately in details. A second route
+    replaces every analytic q2-derivative with central differences (step
+    FD_H); its matrix residual goes into details and must stay at or
+    below TOL_FD, or the report fails.
     """
-    if derivatives not in ("analytic", "fd"):
-        raise ValueError("derivatives must be 'analytic' or 'fd'")
-    fd = derivatives == "fd"
     grid, k = np.linspace(-span, span, n), controller.coeffs(params, gains)
-    matrix, al1, al2, ode = (np.concatenate(col) for col in zip(*(
-        _kinetic_residuals(k, b, fd, psi3_offset)
-        for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
+    matrix, al1, al2, ode, fd = (np.concatenate(col) for col in zip(*(
+        _kinetic_residuals(k, b) for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
     worst, arg = _max_and_arg(matrix, grid)
-    tol = TOL_FD if fd else TOL_ANALYTIC
+    fd_worst = float(fd.max())
     return ResidualReport(
         name="kinetic_matching", grid=f"{n} points on [-{span}, {span}]",
-        max_abs_residual=worst, arg_at_max=(arg,), tol=tol,
+        max_abs_residual=worst, arg_at_max=(arg,), tol=TOL_ANALYTIC,
+        control=("fd control", fd_worst, TOL_FD),
         details={"al1": float(al1.max()), "al2": float(al2.max()),
-                 "ode": float(ode.max()), "derivatives": derivatives})
+                 "ode": float(ode.max()), "fd_max_abs_residual": fd_worst,
+                 "fd_tol": TOL_FD})
 
 
 def riccati_residual(params: RobotParams, gains: ControllerGains,
@@ -153,13 +155,12 @@ def riccati_residual(params: RobotParams, gains: ControllerGains,
 
 
 def potential_matching(params: RobotParams, gains: ControllerGains,
-                       n: int = 100, q1_span: float = 3.0, q2_span: float = 1.5,
-                       kappa_skew: float = 0.0) -> ResidualReport:
+                       n: int = 100, q1_span: float = 3.0,
+                       q2_span: float = 1.5) -> ResidualReport:
     """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid.
 
-    Evaluates the controller's psi3, z offset and grad Vd on the grid.
-    kappa_skew perturbs kappa in the dVd/dq2 component only (sensitivity
-    hook); the identity is exact at kappa_skew = 0.
+    Evaluates the controller's psi3, z offset and grad Vd on the grid;
+    the identity is exact.
     """
     q1 = np.linspace(-q1_span, q1_span, n)[:, None]
     q2 = np.linspace(-q2_span, q2_span, n)[None, :]
@@ -167,7 +168,6 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
     ps3 = controller.shape_terms(k, s, c)[2]
     z = q1 + controller._z_offset(k, s, np.arctan)
     dv1, dv2 = controller._vd_gradient(k, z, s, ps3)
-    dv2 = dv2 + kappa_skew * z * ps3 / gains.psi40
     res = np.abs(controller.potential_matching_row(k, s, ps3, dv1, dv2))
     i, j = np.unravel_index(np.argmax(res), res.shape)
     q1_spread = float(np.max(res.max(axis=0) - res.min(axis=0)))
@@ -291,8 +291,7 @@ def _stack2x2(n: int, a11, a12, a21, a22) -> np.ndarray:
 
 def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
                            q1: np.ndarray, q2: np.ndarray, p1: np.ndarray,
-                           p2: np.ndarray, alpha_zeroed: bool = False
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Target-form vector field at N states (q1, q2, p1, p2), as (N, 2) qdot and pdot.
 
     Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
@@ -300,8 +299,7 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     np.linalg.solve for M^{-1}Md; an oracle independent by route of
     control_terms + open_loop_rhs_flat, which must agree with it
     identically. sin, cos and the z offset are taken per state with
-    math, as on the float route. alpha_zeroed drops J2 and takes ptilde
-    from a batched solve of Md ptilde = p (sensitivity hook).
+    math, as on the float route.
     """
     n, k = q2.shape[0], controller.coeffs(params, gains)
     s = np.array([math.sin(v) for v in q2.tolist()])
@@ -315,13 +313,9 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     i11, i12, i22, _ = _inv2(gains.k2, sh.d2, sh.d4)
     pt1, pt2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
     gq = np.stack(controller._hd_gradient(k, z, s, sh.ps3, sh.dd2, sh.dd4, pt1, pt2), axis=1)
-    if alpha_zeroed:
-        pt = np.linalg.solve(md, np.stack([p1, p2], axis=1)[:, :, None])
-        j2s = np.zeros(n)
-    else:
-        pt = np.stack([pt1, pt2], axis=1)[:, :, None]
-        alpha = np.stack([sh.a1, sh.a2], axis=1)[:, :, None]
-        j2s = (pt.transpose(0, 2, 1) @ alpha)[:, 0, 0]
+    pt = np.stack([pt1, pt2], axis=1)[:, :, None]
+    alpha = np.stack([sh.a1, sh.a2], axis=1)[:, :, None]
+    j2s = (pt.transpose(0, 2, 1) @ alpha)[:, 0, 0]
     j2 = _stack2x2(n, 0.0, j2s, -j2s, 0.0)
     qdot = np.linalg.solve(m, md) @ pt
     pdot = -psi @ gq[:, :, None] + (j2 - gains.kv * (G @ G.T)) @ pt
@@ -329,8 +323,7 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
 
 
 def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
-                            n_samples: int = 1000, seed: int = 0,
-                            alpha_zeroed: bool = False) -> ResidualReport:
+                            n_samples: int = 1000, seed: int = 0) -> ResidualReport:
     """Plant + feedback torque against the target-form vector field.
 
     Samples random in-region states and compares the open-loop RHS
@@ -340,7 +333,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
     (q1, q2, p1, p2) are those of four successive rng.uniform calls. The
     residual is the largest component difference; a non-finite one is
     reported (and fails) at its first sample; all are nan when Md(0) is not
-    PD. alpha_zeroed drops J2 from the direct form (sensitivity hook).
+    PD.
     """
     rng, k = np.random.default_rng(seed), controller.coeffs(params, gains)
     q2_max = 0.99 * _pd_endpoint(params, gains)
@@ -353,7 +346,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
         ctrl = np.array([open_loop_rhs_flat(
             params, q2, p1, p2, controller.control_terms(k, q1, q2, p1, p2)[0], 0.0)
             for q1, q2, p1, p2 in x.tolist()])
-        qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T, alpha_zeroed=alpha_zeroed)
+        qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
         i = int(np.argmax(res))  # the first nan, else the first maximum
         if not res[i] <= worst:
@@ -363,8 +356,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
     return ResidualReport(
         name="closed_loop_equivalence",
         grid=f"{n_samples} random states, |q2| < {q2_max:.4g}, seed {seed}",
-        max_abs_residual=worst, arg_at_max=arg, tol=TOL_EQUIV,
-        details={"alpha_zeroed": alpha_zeroed})
+        max_abs_residual=worst, arg_at_max=arg, tol=TOL_EQUIV)
 
 
 @dataclass(frozen=True)
@@ -463,7 +455,8 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
     return ResidualReport(
         name="remark2_counterexample", grid=f"{n} points on [-{span}, {span}]",
         max_abs_residual=float(np.max(np.abs(r))), arg_at_max=(float(grid[k]),),
-        tol=1e-2, kind="min_above", sound=control <= SOUNDNESS_TOL,
+        tol=1e-2, kind="min_above",
+        control=("soundness control", control, SOUNDNESS_TOL),
         details={"R_at_0": float(_ode_residual(
             spec, 0.0, claimed_m22(spec, 0.0), _claimed_m22_derivative(spec, 0.0))),
             "integrated_solution_max_residual": control,
@@ -474,7 +467,7 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid sizes and hooks for the full verification suite."""
+    """Grid sizes and counterexample constants for the full verification suite."""
 
     grid_points: int = 1000
     span: float = 1.5
@@ -483,8 +476,6 @@ class VerifyOptions:
     seed: int = 0
     scan_cells: int = 10 ** 6
     md_scan_points: int = 10 ** 5
-    psi3_offset: float = 0.0
-    derivatives: str = "analytic"
     counterexample: CounterexampleSpec = CounterexampleSpec()
 
 
@@ -492,8 +483,7 @@ def verify_all(params: RobotParams, gains: ControllerGains,
                opts: VerifyOptions = VerifyOptions()) -> list[ResidualReport]:
     """All seven checks, fixed order; the CLI renders one row each."""
     return [
-        kinetic_matching(params, gains, opts.grid_points, opts.span,
-                         opts.derivatives, opts.psi3_offset),
+        kinetic_matching(params, gains, opts.grid_points, opts.span),
         potential_matching(params, gains, opts.planar_grid),
         region_report(params, gains, opts.scan_cells),
         md_definiteness_scan(params, gains, opts.md_scan_points),

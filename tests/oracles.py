@@ -4,11 +4,14 @@ Each helper calls the flat functions the simulator and verify use, in the
 order the per-state public functions once did, so an identity stated on
 them holds for src's one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot.
+inject_shaping_fault plants a fault in the closed forms, which verify must
+detect.
 """
 import math
 
 import numpy as np
 
+from ripsim import controller
 from ripsim.controller import (
     _hd_gradient, _md_inverse, _z_offset, coeffs, control_terms, shape_terms, shaping,
     shaping_at,
@@ -60,6 +63,23 @@ def robust_control(params, gains, regressor, theta_hat, s):
     """u = energy-shaping torque + f^T theta_hat."""
     u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
     return u + float(eval_regressor(regressor, s) @ np.asarray(theta_hat))
+
+
+def inject_shaping_fault(monkeypatch, edit):
+    """Make controller.shaping return edit(sh) of its true record sh, for every caller
+    that looks it up through the module (verify does; control_terms does not call it)."""
+    true = controller.shaping
+    monkeypatch.setattr(controller, "shaping", lambda k, s, c: edit(true(k, s, c)))
+
+
+def shift_psi3(sh):
+    """psi3 off by 0.01, its derivative left as is."""
+    return sh._replace(ps3=sh.ps3 + 0.01)
+
+
+def zero_alpha(sh):
+    """alpha1 = alpha2 = 0: the J2 of the target form drops out."""
+    return sh._replace(a1=0.0 * sh.a1, a2=0.0 * sh.a2)
 
 
 def adaptation_rhs(params, gains, regressor, adaptive, s):

@@ -9,18 +9,26 @@ Covers:
   - matched cancellation: disturbed RHS minus nominal RHS = G f^T (theta-hat
     - theta) exactly; perfect estimate cancels the disturbance
   - constant regressor f=["1"] turns the augmentation into integral action
-  - Lyapunov value Hd + 0.5 err' Gamma^{-1} err and its monotone decrease
-    along a simulated robust run
+  - Lyapunov value Hd + 0.5 err' Gamma err and its monotone decrease
+    along a simulated robust run; property (hypothesis): over random SPD
+    Gamma, a 1 s fig4 run keeps v_slope_max <= 1e-12
 """
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec, lyapunov_value
+from ripsim.cli import trace_summary
+from ripsim.config import load_config
 from ripsim.controller import ControllerGains, coeffs, control_law
 from ripsim.model import RobotParams, State
 from ripsim.regressor import parse_regressor
+from ripsim.simulate import run
 
 from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
 
@@ -134,13 +142,12 @@ def test_perfect_estimate_cancels_disturbance():
 def test_lyapunov_value_formula():
     rng = np.random.default_rng(29)
     gamma = np.diag([2.0, 4.0, 0.5])
-    ginv = np.linalg.inv(gamma)
     for _ in range(50):
         th, th_hat = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         hd = rng.uniform(-2, 2)
         err = th - th_hat
-        ref = hd + 0.5 * err @ ginv @ err
-        assert lyapunov_value(ginv, th_hat, th, hd) == pytest.approx(ref, rel=1e-14)
+        ref = hd + 0.5 * err @ gamma @ err
+        assert lyapunov_value(gamma, th_hat, th, hd) == pytest.approx(ref, rel=1e-14)
     # identity Gamma: plain half squared norm
     err = np.array([0.3, -0.4, 0.0])
     assert lyapunov_value(np.eye(3), TH_REF - err, TH_REF, 1.0) \
@@ -159,3 +166,21 @@ def test_lyapunov_monotone_along_robust_run():
     assert tr.status == "ok"
     slopes = np.diff(tr.V_lyap) / sc.dt
     assert slopes.max() < 1e-7
+
+
+FIG4 = Path(__file__).resolve().parent.parent / "presets" / "fig4.yaml"
+
+
+@settings(max_examples=25, deadline=None)
+@given(eigs=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_holds_for_every_gamma(eigs, seed):
+    # the Gamma-weighted V decreases for any SPD Gamma, not only at Gamma = I
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    gamma = (q * eigs) @ q.T
+    cfg = load_config(str(FIG4))
+    adaptive = AdaptiveState(cfg.adaptive.theta_hat, 0.5 * (gamma + gamma.T))
+    trace = run(dataclasses.replace(cfg, t_end=1.0, adaptive=adaptive).scenario())
+    summary = trace_summary(trace)
+    assert summary["status"] == "ok"
+    assert summary["v_slope_max"] <= 1e-12, (eigs, summary["v_slope_max"])

@@ -2,8 +2,11 @@
 
 Covers:
   - simulate: exit codes, trace.csv schema and byte-stability, SVG plots,
-    --out override, --json summary, region-exit and blow-up reporting
+    --out override, --json summary, region-exit and blow-up reporting; a
+    run that leaves the band in its first step writes one row and its plots
   - verify: seven-row report, --json records, failure exit on a broken check
+    (a psi3 shift planted in controller.shaping); a coarse FD step fails
+    check 1 through its fd route alone, and the row names the fd control
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line; a soundness
     control that blows up to nan fails counterexample and verify alike (exit 1,
@@ -30,10 +33,12 @@ import numpy as np
 import pytest
 import yaml
 
-from ripsim import cli
+from ripsim import cli, verify
 from ripsim.cli import _emit_plots, main, write_trace_csv
 from ripsim.config import load_config
 from ripsim.simulate import run
+
+from oracles import inject_shaping_fault, shift_psi3
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 # SHA-256 of trace.csv for each preset cut to t_end = 1 s. trace.csv comes from
@@ -142,6 +147,21 @@ def test_simulate_blowup_is_reported(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "simulation failed" in err and "Traceback" not in err
+
+
+def test_simulate_one_row_trace_is_plotted(tmp_path, capsys):
+    # the run leaves the band inside its first RK4 step: trace.csv has one row,
+    # and the plots over a zero-width time range are still written
+    text = ROBOT + "simulation: {q0: [0.0, 0.5], qdot0: [0.0, 1000.0], t_end: 0.01}\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_file(tmp_path, text), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "status: region_exit" in captured.out and "Traceback" not in captured.err
+    _, rows = read_csv(out / "trace.csv")
+    assert len(rows) == 1
+    for name in ("q.svg", "u.svg"):
+        svg = (out / name).read_text()
+        assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256_1S))
@@ -291,13 +311,28 @@ def test_verify_json_records(tmp_path, capsys):
         assert rec["pass"] is True
 
 
-def test_verify_detects_broken_identity(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, ROBOT +
-                   "verify: {psi3_offset: 0.01, scan_cells: 100000, md_scan_points: 10000}\n")
+def test_verify_detects_broken_identity(tmp_path, capsys, monkeypatch):
+    inject_shaping_fault(monkeypatch, shift_psi3)
+    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
     assert main(["verify", "--config", cfg]) == 1
     out = capsys.readouterr().out
     line = next(s for s in out.splitlines() if s.startswith("kinetic_matching"))
-    assert line.endswith("FAIL")
+    # both routes see the shift, so the row also names the fd control
+    assert line.split()[4] == "FAIL" and "(fd control " in line
+
+
+def test_verify_fails_on_fd_route_alone(tmp_path, capsys, monkeypatch):
+    # a coarse central-difference step breaks only check 1's fd route: its
+    # analytic value is unchanged, yet the row fails and names the fd control
+    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    assert main(["verify", "--config", cfg]) == 0
+    want = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(verify, "FD_H", 0.05)
+    assert main(["verify", "--config", cfg]) == 1
+    got = capsys.readouterr().out.splitlines()
+    assert got[2:] == want[2:]
+    assert got[1].startswith(want[1].removesuffix("pass") + "FAIL (fd control ")
+    assert got[1].endswith(", must be <= 1.0e-05)")
 
 
 def test_region_text(tmp_path, capsys):

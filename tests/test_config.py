@@ -12,7 +12,8 @@ Covers:
     follow the scalar number rule (YAML 1.1 strings such as 1e-3 load); verify.span > 0
   - mode/disturbance/adaptive cross-checks
   - simulation.t_end bounded by MAX_STEPS steps of dt (at the limit loads)
-  - verify options plumbing
+  - verify options plumbing; verify.derivatives and verify.psi3_offset are
+    unknown keys
   - Config.scenario() produces a runnable Scenario
   - property (hypothesis): numeric entries of a valid config mutated to edge
     values (0, -1, 5e-324, 1e-300, 1e300, 1.7e308, ...) raise only ConfigError,
@@ -301,13 +302,11 @@ def test_t_end_step_limit(tmp_path):
 
 
 def test_verify_options(tmp_path):
-    text = MINIMAL + ("verify: {grid_points: 64, psi3_offset: 0.01, "
-                      "derivatives: fd, seed: 3, "
+    text = MINIMAL + ("verify: {grid_points: 64, span: 1.25, seed: 3, "
                       "counterexample: {frak_k1: 2.0, b: 0.5}}\n")
     cfg = load_config(write(tmp_path, text))
     assert cfg.verify.grid_points == 64
-    assert cfg.verify.psi3_offset == 0.01
-    assert cfg.verify.derivatives == "fd"
+    assert cfg.verify.span == 1.25
     assert cfg.verify.seed == 3
     assert cfg.verify.counterexample.frak_k1 == 2.0
     assert cfg.verify.counterexample.frak_k2 == 1.0
@@ -315,8 +314,12 @@ def test_verify_options(tmp_path):
 
 
 def test_verify_derivatives_validated(tmp_path):
-    with pytest.raises(ConfigError, match=r"verify\.derivatives"):
-        load_config(write(tmp_path, MINIMAL + "verify: {derivatives: exact}\n"))
+    # check 1 always runs both derivative routes, and faults are planted by the
+    # tests, not by the config
+    for entry in ("derivatives: fd", "derivatives: exact", "psi3_offset: 0.01"):
+        key = entry.split(":")[0]
+        with pytest.raises(ConfigError, match=rf"verify\.{key}: unknown key"):
+            load_config(write(tmp_path, MINIMAL + f"verify: {{{entry}}}\n"))
 
 
 def test_verify_counterexample_positive(tmp_path):
@@ -381,7 +384,7 @@ COMMON = {
     "adaptive": {"gamma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                  "theta_hat0": [0.0, 0.0, 0.0]},
     "verify": {"grid_points": 50, "span": 1.5, "planar_grid": 10, "samples": 20, "seed": 0,
-               "scan_cells": 200, "md_scan_points": 200, "psi3_offset": 0.0,
+               "scan_cells": 200, "md_scan_points": 200,
                "counterexample": {"frak_k1": 1.0, "frak_k2": 1.0, "b": 1.0}},
 }
 EDGE_VALUES = [0, -1, 5e-324, 1e-300, 1e-3, 2.5, 1e6, 1e300, 1.7e308, -1.7e308]

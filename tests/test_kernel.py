@@ -349,7 +349,7 @@ def test_robust_rows_equal_public_functions(fig4_short):
             <= ULPS * (abs(u_shaping) + dot_scale)
         assert trace.H[k] == hamiltonian(params, s)
         assert trace.Hd[k] == desired_hamiltonian(params, gains, s)
-        assert trace.V_lyap[k] == lyapunov_value(adaptive.gamma_inv, theta_hat, dist.theta,
+        assert trace.V_lyap[k] == lyapunov_value(adaptive.gamma, theta_hat, dist.theta,
                                                  trace.Hd[k])
 
 

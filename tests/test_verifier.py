@@ -2,19 +2,24 @@
 
 Covers:
   - the seven-report bundle: names, order, all passing on the synthetic set
-  - kinetic matching: analytic/FD tolerances, psi3-perturbation detector
+  - kinetic matching: the analytic route (1e-8) and the finite-difference
+    route in details (1e-5) must both hold; a coarse FD step fails the check
+    through the fd route alone; a psi3 shift planted in controller.shaping
+    is detected
   - Riccati residual for psi3; the grid maximum and its first location
-  - potential matching: exactness, q1-independence, kappa-skew detector
+  - potential matching: exactness, q1-independence; a kappa skew planted in
+    controller._vd_gradient is detected
   - region: formula vs million-cell sign scan, EmptyRegion, 100 random draws
   - Md definiteness: endpoint <= rho, k2 growth widens the interval,
     frozen Md(0) eigenvalues; checks 4 and 6 fail when Md(0) is not PD
   - the shared d4 / det Md sign scan walked in blocks of 64 points equals
     the one-pass scans it replaced (presets, random draws, grid edges)
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws
-  - closed-loop equivalence: 1e-9 agreement, alpha-zeroed sensitivity; a
-    nan from the control route fails; the batched check equals the
-    per-sample loop it replaced bit for bit (five presets and the synthetic
-    set, seeds 0-3, alpha-zeroed on and off, across blocks); the block
+  - closed-loop equivalence: 1e-9 agreement; alpha zeroed in
+    controller.shaping (the direct form loses J2) is detected; a nan from
+    the control route fails; the batched check equals the per-sample loop it
+    replaced bit for bit (five presets and the synthetic set, seeds 0-3,
+    alpha true and zeroed, across blocks); the block
     draws equal successive rng.uniform draws; closed_loop_rhs_direct
     equals plant + control_law composition
   - verify_all passes on every preset
@@ -46,7 +51,10 @@ from ripsim.verify import (
     remark2_residual, riccati_residual, verify_all, _max_and_arg, _pd_endpoint,
 )
 
-from oracles import grad_q_Hd, inertia, momentum_tilde, open_loop_rhs, psi_matrix
+from oracles import (
+    grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde, open_loop_rhs, psi_matrix,
+    shift_psi3, zero_alpha,
+)
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)
@@ -89,27 +97,31 @@ def test_verify_all_names_order_and_pass():
 
 def test_kinetic_matching_analytic():
     r = kinetic_matching(P_SYN, G_REF)
-    assert r.passed and r.max_abs_residual < 1e-8
+    assert r.passed and r.max_abs_residual < 1e-8 and r.tol == 1e-8
     assert r.details["al1"] < 1e-8
     assert r.details["al2"] < 1e-8
     assert r.details["ode"] < 1e-8
 
 
-def test_kinetic_matching_fd():
-    r = kinetic_matching(P_SYN, G_REF, derivatives="fd")
-    assert r.passed and r.max_abs_residual < 1e-5
-    assert r.tol == 1e-5
+def test_kinetic_matching_fd(monkeypatch):
+    good = kinetic_matching(P_SYN, G_REF)
+    assert good.sound and good.details["fd_tol"] == 1e-5
+    assert 0.0 < good.details["fd_max_abs_residual"] < 1e-5
+    assert good.control == ("fd control", good.details["fd_max_abs_residual"], 1e-5)
+    # a coarse step breaks the fd route alone, and the check fails on it
+    monkeypatch.setattr(verify, "FD_H", 0.05)
+    r = kinetic_matching(P_SYN, G_REF)
+    assert r.details["fd_max_abs_residual"] > 1e-5 and not r.sound and not r.passed
+    assert (r.max_abs_residual, r.arg_at_max) == (good.max_abs_residual, good.arg_at_max)
+    monkeypatch.setattr(verify, "FD_H", math.nan)   # a nan on the fd route fails too
+    assert not kinetic_matching(P_SYN, G_REF).passed
 
 
-def test_kinetic_matching_detects_psi3_shift():
-    r = kinetic_matching(P_SYN, G_REF, psi3_offset=0.01)
+def test_kinetic_matching_detects_psi3_shift(monkeypatch):
+    inject_shaping_fault(monkeypatch, shift_psi3)
+    r = kinetic_matching(P_SYN, G_REF)
     assert not r.passed
     assert r.max_abs_residual > 1e-4
-
-
-def test_kinetic_matching_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        kinetic_matching(P_SYN, G_REF, derivatives="symbolic")
 
 
 def test_grid_max_takes_first_argmax():
@@ -129,8 +141,15 @@ def test_potential_matching_exact_and_q1_free():
     assert r.details["q1_dependence_of_residual"] < 1e-10
 
 
-def test_potential_matching_detects_kappa_skew():
-    r = potential_matching(P_SYN, G_REF, kappa_skew=0.01)
+def test_potential_matching_detects_kappa_skew(monkeypatch):
+    true = controller._vd_gradient
+
+    def skewed(k, z, s, ps3):   # kappa off by 0.01 in dVd/dq2 only
+        g1, g2 = true(k, z, s, ps3)
+        return g1, g2 + 0.01 * z * ps3 / k.psi40
+
+    monkeypatch.setattr(controller, "_vd_gradient", skewed)
+    r = potential_matching(P_SYN, G_REF)
     assert not r.passed
 
 
@@ -235,8 +254,9 @@ def test_closed_loop_equivalence_passes():
     assert r.passed and r.max_abs_residual < 1e-9
 
 
-def test_closed_loop_equivalence_alpha_sensitivity():
-    r = closed_loop_equivalence(P_SYN, G_REF, n_samples=200, alpha_zeroed=True)
+def test_closed_loop_equivalence_alpha_sensitivity(monkeypatch):
+    inject_shaping_fault(monkeypatch, zero_alpha)
+    r = closed_loop_equivalence(P_SYN, G_REF, n_samples=200)
     assert not r.passed
     assert r.max_abs_residual > 1e-9
 
@@ -248,8 +268,7 @@ def test_closed_loop_equivalence_fails_on_nan(monkeypatch):
     assert math.isnan(r.max_abs_residual) and not r.passed
 
 
-def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0,
-                                 alpha_zeroed=False):
+def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
     """The per-sample check 6 that the batched one replaced: one State, a
     control_law call and a 2x2 solve per state."""
     rng = np.random.default_rng(seed)
@@ -265,17 +284,12 @@ def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0,
         md = desired_inertia(params, gains, q2)
         psi = psi_matrix(params, gains, q2)
         gq = grad_q_Hd(params, gains, s)
-        if alpha_zeroed:
-            pt = np.linalg.solve(md, p)
-            qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
-            pd_d = -psi @ gq - gains.kv * np.array([pt[0], 0.0])
-        else:
-            pt = np.array(momentum_tilde(controller.coeffs(params, gains), q2, p[0], p[1]))
-            sh = shaping_at(params, gains, q2)
-            j2s = float(pt @ np.array([sh.a1, sh.a2]))
-            j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
-            qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
-            pd_d = -psi @ gq + (j2 - gains.kv * (G @ G.T)) @ pt
+        pt = np.array(momentum_tilde(controller.coeffs(params, gains), q2, p[0], p[1]))
+        sh = shaping_at(params, gains, q2)
+        j2s = float(pt @ np.array([sh.a1, sh.a2]))
+        j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
+        qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
+        pd_d = -psi @ gq + (j2 - gains.kv * (G @ G.T)) @ pt
         diff = max(float(np.max(np.abs(qd_o - qd_d))),
                    float(np.max(np.abs(pd_o - pd_d))))
         if diff > worst:
@@ -291,13 +305,16 @@ def plant_and_gains(name):
 
 
 @pytest.mark.parametrize("name", ("P_SYN",) + PRESET_NAMES)
-def test_closed_loop_equivalence_equals_per_sample_loop(name):
+def test_closed_loop_equivalence_equals_per_sample_loop(name, monkeypatch):
     params, gains = plant_and_gains(name)
-    for seed in range(4):
-        for alpha_zeroed, n in ((False, 1000), (True, 200)):
-            r = closed_loop_equivalence(params, gains, n, seed, alpha_zeroed)
-            worst, arg = loop_closed_loop_equivalence(params, gains, n, seed, alpha_zeroed)
-            assert (r.max_abs_residual, r.arg_at_max) == (worst, arg), (seed, alpha_zeroed)
+    for zeroed, n in ((False, 1000), (True, 200)):
+        if zeroed:
+            inject_shaping_fault(monkeypatch, zero_alpha)
+        for seed in range(4):
+            r = closed_loop_equivalence(params, gains, n, seed)
+            worst, arg = loop_closed_loop_equivalence(params, gains, n, seed)
+            assert (r.max_abs_residual, r.arg_at_max) == (worst, arg), (seed, zeroed)
+    monkeypatch.undo()
     if name == "default":   # seeds 1-3 exceed the absolute 1e-9 bound near |q2| = 1.06
         assert not any(closed_loop_equivalence(params, gains, 1000, seed).passed
                        for seed in range(1, 4))
