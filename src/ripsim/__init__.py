@@ -3,11 +3,11 @@ from .adaptive import AdaptiveState, DisturbanceSpec
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, region_rho
 from .model import RobotParams, State
 from .regressor import ParseError, RegressorSpec, UnknownVariable, parse_regressor
-from .simulate import NonFiniteState, RegionExit, Scenario, Trace, run
+from .simulate import NonFiniteState, Scenario, Trace, run
 
 __all__ = [
     "AdaptiveState", "ControllerGains", "DefinitenessLost", "DisturbanceSpec",
-    "EmptyRegion", "NonFiniteState", "ParseError", "RegionExit", "RegressorSpec",
+    "EmptyRegion", "NonFiniteState", "ParseError", "RegressorSpec",
     "RobotParams", "Scenario", "State", "Trace", "UnknownVariable",
     "parse_regressor", "region_rho", "run",
 ]

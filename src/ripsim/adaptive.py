@@ -77,11 +77,7 @@ class AdaptiveState:
             raise ValueError("gamma must be positive definite")
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_gamma_inv", np.linalg.inv(gamma))
-
-    @property
-    def gamma_inv(self) -> np.ndarray:
-        return self._gamma_inv
+        object.__setattr__(self, "gamma_inv", np.linalg.inv(gamma))
 
 
 def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:

@@ -3,7 +3,8 @@
 Subcommands: simulate (run a scenario, emit trace.csv + SVG plots),
 verify (the seven-check identity suite), region (Md positive
 definiteness interval), counterexample (prior-work ODE residual).
-Exit codes: 0 success, 1 model/verification failure, 2 config error.
+Exit codes: 0 success, 1 model/verification failure, 2 config or output
+directory error.
 """
 from __future__ import annotations
 
@@ -77,13 +78,16 @@ def _emit_plots(trace: Trace, cfg: Config, out_dir: str):
 
 
 def cmd_simulate(cfg: Config, out_dir: str, as_json: bool) -> int:
-    scenario = cfg.scenario()
     try:
-        trace = run(scenario)
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"output error: {out_dir}: {e.strerror or e}", file=sys.stderr)
+        return 2
+    try:
+        trace = run(cfg.scenario())
     except NonFiniteState as e:
         print(f"simulation failed: {e}", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     if cfg.plots and trace.t.shape[0] > 0:
         _emit_plots(trace, cfg, out_dir)
@@ -161,12 +165,9 @@ def _add_common(parser, suppress: bool):
                         help="YAML configuration file")
     parser.add_argument("--out", default=default, metavar="DIR",
                         help="output directory (overrides output.dir)")
-    if suppress:
-        parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                            help="machine-readable output")
-    else:
-        parser.add_argument("--json", action="store_true", default=False,
-                            help="machine-readable output")
+    parser.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS if suppress else False,
+                        help="machine-readable output")
 
 
 def main(argv=None) -> int:

@@ -250,10 +250,14 @@ def _load_verify(section) -> VerifyOptions:
 def load_config(path: str) -> Config:
     """Load and validate a YAML config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: not valid YAML: {e}") from e
     if raw is None:

@@ -259,25 +259,14 @@ def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
 
-def shaping_at(params: RobotParams, gains: ControllerGains, q2: float) -> Shaping:
-    """shaping() at a float q2."""
-    return shaping(coeffs(params, gains), math.sin(q2), math.cos(q2))
-
-
-def desired_inertia(params: RobotParams, gains: ControllerGains, q2: float) -> np.ndarray:
-    _, _, _, d2, d4 = shape_terms(coeffs(params, gains), math.sin(q2), math.cos(q2))
-    return np.array([[gains.k2, d2], [d2, d4]])
-
-
-def psi_row1_derivative_fd(params: RobotParams, gains: ControllerGains,
-                           q2: float, h: float = FD_STEP) -> tuple[float, float]:
+def psi_row1_derivative_fd(k: Coeffs, q2: float, h: float = FD_STEP) -> tuple[float, float]:
     """Central-difference fallback for (psi1', psi2')."""
-    up, dn = shaping_at(params, gains, q2 + h), shaping_at(params, gains, q2 - h)
+    up = shaping(k, math.sin(q2 + h), math.cos(q2 + h))
+    dn = shaping(k, math.sin(q2 - h), math.cos(q2 - h))
     return (up.ps1 - dn.ps1) / (2.0 * h), (up.ps2 - dn.ps2) / (2.0 * h)
 
 
-def alpha_from_matching(params: RobotParams, gains: ControllerGains,
-                        q2: float) -> np.ndarray:
+def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
     """(alpha1, alpha2) solved directly from the two actuated matching rows.
 
     Independent of psi1', psi2': the derivative brackets in those rows are
@@ -285,47 +274,33 @@ def alpha_from_matching(params: RobotParams, gains: ControllerGains,
     analytic d2' is needed. Serves as a cross-check oracle for shaping's alpha.
     """
     s, c = math.sin(q2), math.cos(q2)
-    sh = shaping(coeffs(params, gains), s, c)
-    ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, -gains.psi40
-    a1 = params.p3 * ps1 * ps2 * s - params.p2 * ps1 * ps1 * s * c
-    a2 = (params.p3 * s * (ps2 * ps3 + ps1 * ps4)
-          - 2.0 * params.p2 * ps1 * ps3 * s * c
+    sh = shaping(k, s, c)
+    ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, k.ps4
+    a1 = k.p3 * ps1 * ps2 * s - k.p2 * ps1 * ps1 * s * c
+    a2 = (k.p3 * s * (ps2 * ps3 + ps1 * ps4)
+          - 2.0 * k.p2 * ps1 * ps3 * s * c
           + ps4 * sh.dd2)
     return np.array([a1, a2])
 
 
 def _vd(k: Coeffs, q1: float, s: float, c: float) -> float:
-    """Vd at (q1, s = sin q2, c = cos q2)."""
+    """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2),
+    minimized at the upright."""
     z = q1 + _z_offset(k, s)
     return 0.5 * k.kappa * z * z - k.p5_psi40 * c
 
 
-def shaped_potential(params: RobotParams, gains: ControllerGains, q) -> float:
-    """Vd(q) = kappa/2 * z^2 - (p5/psi40) cos(q2), minimized at the upright."""
-    q1, q2 = float(q[0]), float(q[1])
-    return _vd(coeffs(params, gains), q1, math.sin(q2), math.cos(q2))
-
-
-def shaped_potential_gradient(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
-    """Analytic grad Vd; satisfies the potential matching identity exactly."""
-    q1, q2 = float(q[0]), float(q[1])
-    k, s = coeffs(params, gains), math.sin(q2)
-    ps3 = shape_terms(k, s, math.cos(q2))[2]
-    return np.array(_vd_gradient(k, q1 + _z_offset(k, s), s, ps3))
-
-
-def shaped_potential_hessian(params: RobotParams, gains: ControllerGains, q) -> np.ndarray:
-    """Analytic Hessian of Vd at q."""
-    q1, q2 = float(q[0]), float(q[1])
-    sh = shaping_at(params, gains, q2)
-    z = q1 + _z_offset(coeffs(params, gains), math.sin(q2))
-    dz = sh.ps3 / gains.psi40
-    ddz = sh.dps3 / gains.psi40
-    k = gains.kappa
-    h11 = k
-    h12 = k * dz
-    h22 = k * (dz * dz + z * ddz) + params.p5 / gains.psi40 * math.cos(q2)
-    return np.array([[h11, h12], [h12, h22]])
+def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
+    """Analytic Hessian of Vd at (q1, q2)."""
+    s, c = math.sin(q2), math.cos(q2)
+    sh = shaping(k, s, c)
+    z = q1 + _z_offset(k, s)
+    dz = sh.ps3 / k.psi40
+    ddz = sh.dps3 / k.psi40
+    kappa = k.kappa
+    h12 = kappa * dz
+    h22 = kappa * (dz * dz + z * ddz) + k.p5_psi40 * c
+    return np.array([[kappa, h12], [h12, h22]])
 
 
 def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,

@@ -33,10 +33,6 @@ class NonFiniteState(Exception):
     """Integrator produced NaN/Inf components."""
 
 
-class RegionExit(Exception):
-    """Raised by Trace.require_ok() when a run stopped on DefinitenessLost."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One simulation experiment: plant, controller, mode and grid."""
@@ -75,10 +71,6 @@ class Scenario:
         except EmptyRegion as e:
             warnings.warn(f"Md is nowhere positive definite: {e}")
 
-    def initial_momentum(self) -> tuple[float, float]:
-        """p0 = M(q2(0)) qdot0."""
-        return momentum(self.params, self.q0[1], self.qdot0[0], self.qdot0[1])
-
 
 @dataclass
 class Trace:
@@ -99,10 +91,6 @@ class Trace:
     exit_reason: str = ""
     # (t, kinetic residual, potential residual) at a few visited states
     spot_checks: list[tuple[float, float, float]] = field(default_factory=list)
-
-    def require_ok(self):
-        if self.status != "ok":
-            raise RegionExit(self.exit_reason)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -211,7 +199,7 @@ def run(scenario: Scenario) -> Trace:
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
     rec = np.empty((n + 1, 11 + ell))
 
-    p0 = scenario.initial_momentum()
+    p0 = momentum(params, scenario.q0[1], *scenario.qdot0)  # p0 = M(q2(0)) qdot0
     x = [float(v) for v in (*scenario.q0, *p0)]
     if robust:
         x += scenario.adaptive.theta_hat.tolist()

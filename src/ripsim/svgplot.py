@@ -99,9 +99,14 @@ def line_plot(path: str, x, series: list[tuple[str, np.ndarray]],
     px = sx(x[::stride]).tolist()
     for k, (label, y) in enumerate(ys):
         color = COLORS[k % len(COLORS)]
-        pts = " ".join(f"{a:.1f},{b:.1f}" for a, b in zip(px, sy(y[::stride]).tolist()))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
+        pts = list(zip(px, sy(y[::stride]).tolist()))
+        if len(pts) == 1:  # a one-point polyline draws nothing: mark the point
+            (cx, cy), = pts
+            parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3" fill="{color}"/>')
+        else:
+            points = " ".join(f"{a:.1f},{b:.1f}" for a, b in pts)
+            parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                         'stroke-width="1.5"/>')
         ly = MARGIN_T + 14 + 16 * k
         lx = MARGIN_L + px_w - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '

@@ -238,8 +238,8 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
     endpoint = _pd_endpoint(params, gains, n)
     cell = math.pi / 2 / n
     overshoot = math.nan if math.isnan(endpoint) else max(0.0, endpoint - rho)
-    md0 = controller.desired_inertia(params, gains, 0.0)
-    eigs = np.linalg.eigvalsh(md0)
+    _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), 0.0, 1.0)  # q2 = 0
+    eigs = np.linalg.eigvalsh(np.array([[gains.k2, d2], [d2, d4]]))
     return ResidualReport(
         name="md_definiteness", grid=f"{n} cells on [0, pi/2]",
         max_abs_residual=overshoot, arg_at_max=(endpoint,), tol=cell,
@@ -248,13 +248,11 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
                  "pd_at_0": bool(eigs.min() > 0.0)})
 
 
-def hessian_fd(params: RobotParams, gains: ControllerGains, q,
-               h: float = 1e-5) -> np.ndarray:
+def hessian_fd(k: controller.Coeffs, q1: float, q2: float, h: float = 1e-5) -> np.ndarray:
     """Central-difference Hessian of Vd, oracle for the analytic one."""
     def v(q1, q2):
-        return controller.shaped_potential(params, gains, (q1, q2))
+        return controller._vd(k, q1, math.sin(q2), math.cos(q2))
 
-    q1, q2 = float(q[0]), float(q[1])
     h11 = (v(q1 + h, q2) - 2 * v(q1, q2) + v(q1 - h, q2)) / h ** 2
     h22 = (v(q1, q2 + h) - 2 * v(q1, q2) + v(q1, q2 - h)) / h ** 2
     h12 = (v(q1 + h, q2 + h) - v(q1 + h, q2 - h)
@@ -268,11 +266,13 @@ def hessian_vd_check(params: RobotParams, gains: ControllerGains) -> ResidualRep
     Passes when strictly positive; details carry the gradient norm at
     q* (must vanish) and the finite-difference cross-check.
     """
-    q_star = (0.0, 0.0)
-    hess = controller.shaped_potential_hessian(params, gains, q_star)
-    grad = controller.shaped_potential_gradient(params, gains, q_star)
+    q1, q2 = q_star = (0.0, 0.0)
+    k, s = controller.coeffs(params, gains), math.sin(q2)
+    hess = controller.shaped_potential_hessian(k, q1, q2)
+    ps3 = controller.shape_terms(k, s, math.cos(q2))[2]
+    grad = controller._vd_gradient(k, q1 + controller._z_offset(k, s), s, ps3)
     eigs = np.linalg.eigvalsh(hess)
-    fd_diff = float(np.max(np.abs(hess - hessian_fd(params, gains, q_star))))
+    fd_diff = float(np.max(np.abs(hess - hessian_fd(k, q1, q2))))
     return ResidualReport(
         name="hessian_vd", grid="point check at q*=[0,0]",
         max_abs_residual=float(eigs.min()), arg_at_max=q_star, tol=0.0,

@@ -14,7 +14,6 @@ import numpy as np
 from ripsim import controller
 from ripsim.controller import (
     _hd_gradient, _md_inverse, _z_offset, coeffs, control_terms, shape_terms, shaping,
-    shaping_at,
 )
 from ripsim.model import _inertia, open_loop_rhs_flat
 
@@ -39,8 +38,8 @@ def momentum_tilde(k, q2, p1c, p2c):
 
 
 def psi_matrix(params, gains, q2):
-    """Psi(q2) = [[psi1, psi2], [psi3, psi4]] from shaping_at."""
-    sh = shaping_at(params, gains, q2)
+    """Psi(q2) = [[psi1, psi2], [psi3, psi4]] from controller.shaping (a planted fault shows)."""
+    sh = controller.shaping(coeffs(params, gains), math.sin(q2), math.cos(q2))
     return np.array([[sh.ps1, sh.ps2], [sh.ps3, -gains.psi40]])
 
 

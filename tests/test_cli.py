@@ -3,7 +3,9 @@
 Covers:
   - simulate: exit codes, trace.csv schema and byte-stability, SVG plots,
     --out override, --json summary, region-exit and blow-up reporting; a
-    run that leaves the band in its first step writes one row and its plots
+    run that leaves the band in its first step writes one row and its plots,
+    each series one marker; an output directory that cannot be made (under
+    --out or output.dir) exits 2 before the run
   - verify: seven-row report, --json records, failure exit on a broken check
     (a psi3 shift planted in controller.shaping); a coarse FD step fails
     check 1 through its fd route alone, and the row names the fd control
@@ -13,6 +15,7 @@ Covers:
     run as `python -m ripsim`, no numpy warning on stderr), the verify row names
     the control's value, and --json writes it as null (strict JSON, no NaN)
   - config errors exit 2, non-finite list entries and an over-long t_end included;
+    so does a --config that is a directory or is not UTF-8 text;
     an overflowing robot constant (lumped or physical) and gains with det Md(0) <= 0
     or an underflowing z offset exit 2 from simulate, verify and region; a gamma
     whose symmetry test overflows exits 2 from `python -m ripsim` with only the
@@ -159,9 +162,26 @@ def test_simulate_one_row_trace_is_plotted(tmp_path, capsys):
     assert "status: region_exit" in captured.out and "Traceback" not in captured.err
     _, rows = read_csv(out / "trace.csv")
     assert len(rows) == 1
-    for name in ("q.svg", "u.svg"):
+    for name, n_series in (("q.svg", 2), ("u.svg", 1)):
         svg = (out / name).read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+        # a one-point polyline draws nothing: each series is one marker instead
+        assert svg.count("<circle ") == n_series and "<polyline" not in svg
+
+
+@pytest.mark.parametrize("spelling", ["--out", "output.dir"])
+def test_unusable_output_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch, spelling):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run", lambda scenario: pytest.fail("ran before the output check"))
+    for out in (blocker, blocker / "sub"):   # an existing file; a directory under a file
+        if spelling == "--out":
+            argv = ["--config", cfg_file(tmp_path, ROBOT + SHORT_SIM), "--out", str(out)]
+        else:
+            argv = ["--config", cfg_file(tmp_path, ROBOT + SHORT_SIM
+                                         + f"output: {{dir: '{out}'}}\n")]
+        assert main(["simulate", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"output error: {out}: ")
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256_1S))
@@ -205,6 +225,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["simulate"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    if kind == "directory":
+        path, why = tmp_path, "cannot read"
+    else:
+        path, why = tmp_path / "latin1.yaml", "not UTF-8 text"
+        path.write_bytes(ROBOT.encode() + b"# caf\xe9\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {why}")
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ Covers:
   - shaped potential: critical point, frozen Hessian, kappa -> 0 boundary
   - region: frozen rho, monotone growth as psi40*k1 decreases, EmptyRegion
   - Md definiteness loss raised with context; Md^{-1} at 0 through
-    desired_inertia and momentum_tilde
+    shape_terms and momentum_tilde
   - controller vanishes at the target and Hd decreases along the true flow
 """
 import math
@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, _z_offset, alpha_from_matching, coeffs,
-    control_law, d4_at_origin, desired_hamiltonian, desired_inertia, psi_row1_derivative_fd,
-    region_rho, shaped_potential, shaped_potential_gradient,
-    shaped_potential_hessian, shaping_at,
+    ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset,
+    alpha_from_matching, coeffs, control_law, d4_at_origin, desired_hamiltonian,
+    psi_row1_derivative_fd, region_rho, shape_terms, shaped_potential_hessian, shaping,
 )
 from ripsim.model import RobotParams, State
 
@@ -57,17 +56,19 @@ def test_gains_validation():
 
 
 def test_desired_inertia_at_origin():
-    sh = shaping_at(P_SYN, G_REF, 0.0)
+    k = coeffs(P_SYN, G_REF)
+    sh = shaping(k, 0.0, 1.0)  # q2 = 0
     d1, d2, d4 = G_REF.k2, sh.d2, sh.d4
     assert (d1, d2, d4) == (100.0, 19.0, 8.0)
     assert d4_at_origin(P_SYN, G_REF) == pytest.approx(8.0, abs=1e-14)
-    md = desired_inertia(P_SYN, G_REF, 0.0)
+    _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)
+    md = np.array([[G_REF.k2, d2], [d2, d4]])
     assert np.allclose(md, [[100.0, 19.0], [19.0, 8.0]], atol=1e-12)
     assert np.linalg.eigvalsh(md).min() > 0
 
 
 def test_psi_values_at_origin():
-    sh = shaping_at(P_SYN, G_REF, 0.0)
+    sh = shaping(coeffs(P_SYN, G_REF), 0.0, 1.0)  # q2 = 0
     assert sh.ps3 == pytest.approx(10.0, abs=1e-13)
     ps1, ps2 = sh.ps1, sh.ps2
     assert ps1 == pytest.approx(181.0 / 3.0, abs=1e-10)
@@ -81,17 +82,20 @@ def test_psi_matrix_bottom_row_structure():
         g = rand_gains(rng)
         q2 = rng.uniform(-0.95, 0.95) * region_rho(P_SYN, g)
         psi = psi_matrix(P_SYN, g, q2)
-        assert psi[1, 0] == pytest.approx(shaping_at(P_SYN, g, q2).ps3, rel=1e-10, abs=1e-10)
+        _, _, ps3, d2, d4 = shape_terms(coeffs(P_SYN, g), math.sin(q2), math.cos(q2))
+        assert psi[1, 0] == pytest.approx(ps3, rel=1e-10, abs=1e-10)
         assert psi[1, 1] == pytest.approx(-g.psi40, rel=1e-10, abs=1e-12)
-        md = desired_inertia(P_SYN, g, q2)
+        md = np.array([[g.k2, d2], [d2, d4]])
         assert np.allclose(psi @ inertia(P_SYN, q2), md, rtol=1e-10, atol=1e-10 * abs(md).max())
 
 
 def test_evenness_in_q2():
     rng = np.random.default_rng(11)
+    k = coeffs(P_SYN, G_REF)
     for _ in range(100):
         q2 = rng.uniform(0.0, 0.5)
-        sp, sm = shaping_at(P_SYN, G_REF, q2), shaping_at(P_SYN, G_REF, -q2)
+        sp = shaping(k, math.sin(q2), math.cos(q2))
+        sm = shaping(k, math.sin(-q2), math.cos(-q2))
         assert sp.ps3 == pytest.approx(sm.ps3, rel=1e-12)
         a = (G_REF.k2, sp.d2, sp.d4)
         b = (G_REF.k2, sm.d2, sm.d4)
@@ -99,8 +103,8 @@ def test_evenness_in_q2():
         pa = (sp.ps1, sp.ps2)
         pb = (sm.ps1, sm.ps2)
         assert pa == pytest.approx(pb, rel=1e-12)
-        assert _z_offset(coeffs(P_SYN, G_REF), math.sin(q2)) == pytest.approx(
-            -_z_offset(coeffs(P_SYN, G_REF), math.sin(-q2)), rel=1e-12)
+        assert _z_offset(k, math.sin(q2)) == pytest.approx(
+            -_z_offset(k, math.sin(-q2)), rel=1e-12)
 
 
 def test_psi3_derivative_matches_fd():
@@ -108,9 +112,11 @@ def test_psi3_derivative_matches_fd():
     h = 1e-6
     for _ in range(300):
         g = rand_gains(rng)
-        q2 = rng.uniform(-1.3, 1.3)
-        fd = (shaping_at(P_SYN, g, q2 + h).ps3 - shaping_at(P_SYN, g, q2 - h).ps3) / (2 * h)
-        assert shaping_at(P_SYN, g, q2).dps3 == pytest.approx(fd, rel=2e-6, abs=2e-6)
+        q2, k = rng.uniform(-1.3, 1.3), coeffs(P_SYN, g)
+        up = shaping(k, math.sin(q2 + h), math.cos(q2 + h))
+        dn = shaping(k, math.sin(q2 - h), math.cos(q2 - h))
+        fd = (up.ps3 - dn.ps3) / (2 * h)
+        assert shaping(k, math.sin(q2), math.cos(q2)).dps3 == pytest.approx(fd, rel=2e-6, abs=2e-6)
 
 
 def test_desired_inertia_derivative_matches_fd():
@@ -118,24 +124,23 @@ def test_desired_inertia_derivative_matches_fd():
     h = 1e-6
     for _ in range(300):
         g = rand_gains(rng)
-        q2 = rng.uniform(-1.3, 1.3)
-        sh = shaping_at(P_SYN, g, q2)
+        q2, k = rng.uniform(-1.3, 1.3), coeffs(P_SYN, g)
+        sh = shaping(k, math.sin(q2), math.cos(q2))
         dd2, dd4 = sh.dd2, sh.dd4
-        ap = desired_inertia(P_SYN, g, q2 + h)
-        am = desired_inertia(P_SYN, g, q2 - h)
-        assert ap[0, 0] - am[0, 0] == 0.0   # d1 = k2: d1' = 0
-        assert dd2 == pytest.approx((ap[0, 1] - am[0, 1]) / (2 * h), rel=2e-5, abs=2e-5)
-        assert dd4 == pytest.approx((ap[1, 1] - am[1, 1]) / (2 * h), rel=2e-5, abs=2e-5)
+        _, _, _, d2p, d4p = shape_terms(k, math.sin(q2 + h), math.cos(q2 + h))
+        _, _, _, d2m, d4m = shape_terms(k, math.sin(q2 - h), math.cos(q2 - h))
+        assert dd2 == pytest.approx((d2p - d2m) / (2 * h), rel=2e-5, abs=2e-5)
+        assert dd4 == pytest.approx((d4p - d4m) / (2 * h), rel=2e-5, abs=2e-5)
 
 
 def test_psi_row1_derivative_matches_fd():
     rng = np.random.default_rng(14)
     for _ in range(200):
         g = rand_gains(rng)
-        q2 = rng.uniform(-1.2, 1.2)
-        sh = shaping_at(P_SYN, g, q2)
+        q2, k = rng.uniform(-1.2, 1.2), coeffs(P_SYN, g)
+        sh = shaping(k, math.sin(q2), math.cos(q2))
         an = (sh.dps1, sh.dps2)
-        fd = psi_row1_derivative_fd(P_SYN, g, q2)
+        fd = psi_row1_derivative_fd(k, q2)
         assert an == pytest.approx(fd, rel=5e-5, abs=5e-5)
 
 
@@ -144,10 +149,10 @@ def test_alpha_routes_agree():
     rng = np.random.default_rng(15)
     for _ in range(300):
         g = rand_gains(rng)
-        q2 = rng.uniform(-1.3, 1.3)
-        sh = shaping_at(P_SYN, g, q2)
+        q2, k = rng.uniform(-1.3, 1.3), coeffs(P_SYN, g)
+        sh = shaping(k, math.sin(q2), math.cos(q2))
         a = np.array([sh.a1, sh.a2])
-        b = alpha_from_matching(P_SYN, g, q2)
+        b = alpha_from_matching(k, q2)
         scale = max(1.0, np.abs(b).max())
         assert np.allclose(a, b, atol=1e-8 * scale)
 
@@ -156,21 +161,22 @@ def test_shaped_potential_critical_point():
     rng = np.random.default_rng(16)
     for _ in range(100):
         g = rand_gains(rng)
-        grad = shaped_potential_gradient(P_SYN, g, [0.0, 0.0])
+        k = coeffs(P_SYN, g)
+        grad = _vd_gradient(k, _z_offset(k, 0.0), 0.0, shape_terms(k, 0.0, 1.0)[2])
         assert np.array_equal(grad, [0.0, 0.0])
-        assert shaped_potential(P_SYN, g, [0.0, 0.0]) == pytest.approx(
+        assert _vd(k, 0.0, 0.0, 1.0) == pytest.approx(
             -P_SYN.p5 / g.psi40, rel=1e-13)
 
 
 def test_shaped_potential_hessian_frozen():
-    hess = shaped_potential_hessian(P_SYN, G_REF, [0.0, 0.0])
+    hess = shaped_potential_hessian(coeffs(P_SYN, G_REF), 0.0, 0.0)
     assert np.allclose(hess, [[1.0, 10.0], [10.0, 101.0]], atol=1e-9)
     assert np.linalg.eigvalsh(hess).min() > 0
 
 
 def test_hessian_kappa_to_zero_boundary():
     g = ControllerGains(1.0, 0.1, 100.0, kappa=1e-12, kv=1.0)
-    hess = shaped_potential_hessian(P_SYN, g, [0.0, 0.0])
+    hess = shaped_potential_hessian(coeffs(P_SYN, g), 0.0, 0.0)
     assert np.allclose(hess, [[0.0, 0.0], [0.0, P_SYN.p5]], atol=1e-9)
 
 
@@ -179,13 +185,16 @@ def test_shaped_potential_gradient_matches_fd():
     h = 1e-6
     for _ in range(200):
         g = rand_gains(rng)
-        q = rng.uniform(-1.0, 1.0, 2) * [2.0, 0.9 * region_rho(P_SYN, g)]
-        grad = shaped_potential_gradient(P_SYN, g, q)
+        k = coeffs(P_SYN, g)
+        q1, q2 = q = rng.uniform(-1.0, 1.0, 2) * [2.0, 0.9 * region_rho(P_SYN, g)]
+        s = math.sin(q2)
+        grad = _vd_gradient(k, q1 + _z_offset(k, s), s, shape_terms(k, s, math.cos(q2))[2])
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (shaped_potential(P_SYN, g, q + e)
-                  - shaped_potential(P_SYN, g, q - e)) / (2 * h)
+            up, dn = q + e, q - e
+            fd = (_vd(k, up[0], math.sin(up[1]), math.cos(up[1]))
+                  - _vd(k, dn[0], math.sin(dn[1]), math.cos(dn[1]))) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
@@ -216,9 +225,9 @@ def test_definiteness_lost_carries_context():
 
 
 def test_md_inverse_at_origin():
-    md = desired_inertia(P_SYN, G_REF, 0.0)
-    det = md[0, 0] * md[1, 1] - md[0, 1] * md[1, 0]
     k = coeffs(P_SYN, G_REF)
+    _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)  # q2 = 0
+    det = G_REF.k2 * d4 - d2 * d2
     (i11, i12), (_, i22) = (momentum_tilde(k, 0.0, *e) for e in ((1, 0), (0, 1)))
     assert det == pytest.approx(439.0, rel=1e-13)
     assert (i11, i12, i22) == pytest.approx((8 / 439, -19 / 439, 100 / 439), rel=1e-12)

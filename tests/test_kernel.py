@@ -26,11 +26,9 @@ import pytest
 from ripsim.adaptive import lyapunov_value
 from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, _vd_gradient, _z_offset, coeffs,
-    control_terms,
-    desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows,
-    potential_matching_row, region_rho, shaped_potential, shaped_potential_gradient, shaping,
-    shaping_at,
+    ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
+    control_terms, desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows,
+    potential_matching_row, region_rho, shape_terms, shaping,
 )
 from ripsim.model import RobotParams, State, hamiltonian
 from ripsim.simulate import run, step_rk4
@@ -43,9 +41,11 @@ P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 
 def composed_control_terms(params, gains, q1, q2, p1c, p2c):
     """control_terms as one call per closed form, each evaluating its own sin/cos."""
-    pt1, pt2 = momentum_tilde(coeffs(params, gains), q2, p1c, p2c)
-    gq1, gv2 = shaped_potential_gradient(params, gains, (q1, q2))
-    sh = shaping_at(params, gains, q2)
+    k, q1, q2 = coeffs(params, gains), float(q1), float(q2)
+    pt1, pt2 = momentum_tilde(k, q2, p1c, p2c)
+    s = math.sin(q2)
+    gq1, gv2 = _vd_gradient(k, q1 + _z_offset(k, s), s, shape_terms(k, s, math.cos(q2))[2])
+    sh = shaping(k, math.sin(q2), math.cos(q2))
     gq2 = gv2 - 0.5 * (2.0 * pt1 * pt2 * sh.dd2 + pt2 * pt2 * sh.dd4)
     j2s = sh.a1 * pt1 + sh.a2 * pt2
     u = -(sh.ps1 * gq1 + sh.ps2 * gq2) + j2s * pt2 - gains.kv * pt1
@@ -54,8 +54,9 @@ def composed_control_terms(params, gains, q1, q2, p1c, p2c):
 
 def composed_desired_hamiltonian(params, gains, q1, q2, p1c, p2c):
     """desired_hamiltonian_flat as Md^{-1} p and Vd, each evaluating its own sin/cos."""
-    pt1, pt2 = momentum_tilde(coeffs(params, gains), q2, p1c, p2c)
-    return 0.5 * (p1c * pt1 + p2c * pt2) + shaped_potential(params, gains, (q1, q2))
+    k, q1, q2 = coeffs(params, gains), float(q1), float(q2)
+    pt1, pt2 = momentum_tilde(k, q2, p1c, p2c)
+    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, math.sin(q2), math.cos(q2))
 
 
 def outcome(fn, *args):

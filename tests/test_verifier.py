@@ -40,7 +40,7 @@ import ripsim.verify as verify
 from ripsim import controller
 from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, EmptyRegion, control_law, desired_inertia, region_rho, shaping_at,
+    ControllerGains, EmptyRegion, coeffs, control_law, region_rho, shape_terms,
 )
 from ripsim.model import G, RobotParams, State
 from ripsim.simulate import _spot_residuals
@@ -83,7 +83,8 @@ def rand_draw(rng):
             region_rho(params, gains)
         except EmptyRegion:
             continue
-        if np.linalg.eigvalsh(desired_inertia(params, gains, 0.0)).min() > 0:
+        _, _, _, d2, d4 = shape_terms(coeffs(params, gains), 0.0, 1.0)  # q2 = 0
+        if np.linalg.eigvalsh([[gains.k2, d2], [d2, d4]]).min() > 0:
             return params, gains
 
 
@@ -245,7 +246,7 @@ def test_hessian_random_draws():
 
 
 def test_hessian_fd_oracle_close():
-    hess = hessian_fd(P_SYN, G_REF, (0.0, 0.0))
+    hess = hessian_fd(coeffs(P_SYN, G_REF), 0.0, 0.0)
     assert np.allclose(hess, [[1.0, 10.0], [10.0, 101.0]], atol=1e-4)
 
 
@@ -281,11 +282,13 @@ def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
         s = State(q=np.array([q1, q2]), p=p)
         u = control_law(params, gains, s)
         qd_o, pd_o = open_loop_rhs(params, s, u, 0.0)
-        md = desired_inertia(params, gains, q2)
+        k, sin, cos = coeffs(params, gains), math.sin(q2), math.cos(q2)
+        sh = controller.shaping(k, sin, cos)  # sees a planted fault
+        _, _, _, d2, d4 = shape_terms(k, sin, cos)
+        md = np.array([[gains.k2, d2], [d2, d4]])
         psi = psi_matrix(params, gains, q2)
         gq = grad_q_Hd(params, gains, s)
-        pt = np.array(momentum_tilde(controller.coeffs(params, gains), q2, p[0], p[1]))
-        sh = shaping_at(params, gains, q2)
+        pt = np.array(momentum_tilde(k, q2, p[0], p[1]))
         j2s = float(pt @ np.array([sh.a1, sh.a2]))
         j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
         qd_d = np.linalg.solve(inertia(params, q2), md) @ pt
