@@ -3,8 +3,8 @@
 Subcommands: simulate (run a scenario, emit trace.csv + SVG plots),
 verify (the seven-check identity suite), region (Md positive
 definiteness interval), counterexample (prior-work ODE residual).
-Exit codes: 0 success, 1 model/verification failure, 2 config or output
-directory error.
+Exit codes: 0 success, 1 model/verification failure or a stdout pipe the
+reader closed, 2 config or output directory error.
 """
 from __future__ import annotations
 
@@ -192,13 +192,23 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out if args.out is not None else cfg.out_dir
 
-    if args.command == "simulate":
-        return cmd_simulate(cfg, out_dir, args.json)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.json)
-    if args.command == "region":
-        return cmd_region(cfg, args.json)
-    return cmd_counterexample(cfg, args.json)
+    try:
+        if args.command == "simulate":
+            code = cmd_simulate(cfg, out_dir, args.json)
+        elif args.command == "verify":
+            code = cmd_verify(cfg, args.json)
+        elif args.command == "region":
+            code = cmd_region(cfg, args.json)
+        else:
+            code = cmd_counterexample(cfg, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so that the flush at
+        # exit cannot raise again, and fail quietly, as a SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

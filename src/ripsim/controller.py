@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import RobotParams, State
+from .model import RobotParams
 
-FD_STEP = 1e-7  # central-difference step for the derivative fallback
+FD_STEP = 1e-7  # central-difference step of the psi_row1_derivative_fd oracle
 
 
 class DefinitenessLost(Exception):
@@ -303,20 +303,14 @@ def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
     return np.array([[kappa, h12], [h12, h22]])
 
 
-def desired_hamiltonian_flat(k: Coeffs, q1: float, q2: float, p1c: float,
-                             p2c: float) -> float:
-    """Hd = 0.5 p^T Md^{-1} p + Vd(q) from scalar components (hot-path form)."""
+def desired_hamiltonian(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> float:
+    """Hd = 0.5 p^T Md^{-1} p + Vd(q). Raises DefinitenessLost."""
     s, c = math.sin(q2), math.cos(q2)
     _, _, _, d2, d4 = shape_terms(k, s, c)
     i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c)
-
-
-def desired_hamiltonian(params: RobotParams, gains: ControllerGains, s: State) -> float:
-    """Hd = 0.5 p^T Md^{-1} p + Vd(q)."""
-    return desired_hamiltonian_flat(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
 
 
 def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
@@ -336,11 +330,10 @@ def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
     return u, pt1
 
 
-def control_law(params: RobotParams, gains: ControllerGains, s: State) -> float:
-    """Energy-shaping feedback torque on the arm joint.
+def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> float:
+    """Energy-shaping feedback torque on the arm joint, the u of control_terms.
 
     Raises DefinitenessLost outside the region where Md is positive
     definite; the simulation engine decides the policy there.
     """
-    u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-    return u
+    return control_terms(k, q1, q2, p1c, p2c)[0]

@@ -1,8 +1,9 @@
 """Rotary inverted pendulum dynamics in port-Hamiltonian form.
 
-State is (q, p) with q = [arm angle, pendulum angle] in rad and momenta
-p = M(q2) qdot. Only the arm joint is actuated: G = [1, 0]^T. The total
-energy is H = p5*cos(q2) + 0.5 * p^T M^{-1}(q2) p.
+A state is (q, p) with q = [arm angle, pendulum angle] in rad and momenta
+p = M(q2) qdot, passed as the floats q1, q2, p1, p2. Only the arm joint is
+actuated: G = [1, 0]^T. The total energy is
+H = p5*cos(q2) + 0.5 * p^T M^{-1}(q2) p.
 
 Angles are NOT wrapped: the shaped potential used by the controller
 contains an unwrapped q1 term, so configurations live on R^2.
@@ -51,20 +52,6 @@ class RobotParams:
         )
 
 
-@dataclass(frozen=True)
-class State:
-    """Generalized coordinates q (rad) and momenta p (kg m^2 rad/s)."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(2))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(2))
-        if not all(map(math.isfinite, self.q.tolist() + self.p.tolist())):
-            raise ValueError("state components must be finite")
-
-
 def _inertia(params: RobotParams, s: float, c: float) -> tuple[float, float, float]:
     """Entries (m11, m12, m22) of M at s = sin q2, c = cos q2; arithmetic only."""
     return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
@@ -90,16 +77,11 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
     return v1, v2, -params.p5 * s - 0.5 * (d11 * v1 * v1 + 2.0 * d12 * v1 * v2)
 
 
-def hamiltonian_flat(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p from scalar components (hot-path form)."""
+def hamiltonian(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
+    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p."""
     s, c = math.sin(q2), math.cos(q2)
     i11, i12, i22, _ = _inv2(*_inertia(params, s, c))
     return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
-
-
-def hamiltonian(params: RobotParams, s: State) -> float:
-    """Total energy H = p5*cos(q2) + kinetic."""
-    return hamiltonian_flat(params, s.q[1], s.p[0], s.p[1])
 
 
 def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[float, float]:

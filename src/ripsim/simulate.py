@@ -18,9 +18,7 @@ import numpy as np
 from . import controller
 from .adaptive import AdaptiveState, DisturbanceSpec, dot, lyapunov_value
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
-from .model import (  # noqa: F401  hamiltonian stays a module attribute for bench/tracing.py
-    RobotParams, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
-)
+from .model import RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 
 MODES = ("nominal", "disturbed_nominal", "disturbed_robust")
 N_SPOT_CHECKS = 8  # matching-residual samples recorded along a run
@@ -213,7 +211,7 @@ def run(scenario: Scenario) -> Trace:
         q1, q2, p1c, p2c, *theta_hat = x
         try:
             u_now, pt1 = control_terms(k, q1, q2, p1c, p2c)
-            hd = controller.desired_hamiltonian_flat(k, q1, q2, p1c, p2c)
+            hd = controller.desired_hamiltonian(k, q1, q2, p1c, p2c)
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break
@@ -225,7 +223,7 @@ def run(scenario: Scenario) -> Trace:
         else:
             dhat, v_now = 0.0, hd
         rec[i] = (q1, q2, p1c, p2c, u_now, d_now, dhat,
-                  hamiltonian_flat(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
+                  hamiltonian(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
         if i % spot_every == 0:
             kin, pot = _spot_residuals(k, q2)
             spots.append((float(t_grid[i]), kin, pot))

@@ -9,9 +9,10 @@ prior-work counterexample. The closed forms are the controller's own;
 each identity is checked through a route independent of them (finite
 differences, a linear solve, sign scans; checks 3 and 4 share one blocked
 sign scan). The closed-loop check compares the float route simulate.run takes
-(control_terms, open_loop_rhs_flat) with closed_loop_rhs_direct, which
-assembles the target form on stacked (N, 2, 2) matrices and solves all
-samples of a block in one batched np.linalg.solve.
+(control_terms' torque, through control_law, and open_loop_rhs_flat) with
+closed_loop_rhs_direct, which assembles the target form on stacked
+(N, 2, 2) matrices and solves all samples of a block in one batched
+np.linalg.solve.
 """
 from __future__ import annotations
 
@@ -297,7 +298,7 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
     literally, on stacked (N, 2, 2) M, Md and Psi with one batched
     np.linalg.solve for M^{-1}Md; an oracle independent by route of
-    control_terms + open_loop_rhs_flat, which must agree with it
+    control_law + open_loop_rhs_flat, which must agree with it
     identically. sin, cos and the z offset are taken per state with
     math, as on the float route.
     """
@@ -344,7 +345,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
         x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
         # the plant under the feedback torque, on the float route simulate.run takes
         ctrl = np.array([open_loop_rhs_flat(
-            params, q2, p1, p2, controller.control_terms(k, q1, q2, p1, p2)[0], 0.0)
+            params, q2, p1, p2, controller.control_law(k, q1, q2, p1, p2), 0.0)
             for q1, q2, p1, p2 in x.tolist()])
         qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)

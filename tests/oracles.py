@@ -1,8 +1,9 @@
-"""State-form compositions of ripsim's flat closed forms, shared by the tests.
+"""Array-form compositions of ripsim's flat closed forms, shared by the tests.
 
-Each helper calls the flat functions the simulator and verify use, in the
-order the per-state public functions once did, so an identity stated on
-them holds for src's one copy. The numpy products (Gamma^{-1} f and
+Each helper takes a state as q = (q1, q2) and p = (p1, p2) and calls the
+flat functions the simulator and verify use, in the order the per-state
+public functions once did, so an identity stated on them holds for src's
+one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot.
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
@@ -13,7 +14,8 @@ import numpy as np
 
 from ripsim import controller
 from ripsim.controller import (
-    _hd_gradient, _md_inverse, _z_offset, coeffs, control_terms, shape_terms, shaping,
+    _hd_gradient, _md_inverse, _z_offset, coeffs, control_law, control_terms, shape_terms,
+    shaping,
 )
 from ripsim.model import _inertia, open_loop_rhs_flat
 
@@ -24,9 +26,9 @@ def inertia(params, q2):
     return np.array([[m11, m12], [m12, m22]])
 
 
-def open_loop_rhs(params, s, u, d=0.0):
-    """(qdot, pdot) of the plant at the State s, as two arrays."""
-    qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], u, d)
+def open_loop_rhs(params, q, p, u, d=0.0):
+    """(qdot, pdot) of the plant at (q, p), as two arrays."""
+    qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q[1], p[0], p[1], u, d)
     return np.array([qd1, qd2]), np.array([pd1, pd2])
 
 
@@ -43,25 +45,25 @@ def psi_matrix(params, gains, q2):
     return np.array([[sh.ps1, sh.ps2], [sh.ps3, -gains.psi40]])
 
 
-def grad_q_Hd(params, gains, s):
-    """grad_q Hd at the State s: grad Vd plus the shaped kinetic term in q2."""
-    q2, k = float(s.q[1]), coeffs(params, gains)
-    pt1, pt2 = momentum_tilde(k, q2, s.p[0], s.p[1])
+def grad_q_Hd(params, gains, q, p):
+    """grad_q Hd at (q, p): grad Vd plus the shaped kinetic term in q2."""
+    q2, k = float(q[1]), coeffs(params, gains)
+    pt1, pt2 = momentum_tilde(k, q2, p[0], p[1])
     sin = math.sin(q2)
     sh = shaping(k, sin, math.cos(q2))
-    z = float(s.q[0]) + _z_offset(k, sin)
+    z = float(q[0]) + _z_offset(k, sin)
     return np.array(_hd_gradient(k, z, sin, sh.ps3, sh.dd2, sh.dd4, pt1, pt2))
 
 
-def eval_regressor(spec, s):
-    """f(q, p) at the State s, as an array."""
-    return np.array(spec.eval_flat(s.q[0], s.q[1], s.p[0], s.p[1]))
+def eval_regressor(spec, q, p):
+    """f(q, p), as an array."""
+    return np.array(spec.eval_flat(q[0], q[1], p[0], p[1]))
 
 
-def robust_control(params, gains, regressor, theta_hat, s):
-    """u = energy-shaping torque + f^T theta_hat."""
-    u, _ = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-    return u + float(eval_regressor(regressor, s) @ np.asarray(theta_hat))
+def robust_control(params, gains, regressor, theta_hat, q, p):
+    """u = energy-shaping torque + f^T theta_hat at (q, p)."""
+    u = control_law(coeffs(params, gains), q[0], q[1], p[0], p[1])
+    return u + float(eval_regressor(regressor, q, p) @ np.asarray(theta_hat))
 
 
 def inject_shaping_fault(monkeypatch, edit):
@@ -81,7 +83,7 @@ def zero_alpha(sh):
     return sh._replace(a1=0.0 * sh.a1, a2=0.0 * sh.a2)
 
 
-def adaptation_rhs(params, gains, regressor, adaptive, s):
+def adaptation_rhs(params, gains, regressor, adaptive, q, p):
     """dtheta_hat/dt = -ptilde1 * Gamma^{-1} f(q, p)."""
-    _, pt1 = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-    return -pt1 * (adaptive.gamma_inv @ eval_regressor(regressor, s))
+    _, pt1 = control_terms(coeffs(params, gains), q[0], q[1], p[0], p[1])
+    return -pt1 * (adaptive.gamma_inv @ eval_regressor(regressor, q, p))

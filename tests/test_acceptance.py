@@ -27,7 +27,7 @@ import pytest
 from ripsim.cli import main
 from ripsim.config import load_config
 from ripsim.controller import ControllerGains, EmptyRegion, region_rho
-from ripsim.model import RobotParams, State
+from ripsim.model import RobotParams
 from ripsim.simulate import run
 from ripsim.verify import (
     CounterexampleSpec, closed_loop_equivalence, hessian_vd_check,
@@ -165,9 +165,8 @@ def test_criterion_09_adaptive_disturbance_rejection():
     cfg3 = preset("fig3")
     rng = np.random.default_rng(9)
     for _ in range(50):
-        s = State(rng.uniform(-2.0, 2.0, size=2), rng.uniform(-3.0, 3.0, size=2))
-        assert abs(cfg.disturbance.value(*s.q.tolist(), *s.p.tolist())
-                   - cfg3.disturbance.value(*s.q.tolist(), *s.p.tolist())) < 1e-12
+        x = [*rng.uniform(-2.0, 2.0, size=2).tolist(), *rng.uniform(-3.0, 3.0, size=2).tolist()]
+        assert abs(cfg.disturbance.value(*x) - cfg3.disturbance.value(*x)) < 1e-12
     trace = run(cfg.scenario())
     q_final = np.abs(trace.q[-1]).max()
     d_gap = abs(trace.d_hat[-1] - trace.d[-1])

@@ -2,7 +2,7 @@
 
 Covers:
   - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix)
-  - adaptation law -ptilde1 * Gamma^{-1} f (the State-form composition in
+  - adaptation law -ptilde1 * Gamma^{-1} f (the array-form composition in
     oracles.py, which test_kernel ties to the simulator's steps): zero at
     rest, scalar case, general matrix Gamma
   - robust control with zero estimate reduces to the bare controller
@@ -26,7 +26,7 @@ from ripsim.adaptive import AdaptiveState, DisturbanceSpec, lyapunov_value
 from ripsim.cli import trace_summary
 from ripsim.config import load_config
 from ripsim.controller import ControllerGains, coeffs, control_law
-from ripsim.model import RobotParams, State
+from ripsim.model import RobotParams
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import run
 
@@ -69,8 +69,8 @@ def test_adaptation_rhs_zero_at_rest():
     a = AdaptiveState(np.zeros(3), 1.0)
     rng = np.random.default_rng(23)
     for _ in range(20):
-        s = State(q=rng.uniform(-0.5, 0.5, 2), p=[0.0, 0.0])
-        assert np.array_equal(adaptation_rhs(P_SYN, G_REF, F_REF, a, s),
+        q, p = rng.uniform(-0.5, 0.5, 2), [0.0, 0.0]
+        assert np.array_equal(adaptation_rhs(P_SYN, G_REF, F_REF, a, q, p),
                               np.zeros(3))
 
 
@@ -80,9 +80,9 @@ def test_adaptation_rhs_scalar_case():
     a = AdaptiveState(np.zeros(1), 1.0)
     rng = np.random.default_rng(24)
     for _ in range(50):
-        s = State(q=rng.uniform(-0.5, 0.5, 2), p=rng.uniform(-1, 1, 2))
-        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), s.q[1], s.p[0], s.p[1])
-        got = adaptation_rhs(P_SYN, G_REF, f1, a, s)
+        q, p = rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1, 2)
+        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), q[1], p[0], p[1])
+        got = adaptation_rhs(P_SYN, G_REF, f1, a, q, p)
         assert got == pytest.approx([-pt1], rel=1e-14, abs=1e-16)
 
 
@@ -91,20 +91,20 @@ def test_adaptation_rhs_matrix_gamma():
     a = AdaptiveState(np.zeros(3), gamma)
     rng = np.random.default_rng(25)
     for _ in range(50):
-        s = State(q=rng.uniform(-0.5, 0.5, 2), p=rng.uniform(-1, 1, 2))
-        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), s.q[1], s.p[0], s.p[1])
-        f = eval_regressor(F_REF, s)
+        q, p = rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1, 2)
+        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), q[1], p[0], p[1])
+        f = eval_regressor(F_REF, q, p)
         ref = -pt1 * np.linalg.solve(gamma, f)
-        assert np.allclose(adaptation_rhs(P_SYN, G_REF, F_REF, a, s), ref,
+        assert np.allclose(adaptation_rhs(P_SYN, G_REF, F_REF, a, q, p), ref,
                            atol=1e-13)
 
 
 def test_robust_control_zero_estimate():
     rng = np.random.default_rng(26)
     for _ in range(50):
-        s = State(q=rng.uniform(-0.4, 0.4, 2), p=rng.uniform(-1, 1, 2))
-        assert robust_control(P_SYN, G_REF, F_REF, np.zeros(3), s) \
-            == control_law(P_SYN, G_REF, s)
+        q, p = rng.uniform(-0.4, 0.4, 2), rng.uniform(-1, 1, 2)
+        assert robust_control(P_SYN, G_REF, F_REF, np.zeros(3), q, p) \
+            == control_law(coeffs(P_SYN, G_REF), *q, *p)
 
 
 def test_matched_cancellation_identity():
@@ -112,14 +112,13 @@ def test_matched_cancellation_identity():
     # theta_hat) exactly, term by term, sharing one f evaluation.
     rng = np.random.default_rng(27)
     for _ in range(1000):
-        s = State(q=rng.uniform(-1, 1, 2) * [2.0, 0.45],
-                  p=rng.uniform(-1.5, 1.5, 2))
+        q, p = rng.uniform(-1, 1, 2) * [2.0, 0.45], rng.uniform(-1.5, 1.5, 2)
         theta_hat = rng.uniform(-1, 1, 3)
-        f = eval_regressor(F_REF, s)
-        u_rob = robust_control(P_SYN, G_REF, F_REF, theta_hat, s)
-        qd_d, pd_d = open_loop_rhs(P_SYN, s, u_rob, d=f @ TH_REF)
-        u_nom = control_law(P_SYN, G_REF, s)
-        qd_n, pd_n = open_loop_rhs(P_SYN, s, u_nom, d=0.0)
+        f = eval_regressor(F_REF, q, p)
+        u_rob = robust_control(P_SYN, G_REF, F_REF, theta_hat, q, p)
+        qd_d, pd_d = open_loop_rhs(P_SYN, q, p, u_rob, d=f @ TH_REF)
+        u_nom = control_law(coeffs(P_SYN, G_REF), *q, *p)
+        qd_n, pd_n = open_loop_rhs(P_SYN, q, p, u_nom, d=0.0)
         resid = f @ (TH_REF - theta_hat)
         assert np.array_equal(qd_d, qd_n)
         assert pd_d[1] == pd_n[1]
@@ -129,13 +128,12 @@ def test_matched_cancellation_identity():
 def test_perfect_estimate_cancels_disturbance():
     rng = np.random.default_rng(28)
     for _ in range(200):
-        s = State(q=rng.uniform(-1, 1, 2) * [2.0, 0.45],
-                  p=rng.uniform(-1.5, 1.5, 2))
-        f = eval_regressor(F_REF, s)
-        u_rob = robust_control(P_SYN, G_REF, F_REF, TH_REF, s)
-        qd_d, pd_d = open_loop_rhs(P_SYN, s, u_rob, d=f @ TH_REF)
-        u_nom = control_law(P_SYN, G_REF, s)
-        qd_n, pd_n = open_loop_rhs(P_SYN, s, u_nom, d=0.0)
+        q, p = rng.uniform(-1, 1, 2) * [2.0, 0.45], rng.uniform(-1.5, 1.5, 2)
+        f = eval_regressor(F_REF, q, p)
+        u_rob = robust_control(P_SYN, G_REF, F_REF, TH_REF, q, p)
+        qd_d, pd_d = open_loop_rhs(P_SYN, q, p, u_rob, d=f @ TH_REF)
+        u_nom = control_law(coeffs(P_SYN, G_REF), *q, *p)
+        qd_n, pd_n = open_loop_rhs(P_SYN, q, p, u_nom, d=0.0)
         assert np.array_equal(qd_d, qd_n) and np.array_equal(pd_d, pd_n)
 
 

@@ -20,6 +20,8 @@ Covers:
     or an underflowing z offset exit 2 from simulate, verify and region; a gamma
     whose symmetry test overflows exits 2 from `python -m ripsim` with only the
     config-error line on stderr
+  - a stdout pipe whose reader has gone (`verify`, `verify --json`,
+    `region --json` under `python -m ripsim`) exits 1 with nothing on stderr
   - trace.csv bytes of every preset at a 1 s horizon, and fig4's three SVG
     plots at 5 s, pinned by SHA-256
 """
@@ -257,13 +259,28 @@ def test_overflowing_robot_exits_2(tmp_path, capsys, robot, command):
     assert err.startswith("config error: robot") and "Traceback" not in err
 
 
-def run_module(*args):
-    """`python -m ripsim ARGS` on this checkout's sources, output captured."""
+def run_module(*args, stdout=subprocess.PIPE):
+    """`python -m ripsim ARGS` on this checkout's sources, stderr (and by default
+    stdout) captured."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "ripsim", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "ripsim", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", [["verify", "--json"], ["verify"], ["region", "--json"]])
+def test_closed_stdout_pipe_exits_1_quietly(command):
+    # the reader is gone before the child writes: exit 1, no BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("--config", str(PRESETS / "default.yaml"), *command,
+                          stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_overflowing_gamma_asymmetry_exits_2(tmp_path):

@@ -24,7 +24,7 @@ from ripsim.controller import (
     alpha_from_matching, coeffs, control_law, d4_at_origin, desired_hamiltonian,
     psi_row1_derivative_fd, region_rho, shape_terms, shaped_potential_hessian, shaping,
 )
-from ripsim.model import RobotParams, State
+from ripsim.model import RobotParams
 
 from oracles import grad_q_Hd, inertia, momentum_tilde, psi_matrix
 
@@ -236,22 +236,22 @@ def test_md_inverse_at_origin():
 
 
 def test_desired_hamiltonian_at_target():
-    s = State(q=[0.0, 0.0], p=[0.0, 0.0])
-    assert desired_hamiltonian(P_SYN, G_REF, s) == pytest.approx(-1.0, abs=1e-14)
-    assert np.array_equal(grad_q_Hd(P_SYN, G_REF, s), [0.0, 0.0])
+    k = coeffs(P_SYN, G_REF)
+    assert desired_hamiltonian(k, 0.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    assert np.array_equal(grad_q_Hd(P_SYN, G_REF, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
 
 
 def test_control_vanishes_at_target():
-    assert control_law(P_SYN, G_REF, State(q=[0, 0], p=[0, 0])) == 0.0
+    assert control_law(coeffs(P_SYN, G_REF), 0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_control_law_odd_symmetry():
-    rng = np.random.default_rng(19)
+    rng, k = np.random.default_rng(19), coeffs(P_SYN, G_REF)
     for _ in range(100):
         q = rng.uniform(-1, 1, 2) * [2.0, 0.5]
         p = rng.uniform(-1, 1, 2)
-        u = control_law(P_SYN, G_REF, State(q=q, p=p))
-        v = control_law(P_SYN, G_REF, State(q=-q, p=-p))
+        u = control_law(k, *q, *p)
+        v = control_law(k, *-q, *-p)
         assert v == pytest.approx(-u, rel=1e-10, abs=1e-10)
 
 
@@ -260,20 +260,20 @@ def test_hd_decreases_along_true_flow():
     # tiny-step RK4 probe at random in-region states.
     from ripsim.model import open_loop_rhs_flat
     from ripsim.simulate import step_rk4
-    rng = np.random.default_rng(20)
+    rng, k = np.random.default_rng(20), coeffs(P_SYN, G_REF)
     dt = 1e-6
     for _ in range(50):
         q = rng.uniform(-1, 1, 2) * [1.5, 0.5]
         p = rng.uniform(-1, 1, 2)
 
         def rhs(x):
-            u = control_law(P_SYN, G_REF, State(q=x[:2], p=x[2:]))
+            u = control_law(k, *x)
             return np.array(open_loop_rhs_flat(P_SYN, x[1], x[2], x[3], u, 0.0))
 
         x0 = np.array([*q, *p])
         x1 = step_rk4(rhs, x0, dt)
-        hd0 = desired_hamiltonian(P_SYN, G_REF, State(q=x0[:2], p=x0[2:]))
-        hd1 = desired_hamiltonian(P_SYN, G_REF, State(q=x1[:2], p=x1[2:]))
-        pt1, _ = momentum_tilde(coeffs(P_SYN, G_REF), q[1], p[0], p[1])
+        hd0 = desired_hamiltonian(k, *x0)
+        hd1 = desired_hamiltonian(k, *x1)
+        pt1, _ = momentum_tilde(k, q[1], p[0], p[1])
         assert (hd1 - hd0) / dt == pytest.approx(-G_REF.kv * pt1 * pt1,
                                                  rel=1e-4, abs=1e-6)

@@ -1,7 +1,7 @@
 """The fused shaping kernel and the simulator's float path, against the public API.
 
 Covers:
-  - control_terms and desired_hamiltonian_flat equal the per-quantity
+  - control_terms and desired_hamiltonian equal the per-quantity
     compositions they replaced, bit for bit, at 10^4 random states (inside
     and outside the admissible band, Python floats and numpy scalars),
     raising DefinitenessLost at the same states with the same message
@@ -11,7 +11,7 @@ Covers:
   - shaping, the kinetic- and potential-matching rows and grad Vd give the
     same doubles on ndarrays (the verify grids) as on floats (the simulator)
   - a disturbed_robust run with the fig4 plant and gains: every recorded
-    row equals the State-form compositions at the recorded state, and
+    row equals the array-form compositions at the recorded state, and
     every step equals step_rk4 over oracles.open_loop_rhs + robust_control
     + adaptation_rhs, so the adaptive tests cover the simulator's own law;
     the recorded d_hat is f^T theta_hat summed term by term, bit for bit
@@ -27,10 +27,10 @@ from ripsim.adaptive import lyapunov_value
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
-    control_terms, desired_hamiltonian, desired_hamiltonian_flat, kinetic_matching_rows,
+    control_terms, desired_hamiltonian, kinetic_matching_rows,
     potential_matching_row, region_rho, shape_terms, shaping,
 )
-from ripsim.model import RobotParams, State, hamiltonian
+from ripsim.model import RobotParams, hamiltonian
 from ripsim.simulate import run, step_rk4
 
 from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
@@ -53,7 +53,7 @@ def composed_control_terms(params, gains, q1, q2, p1c, p2c):
 
 
 def composed_desired_hamiltonian(params, gains, q1, q2, p1c, p2c):
-    """desired_hamiltonian_flat as Md^{-1} p and Vd, each evaluating its own sin/cos."""
+    """desired_hamiltonian as Md^{-1} p and Vd, each evaluating its own sin/cos."""
     k, q1, q2 = coeffs(params, gains), float(q1), float(q2)
     pt1, pt2 = momentum_tilde(k, q2, p1c, p2c)
     return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, math.sin(q2), math.cos(q2))
@@ -96,7 +96,7 @@ def test_control_terms_equals_composition():
                 args = tuple(float(v) for v in args)   # the simulator passes floats
             got = outcome(control_terms, k_, *args)
             assert got == outcome(composed_control_terms, params, gains, *args)
-            assert outcome(desired_hamiltonian_flat, k_, *args) == \
+            assert outcome(desired_hamiltonian, k_, *args) == \
                 outcome(composed_desired_hamiltonian, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
@@ -296,7 +296,7 @@ def test_folded_helpers_equal_unfolded():
             args = (q1, q2, p1c, p2c)
             got = bit_outcome(control_terms, k, *args)
             assert got == bit_outcome(control_terms_ref, params, gains, *args)
-            assert bit_outcome(desired_hamiltonian_flat, k, *args) == \
+            assert bit_outcome(desired_hamiltonian, k, *args) == \
                 bit_outcome(desired_hamiltonian_ref, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
             s, c = math.sin(q2), math.cos(q2)
@@ -319,10 +319,11 @@ def fig4_short():
 
 
 def recorded(trace, k):
-    return State(q=trace.q[k], p=trace.p[k]), trace.theta_hat[k]
+    """(q, p, theta_hat) of the k-th recorded row."""
+    return trace.q[k], trace.p[k], trace.theta_hat[k]
 
 
-# The simulator sums f^T theta_hat term by term; the State-form compositions use
+# The simulator sums f^T theta_hat term by term; the array-form compositions use
 # numpy's dot product, which may add in another order or fuse a
 # multiply-add. Any such order is within 3 eps * sum |f_i theta_hat_i| of
 # the exact value (measured: 1.2 eps over a 5 s run), so d_hat, u and the
@@ -335,21 +336,21 @@ def test_robust_rows_equal_public_functions(fig4_short):
     params, gains, dist, adaptive = cfg.params, cfg.gains, cfg.disturbance, cfg.adaptive
     assert trace.status == "ok" and trace.t.shape[0] == 201
     for k in range(trace.t.shape[0]):
-        s, theta_hat = recorded(trace, k)
-        u_shaping, pt1 = control_terms(coeffs(params, gains), s.q[0], s.q[1], s.p[0], s.p[1])
-        f = eval_regressor(dist.regressor, s)
+        q, p, theta_hat = recorded(trace, k)
+        u_shaping, pt1 = control_terms(coeffs(params, gains), *q, *p)
+        f = eval_regressor(dist.regressor, q, p)
         dot_scale = float(np.abs(f) @ np.abs(theta_hat))
         assert trace.ptilde1[k] == pt1
-        assert trace.d[k] == dist.value(*s.q.tolist(), *s.p.tolist())
+        assert trace.d[k] == dist.value(*q.tolist(), *p.tolist())
         assert abs(trace.d_hat[k] - float(f @ theta_hat)) <= ULPS * dot_scale
         dhat = 0.0  # as the stages add f^T theta_hat into u; not sum(), compensated on 3.12
         for fv, th in zip(f.tolist(), theta_hat.tolist()):
             dhat += fv * th
         assert bits([trace.d_hat[k]]) == bits([dhat])
-        assert abs(trace.u[k] - robust_control(params, gains, dist.regressor, theta_hat, s)) \
+        assert abs(trace.u[k] - robust_control(params, gains, dist.regressor, theta_hat, q, p)) \
             <= ULPS * (abs(u_shaping) + dot_scale)
-        assert trace.H[k] == hamiltonian(params, s)
-        assert trace.Hd[k] == desired_hamiltonian(params, gains, s)
+        assert trace.H[k] == hamiltonian(params, q[1], *p)
+        assert trace.Hd[k] == desired_hamiltonian(coeffs(params, gains), *q, *p)
         assert trace.V_lyap[k] == lyapunov_value(adaptive.gamma, theta_hat, dist.theta,
                                                  trace.Hd[k])
 
@@ -359,14 +360,14 @@ def test_robust_steps_equal_public_rk4(fig4_short):
     params, gains, dist, adaptive = cfg.params, cfg.gains, cfg.disturbance, cfg.adaptive
 
     def rhs(x):
-        s = State(q=x[:2], p=x[2:4])
-        u = robust_control(params, gains, dist.regressor, x[4:], s)
-        qdot, pdot = open_loop_rhs(params, s, u, dist.value(*s.q.tolist(), *s.p.tolist()))
+        q, p = np.asarray(x[:2]), np.asarray(x[2:4])
+        u = robust_control(params, gains, dist.regressor, x[4:], q, p)
+        qdot, pdot = open_loop_rhs(params, q, p, u, dist.value(*q.tolist(), *p.tolist()))
         return np.concatenate([qdot, pdot, adaptation_rhs(params, gains, dist.regressor,
-                                                          adaptive, s)])
+                                                          adaptive, q, p)])
 
     for k in range(trace.t.shape[0] - 1):
-        s, theta_hat = recorded(trace, k)
-        x = np.concatenate([s.q, s.p, theta_hat])
+        q, p, theta_hat = recorded(trace, k)
+        x = np.concatenate([q, p, theta_hat])
         row = np.concatenate([trace.q[k + 1], trace.p[k + 1], trace.theta_hat[k + 1]])
         np.testing.assert_allclose(row, step_rk4(rhs, x, cfg.dt), rtol=ULPS, atol=0.0)

@@ -10,7 +10,7 @@ Covers:
   - open-loop RHS: equilibrium, u-d cancellation, underactuation,
     q1 translation invariance; open_loop_rhs_flat against the matrix form
     qdot = M^{-1} p (a 2x2 solve), pdot2 = p5 sin q2 + 1/2 qdot^T M' qdot
-  - the one-trig open_loop_rhs_flat and hamiltonian_flat equal, bit for bit,
+  - the one-trig open_loop_rhs_flat and hamiltonian equal, bit for bit,
     the composition of per-quantity calls that each evaluate sin/cos and M^{-1}
   - energy conservation of the free plant under RK4
   - parameter validation and the physical-constant constructor
@@ -20,9 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from ripsim.model import (
-    G, RobotParams, State, hamiltonian, hamiltonian_flat, momentum, open_loop_rhs_flat,
-)
+from ripsim.model import G, RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 from ripsim.simulate import step_rk4
 
 from oracles import inertia, open_loop_rhs
@@ -38,7 +36,9 @@ def rand_params(rng):
 
 
 def rand_state(rng, scale=2.0):
-    return State(q=rng.uniform(-3, 3, 2), p=rng.uniform(-scale, scale, 2))
+    """(q, p): q drawn first, then p."""
+    q = rng.uniform(-3, 3, 2)
+    return q, rng.uniform(-scale, scale, 2)
 
 
 def test_input_map_constants():
@@ -65,8 +65,8 @@ def test_inertia_positive_definite_on_grid():
 
 
 def test_hamiltonian_values():
-    assert hamiltonian(P_SYN, State(q=[0, 0], p=[0, 0])) == pytest.approx(1.0, abs=1e-15)
-    assert hamiltonian(P_SYN, State(q=[0, math.pi], p=[0, 0])) == pytest.approx(-1.0, abs=1e-12)
+    assert hamiltonian(P_SYN, 0.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert hamiltonian(P_SYN, math.pi, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_hamiltonian_velocity_identity():
@@ -74,12 +74,12 @@ def test_hamiltonian_velocity_identity():
     rng = np.random.default_rng(2)
     for _ in range(300):
         params = rand_params(rng)
-        s = rand_state(rng)
-        qd = np.array(open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[:2])
-        m = inertia(params, s.q[1])
-        ref = 0.5 * qd @ m @ qd + params.p5 * math.cos(s.q[1])
-        assert hamiltonian(params, s) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        assert hamiltonian(params, s) >= -params.p5 - 1e-12
+        q, p = rand_state(rng)
+        qd = np.array(open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[:2])
+        m = inertia(params, q[1])
+        ref = 0.5 * qd @ m @ qd + params.p5 * math.cos(q[1])
+        assert hamiltonian(params, q[1], *p) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert hamiltonian(params, q[1], *p) >= -params.p5 - 1e-12
 
 
 def test_momentum_velocity_roundtrip():
@@ -97,8 +97,8 @@ def test_grad_q_h_first_component_zero():
     # pdot1 = -dH/dq1 + u - d
     rng = np.random.default_rng(4)
     for _ in range(100):
-        params, s = rand_params(rng), rand_state(rng)
-        assert open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[2] == 0.0
+        params, (q, p) = rand_params(rng), rand_state(rng)
+        assert open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[2] == 0.0
 
 
 def test_grad_q_h_matches_fd():
@@ -106,16 +106,16 @@ def test_grad_q_h_matches_fd():
     h = 1e-6
     for _ in range(1000):
         params = rand_params(rng)
-        s = rand_state(rng)
-        g2 = -open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], 0.0, 0.0)[3]
-        hp = hamiltonian(params, State(q=s.q + [0, h], p=s.p))
-        hm = hamiltonian(params, State(q=s.q - [0, h], p=s.p))
+        q, p = rand_state(rng)
+        g2 = -open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[3]
+        hp = hamiltonian(params, q[1] + h, *p)
+        hm = hamiltonian(params, q[1] - h, *p)
         fd = (hp - hm) / (2 * h)
         assert g2 == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_open_loop_equilibrium():
-    qd, pd = open_loop_rhs(P_SYN, State(q=[0, 0], p=[0, 0]), u=0.0, d=0.0)
+    qd, pd = open_loop_rhs(P_SYN, [0.0, 0.0], [0.0, 0.0], u=0.0, d=0.0)
     assert np.array_equal(qd, [0.0, 0.0]) and np.array_equal(pd, [0.0, 0.0])
 
 
@@ -123,10 +123,10 @@ def test_open_loop_u_d_cancellation():
     rng = np.random.default_rng(6)
     for _ in range(50):
         params = rand_params(rng)
-        s = rand_state(rng)
+        q, p = rand_state(rng)
         c = rng.uniform(-5, 5)
-        ref = open_loop_rhs(params, s, u=0.0, d=0.0)
-        got = open_loop_rhs(params, s, u=c, d=c)
+        ref = open_loop_rhs(params, q, p, u=0.0, d=0.0)
+        got = open_loop_rhs(params, q, p, u=c, d=c)
         assert np.allclose(got[0], ref[0], atol=0) and np.allclose(got[1], ref[1], atol=0)
 
 
@@ -134,9 +134,9 @@ def test_open_loop_pdot2_independent_of_u():
     rng = np.random.default_rng(7)
     for _ in range(50):
         params = rand_params(rng)
-        s = rand_state(rng)
-        _, pd_a = open_loop_rhs(params, s, u=rng.uniform(-9, 9))
-        _, pd_b = open_loop_rhs(params, s, u=rng.uniform(-9, 9))
+        q, p = rand_state(rng)
+        _, pd_a = open_loop_rhs(params, q, p, u=rng.uniform(-9, 9))
+        _, pd_b = open_loop_rhs(params, q, p, u=rng.uniform(-9, 9))
         assert pd_a[1] == pd_b[1]
 
 
@@ -144,10 +144,10 @@ def test_open_loop_q1_translation_invariance():
     rng = np.random.default_rng(8)
     for _ in range(50):
         params = rand_params(rng)
-        s = rand_state(rng)
-        shifted = State(q=s.q + [rng.uniform(-10, 10), 0.0], p=s.p)
-        a = open_loop_rhs(params, s, u=0.3, d=0.1)
-        b = open_loop_rhs(params, shifted, u=0.3, d=0.1)
+        q, p = rand_state(rng)
+        shifted = q + [rng.uniform(-10, 10), 0.0]
+        a = open_loop_rhs(params, q, p, u=0.3, d=0.1)
+        b = open_loop_rhs(params, shifted, p, u=0.3, d=0.1)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -155,14 +155,14 @@ def test_flat_rhs_matches_vector_rhs():
     rng = np.random.default_rng(9)
     for _ in range(100):
         params = rand_params(rng)
-        s = rand_state(rng)
+        q, p = rand_state(rng)
         u, d = rng.uniform(-2, 2, 2)
-        sin, cos = math.sin(s.q[1]), math.cos(s.q[1])
-        qd = np.linalg.solve(inertia(params, s.q[1]), s.p)
+        sin, cos = math.sin(q[1]), math.cos(q[1])
+        qd = np.linalg.solve(inertia(params, q[1]), p)
         dm = np.array([[2.0 * params.p2 * sin * cos, -params.p3 * sin],
                        [-params.p3 * sin, 0.0]])
         pd = [u - d, params.p5 * sin + 0.5 * qd @ dm @ qd]
-        flat = open_loop_rhs_flat(params, s.q[1], s.p[0], s.p[1], u, d)
+        flat = open_loop_rhs_flat(params, q[1], p[0], p[1], u, d)
         assert np.allclose([qd[0], qd[1], pd[0], pd[1]], flat, atol=0)
 
 
@@ -213,7 +213,7 @@ def test_fused_plant_equals_composition():
             q2 *= 2.0
             want = (*qdot_ref(params, q2, p1c, p2c), u - d, -dh_dq2_ref(params, q2, p1c, p2c))
             assert bits(open_loop_rhs_flat(params, q2, p1c, p2c, u, d)) == bits(want)
-            assert bits([hamiltonian_flat(params, q2, p1c, p2c)]) == \
+            assert bits([hamiltonian(params, q2, p1c, p2c)]) == \
                 bits([hamiltonian_ref(params, q2, p1c, p2c)])
 
 
@@ -226,11 +226,11 @@ def test_free_plant_conserves_energy():
     def rhs(y):
         return np.array(open_loop_rhs_flat(params, y[1], y[2], y[3], 0.0, 0.0))
 
-    h0 = hamiltonian(params, State(q=x[:2], p=x[2:]))
+    h0 = hamiltonian(params, *x[1:])
     worst = 0.0
     for k in range(n):
         x = step_rk4(rhs, x, dt)
-        drift = abs(hamiltonian(params, State(q=x[:2], p=x[2:])) - h0)
+        drift = abs(hamiltonian(params, *x[1:]) - h0)
         worst = max(worst, drift / (dt ** 4 * (k + 1) * dt))
     assert worst < 10.0  # C empirically O(1) for this trajectory
 
@@ -250,8 +250,3 @@ def test_from_physical_mapping():
     assert params.p3 == pytest.approx(0.25 * 0.4 * 0.3)
     assert params.p4 == pytest.approx(0.005 + 0.25 * 0.09)
     assert params.p5 == pytest.approx(0.25 * 0.3 * 9.8)
-
-
-def test_state_requires_finite():
-    with pytest.raises(ValueError):
-        State(q=[0.0, math.nan], p=[0.0, 0.0])

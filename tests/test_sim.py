@@ -16,6 +16,10 @@ Covers:
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows
   - Scenario validation and out-of-region warning
+  - the call path: run() records H and Hd through simulate.hamiltonian and
+    controller.desired_hamiltonian (n + 1 calls each over n steps) and check 6
+    takes its torque through controller.control_law (one call per sample), the
+    module attributes the benchmark's tracer wraps
 """
 import math
 
@@ -23,13 +27,15 @@ import numpy as np
 import pytest
 
 import ripsim.simulate as sim
+from ripsim import controller
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
-from ripsim.model import RobotParams, hamiltonian_flat
+from ripsim.model import RobotParams, hamiltonian
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import (
     NonFiniteState, Scenario, Trace, run, step_rk4,
 )
+from ripsim.verify import closed_loop_equivalence
 
 from oracles import inertia
 
@@ -206,7 +212,7 @@ def assert_rows_complete(tr):
         assert arr.shape[0] == rows, name
         assert np.all(np.isfinite(arr)), name
     for k in range(rows):
-        assert tr.H[k] == hamiltonian_flat(P_SYN, tr.q[k, 1], tr.p[k, 0], tr.p[k, 1])
+        assert tr.H[k] == hamiltonian(P_SYN, tr.q[k, 1], tr.p[k, 0], tr.p[k, 1])
 
 
 def robust_exit_scenario():
@@ -288,3 +294,24 @@ def test_scenario_validation():
         Scenario(params=P_SYN, gains=G_CONV, dt=0.0)
     with pytest.raises(ValueError, match="t_end"):
         Scenario(params=P_SYN, gains=G_CONV, dt=0.1, t_end=0.01)
+
+
+def test_energies_and_torque_called_through_module_names(monkeypatch):
+    calls = {"H": 0, "Hd": 0, "u": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sim, "hamiltonian", counting("H", sim.hamiltonian))
+    monkeypatch.setattr(controller, "desired_hamiltonian",
+                        counting("Hd", controller.desired_hamiltonian))
+    monkeypatch.setattr(controller, "control_law", counting("u", controller.control_law))
+    n = 10
+    tr = run(nominal((0.1, 0.2), t_end=n * 1e-3))
+    assert tr.status == "ok" and tr.t.shape[0] == n + 1
+    assert calls == {"H": n + 1, "Hd": n + 1, "u": 0}
+    closed_loop_equivalence(P_SYN, G_CONV, n_samples=50)
+    assert calls["u"] == 50

@@ -42,7 +42,7 @@ from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, EmptyRegion, coeffs, control_law, region_rho, shape_terms,
 )
-from ripsim.model import G, RobotParams, State
+from ripsim.model import G, RobotParams
 from ripsim.simulate import _spot_residuals
 from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
@@ -270,8 +270,8 @@ def test_closed_loop_equivalence_fails_on_nan(monkeypatch):
 
 
 def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
-    """The per-sample check 6 that the batched one replaced: one State, a
-    control_law call and a 2x2 solve per state."""
+    """The per-sample check 6 that the batched one replaced: one control_law
+    call and a 2x2 solve per state."""
     rng = np.random.default_rng(seed)
     q2_max = 0.99 * _pd_endpoint(params, gains)
     worst, arg = 0.0, (0.0, 0.0, 0.0, 0.0)
@@ -279,15 +279,15 @@ def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
         q1 = rng.uniform(-3.0, 3.0)
         q2 = rng.uniform(-q2_max, q2_max)
         p = rng.uniform(-2.0, 2.0, size=2)
-        s = State(q=np.array([q1, q2]), p=p)
-        u = control_law(params, gains, s)
-        qd_o, pd_o = open_loop_rhs(params, s, u, 0.0)
-        k, sin, cos = coeffs(params, gains), math.sin(q2), math.cos(q2)
+        k, q = coeffs(params, gains), np.array([q1, q2])
+        u = control_law(k, *q, *p)
+        qd_o, pd_o = open_loop_rhs(params, q, p, u, 0.0)
+        sin, cos = math.sin(q2), math.cos(q2)
         sh = controller.shaping(k, sin, cos)  # sees a planted fault
         _, _, _, d2, d4 = shape_terms(k, sin, cos)
         md = np.array([[gains.k2, d2], [d2, d4]])
         psi = psi_matrix(params, gains, q2)
-        gq = grad_q_Hd(params, gains, s)
+        gq = grad_q_Hd(params, gains, q, p)
         pt = np.array(momentum_tilde(k, q2, p[0], p[1]))
         j2s = float(pt @ np.array([sh.a1, sh.a2]))
         j2 = np.array([[0.0, j2s], [-j2s, 0.0]])
@@ -345,12 +345,11 @@ def test_block_draws_equal_uniform_draws():
 def test_closed_loop_equivalence_pointwise():
     rng = np.random.default_rng(30)
     for _ in range(200):
-        s = State(q=rng.uniform(-1, 1, 2) * [2.0, 0.45],
-                  p=rng.uniform(-1, 1, 2))
+        q, p = rng.uniform(-1, 1, 2) * [2.0, 0.45], rng.uniform(-1, 1, 2)
         qd_a, pd_a = (v[0] for v in closed_loop_rhs_direct(
-            P_SYN, G_CONV, *np.concatenate([s.q, s.p])[:, None]))
-        u = control_law(P_SYN, G_CONV, s)
-        qd_b, pd_b = open_loop_rhs(P_SYN, s, u, d=0.0)
+            P_SYN, G_CONV, *np.concatenate([q, p])[:, None]))
+        u = control_law(coeffs(P_SYN, G_CONV), *q, *p)
+        qd_b, pd_b = open_loop_rhs(P_SYN, q, p, u, d=0.0)
         assert np.allclose(qd_a, qd_b, atol=1e-9)
         assert np.allclose(pd_a, pd_b, atol=1e-9)
 
