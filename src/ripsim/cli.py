@@ -17,7 +17,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import Config, ConfigError, load_config
-from .controller import EmptyRegion, region_rho
+from .controller import EmptyRegion
 from .simulate import NonFiniteState, Trace, run
 
 
@@ -123,24 +123,23 @@ def cmd_verify(cfg: Config, as_json: bool) -> int:
 
 def cmd_region(cfg: Config, as_json: bool) -> int:
     try:
-        rho = region_rho(cfg.params, cfg.gains)
+        region = verify_mod.region_report(cfg.params, cfg.gains, cfg.verify.scan_cells)
     except EmptyRegion as e:
         print(f"empty region: {e}", file=sys.stderr)
         return 1
-    scan = verify_mod.region_scan(cfg.params, cfg.gains, cfg.verify.scan_cells)
     md = verify_mod.md_definiteness_scan(cfg.params, cfg.gains,
                                          cfg.verify.md_scan_points)
     record = {
-        "rho_formula": rho,
-        "rho_scan": scan,
+        "rho_formula": region.details["rho_formula"],
+        "rho_scan": region.details["rho_scan"],
         "md_pd_interval_endpoint": md.details["pd_endpoint"],
     }
     if as_json:
         _print_json(record)
     else:
-        print(f"rho (formula): {rho:.9g}")
-        print(f"rho (d4 sign scan): {scan:.9g}")
-        print(f"det Md > 0 interval endpoint: {md.details['pd_endpoint']:.9g}")
+        print(f"rho (formula): {record['rho_formula']:.9g}")
+        print(f"rho (d4 sign scan): {record['rho_scan']:.9g}")
+        print(f"det Md > 0 interval endpoint: {record['md_pd_interval_endpoint']:.9g}")
     return 0
 
 

@@ -161,8 +161,9 @@ def _psi_row1(k: Coeffs, s: float, c: float, m11: float, d2: float,
     det = m11 * p4 - m12 * m12
     n1 = k.p4k2 - m12 * d2
     n2 = -m12 * k2 + m11 * d2
-    # det M once more, as p3**2 c c: it may round apart from m12 * m12, and psi'
-    # keeps the rounding it has always had
+    # det M once more, as p3**2 c c: it may round apart from m12 * m12. Kept on
+    # purpose: det in its place leaves the fig presets' traces as they are, but
+    # moves default's trace.csv from t = 0.633 s on (q1 0.22 rad apart by 30 s)
     det_ = m11 * p4 - k.p3sq * c * c
     s2 = 2.0 * s * c
     ddet = k.ddet * s2

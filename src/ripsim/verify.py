@@ -468,7 +468,10 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid sizes and counterexample constants for the full verification suite."""
+    """Grid sizes and counterexample constants for the full verification suite.
+
+    A config sets only seed and counterexample; the sizes are fixed here.
+    """
 
     grid_points: int = 1000
     span: float = 1.5

@@ -198,10 +198,7 @@ def test_criterion_11_determinism_and_exit_codes(tmp_path, capsys, monkeypatch):
     b = (tmp_path / "b" / "trace.csv").read_bytes()
     assert a == b and len(a) > 0
 
-    synthetic = str(PRESETS / "synthetic.yaml")
-    fast = "verify: {scan_cells: 100000, md_scan_points: 10000}\n"
-    ok_cfg = tmp_path / "ok.yaml"
-    ok_cfg.write_text(Path(synthetic).read_text() + fast)
+    ok_cfg = PRESETS / "synthetic.yaml"
     invalid_cfg = tmp_path / "invalid.yaml"
     invalid_cfg.write_text("robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
                            "controller: {k1: 0.6}\n")

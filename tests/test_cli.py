@@ -8,7 +8,8 @@ Covers:
     --out or output.dir) exits 2 before the run
   - verify: seven-row report, --json records, failure exit on a broken check
     (a psi3 shift planted in controller.shaping); a coarse FD step fails
-    check 1 through its fd route alone, and the row names the fd control
+    check 1 through its fd route alone, and the row names the fd control;
+    --json on default names the seven fixed grids
   - region: formula/scan/interval printout and EmptyRegion handling
   - counterexample: residual report plus checker soundness line; a soundness
     control that blows up to nan fails counterexample and verify alike (exit 1,
@@ -326,9 +327,20 @@ def test_t_end_over_step_limit_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("option", ["samples: 0", "grid_points: -5", "scan_cells: 0",
                                     "grid_points: 2.7", "span: 0"])
 def test_invalid_verify_option_exits_2(tmp_path, capsys, option):
+    # the grid sizes are fixed: each of their keys is unknown
     cfg = cfg_file(tmp_path, ROBOT + f"verify: {{{option}}}\n")
     assert main(["verify", "--config", cfg]) == 2
-    assert f"verify.{option.split(':')[0]}" in capsys.readouterr().err
+    assert f"verify.{option.split(':')[0]}: unknown key" in capsys.readouterr().err
+
+
+def test_verify_grids_are_fixed(capsys):
+    assert main(["verify", "--config", str(PRESETS / "default.yaml"), "--json"]) == 0
+    grids = [rec["grid"] for rec in json.loads(capsys.readouterr().out)]
+    assert grids == ["1000 points on [-1.5, 1.5]", "100x100 on [-3.0,3.0]x[-1.5,1.5]",
+                     "1000000 cells on [0, pi/2]", "100000 cells on [0, pi/2]",
+                     "point check at q*=[0,0]",
+                     "1000 random states, |q2| < 1.068, seed 0",
+                     "1000 points on [-1.0, 1.0]"]
 
 
 def test_config_flag_position_flexible(tmp_path):
@@ -338,7 +350,7 @@ def test_config_flag_position_flexible(tmp_path):
 
 
 def test_verify_text_report(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
@@ -350,7 +362,7 @@ def test_verify_text_report(tmp_path, capsys):
 
 
 def test_verify_json_records(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["verify", "--config", cfg, "--json"]) == 0
     records = json.loads(capsys.readouterr().out)
     assert len(records) == 7
@@ -361,7 +373,7 @@ def test_verify_json_records(tmp_path, capsys):
 
 def test_verify_detects_broken_identity(tmp_path, capsys, monkeypatch):
     inject_shaping_fault(monkeypatch, shift_psi3)
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["verify", "--config", cfg]) == 1
     out = capsys.readouterr().out
     line = next(s for s in out.splitlines() if s.startswith("kinetic_matching"))
@@ -372,7 +384,7 @@ def test_verify_detects_broken_identity(tmp_path, capsys, monkeypatch):
 def test_verify_fails_on_fd_route_alone(tmp_path, capsys, monkeypatch):
     # a coarse central-difference step breaks only check 1's fd route: its
     # analytic value is unchanged, yet the row fails and names the fd control
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["verify", "--config", cfg]) == 0
     want = capsys.readouterr().out.splitlines()
     monkeypatch.setattr(verify, "FD_H", 0.05)
@@ -384,7 +396,7 @@ def test_verify_fails_on_fd_route_alone(tmp_path, capsys, monkeypatch):
 
 
 def test_region_text(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["region", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "rho (formula): 0.542639102" in out
@@ -393,7 +405,7 @@ def test_region_text(tmp_path, capsys):
 
 
 def test_region_json(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n")
+    cfg = cfg_file(tmp_path, ROBOT)
     assert main(["region", "--config", cfg, "--json"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["rho_formula"] == pytest.approx(0.5426391022496526, abs=1e-12)
@@ -403,13 +415,13 @@ def test_region_json(tmp_path, capsys):
 
 def test_region_empty_exits_1(tmp_path, capsys, monkeypatch):
     # load_config already rejects d4(0) <= 0, so force the defensive branch
-    import ripsim.cli as cli_mod
+    from ripsim import controller
     from ripsim.controller import EmptyRegion
 
     def boom(params, gains):
         raise EmptyRegion("d4(0) = -0.1 <= 0")
 
-    monkeypatch.setattr(cli_mod, "region_rho", boom)
+    monkeypatch.setattr(controller, "region_rho", boom)
     cfg = cfg_file(tmp_path, ROBOT)
     assert main(["region", "--config", cfg]) == 1
     assert "empty region" in capsys.readouterr().err
@@ -439,8 +451,7 @@ def test_counterexample_blowup_fails_in_both_commands(tmp_path):
     assert proc.stdout.splitlines()[-1].endswith("FAIL (soundness control nan, must be <= 1.0e-06)")
 
 
-NAN_CONTROL = ("verify: {counterexample: {frak_k1: 1.0e-5, frak_k2: 1.0, b: 1.0e-4},"
-               " scan_cells: 100000, md_scan_points: 10000}\n")
+NAN_CONTROL = "verify: {counterexample: {frak_k1: 1.0e-5, frak_k2: 1.0, b: 1.0e-4}}\n"
 
 
 def reject_constant(name):
@@ -464,8 +475,7 @@ def test_json_output_is_strict(tmp_path, capsys):
 def test_verify_row_says_why_check_7_failed(tmp_path, capsys):
     # the row of a check failed by its soundness control names the control's value;
     # the rows of the passing checks are those of a passing run
-    passing = cfg_file(tmp_path, ROBOT + "verify: {scan_cells: 100000, md_scan_points: 10000}\n",
-                       "pass.yaml")
+    passing = cfg_file(tmp_path, ROBOT, "pass.yaml")
     assert main(["verify", "--config", passing]) == 0
     want = capsys.readouterr().out.splitlines()
     assert main(["verify", "--config", cfg_file(tmp_path, ROBOT + NAN_CONTROL)]) == 1
