@@ -26,8 +26,10 @@ from .regressor import RegressorSpec
 
 
 def dot(a, b, acc: float = 0.0) -> float:
-    """acc + sum of a_i * b_i added left to right: the one term-by-term sum of the
-    closed loop (sum() and math.sumprod are compensated from Python 3.12 on)."""
+    """acc + sum of a_i * b_i added left to right: the order of every term-by-term sum
+    of the closed loop (sum() and math.sumprod are compensated from Python 3.12 on).
+    The stages of simulate._stage unroll their sums in this order, one statement per
+    term; tests/test_kernel.py pins them to this function bit for bit."""
     for x, y in zip(a, b):
         acc += x * y
     return acc

@@ -24,9 +24,6 @@ import numpy as np
 
 from .model import RobotParams
 
-FD_STEP = 1e-7  # central-difference step of the psi_row1_derivative_fd oracle
-
-
 class DefinitenessLost(Exception):
     """Desired inertia matrix not positive definite at the current q2."""
 
@@ -142,14 +139,13 @@ def _md_prime(k: Coeffs, s: float, c: float, den: float, m11: float) -> tuple[fl
     return dd2, dd4
 
 
-def _md_inverse(k: Coeffs, q2: float, d2: float,
-                d4: float) -> tuple[float, float, float, float]:
-    """(i11, i12, i22, det Md) of Md^{-1}; raises DefinitenessLost when Md is not PD."""
+def _md_inverse(k: Coeffs, q2: float, d2: float, d4: float) -> tuple[float, float, float]:
+    """(i11, i12, i22) of Md^{-1}; raises DefinitenessLost (with det Md) when Md is not PD."""
     d1 = k.k2
     det = d1 * d4 - d2 * d2
     if d1 <= 0.0 or det <= 0.0:
         raise DefinitenessLost(q2, det)
-    return d4 / det, -d2 / det, d1 / det, det
+    return d4 / det, -d2 / det, d1 / det
 
 
 def _psi_row1(k: Coeffs, s: float, c: float, m11: float, d2: float,
@@ -260,13 +256,6 @@ def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
 
-def psi_row1_derivative_fd(k: Coeffs, q2: float, h: float = FD_STEP) -> tuple[float, float]:
-    """Central-difference fallback for (psi1', psi2')."""
-    up = shaping(k, math.sin(q2 + h), math.cos(q2 + h))
-    dn = shaping(k, math.sin(q2 - h), math.cos(q2 - h))
-    return (up.ps1 - dn.ps1) / (2.0 * h), (up.ps2 - dn.ps2) / (2.0 * h)
-
-
 def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
     """(alpha1, alpha2) solved directly from the two actuated matching rows.
 
@@ -308,7 +297,7 @@ def desired_hamiltonian(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float)
     """Hd = 0.5 p^T Md^{-1} p + Vd(q). Raises DefinitenessLost."""
     s, c = math.sin(q2), math.cos(q2)
     _, _, _, d2, d4 = shape_terms(k, s, c)
-    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
+    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c)
@@ -319,7 +308,7 @@ def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
     """Scalar fast path: returns (u, ptilde1). Raises DefinitenessLost."""
     s, c = math.sin(q2), math.cos(q2)
     den, m11, ps3, d2, d4 = shape_terms(k, s, c)
-    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
+    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     dd2, dd4 = _md_prime(k, s, c, den, m11)

@@ -57,10 +57,10 @@ def _inertia(params: RobotParams, s: float, c: float) -> tuple[float, float, flo
     return params.p1 + params.p2 * s * s, params.p3 * c, params.p4
 
 
-def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float, float]:
-    """Inverse of a symmetric 2x2 given by entries; returns (i11, i12, i22, det)."""
+def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float]:
+    """Inverse of a symmetric 2x2 given by entries; returns (i11, i12, i22)."""
     det = m11 * m22 - m12 * m12
-    return m22 / det, -m12 / det, m11 / det, det
+    return m22 / det, -m12 / det, m11 / det
 
 
 def _plant(params: RobotParams, s: float, c: float, p1c: float,
@@ -69,7 +69,7 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
 
     qdot = M^{-1} p and dH/dq2 = -p5 s - 0.5 qdot^T (dM/dq2) qdot; arithmetic only.
     """
-    i11, i12, i22, _ = _inv2(*_inertia(params, s, c))
+    i11, i12, i22 = _inv2(*_inertia(params, s, c))
     v1 = i11 * p1c + i12 * p2c
     v2 = i12 * p1c + i22 * p2c
     d11 = 2.0 * params.p2 * s * c
@@ -80,7 +80,7 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
 def hamiltonian(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
     """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p."""
     s, c = math.sin(q2), math.cos(q2)
-    i11, i12, i22, _ = _inv2(*_inertia(params, s, c))
+    i11, i12, i22 = _inv2(*_inertia(params, s, c))
     return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
 
 

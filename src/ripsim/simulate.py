@@ -3,9 +3,11 @@
 The composite state is the flat vector [q1, q2, p1, p2] extended by
 theta_hat in robust mode, integrated with fixed-step classical RK4 so
 runs are deterministic and byte-reproducible. The feedback torque is
-re-evaluated at every RK4 stage. If the trajectory leaves the region
-where Md is positive definite the run stops at the last completed step
-and the trace is flagged instead of clamping the control.
+re-evaluated at every RK4 stage, by the one stage function run() generates
+for its mode and regressor (_stage), its sums unrolled in adaptive.dot's
+order. If the trajectory leaves the region where Md is positive definite
+the run stops at the last completed step and the trace is flagged instead
+of clamping the control.
 """
 from __future__ import annotations
 
@@ -148,6 +150,43 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
+def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list[float],
+           ginv_rows: list[list[float]]):
+    """The run's closed-loop vector field x -> x', generated from source for its mode.
+
+    nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
+    also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
+    -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
+    adaptive.dot's order. Only names are printed: control_terms and open_loop_rhs_flat
+    (read here, so a patched module attribute is called), the term nodes (called
+    through __call__) and each constant are arguments of the generated factory.
+    """
+    ell, rows = len(terms), range(len(ginv_rows))
+    theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
+    lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
+             "u, pt1 = control_terms(k, q1, q2, p1c, p2c)",
+             *(f"f{j} = t{j}(q1, q2, p1c, p2c)" for j in range(ell)),
+             *(f"u = u + f{j} * {th}" for j, th in enumerate(theta_hat)),
+             "d = 0.0",
+             *(f"d = d + f{j} * dth{j}" for j in range(ell))]
+    for i in rows:
+        lines += [f"r{i} = 0.0", *(f"r{i} = r{i} + g{i}_{j} * f{j}" for j in range(ell))]
+    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q2, p1c, p2c, u, d)",
+              f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
+    names = ["k", "params", "control_terms", "open_loop_rhs_flat",
+             *(f"t{j}" for j in range(ell)), *(f"dth{j}" for j in range(ell)),
+             *(f"g{i}_{j}" for i in rows for j in range(ell))]
+    source = "".join(f"{line}\n" for line in (
+        f"def factory({', '.join(names)}):",
+        "    def rhs(x):",
+        *(f"        {line}" for line in lines),
+        "    return rhs"))
+    namespace: dict = {}
+    exec(compile(source, "<closed-loop stage>", "exec"), namespace)
+    return namespace["factory"](k, params, control_terms, open_loop_rhs_flat, *terms,
+                                *dtheta, *(g for row in ginv_rows for g in row))
+
+
 def run(scenario: Scenario) -> Trace:
     """Integrate the scenario and record the full diagnostic trace.
 
@@ -162,6 +201,7 @@ def run(scenario: Scenario) -> Trace:
     n = step_count(scenario.t_end, scenario.dt)
     dt = scenario.dt
 
+    terms, dtheta, ginv_rows = (), [], []
     if dist is not None:
         terms = dist.regressor.terms
         dtheta = dist.theta.tolist()
@@ -171,27 +211,7 @@ def run(scenario: Scenario) -> Trace:
 
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
-    # One stage closure per mode: no stage tests the mode.
-    if dist is None:
-        def rhs(x: list[float]) -> tuple[float, ...]:
-            q1, q2, p1c, p2c = x
-            u, _ = control_terms(k, q1, q2, p1c, p2c)
-            return open_loop_rhs_flat(params, q2, p1c, p2c, u, 0.0)
-    elif not robust:
-        def rhs(x: list[float]) -> tuple[float, ...]:
-            q1, q2, p1c, p2c = x
-            u, _ = control_terms(k, q1, q2, p1c, p2c)
-            d = dot([tm(q1, q2, p1c, p2c) for tm in terms], dtheta)
-            return open_loop_rhs_flat(params, q2, p1c, p2c, u, d)
-    else:
-        def rhs(x: list[float]) -> list[float]:
-            q1, q2, p1c, p2c = x[:4]
-            u, pt1 = control_terms(k, q1, q2, p1c, p2c)
-            fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
-            # ((u + f0 th0) + f1 th1) + ...: u is dot's accumulator, not added after
-            return [*open_loop_rhs_flat(params, q2, p1c, p2c, dot(fvals, x[4:], u),
-                                        dot(fvals, dtheta)),
-                    *[-pt1 * dot(row, fvals) for row in ginv_rows]]
+    rhs = _stage(k, params, terms, dtheta, ginv_rows)
 
     t_grid = np.arange(n + 1) * dt
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat

@@ -264,8 +264,10 @@ def hessian_fd(k: controller.Coeffs, q1: float, q2: float, h: float = 1e-5) -> n
 def hessian_vd_check(params: RobotParams, gains: ControllerGains) -> ResidualReport:
     """Min eigenvalue of the analytic Vd Hessian at the upright equilibrium.
 
-    Passes when strictly positive; details carry the gradient norm at
-    q* (must vanish) and the finite-difference cross-check.
+    Passes when strictly positive and the finite-difference Hessian
+    (hessian_fd) agrees: its largest entrywise difference, scaled by
+    max(1, max |H|), must stay at or below TOL_FD. details carry that
+    difference and the gradient norm at q* (must vanish).
     """
     q1, q2 = q_star = (0.0, 0.0)
     k, s = controller.coeffs(params, gains), math.sin(q2)
@@ -278,9 +280,10 @@ def hessian_vd_check(params: RobotParams, gains: ControllerGains) -> ResidualRep
         name="hessian_vd", grid="point check at q*=[0,0]",
         max_abs_residual=float(eigs.min()), arg_at_max=q_star, tol=0.0,
         kind="min_above",
+        control=("fd control", fd_diff / max(1.0, float(np.max(np.abs(hess)))), TOL_FD),
         details={"hessian": [[float(x) for x in row] for row in hess],
                  "grad_norm_at_qstar": float(np.max(np.abs(grad))),
-                 "fd_max_diff": fd_diff})
+                 "fd_max_diff": fd_diff, "fd_tol": TOL_FD})
 
 
 def _stack2x2(n: int, a11, a12, a21, a22) -> np.ndarray:
@@ -311,7 +314,7 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     m = _stack2x2(n, m11, m12, m12, m22)
     md = _stack2x2(n, gains.k2, sh.d2, sh.d2, sh.d4)
     psi = _stack2x2(n, sh.ps1, sh.ps2, sh.ps3, -gains.psi40)
-    i11, i12, i22, _ = _inv2(gains.k2, sh.d2, sh.d4)
+    i11, i12, i22 = _inv2(gains.k2, sh.d2, sh.d4)
     pt1, pt2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
     gq = np.stack(controller._hd_gradient(k, z, s, sh.ps3, sh.dd2, sh.dd4, pt1, pt2), axis=1)
     pt = np.stack([pt1, pt2], axis=1)[:, :, None]

@@ -4,7 +4,8 @@ Each helper takes a state as q = (q1, q2) and p = (p1, p2) and calls the
 flat functions the simulator and verify use, in the order the per-state
 public functions once did, so an identity stated on them holds for src's
 one copy. The numpy products (Gamma^{-1} f and
-f^T theta_hat by @) are a second summation route beside adaptive.dot.
+f^T theta_hat by @) are a second summation route beside adaptive.dot, and
+psi_row1_derivative_fd a central-difference route to (psi1', psi2').
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
 """
@@ -18,6 +19,8 @@ from ripsim.controller import (
     shaping,
 )
 from ripsim.model import _inertia, open_loop_rhs_flat
+
+FD_STEP = 1e-7  # central-difference step of psi_row1_derivative_fd
 
 
 def inertia(params, q2):
@@ -35,7 +38,7 @@ def open_loop_rhs(params, q, p, u, d=0.0):
 def momentum_tilde(k, q2, p1c, p2c):
     """ptilde = Md^{-1} p from a Coeffs k; raises DefinitenessLost."""
     _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
-    i11, i12, i22, _ = _md_inverse(k, q2, d2, d4)
+    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 
@@ -43,6 +46,13 @@ def psi_matrix(params, gains, q2):
     """Psi(q2) = [[psi1, psi2], [psi3, psi4]] from controller.shaping (a planted fault shows)."""
     sh = controller.shaping(coeffs(params, gains), math.sin(q2), math.cos(q2))
     return np.array([[sh.ps1, sh.ps2], [sh.ps3, -gains.psi40]])
+
+
+def psi_row1_derivative_fd(k, q2, h=FD_STEP):
+    """Central differences of (psi1, psi2) in q2, beside the analytic (psi1', psi2')."""
+    up = shaping(k, math.sin(q2 + h), math.cos(q2 + h))
+    dn = shaping(k, math.sin(q2 - h), math.cos(q2 - h))
+    return (up.ps1 - dn.ps1) / (2.0 * h), (up.ps2 - dn.ps2) / (2.0 * h)
 
 
 def grad_q_Hd(params, gains, q, p):

@@ -347,14 +347,13 @@ def test_scenario_roundtrip_runs(tmp_path):
     assert not np.array_equal(trace.theta_hat[-1], trace.theta_hat[0])
 
 
-# seed's range; the grid-size keys fail as unknown keys
+# the seed is the one count left in verify: an int in [0, 2**63 - 1] (the grid
+# sizes are fixed; test_verify_derivatives_validated rejects them as unknown keys)
 @pytest.mark.parametrize("option, key", [
-    ("samples: 0", "samples"),            # was a vacuous closed_loop_equivalence pass
-    ("grid_points: -5", "grid_points"),   # was a ValueError traceback
-    ("scan_cells: 0", "scan_cells"),      # was a ZeroDivisionError traceback
-    ("grid_points: 2.7", "grid_points"),  # was silently truncated to 2
-    ("planar_grid: 1001", "planar_grid"),
     ("seed: -1", "seed"),
+    ("seed: 9223372036854775808", "seed"),   # 2**63
+    ("seed: 2.5", "seed"),
+    ("seed: true", "seed"),                  # a YAML bool is not a count
 ])
 def test_verify_counts_validated(tmp_path, option, key):
     with pytest.raises(ConfigError, match=rf"verify\.{key}"):

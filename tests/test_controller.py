@@ -21,12 +21,12 @@ import pytest
 
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset,
-    alpha_from_matching, coeffs, control_law, d4_at_origin, desired_hamiltonian,
-    psi_row1_derivative_fd, region_rho, shape_terms, shaped_potential_hessian, shaping,
+    alpha_from_matching, coeffs, control_law, d4_at_origin, desired_hamiltonian, region_rho,
+    shape_terms, shaped_potential_hessian, shaping,
 )
 from ripsim.model import RobotParams
 
-from oracles import grad_q_Hd, inertia, momentum_tilde, psi_matrix
+from oracles import grad_q_Hd, inertia, momentum_tilde, psi_matrix, psi_row1_derivative_fd
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)  # kappa = kv = 1

@@ -15,23 +15,31 @@ Covers:
     every step equals step_rk4 over oracles.open_loop_rhs + robust_control
     + adaptation_rhs, so the adaptive tests cover the simulator's own law;
     the recorded d_hat is f^T theta_hat summed term by term, bit for bit
+  - the stage simulate.run generates per run equals the three per-mode
+    closures it replaced (kept here as the reference) bit for bit: 10^4
+    random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
+    SPD Gamma, theta and the regressor values holding signed zeros; out of
+    band both raise the same DefinitenessLost; it builds and runs at ell = 64
 """
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ripsim.adaptive import lyapunov_value
+from ripsim.adaptive import dot, lyapunov_value
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
     control_terms, desired_hamiltonian, kinetic_matching_rows,
     potential_matching_row, region_rho, shape_terms, shaping,
 )
-from ripsim.model import RobotParams, hamiltonian
-from ripsim.simulate import run, step_rk4
+from ripsim.model import RobotParams, hamiltonian, open_loop_rhs_flat
+from ripsim.regressor import parse_term
+from ripsim.simulate import _stage, run, step_rk4
+from ripsim.verify import _pd_endpoint
 
 from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
 
@@ -310,6 +318,93 @@ def test_folded_helpers_equal_unfolded():
             assert bits([potential_matching_row(k, s, sh.ps3, *g)]) == \
                 bits([potential_row_ref(params, gains, s, sh.ps3, *g)])
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
+
+
+# The three stage closures simulate.run picked by mode before its stage was
+# generated: the reference for simulate._stage.
+def stage_ref(k, params, terms, dtheta, ginv_rows):
+    if not terms:
+        def rhs(x):
+            q1, q2, p1c, p2c = x
+            u, _ = control_terms(k, q1, q2, p1c, p2c)
+            return open_loop_rhs_flat(params, q2, p1c, p2c, u, 0.0)
+    elif not ginv_rows:
+        def rhs(x):
+            q1, q2, p1c, p2c = x
+            u, _ = control_terms(k, q1, q2, p1c, p2c)
+            d = dot([tm(q1, q2, p1c, p2c) for tm in terms], dtheta)
+            return open_loop_rhs_flat(params, q2, p1c, p2c, u, d)
+    else:
+        def rhs(x):
+            q1, q2, p1c, p2c = x[:4]
+            u, pt1 = control_terms(k, q1, q2, p1c, p2c)
+            fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
+            return [*open_loop_rhs_flat(params, q2, p1c, p2c, dot(fvals, x[4:], u),
+                                        dot(fvals, dtheta)),
+                    *[-pt1 * dot(row, fvals) for row in ginv_rows]]
+    return rhs
+
+
+# Each term has a q1 factor, so at q1 = +-0.0 every f_i is a signed zero and only
+# the 0.0 that dot starts from fixes the sign of each Gamma^{-1} f row.
+STAGE_TERMS = ("q1", "q1*cos(q2)", "sin(q1)*p2", "q1*q1*p1", "sin(q1)",
+               "q1*sin(p2)*2.5", "cos(p1)*q1", "q1*q2*p1*p2")
+
+
+def stage_case(rng, ell):
+    """ell regressor terms, theta with +-0.0 entries, and a random SPD Gamma^{-1} (rows)."""
+    terms = tuple(parse_term(f"{j // 8 + 1.5}*{STAGE_TERMS[j % 8]}") for j in range(ell))
+    dtheta = rng.uniform(-1.0, 1.0, ell).tolist()
+    dtheta[0] = -0.0
+    if ell > 1:
+        dtheta[1] = 0.0
+    a = rng.normal(size=(ell, ell))
+    gamma = a @ a.T + ell * np.eye(ell)
+    return terms, dtheta, np.linalg.inv(gamma).tolist()
+
+
+def stage_outcome(rhs, x):
+    try:
+        return bits(list(rhs(x)))
+    except DefinitenessLost as e:
+        return ("DefinitenessLost", str(e), *bits([e.det_md]))
+
+
+@pytest.mark.parametrize("ell", [1, 3, 8])
+def test_generated_stage_equals_mode_closures(ell):
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    edge = _pd_endpoint(cfg.params, cfg.gains)
+    rng = np.random.default_rng(40 + ell)
+    terms, dtheta, ginv_rows = stage_case(rng, ell)
+    modes = {"nominal": ((), [], []), "disturbed_nominal": (terms, dtheta, []),
+             "disturbed_robust": (terms, dtheta, ginv_rows)}
+    for mode, args in modes.items():
+        stage, ref = _stage(k, params, *args), stage_ref(k, params, *args)
+        width = 4 + (ell if args[2] else 0)
+        xs = rng.uniform(-1.0, 1.0, size=(10 ** 4, width)) * ([3.0, 0.99 * edge, 5.0, 5.0]
+                                                             + [2.0] * (width - 4))
+        xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
+        # every signed-zero (q1, q2, p1, p2); u is -0.0 at some, so u - d shows the sign of d
+        xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
+        for x in xs.tolist():
+            out = stage(x)
+            assert type(out) is tuple and len(out) == width
+            assert bits(list(out)) == bits(list(ref(x))), (mode, x)
+        for x in xs[16:216].tolist():   # past the band's edge: the same DefinitenessLost
+            x[1] = math.copysign(edge + 0.01 + 0.4 * abs(x[1]), x[1])
+            got = stage_outcome(stage, x)
+            assert got[0] == "DefinitenessLost" and got == stage_outcome(ref, x), (mode, x)
+
+
+def test_generated_stage_at_ell_64():
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    rng = np.random.default_rng(64)
+    args = stage_case(rng, 64)
+    stage, ref = _stage(k, params, *args), stage_ref(k, params, *args)
+    for x in rng.uniform(-0.5, 0.5, size=(20, 68)).tolist():
+        assert bits(list(stage(x))) == bits(list(ref(x)))
 
 
 @pytest.fixture(scope="module")

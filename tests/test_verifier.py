@@ -14,7 +14,9 @@ Covers:
     frozen Md(0) eigenvalues; checks 4 and 6 fail when Md(0) is not PD
   - the shared d4 / det Md sign scan walked in blocks of 64 points equals
     the one-pass scans it replaced (presets, random draws, grid edges)
-  - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws
+  - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws; a
+    Hessian scaled by 1 + 1e-3 fails check 5 through its fd control on
+    every preset
   - closed-loop equivalence: 1e-9 agreement; alpha zeroed in
     controller.shaping (the direct form loses J2) is detected; a nan from
     the control route fails; the batched check equals the per-sample loop it
@@ -243,6 +245,19 @@ def test_hessian_random_draws():
         assert r.passed and r.max_abs_residual > 0.0
         assert r.details["fd_max_diff"] < 1e-5 * max(
             1.0, np.abs(r.details["hessian"]).max())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_hessian_scaled_fails_fd_control(monkeypatch, name):
+    # a Hessian 0.1% off keeps its sign, so only the fd control can catch it
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    assert hessian_vd_check(cfg.params, cfg.gains).passed
+    true = controller.shaped_potential_hessian
+    monkeypatch.setattr(controller, "shaped_potential_hessian",
+                        lambda k, q1, q2: (1 + 1e-3) * true(k, q1, q2))
+    r = hessian_vd_check(cfg.params, cfg.gains)
+    assert r.max_abs_residual > 0.0 and not r.sound and not r.passed
+    assert r.control[0] == "fd control" and r.control[2] == r.details["fd_tol"] == 1e-5
 
 
 def test_hessian_fd_oracle_close():
