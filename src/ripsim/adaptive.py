@@ -28,8 +28,9 @@ from .regressor import RegressorSpec
 def dot(a, b, acc: float = 0.0) -> float:
     """acc + sum of a_i * b_i added left to right: the order of every term-by-term sum
     of the closed loop (sum() and math.sumprod are compensated from Python 3.12 on).
-    The stages of simulate._stage unroll their sums in this order, one statement per
-    term; tests/test_kernel.py pins them to this function bit for bit."""
+    The stage (simulate._stage) and the recorded row (simulate._row) unroll their sums
+    in this order, one statement per term; tests/test_kernel.py pins both to this
+    function bit for bit."""
     for x, y in zip(a, b):
         acc += x * y
     return acc
@@ -80,10 +81,3 @@ class AdaptiveState:
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_inv", np.linalg.inv(gamma))
-
-
-def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:
-    """V = Hd + 1/2 theta_err^T Gamma theta_err (see module docstring), summed by
-    dot(); gamma (rows), theta_hat and theta are ndarrays or lists of floats."""
-    err = [a - b for a, b in zip(theta_hat, theta)]
-    return hd + 0.5 * dot(err, [dot(row, err) for row in gamma])

@@ -88,9 +88,13 @@ def cmd_simulate(cfg: Config, out_dir: str, as_json: bool) -> int:
     except NonFiniteState as e:
         print(f"simulation failed: {e}", file=sys.stderr)
         return 1
-    write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
-    if cfg.plots and trace.t.shape[0] > 0:
-        _emit_plots(trace, cfg, out_dir)
+    try:
+        write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
+        if cfg.plots and trace.t.shape[0] > 0:
+            _emit_plots(trace, cfg, out_dir)
+    except OSError as e:
+        print(f"output error: {e.filename}: {e.strerror or e}", file=sys.stderr)
+        return 2
     summary = trace_summary(trace)
     if as_json:
         _print_json(summary)

@@ -118,12 +118,17 @@ def region_rho(params: RobotParams, gains: ControllerGains) -> float:
 # s = sin q2, c = cos q2 and shared terms, with the constants read from a Coeffs
 # k; shaping() evaluates them all at one (s, c), and the hot path control_terms
 # threads one (s, c) through the helpers.
+def md_d4(k: Coeffs, s: float, c: float) -> tuple[float, float]:
+    """(den, d4): the Md entry d4 and its denominator den = k1 + w s^2 (region scan)."""
+    den = k.k1 + k.w * s * s
+    return den, k.p3 * c * c / den - k.p4psi40
+
+
 def shape_terms(k: Coeffs, s: float, c: float):
     """(den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
-    den = k.k1 + k.w * s * s
+    den, d4 = md_d4(k, s, c)
     m11 = k.p1 + k.p2 * s * s
     d2 = c * (m11 / den - k.p3psi40)
-    d4 = k.p3 * c * c / den - k.p4psi40
     return den, m11, c / den, d2, d4
 
 

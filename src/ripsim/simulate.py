@@ -2,15 +2,17 @@
 
 The composite state is the flat vector [q1, q2, p1, p2] extended by
 theta_hat in robust mode, integrated with fixed-step classical RK4 so
-runs are deterministic and byte-reproducible. The feedback torque is
-re-evaluated at every RK4 stage, by the one stage function run() generates
-for its mode and regressor (_stage), its sums unrolled in adaptive.dot's
-order. If the trajectory leaves the region where Md is positive definite
-the run stops at the last completed step and the trace is flagged instead
-of clamping the control.
+runs are deterministic and byte-reproducible. Three functions are generated
+from source (_generate) with every loop unrolled: the RK4 step for the state
+length (_rk4_kernel, cached), and per run, for its mode and regressor, the
+closed-loop stage that re-evaluates the feedback torque (_stage) and the
+recorded row (_row), their sums in adaptive.dot's order. If the trajectory
+leaves the region where Md is positive definite the run stops at the last
+completed step and the trace is flagged instead of clamping the control.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controller
-from .adaptive import AdaptiveState, DisturbanceSpec, dot, lyapunov_value
+from .adaptive import AdaptiveState, DisturbanceSpec
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 
@@ -105,34 +107,16 @@ def step_rk4(rhs, x: list[float], dt: float) -> list[float]:
     """One classical 4th-order Runge-Kutta step of the autonomous ODE x' = rhs(x).
 
     x is a sequence of floats and rhs returns one of the same length (a
-    tuple or a list: it is only zipped); the stages and the update are formed
-    element by element in the IEEE order of the vector expression
+    tuple or a list: it is only unpacked); the stages and the update are
+    formed element by element in the IEEE order of the vector expression
     x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), and the new state is a list. Raises
     NonFiniteState when the new state is not finite, and in place of any
     error that rhs raises at a stage state holding inf or nan
     (math.sin(inf) raises ValueError; DefinitenessLost there is a blow-up,
-    not a region exit).
+    not a region exit). The work is done by the kernel _rk4_kernel
+    generates for len(x).
     """
-    h = 0.5 * dt
-    y = x
-    try:
-        k1 = rhs(y)
-        y = [a + h * b for a, b in zip(x, k1)]
-        k2 = rhs(y)
-        y = [a + h * b for a, b in zip(x, k2)]
-        k3 = rhs(y)
-        y = [a + dt * b for a, b in zip(x, k3)]
-        k4 = rhs(y)
-    except (ArithmeticError, ValueError, DefinitenessLost) as e:
-        if all(map(math.isfinite, y)):
-            raise
-        raise NonFiniteState(f"non-finite RK4 stage state: {y}") from e
-    d6 = dt / 6.0
-    out = [a + d6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, out)):
-        raise NonFiniteState(f"non-finite state after RK4 step: {out}")
-    return out
+    return _rk4_kernel(len(x))(rhs, x, dt)
 
 
 def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
@@ -150,6 +134,66 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
+def _generate(label: str, signature: str, lines: list[str], consts: dict):
+    """The function `def fn(<signature>)` with body `lines`, compiled from source.
+
+    Only names are printed: each entry of consts (a function, a term node or a
+    float) is an argument of a generated factory and so a closure variable of
+    fn, which keeps -0.0 and subnormals exact and binds every function as it
+    was read by the caller (a patched module attribute is the one called).
+    """
+    source = "".join(f"{line}\n" for line in (
+        f"def factory({', '.join(consts)}):",
+        f"    def fn({signature}):",
+        *(f"        {line}" for line in lines),
+        "    return fn"))
+    namespace: dict = {}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["factory"](**consts)
+
+
+def _numbered(prefix: str, values) -> dict:
+    """{prefix0: values[0], prefix1: values[1], ...}: the constants of a generated function."""
+    return {f"{prefix}{j}": v for j, v in enumerate(values)}
+
+
+@functools.cache
+def _rk4_kernel(n: int):
+    """step_rk4 for states of length n, generated from source: the state and each
+    slope unpacked into names x_i, k1_i ... k4_i, each stage state one list display
+    x_i + h * k_i, the update x_i + dt6 * (k1_i + 2.0 * k2_i + 2.0 * k3_i + k4_i).
+    Every per-component name holds an underscore and no scalar (h, dt, dt6) does, so
+    no two names can meet."""
+    def unpack(names):
+        return f"{', '.join(f'{names}_{i}' for i in range(n))},"
+
+    def stage(slope, step):
+        return f"    y = [{', '.join(f'x_{i} + {step} * {slope}_{i}' for i in range(n))}]"
+
+    update = (f"x_{i} + dt6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n))
+
+    lines = [f"{unpack('x')} = x",
+             "h = 0.5 * dt",
+             "y = x",
+             "try:",
+             f"    {unpack('k1')} = rhs(y)", stage("k1", "h"),
+             f"    {unpack('k2')} = rhs(y)", stage("k2", "h"),
+             f"    {unpack('k3')} = rhs(y)", stage("k3", "dt"),
+             f"    {unpack('k4')} = rhs(y)",
+             "except (ArithmeticError, ValueError, DefinitenessLost) as e:",
+             "    if all(map(isfinite, y)):",
+             "        raise",
+             "    raise NonFiniteState(f'non-finite RK4 stage state: {y}') from e",
+             "dt6 = dt / 6.0",
+             f"out = [{', '.join(update)}]",
+             "if not all(map(isfinite, out)):",
+             "    raise NonFiniteState(f'non-finite state after RK4 step: {out}')",
+             "return out"]
+    return _generate(f"RK4 step, {n} components", "rhs, x, dt", lines,
+                     {"isfinite": math.isfinite, "DefinitenessLost": DefinitenessLost,
+                      "NonFiniteState": NonFiniteState})
+
+
 def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list[float],
            ginv_rows: list[list[float]]):
     """The run's closed-loop vector field x -> x', generated from source for its mode.
@@ -157,9 +201,9 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
     -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
-    adaptive.dot's order. Only names are printed: control_terms and open_loop_rhs_flat
-    (read here, so a patched module attribute is called), the term nodes (called
-    through __call__) and each constant are arguments of the generated factory.
+    adaptive.dot's order. control_terms and open_loop_rhs_flat are read here, the term
+    nodes are called through __call__, and every constant is a closure variable
+    (_generate).
     """
     ell, rows = len(terms), range(len(ginv_rows))
     theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
@@ -173,18 +217,55 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
         lines += [f"r{i} = 0.0", *(f"r{i} = r{i} + g{i}_{j} * f{j}" for j in range(ell))]
     lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q2, p1c, p2c, u, d)",
               f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
-    names = ["k", "params", "control_terms", "open_loop_rhs_flat",
-             *(f"t{j}" for j in range(ell)), *(f"dth{j}" for j in range(ell)),
-             *(f"g{i}_{j}" for i in rows for j in range(ell))]
-    source = "".join(f"{line}\n" for line in (
-        f"def factory({', '.join(names)}):",
-        "    def rhs(x):",
-        *(f"        {line}" for line in lines),
-        "    return rhs"))
-    namespace: dict = {}
-    exec(compile(source, "<closed-loop stage>", "exec"), namespace)
-    return namespace["factory"](k, params, control_terms, open_loop_rhs_flat, *terms,
-                                *dtheta, *(g for row in ginv_rows for g in row))
+    consts = {"k": k, "params": params, "control_terms": control_terms,
+              "open_loop_rhs_flat": open_loop_rhs_flat, **_numbered("t", terms),
+              **_numbered("dth", dtheta)}
+    for i, row in enumerate(ginv_rows):
+        consts.update(_numbered(f"g{i}_", row))
+    return _generate("closed-loop stage", "x", lines, consts)
+
+
+def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None,
+         gamma_rows: list[list[float]]):
+    """The run's recorded row x -> (q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1,
+    *theta_hat), generated from source for its mode.
+
+    nominal: d = d_hat = 0 and V_lyap = Hd; disturbed_nominal: d = dist.value(...);
+    disturbed_robust (gamma_rows given): also d_hat = f^T theta_hat, the torque
+    u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
+    one statement per term in adaptive.dot's order from 0.0. control_terms,
+    controller.desired_hamiltonian, dist.value and hamiltonian are read here and
+    called once each, in that order, with the term nodes between the last two.
+    """
+    ell = len(gamma_rows)
+    theta_hat = [f"th{j}" for j in range(ell)]
+    lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
+             "u, pt1 = control_terms(k, q1, q2, p1c, p2c)",
+             "hd = desired_hamiltonian(k, q1, q2, p1c, p2c)",
+             "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0"]
+    consts = {"k": k, "params": params, "control_terms": control_terms,
+              "desired_hamiltonian": controller.desired_hamiltonian,
+              "hamiltonian": hamiltonian}
+    if dist is not None:
+        consts["value"] = dist.value
+    if ell:
+        lines += [*(f"f{j} = t{j}(q1, q2, p1c, p2c)" for j in range(ell)),
+                  "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
+                  *(f"e{j} = th{j} - dth{j}" for j in range(ell))]
+        for i in range(ell):
+            lines += [f"ge{i} = 0.0", *(f"ge{i} = ge{i} + G{i}_{j} * e{j}" for j in range(ell))]
+        lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
+                  "u = u + dhat", "v = hd + 0.5 * v"]
+        consts.update(_numbered("t", dist.regressor.terms))
+        consts.update(_numbered("dth", dist.theta.tolist()))
+        for i, row in enumerate(gamma_rows):
+            consts.update(_numbered(f"G{i}_", row))
+    else:
+        lines += ["dhat = 0.0", "v = hd"]
+    lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",
+                                        "hamiltonian(params, q2, p1c, p2c)", "hd", "v",
+                                        "pt1", *theta_hat]))
+    return _generate("recorded row", "x", lines, consts)
 
 
 def run(scenario: Scenario) -> Trace:
@@ -201,7 +282,7 @@ def run(scenario: Scenario) -> Trace:
     n = step_count(scenario.t_end, scenario.dt)
     dt = scenario.dt
 
-    terms, dtheta, ginv_rows = (), [], []
+    terms, dtheta, ginv_rows, gamma_rows = (), [], [], []
     if dist is not None:
         terms = dist.regressor.terms
         dtheta = dist.theta.tolist()
@@ -212,6 +293,7 @@ def run(scenario: Scenario) -> Trace:
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
     rhs = _stage(k, params, terms, dtheta, ginv_rows)
+    row = _row(k, params, dist, gamma_rows)
 
     t_grid = np.arange(n + 1) * dt
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
@@ -228,25 +310,13 @@ def run(scenario: Scenario) -> Trace:
     rows = n + 1
 
     for i in range(n + 1):
-        q1, q2, p1c, p2c, *theta_hat = x
         try:
-            u_now, pt1 = control_terms(k, q1, q2, p1c, p2c)
-            hd = controller.desired_hamiltonian(k, q1, q2, p1c, p2c)
+            rec[i] = row(x)
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break
-        d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
-        if robust:
-            dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
-            u_now += dhat
-            v_now = lyapunov_value(gamma_rows, theta_hat, dtheta, hd)
-        else:
-            dhat, v_now = 0.0, hd
-        rec[i] = (q1, q2, p1c, p2c, u_now, d_now, dhat,
-                  hamiltonian(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
         if i % spot_every == 0:
-            kin, pot = _spot_residuals(k, q2)
-            spots.append((float(t_grid[i]), kin, pot))
+            spots.append((float(t_grid[i]), *_spot_residuals(k, x[1])))
         if i == n:
             break
         try:

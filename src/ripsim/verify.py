@@ -182,13 +182,12 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
 
 def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
                value) -> tuple[np.ndarray, int]:
-    """linspace(0, pi/2, n+1) and the index of its first point where value(d2, d4) is
+    """linspace(0, pi/2, n+1) and the index of its first point where value(k, s, c) is
     not > 0 (n + 1 if none), found block by block (SCAN_BLOCK points each); nan fails."""
     q2, k = np.linspace(0.0, math.pi / 2, n + 1), controller.coeffs(params, gains)
     for start in range(0, n + 1, SCAN_BLOCK):
         b = q2[start:start + SCAN_BLOCK]
-        _, _, _, d2, d4 = controller.shape_terms(k, np.sin(b), np.cos(b))
-        bad = np.flatnonzero(~(value(d2, d4) > 0.0))
+        bad = np.flatnonzero(~(value(k, np.sin(b), np.cos(b)) > 0.0))
         if bad.size:
             return q2, start + int(bad[0])
     return q2, n + 1
@@ -202,7 +201,7 @@ def region_scan(params: RobotParams, gains: ControllerGains,
     nonpositive grid cell; d4 is even and strictly decreasing in |q2|
     there, so the crossing is unique.
     """
-    q2, k = _sign_scan(params, gains, cells, lambda d2, d4: d4)
+    q2, k = _sign_scan(params, gains, cells, lambda k, s, c: controller.md_d4(k, s, c)[1])
     if k == 0:
         raise EmptyRegion(f"d4(0) = {controller.d4_at_origin(params, gains):.6g} <= 0")
     return math.pi / 2 if k > cells else 0.5 * float(q2[k - 1] + q2[k])
@@ -223,7 +222,11 @@ def region_report(params: RobotParams, gains: ControllerGains,
 def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> float:
     """Last of n cells on [0, pi/2] before det Md > 0 first fails (d1 = k2 > 0 by
     ControllerGains); nan when Md(0) is not positive definite."""
-    q2, k = _sign_scan(params, gains, n, lambda d2, d4: gains.k2 * d4 - d2 * d2)
+    def det_md(k, s, c):
+        _, _, _, d2, d4 = controller.shape_terms(k, s, c)
+        return gains.k2 * d4 - d2 * d2
+
+    q2, k = _sign_scan(params, gains, n, det_md)
     return math.nan if k == 0 else math.pi / 2 if k > n else float(q2[k - 1])
 
 

@@ -5,7 +5,8 @@ flat functions the simulator and verify use, in the order the per-state
 public functions once did, so an identity stated on them holds for src's
 one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot, and
-psi_row1_derivative_fd a central-difference route to (psi1', psi2').
+psi_row1_derivative_fd a central-difference route to (psi1', psi2');
+lyapunov_value is V in adaptive.dot's order, the reference for the recorded row.
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
 """
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from ripsim import controller
+from ripsim.adaptive import dot
 from ripsim.controller import (
     _hd_gradient, _md_inverse, _z_offset, coeffs, control_law, control_terms, shape_terms,
     shaping,
@@ -97,3 +99,11 @@ def adaptation_rhs(params, gains, regressor, adaptive, q, p):
     """dtheta_hat/dt = -ptilde1 * Gamma^{-1} f(q, p)."""
     _, pt1 = control_terms(coeffs(params, gains), q[0], q[1], p[0], p[1])
     return -pt1 * (adaptive.gamma_inv @ eval_regressor(regressor, q, p))
+
+
+def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:
+    """V = Hd + 1/2 theta_err^T Gamma theta_err (adaptive's module docstring), summed
+    by adaptive.dot; gamma (rows), theta_hat and theta are ndarrays or lists of floats.
+    The reference for the V_lyap that simulate's generated row records."""
+    err = [a - b for a, b in zip(theta_hat, theta)]
+    return hd + 0.5 * dot(err, [dot(row, err) for row in gamma])

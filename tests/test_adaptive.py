@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripsim.adaptive import AdaptiveState, DisturbanceSpec, lyapunov_value
+from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.cli import trace_summary
 from ripsim.config import load_config
 from ripsim.controller import ControllerGains, coeffs, control_law
@@ -30,7 +30,9 @@ from ripsim.model import RobotParams
 from ripsim.regressor import parse_regressor
 from ripsim.simulate import run
 
-from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
+from oracles import (
+    adaptation_rhs, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs, robust_control,
+)
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)

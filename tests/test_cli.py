@@ -5,7 +5,8 @@ Covers:
     --out override, --json summary, region-exit and blow-up reporting; a
     run that leaves the band in its first step writes one row and its plots,
     each series one marker; an output directory that cannot be made (under
-    --out or output.dir) exits 2 before the run
+    --out or output.dir) exits 2 before the run, and a trace.csv or q.svg
+    that cannot be written (a directory in its place) exits 2 with its path
   - verify: seven-row report, --json records, failure exit on a broken check
     (a psi3 shift planted in controller.shaping); a coarse FD step fails
     check 1 through its fd route alone, and the row names the fd control;
@@ -185,6 +186,16 @@ def test_unusable_output_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatc
                                          + f"output: {{dir: '{out}'}}\n")]
         assert main(["simulate", *argv]) == 2
         assert capsys.readouterr().err.startswith(f"output error: {out}: ")
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "q.svg"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)   # a directory where simulate writes a file
+    argv = ["simulate", "--config", cfg_file(tmp_path, ROBOT + SHORT_SIM), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out / name}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256_1S))

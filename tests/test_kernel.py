@@ -20,6 +20,10 @@ Covers:
     random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
     SPD Gamma, theta and the regressor values holding signed zeros; out of
     band both raise the same DefinitenessLost; it builds and runs at ell = 64
+  - the row simulate.run generates per run equals the record block it
+    replaced (kept here as the reference) bit for bit: 10^4 random in-band
+    states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
+    signed zeros; out of band both raise the same DefinitenessLost
 """
 import dataclasses
 import itertools
@@ -29,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ripsim.adaptive import dot, lyapunov_value
+from ripsim.adaptive import DisturbanceSpec, dot
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
@@ -37,11 +41,13 @@ from ripsim.controller import (
     potential_matching_row, region_rho, shape_terms, shaping,
 )
 from ripsim.model import RobotParams, hamiltonian, open_loop_rhs_flat
-from ripsim.regressor import parse_term
-from ripsim.simulate import _stage, run, step_rk4
+from ripsim.regressor import RegressorSpec, parse_term
+from ripsim.simulate import _row, _stage, run, step_rk4
 from ripsim.verify import _pd_endpoint
 
-from oracles import adaptation_rhs, eval_regressor, momentum_tilde, open_loop_rhs, robust_control
+from oracles import (
+    adaptation_rhs, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs, robust_control,
+)
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -405,6 +411,58 @@ def test_generated_stage_at_ell_64():
     stage, ref = _stage(k, params, *args), stage_ref(k, params, *args)
     for x in rng.uniform(-0.5, 0.5, size=(20, 68)).tolist():
         assert bits(list(stage(x))) == bits(list(ref(x)))
+
+
+# The record block of simulate.run before its row was generated: the reference
+# for simulate._row.
+def row_ref(k, params, dist, gamma_rows):
+    robust = bool(gamma_rows)
+    terms = dist.regressor.terms if robust else ()
+    dtheta = dist.theta.tolist() if dist is not None else []
+
+    def row(x):
+        q1, q2, p1c, p2c, *theta_hat = x
+        u_now, pt1 = control_terms(k, q1, q2, p1c, p2c)
+        hd = desired_hamiltonian(k, q1, q2, p1c, p2c)
+        d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
+        if robust:
+            dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
+            u_now += dhat
+            v_now = lyapunov_value(gamma_rows, theta_hat, dtheta, hd)
+        else:
+            dhat, v_now = 0.0, hd
+        return (q1, q2, p1c, p2c, u_now, d_now, dhat,
+                hamiltonian(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
+    return row
+
+
+@pytest.mark.parametrize("ell", [1, 3, 8])
+def test_generated_row_equals_record_block(ell):
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    edge = _pd_endpoint(cfg.params, cfg.gains)
+    rng = np.random.default_rng(50 + ell)
+    terms, dtheta, ginv_rows = stage_case(rng, ell)
+    dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
+    gamma_rows = np.linalg.inv(ginv_rows).tolist()
+    modes = {"nominal": (None, []), "disturbed_nominal": (dist, []),
+             "disturbed_robust": (dist, gamma_rows)}
+    for mode, args in modes.items():
+        row, ref = _row(k, params, *args), row_ref(k, params, *args)
+        width = 4 + len(args[1])
+        xs = rng.uniform(-1.0, 1.0, size=(10 ** 4, width)) * ([3.0, 0.99 * edge, 5.0, 5.0]
+                                                             + [2.0] * (width - 4))
+        xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
+        xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
+        xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
+        for x in xs.tolist():
+            out = row(x)
+            assert type(out) is tuple and len(out) == 11 + width - 4
+            assert bits(list(out)) == bits(list(ref(x))), (mode, x)
+        for x in xs[16:216].tolist():   # past the band's edge: the same DefinitenessLost
+            x[1] = math.copysign(edge + 0.01 + 0.4 * abs(x[1]), x[1])
+            got = stage_outcome(row, x)
+            assert got[0] == "DefinitenessLost" and got == stage_outcome(ref, x), (mode, x)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@
 Covers:
   - one RK4 step of x' = -x equals 0.9048375 exactly (and e^{-0.1} to 1e-7)
   - harmonic-oscillator energy drift < 1e-8 over 10^4 steps
-  - the list step_rk4 equals the ndarray RK4 expression bit for bit
+  - the list step_rk4 equals the ndarray RK4 expression bit for bit at state
+    lengths 1-12 and 68 (4 + ell for ell = 64)
   - NonFiniteState on integrator blowup, also when rhs fails at a blown-up
     stage (a finite stage's error propagates)
   - equilibrium start stays exactly at the target, u = 0
@@ -76,13 +77,14 @@ def test_rk4_nonfinite_raises():
 
 
 def test_rk4_equals_vector_formula():
-    # the list stages and update against the ndarray expression, bit for bit
+    # the list stages and update against the ndarray expression, bit for bit, at the
+    # state lengths run() steps: 4 + ell, drawn from 1-12, and 68 (ell = 64)
     rng = np.random.default_rng(40)
-    a = rng.normal(size=(6, 6))
-    for _ in range(1000):
-        x = rng.normal(size=int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 3)
+    a = rng.normal(size=(68, 68))
+    for size in [*rng.integers(1, 13, size=1000).tolist(), *[68] * 50]:
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
         dt = 10.0 ** rng.uniform(-5, -1)
-        m = a[:x.size, :x.size]
+        m = a[:size, :size]
         rhs = lambda v: m @ np.asarray(v) + np.sin(v)
         k1 = rhs(x)
         k2 = rhs(x + (0.5 * dt) * k1)
@@ -91,7 +93,7 @@ def test_rk4_equals_vector_formula():
         want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         got = step_rk4(lambda v: rhs(v).tolist(), x.tolist(), dt)
         assert type(got) is list and all(type(v) is float for v in got)
-        assert got == want.tolist()
+        assert np.array(got).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_rk4_error_at_blown_up_stage_raises_nonfinite():
