@@ -137,7 +137,7 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
 def _generate(label: str, signature: str, lines: list[str], consts: dict):
     """The function `def fn(<signature>)` with body `lines`, compiled from source.
 
-    Only names are printed: each entry of consts (a function, a term node or a
+    Only names are printed: each entry of consts (a function, a class, a term node or a
     float) is an argument of a generated factory and so a closure variable of
     fn, which keeps -0.0 and subnormals exact and binds every function as it
     was read by the caller (a patched module attribute is the one called).
