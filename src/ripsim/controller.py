@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codegen import fuse
 from .model import RobotParams
 
 class DefinitenessLost(Exception):
@@ -281,7 +282,8 @@ def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
 def _vd(k: Coeffs, q1: float, s: float, c: float) -> float:
     """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2),
     minimized at the upright."""
-    z = q1 + _z_offset(k, s)
+    offset = _z_offset(k, s)
+    z = q1 + offset
     return 0.5 * k.kappa * z * z - k.p5_psi40 * c
 
 
@@ -305,7 +307,8 @@ def desired_hamiltonian(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float)
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c)
+    vd = _vd(k, q1, s, c)
+    return 0.5 * (p1c * pt1 + p2c * pt2) + vd
 
 
 def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
@@ -317,7 +320,8 @@ def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     dd2, dd4 = _md_prime(k, s, c, den, m11)
-    gq1, gq2 = _hd_gradient(k, q1 + _z_offset(k, s), s, ps3, dd2, dd4, pt1, pt2)
+    offset = _z_offset(k, s)
+    gq1, gq2 = _hd_gradient(k, q1 + offset, s, ps3, dd2, dd4, pt1, pt2)
     ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
@@ -332,3 +336,9 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
     definite; the simulation engine decides the policy there.
     """
     return control_terms(k, q1, q2, p1c, p2c)[0]
+
+
+# The float entry points that simulate and check 6 call run as fused code, every
+# helper call inlined at import (codegen.fuse); the definitions above are their
+# source and spec. A helper patched after import does not reach them.
+control_terms, desired_hamiltonian = fuse(control_terms, desired_hamiltonian)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import fuse
+
 # Input map (constant for this system).
 G = np.array([[1.0], [0.0]])
 
@@ -69,7 +71,8 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
 
     qdot = M^{-1} p and dH/dq2 = -p5 s - 0.5 qdot^T (dM/dq2) qdot; arithmetic only.
     """
-    i11, i12, i22 = _inv2(*_inertia(params, s, c))
+    m11, m12, m22 = _inertia(params, s, c)
+    i11, i12, i22 = _inv2(m11, m12, m22)
     v1 = i11 * p1c + i12 * p2c
     v2 = i12 * p1c + i22 * p2c
     d11 = 2.0 * params.p2 * s * c
@@ -80,7 +83,8 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
 def hamiltonian(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
     """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p."""
     s, c = math.sin(q2), math.cos(q2)
-    i11, i12, i22 = _inv2(*_inertia(params, s, c))
+    m11, m12, m22 = _inertia(params, s, c)
+    i11, i12, i22 = _inv2(m11, m12, m22)
     return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
 
 
@@ -96,3 +100,8 @@ def open_loop_rhs_flat(params: RobotParams, q2: float, p1c: float, p2c: float,
     pdot = -grad_q H + G (u - d), from scalar components with one sin/cos per call."""
     qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
     return qd1, qd2, u - d, -dh
+
+
+# The float entry points run as fused code, every helper call inlined at import
+# (codegen.fuse); the definitions above are their source and spec.
+hamiltonian, open_loop_rhs_flat = fuse(hamiltonian, open_loop_rhs_flat)

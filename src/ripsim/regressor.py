@@ -26,6 +26,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .codegen import generate
+
 VARIABLES = ("q1", "q2", "p1", "p2")
 FUNCTIONS = {"sin": math.sin, "cos": math.cos}
 
@@ -149,16 +151,10 @@ def _compile(node):
     consts: dict = {}
     lines: list = []
     result = _emit(node, lines, consts)
-    source = "".join(f"{line}\n" for line in (
-        "def term(q1, q2, p1, p2):",
-        "    try:",
-        *(f"        {line}" for line in lines),
-        f"        return {result}",
-        "    except ValueError:",
-        "        return nan"))
-    namespace = {**FUNCTIONS, "nan": math.nan, **consts}
-    exec(compile(source, "<regressor term>", "exec"), namespace)
-    return namespace["term"]
+    return generate("regressor term", "q1, q2, p1, p2",
+                    ["try:", *(f"    {line}" for line in lines), f"    return {result}",
+                     "except ValueError:", "    return nan"],
+                    {**FUNCTIONS, "nan": math.nan, **consts})
 
 
 class _Tokens:

@@ -3,12 +3,13 @@
 The composite state is the flat vector [q1, q2, p1, p2] extended by
 theta_hat in robust mode, integrated with fixed-step classical RK4 so
 runs are deterministic and byte-reproducible. Three functions are generated
-from source (_generate) with every loop unrolled: the RK4 step for the state
-length (_rk4_kernel, cached), and per run, for its mode and regressor, the
-closed-loop stage that re-evaluates the feedback torque (_stage) and the
-recorded row (_row), their sums in adaptive.dot's order. If the trajectory
-leaves the region where Md is positive definite the run stops at the last
-completed step and the trace is flagged instead of clamping the control.
+from source (codegen.generate) with every loop unrolled: the RK4 step for
+the state length (_rk4_kernel, cached), and per run, for its mode and
+regressor, the closed-loop stage that re-evaluates the feedback torque
+(_stage) and the recorded row (_row), their sums in adaptive.dot's order.
+If the trajectory leaves the region where Md is positive definite the run
+stops at the last completed step and the trace is flagged instead of
+clamping the control.
 """
 from __future__ import annotations
 
@@ -21,11 +22,14 @@ import numpy as np
 
 from . import controller
 from .adaptive import AdaptiveState, DisturbanceSpec
+from .codegen import generate
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 
 MODES = ("nominal", "disturbed_nominal", "disturbed_robust")
-N_SPOT_CHECKS = 8  # matching-residual samples recorded along a run
+# Intervals between the matching-residual samples of a run: at most N_SPOT_CHECKS + 1
+# samples, the first at t = 0.
+N_SPOT_CHECKS = 8
 # Largest n = t_end/dt: run() allocates its (n+1) x (11+ell) trace buffer up
 # front, 1.1 GB at this limit for ell = 3.
 MAX_STEPS = 10 ** 7
@@ -134,24 +138,6 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
-def _generate(label: str, signature: str, lines: list[str], consts: dict):
-    """The function `def fn(<signature>)` with body `lines`, compiled from source.
-
-    Only names are printed: each entry of consts (a function, a class, a term node or a
-    float) is an argument of a generated factory and so a closure variable of
-    fn, which keeps -0.0 and subnormals exact and binds every function as it
-    was read by the caller (a patched module attribute is the one called).
-    """
-    source = "".join(f"{line}\n" for line in (
-        f"def factory({', '.join(consts)}):",
-        f"    def fn({signature}):",
-        *(f"        {line}" for line in lines),
-        "    return fn"))
-    namespace: dict = {}
-    exec(compile(source, f"<{label}>", "exec"), namespace)
-    return namespace["factory"](**consts)
-
-
 def _numbered(prefix: str, values) -> dict:
     """{prefix0: values[0], prefix1: values[1], ...}: the constants of a generated function."""
     return {f"{prefix}{j}": v for j, v in enumerate(values)}
@@ -189,9 +175,9 @@ def _rk4_kernel(n: int):
              "if not all(map(isfinite, out)):",
              "    raise NonFiniteState(f'non-finite state after RK4 step: {out}')",
              "return out"]
-    return _generate(f"RK4 step, {n} components", "rhs, x, dt", lines,
-                     {"isfinite": math.isfinite, "DefinitenessLost": DefinitenessLost,
-                      "NonFiniteState": NonFiniteState})
+    return generate(f"RK4 step, {n} components", "rhs, x, dt", lines,
+                    {"isfinite": math.isfinite, "DefinitenessLost": DefinitenessLost,
+                     "NonFiniteState": NonFiniteState})
 
 
 def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list[float],
@@ -203,7 +189,7 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
     adaptive.dot's order. control_terms and open_loop_rhs_flat are read here, the term
     nodes are called through __call__, and every constant is a closure variable
-    (_generate).
+    (codegen.generate).
     """
     ell, rows = len(terms), range(len(ginv_rows))
     theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
@@ -222,7 +208,7 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
               **_numbered("dth", dtheta)}
     for i, row in enumerate(ginv_rows):
         consts.update(_numbered(f"g{i}_", row))
-    return _generate("closed-loop stage", "x", lines, consts)
+    return generate("closed-loop stage", "x", lines, consts)
 
 
 def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None,
@@ -265,7 +251,7 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",
                                         "hamiltonian(params, q2, p1c, p2c)", "hd", "v",
                                         "pt1", *theta_hat]))
-    return _generate("recorded row", "x", lines, consts)
+    return generate("recorded row", "x", lines, consts)
 
 
 def run(scenario: Scenario) -> Trace:
@@ -304,7 +290,7 @@ def run(scenario: Scenario) -> Trace:
     if robust:
         x += scenario.adaptive.theta_hat.tolist()
 
-    spot_every = max(n // N_SPOT_CHECKS, 1)
+    spot_every = -(-n // N_SPOT_CHECKS)   # ceil(n / N_SPOT_CHECKS) >= 1
     spots: list[tuple[float, float, float]] = []
     status, reason = "ok", ""
     rows = n + 1

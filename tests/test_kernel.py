@@ -20,6 +20,13 @@ Covers:
     random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
     SPD Gamma, theta and the regressor values holding signed zeros; out of
     band both raise the same DefinitenessLost; it builds and runs at ell = 64
+  - the four fused entry points (control_terms, desired_hamiltonian,
+    hamiltonian, open_loop_rhs_flat) name none of the helpers inlined into
+    them and equal their helper-calling definitions bit for bit; fuse()
+    keeps values and exceptions through argument expressions, default
+    arguments and a return that reads an earlier target, and refuses a loop,
+    an early return, a nested helper call or an assignment to a parameter,
+    naming the helper, when it builds
   - the row simulate.run generates per run equals the record block it
     replaced (kept here as the reference) bit for bit: 10^4 random in-band
     states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
@@ -28,12 +35,14 @@ Covers:
 import dataclasses
 import itertools
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ripsim.adaptive import DisturbanceSpec, dot
+from ripsim.codegen import fuse
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
@@ -324,6 +333,123 @@ def test_folded_helpers_equal_unfolded():
             assert bits([potential_matching_row(k, s, sh.ps3, *g)]) == \
                 bits([potential_row_ref(params, gains, s, sh.ps3, *g)])
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
+
+
+FUSED = {   # each fused entry point and every helper inlined into it
+    control_terms: ("shape_terms", "md_d4", "_md_inverse", "_md_prime", "_hd_gradient",
+                    "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
+    desired_hamiltonian: ("shape_terms", "md_d4", "_md_inverse", "_vd", "_z_offset"),
+    hamiltonian: ("_inertia", "_inv2"),
+    open_loop_rhs_flat: ("_plant", "_inertia", "_inv2"),
+}
+
+
+@pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
+def test_fused_entry_points_call_no_helper(fn):
+    code = fn.__code__
+    assert code.co_filename == f"<fused {fn.__name__}>"
+    assert not set(FUSED[fn]) & set(code.co_names + code.co_freevars)
+    spec, seen, todo = fn.__wrapped__, set(), [fn.__wrapped__]
+    while todo:   # the helper-calling definition calls exactly these, directly or not
+        f = todo.pop()
+        for name in f.__code__.co_names:
+            g = f.__globals__.get(name)
+            if isinstance(g, types.FunctionType) and g.__module__ == f.__module__ \
+                    and name not in seen:
+                seen.add(name)
+                todo.append(g)
+    assert seen == set(FUSED[fn])
+    rng = np.random.default_rng(24)
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    k, params = coeffs(cfg.params, cfg.gains), cfg.params
+    for q1, q2, p1c, p2c in (rng.uniform(-1.0, 1.0, size=(2000, 4)) * 2.0).tolist():
+        args = {control_terms: (k, q1, q2, p1c, p2c), desired_hamiltonian: (k, q1, q2, p1c, p2c),
+                hamiltonian: (params, q2, p1c, p2c),
+                open_loop_rhs_flat: (params, q2, p1c, p2c, q1, 0.5)}[fn]
+        assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
+
+
+# Helpers of the forms fuse() accepts and refuses. They are module functions so
+# that fuse() reads their source from this file, as it reads src's.
+def _pair(x, scale=2.0):
+    y = x * scale
+    if y > 1e300:
+        raise OverflowError(y)
+    return y + 1.0, y
+
+
+def _swap(a, b):
+    return b, a
+
+
+def _accepted(x, y):
+    a, b = _pair(x + y)     # an argument that is not a name, a default argument
+    a, b = _swap(a, b)      # b reads the a assigned before it: one tuple assignment
+    c, d = _swap(a, 3.0)    # a number argument
+    return a, b, c, d
+
+
+def _looping(x):
+    y = x
+    for _ in range(2):
+        y = y * x
+    return y
+
+
+def _early(x):
+    if x > 0.0:
+        return x
+    return -x
+
+
+def _nested(x):
+    y = _swap(_early(x), x)
+    return y
+
+
+def _sets_param(x):
+    x = x + 1.0
+    return x
+
+
+def _calls_looping(x):
+    y = _looping(x)
+    return y
+
+
+def _calls_early(x):
+    y = _early(x)
+    return y
+
+
+def _calls_nested(x):
+    y = _nested(x)
+    return y
+
+
+def _calls_sets_param(x):
+    y = _sets_param(x)
+    return y
+
+
+def test_fuse_keeps_values_and_order():
+    (fused,) = fuse(_accepted)
+    assert not {"_pair", "_swap"} & set(fused.__code__.co_names + fused.__code__.co_freevars)
+    for x, y in [(0.25, -1.5), (-0.0, 0.0), (3.0, 1e-310), (-1e300, 1e299)]:
+        assert bit_outcome(fused, x, y) == bit_outcome(_accepted, x, y)
+    with pytest.raises(OverflowError):
+        fused(1e300, 1e300)
+
+
+@pytest.mark.parametrize("entry, helper, why", [
+    (_calls_looping, "_looping", "a loop"),
+    (_calls_early, "_early", "an early return"),
+    (_calls_nested, "_nested", "a helper call that is not a statement of its own"),
+    (_calls_sets_param, "_sets_param", "an assignment to a parameter"),
+], ids=["loop", "early_return", "nested_call", "assigns_parameter"])
+def test_fuse_refuses_at_build_time(entry, helper, why):
+    with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
+        fuse(entry)
 
 
 # The three stage closures simulate.run picked by mode before its stage was

@@ -13,6 +13,8 @@ Covers:
   - nominal mode: Hd nonincreasing (slope tolerance 1e-7) and the global
     energy balance Hd(T)-Hd(0) = -kv int ptilde1^2 holds to O(dt^4)
   - grid refinement: halving dt shrinks the endpoint error ~16x
+  - spot checks: one every ceil(n/8) steps from t = 0, at most 9 per run, for
+    n = 1..64 steps
   - region exit: flagged + truncated, never clamped;
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows
@@ -177,6 +179,19 @@ def test_spot_checks_recorded_and_small():
     assert 1 <= len(tr.spot_checks) <= 9
     for t_at, kin, pot in tr.spot_checks:
         assert kin < 1e-9 and pot < 1e-9
+
+
+def test_spot_checks_at_most_n_spot_checks_plus_one():
+    # one sample every ceil(n / N_SPOT_CHECKS) steps from t = 0; n // 8 steps
+    # apart recorded n + 1 samples for 8 <= n < 16 (13 at n = 12)
+    for n in range(1, 65):
+        tr = run(nominal((0.1, 0.3), t_end=n * 1e-3))
+        assert tr.status == "ok" and len(tr.t) == n + 1
+        every = math.ceil(n / sim.N_SPOT_CHECKS)
+        assert [t for t, _, _ in tr.spot_checks] == tr.t[::every].tolist()
+        assert len(tr.spot_checks) <= sim.N_SPOT_CHECKS + 1
+        if n % sim.N_SPOT_CHECKS == 0:   # the presets' n: 9 samples, as before
+            assert len(tr.spot_checks) == sim.N_SPOT_CHECKS + 1
 
 
 def test_start_outside_region_flagged():
