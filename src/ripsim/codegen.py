@@ -25,22 +25,37 @@ _UNBOUND = re.compile(r"\*|[A-Za-z_]\w*\s*=(?!=)")   # an unpacked or keyword ar
 _PUNCT = re.compile(r"[][(){},]")
 
 
-def generate(label: str, signature: str, lines: list[str], consts: dict):
-    """The function `def fn(<signature>)` with body `lines`, compiled from source.
+def generate(label: str, name: str, signature: str, lines: list[str], consts: dict):
+    """The function `def <name>(<signature>)` with body `lines`, compiled from source.
 
     Only names are printed: each entry of consts (a function, a class, a term node or a
     float) is an argument of a generated factory and so a closure variable of
-    fn, which keeps -0.0 and subnormals exact and binds every function as it
-    was read by the caller (a patched module attribute is the one called).
+    the function, which keeps -0.0 and subnormals exact and binds every function as it
+    was read by the caller (a patched module attribute is the one called). The source
+    is registered in linecache under the file name <label> (_register), so a traceback
+    through the function shows its lines.
     """
     source = "".join(f"{line}\n" for line in (
         f"def factory({', '.join(consts)}):",
-        f"    def fn({signature}):",
+        f"    def {name}({signature}):",
         *(f"        {line}" for line in lines),
-        "    return fn"))
+        f"    return {name}"))
     namespace: dict = {}
-    exec(compile(source, f"<{label}>", "exec"), namespace)
+    exec(compile(source, _register(label, source), "exec"), namespace)
     return namespace["factory"](**consts)
+
+
+def _register(label: str, source: str) -> str:
+    """The file name of source in linecache: <label>, or <label #2>, <label #3> ..., the
+    first that is free or holds this source, so that two sources never share a name.
+    The entry has no mtime, which linecache.checkcache keeps."""
+    lines = source.splitlines(True)
+    for i in itertools.count(1):
+        filename = f"<{label}>" if i == 1 else f"<{label} #{i}>"
+        entry = linecache.cache.get(filename)
+        if entry is None or entry[2] == lines:
+            linecache.cache[filename] = (len(source), None, lines, filename)
+            return filename
 
 
 def fuse(*entries) -> tuple:
@@ -53,16 +68,19 @@ def fuse(*entries) -> tuple:
     unique to the call site (a local it returns as it is takes its target's name),
     and its default arguments and the module globals it reads become closure
     constants. Its final `return e1, e2` becomes `a = e1` and `b = e2`, or one tuple
-    assignment where an element reads an earlier target. Python evaluates floats
-    left to right and never contracts two operations, so a fused function gives
-    the same doubles and raises the same exceptions as its entry, which it keeps as
-    __wrapped__. The source is read from the entry's file.
+    assignment where an element reads an earlier target; an element whose target is
+    `_` is dropped, not evaluated. Python evaluates floats left to right and never
+    contracts two operations, so a fused function gives the same doubles and raises
+    the same exceptions as its entry, provided no dropped element is the first to
+    raise (desired_hamiltonian drops shape_terms' c / den, whose den its d4 has
+    divided by already). The entry is kept as __wrapped__; its source is read from
+    the entry's file.
 
     Raises ValueError, naming the function, at what it cannot inline: a loop or a
     lambda, a return before the last statement, an assignment to a parameter or to
     a global, a helper call that is not the whole right-hand side of an assignment
-    to names, a string, or a statement other than such an assignment,
-    if/elif/else, raise or pass.
+    to names, a _ other than as a target of such a call, a string, or a statement
+    other than such an assignment, if/elif/else, raise or pass.
     """
     parsed: dict = {}
     fused = []
@@ -73,7 +91,8 @@ def fuse(*entries) -> tuple:
         consts: dict = {}
         _emit(entry, None, None, lines, consts, parsed, itertools.count())
         params = entry.__code__.co_varnames[:entry.__code__.co_argcount]
-        fn = generate("fused " + entry.__qualname__, ", ".join(params), lines, consts)
+        fn = generate("fused " + entry.__qualname__, entry.__name__, ", ".join(params), lines,
+                      consts)
         fused.append(functools.update_wrapper(fn, entry))
     return tuple(fused)
 
@@ -132,12 +151,14 @@ def _sub(parts, ren):
 
 
 def _assign(targets, elements, whole, ren):
-    """The lines of `targets = whole` for the helper's `return whole`: one per target,
-    or one tuple assignment where an element reads a target assigned before it or
-    the counts differ."""
+    """The lines of `targets = whole` for the helper's `return whole`: one per target
+    but `_`, whose element is dropped, or one tuple assignment where an element reads
+    a target assigned before it or the counts differ."""
     if len(elements) == len(targets):
         lines, done = [], set()
         for t, e in zip(targets, elements):
+            if t == "_":
+                continue
             if done.intersection(map(ren.get, e[1::2], e[1::2])):
                 break
             value = _sub(e, ren)
@@ -219,6 +240,9 @@ def _parse(fn):
         if "for" in words or "while" in words or "lambda" in words:
             raise _refused(fn, "a loop or a lambda", text)
         called = [n for n in words if n in helpers]
+        if "_" in words and not (kind and kind[2] and called
+                                 and "_" not in words[kind[2].count(",") + 1:]):
+            raise _refused(fn, "a _ other than as a target of a helper call", text)
         if kind and kind[1]:
             rhs = text[6:].strip()
             stmts.append(("return", _NAME.split(rhs), list(map(_NAME.split, _split(rhs)))))

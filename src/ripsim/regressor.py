@@ -151,7 +151,7 @@ def _compile(node):
     consts: dict = {}
     lines: list = []
     result = _emit(node, lines, consts)
-    return generate("regressor term", "q1, q2, p1, p2",
+    return generate("regressor term", "term", "q1, q2, p1, p2",
                     ["try:", *(f"    {line}" for line in lines), f"    return {result}",
                      "except ValueError:", "    return nan"],
                     {**FUNCTIONS, "nan": math.nan, **consts})

@@ -175,7 +175,7 @@ def _rk4_kernel(n: int):
              "if not all(map(isfinite, out)):",
              "    raise NonFiniteState(f'non-finite state after RK4 step: {out}')",
              "return out"]
-    return generate(f"RK4 step, {n} components", "rhs, x, dt", lines,
+    return generate(f"RK4 step, {n} components", "rk4_step", "rhs, x, dt", lines,
                     {"isfinite": math.isfinite, "DefinitenessLost": DefinitenessLost,
                      "NonFiniteState": NonFiniteState})
 
@@ -208,7 +208,8 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
               **_numbered("dth", dtheta)}
     for i, row in enumerate(ginv_rows):
         consts.update(_numbered(f"g{i}_", row))
-    return generate("closed-loop stage", "x", lines, consts)
+    return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}", "stage",
+                    "x", lines, consts)
 
 
 def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None,
@@ -251,7 +252,8 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",
                                         "hamiltonian(params, q2, p1c, p2c)", "hd", "v",
                                         "pt1", *theta_hat]))
-    return generate("recorded row", "x", lines, consts)
+    return generate(f"recorded row{'' if dist is None else ', disturbed'}"
+                    f"{f', {ell} estimates' if ell else ''}", "row", "x", lines, consts)
 
 
 def run(scenario: Scenario) -> Trace:

@@ -180,17 +180,31 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
         details={"q1_dependence_of_residual": q1_spread})
 
 
-def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
-               value) -> tuple[np.ndarray, int]:
-    """linspace(0, pi/2, n+1) and the index of its first point where value(k, s, c) is
-    not > 0 (n + 1 if none), found block by block (SCAN_BLOCK points each); nan fails."""
-    q2, k = np.linspace(0.0, math.pi / 2, n + 1), controller.coeffs(params, gains)
+def _grid_blocks(n: int):
+    """linspace(0, pi/2, n+1), n >= 1, as (start index, points) blocks of SCAN_BLOCK points,
+    each made only when it is reached and bit-identical to linspace's: point i is
+    i * ((pi/2)/n) and point n is pi/2. Memory is set by SCAN_BLOCK, not by n."""
+    step = math.pi / 2 / n
     for start in range(0, n + 1, SCAN_BLOCK):
-        b = q2[start:start + SCAN_BLOCK]
+        b = np.arange(start, min(start + SCAN_BLOCK, n + 1), dtype=float) * step
+        if start + SCAN_BLOCK > n:
+            b[-1] = math.pi / 2
+        yield start, b
+
+
+def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
+               value) -> tuple[int, float, float]:
+    """(i, q2[i - 1], q2[i]) for the first point i of q2 = linspace(0, pi/2, n+1) where
+    value(k, s, c) is not > 0 (i = n + 1 if none), found block by block (_grid_blocks);
+    nan fails. A point outside the grid is nan."""
+    k, before = controller.coeffs(params, gains), math.nan
+    for start, b in _grid_blocks(n):
         bad = np.flatnonzero(~(value(k, np.sin(b), np.cos(b)) > 0.0))
         if bad.size:
-            return q2, start + int(bad[0])
-    return q2, n + 1
+            j = int(bad[0])
+            return start + j, float(b[j - 1]) if j else before, float(b[j])
+        before = float(b[-1])
+    return n + 1, before, math.nan
 
 
 def region_scan(params: RobotParams, gains: ControllerGains,
@@ -201,10 +215,11 @@ def region_scan(params: RobotParams, gains: ControllerGains,
     nonpositive grid cell; d4 is even and strictly decreasing in |q2|
     there, so the crossing is unique.
     """
-    q2, k = _sign_scan(params, gains, cells, lambda k, s, c: controller.md_d4(k, s, c)[1])
-    if k == 0:
+    i, before, at = _sign_scan(params, gains, cells,
+                               lambda k, s, c: controller.md_d4(k, s, c)[1])
+    if i == 0:
         raise EmptyRegion(f"d4(0) = {controller.d4_at_origin(params, gains):.6g} <= 0")
-    return math.pi / 2 if k > cells else 0.5 * float(q2[k - 1] + q2[k])
+    return before if i > cells else 0.5 * (before + at)
 
 
 def region_report(params: RobotParams, gains: ControllerGains,
@@ -226,8 +241,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> 
         _, _, _, d2, d4 = controller.shape_terms(k, s, c)
         return gains.k2 * d4 - d2 * d2
 
-    q2, k = _sign_scan(params, gains, n, det_md)
-    return math.nan if k == 0 else math.pi / 2 if k > n else float(q2[k - 1])
+    return _sign_scan(params, gains, n, det_md)[1]
 
 
 def md_definiteness_scan(params: RobotParams, gains: ControllerGains,

@@ -31,10 +31,17 @@ Covers:
     replaced (kept here as the reference) bit for bit: 10^4 random in-band
     states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
     signed zeros; out of band both raise the same DefinitenessLost
+  - fuse() drops a result discarded into _ (fused desired_hamiltonian has no
+    _) and refuses a _ that is read
+  - generated code shows its source in tracebacks: the raise line and the
+    function's role name, for fused control_terms and for a generated stage
+    out of band; two different generated sources never share a file name
 """
 import dataclasses
 import itertools
+import linecache
 import math
+import traceback
 import types
 from pathlib import Path
 
@@ -432,6 +439,21 @@ def _calls_sets_param(x):
     return y
 
 
+def _discards(x):
+    _, b = _pair(x)         # y + 1.0 is dropped, not evaluated
+    return b
+
+
+def _reads_discard(x):
+    _, b = _pair(x)
+    return _ + b
+
+
+def _calls_reads_discard(x):
+    y = _reads_discard(x)
+    return y
+
+
 def test_fuse_keeps_values_and_order():
     (fused,) = fuse(_accepted)
     assert not {"_pair", "_swap"} & set(fused.__code__.co_names + fused.__code__.co_freevars)
@@ -441,12 +463,24 @@ def test_fuse_keeps_values_and_order():
         fused(1e300, 1e300)
 
 
+def test_fuse_drops_discarded_results():
+    (fused,) = fuse(_discards)
+    assert "_" not in fused.__code__.co_varnames
+    for x in (0.25, -0.0, 1e-310, -1e301):
+        assert bit_outcome(fused, x) == bit_outcome(_discards, x)
+    with pytest.raises(OverflowError):
+        fused(1e301)
+    # shape_terms' den, m11 and c / den, which desired_hamiltonian discards
+    assert "_" not in desired_hamiltonian.__code__.co_varnames
+
+
 @pytest.mark.parametrize("entry, helper, why", [
     (_calls_looping, "_looping", "a loop"),
     (_calls_early, "_early", "an early return"),
     (_calls_nested, "_nested", "a helper call that is not a statement of its own"),
     (_calls_sets_param, "_sets_param", "an assignment to a parameter"),
-], ids=["loop", "early_return", "nested_call", "assigns_parameter"])
+    (_calls_reads_discard, "_reads_discard", "a _ other than as a target of a helper call"),
+], ids=["loop", "early_return", "nested_call", "assigns_parameter", "reads_discard"])
 def test_fuse_refuses_at_build_time(entry, helper, why):
     with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
         fuse(entry)
@@ -650,3 +684,52 @@ def test_robust_steps_equal_public_rk4(fig4_short):
         x = np.concatenate([q, p, theta_hat])
         row = np.concatenate([trace.q[k + 1], trace.p[k + 1], trace.theta_hat[k + 1]])
         np.testing.assert_allclose(row, step_rk4(rhs, x, cfg.dt), rtol=ULPS, atol=0.0)
+
+
+def formatted_error(fn, *args):
+    """The traceback fn(*args) prints, formatted after linecache.checkcache."""
+    with pytest.raises(DefinitenessLost) as info:
+        fn(*args)
+    linecache.checkcache()   # keeps the generated sources: their entries have no mtime
+    return "".join(traceback.format_exception(info.type, info.value, info.tb))
+
+
+def test_generated_code_shows_its_source_in_tracebacks():
+    cfg = load_config(str(PRESETS / "fig2.yaml"))
+    k = coeffs(cfg.params, cfg.gains)
+    text = formatted_error(control_terms, k, 0.0, 1.5, 0.0, 0.0)
+    assert 'File "<fused control_terms>", line ' in text and ", in control_terms\n" in text
+    assert "    raise DefinitenessLost(q2, " in text
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    k, rng = coeffs(cfg.params, cfg.gains), np.random.default_rng(3)
+    stage = _stage(k, cfg.params, *stage_case(rng, 3))
+    text = formatted_error(stage, [0.0, 1.5, 0.0, 0.0, 0.1, 0.2, 0.3])
+    assert 'File "<closed-loop stage, 3 terms, adaptive>", line 4, in stage\n' \
+           "    u, pt1 = control_terms(k, q1, q2, p1c, p2c)\n" in text
+    assert ", in control_terms\n" in text and "    raise DefinitenessLost(q2, " in text
+
+
+def test_generated_sources_never_share_a_file_name():
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    rng = np.random.default_rng(7)
+    fns = [control_terms, desired_hamiltonian, hamiltonian, open_loop_rhs_flat]
+    for ell in (1, 3):
+        terms, dtheta, ginv_rows = stage_case(rng, ell)
+        dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
+        gamma_rows = np.linalg.inv(ginv_rows).tolist()
+        fns += [_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
+                _stage(k, params, terms, dtheta, ginv_rows), _row(k, params, None, []),
+                _row(k, params, dist, []), _row(k, params, dist, gamma_rows),
+                *(t.compiled for t in terms)]
+    sources: dict = {}
+    for fn in fns:
+        code = fn.__code__
+        source = "".join(linecache.getlines(code.co_filename))
+        sources.setdefault(code.co_filename, set()).add(source)
+        assert code.co_name != "fn" and f"def {code.co_name}(" in \
+            linecache.getline(code.co_filename, 2)
+    assert all(len(s) == 1 and "" not in s for s in sources.values()), sources
+    # 4 fused, 5 stages and 4 rows (ell changes neither the nominal stage nor the
+    # nominal and disturbed rows), 3 terms
+    assert len(sources) == 4 + 5 + 4 + 3

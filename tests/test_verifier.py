@@ -14,6 +14,11 @@ Covers:
     frozen Md(0) eigenvalues; checks 4 and 6 fail when Md(0) is not PD
   - the shared d4 / det Md sign scan walked in blocks of 64 points equals
     the one-pass scans it replaced (presets, random draws, grid edges)
+  - the scan's blocks, made as they are scanned, concatenate to linspace's
+    grid byte for byte (n from 1 to 10^6, around SCAN_BLOCK); rho_scan and the
+    Md interval endpoint at the fixed sizes equal their pinned values per
+    preset; under tracemalloc, region_report at 10^6 cells and verify_all on
+    default peak below 2 MiB (the whole grid alone is 8 MB)
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws; a
     Hessian scaled by 1 + 1e-3 fails check 5 through its fd control on
     every preset
@@ -32,6 +37,7 @@ Covers:
   - pointwise residuals and d4 even in q2
 """
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -220,6 +226,46 @@ def test_sign_scans_blocks_equal_one_pass(monkeypatch):
         for cells, n in ((10 ** 4, 4000), (63, 64), (64, 63), (5000, 129)):
             scans = (region_scan(params, gains, cells), _pd_endpoint(params, gains, n))
             assert scans == one_pass_scans(params, gains, cells, n), (params, gains, cells, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4000, verify.SCAN_BLOCK - 1, verify.SCAN_BLOCK,
+                               verify.SCAN_BLOCK + 1, 10 ** 5, 10 ** 6])
+def test_grid_blocks_equal_linspace(n):
+    blocks = list(verify._grid_blocks(n))
+    assert [start for start, _ in blocks] == list(range(0, n + 1, verify.SCAN_BLOCK))
+    assert all(b.size <= verify.SCAN_BLOCK for _, b in blocks)
+    grid = np.concatenate([b for _, b in blocks])
+    assert grid.tobytes() == np.linspace(0.0, math.pi / 2, n + 1).tobytes()
+
+
+@pytest.mark.parametrize("name, rho_scan, pd_endpoint", [
+    ("default", 1.082855936811781, 1.079451235773453),
+    ("fig2", 1.082855936811781, 1.0255886297276557),
+    ("fig3", 1.082855936811781, 1.0255886297276557),
+    ("fig4", 1.082855936811781, 1.0255886297276557),
+    ("synthetic", 0.5426386596747677, 0.5116554875269016),
+])
+def test_sign_scans_at_fixed_sizes(name, rho_scan, pd_endpoint):
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    opts = VerifyOptions()
+    assert region_scan(cfg.params, cfg.gains, opts.scan_cells) == rho_scan
+    assert _pd_endpoint(cfg.params, cfg.gains, opts.md_scan_points) == pd_endpoint
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_scans_hold_no_whole_grid():
+    cfg = load_config(str(PRESETS / "default.yaml"))
+    assert traced_peak(region_report, cfg.params, cfg.gains, 10 ** 6) < 2 * 2 ** 20
+    assert traced_peak(verify_all, cfg.params, cfg.gains, cfg.verify) < 2 * 2 ** 20
 
 
 def test_md_interval_widens_with_k2():
