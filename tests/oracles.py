@@ -7,14 +7,16 @@ one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot, and
 psi_row1_derivative_fd a central-difference route to (psi1', psi2');
 lyapunov_value is V in adaptive.dot's order, the reference for the recorded row.
-inject_shaping_fault plants a fault in the closed forms, which verify must
-detect.
+two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point,
+and det_md_shape_terms det Md formed from all of shape_terms, the value check 4
+scanned before it formed only d2 and d4. inject_shaping_fault plants a fault in
+the closed forms, which verify must detect.
 """
 import math
 
 import numpy as np
 
-from ripsim import controller
+from ripsim import controller, verify
 from ripsim.adaptive import dot
 from ripsim.controller import (
     _hd_gradient, _md_inverse, _z_offset, coeffs, control_law, control_terms, shape_terms,
@@ -107,3 +109,22 @@ def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:
     The reference for the V_lyap that simulate's generated row records."""
     err = [a - b for a, b in zip(theta_hat, theta)]
     return hd + 0.5 * dot(err, [dot(row, err) for row in gamma])
+
+
+def two_trig_sign_scan(params, gains, n, value):
+    """verify._sign_scan as it read with s = np.sin(q2) and c = np.cos(q2) at every
+    point: the reference for the one-trig scan."""
+    k, before = coeffs(params, gains), math.nan
+    for start, b in verify._grid_blocks(n):
+        bad = np.flatnonzero(~(value(k, np.sin(b), np.cos(b)) > 0.0))
+        if bad.size:
+            j = int(bad[0])
+            return start + j, float(b[j - 1]) if j else before, float(b[j])
+        before = float(b[-1])
+    return n + 1, before, math.nan
+
+
+def det_md_shape_terms(k, s, c):
+    """det Md = k2 d4 - d2^2 with d2 and d4 taken from all of shape_terms."""
+    _, _, _, d2, d4 = shape_terms(k, s, c)
+    return k.k2 * d4 - d2 * d2

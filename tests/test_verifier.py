@@ -19,6 +19,9 @@ Covers:
     Md interval endpoint at the fixed sizes equal their pinned values per
     preset; under tracemalloc, region_report at 10^6 cells and verify_all on
     default peak below 2 MiB (the whole grid alone is 8 MB)
+  - the one-trig scan (s = sqrt(1 - c c)) finds the same index and points as
+    the two-trig scan it replaced, for d4 and det Md (100 random draws and the
+    presets, 4000 and 10^5 cells)
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws; a
     Hessian scaled by 1 + 1e-3 fails check 5 through its fd control on
     every preset
@@ -33,7 +36,8 @@ Covers:
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
     integrated-solution soundness < 1e-6; the one-loop integrator equals the
     per-stage loop it replaced bit for bit (50 random specs on two spans, a
-    blow-up spec nan for nan); a nan soundness control fails check 7 silently
+    blow-up spec nan for nan); a nan soundness control fails check 7 silently;
+    under tracemalloc, check 7 on default peaks below 1.5 MiB
   - pointwise residuals and d4 even in q2
 """
 import math
@@ -48,7 +52,7 @@ import ripsim.verify as verify
 from ripsim import controller
 from ripsim.config import load_config
 from ripsim.controller import (
-    ControllerGains, EmptyRegion, coeffs, control_law, region_rho, shape_terms,
+    ControllerGains, EmptyRegion, coeffs, control_law, md_d4, region_rho, shape_terms,
 )
 from ripsim.model import G, RobotParams
 from ripsim.simulate import _spot_residuals
@@ -60,8 +64,8 @@ from ripsim.verify import (
 )
 
 from oracles import (
-    grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde, open_loop_rhs, psi_matrix,
-    shift_psi3, zero_alpha,
+    det_md_shape_terms, grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde,
+    open_loop_rhs, psi_matrix, shift_psi3, two_trig_sign_scan, zero_alpha,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -252,6 +256,26 @@ def test_sign_scans_at_fixed_sizes(name, rho_scan, pd_endpoint):
     assert _pd_endpoint(cfg.params, cfg.gains, opts.md_scan_points) == pd_endpoint
 
 
+def test_one_trig_scan_equals_two_trig_scan(monkeypatch):
+    # checks 3 and 4 as verify runs them (s = sqrt(1 - c c); det Md from md_d4 and
+    # md_d2) against the two-trig scan of d4 and of det Md from all of shape_terms:
+    # the same (index, point before, point at) on 100 random admissible draws and
+    # the presets, at both of check 4's sizes
+    real, seen = verify._sign_scan, []
+    monkeypatch.setattr(verify, "_sign_scan", lambda *args: seen.append(real(*args)) or seen[-1])
+    rng = np.random.default_rng(36)
+    cases = [plant_and_gains(name) for name in ("P_SYN",) + PRESET_NAMES]
+    cases += [rand_draw(rng) for _ in range(100)]
+    for params, gains in cases:
+        for n in (4000, 10 ** 5):
+            seen.clear()
+            region_scan(params, gains, n)
+            _pd_endpoint(params, gains, n)
+            want = [two_trig_sign_scan(params, gains, n, lambda k, s, c: md_d4(k, s, c)[1]),
+                    two_trig_sign_scan(params, gains, n, det_md_shape_terms)]
+            assert repr(seen) == repr(want), (params, gains, n)
+
+
 def traced_peak(fn, *args):
     """The tracemalloc peak, in bytes, of fn(*args)."""
     tracemalloc.start()
@@ -266,6 +290,13 @@ def test_sign_scans_hold_no_whole_grid():
     cfg = load_config(str(PRESETS / "default.yaml"))
     assert traced_peak(region_report, cfg.params, cfg.gains, 10 ** 6) < 2 * 2 ** 20
     assert traced_peak(verify_all, cfg.params, cfg.gains, cfg.verify) < 2 * 2 ** 20
+
+
+def test_check_7_holds_only_its_direction_arrays():
+    # one direction's arrays of 10 001 points (grid, midpoints, their -sin 2q and
+    # cos q, m), freed before the residual's temporaries: 0.71 MiB on default
+    opts = load_config(str(PRESETS / "default.yaml")).verify
+    assert traced_peak(remark2_residual, opts.counterexample, opts.grid_points) < 1.5 * 2 ** 20
 
 
 def test_md_interval_widens_with_k2():
