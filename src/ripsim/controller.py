@@ -125,17 +125,11 @@ def md_d4(k: Coeffs, s: float, c: float) -> tuple[float, float]:
     return den, k.p3 * c * c / den - k.p4psi40
 
 
-def md_d2(k: Coeffs, s: float, c: float, den: float) -> tuple[float, float]:
-    """(m11, d2): the Md entry d2 and the inertia entry m11 = p1 + p2 s^2 it is
-    formed from, given md_d4's den (with d4, det Md for check 4's scan)."""
-    m11 = k.p1 + k.p2 * s * s
-    return m11, c * (m11 / den - k.p3psi40)
-
-
 def shape_terms(k: Coeffs, s: float, c: float):
     """(den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
     den, d4 = md_d4(k, s, c)
-    m11, d2 = md_d2(k, s, c, den)
+    m11 = k.p1 + k.p2 * s * s
+    d2 = c * (m11 / den - k.p3psi40)
     return den, m11, c / den, d2, d4
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -200,8 +199,8 @@ def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
     nan fails. A point outside the grid is nan.
 
     One trig per point: s = sqrt(1 - c c), which is sin q2 on [0, pi/2], where
-    sin q2 >= 0. The closed forms scanned (md_d4, md_d2) read s only as s * s, so
-    s differs from np.sin's by rounding alone."""
+    sin q2 >= 0. The closed forms scanned (md_d4, shape_terms) read s only as
+    s * s, so s differs from np.sin's by rounding alone."""
     k, before = controller.coeffs(params, gains), math.nan
     for start, b in _grid_blocks(n):
         c = np.cos(b)
@@ -244,8 +243,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> 
     """Last of n cells on [0, pi/2] before det Md > 0 first fails (d1 = k2 > 0 by
     ControllerGains); nan when Md(0) is not positive definite."""
     def det_md(k, s, c):
-        den, d4 = controller.md_d4(k, s, c)
-        d2 = controller.md_d2(k, s, c, den)[1]
+        _, _, _, d2, d4 = controller.shape_terms(k, s, c)
         return gains.k2 * d4 - d2 * d2
 
     return _sign_scan(params, gains, n, det_md)[1]
@@ -434,39 +432,33 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
 
     The right-hand side is (a m^2 - 4 m + b) / frak_k1 with a = -sin 2q and
     b = 2 frak_k1 / cos^2 q; an RK4 step takes (a, b) at its midpoint, which
-    k2 and k3 share, and at its end, which is the next step's start. The grid
-    q (sequential sums of the step, as q += h would give), its midpoints and
-    their -sin 2q and cos q are arrays made before the loop, which runs the m
-    recursion alone. b stays on floats: np.square rounds apart from ** 2 (the C
-    library's pow) at some points, while np.sin and np.cos give math.sin's and
-    math.cos's doubles on these grids.
+    k2 and k3 share, and at its end, which is the next step's start.
     """
-    fk = float(spec.frak_k1)
+    fk, sin, cos = float(spec.frak_k1), math.sin, math.cos
     two_fk = 2.0 * fk
     n = int(round(span / h))
     m0 = float(claimed_m22(spec, 0.0))
     rs = []
     for hh in (h, -h):
         half, sixth = 0.5 * hh, hh / 6.0
-        qs = np.frombuffer(array("d", accumulate(repeat(hh, n), initial=0.0)))
-        mid = qs[:-1] + half
-        a_q, a_mid = (memoryview(-np.sin(2.0 * x)) for x in (qs, mid))
-        c_q, c_mid = (memoryview(np.cos(x)) for x in (qs, mid))
-        ms, m = array("d", [m0]), m0
-        a, b = a_q[0], two_fk / c_q[0] ** 2
-        for am, cm, a_end, c_end in zip(a_mid, c_mid, a_q[1:], c_q[1:]):
-            bm = two_fk / cm ** 2
+        qs, ms = array("d", [0.0]), array("d", [m0])
+        q, m = 0.0, m0
+        a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
+        for _ in range(n):
+            qm = q + half
+            am, bm = -sin(2.0 * qm), two_fk / cos(qm) ** 2
+            q += hh
             k1 = (a * m * m - 4.0 * m + b) / fk
             x = m + half * k1
             k2 = (am * x * x - 4.0 * x + bm) / fk
             x = m + half * k2
             k3 = (am * x * x - 4.0 * x + bm) / fk
             x = m + hh * k3
-            a, b = a_end, two_fk / c_end ** 2
+            a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
             m += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + (a * x * x - 4.0 * x + b) / fk)
+            qs.append(q)
             ms.append(m)
-        del mid, a_q, a_mid, c_q, c_mid   # before the residual's temporaries
-        ms = np.frombuffer(ms)
+        qs, ms = np.frombuffer(qs), np.frombuffer(ms)
         with np.errstate(invalid="ignore", over="ignore"):
             dm = (-ms[4:] + 8 * ms[3:-1] - 8 * ms[1:-3] + ms[:-4]) / (12.0 * (qs[1] - qs[0]))
             rs.append(np.abs(_ode_residual(spec, qs[2:-2], ms[2:-2], dm)))

@@ -7,10 +7,9 @@ one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot, and
 psi_row1_derivative_fd a central-difference route to (psi1', psi2');
 lyapunov_value is V in adaptive.dot's order, the reference for the recorded row.
-two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point,
-and det_md_shape_terms det Md formed from all of shape_terms, the value check 4
-scanned before it formed only d2 and d4. inject_shaping_fault plants a fault in
-the closed forms, which verify must detect.
+two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point.
+inject_shaping_fault plants a fault in the closed forms, which verify must
+detect.
 """
 import math
 
@@ -122,9 +121,3 @@ def two_trig_sign_scan(params, gains, n, value):
             return start + j, float(b[j - 1]) if j else before, float(b[j])
         before = float(b[-1])
     return n + 1, before, math.nan
-
-
-def det_md_shape_terms(k, s, c):
-    """det Md = k2 d4 - d2^2 with d2 and d4 taken from all of shape_terms."""
-    _, _, _, d2, d4 = shape_terms(k, s, c)
-    return k.k2 * d4 - d2 * d2

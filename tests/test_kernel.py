@@ -343,9 +343,9 @@ def test_folded_helpers_equal_unfolded():
 
 
 FUSED = {   # each fused entry point and every helper inlined into it
-    control_terms: ("shape_terms", "md_d4", "md_d2", "_md_inverse", "_md_prime",
-                    "_hd_gradient", "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
-    desired_hamiltonian: ("shape_terms", "md_d4", "md_d2", "_md_inverse", "_vd", "_z_offset"),
+    control_terms: ("shape_terms", "md_d4", "_md_inverse", "_md_prime", "_hd_gradient",
+                    "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
+    desired_hamiltonian: ("shape_terms", "md_d4", "_md_inverse", "_vd", "_z_offset"),
     hamiltonian: ("_inertia", "_inv2"),
     open_loop_rhs_flat: ("_plant", "_inertia", "_inv2"),
 }

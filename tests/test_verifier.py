@@ -64,8 +64,8 @@ from ripsim.verify import (
 )
 
 from oracles import (
-    det_md_shape_terms, grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde,
-    open_loop_rhs, psi_matrix, shift_psi3, two_trig_sign_scan, zero_alpha,
+    grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde, open_loop_rhs, psi_matrix,
+    shift_psi3, two_trig_sign_scan, zero_alpha,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -256,11 +256,18 @@ def test_sign_scans_at_fixed_sizes(name, rho_scan, pd_endpoint):
     assert _pd_endpoint(cfg.params, cfg.gains, opts.md_scan_points) == pd_endpoint
 
 
+def det_md_of(gains):
+    """Check 4's value function, det Md = k2 d4 - d2^2, as verify._pd_endpoint forms it."""
+    def det_md(k, s, c):
+        _, _, _, d2, d4 = shape_terms(k, s, c)
+        return gains.k2 * d4 - d2 * d2
+    return det_md
+
+
 def test_one_trig_scan_equals_two_trig_scan(monkeypatch):
-    # checks 3 and 4 as verify runs them (s = sqrt(1 - c c); det Md from md_d4 and
-    # md_d2) against the two-trig scan of d4 and of det Md from all of shape_terms:
-    # the same (index, point before, point at) on 100 random admissible draws and
-    # the presets, at both of check 4's sizes
+    # checks 3 and 4 as verify runs them (s = sqrt(1 - c c)) against the two-trig
+    # scan of d4 and of det Md: the same (index, point before, point at) on 100
+    # random admissible draws and the presets, at both of check 4's sizes
     real, seen = verify._sign_scan, []
     monkeypatch.setattr(verify, "_sign_scan", lambda *args: seen.append(real(*args)) or seen[-1])
     rng = np.random.default_rng(36)
@@ -272,7 +279,7 @@ def test_one_trig_scan_equals_two_trig_scan(monkeypatch):
             region_scan(params, gains, n)
             _pd_endpoint(params, gains, n)
             want = [two_trig_sign_scan(params, gains, n, lambda k, s, c: md_d4(k, s, c)[1]),
-                    two_trig_sign_scan(params, gains, n, det_md_shape_terms)]
+                    two_trig_sign_scan(params, gains, n, det_md_of(gains))]
             assert repr(seen) == repr(want), (params, gains, n)
 
 
@@ -293,8 +300,8 @@ def test_sign_scans_hold_no_whole_grid():
 
 
 def test_check_7_holds_only_its_direction_arrays():
-    # one direction's arrays of 10 001 points (grid, midpoints, their -sin 2q and
-    # cos q, m), freed before the residual's temporaries: 0.71 MiB on default
+    # one direction's grid and m (10 001 points each) and the residual's
+    # temporaries: 0.63 MiB on default
     opts = load_config(str(PRESETS / "default.yaml")).verify
     assert traced_peak(remark2_residual, opts.counterexample, opts.grid_points) < 1.5 * 2 ** 20
 
