@@ -279,10 +279,10 @@ def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
     return np.array([a1, a2])
 
 
-def _vd(k: Coeffs, q1: float, s: float, c: float) -> float:
+def _vd(k: Coeffs, q1: float, s: float, c: float, atan=math.atan) -> float:
     """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2),
-    minimized at the upright."""
-    offset = _z_offset(k, s)
+    minimized at the upright; pass np.arctan for arrays, complex ones included."""
+    offset = _z_offset(k, s, atan)
     z = q1 + offset
     return 0.5 * k.kappa * z * z - k.p5_psi40 * c
 

@@ -7,8 +7,8 @@ positive-definiteness region of Md, the shaped-potential Hessian, the
 equivalence of the assembled closed loop with its target form, and the
 prior-work counterexample. The closed forms are the controller's own;
 each identity is checked through a route independent of them (finite
-differences, a linear solve, sign scans; checks 3 and 4 share one blocked
-sign scan). The closed-loop check compares the float route simulate.run takes
+differences, a complex step, a linear solve, sign scans; checks 3 and 4
+share one blocked sign scan). The closed-loop check compares the float route simulate.run takes
 (control_terms' torque, through control_law, and open_loop_rhs_flat) with
 closed_loop_rhs_direct, which assembles the target form on stacked
 (N, 2, 2) matrices and solves all samples of a block in one batched
@@ -31,7 +31,9 @@ TOL_FD = 1e-5         # identities with finite-difference derivatives
 TOL_EXACT = 1e-10     # exact algebraic identities
 TOL_EQUIV = 1e-9      # dual-formulation closed-loop agreement
 SOUNDNESS_TOL = 1e-6  # the residual checker on a truly integrated solution
+SOUNDNESS_H = 5e-4    # check 7's RK4 step; the residual's error falls as h**4 (README)
 FD_H = 1e-6
+CS_H = 1e-30          # complex step of check 2's grad Vd
 SCAN_BLOCK = 1 << 14  # grid points per block: the temporaries stay small and in cache
 
 
@@ -158,26 +160,35 @@ def riccati_residual(params: RobotParams, gains: ControllerGains,
 def potential_matching(params: RobotParams, gains: ControllerGains,
                        n: int = 100, q1_span: float = 3.0,
                        q2_span: float = 1.5) -> ResidualReport:
-    """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid.
+    """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid; the identity is exact.
 
-    Evaluates the controller's psi3, z offset and grad Vd on the grid;
-    the identity is exact.
+    grad Vd is the complex step Im Vd(x + i CS_H) / CS_H, in q1 and in q2, of
+    controller._vd (the Vd that simulate records, z offset included): exact to
+    rounding, with no difference to cancel (Squire & Trapp, SIAM Review 40(1),
+    1998). Unlike _vd_gradient it does not assume dz/dq2 = psi3/psi40, with which
+    the row vanishes for any z offset. The control is the largest difference from
+    _vd_gradient, which control_terms uses; it must stay at or below TOL_EXACT.
     """
     q1 = np.linspace(-q1_span, q1_span, n)[:, None]
     q2 = np.linspace(-q2_span, q2_span, n)[None, :]
     s, c, k = np.sin(q2), np.cos(q2), controller.coeffs(params, gains)
     ps3 = controller.shape_terms(k, s, c)[2]
-    z = q1 + controller._z_offset(k, s, np.arctan)
-    dv1, dv2 = controller._vd_gradient(k, z, s, ps3)
+    q2h = q2 + CS_H * 1j
+    dv1 = controller._vd(k, q1 + CS_H * 1j, s, c, np.arctan).imag / CS_H
+    dv2 = controller._vd(k, q1, np.sin(q2h), np.cos(q2h), np.arctan).imag / CS_H
     res = np.abs(controller.potential_matching_row(k, s, ps3, dv1, dv2))
     i, j = np.unravel_index(np.argmax(res), res.shape)
     q1_spread = float(np.max(res.max(axis=0) - res.min(axis=0)))
+    g1, g2 = controller._vd_gradient(k, q1 + controller._z_offset(k, s, np.arctan), s, ps3)
+    diff = float(max(np.max(np.abs(g1 - dv1)), np.max(np.abs(g2 - dv2))))
     return ResidualReport(
         name="potential_matching",
         grid=f"{n}x{n} on [-{q1_span},{q1_span}]x[-{q2_span},{q2_span}]",
         max_abs_residual=float(res[i, j]),
         arg_at_max=(float(q1[i, 0]), float(q2[0, j])), tol=TOL_EXACT,
-        details={"q1_dependence_of_residual": q1_spread})
+        control=("closed-form gradient control", diff, TOL_EXACT),
+        details={"q1_dependence_of_residual": q1_spread,
+                 "closed_form_gradient_max_diff": diff, "closed_form_gradient_tol": TOL_EXACT})
 
 
 def _grid_blocks(n: int):
@@ -421,10 +432,10 @@ def _ode_residual(spec: CounterexampleSpec, q2, m22, dm22):
 
 
 def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
-                                  h: float = 1e-4) -> float:
+                                  h: float = SOUNDNESS_H) -> float:
     """Soundness control: run the checker on a true ODE solution.
 
-    Integrates the ODE itself with fine-step RK4 from the claimed
+    Integrates the ODE itself with RK4 at step h from the claimed
     solution's value at 0 and evaluates the residual with 5-point
     finite-difference derivatives on the stored grid, so the check does
     not reuse the ODE right-hand side as its own derivative. A solution

@@ -7,8 +7,10 @@ Covers:
     through the fd route alone; a psi3 shift planted in controller.shaping
     is detected
   - Riccati residual for psi3; the grid maximum and its first location
-  - potential matching: exactness, q1-independence; a kappa skew planted in
-    controller._vd_gradient is detected
+  - potential matching on the complex-step gradient of controller._vd:
+    exactness, q1-independence, agreement with _vd_gradient (its control); a
+    kappa skew planted in controller._vd_gradient fails the control; a z offset
+    cut to its first-order term, or scaled by 1 + 1e-3, fails on four presets
   - region: formula vs million-cell sign scan, EmptyRegion, 100 random draws
   - Md definiteness: endpoint <= rho, k2 growth widens the interval,
     frozen Md(0) eigenvalues; checks 4 and 6 fail when Md(0) is not PD
@@ -18,7 +20,8 @@ Covers:
     grid byte for byte (n from 1 to 10^6, around SCAN_BLOCK); rho_scan and the
     Md interval endpoint at the fixed sizes equal their pinned values per
     preset; under tracemalloc, region_report at 10^6 cells and verify_all on
-    default peak below 2 MiB (the whole grid alone is 8 MB)
+    default, with numpy.random imported first, peak below 2 MiB (the whole
+    grid alone is 8 MB)
   - the one-trig scan (s = sqrt(1 - c c)) finds the same index and points as
     the two-trig scan it replaced, for d4 and det Md (100 random draws and the
     presets, 4000 and 10^5 cells)
@@ -34,10 +37,12 @@ Covers:
     equals plant + control_law composition
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
-    integrated-solution soundness < 1e-6; the one-loop integrator equals the
-    per-stage loop it replaced bit for bit (50 random specs on two spans, a
-    blow-up spec nan for nan); a nan soundness control fails check 7 silently;
-    under tracemalloc, check 7 on default peaks below 1.5 MiB
+    integrated-solution soundness < 1e-6 at SOUNDNESS_H; the one-loop
+    integrator equals the per-stage loop it replaced bit for bit (50 random
+    specs on two spans, a blow-up spec nan for nan); a checker fault (4 m
+    scaled by 1 + 1e-6) fails the soundness control; a nan soundness control
+    fails check 7 silently; under tracemalloc, check 7 on default peaks below
+    0.5 MiB
   - pointwise residuals and d4 even in q2
 """
 import math
@@ -152,6 +157,10 @@ def test_potential_matching_exact_and_q1_free():
     r = potential_matching(P_SYN, G_REF)
     assert r.passed and r.max_abs_residual < 1e-10
     assert r.details["q1_dependence_of_residual"] < 1e-10
+    # the complex-step gradient of _vd agrees with _vd_gradient's closed form
+    assert r.control == ("closed-form gradient control",
+                         r.details["closed_form_gradient_max_diff"], 1e-10)
+    assert r.sound and r.details["closed_form_gradient_tol"] == 1e-10
 
 
 def test_potential_matching_detects_kappa_skew(monkeypatch):
@@ -163,7 +172,23 @@ def test_potential_matching_detects_kappa_skew(monkeypatch):
 
     monkeypatch.setattr(controller, "_vd_gradient", skewed)
     r = potential_matching(P_SYN, G_REF)
-    assert not r.passed
+    assert not r.sound and not r.passed
+
+
+@pytest.mark.parametrize("offset", ["first_order", "scaled"])
+@pytest.mark.parametrize("name", ["default", "fig2", "fig4", "synthetic"])
+def test_wrong_z_offset_fails_potential_matching(monkeypatch, name, offset):
+    # a z offset that does not solve the potential PDE: its first-order term
+    # a b sin q2, or a atan(b sin q2) scaled by 1 + 1e-3. _vd_gradient assumes
+    # dz/dq2 = psi3/psi40 and so zeroes the row for any offset; the complex step
+    # of _vd, which reaches the offset through the module, does not
+    cfg = load_config(str(PRESETS / f"{name}.yaml"))
+    true = controller._z_offset
+    wrong = {"first_order": lambda k, s, atan=math.atan: k.za * (k.zb * s),
+             "scaled": lambda k, s, atan=math.atan: (1 + 1e-3) * true(k, s, atan)}[offset]
+    monkeypatch.setattr(controller, "_z_offset", wrong)
+    r = potential_matching(cfg.params, cfg.gains)
+    assert r.max_abs_residual > 1e-4 and not r.sound and not r.passed
 
 
 def test_region_formula_vs_scan_synthetic():
@@ -294,16 +319,19 @@ def traced_peak(fn, *args):
 
 
 def test_sign_scans_hold_no_whole_grid():
+    # numpy.random is imported on first use (check 6's default_rng): done here,
+    # so that the peak is verify's own arrays whichever test ran before
+    np.random.default_rng(0)
     cfg = load_config(str(PRESETS / "default.yaml"))
     assert traced_peak(region_report, cfg.params, cfg.gains, 10 ** 6) < 2 * 2 ** 20
     assert traced_peak(verify_all, cfg.params, cfg.gains, cfg.verify) < 2 * 2 ** 20
 
 
 def test_check_7_holds_only_its_direction_arrays():
-    # one direction's grid and m (10 001 points each) and the residual's
-    # temporaries: 0.63 MiB on default
+    # one direction's grid and m (2001 points each at SOUNDNESS_H) and the
+    # residual's temporaries: 0.14 MiB on default
     opts = load_config(str(PRESETS / "default.yaml")).verify
-    assert traced_peak(remark2_residual, opts.counterexample, opts.grid_points) < 1.5 * 2 ** 20
+    assert traced_peak(remark2_residual, opts.counterexample, opts.grid_points) < 0.5 * 2 ** 20
 
 
 def test_md_interval_widens_with_k2():
@@ -512,8 +540,7 @@ BLOWUP_SPEC = CounterexampleSpec(frak_k1=1.0e-5, frak_k2=1.0, b=1.0e-4)
 
 def test_integrated_solution_equals_per_stage_loop():
     # 50 random specs on two spans at h = 1e-3, then the default spec and one
-    # whose integration blows up at the default h = 1e-4: equal bit for bit,
-    # nan for nan
+    # whose integration blows up, at h = 1e-4: equal bit for bit, nan for nan
     rng = np.random.default_rng(35)
     cases = [(CounterexampleSpec(*np.exp(rng.uniform(-3, 2, 3)).tolist()), span, 1e-3)
              for _ in range(50) for span in (1.0, float(rng.uniform(0.05, 1.5)))]
@@ -525,6 +552,22 @@ def test_integrated_solution_equals_per_stage_loop():
         assert got == want or math.isnan(got) and math.isnan(want), (spec, span, got, want)
         nans += math.isnan(got)
     assert math.isnan(got) and nans < len(cases) // 2
+
+
+def test_soundness_control_sees_a_checker_fault(monkeypatch):
+    # the checker's 4 m scaled by 1 + 1e-6 (4e-6 m added to R) reads 2.3e-5 on
+    # the integrated solution at the default step: the control fails it
+    true = verify._ode_residual
+
+    def faulty(spec, q2, m22, dm22):
+        return true(spec, q2, m22, dm22) + 4e-6 * m22
+
+    good = remark2_residual(CounterexampleSpec())
+    monkeypatch.setattr(verify, "_ode_residual", faulty)
+    r = remark2_residual(CounterexampleSpec())
+    assert good.sound and r.max_abs_residual > r.tol
+    assert r.details["integrated_solution_max_residual"] > 1e-5
+    assert not r.sound and not r.passed
 
 
 def test_soundness_nan_fails_check_7():
