@@ -25,7 +25,11 @@ CSV_CHUNK_ROWS = 256  # rows per write: keeps the temporary floats and strings w
 
 
 def write_trace_csv(trace: Trace, path: str):
-    """Fixed-schema CSV, 9 significant digits, byte-stable across runs."""
+    """Fixed-schema CSV, 9 significant digits, byte-stable across runs.
+
+    Each block of CSV_CHUNK_ROWS rows is formatted by one % of the repeated line format
+    over the block's values in row-major order.
+    """
     ell = trace.theta_hat.shape[1]
     header = "t,q1,q2,p1,p2,u,d,d_hat,H,Hd,V_lyap,ptilde1"
     header += "".join(f",theta_hat_{i + 1}" for i in range(ell))
@@ -36,7 +40,7 @@ def write_trace_csv(trace: Trace, path: str):
         fh.write(header + "\n")
         for start in range(0, trace.t.shape[0], CSV_CHUNK_ROWS):
             block = np.column_stack([col[start:start + CSV_CHUNK_ROWS] for col in columns])
-            fh.write("".join([line % tuple(row) for row in block.tolist()]))
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _print_json(obj):

@@ -143,6 +143,12 @@ def _numbered(prefix: str, values) -> dict:
     return {f"{prefix}{j}": v for j, v in enumerate(values)}
 
 
+def _term_calls(terms) -> dict:
+    """{t0: terms[0], c0: type(terms[0]).__call__, ...}: each term node and its class's
+    __call__, read now, so that c{j}(t{j}, q1, q2, p1, p2) evaluates term j."""
+    return {**_numbered("t", terms), **_numbered("c", [type(t).__call__ for t in terms])}
+
+
 @functools.cache
 def _rk4_kernel(n: int):
     """step_rk4 for states of length n, generated from source: the state and each
@@ -187,15 +193,16 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
     -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
-    adaptive.dot's order. control_terms and open_loop_rhs_flat are read here, the term
-    nodes are called through __call__, and every constant is a closure variable
-    (codegen.generate).
+    adaptive.dot's order. control_terms and open_loop_rhs_flat are read here, and so is
+    each term's class __call__, which the stage calls as c{j}(t{j}, ...): a __call__
+    patched before run() builds the stage is the one called, and the call skips the
+    instance-call slot. Every constant is a closure variable (codegen.generate).
     """
     ell, rows = len(terms), range(len(ginv_rows))
     theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
     lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
              "u, pt1 = control_terms(k, q1, q2, p1c, p2c)",
-             *(f"f{j} = t{j}(q1, q2, p1c, p2c)" for j in range(ell)),
+             *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
              *(f"u = u + f{j} * {th}" for j, th in enumerate(theta_hat)),
              "d = 0.0",
              *(f"d = d + f{j} * dth{j}" for j in range(ell))]
@@ -204,7 +211,7 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q2, p1c, p2c, u, d)",
               f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
     consts = {"k": k, "params": params, "control_terms": control_terms,
-              "open_loop_rhs_flat": open_loop_rhs_flat, **_numbered("t", terms),
+              "open_loop_rhs_flat": open_loop_rhs_flat, **_term_calls(terms),
               **_numbered("dth", dtheta)}
     for i, row in enumerate(ginv_rows):
         consts.update(_numbered(f"g{i}_", row))
@@ -222,7 +229,8 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
     one statement per term in adaptive.dot's order from 0.0. control_terms,
     controller.desired_hamiltonian, dist.value and hamiltonian are read here and
-    called once each, in that order, with the term nodes between the last two.
+    called once each, in that order, with the term nodes between the last two. Each
+    term's class __call__ is read here too and called as c{j}(t{j}, ...), as in _stage.
     """
     ell = len(gamma_rows)
     theta_hat = [f"th{j}" for j in range(ell)]
@@ -236,14 +244,14 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     if dist is not None:
         consts["value"] = dist.value
     if ell:
-        lines += [*(f"f{j} = t{j}(q1, q2, p1c, p2c)" for j in range(ell)),
+        lines += [*(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
                   "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
                   *(f"e{j} = th{j} - dth{j}" for j in range(ell))]
         for i in range(ell):
             lines += [f"ge{i} = 0.0", *(f"ge{i} = ge{i} + G{i}_{j} * e{j}" for j in range(ell))]
         lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
                   "u = u + dhat", "v = hd + 0.5 * v"]
-        consts.update(_numbered("t", dist.regressor.terms))
+        consts.update(_term_calls(dist.regressor.terms))
         consts.update(_numbered("dth", dist.theta.tolist()))
         for i, row in enumerate(gamma_rows):
             consts.update(_numbered(f"G{i}_", row))

@@ -26,12 +26,22 @@ Covers:
     `region --json` under `python -m ripsim`) exits 1 with nothing on stderr
   - trace.csv bytes of every preset at a 1 s horizon, and fig4's three SVG
     plots at 5 s, pinned by SHA-256
+  - write_trace_csv equals one "%.9g" per value on traces of 0, 1, CSV_CHUNK_ROWS
+    and CSV_CHUNK_ROWS + 1 rows holding -0.0, nan, +-inf and 1e-300, for ell = 0
+    and 3; line_plot's polylines equal one f"{x:.1f},{y:.1f}" per point of the
+    direct pixel formula on random series, and _points equals that join where a
+    coordinate rounds to "-0.0"
+  - line_plot writes a complete SVG, with finite coordinates, for a series that
+    alternates between 1e12 and the next double (its tick step is below half an
+    ulp), one spanning +-1e308 (its range overflows) and a constant past 2**53
+    (where +-1 does not widen it); each hung or raised before
 """
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,10 +50,10 @@ import numpy as np
 import pytest
 import yaml
 
-from ripsim import cli, verify
-from ripsim.cli import _emit_plots, main, write_trace_csv
+from ripsim import cli, svgplot, verify
+from ripsim.cli import CSV_CHUNK_ROWS, _emit_plots, main, write_trace_csv
 from ripsim.config import load_config
-from ripsim.simulate import run
+from ripsim.simulate import Trace, run
 
 from oracles import inject_shaping_fault, shift_psi3
 
@@ -211,6 +221,120 @@ def test_fig4_svg_bytes_pinned(tmp_path):
     _emit_plots(run(cfg.scenario()), cfg, str(tmp_path))
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in SVG_SHA256_FIG4_5S} == SVG_SHA256_FIG4_5S
+
+
+def special_trace(rows, ell, seed):
+    """A Trace of random values over 24 decades with -0.0, nan, +-inf and 1e-300 among them."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, 12 + ell)) * 10.0 ** rng.integers(-12, 12, size=(rows, 12 + ell))
+    specials = [-0.0, math.nan, math.inf, -math.inf, 1e-300]
+    at = rng.permutation(a.size)[:len(specials)]
+    a.reshape(-1)[at] = specials[:len(at)]
+    return Trace(t=a[:, 0], q=a[:, 1:3], p=a[:, 3:5], u=a[:, 5], d=a[:, 6], d_hat=a[:, 7],
+                 H=a[:, 8], Hd=a[:, 9], V_lyap=a[:, 10], ptilde1=a[:, 11], theta_hat=a[:, 12:])
+
+
+@pytest.mark.parametrize("ell", [0, 3])
+@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_trace_csv_equals_per_value_format(tmp_path, rows, ell):
+    trace = special_trace(rows, ell, seed=rows + ell)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    header = BASE_COLUMNS + "".join(f",theta_hat_{i + 1}" for i in range(ell))
+    values = np.column_stack([trace.t, trace.q, trace.p, trace.u, trace.d, trace.d_hat,
+                              trace.H, trace.Hd, trace.V_lyap, trace.ptilde1,
+                              trace.theta_hat])
+    want = header + "\n" + "".join(",".join("%.9g" % v for v in row) + "\n"
+                                    for row in values.tolist())
+    assert (tmp_path / "trace.csv").read_bytes() == want.encode()
+    if rows:
+        assert {"-0", "nan", "inf", "-inf", "1e-300"} <= set(re.split("[,\n]", want))
+
+
+def polyline_points(path):
+    return re.findall(r'<polyline points="([^"]*)"', Path(path).read_text())
+
+
+def direct_points(x, series):
+    """Each polyline's points from the direct pixel formula, one f-string per point."""
+    x_lo, x_hi = x.min(), x.max()
+    y_lo, y_hi = min(y.min() for y in series), max(y.max() for y in series)
+    if y_hi - y_lo < 1e-12:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    px_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    px_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    stride = max(len(x) // 2000, 1)
+    px = (svgplot.MARGIN_L + (x[::stride] - x_lo) / (x_hi - x_lo) * px_w).tolist()
+    return [" ".join(f"{a:.1f},{b:.1f}" for a, b in zip(
+        px, (svgplot.MARGIN_T + (y_hi - y[::stride]) / (y_hi - y_lo) * px_h).tolist()))
+        for y in series]
+
+
+@pytest.mark.parametrize("n", [2, 3, 1999, 2501, 5001])
+def test_polyline_points_equal_per_point_format(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(-3.0, 7.0, n)) * 10.0 ** rng.integers(-3, 4)
+    series = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 7) + rng.normal() for _ in range(3)]
+    series[1][: n // 2] = series[1][0]   # a flat stretch
+    svgplot.line_plot(tmp_path / "p.svg", x, [(f"s{i}", y) for i, y in enumerate(series)])
+    assert polyline_points(tmp_path / "p.svg") == direct_points(x, series)
+
+
+def test_points_format_equals_per_point_join():
+    rng = np.random.default_rng(5)
+    xy = [-0.04, 0.05, -0.0, 0.25, 0.35, -0.05, 1e300, math.nan, math.inf, -math.inf,
+          *(rng.normal(size=200) * 10.0 ** rng.integers(-3, 4, size=200)).tolist()]
+    want = " ".join(f"{a:.1f},{b:.1f}" for a, b in zip(xy[::2], xy[1::2]))
+    assert svgplot._points(xy) == want and want.startswith("-0.0,0.1 -0.0,0.2")
+
+
+def assert_complete_svg(path):
+    text = Path(path).read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    numbers = re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]*)"', text)
+    numbers += [v for pts in polyline_points(path) for p in pts.split() for v in p.split(",")]
+    assert numbers and all(math.isfinite(float(v)) for v in numbers)
+    return text
+
+
+def run_python(code):
+    """`python -c CODE` on this checkout's sources, with a timeout: a hang fails the test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_ticks_below_half_an_ulp_return(tmp_path):
+    # the step (5e-5) is below half an ulp of 1e12, so t += step never moved t
+    path = tmp_path / "ulp.svg"
+    proc = run_python(
+        "import math, sys\n"
+        "from ripsim.svgplot import _nice_ticks, line_plot\n"
+        "print(_nice_ticks(1e12, math.nextafter(1e12, math.inf)))\n"
+        "y = [1e12, math.nextafter(1e12, math.inf)] * 50\n"
+        f"line_plot({str(path)!r}, range(100), [('y', y)])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1000000000000.0]\n"
+    assert '>1e+12</text>' in assert_complete_svg(path)
+
+
+def test_range_past_the_largest_double_is_plotted(tmp_path):
+    # (hi - lo) overflowed to inf: the tick magnitude was inf and the pixels nan
+    y = np.array([-1.7e308, 1e308, 0.0, 1.7e308])
+    svgplot.line_plot(tmp_path / "huge.svg", np.arange(4.0), [("y", y)])
+    text = assert_complete_svg(tmp_path / "huge.svg")
+    assert all(f">{t}</text>" in text for t in ("-1e+308", "0", "1e+308"))
+    assert svgplot._nice_ticks(-1.7e308, 1.7e308) == [-1e308, 0.0, 1e308]
+
+
+@pytest.mark.parametrize("value", [1e16, -1e300, 1.7976931348623157e308])
+def test_constant_past_2_53_is_plotted(tmp_path, value):
+    # value +- 1 is value itself here: the range is widened in proportion instead
+    svgplot.line_plot(tmp_path / "flat.svg", np.arange(5.0), [("y", np.full(5, value))])
+    assert_complete_svg(tmp_path / "flat.svg")
 
 
 def test_plots_emitted(tmp_path):

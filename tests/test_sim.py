@@ -22,7 +22,10 @@ Covers:
   - the call path: run() records H and Hd through simulate.hamiltonian and
     controller.desired_hamiltonian (n + 1 calls each over n steps) and check 6
     takes its torque through controller.control_law (one call per sample), the
-    module attributes the benchmark's tracer wraps
+    module attributes the benchmark's tracer wraps; a __call__ of the regressor
+    node classes patched after import is the one run() evaluates: 18n + 6 calls
+    over n steps of a 3-term robust run, and one that doubles a term gives the
+    trace of that term written with a factor 2
 """
 import math
 
@@ -34,7 +37,7 @@ from ripsim import controller
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
 from ripsim.model import RobotParams, hamiltonian
-from ripsim.regressor import parse_regressor
+from ripsim.regressor import Call, Number, Product, Variable, parse_regressor
 from ripsim.simulate import (
     NonFiniteState, Scenario, Trace, run, step_rk4,
 )
@@ -332,3 +335,38 @@ def test_energies_and_torque_called_through_module_names(monkeypatch):
     assert calls == {"H": n + 1, "Hd": n + 1, "u": 0}
     closed_loop_equivalence(P_SYN, G_CONV, n_samples=50)
     assert calls["u"] == 50
+
+
+def robust_3_term(f, n):
+    spec = DisturbanceSpec(parse_regressor(f), np.array([0.1, 0.1, -0.3]))
+    return Scenario(params=P_SYN, gains=G_CONV, mode="disturbed_robust", q0=(0.1, 0.2),
+                    t_end=n * 1e-3, dt=1e-3, disturbance=spec,
+                    adaptive=AdaptiveState(np.zeros(3), 1.0))
+
+
+def test_patched_term_call_is_the_one_evaluated(monkeypatch):
+    # the benchmark's tracer wraps the node classes' __call__ after import and before
+    # run(): the stage and the row must call the wrapper, not a function bound earlier
+    f = ["1", "q1", "sin(q2)*cos(p1)"]
+    n, calls, scaled = 20, [0], [None]
+
+    def wrapped(call):
+        def __call__(self, *args):
+            calls[0] += 1
+            value = call(self, *args)
+            return 2.0 * value if self is scaled[0] else value
+        return __call__
+
+    for cls in (Number, Variable, Call, Product):
+        monkeypatch.setattr(cls, "__call__", wrapped(cls.__call__))
+    sc = robust_3_term(f, n)
+    plain = run(sc)
+    # 4 stages x 3 terms per step, and per row 3 for d_hat and 3 for d
+    assert plain.status == "ok" and calls[0] == 18 * n + 6
+    scaled[0] = sc.disturbance.regressor.terms[2]
+    doubled = run(sc)
+    assert not np.array_equal(doubled.u, plain.u)
+    # doubling is exact: the same bits as the term written with a factor 2
+    want = run(robust_3_term(["1", "q1", "2*sin(q2)*cos(p1)"], n))
+    for name in TRACE_ARRAYS:
+        assert getattr(doubled, name).tobytes() == getattr(want, name).tobytes(), name
