@@ -42,6 +42,17 @@ def _require_keys(section: dict, path: str, allowed: set):
                               f"(expected one of: {', '.join(sorted(allowed))})")
 
 
+def _section(parent: dict, path: str, allowed: set) -> dict:
+    """The section at the last key of path: {} when absent or null, else a mapping."""
+    section = parent.get(path.rpartition(".")[2])
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: not a mapping")
+    _require_keys(section, path, allowed)
+    return section
+
+
 def _real(value, where: str) -> float:
     """value as a finite float; YAML 1.1 reads "1e-3" (no dot) as a string, accepted anyway."""
     if isinstance(value, str):
@@ -132,12 +143,9 @@ def _load_robot(section) -> RobotParams:
         raise ConfigError(f"robot: {e}") from e
 
 
-def _load_gains(section, params: RobotParams) -> ControllerGains:
-    section = section if section is not None else {}
-    if not isinstance(section, dict):
-        raise ConfigError("controller: not a mapping")
+def _load_gains(raw: dict, params: RobotParams) -> ControllerGains:
     defaults = DEFAULTS["controller"]
-    _require_keys(section, "controller", set(defaults))
+    section = _section(raw, "controller", set(defaults))
     values = {k: _number(section, "controller", k, defaults[k]) for k in defaults}
     try:
         gains = ControllerGains(**values)
@@ -163,12 +171,10 @@ def _load_gains(section, params: RobotParams) -> ControllerGains:
     return gains
 
 
-def _load_disturbance(section) -> DisturbanceSpec | None:
-    if section is None:
+def _load_disturbance(raw: dict) -> DisturbanceSpec | None:
+    if raw.get("disturbance") is None:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("disturbance: not a mapping")
-    _require_keys(section, "disturbance", {"f", "theta"})
+    section = _section(raw, "disturbance", {"f", "theta"})
     f = section.get("f")
     if not isinstance(f, list) or not f or not all(isinstance(t, str) for t in f):
         raise ConfigError("disturbance.f: expected a nonempty list of expressions")
@@ -180,12 +186,9 @@ def _load_disturbance(section) -> DisturbanceSpec | None:
     return DisturbanceSpec(regressor=regressor, theta=np.array(theta))
 
 
-def _load_adaptive(section, dist: DisturbanceSpec | None) -> AdaptiveState | None:
+def _load_adaptive(raw: dict, dist: DisturbanceSpec | None) -> AdaptiveState | None:
     defaults = DEFAULTS["adaptive"]
-    section = section if section is not None else {}
-    if not isinstance(section, dict):
-        raise ConfigError("adaptive: not a mapping")
-    _require_keys(section, "adaptive", set(defaults))
+    section = _section(raw, "adaptive", set(defaults))
     if dist is None:
         if section:
             raise ConfigError("adaptive: requires a disturbance section (nothing to adapt)")
@@ -212,26 +215,19 @@ def _load_adaptive(section, dist: DisturbanceSpec | None) -> AdaptiveState | Non
     return state
 
 
-def _load_verify(section) -> VerifyOptions:
-    section = section if section is not None else {}
-    if not isinstance(section, dict):
-        raise ConfigError("verify: not a mapping")
-    _require_keys(section, "verify", {"seed", "counterexample"})
+def _load_verify(raw: dict) -> VerifyOptions:
+    section = _section(raw, "verify", {"seed", "counterexample"})
     kwargs = {}
     if "seed" in section:
         kwargs["seed"] = _count(section, "verify", "seed", 0, 2 ** 63 - 1)
-    if "counterexample" in section:
-        ce = section["counterexample"]
-        if not isinstance(ce, dict):
-            raise ConfigError("verify.counterexample: not a mapping")
-        _require_keys(ce, "verify.counterexample", {"frak_k1", "frak_k2", "b"})
-        try:
-            kwargs["counterexample"] = CounterexampleSpec(
-                frak_k1=_number(ce, "verify.counterexample", "frak_k1", 1.0),
-                frak_k2=_number(ce, "verify.counterexample", "frak_k2", 1.0),
-                b=_number(ce, "verify.counterexample", "b", 1.0))
-        except ValueError as e:
-            raise ConfigError(f"verify.counterexample: {e}") from e
+    ce = _section(section, "verify.counterexample", {"frak_k1", "frak_k2", "b"})
+    try:
+        kwargs["counterexample"] = CounterexampleSpec(
+            frak_k1=_number(ce, "verify.counterexample", "frak_k1", 1.0),
+            frak_k2=_number(ce, "verify.counterexample", "frak_k2", 1.0),
+            b=_number(ce, "verify.counterexample", "b", 1.0))
+    except ValueError as e:
+        raise ConfigError(f"verify.counterexample: {e}") from e
     return VerifyOptions(**kwargs)
 
 
@@ -256,21 +252,18 @@ def load_config(path: str) -> Config:
                                   "disturbance", "adaptive", "verify", "output"})
 
     params = _load_robot(raw.get("robot"))
-    gains = _load_gains(raw.get("controller"), params)
+    gains = _load_gains(raw, params)
 
-    sim = raw.get("simulation") or {}
-    if not isinstance(sim, dict):
-        raise ConfigError("simulation: not a mapping")
     sim_defaults = DEFAULTS["simulation"]
-    _require_keys(sim, "simulation", set(sim_defaults))
+    sim = _section(raw, "simulation", set(sim_defaults))
     mode = sim.get("mode", sim_defaults["mode"])
     q0 = tuple(_vector(sim, "simulation", "q0", 2, sim_defaults["q0"]))
     qdot0 = tuple(_vector(sim, "simulation", "qdot0", 2, sim_defaults["qdot0"]))
     dt = _number(sim, "simulation", "dt", sim_defaults["dt"])
     t_end = _number(sim, "simulation", "t_end", sim_defaults["t_end"])
 
-    dist = _load_disturbance(raw.get("disturbance"))
-    adaptive = _load_adaptive(raw.get("adaptive"), dist)
+    dist = _load_disturbance(raw)
+    adaptive = _load_adaptive(raw, dist)
 
     if mode not in MODES:
         raise ConfigError(f"simulation.mode: unknown mode {mode!r}")
@@ -283,10 +276,7 @@ def load_config(path: str) -> Config:
     except ValueError as e:
         raise ConfigError(f"simulation.t_end: {e}") from e
 
-    out = raw.get("output") or {}
-    if not isinstance(out, dict):
-        raise ConfigError("output: not a mapping")
-    _require_keys(out, "output", set(DEFAULTS["output"]))
+    out = _section(raw, "output", set(DEFAULTS["output"]))
     out_dir = out.get("dir", DEFAULTS["output"]["dir"])
     if not isinstance(out_dir, str):
         raise ConfigError("output.dir: expected a string")
@@ -296,4 +286,4 @@ def load_config(path: str) -> Config:
 
     return Config(params=params, gains=gains, mode=mode, q0=q0, qdot0=qdot0,
                   dt=dt, t_end=t_end, disturbance=dist, adaptive=adaptive,
-                  verify=_load_verify(raw.get("verify")), out_dir=out_dir, plots=plots)
+                  verify=_load_verify(raw), out_dir=out_dir, plots=plots)

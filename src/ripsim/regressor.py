@@ -18,9 +18,13 @@ a weighted sum of regressor components by construction, with the
 weights living in theta. Extending the grammar (e.g. '+', powers) only
 requires new alternatives in _parse_factor, one AST node each and its
 statements in _emit.
+
+A ParseError carries the position of the offending token; an error names
+the first character that starts no token (such as '$'), at its own position.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -38,6 +42,7 @@ _TOKEN_RE = re.compile(r"""
       | (?P<star>\*)
       | (?P<lparen>\()
       | (?P<rparen>\))
+      | (?P<bad>\S)
     )""", re.VERBOSE)
 
 
@@ -79,17 +84,10 @@ class _Node:
 class Number(_Node):
     value: float
 
-    def unparse(self) -> str:
-        # repr(inf) is 'inf', which would read back as an unknown variable
-        return "1e999" if self.value == math.inf else repr(self.value)
-
 
 @dataclass(frozen=True)
 class Variable(_Node):
     name: str
-
-    def unparse(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,10 @@ class Call(_Node):
     fn: str
     arg: object
 
-    def unparse(self) -> str:
-        return f"{self.fn}({self.arg.unparse()})"
-
 
 @dataclass(frozen=True)
 class Product(_Node):
     factors: tuple
-
-    def unparse(self) -> str:
-        return "*".join(f.unparse() for f in self.factors)
 
 
 def _emit(node, lines: list, consts: dict) -> str:
@@ -157,60 +149,43 @@ def _compile(node):
                     {**FUNCTIONS, "nan": math.nan, **consts})
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items = []  # (kind, value, pos)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                # skip trailing whitespace before declaring failure
-                if text[pos:].strip() == "":
-                    break
-                raise ParseError(text, pos, f"unexpected character {text[pos]!r}")
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.items.append(("end", "", len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.items[self.i]
-
-    def take(self):
-        tok = self.items[self.i]
-        self.i += 1
-        return tok
+def _tokenize(text: str) -> collections.deque:
+    """The (kind, value, pos) tokens of text, ending with ("end", "", len(text))."""
+    toks = collections.deque()
+    for m in _TOKEN_RE.finditer(text):  # only trailing whitespace is left unmatched
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(text, m.start(kind), f"unexpected character {m.group(kind)!r}")
+        toks.append((kind, m.group(kind), m.start(kind)))
+    toks.append(("end", "", len(text)))
+    return toks
 
 
-def _parse_factor(toks: _Tokens):
-    kind, value, pos = toks.take()
+def _parse_factor(toks: collections.deque, text: str):
+    kind, value, pos = toks.popleft()
     if kind == "number":
         return Number(float(value))
     if kind == "ident":
-        nkind, _, npos = toks.peek()
-        if nkind == "lparen":
+        if toks[0][0] == "lparen":
             if value not in FUNCTIONS:
-                raise ParseError(toks.text, pos,
-                                 f"unknown function {value!r} (expected sin or cos)")
-            toks.take()
-            arg = _parse_expr(toks)
-            ckind, _, cpos = toks.take()
+                raise ParseError(text, pos, f"unknown function {value!r} (expected sin or cos)")
+            toks.popleft()
+            arg = _parse_expr(toks, text)
+            ckind, _, cpos = toks.popleft()
             if ckind != "rparen":
-                raise ParseError(toks.text, cpos, "expected ')'")
+                raise ParseError(text, cpos, "expected ')'")
             return Call(value, arg)
         if value not in VARIABLES:
-            raise UnknownVariable(toks.text, pos, value)
+            raise UnknownVariable(text, pos, value)
         return Variable(value)
-    raise ParseError(toks.text, pos, "expected a number, variable, or sin/cos call")
+    raise ParseError(text, pos, "expected a number, variable, or sin/cos call")
 
 
-def _parse_expr(toks: _Tokens):
-    factors = [_parse_factor(toks)]
-    while toks.peek()[0] == "star":
-        toks.take()
-        factors.append(_parse_factor(toks))
+def _parse_expr(toks: collections.deque, text: str):
+    factors = [_parse_factor(toks, text)]
+    while toks[0][0] == "star":
+        toks.popleft()
+        factors.append(_parse_factor(toks, text))
     if len(factors) == 1:
         return factors[0]
     return Product(tuple(factors))
@@ -218,9 +193,9 @@ def _parse_expr(toks: _Tokens):
 
 def parse_term(text: str):
     """Parse a single regressor component into an evaluable AST."""
-    toks = _Tokens(text)
-    node = _parse_expr(toks)
-    kind, value, pos = toks.peek()
+    toks = _tokenize(text)
+    node = _parse_expr(toks, text)
+    kind, value, pos = toks[0]
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")
     node.compiled  # compiled here, once, rather than on the first evaluation
@@ -240,9 +215,6 @@ class RegressorSpec:
     @property
     def ell(self) -> int:
         return len(self.terms)
-
-    def unparse(self) -> list[str]:
-        return [t.unparse() for t in self.terms]
 
     def eval_flat(self, q1: float, q2: float, p1: float, p2: float) -> list[float]:
         return [t(q1, q2, p1, p2) for t in self.terms]

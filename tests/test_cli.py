@@ -382,6 +382,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "d4(0)" in capsys.readouterr().err
 
 
+def test_section_not_a_mapping_exits_2(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, ROBOT + "simulation: []\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: simulation: not a mapping") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("robot", [
     "robot: {p: [1.0, 1.0, 1.0e+200, 1.0, 1.0]}\n",
     "robot: {m1: 1.0e+200, m2: 1.0e+200, l1: 1.0e+200, l2: 1.0, I1: 1.0, I2: 1.0}\n",

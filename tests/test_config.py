@@ -3,10 +3,13 @@
 Covers:
   - minimal robot-only file falls back to documented defaults
   - unknown keys rejected with their full path, in every section
+  - a section other than robot is a mapping, or null/absent for its
+    defaults: [], 0, false, '' and a string raise "<section>: not a mapping"
   - lumped p vs physical constants, including the p-wins warning
   - controller gains validated against the d4(0) > 0 requirement and a
     finite z offset (det Md(0) > 0: test_cli and the property examples)
-  - disturbance parsing errors surface with position info
+  - disturbance parsing errors surface with position info (a bad character
+    after whitespace named at its own position)
   - adaptive section: gamma scalar/matrix, theta_hat0; adaptive.enabled is unknown
   - non-finite list entries (index in the path) and gamma rejected; list entries
     follow the scalar number rule (YAML 1.1 strings such as 1e-3 load)
@@ -97,6 +100,28 @@ def test_unknown_keys_rejected_with_path(tmp_path, text, path):
         load_config(write(tmp_path, text))
 
 
+SECTIONS = ("controller", "simulation", "disturbance", "adaptive", "verify", "output")
+
+
+@pytest.mark.parametrize("value", ["[]", "0", "false", "''", "x"])
+@pytest.mark.parametrize("section", SECTIONS)
+def test_section_must_be_a_mapping(tmp_path, section, value):
+    with pytest.raises(ConfigError, match=rf"^{section}: not a mapping"):
+        load_config(write(tmp_path, MINIMAL + f"{section}: {value}\n"))
+
+
+@pytest.mark.parametrize("value", ["[]", "0", "false", "''", "x"])
+def test_counterexample_must_be_a_mapping(tmp_path, value):
+    text = MINIMAL + f"verify: {{counterexample: {value}}}\n"
+    with pytest.raises(ConfigError, match=r"^verify\.counterexample: not a mapping"):
+        load_config(write(tmp_path, text))
+
+
+def test_null_sections_load_defaults(tmp_path):
+    text = MINIMAL + "simulation:\noutput:\n"
+    assert load_config(write(tmp_path, text)) == load_config(write(tmp_path, MINIMAL, "min.yaml"))
+
+
 def test_p_vector_validated(tmp_path):
     with pytest.raises(ConfigError, match=r"robot\.p"):
         load_config(write(tmp_path, "robot: {p: [2, -1, 1, 2, 1]}\n"))
@@ -146,6 +171,12 @@ def test_disturbance_parse_error_chained(tmp_path):
     with pytest.raises(ConfigError, match="q3") as excinfo:
         load_config(write(tmp_path, text))
     assert isinstance(excinfo.value.__cause__, ParseError)
+
+
+def test_disturbance_bad_character_named(tmp_path):
+    text = MINIMAL + "disturbance: {f: ['q1 $'], theta: [1.0]}\n"
+    with pytest.raises(ConfigError, match=r"^disturbance\.f: unexpected character '\$' at position 3"):
+        load_config(write(tmp_path, text))
 
 
 def test_disturbance_theta_length(tmp_path):
