@@ -19,8 +19,13 @@ weights living in theta. Extending the grammar (e.g. '+', powers) only
 requires new alternatives in _parse_factor, one AST node each and its
 statements in _emit.
 
+NUMBER is ASCII digits with an optional point and exponent; the tokenizer
+matches ASCII only, so another script's digit or space starts no token. Calls
+nest at most MAX_NESTING deep: parsing recurses once per level.
+
 A ParseError carries the position of the offending token; an error names
-the first character that starts no token (such as '$'), at its own position.
+the first character that starts no token (such as '$'), at its own position,
+and a call nested too deep is named at its '('.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ from .codegen import generate
 
 VARIABLES = ("q1", "q2", "p1", "p2")
 FUNCTIONS = {"sin": math.sin, "cos": math.cos}
+MAX_NESTING = 100  # sin/cos calls inside one another; deeper ones would exhaust Python's stack
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
@@ -43,7 +49,7 @@ _TOKEN_RE = re.compile(r"""
       | (?P<lparen>\()
       | (?P<rparen>\))
       | (?P<bad>\S)
-    )""", re.VERBOSE)
+    )""", re.VERBOSE | re.ASCII)
 
 
 class ParseError(Exception):
@@ -161,7 +167,7 @@ def _tokenize(text: str) -> collections.deque:
     return toks
 
 
-def _parse_factor(toks: collections.deque, text: str):
+def _parse_factor(toks: collections.deque, text: str, depth: int):
     kind, value, pos = toks.popleft()
     if kind == "number":
         return Number(float(value))
@@ -169,8 +175,10 @@ def _parse_factor(toks: collections.deque, text: str):
         if toks[0][0] == "lparen":
             if value not in FUNCTIONS:
                 raise ParseError(text, pos, f"unknown function {value!r} (expected sin or cos)")
-            toks.popleft()
-            arg = _parse_expr(toks, text)
+            lpos = toks.popleft()[2]
+            if depth == MAX_NESTING:
+                raise ParseError(text, lpos, f"calls nested deeper than {MAX_NESTING}")
+            arg = _parse_expr(toks, text, depth + 1)
             ckind, _, cpos = toks.popleft()
             if ckind != "rparen":
                 raise ParseError(text, cpos, "expected ')'")
@@ -181,11 +189,12 @@ def _parse_factor(toks: collections.deque, text: str):
     raise ParseError(text, pos, "expected a number, variable, or sin/cos call")
 
 
-def _parse_expr(toks: collections.deque, text: str):
-    factors = [_parse_factor(toks, text)]
+def _parse_expr(toks: collections.deque, text: str, depth: int):
+    """The expr at the front of toks, inside depth enclosing calls."""
+    factors = [_parse_factor(toks, text, depth)]
     while toks[0][0] == "star":
         toks.popleft()
-        factors.append(_parse_factor(toks, text))
+        factors.append(_parse_factor(toks, text, depth))
     if len(factors) == 1:
         return factors[0]
     return Product(tuple(factors))
@@ -194,7 +203,7 @@ def _parse_expr(toks: collections.deque, text: str):
 def parse_term(text: str):
     """Parse a single regressor component into an evaluable AST."""
     toks = _tokenize(text)
-    node = _parse_expr(toks, text)
+    node = _parse_expr(toks, text, 0)
     kind, value, pos = toks[0]
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")

@@ -66,9 +66,15 @@ def _points(xy: list) -> str:
 
 def line_plot(path: str, x, series: list[tuple[str, np.ndarray]],
               title: str = "", xlabel: str = "", ylabel: str = ""):
-    """Write an SVG of the given (label, y) series against x."""
+    """Write an SVG of the given (label, y) series against x.
+
+    Raises ValueError, naming x or the series, on a nan or +-inf value: it has no
+    place on the axes."""
     x = np.asarray(x, dtype=float)
     ys = [(label, np.asarray(y, dtype=float)) for label, y in series]
+    for name, v in [("x", x)] + [(f"series {label!r}", y) for label, y in ys]:
+        if not np.isfinite(v).all():
+            raise ValueError(f"line_plot: {name} holds a non-finite value")
     x_lo, x_hi = _widened(float(x.min()), float(x.max()))
     y_lo, y_hi = _widened(min(float(y.min()) for _, y in ys),
                           max(float(y.max()) for _, y in ys))

@@ -8,7 +8,21 @@ equivalence of the assembled closed loop with its target form, and the
 prior-work counterexample. The closed forms are the controller's own;
 each identity is checked through a route independent of them (finite
 differences, a complex step, a linear solve, sign scans; checks 3 and 4
-share one blocked sign scan). The closed-loop check compares the float route simulate.run takes
+share one blocked sign scan).
+
+The sign scan first runs the scanned closed form, unchanged, once over all
+its blocks on _Range, a range type over numpy arrays, and passes over each
+block whose lower bound is > 0 without forming its points. A block's
+c = cos q2 lies in [np.cos(last) - COS_ERR, np.cos(first) + COS_ERR] (cos
+falls on [0, pi/2]; COS_ERR is far above the ulp error of np.cos), and s is
+formed from it as the scan forms it. Each + - * / of ranges takes the least
+and greatest of its corner results, rounded to nearest as the scan rounds;
+rounding is monotone, so every double the point-by-point scan computes in a
+block lies in the block's range. Every block not certified (block 0, where
+c reaches 1 + COS_ERR, and the block at the crossing) is scanned point by
+point, so the scan's results do not depend on the bounds.
+
+The closed-loop check compares the float route simulate.run takes
 (control_terms' torque, through control_law, and open_loop_rhs_flat) with
 closed_loop_rhs_direct, which assembles the target form on stacked
 (N, 2, 2) matrices and solves all samples of a block in one batched
@@ -34,7 +48,10 @@ SOUNDNESS_TOL = 1e-6  # the residual checker on a truly integrated solution
 SOUNDNESS_H = 5e-4    # check 7's RK4 step; the residual's error falls as h**4 (README)
 FD_H = 1e-6
 CS_H = 1e-30          # complex step of check 2's grad Vd
-SCAN_BLOCK = 1 << 14  # grid points per block: the temporaries stay small and in cache
+# Grid points per block. At 1 << 14 a block's float64 temporary is 128 KiB, glibc's
+# default mmap threshold, so each one is a fresh mmap that faults its pages in.
+SCAN_BLOCK = 1 << 12
+COS_ERR = 1e-12       # margin on np.cos at a block's ends, far above its ulp error
 
 
 @dataclass(frozen=True)
@@ -191,16 +208,93 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
                  "closed_form_gradient_max_diff": diff, "closed_form_gradient_tol": TOL_EXACT})
 
 
+def _block_points(n: int, start: int) -> np.ndarray:
+    """Points start .. start + SCAN_BLOCK - 1 (at most n) of linspace(0, pi/2, n+1), n >= 1,
+    bit-identical to linspace's: point i is i * ((pi/2)/n) and point n is pi/2."""
+    b = np.arange(start, min(start + SCAN_BLOCK, n + 1), dtype=float) * (math.pi / 2 / n)
+    if start + SCAN_BLOCK > n:
+        b[-1] = math.pi / 2
+    return b
+
+
 def _grid_blocks(n: int):
-    """linspace(0, pi/2, n+1), n >= 1, as (start index, points) blocks of SCAN_BLOCK points,
-    each made only when it is reached and bit-identical to linspace's: point i is
-    i * ((pi/2)/n) and point n is pi/2. Memory is set by SCAN_BLOCK, not by n."""
-    step = math.pi / 2 / n
+    """linspace(0, pi/2, n+1) as (start index, points) blocks of SCAN_BLOCK points, each
+    made only when it is reached (_block_points). Memory is set by SCAN_BLOCK, not by n."""
     for start in range(0, n + 1, SCAN_BLOCK):
-        b = np.arange(start, min(start + SCAN_BLOCK, n + 1), dtype=float) * step
-        if start + SCAN_BLOCK > n:
-            b[-1] = math.pi / 2
-        yield start, b
+        yield start, _block_points(n, start)
+
+
+class _Range:
+    """[lo, hi] of a float expression over each of a set of blocks, lo and hi ndarrays.
+
+    + - * / take the least and greatest of the four corner results, each rounded to
+    nearest as the point-by-point scan rounds. The exact result of a point's operands
+    lies between the exact corners, and rounding is monotone, so every double the scan
+    computes in a block lies in its [lo, hi]. A divisor range holding 0 gives
+    [-inf, inf]; a nan corner makes that bound nan (np.minimum and np.maximum pass nan
+    on), and a nan lo is never > 0. A float operand is the range [x, x]. Any numpy
+    function of a range raises TypeError (__array_ufunc__ = None): only the four
+    operations are bounded.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def _corners(self, other, op, divide=False):
+        if not isinstance(other, _Range):
+            other = _Range(other, other)
+        ends = [op(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        lo = np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
+        hi = np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
+        if divide:
+            zero = (other.lo <= 0.0) & (other.hi >= 0.0)
+            lo, hi = np.where(zero, -math.inf, lo), np.where(zero, math.inf, hi)
+        return _Range(lo, hi)
+
+    def __add__(self, other):
+        return self._corners(other, np.add)
+
+    def __sub__(self, other):
+        return self._corners(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._corners(other, np.multiply)
+
+    def __truediv__(self, other):
+        return self._corners(other, np.divide, divide=True)
+
+    __radd__, __rmul__ = __add__, __mul__   # IEEE + and * commute
+
+    def __rsub__(self, other):
+        return _Range(other, other) - self
+
+    def __rtruediv__(self, other):
+        return _Range(other, other) / self
+
+
+def _sin_of(c):
+    """s = sqrt(1 - c c), sin q2 on [0, pi/2] from c = cos q2: per point on an ndarray,
+    and on a _Range per bound (np.sqrt is monotone and correctly rounded)."""
+    t = 1.0 - c * c
+    if isinstance(t, _Range):
+        return _Range(np.sqrt(t.lo), np.sqrt(t.hi))
+    return np.sqrt(t)
+
+
+def _block_bounds(k: controller.Coeffs, value, n: int) -> tuple[_Range, np.ndarray]:
+    """value(k, s, c) bounded per _grid_blocks block without forming its points, and the
+    blocks' last points (bit-identical to _block_points'). c = cos q2 falls on [0, pi/2],
+    so a block's c lies in [np.cos(last) - COS_ERR, np.cos(first) + COS_ERR], and s is
+    formed from it as the scan forms it (_sin_of)."""
+    step, starts = math.pi / 2 / n, np.arange(0, n + 1, SCAN_BLOCK)
+    last = (np.minimum(starts + SCAN_BLOCK, n + 1) - 1) * step
+    last[-1] = math.pi / 2
+    with np.errstate(all="ignore"):
+        c = _Range(np.cos(last) - COS_ERR, np.cos(starts * step) + COS_ERR)
+        return value(k, _sin_of(c), c), last
 
 
 def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
@@ -209,17 +303,23 @@ def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
     value(k, s, c) is not > 0 (i = n + 1 if none), found block by block (_grid_blocks);
     nan fails. A point outside the grid is nan.
 
-    One trig per point: s = sqrt(1 - c c), which is sin q2 on [0, pi/2], where
-    sin q2 >= 0. The closed forms scanned (md_d4, shape_terms) read s only as
-    s * s, so s differs from np.sin's by rounding alone."""
+    A block whose lower bound (_block_bounds) is > 0 is passed over without forming its
+    points; every other block is scanned point by point (_block_points). One trig per
+    point: s = sqrt(1 - c c) (_sin_of), which is sin q2 on [0, pi/2], where sin q2 >= 0.
+    The closed forms scanned (md_d4, shape_terms) read s only as s * s, so s differs
+    from np.sin's by rounding alone."""
     k, before = controller.coeffs(params, gains), math.nan
-    for start, b in _grid_blocks(n):
-        c = np.cos(b)
-        bad = np.flatnonzero(~(value(k, np.sqrt(1.0 - c * c), c) > 0.0))
-        if bad.size:
-            j = int(bad[0])
-            return start + j, float(b[j - 1]) if j else before, float(b[j])
-        before = float(b[-1])
+    bounds, last = _block_bounds(k, value, n)
+    sure = bounds.lo > 0.0
+    for j, start in enumerate(range(0, n + 1, SCAN_BLOCK)):
+        if not sure[j]:
+            b = _block_points(n, start)
+            c = np.cos(b)
+            bad = np.flatnonzero(~(value(k, _sin_of(c), c) > 0.0))
+            if bad.size:
+                i = int(bad[0])
+                return start + i, float(b[i - 1]) if i else before, float(b[i])
+        before = float(last[j])
     return n + 1, before, math.nan
 
 

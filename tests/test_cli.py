@@ -34,7 +34,10 @@ Covers:
   - line_plot writes a complete SVG, with finite coordinates, for a series that
     alternates between 1e12 and the next double (its tick step is below half an
     ulp), one spanning +-1e308 (its range overflows) and a constant past 2**53
-    (where +-1 does not widen it); each hung or raised before
+    (where +-1 does not widen it); each hung or raised before; a nan or +-inf in
+    x or a series raises ValueError naming it, and writes no file
+  - a disturbance.f term nested 700 calls deep exits 2 from verify with the
+    disturbance.f: config error and no traceback
 """
 import dataclasses
 import hashlib
@@ -337,6 +340,16 @@ def test_constant_past_2_53_is_plotted(tmp_path, value):
     assert_complete_svg(tmp_path / "flat.svg")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_rejected(tmp_path, bad):
+    x, y = np.arange(4.0), np.array([0.0, 1.0, 2.0, 3.0])
+    for xs, series, name in ((x, [("q1", y), ("q2", np.where(x == 2.0, bad, y))], "series 'q2'"),
+                             (np.where(x == 1.0, bad, x), [("q1", y)], "x")):
+        with pytest.raises(ValueError, match=f"line_plot: {re.escape(name)} holds a non-finite"):
+            svgplot.line_plot(tmp_path / "bad.svg", xs, series)
+        assert not (tmp_path / "bad.svg").exists()
+
+
 def test_plots_emitted(tmp_path):
     cfg = cfg_file(tmp_path, ROBUST)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -457,6 +470,15 @@ def test_nonfinite_theta_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "disturbance.theta[0]: must be finite" in err and "Traceback" not in err
+
+
+def test_deeply_nested_term_exits_2(tmp_path, capsys):
+    term = "sin(" * 700 + "q1" + ")" * 700
+    cfg = cfg_file(tmp_path, ROBUST.replace("'sin(q2)*cos(p1)'", f"'{term}'"))
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: disturbance.f: calls nested deeper than")
+    assert "Traceback" not in err
 
 
 def test_t_end_over_step_limit_exits_2(tmp_path, capsys):

@@ -6,7 +6,9 @@ Covers:
   - sin/cos of an overflowed argument give nan, not a ValueError
   - unknown variables and malformed inputs raise with position info; a
     character that starts no token is named at its own position, also
-    after whitespace
+    after whitespace, and a non-ASCII digit starts no token
+  - calls nest MAX_NESTING deep; one level more raises ParseError at the
+    '(' that goes past the limit
   - property (hypothesis): on grammar expressions with the literals 1e999
     and 5e-324 and products that overflow inside sin/cos, the compiled
     term equals a tree-walk evaluator bit for bit (nan equal to nan)
@@ -20,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ripsim.regressor import (
-    Call, Number, ParseError, Product, RegressorSpec, UnknownVariable, VARIABLES, Variable,
-    parse_regressor, parse_term,
+    MAX_NESTING, Call, Number, ParseError, Product, RegressorSpec, UnknownVariable, VARIABLES,
+    Variable, parse_regressor, parse_term,
 )
 
 F_REF = ["1", "q1", "sin(q2)*cos(p1)"]
@@ -109,6 +111,34 @@ def test_bad_character_named_at_its_position(text, pos, char):
         parse_term(text)
     assert exc.value.pos == pos
     assert f"unexpected character {char!r} at position {pos}" in str(exc.value)
+
+
+def test_non_ascii_digit_starts_no_token():
+    # NUMBER is ASCII digits: an Arabic-Indic three is not 3.0
+    with pytest.raises(ParseError) as exc:
+        parse_term("\u0663*q1")
+    assert exc.value.pos == 0
+    assert "unexpected character '\u0663' at position 0" in str(exc.value)
+
+
+def nested(depth):
+    return "sin(" * depth + "q1" + ")" * depth
+
+
+def test_nesting_at_the_limit_parses():
+    t = parse_term(nested(MAX_NESTING))
+    want = 0.3
+    for _ in range(MAX_NESTING):
+        want = math.sin(want)
+    assert t(0.3, 0.0, 0.0, 0.0) == want
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 700])
+def test_nesting_past_the_limit_raises_at_its_paren(depth):
+    with pytest.raises(ParseError) as exc:
+        parse_term("2*" + nested(depth))
+    assert exc.value.pos == 2 + 4 * MAX_NESTING + 3
+    assert f"calls nested deeper than {MAX_NESTING}" in str(exc.value)
 
 
 def test_unknown_function_rejected():

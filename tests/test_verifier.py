@@ -25,6 +25,11 @@ Covers:
   - the one-trig scan (s = sqrt(1 - c c)) finds the same index and points as
     the two-trig scan it replaced, for d4 and det Md (100 random draws and the
     presets, 4000 and 10^5 cells)
+  - the blocks certified by interval bounds: every value the point-by-point
+    scan computes lies in its block's bounds (d4 and det Md, random draws and
+    blocks); a planted narrow dip or nan before the crossing scans as one pass
+    over the whole grid (200 random draws); on every preset checks 3 and 4
+    form the points of at most 2 blocks; a numpy function of a range raises
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws; a
     Hessian scaled by 1 + 1e-3 fails check 5 through its fd control on
     every preset
@@ -258,7 +263,8 @@ def test_sign_scans_blocks_equal_one_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4000, verify.SCAN_BLOCK - 1, verify.SCAN_BLOCK,
-                               verify.SCAN_BLOCK + 1, 10 ** 5, 10 ** 6])
+                               verify.SCAN_BLOCK + 1, 4 * verify.SCAN_BLOCK - 1,
+                               4 * verify.SCAN_BLOCK, 4 * verify.SCAN_BLOCK + 1, 10 ** 5, 10 ** 6])
 def test_grid_blocks_equal_linspace(n):
     blocks = list(verify._grid_blocks(n))
     assert [start for start, _ in blocks] == list(range(0, n + 1, verify.SCAN_BLOCK))
@@ -306,6 +312,86 @@ def test_one_trig_scan_equals_two_trig_scan(monkeypatch):
             want = [two_trig_sign_scan(params, gains, n, lambda k, s, c: md_d4(k, s, c)[1]),
                     two_trig_sign_scan(params, gains, n, det_md_of(gains))]
             assert repr(seen) == repr(want), (params, gains, n)
+
+
+def one_pass_sign_scan(params, gains, n, value):
+    """verify._sign_scan as one pass over the whole grid: no blocks, no bounds."""
+    q2 = np.linspace(0.0, math.pi / 2, n + 1)
+    c = np.cos(q2)
+    bad = np.flatnonzero(~(value(coeffs(params, gains), np.sqrt(1.0 - c * c), c) > 0.0))
+    i = int(bad[0]) if bad.size else n + 1
+    return (i, float(q2[i - 1]) if i else math.nan,
+            float(q2[i]) if i <= n else math.nan)
+
+
+def test_block_bounds_hold_every_scanned_value():
+    # each value the point-by-point scan computes lies in its block's [lo, hi]: d4
+    # and det Md, 50 random admissible draws, 5 random blocks at each of 3 sizes
+    # (check 6's 4000 cells are one block). A nan bound bounds nothing (and a nan
+    # lo is never > 0): block 0's, where c reaches 1 + COS_ERR and 1 - c c < 0;
+    # every other block's bounds are numbers
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        params, gains = rand_draw(rng)
+        k = coeffs(params, gains)
+        for value in (lambda k, s, c: md_d4(k, s, c)[1], det_md_of(gains)):
+            for n in (10 ** 4, 10 ** 5, 10 ** 6):
+                bounds, _ = verify._block_bounds(k, value, n)
+                assert np.isnan(bounds.lo[0]) and not np.isnan(bounds.lo[1:]).any()
+                assert not np.isnan(bounds.hi[1:]).any()
+                for j in rng.integers(1, bounds.lo.size, 5).tolist():
+                    c = np.cos(verify._block_points(n, j * verify.SCAN_BLOCK))
+                    got = value(k, verify._sin_of(c), c)
+                    assert np.all((bounds.lo[j] <= got) & (got <= bounds.hi[j])), (params, gains, n, j)
+
+
+def test_planted_dips_and_nans_scan_as_one_pass():
+    # a narrow dip d4 - A w^2/(w^2 + (c - c0)^2), or a nan d4 + 0 (1/(c - c0)) at a
+    # grid point, planted before the crossing: the certified scan finds what one pass
+    # over the whole grid finds (200 random draws; the dip may sit between points)
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        params, gains = rand_draw(rng)
+        n = int(rng.choice([4000, 10 ** 5, 10 ** 6]))
+        before_cross = int(0.99 * region_rho(params, gains) / (math.pi / 2) * n)
+        q2 = (int(rng.integers(1, before_cross)) + float(rng.choice([0.0, rng.random()]))) * (math.pi / 2 / n)
+        c0 = float(np.cos(q2))
+        if rng.random() < 0.5:
+            w = 10.0 ** rng.uniform(-12.0, -4.0)
+            a = rng.uniform(0.5, 2.0) * float(md_d4(coeffs(params, gains), math.sin(q2), c0)[1])
+
+            def value(k, s, c):
+                return md_d4(k, s, c)[1] - a * w * w / (w * w + (c - c0) * (c - c0))
+        else:
+            def value(k, s, c):
+                return md_d4(k, s, c)[1] + 0.0 * (1.0 / (c - c0))
+        with np.errstate(all="ignore"):
+            got = verify._sign_scan(params, gains, n, value)
+            want = one_pass_sign_scan(params, gains, n, value)
+        assert repr(got) == repr(want), (params, gains, n, q2)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sign_scans_certify_all_but_two_blocks(name, monkeypatch):
+    # checks 3 and 4 (and check 6's 4000-cell det Md scan) form the points of at
+    # most 2 blocks: block 0, where c reaches 1 + COS_ERR, and the crossing's
+    real, formed = verify._block_points, []
+    monkeypatch.setattr(verify, "_block_points", lambda n, start: formed.append(start) or real(n, start))
+    params, gains = plant_and_gains(name)
+    opts = VerifyOptions()
+    for scan in (lambda: region_report(params, gains, opts.scan_cells),
+                 lambda: md_definiteness_scan(params, gains, opts.md_scan_points),
+                 lambda: _pd_endpoint(params, gains)):
+        formed.clear()
+        scan()
+        assert 1 <= len(formed) <= 2, formed
+
+
+def test_numpy_functions_of_a_range_raise():
+    r = verify._Range(np.zeros(2), np.ones(2))
+    for fn in (np.cos, np.sqrt, np.negative):
+        with pytest.raises(TypeError):
+            fn(r)
 
 
 def traced_peak(fn, *args):
