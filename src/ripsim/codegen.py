@@ -21,7 +21,7 @@ _STMT = re.compile(r"(return\b)|([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*=(?!=)"
                    r"|(?:if|elif|else|raise|pass)\b")
 _CALL = re.compile(r"\s*(([A-Za-z_]\w*)\((.*)\))")   # f(args) after the "=", if one call
 _BOUND = re.compile(r"[A-Za-z_]\w*|[\d.]+")          # an argument a parameter is renamed to
-_UNBOUND = re.compile(r"\*|[A-Za-z_]\w*\s*=(?!=)")   # an unpacked or keyword argument
+_KEYWORD = re.compile(r"(?<![\w.])[A-Za-z_]\w*\s*=(?!=)")   # name= right of a statement's =
 _PUNCT = re.compile(r"[][(){},]")
 
 
@@ -79,7 +79,8 @@ def fuse(*entries) -> tuple:
     Raises ValueError, naming the function, at what it cannot inline: a loop or a
     lambda, a return before the last statement, an assignment to a parameter or to
     a global, a helper call that is not the whole right-hand side of an assignment
-    to names, a _ other than as a target of such a call, a string, or a statement
+    to names, or that unpacks an argument, a keyword argument (renaming would rename
+    its name), a _ other than as a target of such a call, a string, or a statement
     other than such an assignment, if/elif/else, raise or pass.
     """
     parsed: dict = {}
@@ -239,6 +240,8 @@ def _parse(fn):
             raise _refused(fn, "an early return", text)
         if "for" in words or "while" in words or "lambda" in words:
             raise _refused(fn, "a loop or a lambda", text)
+        if _KEYWORD.search(text, kind.end() if kind else 0):
+            raise _refused(fn, "a keyword argument", text)
         called = [n for n in words if n in helpers]
         if "_" in words and not (kind and kind[2] and called
                                  and "_" not in words[kind[2].count(",") + 1:]):
@@ -256,8 +259,8 @@ def _parse(fn):
             call = _CALL.fullmatch(text, kind.end())
             args = _split(call[3]) if call and call[3].strip() else []
             if call and args is not None and called == [call[2]] and indent == body:
-                if any(map(_UNBOUND.match, args)):
-                    raise _refused(fn, "a helper call with unpacked or keyword arguments", text)
+                if any(a.startswith("*") for a in args):
+                    raise _refused(fn, "a helper call with unpacked arguments", text)
                 stmts.append(("call", targets, (glb[call[2]], list(map(_NAME.split, args)))))
                 continue
         elif not kind and indent == body:

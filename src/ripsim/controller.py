@@ -13,6 +13,11 @@ matching; psi1, psi2 follow from fixing Md entries d1 = k2 and d2 = d3.
 Md is positive definite only on a symmetric q2 interval around the
 upright equilibrium; outside it the control law has no meaning and
 evaluation raises DefinitenessLost.
+
+The float entry points control_terms and desired_hamiltonian take
+s = sin q2 and c = cos q2 from the caller, which forms the pair once per
+state; q2 itself only names the state in DefinitenessLost. control_law
+takes q2 alone and forms the pair itself.
 """
 from __future__ import annotations
 
@@ -300,9 +305,10 @@ def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
     return np.array([[kappa, h12], [h12, h22]])
 
 
-def desired_hamiltonian(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> float:
-    """Hd = 0.5 p^T Md^{-1} p + Vd(q). Raises DefinitenessLost."""
-    s, c = math.sin(q2), math.cos(q2)
+def desired_hamiltonian(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: float,
+                        p2c: float) -> float:
+    """Hd = 0.5 p^T Md^{-1} p + Vd(q) at s = sin q2, c = cos q2; q2 only names the
+    state in DefinitenessLost, which it raises."""
     _, _, _, d2, d4 = shape_terms(k, s, c)
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
@@ -311,10 +317,10 @@ def desired_hamiltonian(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float)
     return 0.5 * (p1c * pt1 + p2c * pt2) + vd
 
 
-def control_terms(k: Coeffs, q1: float, q2: float, p1c: float,
+def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: float,
                   p2c: float) -> tuple[float, float]:
-    """Scalar fast path: returns (u, ptilde1). Raises DefinitenessLost."""
-    s, c = math.sin(q2), math.cos(q2)
+    """Scalar fast path at s = sin q2, c = cos q2: returns (u, ptilde1). q2 only names
+    the state in DefinitenessLost, which it raises."""
     den, m11, ps3, d2, d4 = shape_terms(k, s, c)
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
@@ -335,7 +341,7 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
     Raises DefinitenessLost outside the region where Md is positive
     definite; the simulation engine decides the policy there.
     """
-    return control_terms(k, q1, q2, p1c, p2c)[0]
+    return control_terms(k, q1, q2, math.sin(q2), math.cos(q2), p1c, p2c)[0]
 
 
 # The float entry points that simulate and check 6 call run as fused code, every

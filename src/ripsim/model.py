@@ -5,6 +5,10 @@ p = M(q2) qdot, passed as the floats q1, q2, p1, p2. Only the arm joint is
 actuated: G = [1, 0]^T. The total energy is
 H = p5*cos(q2) + 0.5 * p^T M^{-1}(q2) p.
 
+Everything here depends on q2 only through s = sin q2 and c = cos q2, so
+the float entry points hamiltonian and open_loop_rhs_flat take (s, c): the
+caller forms the pair once per state and shares it with the controller.
+
 Angles are NOT wrapped: the shaped potential used by the controller
 contains an unwrapped q1 term, so configurations live on R^2.
 """
@@ -80,9 +84,8 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
     return v1, v2, -params.p5 * s - 0.5 * (d11 * v1 * v1 + 2.0 * d12 * v1 * v2)
 
 
-def hamiltonian(params: RobotParams, q2: float, p1c: float, p2c: float) -> float:
-    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p."""
-    s, c = math.sin(q2), math.cos(q2)
+def hamiltonian(params: RobotParams, s: float, c: float, p1c: float, p2c: float) -> float:
+    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p at s = sin q2, c = cos q2."""
     m11, m12, m22 = _inertia(params, s, c)
     i11, i12, i22 = _inv2(m11, m12, m22)
     return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
@@ -94,11 +97,11 @@ def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[fl
     return m11 * qd1 + m12 * qd2, m12 * qd1 + m22 * qd2
 
 
-def open_loop_rhs_flat(params: RobotParams, q2: float, p1c: float, p2c: float,
+def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c: float,
                        u: float, d: float) -> tuple[float, float, float, float]:
     """Plant vector field (qdot1, qdot2, pdot1, pdot2): qdot = M^{-1} p and
-    pdot = -grad_q H + G (u - d), from scalar components with one sin/cos per call."""
-    qd1, qd2, dh = _plant(params, math.sin(q2), math.cos(q2), p1c, p2c)
+    pdot = -grad_q H + G (u - d), from scalar components at s = sin q2, c = cos q2."""
+    qd1, qd2, dh = _plant(params, s, c, p1c, p2c)
     return qd1, qd2, u - d, -dh
 
 

@@ -19,7 +19,8 @@ weights living in theta. Extending the grammar (e.g. '+', powers) only
 requires new alternatives in _parse_factor, one AST node each and its
 statements in _emit.
 
-NUMBER is ASCII digits with an optional point and exponent; the tokenizer
+NUMBER is ASCII digits with an optional point and exponent, and must be
+finite as a double (1e999 is refused at its position); the tokenizer
 matches ASCII only, so another script's digit or space starts no token. Calls
 nest at most MAX_NESTING deep: parsing recurses once per level.
 
@@ -170,7 +171,10 @@ def _tokenize(text: str) -> collections.deque:
 def _parse_factor(toks: collections.deque, text: str, depth: int):
     kind, value, pos = toks.popleft()
     if kind == "number":
-        return Number(float(value))
+        number = float(value)
+        if not math.isfinite(number):
+            raise ParseError(text, pos, f"number {value} overflows a double")
+        return Number(number)
     if kind == "ident":
         if toks[0][0] == "lparen":
             if value not in FUNCTIONS:
@@ -226,7 +230,9 @@ class RegressorSpec:
         return len(self.terms)
 
     def eval_flat(self, q1: float, q2: float, p1: float, p2: float) -> list[float]:
-        return [t(q1, q2, p1, p2) for t in self.terms]
+        """f(q, p) as a list, each term called through its class's __call__, which skips
+        the instance-call slot (as simulate's stage and row call it)."""
+        return [type(t).__call__(t, q1, q2, p1, p2) for t in self.terms]
 
 
 def parse_regressor(texts: list[str]) -> RegressorSpec:

@@ -6,7 +6,8 @@ runs are deterministic and byte-reproducible. Three functions are generated
 from source (codegen.generate) with every loop unrolled: the RK4 step for
 the state length (_rk4_kernel, cached), and per run, for its mode and
 regressor, the closed-loop stage that re-evaluates the feedback torque
-(_stage) and the recorded row (_row), their sums in adaptive.dot's order.
+(_stage) and the recorded row (_row), their sums in adaptive.dot's order,
+each taking one sin/cos pair of q2 for the controller and the plant.
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -193,7 +195,8 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
     -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
-    adaptive.dot's order. control_terms and open_loop_rhs_flat are read here, and so is
+    adaptive.dot's order. The stage takes s = sin(q2), c = cos(q2) once and passes the
+    pair to control_terms and open_loop_rhs_flat, which are read here, and so is
     each term's class __call__, which the stage calls as c{j}(t{j}, ...): a __call__
     patched before run() builds the stage is the one called, and the call skips the
     instance-call slot. Every constant is a closure variable (codegen.generate).
@@ -201,16 +204,19 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     ell, rows = len(terms), range(len(ginv_rows))
     theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
     lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
-             "u, pt1 = control_terms(k, q1, q2, p1c, p2c)",
+             "s = sin(q2)",
+             "c = cos(q2)",
+             "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
              *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
              *(f"u = u + f{j} * {th}" for j, th in enumerate(theta_hat)),
              "d = 0.0",
              *(f"d = d + f{j} * dth{j}" for j in range(ell))]
     for i in rows:
         lines += [f"r{i} = 0.0", *(f"r{i} = r{i} + g{i}_{j} * f{j}" for j in range(ell))]
-    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q2, p1c, p2c, u, d)",
+    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
               f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
-    consts = {"k": k, "params": params, "control_terms": control_terms,
+    consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
+              "control_terms": control_terms,
               "open_loop_rhs_flat": open_loop_rhs_flat, **_term_calls(terms),
               **_numbered("dth", dtheta)}
     for i, row in enumerate(ginv_rows):
@@ -229,16 +235,20 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
     one statement per term in adaptive.dot's order from 0.0. control_terms,
     controller.desired_hamiltonian, dist.value and hamiltonian are read here and
-    called once each, in that order, with the term nodes between the last two. Each
+    called once each, in that order, with the term nodes between the last two; the
+    three energy and torque calls share one s = sin(q2), c = cos(q2) pair. Each
     term's class __call__ is read here too and called as c{j}(t{j}, ...), as in _stage.
     """
     ell = len(gamma_rows)
     theta_hat = [f"th{j}" for j in range(ell)]
     lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
-             "u, pt1 = control_terms(k, q1, q2, p1c, p2c)",
-             "hd = desired_hamiltonian(k, q1, q2, p1c, p2c)",
+             "s = sin(q2)",
+             "c = cos(q2)",
+             "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
+             "hd = desired_hamiltonian(k, q1, q2, s, c, p1c, p2c)",
              "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0"]
-    consts = {"k": k, "params": params, "control_terms": control_terms,
+    consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
+              "control_terms": control_terms,
               "desired_hamiltonian": controller.desired_hamiltonian,
               "hamiltonian": hamiltonian}
     if dist is not None:
@@ -258,7 +268,7 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     else:
         lines += ["dhat = 0.0", "v = hd"]
     lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",
-                                        "hamiltonian(params, q2, p1c, p2c)", "hd", "v",
+                                        "hamiltonian(params, s, c, p1c, p2c)", "hd", "v",
                                         "pt1", *theta_hat]))
     return generate(f"recorded row{'' if dist is None else ', disturbed'}"
                     f"{f', {ell} estimates' if ell else ''}", "row", "x", lines, consts)
@@ -292,8 +302,12 @@ def run(scenario: Scenario) -> Trace:
     row = _row(k, params, dist, gamma_rows)
 
     t_grid = np.arange(n + 1) * dt
-    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat
+    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat,
+    # stored by pack_into at the row's byte offset: the doubles rec[i] = row(x) stores,
+    # without numpy's conversion of the tuple, which costs about twice as much
     rec = np.empty((n + 1, 11 + ell))
+    row_struct = struct.Struct(f"{11 + ell}d")
+    pack, size = row_struct.pack_into, row_struct.size
 
     p0 = momentum(params, scenario.q0[1], *scenario.qdot0)  # p0 = M(q2(0)) qdot0
     x = [float(v) for v in (*scenario.q0, *p0)]
@@ -307,7 +321,7 @@ def run(scenario: Scenario) -> Trace:
 
     for i in range(n + 1):
         try:
-            rec[i] = row(x)
+            pack(rec, i * size, *row(x))
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break

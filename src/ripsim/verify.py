@@ -217,13 +217,6 @@ def _block_points(n: int, start: int) -> np.ndarray:
     return b
 
 
-def _grid_blocks(n: int):
-    """linspace(0, pi/2, n+1) as (start index, points) blocks of SCAN_BLOCK points, each
-    made only when it is reached (_block_points). Memory is set by SCAN_BLOCK, not by n."""
-    for start in range(0, n + 1, SCAN_BLOCK):
-        yield start, _block_points(n, start)
-
-
 class _Range:
     """[lo, hi] of a float expression over each of a set of blocks, lo and hi ndarrays.
 
@@ -285,7 +278,7 @@ def _sin_of(c):
 
 
 def _block_bounds(k: controller.Coeffs, value, n: int) -> tuple[_Range, np.ndarray]:
-    """value(k, s, c) bounded per _grid_blocks block without forming its points, and the
+    """value(k, s, c) bounded per SCAN_BLOCK block without forming its points, and the
     blocks' last points (bit-identical to _block_points'). c = cos q2 falls on [0, pi/2],
     so a block's c lies in [np.cos(last) - COS_ERR, np.cos(first) + COS_ERR], and s is
     formed from it as the scan forms it (_sin_of)."""
@@ -300,7 +293,7 @@ def _block_bounds(k: controller.Coeffs, value, n: int) -> tuple[_Range, np.ndarr
 def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
                value) -> tuple[int, float, float]:
     """(i, q2[i - 1], q2[i]) for the first point i of q2 = linspace(0, pi/2, n+1) where
-    value(k, s, c) is not > 0 (i = n + 1 if none), found block by block (_grid_blocks);
+    value(k, s, c) is not > 0 (i = n + 1 if none), found block by block of SCAN_BLOCK points;
     nan fails. A point outside the grid is nan.
 
     A block whose lower bound (_block_bounds) is > 0 is passed over without forming its
@@ -481,7 +474,8 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
         x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
         # the plant under the feedback torque, on the float route simulate.run takes
         ctrl = np.array([open_loop_rhs_flat(
-            params, q2, p1, p2, controller.control_law(k, q1, q2, p1, p2), 0.0)
+            params, math.sin(q2), math.cos(q2), p1, p2,
+            controller.control_law(k, q1, q2, p1, p2), 0.0)
             for q1, q2, p1, p2 in x.tolist()])
         qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)

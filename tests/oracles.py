@@ -7,6 +7,7 @@ one copy. The numpy products (Gamma^{-1} f and
 f^T theta_hat by @) are a second summation route beside adaptive.dot, and
 psi_row1_derivative_fd a central-difference route to (psi1', psi2');
 lyapunov_value is V in adaptive.dot's order, the reference for the recorded row.
+trig(q2) is the (sin q2, cos q2) pair the fused float entry points take.
 two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point.
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
@@ -26,6 +27,11 @@ from ripsim.model import _inertia, open_loop_rhs_flat
 FD_STEP = 1e-7  # central-difference step of psi_row1_derivative_fd
 
 
+def trig(q2):
+    """(sin q2, cos q2): the pair the fused float entry points take in place of q2."""
+    return math.sin(q2), math.cos(q2)
+
+
 def inertia(params, q2):
     """M(q2) as a 2x2 array."""
     m11, m12, m22 = _inertia(params, math.sin(q2), math.cos(q2))
@@ -34,7 +40,7 @@ def inertia(params, q2):
 
 def open_loop_rhs(params, q, p, u, d=0.0):
     """(qdot, pdot) of the plant at (q, p), as two arrays."""
-    qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, q[1], p[0], p[1], u, d)
+    qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, *trig(q[1]), p[0], p[1], u, d)
     return np.array([qd1, qd2]), np.array([pd1, pd2])
 
 
@@ -98,7 +104,7 @@ def zero_alpha(sh):
 
 def adaptation_rhs(params, gains, regressor, adaptive, q, p):
     """dtheta_hat/dt = -ptilde1 * Gamma^{-1} f(q, p)."""
-    _, pt1 = control_terms(coeffs(params, gains), q[0], q[1], p[0], p[1])
+    _, pt1 = control_terms(coeffs(params, gains), q[0], q[1], *trig(q[1]), p[0], p[1])
     return -pt1 * (adaptive.gamma_inv @ eval_regressor(regressor, q, p))
 
 
@@ -114,7 +120,8 @@ def two_trig_sign_scan(params, gains, n, value):
     """verify._sign_scan as it read with s = np.sin(q2) and c = np.cos(q2) at every
     point: the reference for the one-trig scan."""
     k, before = coeffs(params, gains), math.nan
-    for start, b in verify._grid_blocks(n):
+    for start in range(0, n + 1, verify.SCAN_BLOCK):
+        b = verify._block_points(n, start)
         bad = np.flatnonzero(~(value(k, np.sin(b), np.cos(b)) > 0.0))
         if bad.size:
             j = int(bad[0])

@@ -37,7 +37,8 @@ Covers:
     (where +-1 does not widen it); each hung or raised before; a nan or +-inf in
     x or a series raises ValueError naming it, and writes no file
   - a disturbance.f term nested 700 calls deep exits 2 from verify with the
-    disturbance.f: config error and no traceback
+    disturbance.f: config error and no traceback; so does a term holding the
+    literal 1e999, from verify and simulate (which ran it to a non-finite stage)
 """
 import dataclasses
 import hashlib
@@ -479,6 +480,15 @@ def test_deeply_nested_term_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: disturbance.f: calls nested deeper than")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_overflowing_literal_term_exits_2(tmp_path, capsys, command):
+    cfg = cfg_file(tmp_path, ROBUST.replace("'sin(q2)*cos(p1)'", "'1e999'"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: disturbance.f: number 1e999 overflows a double")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_t_end_over_step_limit_exits_2(tmp_path, capsys):

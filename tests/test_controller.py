@@ -26,7 +26,9 @@ from ripsim.controller import (
 )
 from ripsim.model import RobotParams
 
-from oracles import grad_q_Hd, inertia, momentum_tilde, psi_matrix, psi_row1_derivative_fd
+from oracles import (
+    grad_q_Hd, inertia, momentum_tilde, psi_matrix, psi_row1_derivative_fd, trig,
+)
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_REF = ControllerGains(1.0, 0.1, 100.0)  # kappa = kv = 1
@@ -237,7 +239,7 @@ def test_md_inverse_at_origin():
 
 def test_desired_hamiltonian_at_target():
     k = coeffs(P_SYN, G_REF)
-    assert desired_hamiltonian(k, 0.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    assert desired_hamiltonian(k, 0.0, 0.0, *trig(0.0), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
     assert np.array_equal(grad_q_Hd(P_SYN, G_REF, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
 
 
@@ -268,12 +270,12 @@ def test_hd_decreases_along_true_flow():
 
         def rhs(x):
             u = control_law(k, *x)
-            return np.array(open_loop_rhs_flat(P_SYN, x[1], x[2], x[3], u, 0.0))
+            return np.array(open_loop_rhs_flat(P_SYN, *trig(x[1]), x[2], x[3], u, 0.0))
 
         x0 = np.array([*q, *p])
         x1 = step_rk4(rhs, x0, dt)
-        hd0 = desired_hamiltonian(k, *x0)
-        hd1 = desired_hamiltonian(k, *x1)
+        hd0 = desired_hamiltonian(k, *x0[:2], *trig(x0[1]), *x0[2:])
+        hd1 = desired_hamiltonian(k, *x1[:2], *trig(x1[1]), *x1[2:])
         pt1, _ = momentum_tilde(k, q[1], p[0], p[1])
         assert (hd1 - hd0) / dt == pytest.approx(-G_REF.kv * pt1 * pt1,
                                                  rel=1e-4, abs=1e-6)

@@ -22,11 +22,13 @@ Covers:
     band both raise the same DefinitenessLost; it builds and runs at ell = 64
   - the four fused entry points (control_terms, desired_hamiltonian,
     hamiltonian, open_loop_rhs_flat) name none of the helpers inlined into
-    them and equal their helper-calling definitions bit for bit; fuse()
+    them and equal their helper-calling definitions bit for bit, at the
+    (sin q2, cos q2) they take; they name no sin or cos, and each generated
+    stage and row takes exactly one sin(q2) and one cos(q2); fuse()
     keeps values and exceptions through argument expressions, default
     arguments and a return that reads an earlier target, and refuses a loop,
-    an early return, a nested helper call or an assignment to a parameter,
-    naming the helper, when it builds
+    an early return, a nested helper call, an assignment to a parameter or a
+    keyword argument, naming the helper, when it builds
   - the row simulate.run generates per run equals the record block it
     replaced (kept here as the reference) bit for bit: 10^4 random in-band
     states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
@@ -63,6 +65,7 @@ from ripsim.verify import _pd_endpoint
 
 from oracles import (
     adaptation_rhs, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs, robust_control,
+    trig,
 )
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -124,9 +127,10 @@ def test_control_terms_equals_composition():
             args = (q1, q2, p1c, p2c)
             if k % 2:
                 args = tuple(float(v) for v in args)   # the simulator passes floats
-            got = outcome(control_terms, k_, *args)
+            fused_args = (*args[:2], *trig(args[1]), *args[2:])
+            got = outcome(control_terms, k_, *fused_args)
             assert got == outcome(composed_control_terms, params, gains, *args)
-            assert outcome(desired_hamiltonian, k_, *args) == \
+            assert outcome(desired_hamiltonian, k_, *fused_args) == \
                 outcome(composed_desired_hamiltonian, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
     assert min(lost, 10_000 - lost) > 1000   # both outcomes are exercised
@@ -324,9 +328,10 @@ def test_folded_helpers_equal_unfolded():
         for q1, q2, p1c, p2c in rng.uniform(-1.0, 1.0, size=(100, 4)).tolist():
             q1, q2, p1c, p2c = 3.0 * q1, 1.5 * rho * q2, 5.0 * p1c, 5.0 * p2c
             args = (q1, q2, p1c, p2c)
-            got = bit_outcome(control_terms, k, *args)
+            fused_args = (q1, q2, *trig(q2), p1c, p2c)
+            got = bit_outcome(control_terms, k, *fused_args)
             assert got == bit_outcome(control_terms_ref, params, gains, *args)
-            assert bit_outcome(desired_hamiltonian, k, *args) == \
+            assert bit_outcome(desired_hamiltonian, k, *fused_args) == \
                 bit_outcome(desired_hamiltonian_ref, params, gains, *args)
             lost += got[0] == "DefinitenessLost"
             s, c = math.sin(q2), math.cos(q2)
@@ -370,10 +375,34 @@ def test_fused_entry_points_call_no_helper(fn):
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     k, params = coeffs(cfg.params, cfg.gains), cfg.params
     for q1, q2, p1c, p2c in (rng.uniform(-1.0, 1.0, size=(2000, 4)) * 2.0).tolist():
-        args = {control_terms: (k, q1, q2, p1c, p2c), desired_hamiltonian: (k, q1, q2, p1c, p2c),
-                hamiltonian: (params, q2, p1c, p2c),
-                open_loop_rhs_flat: (params, q2, p1c, p2c, q1, 0.5)}[fn]
+        s, c = trig(q2)
+        args = {control_terms: (k, q1, q2, s, c, p1c, p2c),
+                desired_hamiltonian: (k, q1, q2, s, c, p1c, p2c),
+                hamiltonian: (params, s, c, p1c, p2c),
+                open_loop_rhs_flat: (params, s, c, p1c, p2c, q1, 0.5)}[fn]
         assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
+
+
+def source_of(fn):
+    return "".join(linecache.getlines(fn.__code__.co_filename))
+
+
+def test_one_trig_pair_per_stage_and_row():
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    for fn in FUSED:   # each takes (s, c) from its caller
+        code, source = fn.__code__, source_of(fn)
+        assert "sin(" not in source and "cos(" not in source, fn.__name__
+        assert not {"math", "sin", "cos"} & set(code.co_names + code.co_freevars), fn.__name__
+    terms, dtheta, ginv_rows = stage_case(np.random.default_rng(8), 3)
+    dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
+    gamma_rows = np.linalg.inv(ginv_rows).tolist()
+    for fn in (_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
+               _stage(k, params, terms, dtheta, ginv_rows), _row(k, params, None, []),
+               _row(k, params, dist, []), _row(k, params, dist, gamma_rows)):
+        source = source_of(fn)
+        assert source.count("sin(") == source.count("sin(q2)") == 1, source
+        assert source.count("cos(") == source.count("cos(q2)") == 1, source
 
 
 # Helpers of the forms fuse() accepts and refuses. They are module functions so
@@ -454,6 +483,16 @@ def _calls_reads_discard(x):
     return y
 
 
+def _keywords(x, y):
+    r = dict(x=y, y=x)      # renaming x to its argument would rename the keyword too
+    return r
+
+
+def _calls_keywords(x):
+    y = _keywords(x + 1.0, x)
+    return y
+
+
 def test_fuse_keeps_values_and_order():
     (fused,) = fuse(_accepted)
     assert not {"_pair", "_swap"} & set(fused.__code__.co_names + fused.__code__.co_freevars)
@@ -480,32 +519,35 @@ def test_fuse_drops_discarded_results():
     (_calls_nested, "_nested", "a helper call that is not a statement of its own"),
     (_calls_sets_param, "_sets_param", "an assignment to a parameter"),
     (_calls_reads_discard, "_reads_discard", "a _ other than as a target of a helper call"),
-], ids=["loop", "early_return", "nested_call", "assigns_parameter", "reads_discard"])
+    (_calls_keywords, "_keywords", "a keyword argument"),
+], ids=["loop", "early_return", "nested_call", "assigns_parameter", "reads_discard",
+        "keyword_argument"])
 def test_fuse_refuses_at_build_time(entry, helper, why):
     with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
         fuse(entry)
 
 
 # The three stage closures simulate.run picked by mode before its stage was
-# generated: the reference for simulate._stage.
+# generated: the reference for simulate._stage. Each call takes its own sin/cos
+# pair, as each entry point once took it from q2.
 def stage_ref(k, params, terms, dtheta, ginv_rows):
     if not terms:
         def rhs(x):
             q1, q2, p1c, p2c = x
-            u, _ = control_terms(k, q1, q2, p1c, p2c)
-            return open_loop_rhs_flat(params, q2, p1c, p2c, u, 0.0)
+            u, _ = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
+            return open_loop_rhs_flat(params, *trig(q2), p1c, p2c, u, 0.0)
     elif not ginv_rows:
         def rhs(x):
             q1, q2, p1c, p2c = x
-            u, _ = control_terms(k, q1, q2, p1c, p2c)
+            u, _ = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
             d = dot([tm(q1, q2, p1c, p2c) for tm in terms], dtheta)
-            return open_loop_rhs_flat(params, q2, p1c, p2c, u, d)
+            return open_loop_rhs_flat(params, *trig(q2), p1c, p2c, u, d)
     else:
         def rhs(x):
             q1, q2, p1c, p2c = x[:4]
-            u, pt1 = control_terms(k, q1, q2, p1c, p2c)
+            u, pt1 = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
             fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
-            return [*open_loop_rhs_flat(params, q2, p1c, p2c, dot(fvals, x[4:], u),
+            return [*open_loop_rhs_flat(params, *trig(q2), p1c, p2c, dot(fvals, x[4:], u),
                                         dot(fvals, dtheta)),
                     *[-pt1 * dot(row, fvals) for row in ginv_rows]]
     return rhs
@@ -574,7 +616,7 @@ def test_generated_stage_at_ell_64():
 
 
 # The record block of simulate.run before its row was generated: the reference
-# for simulate._row.
+# for simulate._row, each call taking its own sin/cos pair.
 def row_ref(k, params, dist, gamma_rows):
     robust = bool(gamma_rows)
     terms = dist.regressor.terms if robust else ()
@@ -582,8 +624,8 @@ def row_ref(k, params, dist, gamma_rows):
 
     def row(x):
         q1, q2, p1c, p2c, *theta_hat = x
-        u_now, pt1 = control_terms(k, q1, q2, p1c, p2c)
-        hd = desired_hamiltonian(k, q1, q2, p1c, p2c)
+        u_now, pt1 = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
+        hd = desired_hamiltonian(k, q1, q2, *trig(q2), p1c, p2c)
         d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
         if robust:
             dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
@@ -592,7 +634,7 @@ def row_ref(k, params, dist, gamma_rows):
         else:
             dhat, v_now = 0.0, hd
         return (q1, q2, p1c, p2c, u_now, d_now, dhat,
-                hamiltonian(params, q2, p1c, p2c), hd, v_now, pt1, *theta_hat)
+                hamiltonian(params, *trig(q2), p1c, p2c), hd, v_now, pt1, *theta_hat)
     return row
 
 
@@ -650,7 +692,7 @@ def test_robust_rows_equal_public_functions(fig4_short):
     assert trace.status == "ok" and trace.t.shape[0] == 201
     for k in range(trace.t.shape[0]):
         q, p, theta_hat = recorded(trace, k)
-        u_shaping, pt1 = control_terms(coeffs(params, gains), *q, *p)
+        u_shaping, pt1 = control_terms(coeffs(params, gains), *q, *trig(q[1]), *p)
         f = eval_regressor(dist.regressor, q, p)
         dot_scale = float(np.abs(f) @ np.abs(theta_hat))
         assert trace.ptilde1[k] == pt1
@@ -662,8 +704,8 @@ def test_robust_rows_equal_public_functions(fig4_short):
         assert bits([trace.d_hat[k]]) == bits([dhat])
         assert abs(trace.u[k] - robust_control(params, gains, dist.regressor, theta_hat, q, p)) \
             <= ULPS * (abs(u_shaping) + dot_scale)
-        assert trace.H[k] == hamiltonian(params, q[1], *p)
-        assert trace.Hd[k] == desired_hamiltonian(coeffs(params, gains), *q, *p)
+        assert trace.H[k] == hamiltonian(params, *trig(q[1]), *p)
+        assert trace.Hd[k] == desired_hamiltonian(coeffs(params, gains), *q, *trig(q[1]), *p)
         assert trace.V_lyap[k] == lyapunov_value(adaptive.gamma, theta_hat, dist.theta,
                                                  trace.Hd[k])
 
@@ -697,15 +739,15 @@ def formatted_error(fn, *args):
 def test_generated_code_shows_its_source_in_tracebacks():
     cfg = load_config(str(PRESETS / "fig2.yaml"))
     k = coeffs(cfg.params, cfg.gains)
-    text = formatted_error(control_terms, k, 0.0, 1.5, 0.0, 0.0)
+    text = formatted_error(control_terms, k, 0.0, 1.5, *trig(1.5), 0.0, 0.0)
     assert 'File "<fused control_terms>", line ' in text and ", in control_terms\n" in text
     assert "    raise DefinitenessLost(q2, " in text
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     k, rng = coeffs(cfg.params, cfg.gains), np.random.default_rng(3)
     stage = _stage(k, cfg.params, *stage_case(rng, 3))
     text = formatted_error(stage, [0.0, 1.5, 0.0, 0.0, 0.1, 0.2, 0.3])
-    assert 'File "<closed-loop stage, 3 terms, adaptive>", line 4, in stage\n' \
-           "    u, pt1 = control_terms(k, q1, q2, p1c, p2c)\n" in text
+    assert 'File "<closed-loop stage, 3 terms, adaptive>", line 6, in stage\n' \
+           "    u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)\n" in text
     assert ", in control_terms\n" in text and "    raise DefinitenessLost(q2, " in text
 
 
@@ -725,8 +767,7 @@ def test_generated_sources_never_share_a_file_name():
     sources: dict = {}
     for fn in fns:
         code = fn.__code__
-        source = "".join(linecache.getlines(code.co_filename))
-        sources.setdefault(code.co_filename, set()).add(source)
+        sources.setdefault(code.co_filename, set()).add(source_of(fn))
         assert code.co_name != "fn" and f"def {code.co_name}(" in \
             linecache.getline(code.co_filename, 2)
     assert all(len(s) == 1 and "" not in s for s in sources.values()), sources

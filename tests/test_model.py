@@ -10,8 +10,9 @@ Covers:
   - open-loop RHS: equilibrium, u-d cancellation, underactuation,
     q1 translation invariance; open_loop_rhs_flat against the matrix form
     qdot = M^{-1} p (a 2x2 solve), pdot2 = p5 sin q2 + 1/2 qdot^T M' qdot
-  - the one-trig open_loop_rhs_flat and hamiltonian equal, bit for bit,
-    the composition of per-quantity calls that each evaluate sin/cos and M^{-1}
+  - open_loop_rhs_flat and hamiltonian, which take (sin q2, cos q2), equal,
+    bit for bit, the composition of per-quantity calls that each evaluate
+    sin/cos and M^{-1}
   - energy conservation of the free plant under RK4
   - parameter validation and the physical-constant constructor
 """
@@ -23,7 +24,7 @@ import pytest
 from ripsim.model import G, RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 from ripsim.simulate import step_rk4
 
-from oracles import inertia, open_loop_rhs
+from oracles import inertia, open_loop_rhs, trig
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 
@@ -65,8 +66,8 @@ def test_inertia_positive_definite_on_grid():
 
 
 def test_hamiltonian_values():
-    assert hamiltonian(P_SYN, 0.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert hamiltonian(P_SYN, math.pi, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert hamiltonian(P_SYN, *trig(0.0), 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert hamiltonian(P_SYN, *trig(math.pi), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_hamiltonian_velocity_identity():
@@ -75,11 +76,11 @@ def test_hamiltonian_velocity_identity():
     for _ in range(300):
         params = rand_params(rng)
         q, p = rand_state(rng)
-        qd = np.array(open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[:2])
+        qd = np.array(open_loop_rhs_flat(params, *trig(q[1]), p[0], p[1], 0.0, 0.0)[:2])
         m = inertia(params, q[1])
         ref = 0.5 * qd @ m @ qd + params.p5 * math.cos(q[1])
-        assert hamiltonian(params, q[1], *p) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        assert hamiltonian(params, q[1], *p) >= -params.p5 - 1e-12
+        assert hamiltonian(params, *trig(q[1]), *p) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert hamiltonian(params, *trig(q[1]), *p) >= -params.p5 - 1e-12
 
 
 def test_momentum_velocity_roundtrip():
@@ -89,7 +90,7 @@ def test_momentum_velocity_roundtrip():
         q2 = rng.uniform(-3, 3)
         qd = rng.uniform(-2, 2, 2)
         p = momentum(params, q2, *qd)
-        back = open_loop_rhs_flat(params, q2, *p, 0.0, 0.0)[:2]
+        back = open_loop_rhs_flat(params, *trig(q2), *p, 0.0, 0.0)[:2]
         assert np.allclose(back, qd, atol=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_grad_q_h_first_component_zero():
     rng = np.random.default_rng(4)
     for _ in range(100):
         params, (q, p) = rand_params(rng), rand_state(rng)
-        assert open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[2] == 0.0
+        assert open_loop_rhs_flat(params, *trig(q[1]), p[0], p[1], 0.0, 0.0)[2] == 0.0
 
 
 def test_grad_q_h_matches_fd():
@@ -107,9 +108,9 @@ def test_grad_q_h_matches_fd():
     for _ in range(1000):
         params = rand_params(rng)
         q, p = rand_state(rng)
-        g2 = -open_loop_rhs_flat(params, q[1], p[0], p[1], 0.0, 0.0)[3]
-        hp = hamiltonian(params, q[1] + h, *p)
-        hm = hamiltonian(params, q[1] - h, *p)
+        g2 = -open_loop_rhs_flat(params, *trig(q[1]), p[0], p[1], 0.0, 0.0)[3]
+        hp = hamiltonian(params, *trig(q[1] + h), *p)
+        hm = hamiltonian(params, *trig(q[1] - h), *p)
         fd = (hp - hm) / (2 * h)
         assert g2 == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -162,7 +163,7 @@ def test_flat_rhs_matches_vector_rhs():
         dm = np.array([[2.0 * params.p2 * sin * cos, -params.p3 * sin],
                        [-params.p3 * sin, 0.0]])
         pd = [u - d, params.p5 * sin + 0.5 * qd @ dm @ qd]
-        flat = open_loop_rhs_flat(params, q[1], p[0], p[1], u, d)
+        flat = open_loop_rhs_flat(params, sin, cos, p[0], p[1], u, d)
         assert np.allclose([qd[0], qd[1], pd[0], pd[1]], flat, atol=0)
 
 
@@ -212,8 +213,8 @@ def test_fused_plant_equals_composition():
         for q2, p1c, p2c, u, d in rng.uniform(-4.0, 4.0, size=(100, 5)).tolist():
             q2 *= 2.0
             want = (*qdot_ref(params, q2, p1c, p2c), u - d, -dh_dq2_ref(params, q2, p1c, p2c))
-            assert bits(open_loop_rhs_flat(params, q2, p1c, p2c, u, d)) == bits(want)
-            assert bits([hamiltonian(params, q2, p1c, p2c)]) == \
+            assert bits(open_loop_rhs_flat(params, *trig(q2), p1c, p2c, u, d)) == bits(want)
+            assert bits([hamiltonian(params, *trig(q2), p1c, p2c)]) == \
                 bits([hamiltonian_ref(params, q2, p1c, p2c)])
 
 
@@ -224,13 +225,13 @@ def test_free_plant_conserves_energy():
     x = np.array([0.0, 0.4, 0.3, -0.2])
 
     def rhs(y):
-        return np.array(open_loop_rhs_flat(params, y[1], y[2], y[3], 0.0, 0.0))
+        return np.array(open_loop_rhs_flat(params, *trig(y[1]), y[2], y[3], 0.0, 0.0))
 
-    h0 = hamiltonian(params, *x[1:])
+    h0 = hamiltonian(params, *trig(x[1]), *x[2:])
     worst = 0.0
     for k in range(n):
         x = step_rk4(rhs, x, dt)
-        drift = abs(hamiltonian(params, *x[1:]) - h0)
+        drift = abs(hamiltonian(params, *trig(x[1]), *x[2:]) - h0)
         worst = max(worst, drift / (dt ** 4 * (k + 1) * dt))
     assert worst < 10.0  # C empirically O(1) for this trajectory
 

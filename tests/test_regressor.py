@@ -9,9 +9,11 @@ Covers:
     after whitespace, and a non-ASCII digit starts no token
   - calls nest MAX_NESTING deep; one level more raises ParseError at the
     '(' that goes past the limit
-  - property (hypothesis): on grammar expressions with the literals 1e999
-    and 5e-324 and products that overflow inside sin/cos, the compiled
-    term equals a tree-walk evaluator bit for bit (nan equal to nan)
+  - a literal that overflows a double (1e999) raises ParseError at its
+    position; one that underflows (1e-999) is 0.0
+  - property (hypothesis): on grammar expressions with the literal 5e-324
+    and products that overflow (1e308*1e308), also inside sin/cos, the
+    compiled term equals a tree-walk evaluator bit for bit (nan equal to nan)
   - RegressorSpec validation (at least one term)
 """
 import math
@@ -141,6 +143,19 @@ def test_nesting_past_the_limit_raises_at_its_paren(depth):
     assert f"calls nested deeper than {MAX_NESTING}" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, pos", [("1e999", 0), ("q1*2*sin(1.5e400)", 9),
+                                       ("cos(q2*1" + "0" * 400 + ".0)", 7)])
+def test_overflowing_literal_raises_at_its_position(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert exc.value.pos == pos
+    assert "overflows a double" in str(exc.value)
+
+
+def test_underflowing_literal_is_zero():
+    assert parse_term("1e-999*q1") == Product((Number(0.0), Variable("q1")))
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError):
         parse_term("tan(q1)")
@@ -176,7 +191,7 @@ def same_double(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-LITERALS = (st.sampled_from(["1e999", "5e-324", "0", "1", ".5", "2.5", "1e308", "3e200"])
+LITERALS = (st.sampled_from(["1e308*1e308", "5e-324", "0", "1", ".5", "2.5", "1e308", "3e200"])
             | st.floats(min_value=0.0, allow_infinity=False).map(repr))
 FACTORS = st.recursive(
     LITERALS | st.sampled_from(VARIABLES),
@@ -189,8 +204,8 @@ STATES = st.tuples(*[st.floats() | st.sampled_from([1e103, -1e155, 1e308])] * 4)
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(TERMS, STATES)
-@example("sin(p1*p1*p1)*cos(1e999*q1)*5e-324", (1.0, 0.0, 1e103, 0.0))
-@example("cos(q2*q2*1e308)*sin(0*1e999)", (0.0, 2.0, 0.0, 0.0))
+@example("sin(p1*p1*p1)*cos(1e308*1e308*q1)*5e-324", (1.0, 0.0, 1e103, 0.0))
+@example("cos(q2*q2*1e308)*sin(1e308*1e308*0)", (0.0, 2.0, 0.0, 0.0))
 def test_compiled_term_property(text, state):
     term = parse_term(text)
     assert same_double(term(*state), tree_eval(term, *state))

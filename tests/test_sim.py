@@ -43,7 +43,7 @@ from ripsim.simulate import (
 )
 from ripsim.verify import closed_loop_equivalence
 
-from oracles import inertia
+from oracles import inertia, trig
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_CONV = ControllerGains(1.0, 0.1, 100.0, kappa=1.0, kv=2.0)
@@ -104,7 +104,7 @@ def test_rk4_equals_vector_formula():
 def test_rk4_error_at_blown_up_stage_raises_nonfinite():
     # the k1 slope is inf, so the k2 stage holds q2 = inf and math.sin raises
     def rhs(y):
-        control_terms(coeffs(P_SYN, G_CONV), *y)
+        control_terms(coeffs(P_SYN, G_CONV), y[0], y[1], *trig(y[1]), y[2], y[3])
         return [0.0, math.inf, 0.0, 0.0]
 
     with pytest.raises(NonFiniteState, match="stage"):
@@ -232,7 +232,7 @@ def assert_rows_complete(tr):
         assert arr.shape[0] == rows, name
         assert np.all(np.isfinite(arr)), name
     for k in range(rows):
-        assert tr.H[k] == hamiltonian(P_SYN, tr.q[k, 1], tr.p[k, 0], tr.p[k, 1])
+        assert tr.H[k] == hamiltonian(P_SYN, *trig(tr.q[k, 1]), tr.p[k, 0], tr.p[k, 1])
 
 
 def robust_exit_scenario():
@@ -266,11 +266,11 @@ def test_region_exit_on_recorded_row_keeps_rows_complete(monkeypatch):
     # row but never inside a stage
     calls = []
 
-    def failing(k, q1, q2, p1c, p2c):
+    def failing(k, q1, q2, s, c, p1c, p2c):
         calls.append(1)
         if len(calls) == 5 * 40 + 1:   # the 41st recorded row (4 stages + 1 row per step)
             raise DefinitenessLost(q2, -1.0)
-        return control_terms(k, q1, q2, p1c, p2c)
+        return control_terms(k, q1, q2, s, c, p1c, p2c)
 
     monkeypatch.setattr(sim, "control_terms", failing)
     tr = run(robust_exit_scenario())

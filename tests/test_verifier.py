@@ -266,10 +266,10 @@ def test_sign_scans_blocks_equal_one_pass(monkeypatch):
                                verify.SCAN_BLOCK + 1, 4 * verify.SCAN_BLOCK - 1,
                                4 * verify.SCAN_BLOCK, 4 * verify.SCAN_BLOCK + 1, 10 ** 5, 10 ** 6])
 def test_grid_blocks_equal_linspace(n):
-    blocks = list(verify._grid_blocks(n))
-    assert [start for start, _ in blocks] == list(range(0, n + 1, verify.SCAN_BLOCK))
-    assert all(b.size <= verify.SCAN_BLOCK for _, b in blocks)
-    grid = np.concatenate([b for _, b in blocks])
+    blocks = [verify._block_points(n, start) for start in range(0, n + 1, verify.SCAN_BLOCK)]
+    assert all(b.size == verify.SCAN_BLOCK for b in blocks[:-1])
+    assert 1 <= blocks[-1].size <= verify.SCAN_BLOCK
+    grid = np.concatenate(blocks)
     assert grid.tobytes() == np.linspace(0.0, math.pi / 2, n + 1).tobytes()
 
 
