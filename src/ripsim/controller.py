@@ -63,7 +63,12 @@ class ControllerGains:
 class Coeffs:
     """The constants of the closed forms for one (params, gains), bound once per run:
     p1..p5, the gains and each parameter-only sub-expression the helpers use, formed
-    by the expression and IEEE association it replaces (so the doubles are the same)."""
+    by the expression and IEEE association it replaces (so the doubles are the same).
+
+    Fused control_terms and desired_hamiltonian form no binary operation of two
+    parameter-only operands (fields, numbers, or names bound only from them) and
+    negate none: each such value is a field here, which tests/test_kernel.py checks
+    on their fused source."""
 
     p1: float
     p2: float
@@ -85,17 +90,28 @@ class Coeffs:
     ddet: float      # p2*p4 + p3**2, d(det M)/dq2 over 2 s c
     ps4: float       # psi4 = -psi40
     p4k2: float      # p4*k2
+    p3ps4: float     # p3*psi4
+    p4ps4: float     # p4*psi4
+    neg2p2: float    # -2.0*p2
+    two_p2: float    # 2.0*p2
+    two_p3: float    # 2.0*p3
+    two_p2ps4: float  # 2.0*p2*psi4
+    neg_p3: float    # -p3
+    half_kappa: float  # 0.5*kappa
 
 
 def coeffs(params: RobotParams, gains: ControllerGains) -> Coeffs:
     """The Coeffs of (params, gains); raises ZeroDivisionError when a product of the
     constants underflows to 0 (the z offset's k1*p2*psi40 first)."""
     p2, p3, p4, p5 = params.p2, params.p3, params.p4, params.p5
-    k1, k2, psi40 = gains.k1, gains.k2, gains.psi40
-    return Coeffs(params.p1, p2, p3, p4, p5, k1, k2, gains.kv, gains.kappa, psi40,
+    k1, k2, psi40, kappa = gains.k1, gains.k2, gains.psi40, gains.kappa
+    ps4 = -psi40
+    return Coeffs(params.p1, p2, p3, p4, p5, k1, k2, gains.kv, kappa, psi40,
                   p2 / (p3 * psi40), p3 * psi40, p4 * psi40,
                   math.sqrt(p3 / (k1 * p2 * psi40)), math.sqrt(p2 / (k1 * p3 * psi40)),
-                  p5 / psi40, p3 ** 2, p2 * p4 + p3 ** 2, -psi40, p4 * k2)
+                  p5 / psi40, p3 ** 2, p2 * p4 + p3 ** 2, ps4, p4 * k2,
+                  p3 * ps4, p4 * ps4, -2.0 * p2, 2.0 * p2, 2.0 * p3, 2.0 * p2 * ps4, -p3,
+                  0.5 * kappa)
 
 
 def d4_at_origin(params: RobotParams, gains: ControllerGains) -> float:
@@ -138,15 +154,15 @@ def shape_terms(k: Coeffs, s: float, c: float):
     return den, m11, c / den, d2, d4
 
 
-def _md_prime(k: Coeffs, s: float, c: float, den: float, m11: float) -> tuple[float, float]:
-    """(d2', d4') by the quotient rule; d1' = 0 since d1 = k2."""
+def _md_prime(k: Coeffs, s: float, c: float, s2: float, den: float,
+              m11: float) -> tuple[float, float]:
+    """(d2', d4') by the quotient rule, s2 = 2 s c; d1' = 0 since d1 = k2."""
     w = k.w
-    s2 = 2.0 * s * c
     dden = w * s2
     dm11 = k.p2 * s2
     den2 = den * den
     dd2 = -s * (m11 / den - k.p3psi40) + c * (dm11 * den - m11 * dden) / den2
-    dd4 = -k.p3 * s2 * (den + w * c * c) / den2
+    dd4 = k.neg_p3 * s2 * (den + w * c * c) / den2
     return dd2, dd4
 
 
@@ -159,23 +175,24 @@ def _md_inverse(k: Coeffs, q2: float, d2: float, d4: float) -> tuple[float, floa
     return d4 / det, -d2 / det, d1 / det
 
 
-def _psi_row1(k: Coeffs, s: float, c: float, m11: float, d2: float,
+def _psi_row1(k: Coeffs, s: float, c: float, s2: float, m11: float, d2: float,
               dd2: float) -> tuple[float, float, float, float]:
     """(psi1, psi2, psi1', psi2'): [psi1, psi2] = [d1, d2] M^{-1} = [n1, n2] / det M,
-    and its q2-derivative by the quotient rule."""
-    p3, p4, k2 = k.p3, k.p4, k.k2
+    and its q2-derivative by the quotient rule, s2 = 2 s c."""
+    p3, k2 = k.p3, k.k2
     m12 = p3 * c
-    det = m11 * p4 - m12 * m12
+    m11p4 = m11 * k.p4
+    det = m11p4 - m12 * m12
     n1 = k.p4k2 - m12 * d2
     n2 = -m12 * k2 + m11 * d2
     # det M once more, as p3**2 c c: it may round apart from m12 * m12. Kept on
     # purpose: det in its place leaves the fig presets' traces as they are, but
     # moves default's trace.csv from t = 0.633 s on (q1 0.22 rad apart by 30 s)
-    det_ = m11 * p4 - k.p3sq * c * c
-    s2 = 2.0 * s * c
+    det_ = m11p4 - k.p3sq * c * c
     ddet = k.ddet * s2
-    dn1 = p3 * s * d2 - m12 * dd2
-    dn2 = p3 * s * k2 + k.p2 * s2 * d2 + m11 * dd2
+    p3s = p3 * s
+    dn1 = p3s * d2 - m12 * dd2
+    dn2 = p3s * k2 + k.p2 * s2 * d2 + m11 * dd2
     det2 = det_ * det_
     return n1 / det, n2 / det, (dn1 * det_ - n1 * ddet) / det2, (dn2 * det_ - n2 * ddet) / det2
 
@@ -183,19 +200,19 @@ def _psi_row1(k: Coeffs, s: float, c: float, m11: float, d2: float,
 def alpha_from_psi(k: Coeffs, s: float, c: float, m11: float, ps1: float, ps2: float,
                    ps3: float, dps1: float, dps2: float) -> tuple[float, float]:
     """Interconnection coefficients (alpha1, alpha2) at (s, c), m11 = p1 + p2 s^2."""
-    p2_, p3_, p4_, ps4 = k.p2, k.p3, k.p4, k.ps4
-    two_a1 = (-2.0 * p2_ * ps1 * ps1 * s * c
-              + 2.0 * p3_ * ps1 * ps2 * s
+    p3_, ps4, p3ps4 = k.p3, k.ps4, k.p3ps4
+    two_a1 = (k.neg2p2 * ps1 * ps1 * s * c
+              + k.two_p3 * ps1 * ps2 * s
               + ps4 * m11 * dps1
-              - p3_ * ps4 * ps2 * s
-              + 2.0 * p2_ * ps4 * ps1 * s * c
-              + p3_ * ps4 * c * dps2)
+              - p3ps4 * ps2 * s
+              + k.two_p2ps4 * ps1 * s * c
+              + p3ps4 * c * dps2)
     a2 = (p3_ * ps2 * ps3 * s
-          - 2.0 * p2_ * ps1 * ps3 * s * c
+          - k.two_p2 * ps1 * ps3 * s * c
           + p3_ * ps1 * ps4 * s
-          + p3_ * ps4 * c * dps1
-          + p4_ * ps4 * dps2
-          - p3_ * ps4 * ps1 * s)
+          + p3ps4 * c * dps1
+          + k.p4ps4 * dps2
+          - p3ps4 * ps1 * s)
     return 0.5 * two_a1, a2  # the published expression gives 2*alpha1
 
 
@@ -207,8 +224,8 @@ def kinetic_matching_rows(k: Coeffs, s: float, c: float, ps1: float, ps2: float,
     All three vanish where kinetic matching holds (Md' = [[0, dd2], [dd2, dd4]]).
     """
     ps4 = k.ps4
-    dm11 = 2.0 * k.p2 * s * c
-    dm12 = -k.p3 * s
+    dm11 = k.two_p2 * s * c
+    dm12 = k.neg_p3 * s
     r11 = -(dm11 * ps1 * ps1 + 2.0 * dm12 * ps1 * ps2) - 2.0 * a1
     r12 = -(dm11 * ps1 * ps3 + dm12 * (ps1 * ps4 + ps2 * ps3)) + ps4 * dd2 - a2
     r22 = -(dm11 * ps3 * ps3 + 2.0 * dm12 * ps3 * ps4) + ps4 * dd4
@@ -222,8 +239,8 @@ def _z_offset(k: Coeffs, s: float, atan=math.atan) -> float:
 
 def _vd_gradient(k: Coeffs, z: float, s: float, ps3: float) -> tuple[float, float]:
     """grad Vd = (kappa z, kappa z psi3/psi40 + (p5/psi40) sin q2), as dz/dq2 = psi3/psi40."""
-    kappa = k.kappa
-    return kappa * z, kappa * z * ps3 / k.psi40 + k.p5_psi40 * s
+    kz = k.kappa * z
+    return kz, kz * ps3 / k.psi40 + k.p5_psi40 * s
 
 
 def _hd_gradient(k: Coeffs, z: float, s: float, ps3: float, dd2: float, dd4: float,
@@ -260,8 +277,9 @@ class Shaping(NamedTuple):
 def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
     den, m11, ps3, d2, d4 = shape_terms(k, s, c)
-    dd2, dd4 = _md_prime(k, s, c, den, m11)
-    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
+    s2 = 2.0 * s * c
+    dd2, dd4 = _md_prime(k, s, c, s2, den, m11)
+    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)
     dps3 = (-s * den - c * (2.0 * k.w * s * c)) / (den * den)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
@@ -289,7 +307,7 @@ def _vd(k: Coeffs, q1: float, s: float, c: float, atan=math.atan) -> float:
     minimized at the upright; pass np.arctan for arrays, complex ones included."""
     offset = _z_offset(k, s, atan)
     z = q1 + offset
-    return 0.5 * k.kappa * z * z - k.p5_psi40 * c
+    return k.half_kappa * z * z - k.p5_psi40 * c
 
 
 def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
@@ -325,10 +343,11 @@ def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: floa
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    dd2, dd4 = _md_prime(k, s, c, den, m11)
+    s2 = 2.0 * s * c
+    dd2, dd4 = _md_prime(k, s, c, s2, den, m11)
     offset = _z_offset(k, s)
     gq1, gq2 = _hd_gradient(k, q1 + offset, s, ps3, dd2, dd4, pt1, pt2)
-    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, m11, d2, dd2)
+    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
     u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - k.kv * pt1

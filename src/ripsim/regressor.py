@@ -20,7 +20,10 @@ requires new alternatives in _parse_factor, one AST node each and its
 statements in _emit.
 
 NUMBER is ASCII digits with an optional point and exponent, and must be
-finite as a double (1e999 is refused at its position); the tokenizer
+finite as a double (1e999 is refused at its position); so must the leading
+run of constant factors of a product (numbers, and sin/cos of constants),
+multiplied left to right from 1.0 (1e308*1e308 is refused at the run's first
+character); the tokenizer
 matches ASCII only, so another script's digit or space starts no token. Calls
 nest at most MAX_NESTING deep: parsing recurses once per level.
 
@@ -193,14 +196,45 @@ def _parse_factor(toks: collections.deque, text: str, depth: int):
     raise ParseError(text, pos, "expected a number, variable, or sin/cos call")
 
 
+def _leading_run(factors) -> tuple[float, bool]:
+    """(the product of the leading run of constant factors, folded left to right from
+    1.0 as the compiled term does; whether the run is all of them)."""
+    run = 1.0
+    for f in factors:
+        value = _constant(f)
+        if value is None:
+            return run, False
+        run *= value
+    return run, True
+
+
+def _constant(node):
+    """The value of a node that reads no variable, else None; its products are finite
+    (_parse_expr refuses the others), so sin/cos never see an infinity."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Call):
+        arg = _constant(node.arg)
+        return None if arg is None else FUNCTIONS[node.fn](arg)
+    if isinstance(node, Product):
+        run, whole = _leading_run(node.factors)
+        return run if whole else None
+    return None
+
+
 def _parse_expr(toks: collections.deque, text: str, depth: int):
-    """The expr at the front of toks, inside depth enclosing calls."""
+    """The expr at the front of toks, inside depth enclosing calls. A product whose
+    leading constant factors multiply past a double raises ParseError at its start."""
+    pos = toks[0][2]
     factors = [_parse_factor(toks, text, depth)]
     while toks[0][0] == "star":
         toks.popleft()
         factors.append(_parse_factor(toks, text, depth))
     if len(factors) == 1:
         return factors[0]
+    run, _ = _leading_run(factors)
+    if not math.isfinite(run):
+        raise ParseError(text, pos, f"constant factors multiply to {run}, not a finite double")
     return Product(tuple(factors))
 
 

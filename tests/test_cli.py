@@ -38,7 +38,8 @@ Covers:
     x or a series raises ValueError naming it, and writes no file
   - a disturbance.f term nested 700 calls deep exits 2 from verify with the
     disturbance.f: config error and no traceback; so does a term holding the
-    literal 1e999, from verify and simulate (which ran it to a non-finite stage)
+    literal 1e999, or literals whose product overflows (1e308*1e308, also
+    inside sin), from verify and simulate (which ran them to a non-finite stage)
 """
 import dataclasses
 import hashlib
@@ -488,6 +489,20 @@ def test_overflowing_literal_term_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: disturbance.f: number 1e999 overflows a double")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("term, pos", [("1e308*1e308", 0), ("q1*sin(1e308*1e308)", 7)])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_overflowing_constant_factors_exit_2(tmp_path, capsys, command, term, pos):
+    # each literal is finite, their product is not: simulate once ran it to a
+    # non-finite RK4 stage (exit 1) and verify passed it (exit 0)
+    cfg = cfg_file(tmp_path, ROBOT + "simulation: {mode: disturbed_nominal}\n"
+                   f"disturbance: {{f: ['{term}'], theta: [0.1]}}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: disturbance.f: constant factors multiply to inf, "
+                          f"not a finite double at position {pos}")
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 

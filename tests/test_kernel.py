@@ -29,6 +29,10 @@ Covers:
     arguments and a return that reads an earlier target, and refuses a loop,
     an early return, a nested helper call, an assignment to a parameter or a
     keyword argument, naming the helper, when it builds
+  - fused control_terms and desired_hamiltonian form no operation of run
+    constants (read from their source with ast): no binary operation of two
+    parameter-only operands and no negation of one, which are Coeffs fields;
+    the same reading finds each such operation planted in a small source
   - the row simulate.run generates per run equals the record block it
     replaced (kept here as the reference) bit for bit: 10^4 random in-band
     states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
@@ -39,6 +43,7 @@ Covers:
     function's role name, for fused control_terms and for a generated stage
     out of band; two different generated sources never share a file name
 """
+import ast
 import dataclasses
 import itertools
 import linecache
@@ -403,6 +408,74 @@ def test_one_trig_pair_per_stage_and_row():
         source = source_of(fn)
         assert source.count("sin(") == source.count("sin(q2)") == 1, source
         assert source.count("cos(") == source.count("cos(q2)") == 1, source
+
+
+def constant_operations(source, name):
+    """The operations of function `name` in source whose value is fixed for one run, as
+    text: each binary operation of two parameter-only operands and each negation of
+    one. An operand is parameter-only when it is k.<field> (k the first parameter), a
+    number or a negated number (a compile-time constant), a name bound only from
+    parameter-only values, or such an operation."""
+    func = next(n for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+    k = func.args.args[0].arg
+    assigned: dict = {}   # name -> the values it is bound from (None: not a plain value)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple):
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(node.value, ast.Tuple)
+                             and len(node.value.elts) == len(target.elts)
+                             else [(t, None) for t in target.elts])
+                for t, value in pairs:
+                    assigned.setdefault(t.id, []).append(value)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr, ast.For)):
+            raise AssertionError(f"unexpected binding in {name}: {ast.unparse(node)}")
+    fixed: set = set()
+
+    def constant(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, (int, float))
+        if isinstance(node, ast.Attribute):
+            return isinstance(node.value, ast.Name) and node.value.id == k
+        if isinstance(node, ast.Name):
+            return node.id in fixed
+        if isinstance(node, ast.BinOp):
+            return constant(node.left) and constant(node.right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return constant(node.operand)
+        return False
+
+    grown = True
+    while grown:   # names bound from names bound from constants, and so on
+        grown = False
+        for n, values in assigned.items():
+            if n not in fixed and all(v is not None and constant(v) for v in values):
+                fixed.add(n)
+                grown = True
+    found = [node for node in ast.walk(func)
+             if isinstance(node, ast.BinOp) and constant(node.left) and constant(node.right)
+             or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+             and not isinstance(node.operand, ast.Constant) and constant(node.operand)]
+    return [ast.unparse(n) for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_constant_operation_guard_finds_planted_ones():
+    source = ("def f(k, s, c):\n"
+              "    a, b = k.p3, 2.0\n"
+              "    e, g = s, c\n"
+              "    h = -a\n"
+              "    return -2.0 * s + b * k.p2 * e * c + h * -k.kv - c * -1.0 + k * 0.5\n")
+    assert constant_operations(source, "f") == ["-a", "b * k.p2", "h * -k.kv", "-k.kv"]
+
+
+@pytest.mark.parametrize("fn", [control_terms, desired_hamiltonian],
+                         ids=lambda fn: fn.__name__)
+def test_fused_kernel_forms_no_parameter_only_operation(fn):
+    # each product or negation of run constants is a Coeffs field, formed once per run
+    assert constant_operations(source_of(fn), fn.__name__) == []
 
 
 # Helpers of the forms fuse() accepts and refuses. They are module functions so

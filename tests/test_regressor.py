@@ -11,18 +11,26 @@ Covers:
     '(' that goes past the limit
   - a literal that overflows a double (1e999) raises ParseError at its
     position; one that underflows (1e-999) is 0.0
+  - a product whose leading constant factors (numbers, sin/cos of constants)
+    multiply to +-inf or nan raises ParseError at the product's first
+    character, also inside sin/cos; constants after a variable, or whose
+    product stays finite, parse
   - property (hypothesis): on grammar expressions with the literal 5e-324
     and products that overflow (1e308*1e308), also inside sin/cos, the
-    compiled term equals a tree-walk evaluator bit for bit (nan equal to nan)
+    compiled term equals a tree-walk evaluator bit for bit (nan equal to nan);
+    a draw refused at parse time is refused for its constant factors alone,
+    where the tree walk of that product's leading constants is not finite
   - RegressorSpec validation (at least one term)
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripsim import regressor
 from ripsim.regressor import (
     MAX_NESTING, Call, Number, ParseError, Product, RegressorSpec, UnknownVariable, VARIABLES,
     Variable, parse_regressor, parse_term,
@@ -156,6 +164,27 @@ def test_underflowing_literal_is_zero():
     assert parse_term("1e-999*q1") == Product((Number(0.0), Variable("q1")))
 
 
+@pytest.mark.parametrize("text, pos, value", [
+    ("1e308*1e308", 0, "inf"), ("q1*sin(1e308*1e308)", 7, "inf"),
+    ("sin(1e308*1e308)*q1", 4, "inf"), ("sin(1e308*1e308*0)", 4, "nan"),
+    ("cos(2*1.5)*1e308*1e308*q1", 0, "-inf"), (" q2*cos( 1e300*cos(0)*1e300)", 9, "inf"),
+    ("cos(q2*q2*1e308)*sin(1e308*1e308*0)", 21, "nan"),
+])
+def test_overflowing_constant_factors_raise_at_their_product(text, pos, value):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert exc.value.pos == pos
+    assert f"constant factors multiply to {value}, not a finite double at position {pos}" \
+        in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["q1*1e308*1e308", "1e308*q1*1e308", "1e308*1e-308*1e308",
+                                  "sin(1e308)*1e308*2", "cos(1e308*1e-308*1e308)*q2"])
+def test_finite_constant_factors_parse(text):
+    t = parse_term(text)
+    assert same_double(t(1.0, 0.5, 0.25, 0.0), tree_eval(t, 1.0, 0.5, 0.25, 0.0))
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError):
         parse_term("tan(q1)")
@@ -185,6 +214,22 @@ def tree_eval(node, q1, q2, p1, p2):
     return out
 
 
+def variables_of(node):
+    if isinstance(node, Variable):
+        return {node.name}
+    if isinstance(node, Call):
+        return variables_of(node.arg)
+    if isinstance(node, Product):
+        return set().union(*map(variables_of, node.factors))
+    return set()
+
+
+def unchecked_product(text, pos):
+    """The product that starts at text[pos], parsed with the constant check off."""
+    with mock.patch.object(regressor, "_leading_run", lambda factors: (1.0, False)):
+        return regressor._parse_expr(regressor._tokenize(text[pos:]), text[pos:], 0)
+
+
 def same_double(a, b):
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
@@ -206,8 +251,19 @@ STATES = st.tuples(*[st.floats() | st.sampled_from([1e103, -1e155, 1e308])] * 4)
 @given(TERMS, STATES)
 @example("sin(p1*p1*p1)*cos(1e308*1e308*q1)*5e-324", (1.0, 0.0, 1e103, 0.0))
 @example("cos(q2*q2*1e308)*sin(1e308*1e308*0)", (0.0, 2.0, 0.0, 0.0))
+@example("sin(p1*p1*p1)*cos(q1*1e308*1e308)*5e-324", (1.0, 0.0, 1e103, 0.0))
 def test_compiled_term_property(text, state):
-    term = parse_term(text)
+    try:
+        term = parse_term(text)
+    except ParseError as e:   # only for its constants, which the tree walk confirms
+        assert "constant factors multiply to" in str(e), e
+        run = 1.0
+        for f in unchecked_product(text, e.pos).factors:
+            if variables_of(f):
+                break
+            run *= tree_eval(f, 0.0, 0.0, 0.0, 0.0)
+        assert not math.isfinite(run)
+        return
     assert same_double(term(*state), tree_eval(term, *state))
 
 
