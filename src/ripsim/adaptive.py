@@ -15,6 +15,11 @@ decreases at rate -kv*ptilde1^2 along trajectories for every symmetric
 positive definite Gamma: the weight Gamma cancels the cross term
 ptilde1 * f^T (theta_hat - theta) that the law's Gamma^{-1} leaves in dHd/dt.
 No integrability of f is assumed.
+
+DisturbanceSpec.value, the true d that each recorded row reads, runs one
+function generated per spec (codegen.generate): the term calls and the sum
+f^T theta unrolled, one statement per term, added left to right from 0.0
+in the order of simulate's stage and row.
 """
 from __future__ import annotations
 
@@ -22,18 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import generate, numbered
 from .regressor import RegressorSpec
-
-
-def dot(a, b, acc: float = 0.0) -> float:
-    """acc + sum of a_i * b_i added left to right: the order of every term-by-term sum
-    of the closed loop (sum() and math.sumprod are compensated from Python 3.12 on).
-    The stage (simulate._stage) and the recorded row (simulate._row) unroll their sums
-    in this order, one statement per term; tests/test_kernel.py pins both to this
-    function bit for bit."""
-    for x, y in zip(a, b):
-        acc += x * y
-    return acc
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,25 @@ class DisturbanceSpec:
                 f"theta has {theta.shape[0]} entries for {self.regressor.ell} regressor terms")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        object.__setattr__(self, "_theta", theta.tolist())
+        object.__setattr__(self, "_sum", _disturbance_sum(self.regressor.terms, theta.tolist()))
 
     def value(self, q1: float, q2: float, p1: float, p2: float) -> float:
-        """True disturbance d = f(q,p)^T theta, summed by dot() as simulate.run does."""
-        return dot(self.regressor.eval_flat(q1, q2, p1, p2), self._theta)
+        """True disturbance d = f(q,p)^T theta, by the function generated for this spec."""
+        return self._sum(q1, q2, p1, p2)
+
+
+def _disturbance_sum(terms: tuple, theta: list[float]):
+    """(q1, q2, p1, p2) -> f^T theta, generated from source: term j called as
+    type(t{j}).__call__(t{j}, ...), its class's __call__ looked up at each call (so a
+    __call__ patched after the spec is built is the one called, and the call skips the
+    instance-call slot), then the sum from 0.0, one statement per term, left to right:
+    the order of simulate's stage and row (tests/oracles.py's dot is the reference)."""
+    ell = len(terms)
+    lines = [*(f"f{j} = type(t{j}).__call__(t{j}, q1, q2, p1, p2)" for j in range(ell)),
+             "d = 0.0", *(f"d = d + f{j} * th{j}" for j in range(ell)),
+             "return d"]
+    return generate(f"disturbance sum, {ell} terms", "disturbance", "q1, q2, p1, p2", lines,
+                    {**numbered("t", terms), **numbered("th", theta)})
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Functions compiled from generated source.
 
 generate() compiles a function from lines of source: simulate builds its
-stage, recorded row and RK4 step with it, and regressor its terms. fuse()
+stage, recorded row and RK4 step with it, adaptive its disturbance sum and
+regressor its terms. fuse()
 rewrites functions that call helpers into ones with every helper call
 inlined; model and controller apply it to their float entry points at import.
 """
@@ -43,6 +44,11 @@ def generate(label: str, name: str, signature: str, lines: list[str], consts: di
     namespace: dict = {}
     exec(compile(source, _register(label, source), "exec"), namespace)
     return namespace["factory"](**consts)
+
+
+def numbered(prefix: str, values) -> dict:
+    """{prefix0: values[0], prefix1: values[1], ...}: the constants of a generated function."""
+    return {f"{prefix}{j}": v for j, v in enumerate(values)}
 
 
 def _register(label: str, source: str) -> str:

@@ -65,10 +65,12 @@ class Coeffs:
     p1..p5, the gains and each parameter-only sub-expression the helpers use, formed
     by the expression and IEEE association it replaces (so the doubles are the same).
 
-    Fused control_terms and desired_hamiltonian form no binary operation of two
-    parameter-only operands (fields, numbers, or names bound only from them) and
-    negate none: each such value is a field here, which tests/test_kernel.py checks
-    on their fused source."""
+    Fused control_terms and desired_hamiltonian, and shaping, form no binary
+    operation of two parameter-only operands (fields, numbers, or names bound only
+    from them) and negate none: each such value is a field here, which
+    tests/test_kernel.py checks on their source. verify._kinetic_residuals forms its
+    own products of p1..p5 on purpose: it is an oracle for these closed forms,
+    independent of them by route, and reads no Coeffs."""
 
     p1: float
     p2: float
@@ -98,6 +100,7 @@ class Coeffs:
     two_p2ps4: float  # 2.0*p2*psi4
     neg_p3: float    # -p3
     half_kappa: float  # 0.5*kappa
+    two_w: float     # 2.0*w
 
 
 def coeffs(params: RobotParams, gains: ControllerGains) -> Coeffs:
@@ -105,13 +108,13 @@ def coeffs(params: RobotParams, gains: ControllerGains) -> Coeffs:
     constants underflows to 0 (the z offset's k1*p2*psi40 first)."""
     p2, p3, p4, p5 = params.p2, params.p3, params.p4, params.p5
     k1, k2, psi40, kappa = gains.k1, gains.k2, gains.psi40, gains.kappa
-    ps4 = -psi40
+    ps4, w = -psi40, p2 / (p3 * psi40)
     return Coeffs(params.p1, p2, p3, p4, p5, k1, k2, gains.kv, kappa, psi40,
-                  p2 / (p3 * psi40), p3 * psi40, p4 * psi40,
+                  w, p3 * psi40, p4 * psi40,
                   math.sqrt(p3 / (k1 * p2 * psi40)), math.sqrt(p2 / (k1 * p3 * psi40)),
                   p5 / psi40, p3 ** 2, p2 * p4 + p3 ** 2, ps4, p4 * k2,
                   p3 * ps4, p4 * ps4, -2.0 * p2, 2.0 * p2, 2.0 * p3, 2.0 * p2 * ps4, -p3,
-                  0.5 * kappa)
+                  0.5 * kappa, 2.0 * w)
 
 
 def d4_at_origin(params: RobotParams, gains: ControllerGains) -> float:
@@ -147,21 +150,24 @@ def md_d4(k: Coeffs, s: float, c: float) -> tuple[float, float]:
 
 
 def shape_terms(k: Coeffs, s: float, c: float):
-    """(den, m11, psi3, d2, d4): psi3, the Md entries d2, d4 and shared terms."""
+    """(den, m11, psi3, d2, d4, d2b): psi3, the Md entries d2, d4 and shared terms,
+    d2b = m11/den - p3 psi40 the bracket of d2 = c d2b, which _md_prime reads too."""
     den, d4 = md_d4(k, s, c)
     m11 = k.p1 + k.p2 * s * s
-    d2 = c * (m11 / den - k.p3psi40)
-    return den, m11, c / den, d2, d4
+    d2b = m11 / den - k.p3psi40
+    d2 = c * d2b
+    return den, m11, c / den, d2, d4, d2b
 
 
-def _md_prime(k: Coeffs, s: float, c: float, s2: float, den: float,
-              m11: float) -> tuple[float, float]:
-    """(d2', d4') by the quotient rule, s2 = 2 s c; d1' = 0 since d1 = k2."""
+def _md_prime(k: Coeffs, s: float, c: float, s2: float, den: float, m11: float,
+              d2b: float) -> tuple[float, float]:
+    """(d2', d4') by the quotient rule, s2 = 2 s c, d2b = m11/den - p3 psi40; d1' = 0
+    since d1 = k2."""
     w = k.w
     dden = w * s2
     dm11 = k.p2 * s2
     den2 = den * den
-    dd2 = -s * (m11 / den - k.p3psi40) + c * (dm11 * den - m11 * dden) / den2
+    dd2 = -s * d2b + c * (dm11 * den - m11 * dden) / den2
     dd4 = k.neg_p3 * s2 * (den + w * c * c) / den2
     return dd2, dd4
 
@@ -276,11 +282,11 @@ class Shaping(NamedTuple):
 
 def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     """All per-q2 closed forms at s = sin q2, c = cos q2, for floats or ndarrays."""
-    den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    den, m11, ps3, d2, d4, d2b = shape_terms(k, s, c)
     s2 = 2.0 * s * c
-    dd2, dd4 = _md_prime(k, s, c, s2, den, m11)
+    dd2, dd4 = _md_prime(k, s, c, s2, den, m11, d2b)
     ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)
-    dps3 = (-s * den - c * (2.0 * k.w * s * c)) / (den * den)
+    dps3 = (-s * den - c * (k.two_w * s * c)) / (den * den)
     a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
@@ -297,7 +303,7 @@ def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
     ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, k.ps4
     a1 = k.p3 * ps1 * ps2 * s - k.p2 * ps1 * ps1 * s * c
     a2 = (k.p3 * s * (ps2 * ps3 + ps1 * ps4)
-          - 2.0 * k.p2 * ps1 * ps3 * s * c
+          - k.two_p2 * ps1 * ps3 * s * c
           + ps4 * sh.dd2)
     return np.array([a1, a2])
 
@@ -327,7 +333,7 @@ def desired_hamiltonian(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c
                         p2c: float) -> float:
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) at s = sin q2, c = cos q2; q2 only names the
     state in DefinitenessLost, which it raises."""
-    _, _, _, d2, d4 = shape_terms(k, s, c)
+    _, _, _, d2, d4, _ = shape_terms(k, s, c)
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
@@ -339,12 +345,12 @@ def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: floa
                   p2c: float) -> tuple[float, float]:
     """Scalar fast path at s = sin q2, c = cos q2: returns (u, ptilde1). q2 only names
     the state in DefinitenessLost, which it raises."""
-    den, m11, ps3, d2, d4 = shape_terms(k, s, c)
+    den, m11, ps3, d2, d4, d2b = shape_terms(k, s, c)
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     s2 = 2.0 * s * c
-    dd2, dd4 = _md_prime(k, s, c, s2, den, m11)
+    dd2, dd4 = _md_prime(k, s, c, s2, den, m11, d2b)
     offset = _z_offset(k, s)
     gq1, gq2 = _hd_gradient(k, q1 + offset, s, ps3, dd2, dd4, pt1, pt2)
     ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)

@@ -11,7 +11,9 @@ cos(...) applied to another such expression:
 Evaluation follows IEEE float arithmetic: a product may overflow to
 inf, and sin/cos of inf is nan (where math.sin raises), as in numpy.
 Each term is compiled once, when it is parsed, into one Python function
-of (q1, q2, p1, p2); the source is generated from the parsed tree alone.
+of (q1, q2, p1, p2), kept on its node as the plain attribute `compiled`
+(a nested node is compiled only when it is itself evaluated); the source is
+generated from the parsed tree alone.
 
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
@@ -20,12 +22,13 @@ requires new alternatives in _parse_factor, one AST node each and its
 statements in _emit.
 
 NUMBER is ASCII digits with an optional point and exponent, and must be
-finite as a double (1e999 is refused at its position); so must the leading
+finite as a double (1e999 is refused at its position); so must each maximal
 run of constant factors of a product (numbers, and sin/cos of constants),
-multiplied left to right from 1.0 (1e308*1e308 is refused at the run's first
-character); the tokenizer
-matches ASCII only, so another script's digit or space starts no token. Calls
-nest at most MAX_NESTING deep: parsing recurses once per level.
+wherever it sits, multiplied left to right from 1.0 (1e308*1e308 and
+q1*1e308*1e308 are refused at the run's first factor; 1e308*q1*1e308 has two
+runs of one factor and parses). The tokenizer matches ASCII only, so another
+script's digit or space starts no token. Calls nest at most MAX_NESTING deep:
+parsing recurses once per level.
 
 A ParseError carries the position of the offending token; an error names
 the first character that starts no token (such as '$'), at its own position,
@@ -34,7 +37,6 @@ and a call nested too deep is named at its '('.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -78,16 +80,18 @@ class UnknownVariable(ParseError):
 class _Node:
     """Evaluation shared by the node classes: the node compiled to one function.
 
-    The function of (q1, q2, p1, p2) is built once per node, on first use;
-    parse_term builds it for the term it returns.
+    The function of (q1, q2, p1, p2) is built once per node, on first use, and kept
+    as the plain instance attribute `compiled` (no class attribute of that name, so
+    the read in __call__ is an instance load); parse_term builds it for the term it
+    returns.
     """
 
-    @functools.cached_property
-    def compiled(self):
-        return _compile(self)
-
     def __call__(self, q1, q2, p1, p2):
-        return self.compiled(q1, q2, p1, p2)
+        try:
+            compiled = self.compiled
+        except AttributeError:   # the first evaluation of this node
+            compiled = _compiled(self)
+        return compiled(q1, q2, p1, p2)
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,13 @@ def _emit(node, lines: list, consts: dict) -> str:
     raise TypeError(f"not a regressor node: {node!r}")
 
 
+def _compiled(node):
+    """The node compiled by _compile, kept on it as node.compiled."""
+    compiled = _compile(node)
+    object.__setattr__(node, "compiled", compiled)   # the nodes are frozen
+    return compiled
+
+
 def _compile(node):
     """node as one Python function of (q1, q2, p1, p2), IEEE-equal to the tree walk.
 
@@ -196,16 +207,18 @@ def _parse_factor(toks: collections.deque, text: str, depth: int):
     raise ParseError(text, pos, "expected a number, variable, or sin/cos call")
 
 
-def _leading_run(factors) -> tuple[float, bool]:
-    """(the product of the leading run of constant factors, folded left to right from
-    1.0 as the compiled term does; whether the run is all of them)."""
-    run = 1.0
-    for f in factors:
+def _constant_runs(factors) -> list[list]:
+    """[index of its first factor, product] of each maximal run of constant factors,
+    left to right, each product folded left to right from 1.0."""
+    runs, last = [], -2   # last: the index of the last constant factor seen
+    for i, f in enumerate(factors):
         value = _constant(f)
-        if value is None:
-            return run, False
-        run *= value
-    return run, True
+        if value is not None:
+            if last != i - 1:
+                runs.append([i, 1.0])
+            runs[-1][1] *= value
+            last = i
+    return runs
 
 
 def _constant(node):
@@ -216,25 +229,28 @@ def _constant(node):
     if isinstance(node, Call):
         arg = _constant(node.arg)
         return None if arg is None else FUNCTIONS[node.fn](arg)
-    if isinstance(node, Product):
-        run, whole = _leading_run(node.factors)
-        return run if whole else None
+    if isinstance(node, Product):   # math.prod folds floats left to right from 1.0
+        values = [_constant(f) for f in node.factors]
+        return None if None in values else math.prod(values)
     return None
 
 
 def _parse_expr(toks: collections.deque, text: str, depth: int):
-    """The expr at the front of toks, inside depth enclosing calls. A product whose
-    leading constant factors multiply past a double raises ParseError at its start."""
-    pos = toks[0][2]
+    """The expr at the front of toks, inside depth enclosing calls. A product with a
+    run of constant factors that multiply past a double raises ParseError at the
+    run's first factor (the first such run, left to right)."""
+    starts = [toks[0][2]]
     factors = [_parse_factor(toks, text, depth)]
     while toks[0][0] == "star":
         toks.popleft()
+        starts.append(toks[0][2])
         factors.append(_parse_factor(toks, text, depth))
     if len(factors) == 1:
         return factors[0]
-    run, _ = _leading_run(factors)
-    if not math.isfinite(run):
-        raise ParseError(text, pos, f"constant factors multiply to {run}, not a finite double")
+    for first, run in _constant_runs(factors):
+        if not math.isfinite(run):
+            raise ParseError(text, starts[first],
+                             f"constant factors multiply to {run}, not a finite double")
     return Product(tuple(factors))
 
 
@@ -245,7 +261,7 @@ def parse_term(text: str):
     kind, value, pos = toks[0]
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")
-    node.compiled  # compiled here, once, rather than on the first evaluation
+    _compiled(node)   # compiled here, once, rather than on the first evaluation
     return node
 
 
@@ -262,11 +278,6 @@ class RegressorSpec:
     @property
     def ell(self) -> int:
         return len(self.terms)
-
-    def eval_flat(self, q1: float, q2: float, p1: float, p2: float) -> list[float]:
-        """f(q, p) as a list, each term called through its class's __call__, which skips
-        the instance-call slot (as simulate's stage and row call it)."""
-        return [type(t).__call__(t, q1, q2, p1, p2) for t in self.terms]
 
 
 def parse_regressor(texts: list[str]) -> RegressorSpec:

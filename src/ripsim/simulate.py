@@ -6,8 +6,9 @@ runs are deterministic and byte-reproducible. Three functions are generated
 from source (codegen.generate) with every loop unrolled: the RK4 step for
 the state length (_rk4_kernel, cached), and per run, for its mode and
 regressor, the closed-loop stage that re-evaluates the feedback torque
-(_stage) and the recorded row (_row), their sums in adaptive.dot's order,
-each taking one sin/cos pair of q2 for the controller and the plant.
+(_stage) and the recorded row (_row), each taking one sin/cos pair of q2 for
+the controller and the plant and adding each sum one statement per term, left
+to right (tests/oracles.py's dot is the reference the tests pin them to).
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import controller
 from .adaptive import AdaptiveState, DisturbanceSpec
-from .codegen import generate
+from .codegen import generate, numbered
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 
@@ -140,31 +141,27 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
-def _numbered(prefix: str, values) -> dict:
-    """{prefix0: values[0], prefix1: values[1], ...}: the constants of a generated function."""
-    return {f"{prefix}{j}": v for j, v in enumerate(values)}
-
-
 def _term_calls(terms) -> dict:
     """{t0: terms[0], c0: type(terms[0]).__call__, ...}: each term node and its class's
     __call__, read now, so that c{j}(t{j}, q1, q2, p1, p2) evaluates term j."""
-    return {**_numbered("t", terms), **_numbered("c", [type(t).__call__ for t in terms])}
+    return {**numbered("t", terms), **numbered("c", [type(t).__call__ for t in terms])}
 
 
 @functools.cache
 def _rk4_kernel(n: int):
     """step_rk4 for states of length n, generated from source: the state and each
     slope unpacked into names x_i, k1_i ... k4_i, each stage state one list display
-    x_i + h * k_i, the update x_i + dt6 * (k1_i + 2.0 * k2_i + 2.0 * k3_i + k4_i).
-    Every per-component name holds an underscore and no scalar (h, dt, dt6) does, so
-    no two names can meet."""
+    x_i + h * k_i, each updated component o_i = x_i + dt6 * (k1_i + 2.0 * k2_i +
+    2.0 * k3_i + k4_i), tested by one chain isfinite(o_0) and ... and returned as a
+    list. Every per-component name holds an underscore and no scalar (h, dt, dt6)
+    does, so no two names can meet."""
     def unpack(names):
         return f"{', '.join(f'{names}_{i}' for i in range(n))},"
 
     def stage(slope, step):
         return f"    y = [{', '.join(f'x_{i} + {step} * {slope}_{i}' for i in range(n))}]"
 
-    update = (f"x_{i} + dt6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n))
+    out = f"[{', '.join(f'o_{i}' for i in range(n))}]"
 
     lines = [f"{unpack('x')} = x",
              "h = 0.5 * dt",
@@ -179,10 +176,11 @@ def _rk4_kernel(n: int):
              "        raise",
              "    raise NonFiniteState(f'non-finite RK4 stage state: {y}') from e",
              "dt6 = dt / 6.0",
-             f"out = [{', '.join(update)}]",
-             "if not all(map(isfinite, out)):",
-             "    raise NonFiniteState(f'non-finite state after RK4 step: {out}')",
-             "return out"]
+             *(f"o_{i} = x_{i} + dt6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+               for i in range(n)),
+             f"if not ({' and '.join(f'isfinite(o_{i})' for i in range(n))}):",
+             f"    raise NonFiniteState(f'non-finite state after RK4 step: {{{out}}}')",
+             f"return {out}"]
     return generate(f"RK4 step, {n} components", "rk4_step", "rhs, x, dt", lines,
                     {"isfinite": math.isfinite, "DefinitenessLost": DefinitenessLost,
                      "NonFiniteState": NonFiniteState})
@@ -194,12 +192,13 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
 
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
-    -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, in
-    adaptive.dot's order. The stage takes s = sin(q2), c = cos(q2) once and passes the
-    pair to control_terms and open_loop_rhs_flat, which are read here, and so is
-    each term's class __call__, which the stage calls as c{j}(t{j}, ...): a __call__
-    patched before run() builds the stage is the one called, and the call skips the
-    instance-call slot. Every constant is a closure variable (codegen.generate).
+    -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, left to
+    right from the torque or 0.0 (the order of tests/oracles.py's dot). The stage
+    takes s = sin(q2), c = cos(q2) once and passes the pair to control_terms and
+    open_loop_rhs_flat, which are read here, and so is each term's class __call__,
+    which the stage calls as c{j}(t{j}, ...): a __call__ patched before run() builds
+    the stage is the one called, and the call skips the instance-call slot. Every
+    constant is a closure variable (codegen.generate).
     """
     ell, rows = len(terms), range(len(ginv_rows))
     theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
@@ -218,9 +217,9 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
               "control_terms": control_terms,
               "open_loop_rhs_flat": open_loop_rhs_flat, **_term_calls(terms),
-              **_numbered("dth", dtheta)}
+              **numbered("dth", dtheta)}
     for i, row in enumerate(ginv_rows):
-        consts.update(_numbered(f"g{i}_", row))
+        consts.update(numbered(f"g{i}_", row))
     return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}", "stage",
                     "x", lines, consts)
 
@@ -233,7 +232,7 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     nominal: d = d_hat = 0 and V_lyap = Hd; disturbed_nominal: d = dist.value(...);
     disturbed_robust (gamma_rows given): also d_hat = f^T theta_hat, the torque
     u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
-    one statement per term in adaptive.dot's order from 0.0. control_terms,
+    one statement per term, left to right from 0.0 (tests/oracles.py's dot). control_terms,
     controller.desired_hamiltonian, dist.value and hamiltonian are read here and
     called once each, in that order, with the term nodes between the last two; the
     three energy and torque calls share one s = sin(q2), c = cos(q2) pair. Each
@@ -262,9 +261,9 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
         lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
                   "u = u + dhat", "v = hd + 0.5 * v"]
         consts.update(_term_calls(dist.regressor.terms))
-        consts.update(_numbered("dth", dist.theta.tolist()))
+        consts.update(numbered("dth", dist.theta.tolist()))
         for i, row in enumerate(gamma_rows):
-            consts.update(_numbered(f"G{i}_", row))
+            consts.update(numbered(f"G{i}_", row))
     else:
         lines += ["dhat = 0.0", "v = hd"]
     lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",

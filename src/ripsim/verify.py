@@ -347,7 +347,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> 
     """Last of n cells on [0, pi/2] before det Md > 0 first fails (d1 = k2 > 0 by
     ControllerGains); nan when Md(0) is not positive definite."""
     def det_md(k, s, c):
-        _, _, _, d2, d4 = controller.shape_terms(k, s, c)
+        _, _, _, d2, d4, _ = controller.shape_terms(k, s, c)
         return gains.k2 * d4 - d2 * d2
 
     return _sign_scan(params, gains, n, det_md)[1]
@@ -365,7 +365,8 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
     endpoint = _pd_endpoint(params, gains, n)
     cell = math.pi / 2 / n
     overshoot = math.nan if math.isnan(endpoint) else max(0.0, endpoint - rho)
-    _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), 0.0, 1.0)  # q2 = 0
+    k = controller.coeffs(params, gains)
+    _, _, _, d2, d4, _ = controller.shape_terms(k, 0.0, 1.0)  # q2 = 0
     eigs = np.linalg.eigvalsh(np.array([[gains.k2, d2], [d2, d4]]))
     return ResidualReport(
         name="md_definiteness", grid=f"{n} cells on [0, pi/2]",

@@ -4,9 +4,13 @@ Each helper takes a state as q = (q1, q2) and p = (p1, p2) and calls the
 flat functions the simulator and verify use, in the order the per-state
 public functions once did, so an identity stated on them holds for src's
 one copy. The numpy products (Gamma^{-1} f and
-f^T theta_hat by @) are a second summation route beside adaptive.dot, and
+f^T theta_hat by @) are a second summation route beside dot, and
 psi_row1_derivative_fd a central-difference route to (psi1', psi2');
-lyapunov_value is V in adaptive.dot's order, the reference for the recorded row.
+lyapunov_value is V in dot's order, the reference for the recorded row.
+dot is the left-to-right sum that simulate's generated stage and row and
+adaptive's generated disturbance sum unroll, and eval_flat evaluates a
+regressor term by term as they call it: the references the tests pin those
+generated functions to, bit for bit.
 trig(q2) is the (sin q2, cos q2) pair the fused float entry points take.
 two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point.
 inject_shaping_fault plants a fault in the closed forms, which verify must
@@ -17,7 +21,6 @@ import math
 import numpy as np
 
 from ripsim import controller, verify
-from ripsim.adaptive import dot
 from ripsim.controller import (
     _hd_gradient, _md_inverse, _z_offset, coeffs, control_law, control_terms, shape_terms,
     shaping,
@@ -25,6 +28,23 @@ from ripsim.controller import (
 from ripsim.model import _inertia, open_loop_rhs_flat
 
 FD_STEP = 1e-7  # central-difference step of psi_row1_derivative_fd
+
+
+def dot(a, b, acc: float = 0.0) -> float:
+    """acc + sum of a_i * b_i added left to right: the order of every term-by-term sum
+    of the closed loop (sum() and math.sumprod are compensated from Python 3.12 on).
+    The stage (simulate._stage) and the recorded row (simulate._row) unroll their sums
+    in this order, one statement per term; tests/test_kernel.py pins both to this
+    function bit for bit."""
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def eval_flat(spec, q1: float, q2: float, p1: float, p2: float) -> list[float]:
+    """f(q, p) of a RegressorSpec as a list, each term called through its class's
+    __call__, which skips the instance-call slot (as simulate's stage and row call it)."""
+    return [type(t).__call__(t, q1, q2, p1, p2) for t in spec.terms]
 
 
 def trig(q2):
@@ -46,7 +66,7 @@ def open_loop_rhs(params, q, p, u, d=0.0):
 
 def momentum_tilde(k, q2, p1c, p2c):
     """ptilde = Md^{-1} p from a Coeffs k; raises DefinitenessLost."""
-    _, _, _, d2, d4 = shape_terms(k, math.sin(q2), math.cos(q2))
+    _, _, _, d2, d4, _ = shape_terms(k, math.sin(q2), math.cos(q2))
     i11, i12, i22 = _md_inverse(k, q2, d2, d4)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
@@ -76,7 +96,7 @@ def grad_q_Hd(params, gains, q, p):
 
 def eval_regressor(spec, q, p):
     """f(q, p), as an array."""
-    return np.array(spec.eval_flat(q[0], q[1], p[0], p[1]))
+    return np.array(eval_flat(spec, q[0], q[1], p[0], p[1]))
 
 
 def robust_control(params, gains, regressor, theta_hat, q, p):
@@ -110,7 +130,7 @@ def adaptation_rhs(params, gains, regressor, adaptive, q, p):
 
 def lyapunov_value(gamma, theta_hat, theta, hd: float) -> float:
     """V = Hd + 1/2 theta_err^T Gamma theta_err (adaptive's module docstring), summed
-    by adaptive.dot; gamma (rows), theta_hat and theta are ndarrays or lists of floats.
+    by dot; gamma (rows), theta_hat and theta are ndarrays or lists of floats.
     The reference for the V_lyap that simulate's generated row records."""
     err = [a - b for a, b in zip(theta_hat, theta)]
     return hd + 0.5 * dot(err, [dot(row, err) for row in gamma])

@@ -2,6 +2,10 @@
 
 Covers:
   - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix)
+  - DisturbanceSpec.value, generated per spec, equals dot(eval_flat(...), theta)
+    (oracles.py) bit for bit on random specs of 1-5 terms, at states where
+    terms read -0.0, nan and +-inf (a nan equal to any nan: CPython's float
+    addition returns either operand's nan, by whether the add is specialised)
   - adaptation law -ptilde1 * Gamma^{-1} f (the array-form composition in
     oracles.py, which test_kernel ties to the simulator's steps): zero at
     rest, scalar case, general matrix Gamma
@@ -15,6 +19,7 @@ Covers:
 """
 import dataclasses
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,8 @@ from ripsim.regressor import parse_regressor
 from ripsim.simulate import run
 
 from oracles import (
-    adaptation_rhs, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs, robust_control,
+    adaptation_rhs, dot, eval_flat, eval_regressor, lyapunov_value, momentum_tilde,
+    open_loop_rhs, robust_control,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -47,6 +53,33 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(F_REF, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         DisturbanceSpec(F_REF, np.array([0.1, math.inf, 0.0]))
+
+
+# -0.0 (0*q1 at q1 < 0), nan (sin of an overflowed p1^3), +-inf (1e308*q1*1e308 at
+# |q1| >= 1) and subnormal values, next to ordinary terms
+VALUE_TERMS = ("1", "q1", "0*q1", "sin(q2)*cos(p1)", "1e308*q1*1e308", "sin(p1*p1*p1)",
+               "p2*p2*q2", "q1*q2*5e-324", "cos(p1*p1*p1)*q1")
+
+
+def test_generated_value_equals_dot_of_terms():
+    rng = np.random.default_rng(27)
+    states = [(-1.0, 0.5, 1e103, -0.0), (1.0, -0.0, 0.3, 2.0), (-0.0, 0.0, -0.0, 0.0),
+              (-2.0, 1e300, -1e103, 1e200), *rng.normal(size=(20, 4)).tolist()]
+    seen = set()
+    for _ in range(200):
+        ell = int(rng.integers(1, 6))
+        texts = [VALUE_TERMS[i] for i in rng.integers(0, len(VALUE_TERMS), ell)]
+        theta = rng.normal(size=ell)
+        theta[rng.random(ell) < 0.2] = rng.choice([0.0, -0.0])
+        spec = DisturbanceSpec(parse_regressor(texts), theta)
+        for x in states:
+            f = eval_flat(spec.regressor, *x)
+            want = dot(f, theta.tolist())
+            got = spec.value(*x)
+            assert (math.isnan(got) and math.isnan(want)
+                    or struct.pack("d", got) == struct.pack("d", want)), (texts, x)
+            seen.update(repr(v) for v in (*f, want) if v == 0.0 or not math.isfinite(v))
+    assert {"-0.0", "nan", "inf", "-inf"} <= seen
 
 
 def test_adaptive_state_scalar_gamma():

@@ -492,7 +492,8 @@ def test_overflowing_literal_term_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("term, pos", [("1e308*1e308", 0), ("q1*sin(1e308*1e308)", 7)])
+@pytest.mark.parametrize("term, pos", [("1e308*1e308", 0), ("q1*sin(1e308*1e308)", 7),
+                                       ("q1*1e308*1e308", 3)])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_overflowing_constant_factors_exit_2(tmp_path, capsys, command, term, pos):
     # each literal is finite, their product is not: simulate once ran it to a

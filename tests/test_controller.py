@@ -63,7 +63,7 @@ def test_desired_inertia_at_origin():
     d1, d2, d4 = G_REF.k2, sh.d2, sh.d4
     assert (d1, d2, d4) == (100.0, 19.0, 8.0)
     assert d4_at_origin(P_SYN, G_REF) == pytest.approx(8.0, abs=1e-14)
-    _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)
+    _, _, _, d2, d4, _ = shape_terms(k, 0.0, 1.0)
     md = np.array([[G_REF.k2, d2], [d2, d4]])
     assert np.allclose(md, [[100.0, 19.0], [19.0, 8.0]], atol=1e-12)
     assert np.linalg.eigvalsh(md).min() > 0
@@ -84,7 +84,7 @@ def test_psi_matrix_bottom_row_structure():
         g = rand_gains(rng)
         q2 = rng.uniform(-0.95, 0.95) * region_rho(P_SYN, g)
         psi = psi_matrix(P_SYN, g, q2)
-        _, _, ps3, d2, d4 = shape_terms(coeffs(P_SYN, g), math.sin(q2), math.cos(q2))
+        _, _, ps3, d2, d4, _ = shape_terms(coeffs(P_SYN, g), math.sin(q2), math.cos(q2))
         assert psi[1, 0] == pytest.approx(ps3, rel=1e-10, abs=1e-10)
         assert psi[1, 1] == pytest.approx(-g.psi40, rel=1e-10, abs=1e-12)
         md = np.array([[g.k2, d2], [d2, d4]])
@@ -129,8 +129,8 @@ def test_desired_inertia_derivative_matches_fd():
         q2, k = rng.uniform(-1.3, 1.3), coeffs(P_SYN, g)
         sh = shaping(k, math.sin(q2), math.cos(q2))
         dd2, dd4 = sh.dd2, sh.dd4
-        _, _, _, d2p, d4p = shape_terms(k, math.sin(q2 + h), math.cos(q2 + h))
-        _, _, _, d2m, d4m = shape_terms(k, math.sin(q2 - h), math.cos(q2 - h))
+        _, _, _, d2p, d4p, _ = shape_terms(k, math.sin(q2 + h), math.cos(q2 + h))
+        _, _, _, d2m, d4m, _ = shape_terms(k, math.sin(q2 - h), math.cos(q2 - h))
         assert dd2 == pytest.approx((d2p - d2m) / (2 * h), rel=2e-5, abs=2e-5)
         assert dd4 == pytest.approx((d4p - d4m) / (2 * h), rel=2e-5, abs=2e-5)
 
@@ -228,7 +228,7 @@ def test_definiteness_lost_carries_context():
 
 def test_md_inverse_at_origin():
     k = coeffs(P_SYN, G_REF)
-    _, _, _, d2, d4 = shape_terms(k, 0.0, 1.0)  # q2 = 0
+    _, _, _, d2, d4, _ = shape_terms(k, 0.0, 1.0)  # q2 = 0
     det = G_REF.k2 * d4 - d2 * d2
     (i11, i12), (_, i22) = (momentum_tilde(k, 0.0, *e) for e in ((1, 0), (0, 1)))
     assert det == pytest.approx(439.0, rel=1e-13)

@@ -29,9 +29,9 @@ Covers:
     arguments and a return that reads an earlier target, and refuses a loop,
     an early return, a nested helper call, an assignment to a parameter or a
     keyword argument, naming the helper, when it builds
-  - fused control_terms and desired_hamiltonian form no operation of run
-    constants (read from their source with ast): no binary operation of two
-    parameter-only operands and no negation of one, which are Coeffs fields;
+  - fused control_terms and desired_hamiltonian, and shaping, form no operation
+    of run constants (read from their source with ast): no binary operation of
+    two parameter-only operands and no negation of one, which are Coeffs fields;
     the same reading finds each such operation planted in a small source
   - the row simulate.run generates per run equals the record block it
     replaced (kept here as the reference) bit for bit: 10^4 random in-band
@@ -45,6 +45,7 @@ Covers:
 """
 import ast
 import dataclasses
+import inspect
 import itertools
 import linecache
 import math
@@ -55,7 +56,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ripsim.adaptive import DisturbanceSpec, dot
+from ripsim.adaptive import DisturbanceSpec
 from ripsim.codegen import fuse
 from ripsim.config import load_config
 from ripsim.controller import (
@@ -69,8 +70,8 @@ from ripsim.simulate import _row, _stage, run, step_rk4
 from ripsim.verify import _pd_endpoint
 
 from oracles import (
-    adaptation_rhs, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs, robust_control,
-    trig,
+    adaptation_rhs, dot, eval_regressor, lyapunov_value, momentum_tilde, open_loop_rhs,
+    robust_control, trig,
 )
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -476,6 +477,11 @@ def test_constant_operation_guard_finds_planted_ones():
 def test_fused_kernel_forms_no_parameter_only_operation(fn):
     # each product or negation of run constants is a Coeffs field, formed once per run
     assert constant_operations(source_of(fn), fn.__name__) == []
+
+
+def test_shaping_forms_no_parameter_only_operation():
+    # the array route's one entry point: its psi3' reads 2w from Coeffs as well
+    assert constant_operations(inspect.getsource(shaping), "shaping") == []
 
 
 # Helpers of the forms fuse() accepts and refuses. They are module functions so

@@ -11,15 +11,20 @@ Covers:
     '(' that goes past the limit
   - a literal that overflows a double (1e999) raises ParseError at its
     position; one that underflows (1e-999) is 0.0
-  - a product whose leading constant factors (numbers, sin/cos of constants)
-    multiply to +-inf or nan raises ParseError at the product's first
-    character, also inside sin/cos; constants after a variable, or whose
-    product stays finite, parse
+  - a product with a run of constant factors (numbers, sin/cos of constants)
+    that multiply to +-inf or nan raises ParseError at the run's first factor,
+    wherever the run sits, also inside sin/cos; runs whose products stay
+    finite parse, also when their product with the variables between them
+    overflows (1e308*q1*1e308)
   - property (hypothesis): on grammar expressions with the literal 5e-324
     and products that overflow (1e308*1e308), also inside sin/cos, the
     compiled term equals a tree-walk evaluator bit for bit (nan equal to nan);
-    a draw refused at parse time is refused for its constant factors alone,
-    where the tree walk of that product's leading constants is not finite
+    a draw refused at parse time is refused for its constant factors alone:
+    the tree walk of the run at the error's position is not finite, and of
+    an accepted draw every run of every product is finite
+  - a node keeps its compiled function as a plain instance attribute: no
+    class attribute named compiled, _compile runs once per node, and a
+    nested node is compiled only when it is itself called
   - RegressorSpec validation (at least one term)
 """
 import math
@@ -36,33 +41,35 @@ from ripsim.regressor import (
     Variable, parse_regressor, parse_term,
 )
 
+from oracles import eval_flat
+
 F_REF = ["1", "q1", "sin(q2)*cos(p1)"]
 
 
 def test_reference_basis_shape_and_origin():
     spec = parse_regressor(F_REF)
     assert spec.ell == 3
-    vals = np.array(spec.eval_flat(0.0, 0.0, 0.0, 0.0))
+    vals = np.array(eval_flat(spec, 0.0, 0.0, 0.0, 0.0))
     assert np.array_equal(vals, [1.0, 0.0, 0.0])
 
 
 def test_reference_basis_all_ones_state():
     spec = parse_regressor(F_REF)
-    vals = spec.eval_flat(1.0, math.pi / 2, 0.0, 0.7)
+    vals = eval_flat(spec, 1.0, math.pi / 2, 0.0, 0.7)
     assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_disturbance_value_at_origin():
     spec = parse_regressor(F_REF)
     theta = np.array([0.1, 0.1, -0.3])
-    vals = np.array(spec.eval_flat(0.0, 0.0, 0.0, 0.0))
+    vals = np.array(eval_flat(spec, 0.0, 0.0, 0.0, 0.0))
     assert vals @ theta == pytest.approx(0.1, abs=1e-15)
 
 
 def test_constant_term():
     spec = parse_regressor(["1"])
     assert spec.ell == 1
-    assert spec.eval_flat(3.0, -2.0, 0.5, 0.1) == [1.0]
+    assert eval_flat(spec, 3.0, -2.0, 0.5, 0.1) == [1.0]
 
 
 def test_number_formats():
@@ -169,6 +176,8 @@ def test_underflowing_literal_is_zero():
     ("sin(1e308*1e308)*q1", 4, "inf"), ("sin(1e308*1e308*0)", 4, "nan"),
     ("cos(2*1.5)*1e308*1e308*q1", 0, "-inf"), (" q2*cos( 1e300*cos(0)*1e300)", 9, "inf"),
     ("cos(q2*q2*1e308)*sin(1e308*1e308*0)", 21, "nan"),
+    ("q1*1e308*1e308", 3, "inf"), ("2*q1*cos(0)*1e308*1e308*p2", 5, "inf"),
+    ("sin(q1*1e308*1e308)", 7, "inf"), ("1e308*q1*1e308*1e-308*1e308*1e308", 9, "inf"),
 ])
 def test_overflowing_constant_factors_raise_at_their_product(text, pos, value):
     with pytest.raises(ParseError) as exc:
@@ -178,8 +187,9 @@ def test_overflowing_constant_factors_raise_at_their_product(text, pos, value):
         in str(exc.value)
 
 
-@pytest.mark.parametrize("text", ["q1*1e308*1e308", "1e308*q1*1e308", "1e308*1e-308*1e308",
-                                  "sin(1e308)*1e308*2", "cos(1e308*1e-308*1e308)*q2"])
+@pytest.mark.parametrize("text", ["1e308*q1*1e308", "1e308*1e-308*1e308",
+                                  "sin(1e308)*1e308*2", "cos(1e308*1e-308*1e308)*q2",
+                                  "q1*1e308*1e-308*1e308"])
 def test_finite_constant_factors_parse(text):
     t = parse_term(text)
     assert same_double(t(1.0, 0.5, 0.25, 0.0), tree_eval(t, 1.0, 0.5, 0.25, 0.0))
@@ -226,8 +236,27 @@ def variables_of(node):
 
 def unchecked_product(text, pos):
     """The product that starts at text[pos], parsed with the constant check off."""
-    with mock.patch.object(regressor, "_leading_run", lambda factors: (1.0, False)):
+    with mock.patch.object(regressor, "_constant_runs", lambda factors: []):
         return regressor._parse_expr(regressor._tokenize(text[pos:]), text[pos:], 0)
+
+
+def constant_runs(node):
+    """The tree walk's product, from 1.0, of each maximal run of factors that read no
+    variable, in every product of node."""
+    if isinstance(node, Call):
+        return constant_runs(node.arg)
+    if not isinstance(node, Product):
+        return []
+    out, run = [], None
+    for f in node.factors:
+        out += constant_runs(f)
+        if variables_of(f):
+            if run is not None:
+                out.append(run)
+            run = None
+        else:
+            run = (1.0 if run is None else run) * tree_eval(f, 0.0, 0.0, 0.0, 0.0)
+    return out if run is None else [*out, run]
 
 
 def same_double(a, b):
@@ -258,13 +287,49 @@ def test_compiled_term_property(text, state):
     except ParseError as e:   # only for its constants, which the tree walk confirms
         assert "constant factors multiply to" in str(e), e
         run = 1.0
-        for f in unchecked_product(text, e.pos).factors:
+        for f in unchecked_product(text, e.pos).factors:   # the run at e.pos
             if variables_of(f):
                 break
             run *= tree_eval(f, 0.0, 0.0, 0.0, 0.0)
         assert not math.isfinite(run)
+        assert not all(map(math.isfinite, constant_runs(unchecked_product(text, 0))))
         return
+    assert all(map(math.isfinite, constant_runs(term)))
     assert same_double(term(*state), tree_eval(term, *state))
+
+
+def counted_compiles(monkeypatch):
+    """The nodes _compile is called on, in order, from now on."""
+    compiled, compile_ = [], regressor._compile
+
+    def counting(node):
+        compiled.append(node)
+        return compile_(node)
+
+    monkeypatch.setattr(regressor, "_compile", counting)
+    return compiled
+
+
+def test_compiled_function_is_a_plain_attribute_built_once(monkeypatch):
+    assert not any("compiled" in vars(cls) for cls in Product.__mro__)
+    compiled = counted_compiles(monkeypatch)
+    term = parse_term("sin(q1*q2)*cos(p1)*2")
+    assert compiled == [term] and "compiled" in term.__dict__
+    first = term(0.3, 0.5, -0.2, 0.0)
+    for _ in range(3):
+        assert term(0.3, 0.5, -0.2, 0.0) == first
+    assert compiled == [term]
+    nested, inner = term.factors[0], term.factors[0].arg
+    assert "compiled" not in nested.__dict__ and "compiled" not in inner.__dict__
+    assert nested(0.3, 0.5, -0.2, 0.0) == math.sin(0.3 * 0.5)
+    assert nested(0.1, 0.5, -0.2, 0.0) == math.sin(0.1 * 0.5)
+    assert compiled == [term, nested] and "compiled" in nested.__dict__
+    assert "compiled" not in inner.__dict__   # the product inside sin is not called
+    number = Number(2.5)   # a node built directly is compiled on its first call
+    assert "compiled" not in number.__dict__
+    assert number(0.0, 0.0, 0.0, 0.0) == number(1.0, 0.0, 0.0, 0.0) == 2.5
+    assert compiled == [term, nested, number] and "compiled" in number.__dict__
+    assert number == Number(2.5) and hash(number) == hash(Number(2.5))
 
 
 def test_empty_regressor_rejected():

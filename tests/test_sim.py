@@ -6,7 +6,9 @@ Covers:
   - the list step_rk4 equals the ndarray RK4 expression bit for bit at state
     lengths 1-12 and 68 (4 + ell for ell = 64)
   - NonFiniteState on integrator blowup, also when rhs fails at a blown-up
-    stage (a finite stage's error propagates)
+    stage (a finite stage's error propagates); inf, -inf and nan at any one
+    component of the update, at state lengths 4 and 7, raise it with the
+    whole new state in the message
   - equilibrium start stays exactly at the target, u = 0
   - bitwise determinism of repeated runs
   - qdot0 -> p0 = M(q2) qdot0 initial-condition conversion
@@ -25,7 +27,9 @@ Covers:
     module attributes the benchmark's tracer wraps; a __call__ of the regressor
     node classes patched after import is the one run() evaluates: 18n + 6 calls
     over n steps of a 3-term robust run, and one that doubles a term gives the
-    trace of that term written with a factor 2
+    trace of that term written with a factor 2, also when it is patched after
+    the disturbance spec and the Scenario are built (the recorded d comes from
+    DisturbanceSpec.value, whose generated sum looks the __call__ up per call)
 """
 import math
 
@@ -79,6 +83,24 @@ def test_rk4_harmonic_energy_drift():
 def test_rk4_nonfinite_raises():
     with pytest.raises(NonFiniteState):
         step_rk4(lambda x: [v * 1e308 for v in x], [1.0], 1.0)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_rk4_nonfinite_at_each_component_raises(n, bad):
+    # a constant slope, finite but for one component: every stage evaluates, and the
+    # update holds bad at that component only
+    dt = 1e-3
+    for i in range(n):
+        slope = [0.5 * j - 1.0 for j in range(n)]
+        slope[i] = bad
+        x = [0.25 * j for j in range(n)]
+        want = [a + dt / 6.0 * (k + 2.0 * k + 2.0 * k + k) for a, k in zip(x, slope)]
+        assert [math.isfinite(v) for v in want].count(False) == 1
+        with pytest.raises(NonFiniteState) as exc:
+            step_rk4(lambda y: slope, x, dt)
+        assert str(exc.value) == f"non-finite state after RK4 step: {want}"
+    assert step_rk4(lambda y: [1.0] * n, [0.0] * n, dt) == [dt / 6.0 * 6.0] * n
 
 
 def test_rk4_equals_vector_formula():
@@ -368,5 +390,33 @@ def test_patched_term_call_is_the_one_evaluated(monkeypatch):
     assert not np.array_equal(doubled.u, plain.u)
     # doubling is exact: the same bits as the term written with a factor 2
     want = run(robust_3_term(["1", "q1", "2*sin(q2)*cos(p1)"], n))
+    for name in TRACE_ARRAYS:
+        assert getattr(doubled, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_term_call_patched_after_the_scenario_is_built(monkeypatch):
+    # the benchmark's set-up builds the spec and the Scenario before its tracer patches
+    # the node classes: DisturbanceSpec.value must not hold a __call__ read earlier
+    n, calls, scaled = 20, [0], [None]
+    sc = robust_3_term(["1", "q1", "sin(q2)*cos(p1)"], n)
+    want = run(robust_3_term(["1", "q1", "2*sin(q2)*cos(p1)"], n))
+    plain = run(sc)
+
+    def wrapped(call):
+        def __call__(self, *args):
+            calls[0] += 1
+            value = call(self, *args)
+            return 2.0 * value if self is scaled[0] else value
+        return __call__
+
+    for cls in (Number, Variable, Call, Product):
+        monkeypatch.setattr(cls, "__call__", wrapped(cls.__call__))
+    assert sc.disturbance.value(0.1, 0.2, 0.3, 0.4) == \
+        0.0 + 1.0 * 0.1 + 0.1 * 0.1 + math.sin(0.2) * math.cos(0.3) * -0.3
+    assert calls[0] == 3
+    scaled[0] = sc.disturbance.regressor.terms[2]
+    doubled = run(sc)
+    assert doubled.status == "ok" and calls[0] == 3 + 18 * n + 6
+    assert not np.array_equal(doubled.d, plain.d)
     for name in TRACE_ARRAYS:
         assert getattr(doubled, name).tobytes() == getattr(want, name).tobytes(), name

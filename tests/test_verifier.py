@@ -105,7 +105,7 @@ def rand_draw(rng):
             region_rho(params, gains)
         except EmptyRegion:
             continue
-        _, _, _, d2, d4 = shape_terms(coeffs(params, gains), 0.0, 1.0)  # q2 = 0
+        _, _, _, d2, d4, _ = shape_terms(coeffs(params, gains), 0.0, 1.0)  # q2 = 0
         if np.linalg.eigvalsh([[gains.k2, d2], [d2, d4]]).min() > 0:
             return params, gains
 
@@ -244,7 +244,7 @@ def one_pass_scans(params, gains, cells, n):
     bad = np.nonzero(d4 <= 0.0)[0]
     rho = math.pi / 2 if bad.size == 0 else 0.5 * float(q2[bad[0] - 1] + q2[bad[0]])
     q2 = np.linspace(0.0, math.pi / 2, n + 1)
-    _, _, _, d2, d4 = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2),
+    _, _, _, d2, d4, _ = controller.shape_terms(controller.coeffs(params, gains), np.sin(q2),
                                              np.cos(q2))
     bad = np.nonzero(~(gains.k2 * d4 - d2 ** 2 > 0.0))[0]
     return rho, math.pi / 2 if bad.size == 0 else float(q2[bad[0] - 1])
@@ -290,7 +290,7 @@ def test_sign_scans_at_fixed_sizes(name, rho_scan, pd_endpoint):
 def det_md_of(gains):
     """Check 4's value function, det Md = k2 d4 - d2^2, as verify._pd_endpoint forms it."""
     def det_md(k, s, c):
-        _, _, _, d2, d4 = shape_terms(k, s, c)
+        _, _, _, d2, d4, _ = shape_terms(k, s, c)
         return gains.k2 * d4 - d2 * d2
     return det_md
 
@@ -497,7 +497,7 @@ def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
         qd_o, pd_o = open_loop_rhs(params, q, p, u, 0.0)
         sin, cos = math.sin(q2), math.cos(q2)
         sh = controller.shaping(k, sin, cos)  # sees a planted fault
-        _, _, _, d2, d4 = shape_terms(k, sin, cos)
+        _, _, _, d2, d4, _ = shape_terms(k, sin, cos)
         md = np.array([[gains.k2, d2], [d2, d4]])
         psi = psi_matrix(params, gains, q2)
         gq = grad_q_Hd(params, gains, q, p)
