@@ -48,6 +48,12 @@ class DisturbanceSpec:
             raise ValueError("theta must be finite")
         object.__setattr__(self, "_sum", _disturbance_sum(self.regressor.terms, theta.tolist()))
 
+    def __eq__(self, other):
+        """The same terms and the same theta (the generated __eq__ would take the truth
+        value of theta == theta, which numpy refuses for two or more entries)."""
+        return type(other) is type(self) and self.regressor == other.regressor \
+            and np.array_equal(self.theta, other.theta)
+
     def value(self, q1: float, q2: float, p1: float, p2: float) -> float:
         """True disturbance d = f(q,p)^T theta, by the function generated for this spec."""
         return self._sum(q1, q2, p1, p2)
@@ -90,3 +96,8 @@ class AdaptiveState:
         object.__setattr__(self, "theta_hat", theta_hat)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_inv", np.linalg.inv(gamma))
+
+    def __eq__(self, other):
+        """The same theta_hat and gamma, compared by value as in DisturbanceSpec."""
+        return type(other) is type(self) and np.array_equal(self.theta_hat, other.theta_hat) \
+            and np.array_equal(self.gamma, other.gamma)

@@ -2,28 +2,18 @@
 
 generate() compiles a function from lines of source: simulate builds its
 stage, recorded row and RK4 step with it, adaptive its disturbance sum and
-regressor its terms. fuse()
-rewrites functions that call helpers into ones with every helper call
-inlined; model and controller apply it to their float entry points at import.
+regressor its terms. fuse() rewrites functions that call helpers into ones
+with every helper call inlined, on each def's syntax tree (ast), printed back
+through generate(); model and controller apply it to their float entry points
+at import.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import linecache
-import re
 import types
-
-# A name (not an attribute, nor a number's exponent), captured so that split()
-# alternates the text between names and the names.
-_NAME = re.compile(r"((?<![\w.])[A-Za-z_]\w*)")
-# A statement: the return, an assignment to names or one copied as it is.
-_STMT = re.compile(r"(return\b)|([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*=(?!=)"
-                   r"|(?:if|elif|else|raise|pass)\b")
-_CALL = re.compile(r"\s*(([A-Za-z_]\w*)\((.*)\))")   # f(args) after the "=", if one call
-_BOUND = re.compile(r"[A-Za-z_]\w*|[\d.]+")          # an argument a parameter is renamed to
-_KEYWORD = re.compile(r"(?<![\w.])[A-Za-z_]\w*\s*=(?!=)")   # name= right of a statement's =
-_PUNCT = re.compile(r"[][(){},]")
 
 
 def generate(label: str, name: str, signature: str, lines: list[str], consts: dict):
@@ -68,26 +58,28 @@ def fuse(*entries) -> tuple:
     """Each entry compiled by generate() with the body of every helper it calls inlined.
 
     A helper is a function of the entry's module called as a statement of its own,
-    `a, b = helper(x, y)`; the helpers it calls are inlined in turn. Each parameter
-    is renamed to its argument when that is a name or a number, and is otherwise
-    assigned from it first, in argument order. The helper's locals take a prefix
-    unique to the call site (a local it returns as it is takes its target's name),
-    and its default arguments and the module globals it reads become closure
+    `a, b = helper(x, y)`; the helpers it calls are inlined in turn. Each def is parsed
+    from its file (ast) once per call of fuse, and at each call site only its Name
+    nodes change, so attribute and keyword names and strings keep their text: each
+    parameter is renamed to its argument when that is a name or a number, and is
+    otherwise assigned from it first, in argument order; the helper's locals take a
+    prefix unique to the call site (a local it returns as it is takes its target's
+    name); its default arguments and the module globals it reads become closure
     constants. Its final `return e1, e2` becomes `a = e1` and `b = e2`, or one tuple
     assignment where an element reads an earlier target; an element whose target is
-    `_` is dropped, not evaluated. Python evaluates floats left to right and never
-    contracts two operations, so a fused function gives the same doubles and raises
-    the same exceptions as its entry, provided no dropped element is the first to
-    raise (desired_hamiltonian drops shape_terms' c / den, whose den its d4 has
-    divided by already). The entry is kept as __wrapped__; its source is read from
-    the entry's file.
+    `_` is dropped, not evaluated. The statements are printed with ast.unparse. Python
+    evaluates floats left to right and never contracts two operations, so a fused
+    function gives the same doubles and raises the same exceptions as its entry,
+    provided no dropped element is the first to raise (desired_hamiltonian drops
+    shape_terms' c / den, whose den its d4 has divided by already). The entry is kept
+    as __wrapped__.
 
-    Raises ValueError, naming the function, at what it cannot inline: a loop or a
-    lambda, a return before the last statement, an assignment to a parameter or to
-    a global, a helper call that is not the whole right-hand side of an assignment
-    to names, or that unpacks an argument, a keyword argument (renaming would rename
-    its name), a _ other than as a target of such a call, a string, or a statement
-    other than such an assignment, if/elif/else, raise or pass.
+    Raises ValueError, naming the function, at what it cannot inline: a loop, a
+    comprehension or a lambda, a return before the last statement, an assignment to a
+    parameter, a helper call that is not the whole right-hand side of an assignment
+    to names, or that unpacks or names an argument, a _ other than as a target of such
+    a call, or a statement other than such an assignment, if/elif/else, raise, pass or
+    the final return.
     """
     parsed: dict = {}
     fused = []
@@ -104,15 +96,17 @@ def fuse(*entries) -> tuple:
     return tuple(fused)
 
 
-def _refused(fn, why, text=""):
-    return ValueError("cannot inline %s: %s%s" % (fn.__qualname__, why, text and ": " + text))
+def _refused(fn, why, node=None):
+    return ValueError("cannot inline %s: %s%s"
+                      % (fn.__qualname__, why, "" if node is None else ": " + ast.unparse(node)))
 
 
 def _emit(fn, args, targets, out, consts, parsed, sites):
-    """Append fn's body to out: as the entry (targets None) or inlined at a call site."""
+    """Append fn's body to out: as the entry (targets None) or inlined at a call site
+    with the argument nodes args."""
     if fn not in parsed:
         parsed[fn] = _parse(fn)
-    params, defaults, stmts, local, read = parsed[fn]
+    params, defaults, stmts, names, local, read, ret, elements = parsed[fn]
     consts.update(read)   # the globals of one module: a name is one object
     ren: dict = {}
     if targets is not None:
@@ -122,162 +116,152 @@ def _emit(fn, args, targets, out, consts, parsed, sites):
         for name in local:
             ren[name] = pre + name
         for i, name in enumerate(params):
-            if i < len(args) and _BOUND.fullmatch(args[i]):
-                ren[name] = args[i]
+            arg = args[i] if i < len(args) else None
+            if type(arg) is ast.Name or type(arg) is ast.Constant \
+                    and type(arg.value) in (int, float):
+                ren[name] = ast.unparse(arg)
                 continue
             ren[name] = pre + name
-            if i < len(args):
-                out.append(pre + name + " = " + args[i])
+            if arg is not None:
+                out.append(pre + name + " = " + ast.unparse(arg))
             elif name in defaults:
                 consts[pre + name] = defaults[name]
             else:
                 raise _refused(fn, "no argument " + name)
         # A local returned as it is takes the name of its target, when that target
         # is assigned once and is not an argument, which the body reads.
-        elements, bound = stmts[-1][2], set(ren.values())
+        bound = {*ren.values(), "_"}
         if len(elements) == len(targets):
-            for t, e in zip(targets, elements):
-                if len(e) == 3 and e[0] == e[2] == "" and e[1] in local \
-                        and targets.count(t) == 1 and t not in bound:
-                    ren[e[1]] = t
-    for kind, parts, extra in stmts:
-        if kind == "call":
-            _emit(extra[0], [_sub(a, ren) for a in extra[1]], [ren.get(t, t) for t in parts],
-                  out, consts, parsed, sites)
-        elif kind == "line":
-            out.append(_sub(parts, ren))
-        elif targets is None:
-            out.append("return " + _sub(parts, ren))
+            for t, (e, _) in zip(targets, elements):
+                if names.get(e) in local and targets.count(t) == 1 and t not in bound:
+                    ren[names[e]] = t
+    for node, name in names.items():   # a Name prints its id: set it to the new name
+        node.id = ren.get(name, name)
+    for stmt, helper in stmts:
+        if helper is None:
+            out.extend(ast.unparse(stmt).split("\n"))
         else:
-            out.extend(_assign(targets, extra, parts, ren))
+            target = stmt.targets[0]
+            _emit(helper, stmt.value.args, [n.id for n in getattr(target, "elts", [target])],
+                  out, consts, parsed, sites)
+    out.extend([ast.unparse(ret)] if targets is None else _assign(targets, ret.value, elements))
 
 
-def _sub(parts, ren):
-    """The text of parts (a _NAME.split) with each name renamed by ren."""
-    return "".join(map(ren.get, parts, parts))
-
-
-def _assign(targets, elements, whole, ren):
-    """The lines of `targets = whole` for the helper's `return whole`: one per target
+def _assign(targets, value, elements):
+    """The lines of `targets = value` for the helper's `return value`: one per target
     but `_`, whose element is dropped, or one tuple assignment where an element reads
     a target assigned before it or the counts differ."""
     if len(elements) == len(targets):
         lines, done = [], set()
-        for t, e in zip(targets, elements):
+        for t, (e, read) in zip(targets, elements):
             if t == "_":
                 continue
-            if done.intersection(map(ren.get, e[1::2], e[1::2])):
+            if any(n.id in done for n in read):
                 break
-            value = _sub(e, ren)
-            if value != t:
-                lines.append(t + " = " + value)
+            text = ast.unparse(e)
+            if text != t:
+                lines.append(t + " = " + text)
                 done.add(t)
         else:
             return lines
-    return [", ".join(targets) + " = " + _sub(whole, ren)]
+    return [", ".join(targets) + " = " + ast.unparse(value)]
 
 
-def _split(text):
-    """text split at its commas outside brackets, each part stripped; None when
-    a bracket closes that text did not open."""
-    depth, cuts = 0, [-1]
-    for m in _PUNCT.finditer(text):
-        ch = m[0]
-        depth += (ch in "([{") - (ch in ")]}")
-        if depth < 0:
-            return None
-        if ch == "," and depth == 0:
-            cuts.append(m.start())
-    cuts.append(len(text))
-    return [text[i + 1:j].strip() for i, j in zip(cuts, cuts[1:])]
+def _source(fn):
+    """fn's def, parsed from its file: the lines from the def to the last that holds
+    code, and those after it that close a bracket left open there."""
+    code = fn.__code__
+    src = linecache.getlines(code.co_filename)
+    end = max(line or 0 for _, _, line in code.co_lines())
+    while end <= len(src):
+        try:
+            tree = ast.parse("".join(src[code.co_firstlineno - 1:end]))
+        except IndentationError:   # a def that does not start its line
+            break
+        except SyntaxError:
+            end += 1
+            continue
+        if tree.body and type(tree.body[0]) is ast.FunctionDef \
+                and tree.body[0].name == fn.__name__:
+            return tree.body[0]
+        break
+    raise _refused(fn, "no source")
+
+
+_STATEMENTS = (ast.Assign, ast.If, ast.Raise, ast.Pass, ast.Return)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.Lambda, ast.comprehension)
+
+
+def _to_names(targets):
+    """Whether every target of an assignment is a name or a tuple of names."""
+    return all(type(t) is ast.Name or type(t) is ast.Tuple
+               and all(type(e) is ast.Name for e in t.elts) for t in targets)
+
+
+def _walk(roots):
+    """Every node under roots, parents first: ast.walk without its generators, at half
+    its cost (fuse runs at every import)."""
+    todo = list(roots)
+    for node in todo:
+        for field in node._fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                todo.extend(c for c in child if isinstance(c, ast.AST))
+            elif isinstance(child, ast.AST):
+                todo.append(child)
+    return todo
 
 
 def _parse(fn):
-    """(params, defaults, statements, locals, globals read) of fn, from its source:
-    the lines from the first after the def that has code to the end of the def's
-    block, comments dropped.
-
-    A statement is ("line", parts, None), ("call", targets, (helper, [parts of each
-    argument])) or ("return", parts, [parts of each element]), where the parts of a
-    text are its _NAME.split(); a line keeps its indent relative to the body.
-    """
+    """(params, defaults, statements, names, locals, globals read, final return,
+    elements) of fn: a statement is (node, the helper it calls or None), names maps
+    each Name node but a called helper's to its id, and each element of the final
+    return is (node, its Name nodes)."""
     code, glb = fn.__code__, fn.__globals__
     if code.co_flags & 0x0C or code.co_kwonlyargcount:   # CO_VARARGS | CO_VARKEYWORDS
         raise _refused(fn, "*args, **kwargs or keyword-only parameters")
     params = code.co_varnames[:code.co_argcount]
     defaults = dict(zip(params[::-1], (fn.__defaults__ or ())[::-1]))
-    helpers, read = set(), {}
-    for n in code.co_names:   # the globals fn reads, and attribute names
-        v = glb.get(n)
-        if isinstance(v, types.FunctionType) and v.__module__ == fn.__module__:
-            helpers.add(n)
-        elif n in glb:
-            read[n] = v
-    start = next((n for _, _, n in code.co_lines() if n and n > code.co_firstlineno), 0)
-    src = linecache.getlines(code.co_filename)
-    if not start or len(src) < start:
-        raise _refused(fn, "no source")
-    line = src[code.co_firstlineno - 1]
-    base = len(line) - len(line.lstrip())   # the def's indent, which ends the body
-    stmts, local, pending, depth, body, returned = [], set(), "", 0, -1, False
-    for line in src[start - 1:]:
-        if "#" in line:
-            line = line[:line.index("#")]
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not pending:
-            indent = len(line) - len(line.lstrip())
-            if indent <= base:
-                break
-        if '"' in line or "'" in line:
-            raise _refused(fn, "a string", stripped)
-        pending = pending + " " + stripped
-        depth += sum(map(line.count, "([{")) - sum(map(line.count, ")]}"))
-        if depth:
-            continue
-        text, pending = pending.strip(), ""
-        if body < 0:
-            body = indent
-        parts = _NAME.split(text)
-        words = parts[1::2]
-        kind = _STMT.match(text)
-        if returned or (kind and kind[1] and indent > body):
-            raise _refused(fn, "an early return", text)
-        if "for" in words or "while" in words or "lambda" in words:
-            raise _refused(fn, "a loop or a lambda", text)
-        if _KEYWORD.search(text, kind.end() if kind else 0):
-            raise _refused(fn, "a keyword argument", text)
-        called = [n for n in words if n in helpers]
-        if "_" in words and not (kind and kind[2] and called
-                                 and "_" not in words[kind[2].count(",") + 1:]):
-            raise _refused(fn, "a _ other than as a target of a helper call", text)
-        if kind and kind[1]:
-            rhs = text[6:].strip()
-            stmts.append(("return", _NAME.split(rhs), list(map(_NAME.split, _split(rhs)))))
-            returned = True
-            continue
-        if kind and kind[2]:
-            targets = kind[2].replace(" ", "").split(",")
-            if not set(params).isdisjoint(targets):
-                raise _refused(fn, "an assignment to a parameter", text)
-            local.update(targets)
-            call = _CALL.fullmatch(text, kind.end())
-            args = _split(call[3]) if call and call[3].strip() else []
-            if call and args is not None and called == [call[2]] and indent == body:
-                if any(a.startswith("*") for a in args):
-                    raise _refused(fn, "a helper call with unpacked arguments", text)
-                stmts.append(("call", targets, (glb[call[2]], list(map(_NAME.split, args)))))
-                continue
-        elif not kind and indent == body:
-            raise _refused(fn, "a statement other than an assignment to names, if, raise or "
-                               "return", text)
-        if called:
-            raise _refused(fn, "a helper call that is not a statement of its own", text)
-        parts[0] = " " * (indent - body) + parts[0]
-        stmts.append(("line", parts, None))
-    if not returned:
+    local = set(code.co_varnames[code.co_argcount:]) - {"_"}
+    helpers = {n: glb[n] for n in code.co_names if n not in code.co_varnames
+               and type(glb.get(n)) is types.FunctionType and glb[n].__module__ == fn.__module__}
+    tree = _source(fn)
+    body = tree.body[ast.get_docstring(tree, False) is not None:]
+    ret = body[-1] if body else None
+    if type(ret) is not ast.Return or ret.value is None:
         raise _refused(fn, "no final return")
-    if not local <= set(code.co_varnames):   # a name declared global
-        raise _refused(fn, "an assignment to a global")
-    return params, defaults, stmts, local, read
+    stmts, names = [], {}
+    for stmt in body:
+        roots, called = [stmt], None
+        if type(stmt) is ast.Assign and len(stmt.targets) == 1 and _to_names(stmt.targets) \
+                and type(stmt.value) is ast.Call and type(stmt.value.func) is ast.Name:
+            called = helpers.get(stmt.value.func.id)
+        if called is not None:
+            if stmt.value.keywords or any(type(a) is ast.Starred for a in stmt.value.args):
+                raise _refused(fn, "a helper call with unpacked or keyword arguments", stmt)
+            roots = [stmt.targets[0], *stmt.value.args]
+        for node in _walk(roots):
+            kind = type(node)
+            if kind is ast.Name:
+                store = type(node.ctx) is ast.Store
+                if node.id == "_" and not (called and store):
+                    raise _refused(fn, "a _ other than as a target of a helper call", stmt)
+                if node.id in helpers:
+                    raise _refused(fn, "a helper call that is not a statement of its own", stmt)
+                if store and node.id in params:
+                    raise _refused(fn, "an assignment to a parameter", stmt)
+                names[node] = node.id
+            elif kind in _LOOPS:
+                raise _refused(fn, "a loop or a lambda", stmt)
+            elif kind is ast.Return and node is not ret:
+                raise _refused(fn, "an early return", stmt)
+            elif isinstance(node, ast.stmt) and (kind not in _STATEMENTS or kind is ast.Assign
+                                                 and not _to_names(node.targets)):
+                raise _refused(fn, "a statement other than an assignment to names, if, raise "
+                                   "or return", stmt)
+        stmts.append((stmt, called))
+    read = {n: glb[n] for n in code.co_names if n in glb and n not in helpers}
+    value = ret.value
+    elements = [(e, [n for n in _walk([e]) if type(n) is ast.Name])
+                for e in (value.elts if type(value) is ast.Tuple else [value])]
+    return params, defaults, stmts[:-1], names, local, read, ret, elements

@@ -1,7 +1,9 @@
 """Disturbance model, parameter adaptation, robust control augmentation.
 
 Covers:
-  - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix)
+  - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix), and
+    equality by value: two loads of fig4 (three terms) compare equal, as do
+    their scenarios, and a changed theta, term, theta_hat or gamma unequal
   - DisturbanceSpec.value, generated per spec, equals dot(eval_flat(...), theta)
     (oracles.py) bit for bit on random specs of 1-5 terms, at states where
     terms read -0.0, nan and +-inf (a nan equal to any nan: CPython's float
@@ -98,6 +100,21 @@ def test_adaptive_state_matrix_gamma_validation():
         AdaptiveState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         AdaptiveState(np.zeros(3), good)  # dim mismatch with theta_hat
+
+
+def test_specs_and_states_compare_by_value():
+    # fig4 has three terms: the generated dataclass __eq__ raised on its theta arrays
+    a, b = load_config(FIG4), load_config(FIG4)
+    assert a == b and a.scenario() == b.scenario()
+    spec, state = a.disturbance, a.adaptive
+    theta = spec.theta.copy()
+    theta[1] = np.nextafter(theta[1], 1.0)
+    assert dataclasses.replace(spec, theta=theta) != spec
+    assert dataclasses.replace(a, disturbance=dataclasses.replace(spec, theta=theta)) != a
+    assert dataclasses.replace(spec, regressor=parse_regressor(["1", "q1", "q2"])) != spec
+    assert dataclasses.replace(state, theta_hat=state.theta_hat + 1.0) != state
+    assert dataclasses.replace(state, gamma=2.0 * state.gamma) != state
+    assert spec != state and state != spec
 
 
 def test_adaptation_rhs_zero_at_rest():

@@ -26,9 +26,12 @@ Covers:
     (sin q2, cos q2) they take; they name no sin or cos, and each generated
     stage and row takes exactly one sin(q2) and one cos(q2); fuse()
     keeps values and exceptions through argument expressions, default
-    arguments and a return that reads an earlier target, and refuses a loop,
-    an early return, a nested helper call, an assignment to a parameter or a
-    keyword argument, naming the helper, when it builds
+    arguments, a return that reads an earlier target and one whose closing
+    bracket stands on a line of its own, keeps keyword names
+    (dict(x=y, y=x) with x and y renamed) and strings as they are, and refuses a
+    loop, an early return, a nested helper call, an assignment to a parameter
+    or a helper called with a keyword or unpacked argument, naming the
+    function, when it builds
   - fused control_terms and desired_hamiltonian, and shaping, form no operation
     of run constants (read from their source with ast): no binary operation of
     two parameter-only operands and no negation of one, which are Coeffs fields;
@@ -497,11 +500,19 @@ def _swap(a, b):
     return b, a
 
 
+def _bracketed(a, b):
+    return (
+        b - a,
+        a
+    )                       # the line of the closing bracket holds no code
+
+
 def _accepted(x, y):
     a, b = _pair(x + y)     # an argument that is not a name, a default argument
     a, b = _swap(a, b)      # b reads the a assigned before it: one tuple assignment
     c, d = _swap(a, 3.0)    # a number argument
-    return a, b, c, d
+    e, f = _bracketed(c, d)
+    return a, b, c, d, e, f
 
 
 def _looping(x):
@@ -563,7 +574,7 @@ def _calls_reads_discard(x):
 
 
 def _keywords(x, y):
-    r = dict(x=y, y=x)      # renaming x to its argument would rename the keyword too
+    r = dict(x=y, y=x)      # x and y are renamed, the keywords x= and y= are not
     return r
 
 
@@ -572,9 +583,30 @@ def _calls_keywords(x):
     return y
 
 
+def _labelled(x):
+    sign = "x > 0" if x > 0.0 else 'x <= 0'   # strings keep their text, x in them too
+    return sign, x
+
+
+def _calls_labelled(x):
+    a, b = _labelled(x * 2.0)
+    return a, b
+
+
+def _calls_with_keyword(x):
+    y = _pair(x, scale=3.0)
+    return y
+
+
+def _calls_with_unpacked(x):
+    y = _pair(*x)
+    return y
+
+
 def test_fuse_keeps_values_and_order():
     (fused,) = fuse(_accepted)
-    assert not {"_pair", "_swap"} & set(fused.__code__.co_names + fused.__code__.co_freevars)
+    assert not {"_pair", "_swap", "_bracketed"} & set(fused.__code__.co_names
+                                                      + fused.__code__.co_freevars)
     for x, y in [(0.25, -1.5), (-0.0, 0.0), (3.0, 1e-310), (-1e300, 1e299)]:
         assert bit_outcome(fused, x, y) == bit_outcome(_accepted, x, y)
     with pytest.raises(OverflowError):
@@ -592,15 +624,34 @@ def test_fuse_drops_discarded_results():
     assert "_" not in desired_hamiltonian.__code__.co_varnames
 
 
+def test_fuse_keeps_keywords_and_strings():
+    (fused,) = fuse(_calls_keywords)
+    assert "_keywords" not in fused.__code__.co_names + fused.__code__.co_freevars
+    for x in (1.0, -0.0, 1e-310, 1e308):
+        got, want = fused(x), _calls_keywords(x)
+        assert list(got) == list(want) == ["x", "y"]
+        assert bits(list(got.values())) == bits(list(want.values()))
+    assert fused(1.0) == {"x": 1.0, "y": 2.0}
+    (fused,) = fuse(_calls_labelled)
+    assert "_labelled" not in fused.__code__.co_names + fused.__code__.co_freevars
+    for x in (0.25, -0.0, -3.0):
+        got, want = fused(x), _calls_labelled(x)
+        assert got[0] == want[0] and bits([got[1]]) == bits([want[1]])
+    assert fused(1.0) == ("x > 0", 2.0) and fused(-1.0) == ("x <= 0", -2.0)
+
+
 @pytest.mark.parametrize("entry, helper, why", [
     (_calls_looping, "_looping", "a loop"),
     (_calls_early, "_early", "an early return"),
     (_calls_nested, "_nested", "a helper call that is not a statement of its own"),
     (_calls_sets_param, "_sets_param", "an assignment to a parameter"),
     (_calls_reads_discard, "_reads_discard", "a _ other than as a target of a helper call"),
-    (_calls_keywords, "_keywords", "a keyword argument"),
+    (_calls_with_keyword, "_calls_with_keyword",
+     "a helper call with unpacked or keyword arguments"),
+    (_calls_with_unpacked, "_calls_with_unpacked",
+     "a helper call with unpacked or keyword arguments"),
 ], ids=["loop", "early_return", "nested_call", "assigns_parameter", "reads_discard",
-        "keyword_argument"])
+        "keyword_call", "unpacked_call"])
 def test_fuse_refuses_at_build_time(entry, helper, why):
     with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
         fuse(entry)
