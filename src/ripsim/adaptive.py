@@ -31,9 +31,12 @@ from .codegen import generate, numbered
 from .regressor import RegressorSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisturbanceSpec:
-    """Regressor basis plus the true parameters (plant side only)."""
+    """Regressor basis plus the true parameters (plant side only).
+
+    Compared by value (__eq__ below) and unhashable: theta is an ndarray.
+    """
 
     regressor: RegressorSpec
     theta: np.ndarray
@@ -49,8 +52,10 @@ class DisturbanceSpec:
         object.__setattr__(self, "_sum", _disturbance_sum(self.regressor.terms, theta.tolist()))
 
     def __eq__(self, other):
-        """The same terms and the same theta (the generated __eq__ would take the truth
-        value of theta == theta, which numpy refuses for two or more entries)."""
+        """The same terms and the same theta (a generated __eq__ would take the truth
+        value of theta == theta, which numpy refuses for two or more entries). A class
+        that defines __eq__ alone gets __hash__ = None, which eq=False leaves in place,
+        where a generated __hash__ would hash the ndarray and raise."""
         return type(other) is type(self) and self.regressor == other.regressor \
             and np.array_equal(self.theta, other.theta)
 
@@ -73,9 +78,12 @@ def _disturbance_sum(terms: tuple, theta: list[float]):
                     {**numbered("t", terms), **numbered("th", theta)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveState:
-    """Parameter estimate and (symmetric positive definite) adaptation gain."""
+    """Parameter estimate and (symmetric positive definite) adaptation gain.
+
+    Compared by value, as DisturbanceSpec, and unhashable.
+    """
 
     theta_hat: np.ndarray
     gamma: np.ndarray

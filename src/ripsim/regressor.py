@@ -18,8 +18,8 @@ generated from the parsed tree alone.
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
 weights living in theta. Extending the grammar (e.g. '+', powers) only
-requires new alternatives in _parse_factor, one AST node each and its
-statements in _emit.
+requires new alternatives in _parse_factor, one AST node each (a dataclass
+under @_own_call) and its statements in _emit.
 
 NUMBER is ASCII digits with an optional point and exponent, and must be
 finite as a double (1e999 is refused at its position); so must each maximal
@@ -39,6 +39,7 @@ from __future__ import annotations
 import collections
 import math
 import re
+import types
 from dataclasses import dataclass
 
 from .codegen import generate
@@ -83,7 +84,8 @@ class _Node:
     The function of (q1, q2, p1, p2) is built once per node, on first use, and kept
     as the plain instance attribute `compiled` (no class attribute of that name, so
     the read in __call__ is an instance load); parse_term builds it for the term it
-    returns.
+    returns. Each node class runs its own copy of __call__ (_own_call), so CPython
+    specialises that load and the call of `compiled` for one class at a time.
     """
 
     def __call__(self, q1, q2, p1, p2):
@@ -94,24 +96,46 @@ class _Node:
         return compiled(q1, q2, p1, p2)
 
 
+def _own_call(cls):
+    """cls with its own copy of _Node.__call__. The copy has a new code object, where
+    CPython keeps the specialisation of its instructions, so the attribute load and
+    the call in it adapt to cls alone and not to whichever class ran last."""
+    call = types.FunctionType(_Node.__call__.__code__.replace(), globals(), "__call__")
+    call.__qualname__ = f"{cls.__qualname__}.__call__"
+    cls.__call__ = call
+    return cls
+
+
+@_own_call
 @dataclass(frozen=True)
 class Number(_Node):
+    """A number literal."""
+
     value: float
 
 
+@_own_call
 @dataclass(frozen=True)
 class Variable(_Node):
+    """One of the state variables q1, q2, p1, p2, by name."""
+
     name: str
 
 
+@_own_call
 @dataclass(frozen=True)
 class Call(_Node):
+    """sin or cos, by name, of the node arg."""
+
     fn: str
     arg: object
 
 
+@_own_call
 @dataclass(frozen=True)
 class Product(_Node):
+    """The product of the factor nodes, folded left to right from 1.0."""
+
     factors: tuple
 
 

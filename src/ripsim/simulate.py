@@ -4,11 +4,13 @@ The composite state is the flat vector [q1, q2, p1, p2] extended by
 theta_hat in robust mode, integrated with fixed-step classical RK4 so
 runs are deterministic and byte-reproducible. Three functions are generated
 from source (codegen.generate) with every loop unrolled: the RK4 step for
-the state length (_rk4_kernel, cached), and per run, for its mode and
-regressor, the closed-loop stage that re-evaluates the feedback torque
-(_stage) and the recorded row (_row), each taking one sin/cos pair of q2 for
-the controller and the plant and adding each sum one statement per term, left
-to right (tests/oracles.py's dot is the reference the tests pin them to).
+the state length (_rk4_kernel, cached), and per run, for its mode,
+regressor and Gamma, the closed-loop stage that re-evaluates the feedback
+torque (_stage) and the recorded row that packs itself into the trace buffer
+(_row), each taking one sin/cos pair of q2 for the controller and the plant
+and adding each sum one statement per term, left to right (tests/oracles.py's
+dot is the reference the tests pin them to), with the zero and unit entries
+of Gamma^{-1} and Gamma folded out (_matvec).
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -81,9 +83,10 @@ class Scenario:
             warnings.warn(f"Md is nowhere positive definite: {e}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Uniform-grid diagnostic records of one run."""
+    """Uniform-grid diagnostic records of one run, compared by identity (its fields are
+    ndarrays, whose == gives an array, not a truth value)."""
 
     t: np.ndarray
     q: np.ndarray            # (n, 2)
@@ -141,6 +144,31 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
     return kin, abs(controller.potential_matching_row(k, s, sh.ps3, g1, g2))
 
 
+def _matvec(out: str, rows: list[list[float]], prefix: str, values: list[str]):
+    """The statements of out{i} = 0.0 + w_i0 * v_0 + w_i1 * v_1 + ... for each row i of
+    weights, one per term, left to right, with the weights folded: a 0.0 or -0.0 weight
+    adds no statement and a 1.0 weight adds its value alone. Returns the statements, the
+    constants {prefix}{i}_{j} of the weights left, and whether any weight was folded.
+
+    Each sum starts at +0.0 and, rounding to nearest, never becomes -0.0, so adding a
+    signed zero leaves it as it is; v * 1.0 is v bit for bit, -0.0, infinities and nan
+    too. So the fold is exact wherever each v_j is finite. Dense rows give one product
+    per term, as the sums they fold.
+    """
+    lines, consts = [], {}
+    for i, row in enumerate(rows):
+        lines.append(f"{out}{i} = 0.0")
+        for j, (w, v) in enumerate(zip(row, values)):
+            if w == 0.0:
+                continue
+            if w == 1.0:
+                lines.append(f"{out}{i} = {out}{i} + {v}")
+            else:
+                consts[f"{prefix}{i}_{j}"] = w
+                lines.append(f"{out}{i} = {out}{i} + {prefix}{i}_{j} * {v}")
+    return lines, consts, len(consts) < len(rows) * len(values)
+
+
 def _term_calls(terms) -> dict:
     """{t0: terms[0], c0: type(terms[0]).__call__, ...}: each term node and its class's
     __call__, read now, so that c{j}(t{j}, q1, q2, p1, p2) evaluates term j."""
@@ -193,8 +221,13 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
     -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, left to
-    right from the torque or 0.0 (the order of tests/oracles.py's dot). The stage
-    takes s = sin(q2), c = cos(q2) once and passes the pair to control_terms and
+    right from the torque or 0.0 (the order of tests/oracles.py's dot); each row of
+    Gamma^{-1} f is folded (_matvec): no statement for a zero entry and no
+    product for a unit one. That is exact while f is finite; where a term is +-inf or
+    nan at a finite state, 0.0 * f_j is nan where the fold adds nothing, and only the
+    theta_hat slope can differ, but u + f_j * theta_hat_j is then not finite either, so
+    the RK4 step raises NonFiniteState as the unfolded sum would, at the same step. The
+    stage takes s = sin(q2), c = cos(q2) once and passes the pair to control_terms and
     open_loop_rhs_flat, which are read here, and so is each term's class __call__,
     which the stage calls as c{j}(t{j}, ...): a __call__ patched before run() builds
     the stage is the one called, and the call skips the instance-call slot. Every
@@ -210,33 +243,36 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
              *(f"u = u + f{j} * {th}" for j, th in enumerate(theta_hat)),
              "d = 0.0",
              *(f"d = d + f{j} * dth{j}" for j in range(ell))]
-    for i in rows:
-        lines += [f"r{i} = 0.0", *(f"r{i} = r{i} + g{i}_{j} * f{j}" for j in range(ell))]
-    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
-              f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
     consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
               "control_terms": control_terms,
               "open_loop_rhs_flat": open_loop_rhs_flat, **_term_calls(terms),
               **numbered("dth", dtheta)}
-    for i, row in enumerate(ginv_rows):
-        consts.update(numbered(f"g{i}_", row))
-    return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}", "stage",
-                    "x", lines, consts)
+    sums, weights, folded = _matvec("r", ginv_rows, "g", [f"f{j}" for j in range(ell)])
+    lines += sums
+    consts.update(weights)
+    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
+              f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
+    return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}"
+                    f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines, consts)
 
 
 def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None,
-         gamma_rows: list[list[float]]):
-    """The run's recorded row x -> (q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1,
-    *theta_hat), generated from source for its mode.
+         gamma_rows: list[list[float]], pack, rec):
+    """The run's recorded row (x, off) -> None, generated from source for its mode: it
+    ends in pack(rec, off, q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1,
+    *theta_hat), pack a struct's pack_into and rec the trace buffer, so a row that
+    raises (DefinitenessLost) leaves rec unwritten.
 
     nominal: d = d_hat = 0 and V_lyap = Hd; disturbed_nominal: d = dist.value(...);
     disturbed_robust (gamma_rows given): also d_hat = f^T theta_hat, the torque
     u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
-    one statement per term, left to right from 0.0 (tests/oracles.py's dot). control_terms,
-    controller.desired_hamiltonian, dist.value and hamiltonian are read here and
-    called once each, in that order, with the term nodes between the last two; the
-    three energy and torque calls share one s = sin(q2), c = cos(q2) pair. Each
-    term's class __call__ is read here too and called as c{j}(t{j}, ...), as in _stage.
+    one statement per term, left to right from 0.0 (tests/oracles.py's dot), each row
+    of Gamma e folded as in _stage; e is finite at every recorded state, so the fold
+    is exact there. control_terms, controller.desired_hamiltonian, dist.value and
+    hamiltonian are read here and called once each, in that order, with the term nodes
+    between the last two; the three energy and torque calls share one s = sin(q2),
+    c = cos(q2) pair. Each term's class __call__ is read here too and called as
+    c{j}(t{j}, ...), as in _stage.
     """
     ell = len(gamma_rows)
     theta_hat = [f"th{j}" for j in range(ell)]
@@ -249,28 +285,29 @@ def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None
     consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
               "control_terms": control_terms,
               "desired_hamiltonian": controller.desired_hamiltonian,
-              "hamiltonian": hamiltonian}
+              "hamiltonian": hamiltonian, "pack": pack, "rec": rec}
     if dist is not None:
         consts["value"] = dist.value
+    folded = False
     if ell:
         lines += [*(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
                   "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
                   *(f"e{j} = th{j} - dth{j}" for j in range(ell))]
-        for i in range(ell):
-            lines += [f"ge{i} = 0.0", *(f"ge{i} = ge{i} + G{i}_{j} * e{j}" for j in range(ell))]
-        lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
-                  "u = u + dhat", "v = hd + 0.5 * v"]
         consts.update(_term_calls(dist.regressor.terms))
         consts.update(numbered("dth", dist.theta.tolist()))
-        for i, row in enumerate(gamma_rows):
-            consts.update(numbered(f"G{i}_", row))
+        sums, weights, folded = _matvec("ge", gamma_rows, "G", [f"e{j}" for j in range(ell)])
+        lines += sums
+        consts.update(weights)
+        lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
+                  "u = u + dhat", "v = hd + 0.5 * v"]
     else:
         lines += ["dhat = 0.0", "v = hd"]
-    lines.append("return " + ", ".join(["q1", "q2", "p1c", "p2c", "u", "d", "dhat",
-                                        "hamiltonian(params, s, c, p1c, p2c)", "hd", "v",
-                                        "pt1", *theta_hat]))
+    lines.append("pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
+                                      "hamiltonian(params, s, c, p1c, p2c)", "hd", "v",
+                                      "pt1", *theta_hat]) + ")")
     return generate(f"recorded row{'' if dist is None else ', disturbed'}"
-                    f"{f', {ell} estimates' if ell else ''}", "row", "x", lines, consts)
+                    f"{f', {ell} estimates' if ell else ''}{', Gamma folded' if folded else ''}",
+                    "row", "x, off", lines, consts)
 
 
 def run(scenario: Scenario) -> Trace:
@@ -295,18 +332,18 @@ def run(scenario: Scenario) -> Trace:
         ginv_rows = scenario.adaptive.gamma_inv.tolist()
         gamma_rows = scenario.adaptive.gamma.tolist()
 
+    t_grid = np.arange(n + 1) * dt
+    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat,
+    # which row(x, off) stores by pack_into at the byte offset off: the doubles that
+    # rec[i] = (q1, ...) stores, without building the tuple or numpy's conversion of it
+    rec = np.empty((n + 1, 11 + ell))
+    row_struct = struct.Struct(f"{11 + ell}d")
+    size = row_struct.size
+
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
     rhs = _stage(k, params, terms, dtheta, ginv_rows)
-    row = _row(k, params, dist, gamma_rows)
-
-    t_grid = np.arange(n + 1) * dt
-    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat,
-    # stored by pack_into at the row's byte offset: the doubles rec[i] = row(x) stores,
-    # without numpy's conversion of the tuple, which costs about twice as much
-    rec = np.empty((n + 1, 11 + ell))
-    row_struct = struct.Struct(f"{11 + ell}d")
-    pack, size = row_struct.pack_into, row_struct.size
+    row = _row(k, params, dist, gamma_rows, row_struct.pack_into, rec)
 
     p0 = momentum(params, scenario.q0[1], *scenario.qdot0)  # p0 = M(q2(0)) qdot0
     x = [float(v) for v in (*scenario.q0, *p0)]
@@ -320,7 +357,7 @@ def run(scenario: Scenario) -> Trace:
 
     for i in range(n + 1):
         try:
-            pack(rec, i * size, *row(x))
+            row(x, i * size)
         except DefinitenessLost as e:
             status, reason, rows = "region_exit", str(e), i
             break

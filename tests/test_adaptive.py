@@ -3,7 +3,9 @@
 Covers:
   - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix), and
     equality by value: two loads of fig4 (three terms) compare equal, as do
-    their scenarios, and a changed theta, term, theta_hat or gamma unequal
+    their scenarios, and a changed theta, term, theta_hat or gamma unequal;
+    hash() of a spec or a state, and so of fig4's Config and Scenario, raises
+    a TypeError that names the unhashable class
   - DisturbanceSpec.value, generated per spec, equals dot(eval_flat(...), theta)
     (oracles.py) bit for bit on random specs of 1-5 terms, at states where
     terms read -0.0, nan and +-inf (a nan equal to any nan: CPython's float
@@ -115,6 +117,16 @@ def test_specs_and_states_compare_by_value():
     assert dataclasses.replace(state, theta_hat=state.theta_hat + 1.0) != state
     assert dataclasses.replace(state, gamma=2.0 * state.gamma) != state
     assert spec != state and state != spec
+
+
+def test_specs_and_states_are_unhashable():
+    # compared by value over ndarrays: no hash consistent with == is kept
+    a = load_config(FIG4)
+    assert a == load_config(FIG4)
+    for record, name in ((a.disturbance, "DisturbanceSpec"), (a.adaptive, "AdaptiveState"),
+                         (a, "DisturbanceSpec"), (a.scenario(), "DisturbanceSpec")):
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(record)
 
 
 def test_adaptation_rhs_zero_at_rest():

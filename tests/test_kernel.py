@@ -36,10 +36,15 @@ Covers:
     of run constants (read from their source with ast): no binary operation of
     two parameter-only operands and no negation of one, which are Coeffs fields;
     the same reading finds each such operation planted in a small source
-  - the row simulate.run generates per run equals the record block it
-    replaced (kept here as the reference) bit for bit: 10^4 random in-band
-    states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
-    signed zeros; out of band both raise the same DefinitenessLost
+  - the row simulate.run generates per run, read back from the one-row buffer
+    it packs, equals the record block it replaced (kept here as the
+    reference) bit for bit: 10^4 random in-band states per mode, ell in
+    {1, 3, 8}, theta, theta_hat and the state holding signed zeros; out of
+    band both raise the same DefinitenessLost and the buffer is not written
+  - with Gamma = I, 2.5 I or SPD 2 x 2 blocks (ell in {1, 3, 8}), the stage and
+    the row read only the Gamma^{-1} and Gamma entries that are neither 0.0
+    nor 1.0 and still equal both references bit for bit at the signed-zero
+    states
   - fuse() drops a result discarded into _ (fused desired_hamiltonian has no
     _) and refuses a _ that is read
   - generated code shows its source in tracebacks: the raise line and the
@@ -52,6 +57,7 @@ import inspect
 import itertools
 import linecache
 import math
+import struct
 import traceback
 import types
 from pathlib import Path
@@ -407,8 +413,8 @@ def test_one_trig_pair_per_stage_and_row():
     dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
     gamma_rows = np.linalg.inv(ginv_rows).tolist()
     for fn in (_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
-               _stage(k, params, terms, dtheta, ginv_rows), _row(k, params, None, []),
-               _row(k, params, dist, []), _row(k, params, dist, gamma_rows)):
+               _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, params, None, [])[0],
+               packed_row(k, params, dist, [])[0], packed_row(k, params, dist, gamma_rows)[0]):
         source = source_of(fn)
         assert source.count("sin(") == source.count("sin(q2)") == 1, source
         assert source.count("cos(") == source.count("cos(q2)") == 1, source
@@ -768,6 +774,28 @@ def row_ref(k, params, dist, gamma_rows):
     return row
 
 
+def packed_row(k, params, dist, gamma_rows):
+    """simulate._row packing into a one-row buffer, as run() builds it, and the buffer."""
+    width = 11 + len(gamma_rows)
+    rec = np.empty((1, width))
+    return _row(k, params, dist, gamma_rows, struct.Struct(f"{width}d").pack_into, rec), rec
+
+
+UNWRITTEN = 0xA5   # every byte of the buffer before a row is packed into it
+
+
+def row_outcome(row, rec, x):
+    """The bits that row(x, 0) packs into rec, read back; or its DefinitenessLost, as
+    stage_outcome gives it, with rec left unwritten."""
+    rec.view(np.uint8)[:] = UNWRITTEN
+    try:
+        assert row(x, 0) is None
+    except DefinitenessLost as e:
+        assert (rec.view(np.uint8) == UNWRITTEN).all(), x
+        return ("DefinitenessLost", str(e), *bits([e.det_md]))
+    return bits(rec[0].tolist())
+
+
 @pytest.mark.parametrize("ell", [1, 3, 8])
 def test_generated_row_equals_record_block(ell):
     cfg = load_config(str(PRESETS / "fig4.yaml"))
@@ -780,21 +808,72 @@ def test_generated_row_equals_record_block(ell):
     modes = {"nominal": (None, []), "disturbed_nominal": (dist, []),
              "disturbed_robust": (dist, gamma_rows)}
     for mode, args in modes.items():
-        row, ref = _row(k, params, *args), row_ref(k, params, *args)
+        (row, rec), ref = packed_row(k, params, *args), row_ref(k, params, *args)
         width = 4 + len(args[1])
         xs = rng.uniform(-1.0, 1.0, size=(10 ** 4, width)) * ([3.0, 0.99 * edge, 5.0, 5.0]
                                                              + [2.0] * (width - 4))
         xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
         xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
         xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
+        assert rec.shape == (1, 11 + width - 4)
         for x in xs.tolist():
-            out = row(x)
-            assert type(out) is tuple and len(out) == 11 + width - 4
-            assert bits(list(out)) == bits(list(ref(x))), (mode, x)
+            assert row_outcome(row, rec, x) == bits(list(ref(x))), (mode, x)
         for x in xs[16:216].tolist():   # past the band's edge: the same DefinitenessLost
             x[1] = math.copysign(edge + 0.01 + 0.4 * abs(x[1]), x[1])
-            got = stage_outcome(row, x)
+            got = row_outcome(row, rec, x)
             assert got[0] == "DefinitenessLost" and got == stage_outcome(ref, x), (mode, x)
+
+
+def gamma_case(kind, ell):
+    """An SPD Gamma of ell x ell whose inverse has zero or unit entries: "identity";
+    "scaled", 2.5 I; "blocks", SPD 2 x 2 blocks on the diagonal (and 2.5 last at odd
+    ell), so every entry outside the blocks of Gamma and of its inverse is zero."""
+    gamma = np.eye(ell) * (1.0 if kind == "identity" else 2.5)
+    if kind == "blocks":
+        rng = np.random.default_rng(70 + ell)
+        for i in range(0, ell - 1, 2):
+            a = rng.normal(size=(2, 2))
+            gamma[i:i + 2, i:i + 2] = a @ a.T + np.eye(2)
+    return gamma
+
+
+def weights_read(fn, prefix):
+    """The names prefix<i>_<j> of the weights a generated function reads: its closure
+    variables (codegen.generate) of that prefix."""
+    return {name for name in fn.__code__.co_freevars if name.startswith(prefix)}
+
+
+@pytest.mark.parametrize("kind", ["identity", "scaled", "blocks"])
+@pytest.mark.parametrize("ell", [1, 3, 8])
+def test_folded_gamma_equals_references(kind, ell):
+    # stage_case draws a dense Gamma^{-1}; these have 0.0 and 1.0 entries, which the
+    # generated sums fold: no statement for a zero entry, no product for a unit one
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    edge = _pd_endpoint(cfg.params, cfg.gains)
+    rng = np.random.default_rng(60 + ell)
+    terms, dtheta, _ = stage_case(rng, ell)
+    gamma = gamma_case(kind, ell)
+    ginv = np.linalg.inv(gamma)
+    gamma_rows, ginv_rows = gamma.tolist(), ginv.tolist()
+    dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
+    stage, ref = _stage(k, params, terms, dtheta, ginv_rows), \
+        stage_ref(k, params, terms, dtheta, ginv_rows)
+    (row, rec), rref = packed_row(k, params, dist, gamma_rows), \
+        row_ref(k, params, dist, gamma_rows)
+    for weights, fn, prefix in ((ginv, stage, "g"), (gamma, row, "G")):
+        multiplied = np.nonzero((weights != 0.0) & (weights != 1.0))
+        assert weights_read(fn, prefix) == {f"{prefix}{i}_{j}" for i, j in zip(*multiplied)}
+        if kind == "blocks" and ell > 1:
+            assert (weights == 0.0).sum() > 0
+    xs = rng.uniform(-1.0, 1.0, size=(2000, 4 + ell)) * ([3.0, 0.99 * edge, 5.0, 5.0]
+                                                        + [2.0] * ell)
+    xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
+    xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
+    xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
+    for x in xs.tolist():
+        assert bits(list(stage(x))) == bits(list(ref(x))), (kind, x)
+        assert row_outcome(row, rec, x) == bits(list(rref(x))), (kind, x)
 
 
 @pytest.fixture(scope="module")
@@ -891,8 +970,8 @@ def test_generated_sources_never_share_a_file_name():
         dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
         gamma_rows = np.linalg.inv(ginv_rows).tolist()
         fns += [_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
-                _stage(k, params, terms, dtheta, ginv_rows), _row(k, params, None, []),
-                _row(k, params, dist, []), _row(k, params, dist, gamma_rows),
+                _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, params, None, [])[0],
+                packed_row(k, params, dist, [])[0], packed_row(k, params, dist, gamma_rows)[0],
                 *(t.compiled for t in terms)]
     sources: dict = {}
     for fn in fns:

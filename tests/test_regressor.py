@@ -25,6 +25,9 @@ Covers:
   - a node keeps its compiled function as a plain instance attribute: no
     class attribute named compiled, _compile runs once per node, and a
     nested node is compiled only when it is itself called
+  - each node class runs its own __call__: four distinct code objects with
+    _Node.__call__'s instructions, and one class's __call__ patched reaches
+    that class's terms alone
   - RegressorSpec validation (at least one term)
 """
 import math
@@ -330,6 +333,32 @@ def test_compiled_function_is_a_plain_attribute_built_once(monkeypatch):
     assert number(0.0, 0.0, 0.0, 0.0) == number(1.0, 0.0, 0.0, 0.0) == 2.5
     assert compiled == [term, nested, number] and "compiled" in number.__dict__
     assert number == Number(2.5) and hash(number) == hash(Number(2.5))
+
+
+def test_each_node_class_runs_its_own_call_code(monkeypatch):
+    classes = (Number, Variable, Call, Product)
+    codes = [cls.__call__.__code__ for cls in classes]
+    shared = regressor._Node.__call__.__code__
+    # code objects compare equal by value: CPython specialises per object
+    assert len({id(code) for code in codes}) == 4 and all(c is not shared for c in codes)
+    for cls, code in zip(classes, codes):
+        assert code == shared and code.co_code == shared.co_code
+        assert cls.__call__.__qualname__ == f"{cls.__name__}.__call__"
+    terms = [parse_term(t) for t in ("2.5", "q1", "sin(q2)", "q1*p2")]
+    assert [type(t) for t in terms] == list(classes)
+    state = (0.5, 0.25, -1.0, 2.0)
+    want = [t(*state) for t in terms]
+    for cls in classes:
+        seen, call = [], cls.__call__
+
+        def spy(self, *args, call=call, seen=seen):
+            seen.append(self)
+            return call(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, "__call__", spy)
+            assert [t(*state) for t in terms] == want
+        assert seen == [t for t in terms if type(t) is cls], cls
 
 
 def test_empty_regressor_rejected():

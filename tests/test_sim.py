@@ -21,6 +21,11 @@ Covers:
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows
   - Scenario validation and out-of-region warning
+  - a robust run with Gamma = I whose term overflows to inf at a finite stage
+    state raises NonFiniteState, at the step where the unfolded Gamma^{-1} f
+    sums raise it
+  - a Trace compares by identity: two runs' traces are unequal without
+    raising, and a trace equals itself
   - the call path: run() records H and Hd through simulate.hamiltonian and
     controller.desired_hamiltonian (n + 1 calls each over n steps) and check 6
     takes its torque through controller.control_law (one call per sample), the
@@ -316,6 +321,43 @@ def test_blowup_in_stage_raises_nonfinite():
                   disturbance=spec)
     with pytest.raises(NonFiniteState):
         run(sc)
+
+
+def test_blowup_with_unit_gamma_raises_nonfinite(monkeypatch):
+    # Gamma = I: the stage's Gamma^{-1} f sums fold to r_i = 0.0 + f_i, and a term that
+    # overflows (p1 != 0 after the first stage) is then inf where 0.0 * inf was nan
+    spec = DisturbanceSpec(parse_regressor(["1", "1e300*p1*1e300"]), np.array([0.1, 0.1]))
+    sc = Scenario(params=P_SYN, gains=G_CONV, mode="disturbed_robust", q0=(0.1, 0.2),
+                  t_end=0.1, dt=1e-3, disturbance=spec,
+                  adaptive=AdaptiveState(np.zeros(2), 1.0))
+    steps = []
+
+    def counting(rhs, x, dt):
+        steps.append(x)
+        return step_rk4(rhs, x, dt)
+
+    def unfolded(out, rows, prefix, values):   # simulate._matvec with no weight folded
+        lines, consts = [], {}
+        for i, row in enumerate(rows):
+            lines.append(f"{out}{i} = 0.0")
+            for j, (w, v) in enumerate(zip(row, values)):
+                consts[f"{prefix}{i}_{j}"] = w
+                lines.append(f"{out}{i} = {out}{i} + {prefix}{i}_{j} * {v}")
+        return lines, consts, False
+
+    monkeypatch.setattr(sim, "step_rk4", counting)
+    with pytest.raises(NonFiniteState):
+        run(sc)
+    folded = len(steps)
+    monkeypatch.setattr(sim, "_matvec", unfolded)
+    with pytest.raises(NonFiniteState):
+        run(sc)
+    assert folded == len(steps) - folded == 1
+
+
+def test_trace_compares_by_identity():
+    a, b = run(nominal((0.1, 0.3), t_end=0.01)), run(nominal((0.1, 0.3), t_end=0.01))
+    assert a == a and a != b and not a == b
 
 
 def test_scenario_validation():
