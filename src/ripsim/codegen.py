@@ -4,8 +4,8 @@ generate() compiles a function from lines of source: simulate builds its
 stage, recorded row and RK4 step with it, adaptive its disturbance sum and
 regressor its terms. fuse() rewrites functions that call helpers into ones
 with every helper call inlined, on each def's syntax tree (ast), printed back
-through generate(); model and controller apply it to their float entry points
-at import.
+through generate(); model and controller apply it at import to their one
+float entry point each, open_loop_rhs_flat and control_terms.
 """
 from __future__ import annotations
 
@@ -66,20 +66,16 @@ def fuse(*entries) -> tuple:
     prefix unique to the call site (a local it returns as it is takes its target's
     name); its default arguments and the module globals it reads become closure
     constants. Its final `return e1, e2` becomes `a = e1` and `b = e2`, or one tuple
-    assignment where an element reads an earlier target; an element whose target is
-    `_` is dropped, not evaluated. The statements are printed with ast.unparse. Python
-    evaluates floats left to right and never contracts two operations, so a fused
-    function gives the same doubles and raises the same exceptions as its entry,
-    provided no dropped element is the first to raise (desired_hamiltonian drops
-    shape_terms' c / den, whose den its d4 has divided by already). The entry is kept
-    as __wrapped__.
+    assignment where an element reads an earlier target. The statements are printed
+    with ast.unparse. Python evaluates floats left to right and never contracts two
+    operations, so a fused function gives the same doubles and raises the same
+    exceptions as its entry. The entry is kept as __wrapped__.
 
     Raises ValueError, naming the function, at what it cannot inline: a loop, a
     comprehension or a lambda, a return before the last statement, an assignment to a
     parameter, a helper call that is not the whole right-hand side of an assignment
-    to names, or that unpacks or names an argument, a _ other than as a target of such
-    a call, or a statement other than such an assignment, if/elif/else, raise, pass or
-    the final return.
+    to names, or that unpacks or names an argument, or a statement other than such an
+    assignment, if/elif/else, raise, pass or the final return.
     """
     parsed: dict = {}
     fused = []
@@ -130,7 +126,7 @@ def _emit(fn, args, targets, out, consts, parsed, sites):
                 raise _refused(fn, "no argument " + name)
         # A local returned as it is takes the name of its target, when that target
         # is assigned once and is not an argument, which the body reads.
-        bound = {*ren.values(), "_"}
+        bound = set(ren.values())
         if len(elements) == len(targets):
             for t, (e, _) in zip(targets, elements):
                 if names.get(e) in local and targets.count(t) == 1 and t not in bound:
@@ -148,14 +144,12 @@ def _emit(fn, args, targets, out, consts, parsed, sites):
 
 
 def _assign(targets, value, elements):
-    """The lines of `targets = value` for the helper's `return value`: one per target
-    but `_`, whose element is dropped, or one tuple assignment where an element reads
-    a target assigned before it or the counts differ."""
+    """The lines of `targets = value` for the helper's `return value`: one per target,
+    or one tuple assignment where an element reads a target assigned before it or the
+    counts differ."""
     if len(elements) == len(targets):
         lines, done = [], set()
         for t, (e, read) in zip(targets, elements):
-            if t == "_":
-                continue
             if any(n.id in done for n in read):
                 break
             text = ast.unparse(e)
@@ -222,7 +216,7 @@ def _parse(fn):
         raise _refused(fn, "*args, **kwargs or keyword-only parameters")
     params = code.co_varnames[:code.co_argcount]
     defaults = dict(zip(params[::-1], (fn.__defaults__ or ())[::-1]))
-    local = set(code.co_varnames[code.co_argcount:]) - {"_"}
+    local = set(code.co_varnames[code.co_argcount:])
     helpers = {n: glb[n] for n in code.co_names if n not in code.co_varnames
                and type(glb.get(n)) is types.FunctionType and glb[n].__module__ == fn.__module__}
     tree = _source(fn)
@@ -244,8 +238,6 @@ def _parse(fn):
             kind = type(node)
             if kind is ast.Name:
                 store = type(node.ctx) is ast.Store
-                if node.id == "_" and not (called and store):
-                    raise _refused(fn, "a _ other than as a target of a helper call", stmt)
                 if node.id in helpers:
                     raise _refused(fn, "a helper call that is not a statement of its own", stmt)
                 if store and node.id in params:

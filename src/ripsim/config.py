@@ -16,7 +16,9 @@ import numpy as np
 import yaml
 
 from .adaptive import AdaptiveState, DisturbanceSpec
-from .controller import ControllerGains, EmptyRegion, _z_offset, coeffs, region_rho, shape_terms
+from .controller import (
+    ControllerGains, EmptyRegion, _md_det, _z_offset, coeffs, region_rho, shape_terms,
+)
 from .model import RobotParams
 from .regressor import ParseError, parse_regressor
 from .simulate import MODES, Scenario, step_count
@@ -156,7 +158,7 @@ def _load_gains(raw: dict, params: RobotParams) -> ControllerGains:
         region_rho(params, gains)
         k = coeffs(params, gains)
         _, _, _, d2, d4, _ = shape_terms(k, 0.0, 1.0)
-        det = k.k2 * d4 - d2 * d2
+        det = _md_det(k, d2, d4)
         z0, z1 = _z_offset(k, 0.0), _z_offset(k, 1.0)
     except EmptyRegion as e:
         raise ConfigError(f"controller: {e}") from e

@@ -14,10 +14,10 @@ Md is positive definite only on a symmetric q2 interval around the
 upright equilibrium; outside it the control law has no meaning and
 evaluation raises DefinitenessLost.
 
-The float entry points control_terms and desired_hamiltonian take
-s = sin q2 and c = cos q2 from the caller, which forms the pair once per
-state; q2 itself only names the state in DefinitenessLost. control_law
-takes q2 alone and forms the pair itself.
+control_terms and desired_hamiltonian (floats or arrays) take s = sin q2
+and c = cos q2 from the caller, which forms the pair once per state; q2
+itself only names the state in DefinitenessLost, which each raises before
+dividing by det Md. control_law takes q2 alone and forms the pair itself.
 """
 from __future__ import annotations
 
@@ -172,13 +172,21 @@ def _md_prime(k: Coeffs, s: float, c: float, s2: float, den: float, m11: float,
     return dd2, dd4
 
 
-def _md_inverse(k: Coeffs, q2: float, d2: float, d4: float) -> tuple[float, float, float]:
-    """(i11, i12, i22) of Md^{-1}; raises DefinitenessLost (with det Md) when Md is not PD."""
-    d1 = k.k2
-    det = d1 * d4 - d2 * d2
-    if d1 <= 0.0 or det <= 0.0:
-        raise DefinitenessLost(q2, det)
-    return d4 / det, -d2 / det, d1 / det
+def _md_det(k: Coeffs, d2: float, d4: float) -> float:
+    """det Md = d1 d4 - d2^2, d1 = k2 > 0: Md is positive definite where det > 0."""
+    return k.k2 * d4 - d2 * d2
+
+
+def _md_inverse(k: Coeffs, d2: float, d4: float, det: float) -> tuple[float, float, float]:
+    """(i11, i12, i22) of Md^{-1}; the caller has tested det = det Md > 0."""
+    return d4 / det, -d2 / det, k.k2 / det
+
+
+def _atan(x):
+    """math.atan of a float or of each array element (np.arctan's kernels vary by CPU)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.atan, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.atan(x)
 
 
 def _psi_row1(k: Coeffs, s: float, c: float, s2: float, m11: float, d2: float,
@@ -329,16 +337,18 @@ def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
     return np.array([[kappa, h12], [h12, h22]])
 
 
-def desired_hamiltonian(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: float,
-                        p2c: float) -> float:
-    """Hd = 0.5 p^T Md^{-1} p + Vd(q) at s = sin q2, c = cos q2; q2 only names the
-    state in DefinitenessLost, which it raises."""
+def desired_hamiltonian(k: Coeffs, q1, q2, s, c, p1c, p2c):
+    """Hd = 0.5 p^T Md^{-1} p + Vd(q) at s = sin q2, c = cos q2, on floats or arrays (the
+    float call's doubles per element); DefinitenessLost names the first det Md <= 0."""
     _, _, _, d2, d4, _ = shape_terms(k, s, c)
-    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
+    det = _md_det(k, d2, d4)
+    lost = np.flatnonzero(det <= 0.0)
+    if lost.size:
+        raise DefinitenessLost(float(np.ravel(q2)[lost[0]]), float(np.ravel(det)[lost[0]]))
+    i11, i12, i22 = _md_inverse(k, d2, d4, det)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
-    vd = _vd(k, q1, s, c)
-    return 0.5 * (p1c * pt1 + p2c * pt2) + vd
+    return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c, _atan)
 
 
 def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: float,
@@ -346,7 +356,10 @@ def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: floa
     """Scalar fast path at s = sin q2, c = cos q2: returns (u, ptilde1). q2 only names
     the state in DefinitenessLost, which it raises."""
     den, m11, ps3, d2, d4, d2b = shape_terms(k, s, c)
-    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
+    det = _md_det(k, d2, d4)
+    if det <= 0.0:
+        raise DefinitenessLost(q2, det)
+    i11, i12, i22 = _md_inverse(k, d2, d4, det)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     s2 = 2.0 * s * c
@@ -369,7 +382,7 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
     return control_terms(k, q1, q2, math.sin(q2), math.cos(q2), p1c, p2c)[0]
 
 
-# The float entry points that simulate and check 6 call run as fused code, every
-# helper call inlined at import (codegen.fuse); the definitions above are their
-# source and spec. A helper patched after import does not reach them.
-control_terms, desired_hamiltonian = fuse(control_terms, desired_hamiltonian)
+# The float entry point runs as fused code, every helper call inlined at import
+# (codegen.fuse); the definition above is its source and spec. A helper patched
+# after import does not reach it.
+(control_terms,) = fuse(control_terms)

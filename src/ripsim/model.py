@@ -6,8 +6,8 @@ actuated: G = [1, 0]^T. The total energy is
 H = p5*cos(q2) + 0.5 * p^T M^{-1}(q2) p.
 
 Everything here depends on q2 only through s = sin q2 and c = cos q2, so
-the float entry points hamiltonian and open_loop_rhs_flat take (s, c): the
-caller forms the pair once per state and shares it with the controller.
+open_loop_rhs_flat and hamiltonian (floats or arrays) take (s, c): the caller
+forms the pair once per state and shares it with the controller.
 
 Angles are NOT wrapped: the shaped potential used by the controller
 contains an unwrapped q1 term, so configurations live on R^2.
@@ -84,8 +84,9 @@ def _plant(params: RobotParams, s: float, c: float, p1c: float,
     return v1, v2, -params.p5 * s - 0.5 * (d11 * v1 * v1 + 2.0 * d12 * v1 * v2)
 
 
-def hamiltonian(params: RobotParams, s: float, c: float, p1c: float, p2c: float) -> float:
-    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p at s = sin q2, c = cos q2."""
+def hamiltonian(params: RobotParams, s, c, p1c, p2c):
+    """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p at s = sin q2, c = cos q2, on
+    floats or arrays (the float call's doubles per element)."""
     m11, m12, m22 = _inertia(params, s, c)
     i11, i12, i22 = _inv2(m11, m12, m22)
     return params.p5 * c + 0.5 * (i11 * p1c * p1c + 2.0 * i12 * p1c * p2c + i22 * p2c * p2c)
@@ -105,6 +106,6 @@ def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c:
     return qd1, qd2, u - d, -dh
 
 
-# The float entry points run as fused code, every helper call inlined at import
-# (codegen.fuse); the definitions above are their source and spec.
-hamiltonian, open_loop_rhs_flat = fuse(hamiltonian, open_loop_rhs_flat)
+# The float entry point runs as fused code, every helper call inlined at import
+# (codegen.fuse); the definition above is its source and spec.
+(open_loop_rhs_flat,) = fuse(open_loop_rhs_flat)

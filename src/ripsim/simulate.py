@@ -10,7 +10,8 @@ torque (_stage) and the recorded row that packs itself into the trace buffer
 (_row), each taking one sin/cos pair of q2 for the controller and the plant
 and adding each sum one statement per term, left to right (tests/oracles.py's
 dot is the reference the tests pin them to), with the zero and unit entries
-of Gamma^{-1} and Gamma folded out (_matvec).
+of Gamma^{-1} folded out (_matvec). After the loop, _energies fills H, Hd
+and V_lyap in blocks of rows, on arrays.
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -38,6 +39,8 @@ N_SPOT_CHECKS = 8
 # Largest n = t_end/dt: run() allocates its (n+1) x (11+ell) trace buffer up
 # front, 1.1 GB at this limit for ell = 3.
 MAX_STEPS = 10 ** 7
+# Rows per array pass of _energies: bounds its temporaries for any run length.
+ENERGY_BLOCK = 4096
 
 
 class NonFiniteState(Exception):
@@ -256,64 +259,74 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
                     f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines, consts)
 
 
-def _row(k: controller.Coeffs, params: RobotParams, dist: DisturbanceSpec | None,
-         gamma_rows: list[list[float]], pack, rec):
+def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack, rec):
     """The run's recorded row (x, off) -> None, generated from source for its mode: it
-    ends in pack(rec, off, q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1,
-    *theta_hat), pack a struct's pack_into and rec the trace buffer, so a row that
-    raises (DefinitenessLost) leaves rec unwritten.
+    ends in pack(rec, off, q1, q2, p1, p2, u, d, d_hat, ptilde1, *theta_hat, s, c), pack a
+    struct's pack_into and rec the trace buffer, so a row that raises (DefinitenessLost)
+    leaves rec unwritten; s = sin q2 and c = cos q2 fill the H and Hd slots for _energies.
 
-    nominal: d = d_hat = 0 and V_lyap = Hd; disturbed_nominal: d = dist.value(...);
-    disturbed_robust (gamma_rows given): also d_hat = f^T theta_hat, the torque
-    u + d_hat and V_lyap = Hd + 1/2 e^T (Gamma e) with e = theta_hat - theta, each sum
-    one statement per term, left to right from 0.0 (tests/oracles.py's dot), each row
-    of Gamma e folded as in _stage; e is finite at every recorded state, so the fold
-    is exact there. control_terms, controller.desired_hamiltonian, dist.value and
-    hamiltonian are read here and called once each, in that order, with the term nodes
-    between the last two; the three energy and torque calls share one s = sin(q2),
-    c = cos(q2) pair. Each term's class __call__ is read here too and called as
-    c{j}(t{j}, ...), as in _stage.
+    nominal: d = d_hat = 0; disturbed_nominal: d = dist.value(...); disturbed_robust:
+    also d_hat = f^T theta_hat, left to right from 0.0 (tests/oracles.py's dot), and the
+    torque u + d_hat. control_terms, dist.value and each term's class __call__ (called as
+    c{j}(t{j}, ...), as in _stage) are read here and called in that order.
     """
-    ell = len(gamma_rows)
+    ell = dist.regressor.ell if robust else 0
     theta_hat = [f"th{j}" for j in range(ell)]
     lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
              "s = sin(q2)",
              "c = cos(q2)",
              "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
-             "hd = desired_hamiltonian(k, q1, q2, s, c, p1c, p2c)",
-             "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0"]
-    consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
-              "control_terms": control_terms,
-              "desired_hamiltonian": controller.desired_hamiltonian,
-              "hamiltonian": hamiltonian, "pack": pack, "rec": rec}
+             "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0",
+             *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
+             "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
+             *(["u = u + dhat"] if ell else []),
+             "pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
+                                  "pt1", *theta_hat, "s", "c"]) + ")"]
+    consts = {"k": k, "sin": math.sin, "cos": math.cos, "control_terms": control_terms,
+              "pack": pack, "rec": rec}
     if dist is not None:
         consts["value"] = dist.value
-    folded = False
     if ell:
-        lines += [*(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
-                  "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
-                  *(f"e{j} = th{j} - dth{j}" for j in range(ell))]
         consts.update(_term_calls(dist.regressor.terms))
-        consts.update(numbered("dth", dist.theta.tolist()))
-        sums, weights, folded = _matvec("ge", gamma_rows, "G", [f"e{j}" for j in range(ell)])
-        lines += sums
-        consts.update(weights)
-        lines += ["v = 0.0", *(f"v = v + e{j} * ge{j}" for j in range(ell)),
-                  "u = u + dhat", "v = hd + 0.5 * v"]
-    else:
-        lines += ["dhat = 0.0", "v = hd"]
-    lines.append("pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
-                                      "hamiltonian(params, s, c, p1c, p2c)", "hd", "v",
-                                      "pt1", *theta_hat]) + ")")
     return generate(f"recorded row{'' if dist is None else ', disturbed'}"
-                    f"{f', {ell} estimates' if ell else ''}{', Gamma folded' if folded else ''}",
-                    "row", "x, off", lines, consts)
+                    f"{f', {ell} estimates' if ell else ''}", "row", "x, off", lines, consts)
+
+
+def _energies(k: controller.Coeffs, params: RobotParams, rec: np.ndarray, theta: list[float],
+              gamma_rows: list[list[float]]):
+    """Fill H, Hd and V_lyap, the last three columns of the recorded rows rec, where
+    _row left sin q2 and cos q2 in the first two, ENERGY_BLOCK rows at a time: one call
+    each of hamiltonian and controller.desired_hamiltonian (looked up at call time) on
+    arrays, and V_lyap = Hd + 1/2 e^T (Gamma e), e = theta_hat - theta, each sum left to
+    right from 0.0 (tests/oracles.py's lyapunov_value). numpy's + - * / round as float
+    operations do and atan is math.atan per element, so each value has the float calls'
+    doubles; an overflow to inf stays silent, as on floats. Every row passed
+    control_terms' test on the same det Md: DefinitenessLost is a guard here.
+    """
+    ell = len(gamma_rows)
+    for start in range(0, rec.shape[0], ENERGY_BLOCK):
+        b = rec[start:start + ENERGY_BLOCK]
+        q1, q2, p1c, p2c, s, c = b[:, 0], b[:, 1], b[:, 2], b[:, 3], b[:, -3], b[:, -2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = hamiltonian(params, s, c, p1c, p2c)
+            hd = v = controller.desired_hamiltonian(k, q1, q2, s, c, p1c, p2c)
+            if ell:
+                e = [b[:, 8 + j] - theta[j] for j in range(ell)]
+                v = 0.0
+                for row, ei in zip(gamma_rows, e):
+                    ge = 0.0
+                    for w, ej in zip(row, e):
+                        ge = ge + w * ej
+                    v = v + ei * ge
+                v = hd + 0.5 * v
+        b[:, -3], b[:, -2], b[:, -1] = h, hd, v
 
 
 def run(scenario: Scenario) -> Trace:
     """Integrate the scenario and record the full diagnostic trace.
 
-    Stops early with status "region_exit" when the controller loses Md
+    Records each row (_row), then steps; _energies fills the kept rows' energies after
+    the loop. Stops early with status "region_exit" when the controller loses Md
     definiteness; raises NonFiniteState if integration blows up.
     """
     params, k = scenario.params, controller.coeffs(scenario.params, scenario.gains)
@@ -333,17 +346,17 @@ def run(scenario: Scenario) -> Trace:
         gamma_rows = scenario.adaptive.gamma.tolist()
 
     t_grid = np.arange(n + 1) * dt
-    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, H, Hd, V_lyap, ptilde1, theta_hat,
-    # which row(x, off) stores by pack_into at the byte offset off: the doubles that
-    # rec[i] = (q1, ...) stores, without building the tuple or numpy's conversion of it
+    # one row per grid point: q1, q2, p1, p2, u, d, d_hat, ptilde1, theta_hat, H, Hd,
+    # V_lyap, which row(x, off) stores by pack_into at the byte offset off (sin q2 and
+    # cos q2 in place of H and Hd): the doubles that rec[i, :10 + ell] = (q1, ...)
+    # stores, without building the tuple or numpy's conversion of it
     rec = np.empty((n + 1, 11 + ell))
-    row_struct = struct.Struct(f"{11 + ell}d")
-    size = row_struct.size
+    size = rec.strides[0]
 
     # The state, the stages and the recorded rows are lists of Python floats:
     # the same IEEE arithmetic as on numpy scalars, at a fraction of the cost.
     rhs = _stage(k, params, terms, dtheta, ginv_rows)
-    row = _row(k, params, dist, gamma_rows, row_struct.pack_into, rec)
+    row = _row(k, dist, robust, struct.Struct(f"{10 + ell}d").pack_into, rec)
 
     p0 = momentum(params, scenario.q0[1], *scenario.qdot0)  # p0 = M(q2(0)) qdot0
     x = [float(v) for v in (*scenario.q0, *p0)]
@@ -372,8 +385,9 @@ def run(scenario: Scenario) -> Trace:
             break
 
     rec = rec[:rows]
+    _energies(k, params, rec, dtheta, gamma_rows)
     return Trace(
         t=t_grid[:rows], q=rec[:, 0:2], p=rec[:, 2:4], u=rec[:, 4], d=rec[:, 5],
-        d_hat=rec[:, 6], H=rec[:, 7], Hd=rec[:, 8], V_lyap=rec[:, 9],
-        ptilde1=rec[:, 10], theta_hat=rec[:, 11:], status=status,
+        d_hat=rec[:, 6], H=rec[:, -3], Hd=rec[:, -2], V_lyap=rec[:, -1],
+        ptilde1=rec[:, 7], theta_hat=rec[:, 8:8 + ell], status=status,
         exit_reason=reason, spot_checks=spots)

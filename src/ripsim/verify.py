@@ -348,7 +348,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> 
     ControllerGains); nan when Md(0) is not positive definite."""
     def det_md(k, s, c):
         _, _, _, d2, d4, _ = controller.shape_terms(k, s, c)
-        return gains.k2 * d4 - d2 * d2
+        return controller._md_det(k, d2, d4)
 
     return _sign_scan(params, gains, n, det_md)[1]
 

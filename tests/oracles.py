@@ -22,8 +22,8 @@ import numpy as np
 
 from ripsim import controller, verify
 from ripsim.controller import (
-    _hd_gradient, _md_inverse, _z_offset, coeffs, control_law, control_terms, shape_terms,
-    shaping,
+    DefinitenessLost, _hd_gradient, _md_det, _md_inverse, _z_offset, coeffs, control_law,
+    control_terms, shape_terms, shaping,
 )
 from ripsim.model import _inertia, open_loop_rhs_flat
 
@@ -67,7 +67,10 @@ def open_loop_rhs(params, q, p, u, d=0.0):
 def momentum_tilde(k, q2, p1c, p2c):
     """ptilde = Md^{-1} p from a Coeffs k; raises DefinitenessLost."""
     _, _, _, d2, d4, _ = shape_terms(k, math.sin(q2), math.cos(q2))
-    i11, i12, i22 = _md_inverse(k, q2, d2, d4)
+    det = _md_det(k, d2, d4)
+    if det <= 0.0:
+        raise DefinitenessLost(q2, det)
+    i11, i12, i22 = _md_inverse(k, d2, d4, det)
     return i11 * p1c + i12 * p2c, i12 * p1c + i22 * p2c
 
 

@@ -11,18 +11,22 @@ Covers:
   - shaped potential: critical point, frozen Hessian, kappa -> 0 boundary
   - region: frozen rho, monotone growth as psi40*k1 decreases, EmptyRegion
   - Md definiteness loss raised with context; Md^{-1} at 0 through
-    shape_terms and momentum_tilde
+    shape_terms and momentum_tilde; a det Md of exactly 0.0 raises
+    DefinitenessLost from control_terms, control_law and desired_hamiltonian
+    (floats and arrays), never ZeroDivisionError; desired_hamiltonian on an
+    array with states past the band names the first one's q2
   - controller vanishes at the target and Hd decreases along the true flow
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ripsim.controller import (
-    ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset,
-    alpha_from_matching, coeffs, control_law, d4_at_origin, desired_hamiltonian, region_rho,
-    shape_terms, shaped_potential_hessian, shaping,
+    ControllerGains, DefinitenessLost, EmptyRegion, _md_det, _vd, _vd_gradient, _z_offset,
+    alpha_from_matching, coeffs, control_law, control_terms, d4_at_origin, desired_hamiltonian,
+    region_rho, shape_terms, shaped_potential_hessian, shaping,
 )
 from ripsim.model import RobotParams
 
@@ -235,6 +239,43 @@ def test_md_inverse_at_origin():
     assert (i11, i12, i22) == pytest.approx((8 / 439, -19 / 439, 100 / 439), rel=1e-12)
     pt = momentum_tilde(k, 0.0, 1.0, 0.0)
     assert pt == pytest.approx((8 / 439, -19 / 439), rel=1e-12)
+
+
+def test_zero_det_raises_definiteness_lost():
+    # constants with d2 = d4 = 1 at q2 = 0 and k2 = 1: det Md = 1 - 1 is exactly 0.0,
+    # so the test comes before any division by it
+    k = dataclasses.replace(coeffs(P_SYN, G_REF), k1=1.0, w=0.0, p3=1.0, p4psi40=0.0, p1=1.0,
+                            p3psi40=0.0, k2=1.0)
+    _, _, _, d2, d4, _ = shape_terms(k, 0.0, 1.0)
+    assert (d2, d4, _md_det(k, d2, d4)) == (1.0, 1.0, 0.0)
+    calls = [lambda: control_terms(k, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5),
+             lambda: control_law(k, 0.0, 0.0, 1.0, 0.5),
+             lambda: desired_hamiltonian(k, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5),
+             lambda: desired_hamiltonian(k, *(np.array([0.0]),) * 3, np.array([1.0]),
+                                         np.array([1.0]), np.array([0.5]))]
+    for call in calls:
+        with pytest.raises(DefinitenessLost, match=r"^Md not positive definite at q2=0 \(det=0\)$") \
+                as info:
+            call()
+        assert info.value.q2 == 0.0 and info.value.det_md == 0.0
+
+
+def test_array_desired_hamiltonian_names_the_first_state_past_the_band():
+    # it never returns a value where det Md <= 0: the first such state is named
+    k = coeffs(P_SYN, G_REF)
+    q2 = np.array([0.1, -0.2, -0.55, 0.3, 0.6, -0.0])   # |q2| = 0.55, 0.6: past rho
+    s, c = (np.array([f(v) for v in q2.tolist()]) for f in (math.sin, math.cos))
+    p = np.full(6, 0.25)
+    with pytest.raises(DefinitenessLost) as info:
+        desired_hamiltonian(k, p, q2, s, c, p, p)
+    assert info.value.q2 == -0.55 and info.value.det_md <= 0.0
+    with pytest.raises(DefinitenessLost) as want:
+        desired_hamiltonian(k, 0.25, -0.55, *trig(-0.55), 0.25, 0.25)
+    assert str(info.value) == str(want.value) and info.value.det_md == want.value.det_md
+    keep = [0, 1, 3, 5]
+    got = desired_hamiltonian(k, p[keep], q2[keep], s[keep], c[keep], p[keep], p[keep])
+    assert got.tolist() == [desired_hamiltonian(k, 0.25, v, *trig(v), 0.25, 0.25)
+                            for v in q2[keep].tolist()]
 
 
 def test_desired_hamiltonian_at_target():

@@ -20,33 +20,41 @@ Covers:
     random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
     SPD Gamma, theta and the regressor values holding signed zeros; out of
     band both raise the same DefinitenessLost; it builds and runs at ell = 64
-  - the four fused entry points (control_terms, desired_hamiltonian,
-    hamiltonian, open_loop_rhs_flat) name none of the helpers inlined into
-    them and equal their helper-calling definitions bit for bit, at the
-    (sin q2, cos q2) they take; they name no sin or cos, and each generated
-    stage and row takes exactly one sin(q2) and one cos(q2); fuse()
+  - the two fused entry points (control_terms, open_loop_rhs_flat) name none
+    of the helpers inlined into them and equal their helper-calling
+    definitions bit for bit, at the (sin q2, cos q2) they take; they name no
+    sin or cos, and each generated stage and row takes exactly one sin(q2)
+    and one cos(q2); fuse()
     keeps values and exceptions through argument expressions, default
     arguments, a return that reads an earlier target and one whose closing
     bracket stands on a line of its own, keeps keyword names
     (dict(x=y, y=x) with x and y renamed) and strings as they are, and refuses a
     loop, an early return, a nested helper call, an assignment to a parameter
     or a helper called with a keyword or unpacked argument, naming the
-    function, when it builds
-  - fused control_terms and desired_hamiltonian, and shaping, form no operation
+    function, when it builds; a _ is an ordinary name to it
+  - desired_hamiltonian and hamiltonian on arrays of 10^4 in-band states,
+    signed zeros included, equal element by element their float calls and
+    the float references (desired_hamiltonian_ref, composed_desired_hamiltonian)
+    bit for bit
+  - fused control_terms, desired_hamiltonian and shaping form no operation
     of run constants (read from their source with ast): no binary operation of
     two parameter-only operands and no negation of one, which are Coeffs fields;
     the same reading finds each such operation planted in a small source
   - the row simulate.run generates per run, read back from the one-row buffer
     it packs, equals the record block it replaced (kept here as the
-    reference) bit for bit: 10^4 random in-band states per mode, ell in
-    {1, 3, 8}, theta, theta_hat and the state holding signed zeros; out of
-    band both raise the same DefinitenessLost and the buffer is not written
-  - with Gamma = I, 2.5 I or SPD 2 x 2 blocks (ell in {1, 3, 8}), the stage and
-    the row read only the Gamma^{-1} and Gamma entries that are neither 0.0
-    nor 1.0 and still equal both references bit for bit at the signed-zero
-    states
-  - fuse() drops a result discarded into _ (fused desired_hamiltonian has no
-    _) and refuses a _ that is read
+    reference, without the energies) bit for bit, with sin q2 and cos q2 in
+    the H and Hd slots and the V_lyap slot unwritten: 10^4 random in-band
+    states per mode, ell in {1, 3, 8}, theta, theta_hat and the state holding
+    signed zeros; out of band both raise the same DefinitenessLost and the
+    buffer is not written; the pass after the loop (simulate._energies) gives
+    every row's H, Hd and V_lyap the doubles of the float calls
+  - with Gamma = I, 2.5 I or SPD 2 x 2 blocks (ell in {1, 3, 8}), the stage
+    reads only the Gamma^{-1} entries that are neither 0.0 nor 1.0 and still
+    equals its reference bit for bit at the signed-zero states, and the pass,
+    over blocks of 300 rows, gives V_lyap = lyapunov_value bit for bit
+  - the pass raises DefinitenessLost naming the first state of a block past
+    the band, and writes nothing; its peak allocation is the same for 2 and 8
+    blocks of rows (tracemalloc)
   - generated code shows its source in tracebacks: the raise line and the
     function's role name, for fused control_terms and for a generated stage
     out of band; two different generated sources never share a file name
@@ -59,6 +67,7 @@ import linecache
 import math
 import struct
 import traceback
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -75,7 +84,8 @@ from ripsim.controller import (
 )
 from ripsim.model import RobotParams, hamiltonian, open_loop_rhs_flat
 from ripsim.regressor import RegressorSpec, parse_term
-from ripsim.simulate import _row, _stage, run, step_rk4
+import ripsim.simulate as sim
+from ripsim.simulate import _energies, _row, _stage, run, step_rk4
 from ripsim.verify import _pd_endpoint
 
 from oracles import (
@@ -363,10 +373,8 @@ def test_folded_helpers_equal_unfolded():
 
 
 FUSED = {   # each fused entry point and every helper inlined into it
-    control_terms: ("shape_terms", "md_d4", "_md_inverse", "_md_prime", "_hd_gradient",
-                    "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
-    desired_hamiltonian: ("shape_terms", "md_d4", "_md_inverse", "_vd", "_z_offset"),
-    hamiltonian: ("_inertia", "_inv2"),
+    control_terms: ("shape_terms", "md_d4", "_md_det", "_md_inverse", "_md_prime",
+                    "_hd_gradient", "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
     open_loop_rhs_flat: ("_plant", "_inertia", "_inv2"),
 }
 
@@ -392,10 +400,53 @@ def test_fused_entry_points_call_no_helper(fn):
     for q1, q2, p1c, p2c in (rng.uniform(-1.0, 1.0, size=(2000, 4)) * 2.0).tolist():
         s, c = trig(q2)
         args = {control_terms: (k, q1, q2, s, c, p1c, p2c),
-                desired_hamiltonian: (k, q1, q2, s, c, p1c, p2c),
-                hamiltonian: (params, s, c, p1c, p2c),
                 open_loop_rhs_flat: (params, s, c, p1c, p2c, q1, 0.5)}[fn]
         assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
+
+
+def in_band_states(rng, edge, n, width=4):
+    """n random states (q1, q2, p1, p2, then width - 4 estimates) with |q2| < 0.99 edge:
+    q1 = +-0.0 in every fourth, the estimates +-0.0 in every fourth from the second, and
+    every signed-zero (q1, q2, p1, p2) first."""
+    xs = rng.uniform(-1.0, 1.0, size=(n, width)) * ([3.0, 0.99 * edge, 5.0, 5.0]
+                                                   + [2.0] * (width - 4))
+    xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
+    xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
+    xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
+    return xs
+
+
+def trig_arrays(q2):
+    """math.sin and math.cos of each element, as run() records them."""
+    return (np.array([math.sin(v) for v in q2.tolist()]),
+            np.array([math.cos(v) for v in q2.tolist()]))
+
+
+@pytest.mark.parametrize("fn", [desired_hamiltonian, hamiltonian], ids=lambda fn: fn.__name__)
+def test_array_entry_points_equal_float_calls(fn):
+    # run() calls both once per block of recorded rows on arrays: element by element
+    # they give the doubles of the float calls and of the float references
+    rng = np.random.default_rng(26)
+    cases = [(params, gains, edge) for params, gains in kernel_cases(rng)
+             if math.isfinite(edge := _pd_endpoint(params, gains))]   # nan: Md(0) not PD
+    assert len(cases) >= 5
+    for params, gains, edge in cases[:5]:
+        k = coeffs(params, gains)
+        xs = in_band_states(rng, edge, 2000)
+        q1, q2, p1c, p2c = xs.T
+        s, c = trig_arrays(q2)
+        states = xs.tolist()
+        if fn is hamiltonian:
+            got = hamiltonian(params, s, c, p1c, p2c)
+            refs = [[hamiltonian(params, *trig(x[1]), x[2], x[3]) for x in states]]
+        else:
+            got = desired_hamiltonian(k, q1, q2, s, c, p1c, p2c)
+            refs = [[desired_hamiltonian(k, x[0], x[1], *trig(x[1]), x[2], x[3]) for x in states],
+                    [desired_hamiltonian_ref(params, gains, *x) for x in states],
+                    [composed_desired_hamiltonian(params, gains, *x) for x in states]]
+        assert type(got) is np.ndarray and got.shape == q2.shape
+        for ref in refs:
+            assert bits(got) == bits(ref)
 
 
 def source_of(fn):
@@ -411,10 +462,9 @@ def test_one_trig_pair_per_stage_and_row():
         assert not {"math", "sin", "cos"} & set(code.co_names + code.co_freevars), fn.__name__
     terms, dtheta, ginv_rows = stage_case(np.random.default_rng(8), 3)
     dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
-    gamma_rows = np.linalg.inv(ginv_rows).tolist()
     for fn in (_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
-               _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, params, None, [])[0],
-               packed_row(k, params, dist, [])[0], packed_row(k, params, dist, gamma_rows)[0]):
+               _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, None, False)[0],
+               packed_row(k, dist, False)[0], packed_row(k, dist, True)[0]):
         source = source_of(fn)
         assert source.count("sin(") == source.count("sin(q2)") == 1, source
         assert source.count("cos(") == source.count("cos(q2)") == 1, source
@@ -484,8 +534,12 @@ def test_constant_operation_guard_finds_planted_ones():
 @pytest.mark.parametrize("fn", [control_terms, desired_hamiltonian],
                          ids=lambda fn: fn.__name__)
 def test_fused_kernel_forms_no_parameter_only_operation(fn):
-    # each product or negation of run constants is a Coeffs field, formed once per run
+    # each product or negation of run constants is a Coeffs field, formed once per run;
+    # desired_hamiltonian is not fused, so its def is read, and _vd, the one helper it
+    # calls that fused control_terms does not inline
     assert constant_operations(source_of(fn), fn.__name__) == []
+    if fn is desired_hamiltonian:
+        assert constant_operations(inspect.getsource(_vd), "_vd") == []
 
 
 def test_shaping_forms_no_parameter_only_operation():
@@ -564,18 +618,18 @@ def _calls_sets_param(x):
     return y
 
 
-def _discards(x):
-    _, b = _pair(x)         # y + 1.0 is dropped, not evaluated
+def _binds_underscore(x):
+    _, b = _pair(x)         # _ is an ordinary name: y + 1.0 is bound to it
     return b
 
 
-def _reads_discard(x):
+def _reads_underscore(x):
     _, b = _pair(x)
     return _ + b
 
 
-def _calls_reads_discard(x):
-    y = _reads_discard(x)
+def _calls_reads_underscore(x):
+    y = _reads_underscore(x)
     return y
 
 
@@ -619,15 +673,17 @@ def test_fuse_keeps_values_and_order():
         fused(1e300, 1e300)
 
 
-def test_fuse_drops_discarded_results():
-    (fused,) = fuse(_discards)
-    assert "_" not in fused.__code__.co_varnames
-    for x in (0.25, -0.0, 1e-310, -1e301):
-        assert bit_outcome(fused, x) == bit_outcome(_discards, x)
-    with pytest.raises(OverflowError):
-        fused(1e301)
-    # shape_terms' den, m11 and c / den, which desired_hamiltonian discards
-    assert "_" not in desired_hamiltonian.__code__.co_varnames
+def test_fuse_treats_underscore_as_a_name():
+    # no fused entry point discards a helper's result, so _ has no rule of its own: a
+    # target _ is bound and may be read, in the entry and (renamed) in a helper
+    for entry in (_binds_underscore, _calls_reads_underscore):
+        (fused,) = fuse(entry)
+        for x in (0.25, -0.0, 1e-310, -1e301):
+            assert bit_outcome(fused, x) == bit_outcome(entry, x)
+        with pytest.raises(OverflowError):
+            fused(1e301)
+    assert "_" in fuse(_binds_underscore)[0].__code__.co_varnames
+    assert "_" not in fuse(_calls_reads_underscore)[0].__code__.co_varnames
 
 
 def test_fuse_keeps_keywords_and_strings():
@@ -651,13 +707,12 @@ def test_fuse_keeps_keywords_and_strings():
     (_calls_early, "_early", "an early return"),
     (_calls_nested, "_nested", "a helper call that is not a statement of its own"),
     (_calls_sets_param, "_sets_param", "an assignment to a parameter"),
-    (_calls_reads_discard, "_reads_discard", "a _ other than as a target of a helper call"),
     (_calls_with_keyword, "_calls_with_keyword",
      "a helper call with unpacked or keyword arguments"),
     (_calls_with_unpacked, "_calls_with_unpacked",
      "a helper call with unpacked or keyword arguments"),
-], ids=["loop", "early_return", "nested_call", "assigns_parameter", "reads_discard",
-        "keyword_call", "unpacked_call"])
+], ids=["loop", "early_return", "nested_call", "assigns_parameter", "keyword_call",
+        "unpacked_call"])
 def test_fuse_refuses_at_build_time(entry, helper, why):
     with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
         fuse(entry)
@@ -751,34 +806,44 @@ def test_generated_stage_at_ell_64():
         assert bits(list(stage(x))) == bits(list(ref(x)))
 
 
-# The record block of simulate.run before its row was generated: the reference
-# for simulate._row, each call taking its own sin/cos pair.
-def row_ref(k, params, dist, gamma_rows):
-    robust = bool(gamma_rows)
+# The record block of simulate.run before its row was generated, without the
+# energies that _energies now fills after the loop: the reference for
+# simulate._row, each call taking its own sin/cos pair. The row also stores
+# (sin q2, cos q2) in the H and Hd slots, for _energies.
+def row_ref(k, dist, robust):
     terms = dist.regressor.terms if robust else ()
-    dtheta = dist.theta.tolist() if dist is not None else []
 
     def row(x):
         q1, q2, p1c, p2c, *theta_hat = x
         u_now, pt1 = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
-        hd = desired_hamiltonian(k, q1, q2, *trig(q2), p1c, p2c)
         d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
         if robust:
             dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
             u_now += dhat
-            v_now = lyapunov_value(gamma_rows, theta_hat, dtheta, hd)
         else:
-            dhat, v_now = 0.0, hd
-        return (q1, q2, p1c, p2c, u_now, d_now, dhat,
-                hamiltonian(params, *trig(q2), p1c, p2c), hd, v_now, pt1, *theta_hat)
+            dhat = 0.0
+        return (q1, q2, p1c, p2c, u_now, d_now, dhat, pt1, *theta_hat, *trig(q2))
     return row
 
 
-def packed_row(k, params, dist, gamma_rows):
-    """simulate._row packing into a one-row buffer, as run() builds it, and the buffer."""
-    width = 11 + len(gamma_rows)
-    rec = np.empty((1, width))
-    return _row(k, params, dist, gamma_rows, struct.Struct(f"{width}d").pack_into, rec), rec
+# The energies of the record block before they left the row: the float calls at
+# each row's state, V by lyapunov_value. The reference for simulate._energies.
+def energies_ref(k, params, dist, gamma_rows):
+    dtheta = dist.theta.tolist() if gamma_rows else []
+
+    def energies(x):
+        q1, q2, p1c, p2c, *theta_hat = x
+        hd = desired_hamiltonian(k, q1, q2, *trig(q2), p1c, p2c)
+        v = lyapunov_value(gamma_rows, theta_hat, dtheta, hd) if gamma_rows else hd
+        return hamiltonian(params, *trig(q2), p1c, p2c), hd, v
+    return energies
+
+
+def packed_row(k, dist, robust, n=1):
+    """simulate._row packing into an n-row buffer, as run() builds it, and the buffer."""
+    width = 11 + (dist.regressor.ell if robust else 0)
+    rec = np.empty((n, width))
+    return _row(k, dist, robust, struct.Struct(f"{width - 1}d").pack_into, rec), rec
 
 
 UNWRITTEN = 0xA5   # every byte of the buffer before a row is packed into it
@@ -786,14 +851,25 @@ UNWRITTEN = 0xA5   # every byte of the buffer before a row is packed into it
 
 def row_outcome(row, rec, x):
     """The bits that row(x, 0) packs into rec, read back; or its DefinitenessLost, as
-    stage_outcome gives it, with rec left unwritten."""
+    stage_outcome gives it, with rec left unwritten. The V_lyap slot stays unwritten."""
     rec.view(np.uint8)[:] = UNWRITTEN
     try:
         assert row(x, 0) is None
     except DefinitenessLost as e:
         assert (rec.view(np.uint8) == UNWRITTEN).all(), x
         return ("DefinitenessLost", str(e), *bits([e.det_md]))
-    return bits(rec[0].tolist())
+    assert (rec[:, -1:].view(np.uint8) == UNWRITTEN).all(), x
+    return bits(rec[0, :-1].tolist())
+
+
+def recorded_block(k, params, dist, gamma_rows, xs):
+    """The states xs recorded as run() records them: each packed by the generated row
+    at its offset in one buffer, then H, Hd and V_lyap filled by _energies."""
+    (row, rec) = packed_row(k, dist, bool(gamma_rows), len(xs))
+    for i, x in enumerate(xs):
+        row(x, i * rec.strides[0])
+    _energies(k, params, rec, dist.theta.tolist() if dist is not None else [], gamma_rows)
+    return rec
 
 
 @pytest.mark.parametrize("ell", [1, 3, 8])
@@ -807,18 +883,17 @@ def test_generated_row_equals_record_block(ell):
     gamma_rows = np.linalg.inv(ginv_rows).tolist()
     modes = {"nominal": (None, []), "disturbed_nominal": (dist, []),
              "disturbed_robust": (dist, gamma_rows)}
-    for mode, args in modes.items():
-        (row, rec), ref = packed_row(k, params, *args), row_ref(k, params, *args)
-        width = 4 + len(args[1])
-        xs = rng.uniform(-1.0, 1.0, size=(10 ** 4, width)) * ([3.0, 0.99 * edge, 5.0, 5.0]
-                                                             + [2.0] * (width - 4))
-        xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
-        xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
-        xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
-        assert rec.shape == (1, 11 + width - 4)
-        for x in xs.tolist():
+    for mode, (d, g) in modes.items():
+        (row, rec), ref = packed_row(k, d, bool(g)), row_ref(k, d, bool(g))
+        xs = in_band_states(rng, edge, 10 ** 4, 4 + len(g)).tolist()
+        assert rec.shape == (1, 11 + len(g))
+        for x in xs:
             assert row_outcome(row, rec, x) == bits(list(ref(x))), (mode, x)
-        for x in xs[16:216].tolist():   # past the band's edge: the same DefinitenessLost
+        # the pass over the same rows: H, Hd and V_lyap of the float calls, bit for bit
+        energies = energies_ref(k, params, d, g)
+        block = recorded_block(k, params, d, g, xs)
+        assert bits(block[:, -3:]) == bits([energies(x) for x in xs]), mode
+        for x in xs[16:216]:   # past the band's edge: the same DefinitenessLost
             x[1] = math.copysign(edge + 0.01 + 0.4 * abs(x[1]), x[1])
             got = row_outcome(row, rec, x)
             assert got[0] == "DefinitenessLost" and got == stage_outcome(ref, x), (mode, x)
@@ -845,9 +920,12 @@ def weights_read(fn, prefix):
 
 @pytest.mark.parametrize("kind", ["identity", "scaled", "blocks"])
 @pytest.mark.parametrize("ell", [1, 3, 8])
-def test_folded_gamma_equals_references(kind, ell):
+def test_folded_gamma_equals_references(kind, ell, monkeypatch):
     # stage_case draws a dense Gamma^{-1}; these have 0.0 and 1.0 entries, which the
-    # generated sums fold: no statement for a zero entry, no product for a unit one
+    # stage's generated sums fold: no statement for a zero entry, no product for a unit
+    # one. The pass after the loop sums 1/2 e^T (Gamma e) over every entry, as
+    # lyapunov_value does; a block of 300 rows makes 2000 rows cross 6 block boundaries
+    monkeypatch.setattr(sim, "ENERGY_BLOCK", 300)
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     params, k = cfg.params, coeffs(cfg.params, cfg.gains)
     edge = _pd_endpoint(cfg.params, cfg.gains)
@@ -859,21 +937,65 @@ def test_folded_gamma_equals_references(kind, ell):
     dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
     stage, ref = _stage(k, params, terms, dtheta, ginv_rows), \
         stage_ref(k, params, terms, dtheta, ginv_rows)
-    (row, rec), rref = packed_row(k, params, dist, gamma_rows), \
-        row_ref(k, params, dist, gamma_rows)
-    for weights, fn, prefix in ((ginv, stage, "g"), (gamma, row, "G")):
-        multiplied = np.nonzero((weights != 0.0) & (weights != 1.0))
-        assert weights_read(fn, prefix) == {f"{prefix}{i}_{j}" for i, j in zip(*multiplied)}
-        if kind == "blocks" and ell > 1:
-            assert (weights == 0.0).sum() > 0
-    xs = rng.uniform(-1.0, 1.0, size=(2000, 4 + ell)) * ([3.0, 0.99 * edge, 5.0, 5.0]
-                                                        + [2.0] * ell)
-    xs[::4, 0] = np.copysign(0.0, xs[::4, 0])   # q1 = +-0.0: f is all signed zeros
-    xs[1::4, 4:] = np.copysign(0.0, xs[1::4, 4:])   # theta_hat = +-0.0
-    xs[:16, :4] = list(itertools.product([0.0, -0.0], repeat=4))
-    for x in xs.tolist():
+    multiplied = np.nonzero((ginv != 0.0) & (ginv != 1.0))
+    assert weights_read(stage, "g") == {f"g{i}_{j}" for i, j in zip(*multiplied)}
+    if kind == "blocks" and ell > 1:
+        assert (ginv == 0.0).sum() > 0 and (gamma == 0.0).sum() > 0
+    xs = in_band_states(rng, edge, 2000, 4 + ell).tolist()
+    for x in xs:
         assert bits(list(stage(x))) == bits(list(ref(x))), (kind, x)
-        assert row_outcome(row, rec, x) == bits(list(rref(x))), (kind, x)
+    block = recorded_block(k, params, dist, gamma_rows, xs)
+    energies = energies_ref(k, params, dist, gamma_rows)
+    assert bits(block[:, -3:]) == bits([energies(x) for x in xs]), kind
+    assert bits(block[:, -1]) == bits([lyapunov_value(gamma, x[4:], dtheta, hd)
+                                       for x, hd in zip(xs, block[:, -2].tolist())])
+
+
+def test_energy_pass_names_the_first_state_past_the_band():
+    # desired_hamiltonian never returns a value where det Md <= 0: a block holding such
+    # a state raises DefinitenessLost naming the first one's q2, and writes nothing
+    cfg = load_config(str(PRESETS / "fig2.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    edge = _pd_endpoint(cfg.params, cfg.gains)
+    xs = in_band_states(np.random.default_rng(27), edge, 500).tolist()
+    (row, rec) = packed_row(k, None, False, len(xs))
+    for i, x in enumerate(xs):
+        row(x, i * rec.strides[0])
+    for bad in ([321], [77, 400]):
+        block = rec.copy()
+        for i in bad:
+            q2 = math.copysign(edge + 0.05, xs[i][1])
+            block[i, 1], block[i, -3], block[i, -2] = q2, *trig(q2)
+        before = block.tobytes()
+        with pytest.raises(DefinitenessLost) as info:
+            _energies(k, params, block, [], [])
+        assert info.value.q2 == block[bad[0], 1] and info.value.det_md <= 0.0
+        assert str(info.value).startswith(f"Md not positive definite at q2={block[bad[0], 1]:.6g}")
+        assert block.tobytes() == before
+
+
+def test_energy_pass_memory_is_bounded_by_its_block():
+    # the pass's own peak allocation is the same for 2 and for 8 blocks of rows
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    dist, gamma_rows = cfg.disturbance, cfg.adaptive.gamma.tolist()
+    rng = np.random.default_rng(28)
+    edge = _pd_endpoint(cfg.params, cfg.gains)
+    xs = in_band_states(rng, edge, sim.ENERGY_BLOCK, 4 + dist.regressor.ell).tolist()
+    one = recorded_block(k, params, dist, gamma_rows, xs)
+    peaks = []
+    for blocks in (2, 8, 2):
+        rec = np.tile(one, (blocks, 1))   # back to the row's (sin q2, cos q2, unwritten)
+        rec[:, -3], rec[:, -2], rec[:, -1] = *trig_arrays(rec[:, 1]), math.nan
+        tracemalloc.start()
+        _energies(k, params, rec, dist.theta.tolist(), gamma_rows)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert bits(rec[:, -3:]) == bits(np.tile(one[:, -3:], (blocks, 1)))
+    # equal but for tracemalloc's own bookkeeping (measured: within 500 bytes), where
+    # a pass over the whole run would grow by some 20 arrays of 6 blocks' doubles
+    assert max(peaks) - min(peaks) < 4096, peaks
+    assert max(peaks) < 64 * 8 * sim.ENERGY_BLOCK, peaks
 
 
 @pytest.fixture(scope="module")
@@ -964,14 +1086,13 @@ def test_generated_sources_never_share_a_file_name():
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     params, k = cfg.params, coeffs(cfg.params, cfg.gains)
     rng = np.random.default_rng(7)
-    fns = [control_terms, desired_hamiltonian, hamiltonian, open_loop_rhs_flat]
+    fns = [control_terms, open_loop_rhs_flat]
     for ell in (1, 3):
         terms, dtheta, ginv_rows = stage_case(rng, ell)
         dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
-        gamma_rows = np.linalg.inv(ginv_rows).tolist()
         fns += [_stage(k, params, (), [], []), _stage(k, params, terms, dtheta, []),
-                _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, params, None, [])[0],
-                packed_row(k, params, dist, [])[0], packed_row(k, params, dist, gamma_rows)[0],
+                _stage(k, params, terms, dtheta, ginv_rows), packed_row(k, None, False)[0],
+                packed_row(k, dist, False)[0], packed_row(k, dist, True)[0],
                 *(t.compiled for t in terms)]
     sources: dict = {}
     for fn in fns:
@@ -980,6 +1101,6 @@ def test_generated_sources_never_share_a_file_name():
         assert code.co_name != "fn" and f"def {code.co_name}(" in \
             linecache.getline(code.co_filename, 2)
     assert all(len(s) == 1 and "" not in s for s in sources.values()), sources
-    # 4 fused, 5 stages and 4 rows (ell changes neither the nominal stage nor the
+    # 2 fused, 5 stages and 4 rows (ell changes neither the nominal stage nor the
     # nominal and disturbed rows), 3 terms
-    assert len(sources) == 4 + 5 + 4 + 3
+    assert len(sources) == 2 + 5 + 4 + 3

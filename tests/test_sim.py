@@ -26,8 +26,13 @@ Covers:
     sums raise it
   - a Trace compares by identity: two runs' traces are unequal without
     raising, and a trace equals itself
+  - run() fills H, Hd and V_lyap after its loop with the doubles of the float
+    calls at each kept row (V_lyap = oracles.lyapunov_value), after a region
+    exit mid-run (blocks of 100 rows), an exit at row 0, one step, and rows that
+    cross a block boundary, nominal and robust
   - the call path: run() records H and Hd through simulate.hamiltonian and
-    controller.desired_hamiltonian (n + 1 calls each over n steps) and check 6
+    controller.desired_hamiltonian (one call each per block of
+    simulate.ENERGY_BLOCK recorded rows, on arrays) and check 6
     takes its torque through controller.control_law (one call per sample), the
     module attributes the benchmark's tracer wraps; a __call__ of the regressor
     node classes patched after import is the one run() evaluates: 18n + 6 calls
@@ -36,6 +41,7 @@ Covers:
     the disturbance spec and the Scenario are built (the recorded d comes from
     DisturbanceSpec.value, whose generated sum looks the __call__ up per call)
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -52,7 +58,7 @@ from ripsim.simulate import (
 )
 from ripsim.verify import closed_loop_equivalence
 
-from oracles import inertia, trig
+from oracles import inertia, lyapunov_value, trig
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_CONV = ControllerGains(1.0, 0.1, 100.0, kappa=1.0, kv=2.0)
@@ -396,9 +402,60 @@ def test_energies_and_torque_called_through_module_names(monkeypatch):
     n = 10
     tr = run(nominal((0.1, 0.2), t_end=n * 1e-3))
     assert tr.status == "ok" and tr.t.shape[0] == n + 1
-    assert calls == {"H": n + 1, "Hd": n + 1, "u": 0}
+    assert calls == {"H": 1, "Hd": 1, "u": 0}   # one block of n + 1 rows
+    monkeypatch.setattr(sim, "ENERGY_BLOCK", 4)
+    tr = run(nominal((0.1, 0.2), t_end=n * 1e-3))
+    assert calls == {"H": 1 + 3, "Hd": 1 + 3, "u": 0}   # blocks of 4, 4 and 3 rows
     closed_loop_equivalence(P_SYN, G_CONV, n_samples=50)
     assert calls["u"] == 50
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_energies_equal_float_calls(sc, tr):
+    """Every kept row's H, Hd and V_lyap are the float calls at its state, bit for bit:
+    hamiltonian, controller.desired_hamiltonian and, with estimates, lyapunov_value."""
+    k = coeffs(sc.params, sc.gains)
+    for i in range(tr.t.shape[0]):
+        (q1, q2), (p1, p2) = tr.q[i].tolist(), tr.p[i].tolist()
+        hd = controller.desired_hamiltonian(k, q1, q2, *trig(q2), p1, p2)
+        v = hd
+        if sc.mode == "disturbed_robust":
+            v = lyapunov_value(sc.adaptive.gamma, tr.theta_hat[i].tolist(),
+                               sc.disturbance.theta.tolist(), hd)
+        assert bits([tr.H[i], tr.Hd[i], tr.V_lyap[i]]) == \
+            bits([hamiltonian(sc.params, *trig(q2), p1, p2), hd, v]), i
+
+
+@pytest.mark.parametrize("case", ["region_exit", "exit_at_row_0", "one_step", "block_boundary"])
+def test_energies_of_kept_rows_equal_float_calls(case, monkeypatch):
+    # run() fills H, Hd and V_lyap after its loop, ENERGY_BLOCK rows at a time, over
+    # the rows it keeps
+    block, f = sim.ENERGY_BLOCK, ["1", "q1", "sin(q2)*cos(p1)"]
+    if case == "region_exit":   # blocks of 100 rows, the last one partial
+        monkeypatch.setattr(sim, "ENERGY_BLOCK", 100)
+        scenarios, rows = [robust_exit_scenario()], None
+    elif case == "exit_at_row_0":
+        with pytest.warns(UserWarning, match="outside"):
+            scenarios = [nominal((0.0, 0.6), t_end=1.0),
+                         dataclasses.replace(robust_3_term(f, 1000), q0=(0.0, 0.6))]
+        rows = 0
+    elif case == "one_step":
+        scenarios, rows = [nominal((0.1, 0.2), t_end=1e-3), robust_3_term(f, 1)], 2
+    else:   # one full block and one of a single row
+        scenarios, rows = [nominal((0.1, 0.2), t_end=block * 1e-3), robust_3_term(f, block)], \
+            block + 1
+    for sc in scenarios:
+        tr = run(sc)
+        if rows is None:
+            assert tr.status == "region_exit" and 100 < tr.t.shape[0] < 10_001
+            assert tr.t.shape[0] % 100 != 0
+        else:
+            assert tr.t.shape[0] == rows and tr.status == ("ok" if rows else "region_exit")
+        assert_rows_complete(tr)
+        assert_energies_equal_float_calls(sc, tr)
 
 
 def robust_3_term(f, n):
