@@ -14,10 +14,11 @@ Md is positive definite only on a symmetric q2 interval around the
 upright equilibrium; outside it the control law has no meaning and
 evaluation raises DefinitenessLost.
 
-control_terms and desired_hamiltonian (floats or arrays) take s = sin q2
-and c = cos q2 from the caller, which forms the pair once per state; q2
-itself only names the state in DefinitenessLost, which each raises before
-dividing by det Md. control_law takes q2 alone and forms the pair itself.
+control_terms (floats), control_terms_array (arrays) and
+desired_hamiltonian (either) take s = sin q2 and c = cos q2 from the caller,
+which forms the pair once per state; q2 itself only names the state in
+DefinitenessLost, which each raises before dividing by det Md. control_law
+takes q2 alone and forms the pair itself.
 """
 from __future__ import annotations
 
@@ -337,18 +338,44 @@ def shaped_potential_hessian(k: Coeffs, q1: float, q2: float) -> np.ndarray:
     return np.array([[kappa, h12], [h12, h22]])
 
 
+def _require_definite(q2, det) -> None:
+    """Raise DefinitenessLost at the first det = det Md <= 0, on a float or an array, naming
+    its q2; a nan det passes, as the float test `det <= 0.0` lets it."""
+    lost = np.flatnonzero(det <= 0.0)
+    if lost.size:
+        raise DefinitenessLost(float(np.ravel(q2)[lost[0]]), float(np.ravel(det)[lost[0]]))
+
+
 def desired_hamiltonian(k: Coeffs, q1, q2, s, c, p1c, p2c):
     """Hd = 0.5 p^T Md^{-1} p + Vd(q) at s = sin q2, c = cos q2, on floats or arrays (the
     float call's doubles per element); DefinitenessLost names the first det Md <= 0."""
     _, _, _, d2, d4, _ = shape_terms(k, s, c)
     det = _md_det(k, d2, d4)
-    lost = np.flatnonzero(det <= 0.0)
-    if lost.size:
-        raise DefinitenessLost(float(np.ravel(q2)[lost[0]]), float(np.ravel(det)[lost[0]]))
+    _require_definite(q2, det)
     i11, i12, i22 = _md_inverse(k, d2, d4, det)
     pt1 = i11 * p1c + i12 * p2c
     pt2 = i12 * p1c + i22 * p2c
     return 0.5 * (p1c * pt1 + p2c * pt2) + _vd(k, q1, s, c, _atan)
+
+
+def _control_body(k: Coeffs, q1, s, c, p1c, p2c, den, m11, ps3, d2, d4, d2b, det, atan):
+    """(u, ptilde1) from shape_terms' values at (s, c) and det = det Md, which the caller
+    has tested; floats or arrays, with atan of the same kind."""
+    i11, i12, i22 = _md_inverse(k, d2, d4, det)
+    pt1 = i11 * p1c + i12 * p2c
+    pt2 = i12 * p1c + i22 * p2c
+    s2 = 2.0 * s * c
+    dd2, dd4 = _md_prime(k, s, c, s2, den, m11, d2b)
+    offset = _z_offset(k, s, atan)
+    gq1, gq2 = _hd_gradient(k, q1 + offset, s, ps3, dd2, dd4, pt1, pt2)
+    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)
+    a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
+    j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
+    u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - k.kv * pt1
+    return u, pt1
+
+
+_math_atan = math.atan   # a name, so that fused control_terms binds it once as a constant
 
 
 def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: float,
@@ -359,18 +386,18 @@ def control_terms(k: Coeffs, q1: float, q2: float, s: float, c: float, p1c: floa
     det = _md_det(k, d2, d4)
     if det <= 0.0:
         raise DefinitenessLost(q2, det)
-    i11, i12, i22 = _md_inverse(k, d2, d4, det)
-    pt1 = i11 * p1c + i12 * p2c
-    pt2 = i12 * p1c + i22 * p2c
-    s2 = 2.0 * s * c
-    dd2, dd4 = _md_prime(k, s, c, s2, den, m11, d2b)
-    offset = _z_offset(k, s)
-    gq1, gq2 = _hd_gradient(k, q1 + offset, s, ps3, dd2, dd4, pt1, pt2)
-    ps1, ps2, dps1, dps2 = _psi_row1(k, s, c, s2, m11, d2, dd2)
-    a1, a2 = alpha_from_psi(k, s, c, m11, ps1, ps2, ps3, dps1, dps2)
-    j2s = a1 * pt1 + a2 * pt2  # the (1,2) entry of the skew J2
-    u = -(ps1 * gq1 + ps2 * gq2) + j2s * pt2 - k.kv * pt1
+    u, pt1 = _control_body(k, q1, s, c, p1c, p2c, den, m11, ps3, d2, d4, d2b, det, _math_atan)
     return u, pt1
+
+
+def control_terms_array(k: Coeffs, q1, q2, s, c, p1c, p2c):
+    """control_terms on ndarrays, element by element the float call's doubles: (u, ptilde1)
+    as arrays; DefinitenessLost names the first state with det Md <= 0. A helper patched
+    after import reaches it."""
+    den, m11, ps3, d2, d4, d2b = shape_terms(k, s, c)
+    det = _md_det(k, d2, d4)
+    _require_definite(q2, det)
+    return _control_body(k, q1, s, c, p1c, p2c, den, m11, ps3, d2, d4, d2b, det, _atan)
 
 
 def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> float:
@@ -384,5 +411,5 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
 
 # The float entry point runs as fused code, every helper call inlined at import
 # (codegen.fuse); the definition above is its source and spec. A helper patched
-# after import does not reach it.
+# after import does not reach it, but reaches control_terms_array.
 (control_terms,) = fuse(control_terms)

@@ -107,5 +107,7 @@ def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c:
 
 
 # The float entry point runs as fused code, every helper call inlined at import
-# (codegen.fuse); the definition above is its source and spec.
+# (codegen.fuse); the definition above is its source and spec, and runs on arrays as
+# open_loop_rhs_array (element by element the float call's doubles).
+open_loop_rhs_array = open_loop_rhs_flat
 (open_loop_rhs_flat,) = fuse(open_loop_rhs_flat)

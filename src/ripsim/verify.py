@@ -22,11 +22,16 @@ block lies in the block's range. Every block not certified (block 0, where
 c reaches 1 + COS_ERR, and the block at the crossing) is scanned point by
 point, so the scan's results do not depend on the bounds.
 
-The closed-loop check compares the float route simulate.run takes
-(control_terms' torque, through control_law, and open_loop_rhs_flat) with
-closed_loop_rhs_direct, which assembles the target form on stacked
-(N, 2, 2) matrices and solves all samples of a block in one batched
-np.linalg.solve.
+The closed-loop check compares the route simulate.run takes (control_terms'
+torque and open_loop_rhs_flat) with closed_loop_rhs_direct, which assembles
+the target form on stacked (N, 2, 2) matrices and solves all samples of a
+block in one batched np.linalg.solve. It runs that route on each block's
+arrays, through the definitions of the two float entry points
+(controller.control_terms_array, model.open_loop_rhs_array): element by
+element the doubles of the float calls, with sin, cos and atan from math.
+Those look their helpers up through the module, so a closed-form helper
+patched after import reaches this check (it does not reach the fused float
+entry points).
 """
 from __future__ import annotations
 
@@ -36,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import controller
+from . import controller, model
 from .controller import ControllerGains, EmptyRegion
-from .model import G, RobotParams, _inertia, _inv2, open_loop_rhs_flat
+from .model import G, RobotParams, _inertia, _inv2
 
 TOL_ANALYTIC = 1e-8   # identities assembled from analytic derivatives
 TOL_FD = 1e-5         # identities with finite-difference derivatives
@@ -420,6 +425,14 @@ def _stack2x2(n: int, a11, a12, a21, a22) -> np.ndarray:
     return out
 
 
+def _trig(q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin q2, cos q2) per element with math, as the float route takes them (np.sin's
+    and np.cos's kernels vary by CPU)."""
+    values = q2.tolist()
+    return (np.fromiter(map(math.sin, values), float, len(values)),
+            np.fromiter(map(math.cos, values), float, len(values)))
+
+
 def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
                            q1: np.ndarray, q2: np.ndarray, p1: np.ndarray,
                            p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,14 +441,13 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
     Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
     literally, on stacked (N, 2, 2) M, Md and Psi with one batched
     np.linalg.solve for M^{-1}Md; an oracle independent by route of
-    control_law + open_loop_rhs_flat, which must agree with it
-    identically. sin, cos and the z offset are taken per state with
+    control_terms + open_loop_rhs_flat, which must agree with it
+    identically. sin, cos and the z offset's atan are taken per state with
     math, as on the float route.
     """
     n, k = q2.shape[0], controller.coeffs(params, gains)
-    s = np.array([math.sin(v) for v in q2.tolist()])
-    c = np.array([math.cos(v) for v in q2.tolist()])
-    z = q1 + np.array([controller._z_offset(k, v) for v in s.tolist()])
+    s, c = _trig(q2)
+    z = q1 + controller._z_offset(k, s, controller._atan)
     sh = controller.shaping(k, s, c)
     m11, m12, m22 = _inertia(params, s, c)
     m = _stack2x2(n, m11, m12, m12, m22)
@@ -473,12 +485,13 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
     worst, arg = 0.0, (0.0, 0.0, 0.0, 0.0)
     for start in range(0, n_samples, SCAN_BLOCK):
         x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
-        # the plant under the feedback torque, on the float route simulate.run takes
-        ctrl = np.array([open_loop_rhs_flat(
-            params, math.sin(q2), math.cos(q2), p1, p2,
-            controller.control_law(k, q1, q2, p1, p2), 0.0)
-            for q1, q2, p1, p2 in x.tolist()])
-        qd_d, pd_d = closed_loop_rhs_direct(params, gains, *x.T)
+        # the plant under the feedback torque, on arrays through the defs of the float
+        # route simulate.run takes: element by element its doubles
+        q1, q2, p1, p2 = x.T
+        s, c = _trig(q2)
+        u, _ = controller.control_terms_array(k, q1, q2, s, c, p1, p2)
+        ctrl = np.stack(model.open_loop_rhs_array(params, s, c, p1, p2, u, 0.0), axis=1)
+        qd_d, pd_d = closed_loop_rhs_direct(params, gains, q1, q2, p1, p2)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
         i = int(np.argmax(res))  # the first nan, else the first maximum
         if not res[i] <= worst:

@@ -2,6 +2,7 @@
 
 Covers:
   - minimal robot-only file falls back to documented defaults
+  - the presets load to equal Configs with libyaml's loader and without it
   - unknown keys rejected with their full path, in every section
   - a section other than robot is a mapping, or null/absent for its
     defaults: [], 0, false, '' and a string raise "<section>: not a mapping"
@@ -30,6 +31,7 @@ Covers:
 import copy
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,18 @@ def test_missing_file(tmp_path):
 
 
 def test_invalid_yaml(tmp_path):
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(write(tmp_path, "robot: [unclosed\n"))
+
+
+def test_presets_load_alike_on_both_yaml_loaders(tmp_path, monkeypatch):
+    # load_config parses with libyaml's CSafeLoader when PyYAML has it, and falls back
+    # to the pure-Python SafeLoader: every preset loads to the same Config either way
+    presets = sorted((Path(__file__).parent.parent / "presets").glob("*.yaml"))
+    assert len(presets) == 5
+    loaded = [load_config(str(path)) for path in presets]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [load_config(str(path)) for path in presets] == loaded
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(write(tmp_path, "robot: [unclosed\n"))
 

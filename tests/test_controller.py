@@ -13,8 +13,9 @@ Covers:
   - Md definiteness loss raised with context; Md^{-1} at 0 through
     shape_terms and momentum_tilde; a det Md of exactly 0.0 raises
     DefinitenessLost from control_terms, control_law and desired_hamiltonian
-    (floats and arrays), never ZeroDivisionError; desired_hamiltonian on an
-    array with states past the band names the first one's q2
+    and control_terms_array (floats and arrays), never ZeroDivisionError;
+    desired_hamiltonian and control_terms_array on an array with states past
+    the band name the first one's q2, and pass a nan det as the float calls do
   - controller vanishes at the target and Hd decreases along the true flow
 """
 import dataclasses
@@ -25,8 +26,8 @@ import pytest
 
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _md_det, _vd, _vd_gradient, _z_offset,
-    alpha_from_matching, coeffs, control_law, control_terms, d4_at_origin, desired_hamiltonian,
-    region_rho, shape_terms, shaped_potential_hessian, shaping,
+    alpha_from_matching, coeffs, control_law, control_terms, control_terms_array, d4_at_origin,
+    desired_hamiltonian, region_rho, shape_terms, shaped_potential_hessian, shaping,
 )
 from ripsim.model import RobotParams
 
@@ -252,6 +253,8 @@ def test_zero_det_raises_definiteness_lost():
              lambda: control_law(k, 0.0, 0.0, 1.0, 0.5),
              lambda: desired_hamiltonian(k, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5),
              lambda: desired_hamiltonian(k, *(np.array([0.0]),) * 3, np.array([1.0]),
+                                         np.array([1.0]), np.array([0.5])),
+             lambda: control_terms_array(k, *(np.array([0.0]),) * 3, np.array([1.0]),
                                          np.array([1.0]), np.array([0.5]))]
     for call in calls:
         with pytest.raises(DefinitenessLost, match=r"^Md not positive definite at q2=0 \(det=0\)$") \
@@ -261,21 +264,27 @@ def test_zero_det_raises_definiteness_lost():
 
 
 def test_array_desired_hamiltonian_names_the_first_state_past_the_band():
-    # it never returns a value where det Md <= 0: the first such state is named
+    # neither desired_hamiltonian nor control_terms_array returns a value where
+    # det Md <= 0: the first such state is named; a nan det passes, as on floats
     k = coeffs(P_SYN, G_REF)
-    q2 = np.array([0.1, -0.2, -0.55, 0.3, 0.6, -0.0])   # |q2| = 0.55, 0.6: past rho
+    q2 = np.array([0.1, -0.2, -0.55, 0.3, 0.6, -0.0, math.nan])   # |q2| = 0.55, 0.6: past rho
     s, c = (np.array([f(v) for v in q2.tolist()]) for f in (math.sin, math.cos))
-    p = np.full(6, 0.25)
-    with pytest.raises(DefinitenessLost) as info:
-        desired_hamiltonian(k, p, q2, s, c, p, p)
-    assert info.value.q2 == -0.55 and info.value.det_md <= 0.0
-    with pytest.raises(DefinitenessLost) as want:
-        desired_hamiltonian(k, 0.25, -0.55, *trig(-0.55), 0.25, 0.25)
-    assert str(info.value) == str(want.value) and info.value.det_md == want.value.det_md
-    keep = [0, 1, 3, 5]
-    got = desired_hamiltonian(k, p[keep], q2[keep], s[keep], c[keep], p[keep], p[keep])
-    assert got.tolist() == [desired_hamiltonian(k, 0.25, v, *trig(v), 0.25, 0.25)
-                            for v in q2[keep].tolist()]
+    p = np.full(7, 0.25)
+    on_floats = {
+        desired_hamiltonian: lambda v: desired_hamiltonian(k, 0.25, v, *trig(v), 0.25, 0.25),
+        control_terms_array: lambda v: control_terms(k, 0.25, v, *trig(v), 0.25, 0.25)}
+    for fn, on_float in on_floats.items():
+        with pytest.raises(DefinitenessLost) as info:
+            fn(k, p, q2, s, c, p, p)
+        assert info.value.q2 == -0.55 and info.value.det_md <= 0.0
+        with pytest.raises(DefinitenessLost) as want:
+            on_float(-0.55)
+        assert str(info.value) == str(want.value) and info.value.det_md == want.value.det_md
+        keep = [0, 1, 3, 5, 6]
+        got = fn(k, p[keep], q2[keep], s[keep], c[keep], p[keep], p[keep])
+        want = np.array([on_float(v) for v in q2[keep].tolist()]).T
+        assert np.isnan(want[..., -1]).all()
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_desired_hamiltonian_at_target():

@@ -32,10 +32,11 @@ Covers:
     loop, an early return, a nested helper call, an assignment to a parameter
     or a helper called with a keyword or unpacked argument, naming the
     function, when it builds; a _ is an ordinary name to it
-  - desired_hamiltonian and hamiltonian on arrays of 10^4 in-band states,
-    signed zeros included, equal element by element their float calls and
-    the float references (desired_hamiltonian_ref, composed_desired_hamiltonian)
-    bit for bit
+  - desired_hamiltonian, hamiltonian, control_terms_array (u, ptilde1) and
+    open_loop_rhs_array on arrays of 10^4 in-band states, signed zeros
+    included, equal element by element their float calls and, for
+    desired_hamiltonian, the float references (desired_hamiltonian_ref,
+    composed_desired_hamiltonian) bit for bit
   - fused control_terms, desired_hamiltonian and shaping form no operation
     of run constants (read from their source with ast): no binary operation of
     two parameter-only operands and no negation of one, which are Coeffs fields;
@@ -79,10 +80,10 @@ from ripsim.codegen import fuse
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
-    control_terms, desired_hamiltonian, kinetic_matching_rows,
+    control_terms, control_terms_array, desired_hamiltonian, kinetic_matching_rows,
     potential_matching_row, region_rho, shape_terms, shaping,
 )
-from ripsim.model import RobotParams, hamiltonian, open_loop_rhs_flat
+from ripsim.model import RobotParams, hamiltonian, open_loop_rhs_array, open_loop_rhs_flat
 from ripsim.regressor import RegressorSpec, parse_term
 import ripsim.simulate as sim
 from ripsim.simulate import _energies, _row, _stage, run, step_rk4
@@ -373,8 +374,9 @@ def test_folded_helpers_equal_unfolded():
 
 
 FUSED = {   # each fused entry point and every helper inlined into it
-    control_terms: ("shape_terms", "md_d4", "_md_det", "_md_inverse", "_md_prime",
-                    "_hd_gradient", "_vd_gradient", "_z_offset", "_psi_row1", "alpha_from_psi"),
+    control_terms: ("shape_terms", "md_d4", "_md_det", "_control_body", "_md_inverse",
+                    "_md_prime", "_hd_gradient", "_vd_gradient", "_z_offset", "_psi_row1",
+                    "alpha_from_psi"),
     open_loop_rhs_flat: ("_plant", "_inertia", "_inv2"),
 }
 
@@ -422,10 +424,16 @@ def trig_arrays(q2):
             np.array([math.cos(v) for v in q2.tolist()]))
 
 
-@pytest.mark.parametrize("fn", [desired_hamiltonian, hamiltonian], ids=lambda fn: fn.__name__)
+ARRAY_ENTRY_POINTS = [desired_hamiltonian, hamiltonian, control_terms_array, open_loop_rhs_array]
+
+
+@pytest.mark.parametrize("fn", ARRAY_ENTRY_POINTS,
+                         ids=["desired_hamiltonian", "hamiltonian", "control_terms_array",
+                              "open_loop_rhs_array"])
 def test_array_entry_points_equal_float_calls(fn):
-    # run() calls both once per block of recorded rows on arrays: element by element
-    # they give the doubles of the float calls and of the float references
+    # run() calls the first two once per block of recorded rows on arrays, and check 6
+    # the other two once per block of samples: element by element they give the doubles
+    # of the float calls and of the float references
     rng = np.random.default_rng(26)
     cases = [(params, gains, edge) for params, gains in kernel_cases(rng)
              if math.isfinite(edge := _pd_endpoint(params, gains))]   # nan: Md(0) not PD
@@ -439,12 +447,20 @@ def test_array_entry_points_equal_float_calls(fn):
         if fn is hamiltonian:
             got = hamiltonian(params, s, c, p1c, p2c)
             refs = [[hamiltonian(params, *trig(x[1]), x[2], x[3]) for x in states]]
+        elif fn is control_terms_array:   # (u, ptilde1)
+            got = np.stack(control_terms_array(k, q1, q2, s, c, p1c, p2c))
+            refs = [np.transpose([control_terms(k, x[0], x[1], *trig(x[1]), x[2], x[3])
+                                  for x in states])]
+        elif fn is open_loop_rhs_array:   # (qdot1, qdot2, pdot1, pdot2) at u = q1, d = 0.5
+            got = np.stack(open_loop_rhs_array(params, s, c, p1c, p2c, q1, 0.5))
+            refs = [np.transpose([open_loop_rhs_flat(params, *trig(x[1]), x[2], x[3], x[0], 0.5)
+                                  for x in states])]
         else:
             got = desired_hamiltonian(k, q1, q2, s, c, p1c, p2c)
             refs = [[desired_hamiltonian(k, x[0], x[1], *trig(x[1]), x[2], x[3]) for x in states],
                     [desired_hamiltonian_ref(params, gains, *x) for x in states],
                     [composed_desired_hamiltonian(params, gains, *x) for x in states]]
-        assert type(got) is np.ndarray and got.shape == q2.shape
+        assert type(got) is np.ndarray and got.shape[-1:] == q2.shape
         for ref in refs:
             assert bits(got) == bits(ref)
 

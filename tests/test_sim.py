@@ -32,9 +32,10 @@ Covers:
     cross a block boundary, nominal and robust
   - the call path: run() records H and Hd through simulate.hamiltonian and
     controller.desired_hamiltonian (one call each per block of
-    simulate.ENERGY_BLOCK recorded rows, on arrays) and check 6
-    takes its torque through controller.control_law (one call per sample), the
-    module attributes the benchmark's tracer wraps; a __call__ of the regressor
+    simulate.ENERGY_BLOCK recorded rows, on arrays), the module attributes the
+    benchmark's tracer wraps, and check 6 takes its torque and plant through
+    controller.control_terms_array and model.open_loop_rhs_array (one call
+    each per block of samples, never control_law); a __call__ of the regressor
     node classes patched after import is the one run() evaluates: 18n + 6 calls
     over n steps of a 3-term robust run, and one that doubles a term gives the
     trace of that term written with a factor 2, also when it is patched after
@@ -48,7 +49,7 @@ import numpy as np
 import pytest
 
 import ripsim.simulate as sim
-from ripsim import controller
+from ripsim import controller, model, verify
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
 from ripsim.model import RobotParams, hamiltonian
@@ -387,7 +388,7 @@ def test_scenario_validation():
 
 
 def test_energies_and_torque_called_through_module_names(monkeypatch):
-    calls = {"H": 0, "Hd": 0, "u": 0}
+    calls = {"H": 0, "Hd": 0, "u": 0, "u_array": 0, "plant_array": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -399,15 +400,22 @@ def test_energies_and_torque_called_through_module_names(monkeypatch):
     monkeypatch.setattr(controller, "desired_hamiltonian",
                         counting("Hd", controller.desired_hamiltonian))
     monkeypatch.setattr(controller, "control_law", counting("u", controller.control_law))
+    monkeypatch.setattr(controller, "control_terms_array",
+                        counting("u_array", controller.control_terms_array))
+    monkeypatch.setattr(model, "open_loop_rhs_array",
+                        counting("plant_array", model.open_loop_rhs_array))
     n = 10
     tr = run(nominal((0.1, 0.2), t_end=n * 1e-3))
     assert tr.status == "ok" and tr.t.shape[0] == n + 1
-    assert calls == {"H": 1, "Hd": 1, "u": 0}   # one block of n + 1 rows
+    assert calls == {"H": 1, "Hd": 1, "u": 0, "u_array": 0, "plant_array": 0}   # one block
     monkeypatch.setattr(sim, "ENERGY_BLOCK", 4)
     tr = run(nominal((0.1, 0.2), t_end=n * 1e-3))
-    assert calls == {"H": 1 + 3, "Hd": 1 + 3, "u": 0}   # blocks of 4, 4 and 3 rows
-    closed_loop_equivalence(P_SYN, G_CONV, n_samples=50)
-    assert calls["u"] == 50
+    assert calls["H"] == calls["Hd"] == 1 + 3   # blocks of 4, 4 and 3 rows
+    assert closed_loop_equivalence(P_SYN, G_CONV, n_samples=50).passed
+    assert calls == {"H": 4, "Hd": 4, "u": 0, "u_array": 1, "plant_array": 1}
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 16)
+    assert closed_loop_equivalence(P_SYN, G_CONV, n_samples=50).passed
+    assert calls == {"H": 4, "Hd": 4, "u": 0, "u_array": 1 + 4, "plant_array": 1 + 4}
 
 
 def bits(values):

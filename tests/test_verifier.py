@@ -35,7 +35,9 @@ Covers:
     every preset
   - closed-loop equivalence: 1e-9 agreement; alpha zeroed in
     controller.shaping (the direct form loses J2) is detected; a nan from
-    the control route fails; the batched check equals the per-sample loop it
+    the control route (control_terms_array) fails; an M_d^{-1} entry scaled
+    by 1 + 1e-6 in controller._md_inverse, patched after import, reaches the
+    control route and fails on default; the batched check equals the per-sample loop it
     replaced bit for bit (five presets and the synthetic set, seeds 0-3,
     alpha true and zeroed, across blocks); the block
     draws equal successive rng.uniform draws; closed_loop_rhs_direct
@@ -476,10 +478,29 @@ def test_closed_loop_equivalence_alpha_sensitivity(monkeypatch):
 
 
 def test_closed_loop_equivalence_fails_on_nan(monkeypatch):
-    # a nan torque must fail the check, not vanish in the running maximum
-    monkeypatch.setattr(controller, "control_terms", lambda *args: (math.nan, math.nan))
+    # a nan torque must fail the check, not vanish in the running maximum; check 6
+    # takes its torque from the array route, one call per block of samples
+    monkeypatch.setattr(controller, "control_terms_array",
+                        lambda k, q1, *args: (q1 * math.nan, q1 * math.nan))
     r = closed_loop_equivalence(P_SYN, G_REF)
     assert math.isnan(r.max_abs_residual) and not r.passed
+
+
+def test_patched_helper_reaches_closed_loop_equivalence(monkeypatch):
+    # check 6's control route calls the closed-form helpers through the module, so a
+    # helper patched after import reaches it: M_d^{-1}'s i12 1e-6 off fails the check
+    # (the direct route inverts M_d with model._inv2)
+    cfg = load_config(str(PRESETS / "default.yaml"))
+    assert closed_loop_equivalence(cfg.params, cfg.gains).passed
+    true = controller._md_inverse
+
+    def skewed(k, d2, d4, det):
+        i11, i12, i22 = true(k, d2, d4, det)
+        return i11, (1 + 1e-6) * i12, i22
+
+    monkeypatch.setattr(controller, "_md_inverse", skewed)
+    r = closed_loop_equivalence(cfg.params, cfg.gains)
+    assert not r.passed and r.max_abs_residual > 1e-3
 
 
 def loop_closed_loop_equivalence(params, gains, n_samples=1000, seed=0):
