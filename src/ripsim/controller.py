@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codegen import fuse
+from . import _fused
+from .codegen import bind
 from .model import RobotParams
 
 class DefinitenessLost(Exception):
@@ -409,7 +410,8 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
     return control_terms(k, q1, q2, math.sin(q2), math.cos(q2), p1c, p2c)[0]
 
 
-# The float entry point runs as fused code, every helper call inlined at import
-# (codegen.fuse); the definition above is its source and spec. A helper patched
-# after import does not reach it, but reaches control_terms_array.
-(control_terms,) = fuse(control_terms)
+# The float entry point runs as fused code, every helper call inlined when the source
+# changes (fusion.write_fused prints it into _fused.py); the definition above is its
+# source and spec. A helper patched after import does not reach it, but reaches
+# control_terms_array.
+control_terms = bind(_fused.control_terms_factory, control_terms)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import fuse
+from . import _fused
+from .codegen import bind
 
 # Input map (constant for this system).
 G = np.array([[1.0], [0.0]])
@@ -106,8 +107,9 @@ def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c:
     return qd1, qd2, u - d, -dh
 
 
-# The float entry point runs as fused code, every helper call inlined at import
-# (codegen.fuse); the definition above is its source and spec, and runs on arrays as
-# open_loop_rhs_array (element by element the float call's doubles).
+# The float entry point runs as fused code, every helper call inlined when the source
+# changes (fusion.write_fused prints it into _fused.py); the definition above is its
+# source and spec, and runs on arrays as open_loop_rhs_array (element by element the
+# float call's doubles).
 open_loop_rhs_array = open_loop_rhs_flat
-(open_loop_rhs_flat,) = fuse(open_loop_rhs_flat)
+open_loop_rhs_flat = bind(_fused.open_loop_rhs_flat_factory, open_loop_rhs_flat)

@@ -20,12 +20,14 @@ Covers:
     random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
     SPD Gamma, theta and the regressor values holding signed zeros; out of
     band both raise the same DefinitenessLost; it builds and runs at ell = 64
-  - the two fused entry points (control_terms, open_loop_rhs_flat) name none
-    of the helpers inlined into them and equal their helper-calling
-    definitions bit for bit, at the (sin q2, cos q2) they take; they name no
-    sin or cos, and each generated stage and row takes exactly one sin(q2)
-    and one cos(q2); fuse()
-    keeps values and exceptions through argument expressions, default
+  - the two fused entry points (control_terms, open_loop_rhs_flat) come from
+    the generated _fused.py, name none of the helpers inlined into them and
+    equal their helper-calling definitions bit for bit, at the (sin q2, cos q2)
+    they take; each equals what fuse() builds from its definition now (code
+    fields and constants), whose failure names the command that rewrites
+    _fused.py, and a fresh import calls neither ast.parse nor ast.unparse;
+    they name no sin or cos, and each generated stage and row takes exactly
+    one sin(q2) and one cos(q2); fuse() keeps values and exceptions through argument expressions, default
     arguments, a return that reads an earlier target and one whose closing
     bracket stands on a line of its own, keeps keyword names
     (dict(x=y, y=x) with x and y renamed) and strings as they are, and refuses a
@@ -57,8 +59,9 @@ Covers:
     the band, and writes nothing; its peak allocation is the same for 2 and 8
     blocks of rows (tracemalloc)
   - generated code shows its source in tracebacks: the raise line and the
-    function's role name, for fused control_terms and for a generated stage
-    out of band; two different generated sources never share a file name
+    function's role name, for fused control_terms (in _fused.py) and for a
+    generated stage out of band; two different generated sources never share
+    a file name
 """
 import ast
 import dataclasses
@@ -66,7 +69,10 @@ import inspect
 import itertools
 import linecache
 import math
+import os
 import struct
+import subprocess
+import sys
 import traceback
 import tracemalloc
 import types
@@ -75,8 +81,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ripsim import _fused
 from ripsim.adaptive import DisturbanceSpec
-from ripsim.codegen import fuse
+from ripsim.fusion import REWRITE, fuse
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
@@ -384,7 +391,7 @@ FUSED = {   # each fused entry point and every helper inlined into it
 @pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
 def test_fused_entry_points_call_no_helper(fn):
     code = fn.__code__
-    assert code.co_filename == f"<fused {fn.__name__}>"
+    assert code.co_filename == _fused.__file__
     assert not set(FUSED[fn]) & set(code.co_names + code.co_freevars)
     spec, seen, todo = fn.__wrapped__, set(), [fn.__wrapped__]
     while todo:   # the helper-calling definition calls exactly these, directly or not
@@ -404,6 +411,45 @@ def test_fused_entry_points_call_no_helper(fn):
         args = {control_terms: (k, q1, q2, s, c, p1c, p2c),
                 open_loop_rhs_flat: (params, s, c, p1c, p2c, q1, 0.5)}[fn]
         assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
+
+
+@pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
+def test_fused_module_is_fresh(fn):
+    # _fused.py holds what fuse() builds from the definition as it is now, bound to the
+    # same constants: a definition or helper edited without rewriting the file fails here
+    (ref,) = fuse(fn.__wrapped__)
+    stale = [field for field in ("co_code", "co_consts", "co_names", "co_varnames",
+                                 "co_freevars", "co_flags")
+             if getattr(fn.__code__, field) != getattr(ref.__code__, field)]
+    assert not stale, (f"src/ripsim/_fused.py is stale ({fn.__name__}: {', '.join(stale)});"
+                       f" rewrite it from the repository root with: {REWRITE}")
+    assert [c.cell_contents for c in fn.__closure__ or ()] == \
+        [c.cell_contents for c in ref.__closure__ or ()]
+
+
+def test_import_fuses_nothing():
+    # the fused entry points are bound from _fused.py: a fresh import of the modules the
+    # benchmark imports parses and prints no source (fuse() does both for every def) and
+    # does not load the build-time module
+    script = ("import ast, importlib, sys\n"
+              "calls = []\n"
+              "def counted(f):\n"
+              "    def call(*args, **kwargs):\n"
+              "        calls.append(f.__name__)\n"
+              "        return f(*args, **kwargs)\n"
+              "    return call\n"
+              "ast.parse, ast.unparse = counted(ast.parse), counted(ast.unparse)\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module('ripsim.' + name)\n"
+              "print(calls, 'ripsim.fusion' in sys.modules)\n")
+    modules = ["config", "simulate", "cli", "svgplot", "verify", "controller", "model",
+               "adaptive", "regressor"]
+    src = str(Path(_fused.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, *modules], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[] False\n"
 
 
 def in_band_states(rng, edge, n, width=4):
@@ -1087,7 +1133,7 @@ def test_generated_code_shows_its_source_in_tracebacks():
     cfg = load_config(str(PRESETS / "fig2.yaml"))
     k = coeffs(cfg.params, cfg.gains)
     text = formatted_error(control_terms, k, 0.0, 1.5, *trig(1.5), 0.0, 0.0)
-    assert 'File "<fused control_terms>", line ' in text and ", in control_terms\n" in text
+    assert f'File "{_fused.__file__}", line ' in text and ", in control_terms\n" in text
     assert "    raise DefinitenessLost(q2, " in text
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     k, rng = coeffs(cfg.params, cfg.gains), np.random.default_rng(3)
@@ -1102,7 +1148,7 @@ def test_generated_sources_never_share_a_file_name():
     cfg = load_config(str(PRESETS / "fig4.yaml"))
     params, k = cfg.params, coeffs(cfg.params, cfg.gains)
     rng = np.random.default_rng(7)
-    fns = [control_terms, open_loop_rhs_flat]
+    fns = []
     for ell in (1, 3):
         terms, dtheta, ginv_rows = stage_case(rng, ell)
         dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
@@ -1117,6 +1163,6 @@ def test_generated_sources_never_share_a_file_name():
         assert code.co_name != "fn" and f"def {code.co_name}(" in \
             linecache.getline(code.co_filename, 2)
     assert all(len(s) == 1 and "" not in s for s in sources.values()), sources
-    # 2 fused, 5 stages and 4 rows (ell changes neither the nominal stage nor the
-    # nominal and disturbed rows), 3 terms
-    assert len(sources) == 2 + 5 + 4 + 3
+    # 5 stages and 4 rows (ell changes neither the nominal stage nor the nominal and
+    # disturbed rows), 3 terms
+    assert len(sources) == 5 + 4 + 3
