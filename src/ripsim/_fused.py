@@ -1,11 +1,11 @@
-"""Generated by ripsim.fusion.write_fused: do not edit.
+"""Generated by src/ripsim/fusion.py: do not edit.
 
 The float entry points controller.control_terms and model.open_loop_rhs_flat with every
-helper call inlined (fusion.fuse), one factory each, which the two modules bind at
-import (codegen.bind). After editing either definition or a helper it calls, rewrite
-this file from the repository root with
+helper call inlined, one factory each, which the two modules bind at import
+(codegen.bind). After editing either definition or a helper it calls, rewrite this
+file from the repository root with
 
-    PYTHONPATH=src python -c "from ripsim.fusion import write_fused; write_fused()"
+    python src/ripsim/fusion.py
 """
 
 

@@ -4,8 +4,8 @@ generate() compiles a function from lines of source: simulate builds its
 stage, recorded row and RK4 step with it, adaptive its disturbance sum and
 regressor its terms. bind() makes model's and controller's one fused float
 entry point each, open_loop_rhs_flat and control_terms, from the factories
-that fusion.write_fused() printed into the checked-in module _fused.py when
-the source changed; no import fuses anything.
+that `python src/ripsim/fusion.py` printed into the checked-in module _fused.py
+when the source changed; no import fuses anything.
 """
 from __future__ import annotations
 
@@ -24,20 +24,14 @@ def generate(label: str, name: str, signature: str, lines: list[str], consts: di
     is registered in linecache under the file name <label> (_register), so a traceback
     through the function shows its lines.
     """
-    source = factory_source("factory", name, signature, lines, consts)
-    namespace: dict = {}
-    exec(compile(source, _register(label, source), "exec", dont_inherit=True), namespace)
-    return namespace["factory"](**consts)
-
-
-def factory_source(factory: str, name: str, signature: str, lines: list[str],
-                   consts: dict) -> str:
-    """The source of `def <factory>(<consts>)`, which returns `def <name>(<signature>)`."""
-    return "".join(f"{line}\n" for line in (
-        f"def {factory}({', '.join(consts)}):",
+    source = "".join(f"{line}\n" for line in (
+        f"def factory({', '.join(consts)}):",
         f"    def {name}({signature}):",
         *(f"        {line}" for line in lines),
         f"    return {name}"))
+    namespace: dict = {}
+    exec(compile(source, _register(label, source), "exec", dont_inherit=True), namespace)
+    return namespace["factory"](**consts)
 
 
 def numbered(prefix: str, values) -> dict:
@@ -60,8 +54,15 @@ def _register(label: str, source: str) -> str:
 
 def bind(factory, entry):
     """The function factory returns, each of its parameters bound to the global of that
-    name in entry's module, as fusion.fuse() binds its constants; wrapped as entry
-    (functools.update_wrapper), which stays its __wrapped__."""
+    name in entry's module; wrapped as entry (functools.update_wrapper), which stays its
+    __wrapped__. Raises ImportError when the module has no global of a parameter's
+    name: _fused.py was written before a rename."""
     code, glb = factory.__code__, entry.__globals__
-    fn = factory(*[glb[name] for name in code.co_varnames[:code.co_argcount]])
-    return functools.update_wrapper(fn, entry)
+    names = code.co_varnames[:code.co_argcount]
+    missing = [name for name in names if name not in glb]
+    if missing:
+        raise ImportError(f"src/ripsim/_fused.py is stale: {factory.__name__} reads "
+                          f"{', '.join(missing)}, which {entry.__module__} does not define;"
+                          " rewrite it from the repository root with:"
+                          " python src/ripsim/fusion.py")
+    return functools.update_wrapper(factory(*[glb[name] for name in names]), entry)

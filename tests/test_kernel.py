@@ -23,17 +23,22 @@ Covers:
   - the two fused entry points (control_terms, open_loop_rhs_flat) come from
     the generated _fused.py, name none of the helpers inlined into them and
     equal their helper-calling definitions bit for bit, at the (sin q2, cos q2)
-    they take; each equals what fuse() builds from its definition now (code
-    fields and constants), whose failure names the command that rewrites
-    _fused.py, and a fresh import calls neither ast.parse nor ast.unparse;
+    they take; _fused.py parses to the syntax tree of what fusion prints from
+    the source now, whose failure names the command that rewrites it, and a
+    fresh import calls neither ast.parse nor ast.unparse; with a global the
+    fused code reads renamed in a copy of src, the stale _fused.py stops the
+    import, the copy's fusion.py still rewrites it, and the copy then imports
+    and gives the same bits; codegen.bind names a stale _fused.py and the
+    rewrite command at a factory parameter that is no global of the module;
     they name no sin or cos, and each generated stage and row takes exactly
-    one sin(q2) and one cos(q2); fuse() keeps values and exceptions through argument expressions, default
-    arguments, a return that reads an earlier target and one whose closing
+    one sin(q2) and one cos(q2); fusion (its factory for a def of this file,
+    bound by codegen.bind) keeps values and exceptions through argument
+    expressions, a return that reads an earlier target and one whose closing
     bracket stands on a line of its own, keeps keyword names
     (dict(x=y, y=x) with x and y renamed) and strings as they are, and refuses a
-    loop, an early return, a nested helper call, an assignment to a parameter
-    or a helper called with a keyword or unpacked argument, naming the
-    function, when it builds; a _ is an ordinary name to it
+    loop, an early return, a nested helper call, an assignment to a parameter,
+    a helper called with a keyword or unpacked argument or a call that omits
+    a defaulted argument, naming the function; a _ is an ordinary name to it
   - desired_hamiltonian, hamiltonian, control_terms_array (u, ptilde1) and
     open_loop_rhs_array on arrays of 10^4 in-band states, signed zeros
     included, equal element by element their float calls and, for
@@ -70,6 +75,7 @@ import itertools
 import linecache
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -81,9 +87,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ripsim import _fused
+from ripsim import _fused, fusion
 from ripsim.adaptive import DisturbanceSpec
-from ripsim.fusion import REWRITE, fuse
+from ripsim.codegen import bind
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _vd, _vd_gradient, _z_offset, coeffs,
@@ -413,24 +419,76 @@ def test_fused_entry_points_call_no_helper(fn):
         assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
 
 
-@pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
-def test_fused_module_is_fresh(fn):
-    # _fused.py holds what fuse() builds from the definition as it is now, bound to the
-    # same constants: a definition or helper edited without rewriting the file fails here
-    (ref,) = fuse(fn.__wrapped__)
-    stale = [field for field in ("co_code", "co_consts", "co_names", "co_varnames",
-                                 "co_freevars", "co_flags")
-             if getattr(fn.__code__, field) != getattr(ref.__code__, field)]
-    assert not stale, (f"src/ripsim/_fused.py is stale ({fn.__name__}: {', '.join(stale)});"
-                       f" rewrite it from the repository root with: {REWRITE}")
-    assert [c.cell_contents for c in fn.__closure__ or ()] == \
-        [c.cell_contents for c in ref.__closure__ or ()]
+REWRITE = "python src/ripsim/fusion.py"
+
+
+def test_fused_module_is_fresh():
+    # _fused.py holds what fusion prints from the source as it is now: a definition or
+    # helper edited without rewriting the file fails here. The syntax trees are compared,
+    # as ast.unparse prints some nodes differently across Python versions (3.10 brackets
+    # a tuple target)
+    want = Path(_fused.__file__).read_text(encoding="utf-8")
+    assert ast.dump(ast.parse(fusion.fused_source())) == ast.dump(ast.parse(want)), \
+        f"src/ripsim/_fused.py is stale; rewrite it from the repository root with: {REWRITE}"
+
+
+def test_fusion_rewrites_a_fused_module_that_stops_the_import(tmp_path):
+    # renaming a global the fused code reads leaves _fused.py naming the old one, so the
+    # package no longer imports; fusion.py reads the source files, not the package, and
+    # rewrites it, after which the copy imports and control_terms gives the same bits
+    shutil.copytree(Path(_fused.__file__).parent.parent, tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pkg = tmp_path / "src" / "ripsim"
+    text = (pkg / "controller.py").read_text(encoding="utf-8")
+    assert text.count("_math_atan") == 2
+    (pkg / "controller.py").write_text(text.replace("_math_atan", "_float_atan"),
+                                       encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    stale = subprocess.run([sys.executable, "-c", "import ripsim"], env=env,
+                           capture_output=True, text=True)
+    assert stale.returncode != 0 and REWRITE in stale.stderr
+    subprocess.run([sys.executable, str(pkg / "fusion.py")], env=env, check=True)
+    fused_text = (pkg / "_fused.py").read_text(encoding="utf-8")
+    assert "_float_atan" in fused_text and "_math_atan" not in fused_text
+    states = [(0.3, 0.2, 0.1, -0.2), (-1.0, -0.4, 0.5, 0.25), (-0.0, 1e-9, -0.3, 0.0),
+              (2.5, -0.7, 3.0, -1e-3)]
+    script = ("import math, sys\n"
+              "import ripsim\n"
+              "from ripsim.config import load_config\n"
+              "from ripsim.controller import coeffs, control_terms\n"
+              "cfg = load_config(sys.argv[1])\n"
+              "k = coeffs(cfg.params, cfg.gains)\n"
+              "print(ripsim.__file__)\n"
+              f"for q1, q2, p1, p2 in {states!r}:\n"
+              "    u, pt1 = control_terms(k, q1, q2, math.sin(q2), math.cos(q2), p1, p2)\n"
+              "    print(u.hex(), pt1.hex())\n")
+    out = subprocess.run([sys.executable, "-c", script, str(PRESETS / "fig4.yaml")], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert Path(out[0]) == pkg / "__init__.py"
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    k = coeffs(cfg.params, cfg.gains)
+    assert out[1:] == [" ".join(v.hex() for v in control_terms(k, q1, q2, *trig(q2), p1, p2))
+                       for q1, q2, p1, p2 in states]
+
+
+def test_bind_names_a_stale_fused_module():
+    # a factory parameter that is no global of the entry's module: the factory was
+    # written before a rename, and the error says how to rewrite _fused.py
+    def stale_factory(_swap, _renamed_away):
+        def entry(a, b):
+            return _swap(a, b)
+        return entry
+    message = ("^src/ripsim/_fused\\.py is stale: stale_factory reads _renamed_away, which"
+               " \\S+ does not define; rewrite it from the repository root with: "
+               + REWRITE.replace(".", "\\.") + "$")
+    with pytest.raises(ImportError, match=message):
+        bind(stale_factory, _swap)
 
 
 def test_import_fuses_nothing():
     # the fused entry points are bound from _fused.py: a fresh import of the modules the
-    # benchmark imports parses and prints no source (fuse() does both for every def) and
-    # does not load the build-time module
+    # benchmark imports parses and prints no source (fusion does both) and does not load
+    # the build-time module
     script = ("import ast, importlib, sys\n"
               "calls = []\n"
               "def counted(f):\n"
@@ -609,8 +667,17 @@ def test_shaping_forms_no_parameter_only_operation():
     assert constant_operations(inspect.getsource(shaping), "shaping") == []
 
 
-# Helpers of the forms fuse() accepts and refuses. They are module functions so
-# that fuse() reads their source from this file, as it reads src's.
+# Helpers of the forms fusion accepts and refuses. They are top-level defs so that
+# fusion reads them from this file, as it reads src's.
+def fused(entry):
+    """entry, a def of this file, with every helper call inlined: the factory that
+    fusion.factory prints for it, compiled and bound to this module's globals
+    (codegen.bind), as controller and model bind theirs from _fused.py."""
+    namespace: dict = {}
+    exec(fusion.factory(__file__, entry.__name__), namespace)
+    return bind(namespace[entry.__name__ + "_factory"], entry)
+
+
 def _pair(x, scale=2.0):
     y = x * scale
     if y > 1e300:
@@ -630,7 +697,7 @@ def _bracketed(a, b):
 
 
 def _accepted(x, y):
-    a, b = _pair(x + y)     # an argument that is not a name, a default argument
+    a, b = _pair(x + y, 2.0)  # an argument that is not a name
     a, b = _swap(a, b)      # b reads the a assigned before it: one tuple assignment
     c, d = _swap(a, 3.0)    # a number argument
     e, f = _bracketed(c, d)
@@ -681,12 +748,12 @@ def _calls_sets_param(x):
 
 
 def _binds_underscore(x):
-    _, b = _pair(x)         # _ is an ordinary name: y + 1.0 is bound to it
+    _, b = _pair(x, 2.0)    # _ is an ordinary name: y + 1.0 is bound to it
     return b
 
 
 def _reads_underscore(x):
-    _, b = _pair(x)
+    _, b = _pair(x, 2.0)
     return _ + b
 
 
@@ -725,43 +792,48 @@ def _calls_with_unpacked(x):
     return y
 
 
+def _calls_without_scale(x):
+    y = _pair(x)            # scale's default is not inlined
+    return y
+
+
 def test_fuse_keeps_values_and_order():
-    (fused,) = fuse(_accepted)
-    assert not {"_pair", "_swap", "_bracketed"} & set(fused.__code__.co_names
-                                                      + fused.__code__.co_freevars)
+    fn = fused(_accepted)
+    assert not {"_pair", "_swap", "_bracketed"} & set(fn.__code__.co_names
+                                                      + fn.__code__.co_freevars)
     for x, y in [(0.25, -1.5), (-0.0, 0.0), (3.0, 1e-310), (-1e300, 1e299)]:
-        assert bit_outcome(fused, x, y) == bit_outcome(_accepted, x, y)
+        assert bit_outcome(fn, x, y) == bit_outcome(_accepted, x, y)
     with pytest.raises(OverflowError):
-        fused(1e300, 1e300)
+        fn(1e300, 1e300)
 
 
 def test_fuse_treats_underscore_as_a_name():
     # no fused entry point discards a helper's result, so _ has no rule of its own: a
     # target _ is bound and may be read, in the entry and (renamed) in a helper
     for entry in (_binds_underscore, _calls_reads_underscore):
-        (fused,) = fuse(entry)
+        fn = fused(entry)
         for x in (0.25, -0.0, 1e-310, -1e301):
-            assert bit_outcome(fused, x) == bit_outcome(entry, x)
+            assert bit_outcome(fn, x) == bit_outcome(entry, x)
         with pytest.raises(OverflowError):
-            fused(1e301)
-    assert "_" in fuse(_binds_underscore)[0].__code__.co_varnames
-    assert "_" not in fuse(_calls_reads_underscore)[0].__code__.co_varnames
+            fn(1e301)
+    assert "_" in fused(_binds_underscore).__code__.co_varnames
+    assert "_" not in fused(_calls_reads_underscore).__code__.co_varnames
 
 
 def test_fuse_keeps_keywords_and_strings():
-    (fused,) = fuse(_calls_keywords)
-    assert "_keywords" not in fused.__code__.co_names + fused.__code__.co_freevars
+    fn = fused(_calls_keywords)
+    assert "_keywords" not in fn.__code__.co_names + fn.__code__.co_freevars
     for x in (1.0, -0.0, 1e-310, 1e308):
-        got, want = fused(x), _calls_keywords(x)
+        got, want = fn(x), _calls_keywords(x)
         assert list(got) == list(want) == ["x", "y"]
         assert bits(list(got.values())) == bits(list(want.values()))
-    assert fused(1.0) == {"x": 1.0, "y": 2.0}
-    (fused,) = fuse(_calls_labelled)
-    assert "_labelled" not in fused.__code__.co_names + fused.__code__.co_freevars
+    assert fn(1.0) == {"x": 1.0, "y": 2.0}
+    fn = fused(_calls_labelled)
+    assert "_labelled" not in fn.__code__.co_names + fn.__code__.co_freevars
     for x in (0.25, -0.0, -3.0):
-        got, want = fused(x), _calls_labelled(x)
+        got, want = fn(x), _calls_labelled(x)
         assert got[0] == want[0] and bits([got[1]]) == bits([want[1]])
-    assert fused(1.0) == ("x > 0", 2.0) and fused(-1.0) == ("x <= 0", -2.0)
+    assert fn(1.0) == ("x > 0", 2.0) and fn(-1.0) == ("x <= 0", -2.0)
 
 
 @pytest.mark.parametrize("entry, helper, why", [
@@ -773,11 +845,12 @@ def test_fuse_keeps_keywords_and_strings():
      "a helper call with unpacked or keyword arguments"),
     (_calls_with_unpacked, "_calls_with_unpacked",
      "a helper call with unpacked or keyword arguments"),
+    (_calls_without_scale, "_pair", "no argument scale"),
 ], ids=["loop", "early_return", "nested_call", "assigns_parameter", "keyword_call",
-        "unpacked_call"])
+        "unpacked_call", "omitted_argument"])
 def test_fuse_refuses_at_build_time(entry, helper, why):
     with pytest.raises(ValueError, match=f"^cannot inline {helper}: {why}"):
-        fuse(entry)
+        fused(entry)
 
 
 # The three stage closures simulate.run picked by mode before its stage was
