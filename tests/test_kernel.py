@@ -23,8 +23,10 @@ Covers:
   - the two fused entry points (control_terms, open_loop_rhs_flat) come from
     the generated _fused.py, name none of the helpers inlined into them and
     equal their helper-calling definitions bit for bit, at the (sin q2, cos q2)
-    they take; _fused.py parses to the syntax tree of what fusion prints from
-    the source now, whose failure names the command that rewrites it, and a
+    they take; each has the code and constants of the factory fusion prints
+    for it from the source now, bound as its module binds it, and _fused.py
+    parses to the syntax tree of what fusion prints, whose failure names the
+    command that rewrites it, and a
     fresh import calls neither ast.parse nor ast.unparse; with a global the
     fused code reads renamed in a copy of src, the stale _fused.py stops the
     import, the copy's fusion.py still rewrites it, and the copy then imports
@@ -422,11 +424,23 @@ def test_fused_entry_points_call_no_helper(fn):
 REWRITE = "python src/ripsim/fusion.py"
 
 
-def test_fused_module_is_fresh():
+@pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
+def test_fused_module_is_fresh(fn):
     # _fused.py holds what fusion prints from the source as it is now: a definition or
-    # helper edited without rewriting the file fails here. The syntax trees are compared,
-    # as ast.unparse prints some nodes differently across Python versions (3.10 brackets
-    # a tuple target)
+    # helper edited without rewriting the file fails here. The factory fusion prints for
+    # fn, compiled and bound as its module binds it, has fn's code and constants; and the
+    # syntax trees of the whole file are compared, as ast.unparse prints some nodes
+    # differently across Python versions (3.10 brackets a tuple target)
+    namespace: dict = {}
+    exec(fusion.factory(inspect.getsourcefile(fn.__wrapped__), fn.__name__), namespace)
+    ref = bind(namespace[fn.__name__ + "_factory"], fn.__wrapped__)
+    stale = [field for field in ("co_code", "co_consts", "co_names", "co_varnames",
+                                 "co_freevars", "co_flags")
+             if getattr(fn.__code__, field) != getattr(ref.__code__, field)]
+    assert not stale, (f"src/ripsim/_fused.py is stale ({fn.__name__}: {', '.join(stale)});"
+                       f" rewrite it from the repository root with: {REWRITE}")
+    assert [c.cell_contents for c in fn.__closure__ or ()] == \
+        [c.cell_contents for c in ref.__closure__ or ()]
     want = Path(_fused.__file__).read_text(encoding="utf-8")
     assert ast.dump(ast.parse(fusion.fused_source())) == ast.dump(ast.parse(want)), \
         f"src/ripsim/_fused.py is stale; rewrite it from the repository root with: {REWRITE}"
