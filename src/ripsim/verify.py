@@ -11,16 +11,17 @@ differences, a complex step, a linear solve, sign scans; checks 3 and 4
 share one blocked sign scan).
 
 The sign scan first runs the scanned closed form, unchanged, once over all
-its blocks on _Range, a range type over numpy arrays, and passes over each
-block whose lower bound is > 0 without forming its points. A block's
+its blocks after block 0 on _Range, a range type over numpy arrays, and passes
+over each block whose lower bound is > 0 without forming its points. A block's
 c = cos q2 lies in [np.cos(last) - COS_ERR, np.cos(first) + COS_ERR] (cos
 falls on [0, pi/2]; COS_ERR is far above the ulp error of np.cos), and s is
 formed from it as the scan forms it. Each + - * / of ranges takes the least
 and greatest of its corner results, rounded to nearest as the scan rounds;
 rounding is monotone, so every double the point-by-point scan computes in a
-block lies in the block's range. Every block not certified (block 0, where
-c reaches 1 + COS_ERR, and the block at the crossing) is scanned point by
-point, so the scan's results do not depend on the bounds.
+block lies in the block's range. Block 0, where c reaches 1 + COS_ERR and
+the lower bound would be nan, takes no bounds (nor does a grid of one block);
+it and every block not certified (the block at the crossing) are scanned
+point by point, so the scan's results do not depend on the bounds.
 
 The closed-loop check compares the route simulate.run takes (control_terms'
 torque and open_loop_rhs_flat) with closed_loop_rhs_direct, which assembles
@@ -29,6 +30,7 @@ block in one batched np.linalg.solve. It runs that route on each block's
 arrays, through the definitions of the two float entry points
 (controller.control_terms_array, model.open_loop_rhs_array): element by
 element the doubles of the float calls, with sin, cos and atan from math.
+Both routes read one (sin, cos) pair per block (_trig).
 Those look their helpers up through the module, so a closed-form helper
 patched after import reaches this check (it does not reach the fused float
 entry points).
@@ -283,11 +285,12 @@ def _sin_of(c):
 
 
 def _block_bounds(k: controller.Coeffs, value, n: int) -> tuple[_Range, np.ndarray]:
-    """value(k, s, c) bounded per SCAN_BLOCK block without forming its points, and the
-    blocks' last points (bit-identical to _block_points'). c = cos q2 falls on [0, pi/2],
-    so a block's c lies in [np.cos(last) - COS_ERR, np.cos(first) + COS_ERR], and s is
-    formed from it as the scan forms it (_sin_of)."""
-    step, starts = math.pi / 2 / n, np.arange(0, n + 1, SCAN_BLOCK)
+    """value(k, s, c) bounded per SCAN_BLOCK block after block 0 (n >= SCAN_BLOCK) without
+    forming its points, and those blocks' last points (bit-identical to _block_points').
+    c = cos q2 falls on [0, pi/2], so a block's c lies in [np.cos(last) - COS_ERR,
+    np.cos(first) + COS_ERR], and s is formed from it as the scan forms it (_sin_of).
+    Block 0 has no bounds: its c reaches 1 + COS_ERR, where 1 - c c < 0 and lo is nan."""
+    step, starts = math.pi / 2 / n, np.arange(SCAN_BLOCK, n + 1, SCAN_BLOCK)
     last = (np.minimum(starts + SCAN_BLOCK, n + 1) - 1) * step
     last[-1] = math.pi / 2
     with np.errstate(all="ignore"):
@@ -301,23 +304,28 @@ def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
     value(k, s, c) is not > 0 (i = n + 1 if none), found block by block of SCAN_BLOCK points;
     nan fails. A point outside the grid is nan.
 
-    A block whose lower bound (_block_bounds) is > 0 is passed over without forming its
-    points; every other block is scanned point by point (_block_points). One trig per
+    Block 0 is scanned point by point (_block_points). A later block whose lower bound
+    (_block_bounds) is > 0 is passed over without forming its points; every other one
+    is scanned point by point too, and a grid of one block takes no bounds. One trig per
     point: s = sqrt(1 - c c) (_sin_of), which is sin q2 on [0, pi/2], where sin q2 >= 0.
     The closed forms scanned (md_d4, shape_terms) read s only as s * s, so s differs
     from np.sin's by rounding alone."""
     k, before = controller.coeffs(params, gains), math.nan
-    bounds, last = _block_bounds(k, value, n)
-    sure = bounds.lo > 0.0
+    sure = last = ()
+    if n >= SCAN_BLOCK:  # blocks after block 0
+        bounds, last = _block_bounds(k, value, n)
+        sure = bounds.lo > 0.0
     for j, start in enumerate(range(0, n + 1, SCAN_BLOCK)):
-        if not sure[j]:
-            b = _block_points(n, start)
-            c = np.cos(b)
-            bad = np.flatnonzero(~(value(k, _sin_of(c), c) > 0.0))
-            if bad.size:
-                i = int(bad[0])
-                return start + i, float(b[i - 1]) if i else before, float(b[i])
-        before = float(last[j])
+        if j and sure[j - 1]:
+            before = float(last[j - 1])
+            continue
+        b = _block_points(n, start)
+        c = np.cos(b)
+        bad = np.flatnonzero(~(value(k, _sin_of(c), c) > 0.0))
+        if bad.size:
+            i = int(bad[0])
+            return start + i, float(b[i - 1]) if i else before, float(b[i])
+        before = float(b[-1])
     return n + 1, before, math.nan
 
 
@@ -434,19 +442,19 @@ def _trig(q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
-                           q1: np.ndarray, q2: np.ndarray, p1: np.ndarray,
+                           q1: np.ndarray, s: np.ndarray, c: np.ndarray, p1: np.ndarray,
                            p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Target-form vector field at N states (q1, q2, p1, p2), as (N, 2) qdot and pdot.
+    """Target-form vector field at N states (q1, q2, p1, p2), as (N, 2) qdot and pdot,
+    given s, c = sin q2, cos q2.
 
     Assembles [[0, M^{-1}Md], [-Md M^{-1}, J2 - G Kv G^T]] grad Hd
     literally, on stacked (N, 2, 2) M, Md and Psi with one batched
     np.linalg.solve for M^{-1}Md; an oracle independent by route of
     control_terms + open_loop_rhs_flat, which must agree with it
-    identically. sin, cos and the z offset's atan are taken per state with
-    math, as on the float route.
+    identically. s and c are taken per state with math (_trig), and so is the
+    z offset's atan, as on the float route.
     """
-    n, k = q2.shape[0], controller.coeffs(params, gains)
-    s, c = _trig(q2)
+    n, k = s.shape[0], controller.coeffs(params, gains)
     z = q1 + controller._z_offset(k, s, controller._atan)
     sh = controller.shaping(k, s, c)
     m11, m12, m22 = _inertia(params, s, c)
@@ -491,7 +499,7 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
         s, c = _trig(q2)
         u, _ = controller.control_terms_array(k, q1, q2, s, c, p1, p2)
         ctrl = np.stack(model.open_loop_rhs_array(params, s, c, p1, p2, u, 0.0), axis=1)
-        qd_d, pd_d = closed_loop_rhs_direct(params, gains, q1, q2, p1, p2)
+        qd_d, pd_d = closed_loop_rhs_direct(params, gains, q1, s, c, p1, p2)
         res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
         i = int(np.argmax(res))  # the first nan, else the first maximum
         if not res[i] <= worst:
@@ -556,12 +564,13 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
     fk, sin, cos = float(spec.frak_k1), math.sin, math.cos
     two_fk = 2.0 * fk
     n = int(round(span / h))
-    m0 = float(claimed_m22(spec, 0.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        m0 = float(claimed_m22(spec, 0.0))
     rs = []
     for hh in (h, -h):
         half, sixth = 0.5 * hh, hh / 6.0
-        qs, ms = array("d", [0.0]), array("d", [m0])
-        q, m = 0.0, m0
+        ms = array("d", [m0])
+        append, q, m = ms.append, 0.0, m0
         a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
         for _ in range(n):
             qm = q + half
@@ -575,9 +584,9 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
             x = m + hh * k3
             a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
             m += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + (a * x * x - 4.0 * x + b) / fk)
-            qs.append(q)
-            ms.append(m)
-        qs, ms = np.frombuffer(qs), np.frombuffer(ms)
+            append(m)
+        # the q the loop stepped through: add.accumulate sums left to right, as q += hh
+        qs, ms = np.concatenate(([0.0], np.cumsum(np.full(n, hh)))), np.frombuffer(ms)
         with np.errstate(invalid="ignore", over="ignore"):
             dm = (-ms[4:] + 8 * ms[3:-1] - 8 * ms[1:-3] + ms[:-4]) / (12.0 * (qs[1] - qs[0]))
             rs.append(np.abs(_ode_residual(spec, qs[2:-2], ms[2:-2], dm)))
@@ -590,11 +599,16 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
 
     max |R| over [-span, span] must exceed 1e-2 (the claimed m22 does
     not solve the ODE), and the soundness control in details must stay
-    at or below 1e-6 on a genuinely integrated solution (nan fails).
+    at or below 1e-6 on a genuinely integrated solution (nan fails). Extreme
+    constants overflow the closed forms to inf and nan, which fail, without a
+    warning.
     """
     grid = np.linspace(-span, span, n)
-    r = _ode_residual(spec, grid, claimed_m22(spec, grid),
-                      _claimed_m22_derivative(spec, grid))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = _ode_residual(spec, grid, claimed_m22(spec, grid),
+                          _claimed_m22_derivative(spec, grid))
+        r_at_0 = float(_ode_residual(
+            spec, 0.0, claimed_m22(spec, 0.0), _claimed_m22_derivative(spec, 0.0)))
     k = int(np.argmax(np.abs(r)))
     control = _integrated_solution_residual(spec, span)
     return ResidualReport(
@@ -602,12 +616,10 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
         max_abs_residual=float(np.max(np.abs(r))), arg_at_max=(float(grid[k]),),
         tol=1e-2, kind="min_above",
         control=("soundness control", control, SOUNDNESS_TOL),
-        details={"R_at_0": float(_ode_residual(
-            spec, 0.0, claimed_m22(spec, 0.0), _claimed_m22_derivative(spec, 0.0))),
-            "integrated_solution_max_residual": control,
-            "soundness_tol": SOUNDNESS_TOL,
-            "constants": {"frak_k1": spec.frak_k1, "frak_k2": spec.frak_k2,
-                          "b": spec.b}})
+        details={"R_at_0": r_at_0, "integrated_solution_max_residual": control,
+                 "soundness_tol": SOUNDNESS_TOL,
+                 "constants": {"frak_k1": spec.frak_k1, "frak_k2": spec.frak_k2,
+                               "b": spec.b}})
 
 
 @dataclass(frozen=True)

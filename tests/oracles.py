@@ -13,10 +13,14 @@ regressor term by term as they call it: the references the tests pin those
 generated functions to, bit for bit.
 trig(q2) is the (sin q2, cos q2) pair the fused float entry points take.
 two_trig_sign_scan is verify's sign scan with np.sin and np.cos at every point.
+grid_in_loop_integrated_residual is check 7's soundness control as it read with
+q appended to the grid inside the RK4 loop: the reference for the grid formed
+after it.
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
 """
 import math
+from array import array
 
 import numpy as np
 
@@ -151,3 +155,37 @@ def two_trig_sign_scan(params, gains, n, value):
             return start + j, float(b[j - 1]) if j else before, float(b[j])
         before = float(b[-1])
     return n + 1, before, math.nan
+
+
+def grid_in_loop_integrated_residual(spec, span=1.0, h=verify.SOUNDNESS_H):
+    """verify._integrated_solution_residual as it read with q appended to an array
+    grid at every step: the reference for the grid that check 7 forms after its loop."""
+    fk, sin, cos = float(spec.frak_k1), math.sin, math.cos
+    two_fk = 2.0 * fk
+    n = int(round(span / h))
+    m0 = float(verify.claimed_m22(spec, 0.0))
+    rs = []
+    for hh in (h, -h):
+        half, sixth = 0.5 * hh, hh / 6.0
+        qs, ms = array("d", [0.0]), array("d", [m0])
+        q, m = 0.0, m0
+        a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
+        for _ in range(n):
+            qm = q + half
+            am, bm = -sin(2.0 * qm), two_fk / cos(qm) ** 2
+            q += hh
+            k1 = (a * m * m - 4.0 * m + b) / fk
+            x = m + half * k1
+            k2 = (am * x * x - 4.0 * x + bm) / fk
+            x = m + half * k2
+            k3 = (am * x * x - 4.0 * x + bm) / fk
+            x = m + hh * k3
+            a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
+            m += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + (a * x * x - 4.0 * x + b) / fk)
+            qs.append(q)
+            ms.append(m)
+        qs, ms = np.frombuffer(qs), np.frombuffer(ms)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dm = (-ms[4:] + 8 * ms[3:-1] - 8 * ms[1:-3] + ms[:-4]) / (12.0 * (qs[1] - qs[0]))
+            rs.append(np.abs(verify._ode_residual(spec, qs[2:-2], ms[2:-2], dm)))
+    return float(np.max(np.concatenate(rs)))

@@ -27,9 +27,11 @@ Covers:
     presets, 4000 and 10^5 cells)
   - the blocks certified by interval bounds: every value the point-by-point
     scan computes lies in its block's bounds (d4 and det Md, random draws and
-    blocks); a planted narrow dip or nan before the crossing scans as one pass
-    over the whole grid (200 random draws); on every preset checks 3 and 4
-    form the points of at most 2 blocks; a numpy function of a range raises
+    blocks; block 0 takes none); a planted narrow dip or nan before the
+    crossing scans as one pass over the whole grid (200 random draws); on
+    every preset checks 3 and 4 form the points of at most 2 blocks, and
+    check 6's one-block endpoint scan takes no bounds; a numpy function of a
+    range raises
   - Vd Hessian: positive min eigenvalue, FD agreement, 100 random draws; a
     Hessian scaled by 1 + 1e-3 fails check 5 through its fd control on
     every preset
@@ -41,15 +43,18 @@ Covers:
     replaced bit for bit (five presets and the synthetic set, seeds 0-3,
     alpha true and zeroed, across blocks); the block
     draws equal successive rng.uniform draws; closed_loop_rhs_direct
-    equals plant + control_law composition
+    equals plant + control_law composition; one _trig call per block; the
+    records on five presets at three (samples, seed) sizes are pinned
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
     integrated-solution soundness < 1e-6 at SOUNDNESS_H; the one-loop
     integrator equals the per-stage loop it replaced bit for bit (50 random
-    specs on two spans, a blow-up spec nan for nan); a checker fault (4 m
-    scaled by 1 + 1e-6) fails the soundness control; a nan soundness control
-    fails check 7 silently; under tracemalloc, check 7 on default peaks below
-    0.5 MiB
+    specs on two spans, a blow-up spec nan for nan), and the grid formed after
+    the loop equals the loop that appended q (200 random specs, two near
+    blow-up, nan for nan), cumsum equal to q += hh for both signs of h; a
+    checker fault (4 m scaled by 1 + 1e-6) fails the soundness control; a nan
+    soundness control, and constants that overflow to inf and nan, fail check
+    7 silently; under tracemalloc, check 7 on default peaks below 0.5 MiB
   - pointwise residuals and d4 even in q2
 """
 import math
@@ -76,8 +81,8 @@ from ripsim.verify import (
 )
 
 from oracles import (
-    grad_q_Hd, inertia, inject_shaping_fault, momentum_tilde, open_loop_rhs, psi_matrix,
-    shift_psi3, two_trig_sign_scan, zero_alpha,
+    grad_q_Hd, grid_in_loop_integrated_residual, inertia, inject_shaping_fault,
+    momentum_tilde, open_loop_rhs, psi_matrix, shift_psi3, two_trig_sign_scan, zero_alpha,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -329,22 +334,23 @@ def one_pass_sign_scan(params, gains, n, value):
 def test_block_bounds_hold_every_scanned_value():
     # each value the point-by-point scan computes lies in its block's [lo, hi]: d4
     # and det Md, 50 random admissible draws, 5 random blocks at each of 3 sizes
-    # (check 6's 4000 cells are one block). A nan bound bounds nothing (and a nan
-    # lo is never > 0): block 0's, where c reaches 1 + COS_ERR and 1 - c c < 0;
-    # every other block's bounds are numbers
+    # (check 6's 4000 cells are one block). The bounds start at block 1: block 0's
+    # c reaches 1 + COS_ERR, where 1 - c c < 0 and its bounds would be nan; every
+    # bound is a number
     rng = np.random.default_rng(37)
     for _ in range(50):
         params, gains = rand_draw(rng)
         k = coeffs(params, gains)
         for value in (lambda k, s, c: md_d4(k, s, c)[1], det_md_of(gains)):
             for n in (10 ** 4, 10 ** 5, 10 ** 6):
-                bounds, _ = verify._block_bounds(k, value, n)
-                assert np.isnan(bounds.lo[0]) and not np.isnan(bounds.lo[1:]).any()
-                assert not np.isnan(bounds.hi[1:]).any()
-                for j in rng.integers(1, bounds.lo.size, 5).tolist():
+                bounds, last = verify._block_bounds(k, value, n)
+                assert bounds.lo.size == last.size == n // verify.SCAN_BLOCK
+                assert not np.isnan(bounds.lo).any() and not np.isnan(bounds.hi).any()
+                for j in rng.integers(1, bounds.lo.size + 1, 5).tolist():
                     c = np.cos(verify._block_points(n, j * verify.SCAN_BLOCK))
                     got = value(k, verify._sin_of(c), c)
-                    assert np.all((bounds.lo[j] <= got) & (got <= bounds.hi[j])), (params, gains, n, j)
+                    lo, hi = bounds.lo[j - 1], bounds.hi[j - 1]
+                    assert np.all((lo <= got) & (got <= hi)), (params, gains, n, j)
 
 
 def test_planted_dips_and_nans_scan_as_one_pass():
@@ -387,6 +393,21 @@ def test_sign_scans_certify_all_but_two_blocks(name, monkeypatch):
         formed.clear()
         scan()
         assert 1 <= len(formed) <= 2, formed
+
+
+@pytest.mark.parametrize("name", ("P_SYN",) + PRESET_NAMES)
+def test_one_block_scan_takes_no_bounds(name, monkeypatch):
+    # block 0 is always scanned point by point, so a grid of one block (check 6's
+    # 4000-cell det Md scan) takes no interval bounds; check 3's 10^6 cells take
+    # them once, for blocks 1 on
+    real, calls = verify._block_bounds, []
+    monkeypatch.setattr(verify, "_block_bounds",
+                        lambda k, value, n: calls.append(n) or real(k, value, n))
+    params, gains = plant_and_gains(name)
+    _pd_endpoint(params, gains)
+    assert calls == []
+    region_scan(params, gains, 10 ** 6)
+    assert calls == [10 ** 6]
 
 
 def test_numpy_functions_of_a_range_raise():
@@ -566,6 +587,65 @@ def test_closed_loop_equivalence_blocks_equal_one_pass(monkeypatch):
             params, gains, 300, seed)
 
 
+def test_check_6_takes_trig_once_per_block(monkeypatch):
+    # both routes of a block share one (sin, cos) pair: one _trig call per block
+    real, calls = verify._trig, []
+    monkeypatch.setattr(verify, "_trig", lambda q2: calls.append(q2.size) or real(q2))
+    params, gains = plant_and_gains("default")
+    assert closed_loop_equivalence(params, gains, 1000).passed
+    assert calls == [1000]
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 16)
+    for n in (50, 64, 1000):
+        calls.clear()
+        closed_loop_equivalence(params, gains, n, 1)
+        assert len(calls) == -(-n // 16) and sum(calls) == n, (n, calls)
+
+
+CHECK6_Q2 = {"default": "1.068", "fig2": "1.015", "fig3": "1.015", "fig4": "1.015",
+             "synthetic": "0.5062"}
+FIG_RECORDS = {
+    (1000, 0): (1.4915713109076023e-10, [-0.5583131961641632, -1.0144734779017457,
+                                         0.9775229053895962, 1.4075036489370278]),
+    (1000, 3): (1.418811734765768e-10, [-0.7297792163210746, 1.011387751144512,
+                                        0.7159517265430067, -1.4232545049758696]),
+    (5000, 7): (2.0372681319713593e-10, [2.590209791985723, -1.014909172347796,
+                                         0.5454461508757884, 1.7019247149175043]),
+}
+CHECK6_RECORDS = {
+    "default": {
+        (1000, 0): (8.149072527885437e-10, [-1.3816717577432818, 1.05825999577434,
+                                            0.3138419339911058, 1.542716049060048]),
+        (1000, 3): (1.1641532182693481e-09, [-1.2595812835962517, -1.0619814853691667,
+                                             0.8214305440271499, -1.539695027263821]),
+        (5000, 7): (4.6566128730773926e-09, [2.590209791985723, -1.068161779246168,
+                                             0.5454461508757884, 1.7019247149175043]),
+    },
+    "fig2": FIG_RECORDS, "fig3": FIG_RECORDS, "fig4": FIG_RECORDS,
+    "synthetic": {
+        (1000, 0): (1.2960299500264227e-11, [1.6969197497110446, 0.505032154458251,
+                                             -0.9303250149147813, -1.268428548402364]),
+        (1000, 3): (1.0686562745831907e-11, [1.3598002381272956, -0.5018508230510953,
+                                             0.4707664667863063, 1.7621385315271154]),
+        (5000, 7): (2.0463630789890885e-11, [2.590209791985723, -0.5060941181144508,
+                                             0.5454461508757884, 1.7019247149175043]),
+    },
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("n, seed", [(1000, 0), (1000, 3), (5000, 7)])
+def test_closed_loop_equivalence_records_pinned(name, n, seed):
+    # check 6's record, residual and worst state, as the version that took the trig
+    # of each block twice wrote it
+    params, gains = plant_and_gains(name)
+    worst, arg = CHECK6_RECORDS[name][n, seed]
+    assert closed_loop_equivalence(params, gains, n, seed).to_record() == {
+        "name": "closed_loop_equivalence",
+        "grid": f"{n} random states, |q2| < {CHECK6_Q2[name]}, seed {seed}",
+        "max_abs_residual": worst, "arg_at_max": arg, "tol": 1e-09, "kind": "max_below",
+        "pass": worst <= 1e-09, "details": {}}
+
+
 def test_block_draws_equal_uniform_draws():
     q2_max = 0.99 * _pd_endpoint(P_SYN, G_REF)
     low = np.array([-3.0, -q2_max, -2.0, -2.0])
@@ -580,8 +660,9 @@ def test_closed_loop_equivalence_pointwise():
     rng = np.random.default_rng(30)
     for _ in range(200):
         q, p = rng.uniform(-1, 1, 2) * [2.0, 0.45], rng.uniform(-1, 1, 2)
+        s, c = verify._trig(q[1:])
         qd_a, pd_a = (v[0] for v in closed_loop_rhs_direct(
-            P_SYN, G_CONV, *np.concatenate([q, p])[:, None]))
+            P_SYN, G_CONV, q[:1], s, c, p[:1], p[1:]))
         u = control_law(coeffs(P_SYN, G_CONV), *q, *p)
         qd_b, pd_b = open_loop_rhs(P_SYN, q, p, u, d=0.0)
         assert np.allclose(qd_a, qd_b, atol=1e-9)
@@ -659,6 +740,56 @@ def test_integrated_solution_equals_per_stage_loop():
         assert got == want or math.isnan(got) and math.isnan(want), (spec, span, got, want)
         nans += math.isnan(got)
     assert math.isnan(got) and nans < len(cases) // 2
+
+
+def test_integrated_solution_equals_grid_in_loop():
+    # check 7's grid formed after its loop against the loop that appended q at every
+    # step: 200 random specs at SOUNDNESS_H and 1e-3 on two spans, two draws near
+    # blow-up and BLOWUP_SPEC, equal bit for bit, nan for nan
+    rng = np.random.default_rng(39)
+    cases = [(CounterexampleSpec(*np.exp(rng.uniform(-3, 2, 3)).tolist()), span, h)
+             for _ in range(50) for span in (1.0, float(rng.uniform(0.05, 1.5)))
+             for h in (verify.SOUNDNESS_H, 1e-3)]
+    cases += [(CounterexampleSpec(*spec), 1.0, verify.SOUNDNESS_H)
+              for spec in ((0.668, 2.544, 2.316), (0.649, 2.715, 2.280))]
+    cases += [(BLOWUP_SPEC, 1.0, verify.SOUNDNESS_H)]
+    nans = 0
+    for spec, span, h in cases:
+        got = verify._integrated_solution_residual(spec, span, h)
+        want = grid_in_loop_integrated_residual(spec, span, h)
+        assert got == want or math.isnan(got) and math.isnan(want), (spec, span, h, got, want)
+        nans += math.isnan(got)
+    assert len(cases) >= 200 and math.isnan(got) and nans < len(cases) // 2
+
+
+@pytest.mark.parametrize("h", [verify.SOUNDNESS_H, 1e-3, 1e-4, 0.1, 0.0123456789])
+def test_cumsum_grid_equals_stepped_q(h):
+    # numpy's add.accumulate adds left to right, so the cumsum grid check 7 forms
+    # after its loop holds the doubles q += hh gives, for both signs of h
+    n = int(round(1.0 / h))
+    for hh in (h, -h):
+        q, stepped = 0.0, [0.0]
+        for _ in range(n):
+            q += hh
+            stepped.append(q)
+        grid = np.concatenate(([0.0], np.cumsum(np.full(n, hh))))
+        assert grid.tobytes() == np.array(stepped).tobytes(), hh
+
+
+@pytest.mark.parametrize("spec, worst", [
+    (CounterexampleSpec(frak_k1=1.0e300, frak_k2=1.0, b=1.0), math.inf),
+    (CounterexampleSpec(frak_k1=1.0, frak_k2=1.0e-300, b=1.0e-300), math.nan),
+])
+def test_extreme_constants_fail_check_7_silently(spec, worst):
+    # the config accepts any finite constant > 0; these overflow the claimed solution,
+    # its derivative and the residual to inf and nan: check 7 fails, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = remark2_residual(spec)
+    assert repr(r.max_abs_residual) == repr(worst) and r.arg_at_max == (-1.0,)
+    assert math.isnan(r.details["R_at_0"])
+    assert math.isnan(r.details["integrated_solution_max_residual"])
+    assert not r.sound and not r.passed
 
 
 def test_soundness_control_sees_a_checker_fault(monkeypatch):
