@@ -65,17 +65,17 @@ def control_terms_factory(DefinitenessLost, _math_atan):
 
 def open_loop_rhs_flat_factory():
     def open_loop_rhs_flat(params, s, c, p1c, p2c, u, d):
-        _0_m11 = params.p1 + params.p2 * s * s
-        _0_m12 = params.p3 * c
-        _0_m22 = params.p4
-        _2_det = _0_m11 * _0_m22 - _0_m12 * _0_m12
-        _0_i11 = _0_m22 / _2_det
-        _0_i12 = -_0_m12 / _2_det
-        _0_i22 = _0_m11 / _2_det
-        qd1 = _0_i11 * p1c + _0_i12 * p2c
-        qd2 = _0_i12 * p1c + _0_i22 * p2c
-        _0_d11 = 2.0 * params.p2 * s * c
-        _0_d12 = -params.p3 * s
-        dh = -params.p5 * s - 0.5 * (_0_d11 * qd1 * qd1 + 2.0 * _0_d12 * qd1 * qd2)
+        m11 = params.p1 + params.p2 * s * s
+        m12 = params.p3 * c
+        m22 = params.p4
+        _1_det = m11 * m22 - m12 * m12
+        i11 = m22 / _1_det
+        i12 = -m12 / _1_det
+        i22 = m11 / _1_det
+        qd1 = i11 * p1c + i12 * p2c
+        qd2 = i12 * p1c + i22 * p2c
+        d11 = 2.0 * params.p2 * s * c
+        d12 = -params.p3 * s
+        dh = -params.p5 * s - 0.5 * (d11 * qd1 * qd1 + 2.0 * d12 * qd1 * qd2)
         return (qd1, qd2, u - d, -dh)
     return open_loop_rhs_flat

@@ -4,7 +4,8 @@ Subcommands: simulate (run a scenario, emit trace.csv + SVG plots),
 verify (the seven-check identity suite), region (Md positive
 definiteness interval), counterexample (prior-work ODE residual).
 Exit codes: 0 success, 1 model/verification failure or a stdout pipe the
-reader closed, 2 config or output directory error.
+reader closed, 2 config or output directory error. A warning prints on stderr as
+one line, `warning: <message>`.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -131,12 +133,11 @@ def cmd_verify(cfg: Config, as_json: bool) -> int:
 
 def cmd_region(cfg: Config, as_json: bool) -> int:
     try:
-        region = verify_mod.region_report(cfg.params, cfg.gains, cfg.verify.scan_cells)
+        region = verify_mod.region_report(cfg.params, cfg.gains)
     except EmptyRegion as e:
         print(f"empty region: {e}", file=sys.stderr)
         return 1
-    md = verify_mod.md_definiteness_scan(cfg.params, cfg.gains,
-                                         cfg.verify.md_scan_points)
+    md = verify_mod.md_definiteness_scan(cfg.params, cfg.gains)
     record = {
         "rho_formula": region.details["rho_formula"],
         "rho_scan": region.details["rho_scan"],
@@ -152,8 +153,7 @@ def cmd_region(cfg: Config, as_json: bool) -> int:
 
 
 def cmd_counterexample(cfg: Config, as_json: bool) -> int:
-    report = verify_mod.remark2_residual(cfg.verify.counterexample,
-                                         cfg.verify.grid_points)
+    report = verify_mod.remark2_residual(cfg.verify.counterexample)
     if as_json:
         record = report.to_record()
         record["checker_sound"] = report.sound
@@ -192,29 +192,33 @@ def main(argv=None) -> int:
     if args.config is None:
         print("error: --config PATH is required", file=sys.stderr)
         return 2
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    out_dir = args.out if args.out is not None else cfg.out_dir
+    with warnings.catch_warnings():
+        # one plain line per warning, without the library's file, line and source text
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            cfg = load_config(args.config)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        out_dir = args.out if args.out is not None else cfg.out_dir
 
-    try:
-        if args.command == "simulate":
-            code = cmd_simulate(cfg, out_dir, args.json)
-        elif args.command == "verify":
-            code = cmd_verify(cfg, args.json)
-        elif args.command == "region":
-            code = cmd_region(cfg, args.json)
-        else:
-            code = cmd_counterexample(cfg, args.json)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout. Point it at devnull so that the flush at
-        # exit cannot raise again, and fail quietly, as a SIGPIPE would.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
+        try:
+            if args.command == "simulate":
+                code = cmd_simulate(cfg, out_dir, args.json)
+            elif args.command == "verify":
+                code = cmd_verify(cfg, args.json)
+            elif args.command == "region":
+                code = cmd_region(cfg, args.json)
+            else:
+                code = cmd_counterexample(cfg, args.json)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout. Point it at devnull so that the flush at
+            # exit cannot raise again, and fail quietly, as a SIGPIPE would.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -301,23 +301,6 @@ def shaping(k: Coeffs, s: float, c: float) -> Shaping:
     return Shaping(m11, ps1, ps2, ps3, d2, d4, dd2, dd4, dps1, dps2, dps3, a1, a2)
 
 
-def alpha_from_matching(k: Coeffs, q2: float) -> np.ndarray:
-    """(alpha1, alpha2) solved directly from the two actuated matching rows.
-
-    Independent of psi1', psi2': the derivative brackets in those rows are
-    the Md entries d1 = k2 (constant) and d2 (closed form), so only the
-    analytic d2' is needed. Serves as a cross-check oracle for shaping's alpha.
-    """
-    s, c = math.sin(q2), math.cos(q2)
-    sh = shaping(k, s, c)
-    ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, k.ps4
-    a1 = k.p3 * ps1 * ps2 * s - k.p2 * ps1 * ps1 * s * c
-    a2 = (k.p3 * s * (ps2 * ps3 + ps1 * ps4)
-          - k.two_p2 * ps1 * ps3 * s * c
-          + ps4 * sh.dd2)
-    return np.array([a1, a2])
-
-
 def _vd(k: Coeffs, q1: float, s: float, c: float, atan=math.atan) -> float:
     """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2),
     minimized at the upright; pass np.arctan for arrays, complex ones included."""

@@ -70,21 +70,6 @@ def _inv2(m11: float, m12: float, m22: float) -> tuple[float, float, float]:
     return m22 / det, -m12 / det, m11 / det
 
 
-def _plant(params: RobotParams, s: float, c: float, p1c: float,
-           p2c: float) -> tuple[float, float, float]:
-    """(qdot1, qdot2, dH/dq2) at s = sin q2, c = cos q2, forming M^{-1} once.
-
-    qdot = M^{-1} p and dH/dq2 = -p5 s - 0.5 qdot^T (dM/dq2) qdot; arithmetic only.
-    """
-    m11, m12, m22 = _inertia(params, s, c)
-    i11, i12, i22 = _inv2(m11, m12, m22)
-    v1 = i11 * p1c + i12 * p2c
-    v2 = i12 * p1c + i22 * p2c
-    d11 = 2.0 * params.p2 * s * c
-    d12 = -params.p3 * s
-    return v1, v2, -params.p5 * s - 0.5 * (d11 * v1 * v1 + 2.0 * d12 * v1 * v2)
-
-
 def hamiltonian(params: RobotParams, s, c, p1c, p2c):
     """Total energy H = p5*cos(q2) + 0.5 p^T M^{-1} p at s = sin q2, c = cos q2, on
     floats or arrays (the float call's doubles per element)."""
@@ -102,8 +87,15 @@ def momentum(params: RobotParams, q2: float, qd1: float, qd2: float) -> tuple[fl
 def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c: float,
                        u: float, d: float) -> tuple[float, float, float, float]:
     """Plant vector field (qdot1, qdot2, pdot1, pdot2): qdot = M^{-1} p and
-    pdot = -grad_q H + G (u - d), from scalar components at s = sin q2, c = cos q2."""
-    qd1, qd2, dh = _plant(params, s, c, p1c, p2c)
+    pdot = -grad_q H + G (u - d), from scalar components at s = sin q2, c = cos q2,
+    forming M^{-1} once; dH/dq2 = -p5 s - 0.5 qdot^T (dM/dq2) qdot. Arithmetic only."""
+    m11, m12, m22 = _inertia(params, s, c)
+    i11, i12, i22 = _inv2(m11, m12, m22)
+    qd1 = i11 * p1c + i12 * p2c
+    qd2 = i12 * p1c + i22 * p2c
+    d11 = 2.0 * params.p2 * s * c
+    d12 = -params.p3 * s
+    dh = -params.p5 * s - 0.5 * (d11 * qd1 * qd1 + 2.0 * d12 * qd1 * qd2)
     return qd1, qd2, u - d, -dh
 
 

@@ -14,6 +14,7 @@ import numpy as np
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 COLORS = ("#1f6fb2", "#d6522a", "#3a8f3a", "#8a5fb0", "#b0356d", "#6b6b6b")
+TICKS = 6   # about this many ticks per axis
 _MAX = sys.float_info.max
 
 
@@ -34,10 +35,10 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = _half_span(lo, hi) / (0.5 * target)   # (hi - lo) / target
+    raw = _half_span(lo, hi) / (0.5 * TICKS)   # (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 5.0, 10.0):
         if raw <= m * mag:

@@ -1,8 +1,9 @@
 """Numeric verification of the identities behind the controller design.
 
 Every claim the closed-loop stability argument rests on is checked on
-grids or random samples: the kinetic matching equation and its three
-scalar rows, the Riccati solution, the potential matching identity, the
+fixed grids or random samples: the kinetic matching equation and its three
+scalar rows (the unactuated one is psi3's Riccati equation times
+-p3 psi40 cos q2), the potential matching identity, the
 positive-definiteness region of Md, the shaped-potential Hessian, the
 equivalence of the assembled closed loop with its target form, and the
 prior-work counterexample. The closed forms are the controller's own;
@@ -59,6 +60,17 @@ CS_H = 1e-30          # complex step of check 2's grad Vd
 # default mmap threshold, so each one is a fresh mmap that faults its pages in.
 SCAN_BLOCK = 1 << 12
 COS_ERR = 1e-12       # margin on np.cos at a block's ends, far above its ulp error
+# The suite's fixed sizes, each the default of the check that uses it; no config sets them.
+GRID_POINTS = 1000    # checks 1 and 7: points of the q2 grid
+Q2_SPAN = 1.5         # checks 1 and 2: q2 in [-Q2_SPAN, Q2_SPAN]
+Q1_SPAN = 3.0         # check 2: q1 in [-Q1_SPAN, Q1_SPAN]
+PLANAR_POINTS = 100   # check 2: points per axis
+REGION_CELLS = 10 ** 6  # check 3: cells on [0, pi/2]
+MD_CELLS = 10 ** 5    # check 4: cells on [0, pi/2]
+HESSIAN_FD_H = 1e-5   # check 5: central-difference step
+PD_CELLS = 4000       # check 6: cells of the det Md scan that bounds its q2 draws
+SAMPLES = 1000        # check 6: random states
+COUNTEREXAMPLE_SPAN = 1.0  # check 7: q2 in [-COUNTEREXAMPLE_SPAN, COUNTEREXAMPLE_SPAN]
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray) -> tuple[np.ndarray
 
 
 def kinetic_matching(params: RobotParams, gains: ControllerGains,
-                     n: int = 1000, span: float = 1.5) -> ResidualReport:
+                     n: int = GRID_POINTS) -> ResidualReport:
     """Entrywise residual of the matrix matching equation over a q2 grid.
 
     Also reports the three scalar rows (the two actuated ones defining
@@ -153,13 +165,13 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
     FD_H); its matrix residual goes into details and must stay at or
     below TOL_FD, or the report fails.
     """
-    grid, k = np.linspace(-span, span, n), controller.coeffs(params, gains)
+    grid, k = np.linspace(-Q2_SPAN, Q2_SPAN, n), controller.coeffs(params, gains)
     matrix, al1, al2, ode, fd = (np.concatenate(col) for col in zip(*(
         _kinetic_residuals(k, b) for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
     worst, arg = _max_and_arg(matrix, grid)
     fd_worst = float(fd.max())
     return ResidualReport(
-        name="kinetic_matching", grid=f"{n} points on [-{span}, {span}]",
+        name="kinetic_matching", grid=f"{n} points on [-{Q2_SPAN}, {Q2_SPAN}]",
         max_abs_residual=worst, arg_at_max=(arg,), tol=TOL_ANALYTIC,
         control=("fd control", fd_worst, TOL_FD),
         details={"al1": float(al1.max()), "al2": float(al2.max()),
@@ -167,23 +179,8 @@ def kinetic_matching(params: RobotParams, gains: ControllerGains,
                  "fd_tol": TOL_FD})
 
 
-def riccati_residual(params: RobotParams, gains: ControllerGains,
-                     n: int = 1000, span: float = 1.5) -> ResidualReport:
-    """Residual of psi3' = -tan(q2) psi3 - (2 p2/(p3 psi40)) sin(q2) psi3^2."""
-    grid = np.linspace(-span, span, n)
-    coef = 2.0 * params.p2 / (params.p3 * gains.psi40)
-    s = np.sin(grid)
-    sh = controller.shaping(controller.coeffs(params, gains), s, np.cos(grid))
-    worst, arg = _max_and_arg(np.abs(sh.dps3 + np.tan(grid) * sh.ps3
-                                     + coef * s * sh.ps3 * sh.ps3), grid)
-    return ResidualReport(
-        name="riccati_solution", grid=f"{n} points on [-{span}, {span}]",
-        max_abs_residual=worst, arg_at_max=(arg,), tol=TOL_ANALYTIC)
-
-
 def potential_matching(params: RobotParams, gains: ControllerGains,
-                       n: int = 100, q1_span: float = 3.0,
-                       q2_span: float = 1.5) -> ResidualReport:
+                       n: int = PLANAR_POINTS) -> ResidualReport:
     """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid; the identity is exact.
 
     grad Vd is the complex step Im Vd(x + i CS_H) / CS_H, in q1 and in q2, of
@@ -193,8 +190,8 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
     the row vanishes for any z offset. The control is the largest difference from
     _vd_gradient, which control_terms uses; it must stay at or below TOL_EXACT.
     """
-    q1 = np.linspace(-q1_span, q1_span, n)[:, None]
-    q2 = np.linspace(-q2_span, q2_span, n)[None, :]
+    q1 = np.linspace(-Q1_SPAN, Q1_SPAN, n)[:, None]
+    q2 = np.linspace(-Q2_SPAN, Q2_SPAN, n)[None, :]
     s, c, k = np.sin(q2), np.cos(q2), controller.coeffs(params, gains)
     ps3 = controller.shape_terms(k, s, c)[2]
     q2h = q2 + CS_H * 1j
@@ -207,7 +204,7 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
     diff = float(max(np.max(np.abs(g1 - dv1)), np.max(np.abs(g2 - dv2))))
     return ResidualReport(
         name="potential_matching",
-        grid=f"{n}x{n} on [-{q1_span},{q1_span}]x[-{q2_span},{q2_span}]",
+        grid=f"{n}x{n} on [-{Q1_SPAN},{Q1_SPAN}]x[-{Q2_SPAN},{Q2_SPAN}]",
         max_abs_residual=float(res[i, j]),
         arg_at_max=(float(q1[i, 0]), float(q2[0, j])), tol=TOL_EXACT,
         control=("closed-form gradient control", diff, TOL_EXACT),
@@ -330,7 +327,7 @@ def _sign_scan(params: RobotParams, gains: ControllerGains, n: int,
 
 
 def region_scan(params: RobotParams, gains: ControllerGains,
-                cells: int = 10 ** 6) -> float:
+                cells: int = REGION_CELLS) -> float:
     """Brute-force estimate of the d4 > 0 half-width on [0, pi/2].
 
     Returns the midpoint between the last positive and first
@@ -345,7 +342,7 @@ def region_scan(params: RobotParams, gains: ControllerGains,
 
 
 def region_report(params: RobotParams, gains: ControllerGains,
-                  cells: int = 10 ** 6) -> ResidualReport:
+                  cells: int = REGION_CELLS) -> ResidualReport:
     """Closed-form rho against the sign-scan estimate, within one cell."""
     rho = controller.region_rho(params, gains)
     scan = region_scan(params, gains, cells)
@@ -356,7 +353,7 @@ def region_report(params: RobotParams, gains: ControllerGains,
         details={"rho_formula": rho, "rho_scan": scan, "cell": cell})
 
 
-def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> float:
+def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = PD_CELLS) -> float:
     """Last of n cells on [0, pi/2] before det Md > 0 first fails (d1 = k2 > 0 by
     ControllerGains); nan when Md(0) is not positive definite."""
     def det_md(k, s, c):
@@ -367,7 +364,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = 4000) -> 
 
 
 def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
-                         n: int = 10 ** 5) -> ResidualReport:
+                         n: int = MD_CELLS) -> ResidualReport:
     """Maximal symmetric interval around 0 with d1 > 0 and det Md > 0.
 
     Its endpoint can only fall short of rho (the det condition is
@@ -389,8 +386,10 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
                  "pd_at_0": bool(eigs.min() > 0.0)})
 
 
-def hessian_fd(k: controller.Coeffs, q1: float, q2: float, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian of Vd, oracle for the analytic one."""
+def hessian_fd(k: controller.Coeffs, q1: float, q2: float) -> np.ndarray:
+    """Central-difference Hessian of Vd at step HESSIAN_FD_H, oracle for the analytic one."""
+    h = HESSIAN_FD_H
+
     def v(q1, q2):
         return controller._vd(k, q1, math.sin(q2), math.cos(q2))
 
@@ -474,7 +473,7 @@ def closed_loop_rhs_direct(params: RobotParams, gains: ControllerGains,
 
 
 def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
-                            n_samples: int = 1000, seed: int = 0) -> ResidualReport:
+                            n_samples: int = SAMPLES, seed: int = 0) -> ResidualReport:
     """Plant + feedback torque against the target-form vector field.
 
     Samples random in-region states and compares the open-loop RHS
@@ -547,7 +546,7 @@ def _ode_residual(spec: CounterexampleSpec, q2, m22, dm22):
             + 4.0 * m22 - 2.0 * spec.frak_k1 / np.cos(q2) ** 2)
 
 
-def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
+def _integrated_solution_residual(spec: CounterexampleSpec, span: float = COUNTEREXAMPLE_SPAN,
                                   h: float = SOUNDNESS_H) -> float:
     """Soundness control: run the checker on a true ODE solution.
 
@@ -593,16 +592,16 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = 1.0,
     return float(np.max(np.concatenate(rs)))
 
 
-def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
-                     span: float = 1.0) -> ResidualReport:
+def remark2_residual(spec: CounterexampleSpec, n: int = GRID_POINTS) -> ResidualReport:
     """Nonvanishing residual of the claimed prior-work solution.
 
-    max |R| over [-span, span] must exceed 1e-2 (the claimed m22 does
-    not solve the ODE), and the soundness control in details must stay
-    at or below 1e-6 on a genuinely integrated solution (nan fails). Extreme
-    constants overflow the closed forms to inf and nan, which fail, without a
-    warning.
+    max |R| on n points of [-COUNTEREXAMPLE_SPAN, COUNTEREXAMPLE_SPAN] must exceed
+    1e-2 (the claimed m22 does not solve the ODE), and the soundness control in
+    details must stay at or below 1e-6 on a genuinely integrated solution (nan
+    fails). Extreme constants overflow the closed forms to inf and nan, which fail,
+    without a warning.
     """
+    span = COUNTEREXAMPLE_SPAN
     grid = np.linspace(-span, span, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = _ode_residual(spec, grid, claimed_m22(spec, grid),
@@ -610,7 +609,7 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
         r_at_0 = float(_ode_residual(
             spec, 0.0, claimed_m22(spec, 0.0), _claimed_m22_derivative(spec, 0.0)))
     k = int(np.argmax(np.abs(r)))
-    control = _integrated_solution_residual(spec, span)
+    control = _integrated_solution_residual(spec)
     return ResidualReport(
         name="remark2_counterexample", grid=f"{n} points on [-{span}, {span}]",
         max_abs_residual=float(np.max(np.abs(r))), arg_at_max=(float(grid[k]),),
@@ -624,30 +623,28 @@ def remark2_residual(spec: CounterexampleSpec, n: int = 1000,
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid sizes and counterexample constants for the full verification suite.
+    """What a config sets for the verification suite: check 6's sampler seed and
+    check 7's counterexample constants. The grid sizes are this module's constants."""
 
-    A config sets only seed and counterexample; the sizes are fixed here.
-    """
-
-    grid_points: int = 1000
-    span: float = 1.5
-    planar_grid: int = 100
-    samples: int = 1000
     seed: int = 0
-    scan_cells: int = 10 ** 6
-    md_scan_points: int = 10 ** 5
     counterexample: CounterexampleSpec = CounterexampleSpec()
+
+    @property
+    def scan_cells(self) -> int:
+        """REGION_CELLS, read-only: bench/run.py reads it to size its region_report
+        scan. It goes with the benchmark re-pin (ROADMAP item 5)."""
+        return REGION_CELLS
 
 
 def verify_all(params: RobotParams, gains: ControllerGains,
                opts: VerifyOptions = VerifyOptions()) -> list[ResidualReport]:
-    """All seven checks, fixed order; the CLI renders one row each."""
+    """All seven checks on their fixed grids, fixed order; the CLI renders one row each."""
     return [
-        kinetic_matching(params, gains, opts.grid_points, opts.span),
-        potential_matching(params, gains, opts.planar_grid),
-        region_report(params, gains, opts.scan_cells),
-        md_definiteness_scan(params, gains, opts.md_scan_points),
+        kinetic_matching(params, gains),
+        potential_matching(params, gains),
+        region_report(params, gains),
+        md_definiteness_scan(params, gains),
         hessian_vd_check(params, gains),
-        closed_loop_equivalence(params, gains, opts.samples, opts.seed),
-        remark2_residual(opts.counterexample, opts.grid_points),
+        closed_loop_equivalence(params, gains, seed=opts.seed),
+        remark2_residual(opts.counterexample),
     ]

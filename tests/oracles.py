@@ -18,6 +18,9 @@ q appended to the grid inside the RK4 loop: the reference for the grid formed
 after it.
 inject_shaping_fault plants a fault in the closed forms, which verify must
 detect.
+riccati_residual checks psi3's Riccati equation on check 1's grid, and
+alpha_from_matching solves (alpha1, alpha2) from the two actuated matching rows:
+second routes to what check 1 and shaping compute, which no CLI path runs.
 """
 import math
 from array import array
@@ -32,6 +35,38 @@ from ripsim.controller import (
 from ripsim.model import _inertia, open_loop_rhs_flat
 
 FD_STEP = 1e-7  # central-difference step of psi_row1_derivative_fd
+
+
+def riccati_residual(params, gains):
+    """Residual of psi3' = -tan(q2) psi3 - (2 p2/(p3 psi40)) sin(q2) psi3^2 on check 1's
+    grid, a verify.ResidualReport with tolerance TOL_ANALYTIC."""
+    n, span = verify.GRID_POINTS, verify.Q2_SPAN
+    grid = np.linspace(-span, span, n)
+    coef = 2.0 * params.p2 / (params.p3 * gains.psi40)
+    s = np.sin(grid)
+    sh = controller.shaping(coeffs(params, gains), s, np.cos(grid))
+    worst, arg = verify._max_and_arg(np.abs(sh.dps3 + np.tan(grid) * sh.ps3
+                                            + coef * s * sh.ps3 * sh.ps3), grid)
+    return verify.ResidualReport(
+        name="riccati_solution", grid=f"{n} points on [-{span}, {span}]",
+        max_abs_residual=worst, arg_at_max=(arg,), tol=verify.TOL_ANALYTIC)
+
+
+def alpha_from_matching(k, q2):
+    """(alpha1, alpha2) solved directly from the two actuated matching rows.
+
+    Independent of psi1', psi2': the derivative brackets in those rows are
+    the Md entries d1 = k2 (constant) and d2 (closed form), so only the
+    analytic d2' is needed. Serves as a cross-check oracle for shaping's alpha.
+    """
+    s, c = math.sin(q2), math.cos(q2)
+    sh = shaping(k, s, c)
+    ps1, ps2, ps3, ps4 = sh.ps1, sh.ps2, sh.ps3, k.ps4
+    a1 = k.p3 * ps1 * ps2 * s - k.p2 * ps1 * ps1 * s * c
+    a2 = (k.p3 * s * (ps2 * ps3 + ps1 * ps4)
+          - k.two_p2 * ps1 * ps3 * s * c
+          + ps4 * sh.dd2)
+    return np.array([a1, a2])
 
 
 def dot(a, b, acc: float = 0.0) -> float:

@@ -5,7 +5,7 @@ tolerance; scenarios come from the shipped preset files, not from
 constants duplicated here. The eleven checks:
 
    1 kinetic matching residual (analytic < 1e-8 and FD < 1e-5 in one check, < 1 s)
-   2 Riccati residual for psi3 < 1e-8
+   2 Riccati residual for psi3 < 1e-8 (the oracles.riccati_residual test route)
    3 potential matching residual < 1e-10 (exact identity)
    4 closed-loop equivalence of the two RHS forms < 1e-9
    5 rho formula vs million-cell d4 sign scan, 100 draws, monotonicity
@@ -32,10 +32,9 @@ from ripsim.simulate import run
 from ripsim.verify import (
     CounterexampleSpec, closed_loop_equivalence, hessian_vd_check,
     kinetic_matching, potential_matching, region_report, remark2_residual,
-    riccati_residual,
 )
 
-from oracles import inject_shaping_fault, shift_psi3
+from oracles import inject_shaping_fault, riccati_residual, shift_psi3
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -65,7 +64,7 @@ def rand_draw(rng):
 def test_criterion_01_kinetic_matching_residual():
     cfg = preset("fig2")
     t0 = time.perf_counter()
-    report = kinetic_matching(cfg.params, cfg.gains, n=1000, span=1.5)
+    report = kinetic_matching(cfg.params, cfg.gains, n=1000)   # on [-1.5, 1.5]
     elapsed = time.perf_counter() - t0
     fd = report.details["fd_max_abs_residual"]
     print(f"kinetic matching: analytic {report.max_abs_residual:.3e} "
@@ -77,7 +76,7 @@ def test_criterion_01_kinetic_matching_residual():
 
 def test_criterion_02_riccati_residual():
     cfg = preset("fig2")
-    report = riccati_residual(cfg.params, cfg.gains, n=1000, span=1.5)
+    report = riccati_residual(cfg.params, cfg.gains)   # check 1's 1000 points on [-1.5, 1.5]
     print(f"riccati residual: {report.max_abs_residual:.3e} (tol 1e-8)")
     assert report.passed and report.max_abs_residual < 1e-8
 
@@ -184,7 +183,7 @@ def test_criterion_10_counterexample_residual():
     rng = np.random.default_rng(102)
     for _ in range(10):
         spec = CounterexampleSpec(*np.exp(rng.uniform(-1.0, 1.0, 3)))
-        report = remark2_residual(spec, n=1000, span=1.0)
+        report = remark2_residual(spec, n=1000)   # on [-1, 1]
         assert report.max_abs_residual > 1e-2, spec
         assert report.details["integrated_solution_max_residual"] < 1e-6
     print("counterexample: |R| > 1e-2 on 10 draws, checker < 1e-6 on true solutions")

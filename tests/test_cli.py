@@ -2,7 +2,9 @@
 
 Covers:
   - simulate: exit codes, trace.csv schema and byte-stability, SVG plots,
-    --out override, --json summary, region-exit and blow-up reporting; a
+    --out override, --json summary, region-exit and blow-up reporting (a
+    warning is one `warning: <message>` line on stderr, and library callers
+    still see warnings as Python raises them); a
     run that leaves the band in its first step writes one row and its plots,
     each series one marker; an output directory that cannot be made (under
     --out or output.dir) exits 2 before the run, and a trace.csv or q.svg
@@ -49,6 +51,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,12 +155,28 @@ def test_simulate_json_summary(tmp_path, capsys):
 def test_simulate_region_exit_is_failure(tmp_path, capsys):
     text = ROBOT + "simulation: {q0: [0.0, 0.6], dt: 0.001, t_end: 0.01}\n"
     cfg = cfg_file(tmp_path, text)
-    with pytest.warns(UserWarning):
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "region_exit" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "region_exit" in out
+    assert err == ("warning: |q2(0)| = 0.6 is outside the Md>0 region rho = 0.5426; "
+                   "expect an immediate region exit\n")
     header, rows = read_csv(tmp_path / "out" / "trace.csv")
     assert header == BASE_COLUMNS and rows == []
+
+
+def test_cli_warnings_print_one_plain_line(tmp_path, capsys):
+    # each warning is one `warning: <message>` line on stderr, with no source path or
+    # line; the warning machinery is as it was once main returns
+    shown = warnings.showwarning
+    cfg = cfg_file(tmp_path, "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0], m1: 1.0}\n")
+    assert main(["region", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: robot: both p and physical constants given; p wins\n"
+    assert out.startswith("rho (formula): ")
+    assert warnings.showwarning is shown
+    with pytest.warns(UserWarning, match="p wins"):
+        load_config(cfg)
 
 
 def test_simulate_blowup_is_reported(tmp_path, capsys):

@@ -21,7 +21,7 @@ Covers:
   - Config.scenario() produces a runnable Scenario
   - property (hypothesis): numeric entries of a valid config mutated to edge
     values (0, -1, 5e-324, 1e-300, 1e300, 1.7e308, ...) raise only ConfigError,
-    and a config that loads runs region_rho and verify_all at small grids
+    and a config that loads runs region_rho and verify_all (its fixed grids)
     (the unmutated config of either base loads);
     explicit examples: p3 = 1e200, m1 = m2 = l1 = 1e200, k2 = 1 (det Md(0) < 0),
     psi40 = k1 = 1e-300 (z offset divides by 0), counterexample b = 1e300
@@ -43,7 +43,7 @@ from ripsim.config import Config, ConfigError, load_config
 from ripsim.controller import region_rho
 from ripsim.regressor import ParseError
 from ripsim.simulate import MAX_STEPS, NonFiniteState, Scenario, run
-from ripsim.verify import verify_all
+from ripsim.verify import VerifyOptions, verify_all
 
 MINIMAL = "robot: {p: [2.0, 1.0, 1.0, 2.0, 1.0]}\n"
 
@@ -64,7 +64,7 @@ def test_minimal_defaults(tmp_path):
     assert (cfg.dt, cfg.t_end) == (1e-3, 30.0)
     assert cfg.disturbance is None and cfg.adaptive is None
     assert cfg.out_dir == "." and cfg.plots is True
-    assert cfg.verify.grid_points == 1000
+    assert cfg.verify == VerifyOptions()
 
 
 def test_missing_file(tmp_path):
@@ -343,8 +343,6 @@ def test_t_end_step_limit(tmp_path):
 def test_verify_options(tmp_path):
     text = MINIMAL + "verify: {seed: 3, counterexample: {frak_k1: 2.0, b: 0.5}}\n"
     cfg = load_config(write(tmp_path, text))
-    assert cfg.verify.grid_points == 1000
-    assert cfg.verify.span == 1.5
     assert cfg.verify.seed == 3
     assert cfg.verify.counterexample.frak_k1 == 2.0
     assert cfg.verify.counterexample.frak_k2 == 1.0
@@ -451,8 +449,6 @@ PATHS = {b: sorted(numeric_paths({**BASES[b], **COMMON}), key=str) for b in BASE
 MUTATIONS = st.sampled_from(sorted(BASES)).flatmap(lambda b: st.tuples(st.just(b), st.lists(
     st.tuples(st.sampled_from(PATHS[b]), st.sampled_from(EDGE_VALUES)),
     min_size=1, max_size=4)))
-SMALL_GRIDS = {"grid_points": 20, "planar_grid": 5, "samples": 10, "scan_cells": 100,
-               "md_scan_points": 100}
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
@@ -482,7 +478,7 @@ def test_load_config_property(tmp_path_factory, case):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         region_rho(cfg.params, cfg.gains)
-        verify_all(cfg.params, cfg.gains, dataclasses.replace(cfg.verify, **SMALL_GRIDS))
+        verify_all(cfg.params, cfg.gains, cfg.verify)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

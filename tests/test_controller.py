@@ -26,13 +26,14 @@ import pytest
 
 from ripsim.controller import (
     ControllerGains, DefinitenessLost, EmptyRegion, _md_det, _vd, _vd_gradient, _z_offset,
-    alpha_from_matching, coeffs, control_law, control_terms, control_terms_array, d4_at_origin,
+    coeffs, control_law, control_terms, control_terms_array, d4_at_origin,
     desired_hamiltonian, region_rho, shape_terms, shaped_potential_hessian, shaping,
 )
 from ripsim.model import RobotParams
 
 from oracles import (
-    grad_q_Hd, inertia, momentum_tilde, psi_matrix, psi_row1_derivative_fd, trig,
+    alpha_from_matching, grad_q_Hd, inertia, momentum_tilde, psi_matrix, psi_row1_derivative_fd,
+    trig,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)

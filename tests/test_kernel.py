@@ -392,7 +392,7 @@ FUSED = {   # each fused entry point and every helper inlined into it
     control_terms: ("shape_terms", "md_d4", "_md_det", "_control_body", "_md_inverse",
                     "_md_prime", "_hd_gradient", "_vd_gradient", "_z_offset", "_psi_row1",
                     "alpha_from_psi"),
-    open_loop_rhs_flat: ("_plant", "_inertia", "_inv2"),
+    open_loop_rhs_flat: ("_inertia", "_inv2"),
 }
 
 

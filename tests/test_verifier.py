@@ -2,11 +2,16 @@
 
 Covers:
   - the seven-report bundle: names, order, all passing on the synthetic set
+  - a fixed suite: VerifyOptions has the fields seed and counterexample only,
+    and its scan_cells is REGION_CELLS and cannot be set; each check's size
+    defaults to its module constant, and no check takes a span or step;
+    check 5's step and svgplot's tick target are constants
   - kinetic matching: the analytic route (1e-8) and the finite-difference
     route in details (1e-5) must both hold; a coarse FD step fails the check
     through the fd route alone; a psi3 shift planted in controller.shaping
     is detected
-  - Riccati residual for psi3; the grid maximum and its first location
+  - Riccati residual for psi3 (oracles.riccati_residual), its records on the
+    five presets pinned; the grid maximum and its first location
   - potential matching on the complex-step gradient of controller._vd:
     exactness, q1-independence, agreement with _vd_gradient (its control); a
     kappa skew planted in controller._vd_gradient fails the control; a z offset
@@ -57,6 +62,8 @@ Covers:
     7 silently; under tracemalloc, check 7 on default peaks below 0.5 MiB
   - pointwise residuals and d4 even in q2
 """
+import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -66,7 +73,7 @@ import numpy as np
 import pytest
 
 import ripsim.verify as verify
-from ripsim import controller
+from ripsim import controller, svgplot
 from ripsim.config import load_config
 from ripsim.controller import (
     ControllerGains, EmptyRegion, coeffs, control_law, md_d4, region_rho, shape_terms,
@@ -77,12 +84,13 @@ from ripsim.verify import (
     CounterexampleSpec, VerifyOptions, claimed_m22, closed_loop_equivalence,
     closed_loop_rhs_direct, hessian_fd, hessian_vd_check, kinetic_matching,
     md_definiteness_scan, potential_matching, region_report, region_scan,
-    remark2_residual, riccati_residual, verify_all, _max_and_arg, _pd_endpoint,
+    remark2_residual, verify_all, _max_and_arg, _pd_endpoint,
 )
 
 from oracles import (
     grad_q_Hd, grid_in_loop_integrated_residual, inertia, inject_shaping_fault,
-    momentum_tilde, open_loop_rhs, psi_matrix, shift_psi3, two_trig_sign_scan, zero_alpha,
+    momentum_tilde, open_loop_rhs, psi_matrix, riccati_residual, shift_psi3,
+    two_trig_sign_scan, zero_alpha,
 )
 
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
@@ -118,11 +126,52 @@ def rand_draw(rng):
 
 
 def test_verify_all_names_order_and_pass():
-    reports = verify_all(P_SYN, G_REF,
-                         VerifyOptions(scan_cells=10 ** 5, md_scan_points=10 ** 4))
+    reports = verify_all(P_SYN, G_REF)
     assert tuple(r.name for r in reports) == EXPECTED_ORDER
     for r in reports:
         assert r.passed, (r.name, r.max_abs_residual, r.tol)
+
+
+def test_verify_options_hold_only_what_a_config_sets():
+    # a fixed suite: a config sets check 6's seed and check 7's constants, nothing else;
+    # scan_cells is a read-only property that nothing can set
+    opts = VerifyOptions()
+    assert [f.name for f in dataclasses.fields(VerifyOptions)] == ["seed", "counterexample"]
+    assert opts.scan_cells == verify.REGION_CELLS
+    with pytest.raises(TypeError):
+        VerifyOptions(scan_cells=1)
+    with pytest.raises(TypeError):
+        dataclasses.replace(opts, scan_cells=1)
+    with pytest.raises(AttributeError):
+        opts.scan_cells = 1
+
+
+@pytest.mark.parametrize("fn, params, size", [
+    (kinetic_matching, ["params", "gains", "n"], "GRID_POINTS"),
+    (potential_matching, ["params", "gains", "n"], "PLANAR_POINTS"),
+    (region_scan, ["params", "gains", "cells"], "REGION_CELLS"),
+    (region_report, ["params", "gains", "cells"], "REGION_CELLS"),
+    (md_definiteness_scan, ["params", "gains", "n"], "MD_CELLS"),
+    (_pd_endpoint, ["params", "gains", "n"], "PD_CELLS"),
+    (closed_loop_equivalence, ["params", "gains", "n_samples", "seed"], "SAMPLES"),
+    (remark2_residual, ["spec", "n"], "GRID_POINTS"),
+    (verify._integrated_solution_residual, ["spec", "span", "h"], "COUNTEREXAMPLE_SPAN"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_check_sizes_default_to_constants(fn, params, size):
+    # each check's size (its first parameter with a default) defaults to its module
+    # constant, and it takes no span or step: verify_all and the CLI call the checks so
+    sig = inspect.signature(fn).parameters
+    assert list(sig) == params
+    assert next(p for p in sig.values() if p.default is not p.empty).default == \
+        getattr(verify, size)
+
+
+def test_one_value_steps_are_constants():
+    # check 5's difference step and the plots' tick target are constants, not parameters
+    assert list(inspect.signature(hessian_fd).parameters) == ["k", "q1", "q2"]
+    assert verify.HESSIAN_FD_H == 1e-5
+    assert list(inspect.signature(svgplot._nice_ticks).parameters) == ["lo", "hi"]
+    assert svgplot.TICKS == 6
 
 
 def test_kinetic_matching_analytic():
@@ -163,6 +212,22 @@ def test_grid_max_takes_first_argmax():
 def test_riccati_residual():
     r = riccati_residual(P_SYN, G_REF)
     assert r.passed and r.max_abs_residual < 1e-8
+
+
+RICCATI_FIG = (5.329070518200751e-15, -0.35285285285285295)
+RICCATI_RECORDS = {"default": RICCATI_FIG, "fig2": RICCATI_FIG, "fig3": RICCATI_FIG,
+                   "fig4": RICCATI_FIG, "synthetic": (7.105427357601002e-15, -0.2657657657657657)}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_riccati_oracle_records_pinned(name):
+    # the test route's record, as verify.riccati_residual wrote it in src
+    params, gains = plant_and_gains(name)
+    worst, arg = RICCATI_RECORDS[name]
+    assert riccati_residual(params, gains).to_record() == {
+        "name": "riccati_solution", "grid": "1000 points on [-1.5, 1.5]",
+        "max_abs_residual": worst, "arg_at_max": [arg], "tol": 1e-08, "kind": "max_below",
+        "pass": True, "details": {}}
 
 
 def test_potential_matching_exact_and_q1_free():
@@ -289,9 +354,8 @@ def test_grid_blocks_equal_linspace(n):
 ])
 def test_sign_scans_at_fixed_sizes(name, rho_scan, pd_endpoint):
     cfg = load_config(str(PRESETS / f"{name}.yaml"))
-    opts = VerifyOptions()
-    assert region_scan(cfg.params, cfg.gains, opts.scan_cells) == rho_scan
-    assert _pd_endpoint(cfg.params, cfg.gains, opts.md_scan_points) == pd_endpoint
+    assert region_scan(cfg.params, cfg.gains) == rho_scan
+    assert _pd_endpoint(cfg.params, cfg.gains, verify.MD_CELLS) == pd_endpoint
 
 
 def det_md_of(gains):
@@ -386,9 +450,8 @@ def test_sign_scans_certify_all_but_two_blocks(name, monkeypatch):
     real, formed = verify._block_points, []
     monkeypatch.setattr(verify, "_block_points", lambda n, start: formed.append(start) or real(n, start))
     params, gains = plant_and_gains(name)
-    opts = VerifyOptions()
-    for scan in (lambda: region_report(params, gains, opts.scan_cells),
-                 lambda: md_definiteness_scan(params, gains, opts.md_scan_points),
+    for scan in (lambda: region_report(params, gains),
+                 lambda: md_definiteness_scan(params, gains),
                  lambda: _pd_endpoint(params, gains)):
         formed.clear()
         scan()
@@ -440,7 +503,7 @@ def test_check_7_holds_only_its_direction_arrays():
     # one direction's grid and m (2001 points each at SOUNDNESS_H) and the
     # residual's temporaries: 0.14 MiB on default
     opts = load_config(str(PRESETS / "default.yaml")).verify
-    assert traced_peak(remark2_residual, opts.counterexample, opts.grid_points) < 0.5 * 2 ** 20
+    assert traced_peak(remark2_residual, opts.counterexample) < 0.5 * 2 ** 20
 
 
 def test_md_interval_widens_with_k2():
