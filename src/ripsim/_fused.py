@@ -1,11 +1,11 @@
-"""Generated by src/ripsim/fusion.py: do not edit.
+"""Generated by tools/fusion.py: do not edit.
 
 The float entry points controller.control_terms and model.open_loop_rhs_flat with every
 helper call inlined, one factory each, which the two modules bind at import
 (codegen.bind). After editing either definition or a helper it calls, rewrite this
 file from the repository root with
 
-    python src/ripsim/fusion.py
+    python tools/fusion.py src/ripsim
 """
 
 

@@ -4,8 +4,8 @@ generate() compiles a function from lines of source: simulate builds its
 stage, recorded row and RK4 step with it, adaptive its disturbance sum and
 regressor its terms. bind() makes model's and controller's one fused float
 entry point each, open_loop_rhs_flat and control_terms, from the factories
-that `python src/ripsim/fusion.py` printed into the checked-in module _fused.py
-when the source changed; no import fuses anything.
+that the build tool `python tools/fusion.py src/ripsim` printed into the
+checked-in module _fused.py when the source changed; no import fuses anything.
 """
 from __future__ import annotations
 
@@ -64,5 +64,5 @@ def bind(factory, entry):
         raise ImportError(f"src/ripsim/_fused.py is stale: {factory.__name__} reads "
                           f"{', '.join(missing)}, which {entry.__module__} does not define;"
                           " rewrite it from the repository root with:"
-                          " python src/ripsim/fusion.py")
+                          " python tools/fusion.py src/ripsim")
     return functools.update_wrapper(factory(*[glb[name] for name in names]), entry)

@@ -394,7 +394,7 @@ def control_law(k: Coeffs, q1: float, q2: float, p1c: float, p2c: float) -> floa
 
 
 # The float entry point runs as fused code, every helper call inlined when the source
-# changes (src/ripsim/fusion.py prints it into _fused.py); the definition above is its
+# changes (tools/fusion.py prints it into _fused.py); the definition above is its
 # source and spec. A helper patched after import does not reach it, but reaches
 # control_terms_array.
 control_terms = bind(_fused.control_terms_factory, control_terms)

@@ -100,7 +100,7 @@ def open_loop_rhs_flat(params: RobotParams, s: float, c: float, p1c: float, p2c:
 
 
 # The float entry point runs as fused code, every helper call inlined when the source
-# changes (src/ripsim/fusion.py prints it into _fused.py); the definition above is its
+# changes (tools/fusion.py prints it into _fused.py); the definition above is its
 # source and spec, and runs on arrays as open_loop_rhs_array (element by element the
 # float call's doubles).
 open_loop_rhs_array = open_loop_rhs_flat

@@ -267,8 +267,9 @@ def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack,
 
     nominal: d = d_hat = 0; disturbed_nominal: d = dist.value(...); disturbed_robust:
     also d_hat = f^T theta_hat, left to right from 0.0 (tests/oracles.py's dot), and the
-    torque u + d_hat. control_terms, dist.value and each term's class __call__ (called as
-    c{j}(t{j}, ...), as in _stage) are read here and called in that order.
+    torque u + f^T theta_hat summed from u as _stage sums it, so the recorded u is the
+    applied torque bit for bit. control_terms, dist.value and each term's class __call__
+    (called as c{j}(t{j}, ...), as in _stage) are read here and called in that order.
     """
     ell = dist.regressor.ell if robust else 0
     theta_hat = [f"th{j}" for j in range(ell)]
@@ -278,8 +279,8 @@ def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack,
              "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
              "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0",
              *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
+             *(f"u = u + f{j} * th{j}" for j in range(ell)),
              "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
-             *(["u = u + dhat"] if ell else []),
              "pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
                                   "pt1", *theta_hat, "s", "c"]) + ")"]
     consts = {"k": k, "sin": math.sin, "cos": math.cos, "control_terms": control_terms,

@@ -42,6 +42,9 @@ Covers:
     disturbance.f: config error and no traceback; so does a term holding the
     literal 1e999, or literals whose product overflows (1e308*1e308, also
     inside sin), from verify and simulate (which ran them to a non-finite stage)
+  - the package holds only runtime code: simulate (plots on) and verify on
+    synthetic.yaml, run in a fresh interpreter, load every module file of it
+    but __main__.py
 """
 import dataclasses
 import hashlib
@@ -701,3 +704,21 @@ def test_counterexample_json(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["pass"] is True and rec["checker_sound"] is True
     assert rec["max_abs_residual"] > 1e-2
+
+
+def test_cli_paths_load_every_module_of_the_package(tmp_path):
+    # a module file that simulate and verify never load is no runtime code (the build
+    # tool that prints _fused.py lives in tools/, outside the package)
+    pkg = Path(cli.__file__).parent
+    out = run_python(
+        "import sys\n"
+        "from ripsim import cli\n"
+        f"assert cli.main(['--config', {str(PRESETS / 'synthetic.yaml')!r}, 'simulate',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert cli.main(['--config', {str(PRESETS / 'synthetic.yaml')!r}, 'verify']) == 0\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'ripsim'))\n")
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "q.svg").is_file()
+    files = {"ripsim" if p.stem == "__init__" else "ripsim." + p.stem
+             for p in pkg.glob("*.py") if p.stem != "__main__"}
+    assert files - set(out.stdout.splitlines()[-1].split()) == set()

@@ -14,7 +14,9 @@ Covers:
     row equals the array-form compositions at the recorded state, and
     every step equals step_rk4 over oracles.open_loop_rhs + robust_control
     + adaptation_rhs, so the adaptive tests cover the simulator's own law;
-    the recorded d_hat is f^T theta_hat summed term by term, bit for bit
+    the recorded d_hat is f^T theta_hat summed term by term from 0.0 and the
+    recorded u the torque summed term by term from the shaping torque, bit
+    for bit
   - the stage simulate.run generates per run equals the three per-mode
     closures it replaced (kept here as the reference) bit for bit: 10^4
     random in-band states per mode, ell in {1, 3, 8}, random theta_hat and
@@ -26,11 +28,12 @@ Covers:
     they take; each has the code and constants of the factory fusion prints
     for it from the source now, bound as its module binds it, and _fused.py
     parses to the syntax tree of what fusion prints, whose failure names the
-    command that rewrites it, and a
-    fresh import calls neither ast.parse nor ast.unparse; with a global the
-    fused code reads renamed in a copy of src, the stale _fused.py stops the
-    import, the copy's fusion.py still rewrites it, and the copy then imports
-    and gives the same bits; codegen.bind names a stale _fused.py and the
+    command that rewrites it; fusion is the build tool tools/fusion.py, outside
+    the package: a fresh import calls neither ast.parse nor ast.unparse and
+    finds no ripsim.fusion; with a global the fused code reads renamed in a
+    copy of src, the stale _fused.py stops the import, tools/fusion.py pointed
+    at the copy still rewrites it, and the copy then imports and gives the
+    same bits; codegen.bind names a stale _fused.py and the
     rewrite command at a factory parameter that is no global of the module;
     they name no sin or cos, and each generated stage and row takes exactly
     one sin(q2) and one cos(q2); fusion (its factory for a def of this file,
@@ -72,6 +75,7 @@ Covers:
 """
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import itertools
 import linecache
@@ -89,7 +93,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ripsim import _fused, fusion
+from ripsim import _fused
 from ripsim.adaptive import DisturbanceSpec
 from ripsim.codegen import bind
 from ripsim.config import load_config
@@ -109,7 +113,13 @@ from oracles import (
     robust_control, trig,
 )
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
+# the build tool that prints _fused.py; it lives outside the package
+FUSION_PY = ROOT / "tools" / "fusion.py"
+_spec = importlib.util.spec_from_file_location("fusion", FUSION_PY)
+fusion = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fusion)
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 
 
@@ -421,7 +431,7 @@ def test_fused_entry_points_call_no_helper(fn):
         assert bit_outcome(fn, *args) == bit_outcome(spec, *args)
 
 
-REWRITE = "python src/ripsim/fusion.py"
+REWRITE = "python tools/fusion.py src/ripsim"
 
 
 @pytest.mark.parametrize("fn", FUSED, ids=lambda fn: fn.__name__)
@@ -441,15 +451,17 @@ def test_fused_module_is_fresh(fn):
                        f" rewrite it from the repository root with: {REWRITE}")
     assert [c.cell_contents for c in fn.__closure__ or ()] == \
         [c.cell_contents for c in ref.__closure__ or ()]
-    want = Path(_fused.__file__).read_text(encoding="utf-8")
-    assert ast.dump(ast.parse(fusion.fused_source())) == ast.dump(ast.parse(want)), \
+    fused_py = Path(_fused.__file__)
+    want = fused_py.read_text(encoding="utf-8")
+    assert ast.dump(ast.parse(fusion.fused_source(fused_py.parent))) == ast.dump(ast.parse(want)), \
         f"src/ripsim/_fused.py is stale; rewrite it from the repository root with: {REWRITE}"
 
 
 def test_fusion_rewrites_a_fused_module_that_stops_the_import(tmp_path):
     # renaming a global the fused code reads leaves _fused.py naming the old one, so the
-    # package no longer imports; fusion.py reads the source files, not the package, and
-    # rewrites it, after which the copy imports and control_terms gives the same bits
+    # package no longer imports; tools/fusion.py reads the copy's source files, not the
+    # package, and rewrites it, after which the copy imports and control_terms gives the
+    # same bits
     shutil.copytree(Path(_fused.__file__).parent.parent, tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     pkg = tmp_path / "src" / "ripsim"
@@ -461,7 +473,7 @@ def test_fusion_rewrites_a_fused_module_that_stops_the_import(tmp_path):
     stale = subprocess.run([sys.executable, "-c", "import ripsim"], env=env,
                            capture_output=True, text=True)
     assert stale.returncode != 0 and REWRITE in stale.stderr
-    subprocess.run([sys.executable, str(pkg / "fusion.py")], env=env, check=True)
+    subprocess.run([sys.executable, str(FUSION_PY), str(pkg)], env=env, check=True)
     fused_text = (pkg / "_fused.py").read_text(encoding="utf-8")
     assert "_float_atan" in fused_text and "_math_atan" not in fused_text
     states = [(0.3, 0.2, 0.1, -0.2), (-1.0, -0.4, 0.5, 0.25), (-0.0, 1e-9, -0.3, 0.0),
@@ -501,9 +513,9 @@ def test_bind_names_a_stale_fused_module():
 
 def test_import_fuses_nothing():
     # the fused entry points are bound from _fused.py: a fresh import of the modules the
-    # benchmark imports parses and prints no source (fusion does both) and does not load
-    # the build-time module
-    script = ("import ast, importlib, sys\n"
+    # benchmark imports parses and prints no source (fusion does both), and the build
+    # tool is no module of the package
+    script = ("import ast, importlib, importlib.util, sys\n"
               "calls = []\n"
               "def counted(f):\n"
               "    def call(*args, **kwargs):\n"
@@ -513,7 +525,7 @@ def test_import_fuses_nothing():
               "ast.parse, ast.unparse = counted(ast.parse), counted(ast.unparse)\n"
               "for name in sys.argv[1:]:\n"
               "    importlib.import_module('ripsim.' + name)\n"
-              "print(calls, 'ripsim.fusion' in sys.modules)\n")
+              "print(calls, importlib.util.find_spec('ripsim.fusion') is None)\n")
     modules = ["config", "simulate", "cli", "svgplot", "verify", "controller", "model",
                "adaptive", "regressor"]
     src = str(Path(_fused.__file__).parent.parent)
@@ -521,7 +533,7 @@ def test_import_fuses_nothing():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script, *modules], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "[] False\n"
+    assert out.stdout == "[] True\n"
 
 
 def in_band_states(rng, edge, n, width=4):
@@ -967,8 +979,9 @@ def row_ref(k, dist, robust):
         u_now, pt1 = control_terms(k, q1, q2, *trig(q2), p1c, p2c)
         d_now = dist.value(q1, q2, p1c, p2c) if dist is not None else 0.0
         if robust:
-            dhat = dot([tm(q1, q2, p1c, p2c) for tm in terms], theta_hat)
-            u_now += dhat
+            fvals = [tm(q1, q2, p1c, p2c) for tm in terms]
+            dhat = dot(fvals, theta_hat)
+            u_now = dot(fvals, theta_hat, u_now)
         else:
             dhat = 0.0
         return (q1, q2, p1c, p2c, u_now, d_now, dhat, pt1, *theta_hat, *trig(q2))

@@ -41,9 +41,12 @@ Covers:
     trace of that term written with a factor 2, also when it is patched after
     the disturbance spec and the Scenario are built (the recorded d comes from
     DisturbanceSpec.value, whose generated sum looks the __call__ up per call)
+  - a robust row records the torque the stage applies at its state, bit for
+    bit (a 3-term run, and fig4 over 5 s)
 """
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,7 @@ import pytest
 import ripsim.simulate as sim
 from ripsim import controller, model, verify
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
+from ripsim.config import load_config
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
 from ripsim.model import RobotParams, hamiltonian
 from ripsim.regressor import Call, Number, Product, Variable, parse_regressor
@@ -61,6 +65,7 @@ from ripsim.verify import closed_loop_equivalence
 
 from oracles import inertia, lyapunov_value, trig
 
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 P_SYN = RobotParams(2.0, 1.0, 1.0, 2.0, 1.0)
 G_CONV = ControllerGains(1.0, 0.1, 100.0, kappa=1.0, kv=2.0)
 
@@ -527,3 +532,32 @@ def test_term_call_patched_after_the_scenario_is_built(monkeypatch):
     assert not np.array_equal(doubled.d, plain.d)
     for name in TRACE_ARRAYS:
         assert getattr(doubled, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["robust_3_term", "fig4_5s"])
+def test_recorded_u_is_the_applied_torque(case, monkeypatch):
+    # the stage adds f_j theta_hat_j to the shaping torque one term at a time, and a
+    # robust row records that sum, not the shaping torque plus d_hat (f^T theta_hat
+    # summed from 0.0), which can differ in the last bits
+    if case == "robust_3_term":
+        sc = robust_3_term(["1", "q1", "sin(q2)*cos(p1)"], 1000)
+    else:
+        sc = dataclasses.replace(load_config(str(PRESETS / "fig4.yaml")).scenario(), t_end=5.0)
+    tr = run(sc)
+    assert tr.status == "ok"
+    applied = []
+
+    def plant(params, s, c, p1c, p2c, u, d):
+        applied.append(u)
+        return model.open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)
+
+    monkeypatch.setattr(sim, "open_loop_rhs_flat", plant)
+    dist = sc.disturbance
+    stage = sim._stage(coeffs(sc.params, sc.gains), sc.params, dist.regressor.terms,
+                       dist.theta.tolist(), sc.adaptive.gamma_inv.tolist())
+    for x in np.hstack([tr.q, tr.p, tr.theta_hat]).tolist():
+        stage(x)
+    got, want = np.array(applied).view(np.int64), np.ascontiguousarray(tr.u).view(np.int64)
+    assert got.shape == want.shape
+    differ = np.flatnonzero(got != want)
+    assert differ.size == 0, f"{differ.size} of {want.size} rows differ, from row {differ[0]}"

@@ -1,35 +1,36 @@
 """Inlining of helper calls into the fused entry points, run when the source changes.
 
-`python src/ripsim/fusion.py` rewrites the checked-in _fused.py next to it from
-controller.py and model.py, which it reads with ast: it imports nothing from ripsim,
-so it runs while a stale _fused.py stops the package from importing.
+`python tools/fusion.py src/ripsim` rewrites the checked-in _fused.py of the package
+directory it is given from that directory's controller.py and model.py, which it reads
+with ast: it imports nothing from ripsim, so it runs while a stale _fused.py stops the
+package from importing. It is a build tool and ships with no package.
 """
+import argparse
 import ast
 import copy
 import itertools
 import os
 import symtable
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-
-_HEADER = '''"""Generated by src/ripsim/fusion.py: do not edit.
+_HEADER = '''"""Generated by tools/fusion.py: do not edit.
 
 The float entry points controller.control_terms and model.open_loop_rhs_flat with every
 helper call inlined, one factory each, which the two modules bind at import
 (codegen.bind). After editing either definition or a helper it calls, rewrite this
 file from the repository root with
 
-    python src/ripsim/fusion.py
+    python tools/fusion.py src/ripsim
 """
 '''
 
 
-def fused_source() -> str:
-    """The text of _fused.py for controller.py and model.py as they are now."""
+def fused_source(package: str) -> str:
+    """The text of _fused.py for controller.py and model.py in the directory package
+    as they are now."""
     return "\n\n".join([
         _HEADER,
-        factory(os.path.join(_HERE, "controller.py"), "control_terms"),
-        factory(os.path.join(_HERE, "model.py"), "open_loop_rhs_flat")])
+        factory(os.path.join(package, "controller.py"), "control_terms"),
+        factory(os.path.join(package, "model.py"), "open_loop_rhs_flat")])
 
 
 def factory(path: str, name: str) -> str:
@@ -198,5 +199,9 @@ def _parse(fn, helpers):
 
 
 if __name__ == "__main__":
-    with open(os.path.join(_HERE, "_fused.py"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(fused_source())
+    parser = argparse.ArgumentParser(description="Rewrite the package's _fused.py from its "
+                                                 "controller.py and model.py.")
+    parser.add_argument("package", help="the package directory, e.g. src/ripsim")
+    package = parser.parse_args().package
+    with open(os.path.join(package, "_fused.py"), "w", encoding="utf-8", newline="\n") as f:
+        f.write(fused_source(package))
