@@ -18,8 +18,8 @@ No integrability of f is assumed.
 
 DisturbanceSpec.value, the true d that each recorded row reads, runs one
 function generated per spec (codegen.generate): the term calls and the sum
-f^T theta unrolled, one statement per term, added left to right from 0.0
-in the order of simulate's stage and row.
+f^T theta from 0.0 unrolled by codegen.summed, as simulate's stage and row
+unroll theirs.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import generate, numbered
+from .codegen import generate, numbered, summed
 from .regressor import RegressorSpec
 
 
@@ -68,11 +68,10 @@ def _disturbance_sum(terms: tuple, theta: list[float]):
     """(q1, q2, p1, p2) -> f^T theta, generated from source: term j called as
     type(t{j}).__call__(t{j}, ...), its class's __call__ looked up at each call (so a
     __call__ patched after the spec is built is the one called, and the call skips the
-    instance-call slot), then the sum from 0.0, one statement per term, left to right:
-    the order of simulate's stage and row (tests/oracles.py's dot is the reference)."""
+    instance-call slot), then the sum from 0.0 (codegen.summed)."""
     ell = len(terms)
     lines = [*(f"f{j} = type(t{j}).__call__(t{j}, q1, q2, p1, p2)" for j in range(ell)),
-             "d = 0.0", *(f"d = d + f{j} * th{j}" for j in range(ell)),
+             *summed("d", [f"f{j} * th{j}" for j in range(ell)]),
              "return d"]
     return generate(f"disturbance sum, {ell} terms", "disturbance", "q1, q2, p1, p2", lines,
                     {**numbered("t", terms), **numbered("th", theta)})

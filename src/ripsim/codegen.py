@@ -2,10 +2,11 @@
 
 generate() compiles a function from lines of source: simulate builds its
 stage, recorded row and RK4 step with it, adaptive its disturbance sum and
-regressor its terms. bind() makes model's and controller's one fused float
-entry point each, open_loop_rhs_flat and control_terms, from the factories
-that the build tool `python tools/fusion.py src/ripsim` printed into the
-checked-in module _fused.py when the source changed; no import fuses anything.
+regressor its terms; summed() prints every sum of the first two. bind()
+makes model's and controller's one fused float entry point each,
+open_loop_rhs_flat and control_terms, from the factories that the build
+tool `python tools/fusion.py src/ripsim` printed into the checked-in module
+_fused.py when the source changed; no import fuses anything.
 """
 from __future__ import annotations
 
@@ -32,6 +33,20 @@ def generate(label: str, name: str, signature: str, lines: list[str], consts: di
     namespace: dict = {}
     exec(compile(source, _register(label, source), "exec", dont_inherit=True), namespace)
     return namespace["factory"](**consts)
+
+
+def summed(out: str, products, start: str | None = "0.0") -> list[str]:
+    """out = start, then out = out + p per product p, left to right: every sum of
+    generated code, one statement per term (no expression deep enough for the compiler
+    to recurse on), in the order of tests/oracles.py's dot; start None goes on from out.
+
+    A sum from 0.0 may drop the term of a 0.0 or -0.0 weight and print 1.0 * v as v
+    (simulate._matvec). Rounding to nearest, a sum from +0.0 is never -0.0, so adding a
+    signed zero leaves it as it is, and v * 1.0 is v bit for bit: the fold is exact
+    wherever each v is finite (0.0 * inf and 0.0 * nan are nan).
+    """
+    return [*([] if start is None else [f"{out} = {start}"]),
+            *(f"{out} = {out} + {p}" for p in products)]
 
 
 def numbered(prefix: str, values) -> dict:

@@ -249,7 +249,8 @@ def kinetic_matching_rows(k: Coeffs, s: float, c: float, ps1: float, ps2: float,
 
 
 def _z_offset(k: Coeffs, s: float, atan=math.atan) -> float:
-    """z(q) - q1 = a atan(b sin q2); pass np.arctan for arrays."""
+    """z(q) - q1 = a atan(b sin q2); the array routes that keep the float bits pass _atan
+    (control_terms_array, desired_hamiltonian, closed_loop_rhs_direct), check 2 np.arctan."""
     return k.za * atan(k.zb * s)
 
 
@@ -302,8 +303,9 @@ def shaping(k: Coeffs, s: float, c: float) -> Shaping:
 
 
 def _vd(k: Coeffs, q1: float, s: float, c: float, atan=math.atan) -> float:
-    """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2),
-    minimized at the upright; pass np.arctan for arrays, complex ones included."""
+    """Vd = kappa/2 z^2 - (p5/psi40) cos q2 at (q1, s = sin q2, c = cos q2), minimized at
+    the upright. desired_hamiltonian passes _atan, which keeps the float call's bits on
+    arrays; only check 2's complex step passes np.arctan."""
     offset = _z_offset(k, s, atan)
     z = q1 + offset
     return k.half_kappa * z * z - k.p5_psi40 * c

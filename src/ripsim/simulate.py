@@ -5,13 +5,12 @@ theta_hat in robust mode, integrated with fixed-step classical RK4 so
 runs are deterministic and byte-reproducible. Three functions are generated
 from source (codegen.generate) with every loop unrolled: the RK4 step for
 the state length (_rk4_kernel, cached), and per run, for its mode,
-regressor and Gamma, the closed-loop stage that re-evaluates the feedback
-torque (_stage) and the recorded row that packs itself into the trace buffer
-(_row), each taking one sin/cos pair of q2 for the controller and the plant
-and adding each sum one statement per term, left to right (tests/oracles.py's
-dot is the reference the tests pin them to), with the zero and unit entries
-of Gamma^{-1} folded out (_matvec). After the loop, _energies fills H, Hd
-and V_lyap in blocks of rows, on arrays.
+regressor and Gamma, the closed-loop stage (_stage) and the recorded row
+that packs itself into the trace buffer (_row). Both open with one head
+(_head): one sin/cos pair of q2 for the controller and the plant, the term
+calls and the torque. Every sum is printed by codegen.summed, the rows of
+Gamma^{-1} f with their zero and unit entries folded out (_matvec). After
+the loop, _energies fills H, Hd and V_lyap in blocks of rows, on arrays.
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import controller
 from .adaptive import AdaptiveState, DisturbanceSpec
-from .codegen import generate, numbered
+from .codegen import generate, numbered, summed
 from .controller import ControllerGains, DefinitenessLost, EmptyRegion, control_terms
 from .model import RobotParams, hamiltonian, momentum, open_loop_rhs_flat
 
@@ -148,34 +147,17 @@ def _spot_residuals(k: controller.Coeffs, q2: float) -> tuple[float, float]:
 
 
 def _matvec(out: str, rows: list[list[float]], prefix: str, values: list[str]):
-    """The statements of out{i} = 0.0 + w_i0 * v_0 + w_i1 * v_1 + ... for each row i of
-    weights, one per term, left to right, with the weights folded: a 0.0 or -0.0 weight
-    adds no statement and a 1.0 weight adds its value alone. Returns the statements, the
-    constants {prefix}{i}_{j} of the weights left, and whether any weight was folded.
-
-    Each sum starts at +0.0 and, rounding to nearest, never becomes -0.0, so adding a
-    signed zero leaves it as it is; v * 1.0 is v bit for bit, -0.0, infinities and nan
-    too. So the fold is exact wherever each v_j is finite. Dense rows give one product
-    per term, as the sums they fold.
-    """
+    """The sums out{i} = 0.0 + w_i0 * v_0 + w_i1 * v_1 + ... for each row i of weights
+    (codegen.summed), folded: a 0.0 or -0.0 weight adds no term and a 1.0 weight adds
+    its value alone. Returns the statements, the constants {prefix}{i}_{j} of the
+    weights left, and whether any weight was folded."""
     lines, consts = [], {}
     for i, row in enumerate(rows):
-        lines.append(f"{out}{i} = 0.0")
-        for j, (w, v) in enumerate(zip(row, values)):
-            if w == 0.0:
-                continue
-            if w == 1.0:
-                lines.append(f"{out}{i} = {out}{i} + {v}")
-            else:
-                consts[f"{prefix}{i}_{j}"] = w
-                lines.append(f"{out}{i} = {out}{i} + {prefix}{i}_{j} * {v}")
+        kept = [(f"{prefix}{i}_{j}", w, v)
+                for j, (w, v) in enumerate(zip(row, values)) if w != 0.0]
+        consts.update((name, w) for name, w, _ in kept if w != 1.0)
+        lines += summed(f"{out}{i}", [v if w == 1.0 else f"{name} * {v}" for name, w, v in kept])
     return lines, consts, len(consts) < len(rows) * len(values)
-
-
-def _term_calls(terms) -> dict:
-    """{t0: terms[0], c0: type(terms[0]).__call__, ...}: each term node and its class's
-    __call__, read now, so that c{j}(t{j}, q1, q2, p1, p2) evaluates term j."""
-    return {**numbered("t", terms), **numbered("c", [type(t).__call__ for t in terms])}
 
 
 @functools.cache
@@ -217,46 +199,49 @@ def _rk4_kernel(n: int):
                      "NonFiniteState": NonFiniteState})
 
 
+def _head(first: dict, own: dict, terms: tuple, robust: bool, *between: str):
+    """The opening lines of the stage and the row, and the function's constants.
+
+    x unpacked (theta_hat last, robust), s = sin(q2) and c = cos(q2) once, control_terms,
+    the lines between, f{j} = c{j}(t{j}, q1, q2, p1c, p2c) per term and, robust, the
+    torque u + f^T theta_hat from u. The constants, in the factory's order: first, sin,
+    cos, control_terms, own, each term t{j} and its class's __call__ c{j}, read now (one
+    patched before run() builds the function is the one called).
+    """
+    ell = len(terms)
+    theta_hat = [f"th{j}" for j in range(ell)] if robust else []
+    lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
+             "s = sin(q2)", "c = cos(q2)",
+             "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
+             *between,
+             *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
+             *summed("u", [f"f{j} * {th}" for j, th in enumerate(theta_hat)], None)]
+    consts = {**first, "sin": math.sin, "cos": math.cos, "control_terms": control_terms,
+              **own, **numbered("t", terms), **numbered("c", [type(t).__call__ for t in terms])}
+    return lines, consts
+
+
 def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list[float],
            ginv_rows: list[list[float]]):
     """The run's closed-loop vector field x -> x', generated from source for its mode.
 
     nominal: no terms, d = 0; disturbed_nominal: terms, d = f^T theta; disturbed_robust:
     also the Gamma^{-1} rows, x ends in theta_hat, the torque is u + f^T theta_hat and
-    -ptilde1 Gamma^{-1} f is appended. Each sum takes one statement per term, left to
-    right from the torque or 0.0 (the order of tests/oracles.py's dot); each row of
-    Gamma^{-1} f is folded (_matvec): no statement for a zero entry and no
-    product for a unit one. That is exact while f is finite; where a term is +-inf or
-    nan at a finite state, 0.0 * f_j is nan where the fold adds nothing, and only the
-    theta_hat slope can differ, but u + f_j * theta_hat_j is then not finite either, so
-    the RK4 step raises NonFiniteState as the unfolded sum would, at the same step. The
-    stage takes s = sin(q2), c = cos(q2) once and passes the pair to control_terms and
-    open_loop_rhs_flat, which are read here, and so is each term's class __call__,
-    which the stage calls as c{j}(t{j}, ...): a __call__ patched before run() builds
-    the stage is the one called, and the call skips the instance-call slot. Every
-    constant is a closure variable (codegen.generate).
+    -ptilde1 Gamma^{-1} f is appended, each row folded (_matvec). A term that is +-inf
+    or nan at a finite state makes u + f_j * theta_hat_j non-finite too, so the RK4 step
+    raises NonFiniteState at the step the unfolded sums would. open_loop_rhs_flat,
+    which takes the head's (s, c), is read here; every constant is a closure variable.
     """
     ell, rows = len(terms), range(len(ginv_rows))
-    theta_hat = [f"th{j}" for j in range(ell)] if ginv_rows else []
-    lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
-             "s = sin(q2)",
-             "c = cos(q2)",
-             "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
-             *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
-             *(f"u = u + f{j} * {th}" for j, th in enumerate(theta_hat)),
-             "d = 0.0",
-             *(f"d = d + f{j} * dth{j}" for j in range(ell))]
-    consts = {"k": k, "params": params, "sin": math.sin, "cos": math.cos,
-              "control_terms": control_terms,
-              "open_loop_rhs_flat": open_loop_rhs_flat, **_term_calls(terms),
-              **numbered("dth", dtheta)}
+    lines, consts = _head({"k": k, "params": params},
+                          {"open_loop_rhs_flat": open_loop_rhs_flat}, terms, bool(ginv_rows))
     sums, weights, folded = _matvec("r", ginv_rows, "g", [f"f{j}" for j in range(ell)])
-    lines += sums
-    consts.update(weights)
-    lines += ["qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
+    lines += [*summed("d", [f"f{j} * dth{j}" for j in range(ell)]), *sums,
+              "qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
               f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
     return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}"
-                    f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines, consts)
+                    f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines,
+                    {**consts, **numbered("dth", dtheta), **weights})
 
 
 def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack, rec):
@@ -266,31 +251,21 @@ def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack,
     leaves rec unwritten; s = sin q2 and c = cos q2 fill the H and Hd slots for _energies.
 
     nominal: d = d_hat = 0; disturbed_nominal: d = dist.value(...); disturbed_robust:
-    also d_hat = f^T theta_hat, left to right from 0.0 (tests/oracles.py's dot), and the
-    torque u + f^T theta_hat summed from u as _stage sums it, so the recorded u is the
-    applied torque bit for bit. control_terms, dist.value and each term's class __call__
-    (called as c{j}(t{j}, ...), as in _stage) are read here and called in that order.
+    also the terms, d_hat = f^T theta_hat from 0.0, and the torque summed as _stage sums
+    it (_head), so the recorded u is the applied torque bit for bit. control_terms,
+    dist.value and each term's class __call__ are read here and called in that order.
     """
-    ell = dist.regressor.ell if robust else 0
-    theta_hat = [f"th{j}" for j in range(ell)]
-    lines = [f"{', '.join(['q1', 'q2', 'p1c', 'p2c', *theta_hat])}, = x",
-             "s = sin(q2)",
-             "c = cos(q2)",
-             "u, pt1 = control_terms(k, q1, q2, s, c, p1c, p2c)",
-             "d = value(q1, q2, p1c, p2c)" if dist is not None else "d = 0.0",
-             *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
-             *(f"u = u + f{j} * th{j}" for j in range(ell)),
-             "dhat = 0.0", *(f"dhat = dhat + f{j} * th{j}" for j in range(ell)),
-             "pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
-                                  "pt1", *theta_hat, "s", "c"]) + ")"]
-    consts = {"k": k, "sin": math.sin, "cos": math.cos, "control_terms": control_terms,
-              "pack": pack, "rec": rec}
-    if dist is not None:
-        consts["value"] = dist.value
-    if ell:
-        consts.update(_term_calls(dist.regressor.terms))
+    terms = dist.regressor.terms if robust else ()
+    own = {"pack": pack, "rec": rec, **({} if dist is None else {"value": dist.value})}
+    lines, consts = _head({"k": k}, own, terms, robust,
+                          "d = 0.0" if dist is None else "d = value(q1, q2, p1c, p2c)")
+    theta_hat = [f"th{j}" for j in range(len(terms))]
+    lines += [*summed("dhat", [f"f{j} * {th}" for j, th in enumerate(theta_hat)]),
+              "pack(" + ", ".join(["rec", "off", "q1", "q2", "p1c", "p2c", "u", "d", "dhat",
+                                   "pt1", *theta_hat, "s", "c"]) + ")"]
     return generate(f"recorded row{'' if dist is None else ', disturbed'}"
-                    f"{f', {ell} estimates' if ell else ''}", "row", "x, off", lines, consts)
+                    f"{f', {len(terms)} estimates' if terms else ''}", "row", "x, off",
+                    lines, consts)
 
 
 def _energies(k: controller.Coeffs, params: RobotParams, rec: np.ndarray, theta: list[float],
@@ -331,20 +306,13 @@ def run(scenario: Scenario) -> Trace:
     definiteness; raises NonFiniteState if integration blows up.
     """
     params, k = scenario.params, controller.coeffs(scenario.params, scenario.gains)
-    dist = scenario.disturbance
-    robust = scenario.mode == "disturbed_robust"
-    ell = dist.regressor.ell if robust else 0
-
-    n = step_count(scenario.t_end, scenario.dt)
-    dt = scenario.dt
-
-    terms, dtheta, ginv_rows, gamma_rows = (), [], [], []
-    if dist is not None:
-        terms = dist.regressor.terms
-        dtheta = dist.theta.tolist()
-    if robust:
-        ginv_rows = scenario.adaptive.gamma_inv.tolist()
-        gamma_rows = scenario.adaptive.gamma.tolist()
+    mode = scenario.mode   # decides what is generated: nominal mode ignores a disturbance
+    dist = None if mode == "nominal" else scenario.disturbance
+    robust = mode == "disturbed_robust"
+    terms, dtheta = (dist.regressor.terms, dist.theta.tolist()) if dist else ((), [])
+    a = scenario.adaptive
+    ginv_rows, gamma_rows = (a.gamma_inv.tolist(), a.gamma.tolist()) if robust else ([], [])
+    ell, dt, n = len(ginv_rows), scenario.dt, step_count(scenario.t_end, scenario.dt)
 
     t_grid = np.arange(n + 1) * dt
     # one row per grid point: q1, q2, p1, p2, u, d, d_hat, ptilde1, theta_hat, H, Hd,

@@ -72,9 +72,9 @@ def alpha_from_matching(k, q2):
 def dot(a, b, acc: float = 0.0) -> float:
     """acc + sum of a_i * b_i added left to right: the order of every term-by-term sum
     of the closed loop (sum() and math.sumprod are compensated from Python 3.12 on).
-    The stage (simulate._stage) and the recorded row (simulate._row) unroll their sums
-    in this order, one statement per term; tests/test_kernel.py pins both to this
-    function bit for bit."""
+    codegen.summed prints the sums of the stage (simulate._stage), the recorded row
+    (simulate._row) and the disturbance sum in this order, one statement per term;
+    tests/test_kernel.py pins the stage and the row to this function bit for bit."""
     for x, y in zip(a, b):
         acc += x * y
     return acc

@@ -72,9 +72,14 @@ Covers:
     function's role name, for fused control_terms (in _fused.py) and for a
     generated stage out of band; two different generated sources never share
     a file name
+  - the source text of each generated stage (nominal; disturbed with ell = 3;
+    robust with Gamma = I, a dense Gamma and a Gamma^{-1} holding 0.0 and 1.0),
+    row (each mode), disturbance sum (ell = 3) and RK4 kernel (n = 4 and 7) has
+    a pinned SHA-256
 """
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import itertools
@@ -614,6 +619,65 @@ def test_one_trig_pair_per_stage_and_row():
         source = source_of(fn)
         assert source.count("sin(") == source.count("sin(q2)") == 1, source
         assert source.count("cos(") == source.count("cos(q2)") == 1, source
+
+
+# The SHA-256 of each generated function's source, as linecache holds it, by shape. A
+# change to the generated code changes these, and says so in CHANGES.md.
+GENERATED_SHA256 = {
+    "stage nominal":
+        "471c456d64ce5a76b9138f6beee5ab7d5a76408b64f7ac1ffecec774e7fd8b9b",
+    "stage disturbed 3":
+        "2eaacc0c1919c49f3bf6218b0a97799308c5bdb45658948bb751e9a3059b9e19",
+    "stage robust 3, Gamma = I":
+        "444bbb15e2ce9ef4d2e929264cdba865919f64f3c3368c3cd9993b90dbb7ed97",
+    "stage robust 3, dense Gamma":
+        "eea65300ef8677a62aa997883602ba80483695fc729786374c8093c483ed1527",
+    "stage robust 3, Gamma^-1 with 0.0 and 1.0":
+        "c77aba05a0ef711e222a4e185dec3c22e4296060d1329250c311727f64f82397",
+    "row nominal":
+        "8b9b93e5a92fe6205b9e32819b066ac4a3cabc3eebcd8e5cbd89c7ddb16ad5c8",
+    "row disturbed":
+        "54c488a9d9f8357bbd45699e9d3a9b00a27efa16cda184a8deaa9c86ffa9bd4e",
+    "row robust 3":
+        "95e5fc5d647f5888216783fc11f9ddf4be37811ca1dff1391b65dcbd2fed2287",
+    "disturbance sum 3":
+        "4012d167e3adf33cadddee5d74c72d62bac2479626403a1b01dd808b00a2de36",
+    "rk4 4":
+        "8b1a64471b6de63e977bcdf6aba86c9652ff3341ed15f780ed433099640bacf7",
+    "rk4 7":
+        "db62c363bf10077b8f685c8cedffffd5e33622cb2a5146c5e07b9b38f27437d1",
+}
+
+
+def generated_function(shape):
+    """The generated function of one shape of GENERATED_SHA256, on fig4's plant and gains
+    with three terms: the source depends on ell and on which Gamma^{-1} entries fold."""
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    params, k = cfg.params, coeffs(cfg.params, cfg.gains)
+    terms, dtheta, _ = stage_case(np.random.default_rng(9), 3)
+    dist = DisturbanceSpec(RegressorSpec(terms), np.array(dtheta))
+    ginv = {"Gamma = I": np.eye(3).tolist(),
+            "dense Gamma": np.linalg.inv([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5],
+                                          [0.0, 0.5, 2.0]]).tolist(),
+            "Gamma^-1 with 0.0 and 1.0": [[1.0, 0.0, 0.25], [-0.0, 2.0, 1.0],
+                                          [0.25, 1.0, 0.5]]}
+    if shape.startswith("stage robust 3, "):
+        return _stage(k, params, terms, dtheta, ginv[shape.removeprefix("stage robust 3, ")])
+    return {"stage nominal": lambda: _stage(k, params, (), [], []),
+            "stage disturbed 3": lambda: _stage(k, params, terms, dtheta, []),
+            "row nominal": lambda: packed_row(k, None, False)[0],
+            "row disturbed": lambda: packed_row(k, dist, False)[0],
+            "row robust 3": lambda: packed_row(k, dist, True)[0],
+            "disturbance sum 3": lambda: dist._sum,
+            "rk4 4": lambda: sim._rk4_kernel.__wrapped__(4),   # uncached: registered now
+            "rk4 7": lambda: sim._rk4_kernel.__wrapped__(7)}[shape]()
+
+
+@pytest.mark.parametrize("shape", GENERATED_SHA256)
+def test_generated_source_text_is_pinned(shape):
+    source = source_of(generated_function(shape))
+    assert source.startswith("def factory(") and source.endswith("\n"), source
+    assert hashlib.sha256(source.encode()).hexdigest() == GENERATED_SHA256[shape], source
 
 
 def constant_operations(source, name):

@@ -21,6 +21,8 @@ Covers:
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows
   - Scenario validation and out-of-region warning
+  - nominal mode ignores a configured disturbance: the same Trace arrays, bit
+    for bit, as without one (d = 0)
   - a robust run with Gamma = I whose term overflows to inf at a finite stage
     state raises NonFiniteState, at the step where the unfolded Gamma^{-1} f
     sums raise it
@@ -321,6 +323,21 @@ def test_nominal_trace_has_empty_theta_columns():
     tr = run(nominal((0.1, 0.3), t_end=0.1))
     assert tr.theta_hat.shape == (101, 0)
     assert_rows_complete(tr)
+
+
+def test_nominal_mode_ignores_a_configured_disturbance():
+    # as theta_hat0 is ignored outside robust mode: no term is called and d = 0
+    cfg = load_config(str(PRESETS / "fig4.yaml"))
+    bare = Scenario(params=cfg.params, gains=cfg.gains, mode="nominal", q0=(-0.8, 0.8),
+                    t_end=1.0)
+    spec = DisturbanceSpec(parse_regressor(["1"]), np.array([5.0]))
+    got, want = run(dataclasses.replace(bare, disturbance=spec)), run(bare)
+    assert got.status == want.status == "ok" and got.spot_checks == want.spot_checks
+    for f in dataclasses.fields(Trace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    assert not want.d.any()
 
 
 def test_blowup_in_stage_raises_nonfinite():
