@@ -551,39 +551,54 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = COUNTE
     """Soundness control: run the checker on a true ODE solution.
 
     Integrates the ODE itself with RK4 at step h from the claimed
-    solution's value at 0 and evaluates the residual with 5-point
-    finite-difference derivatives on the stored grid, so the check does
-    not reuse the ODE right-hand side as its own derivative. A solution
-    that blows up gives a nan residual (which fails), without a warning.
+    solution's value at 0, forward and backward over span, and evaluates
+    the residual with 5-point finite-difference derivatives on each stored
+    grid, so the check does not reuse the ODE right-hand side as its own
+    derivative. A solution that blows up gives a nan residual (which
+    fails), without a warning.
 
     The right-hand side is (a m^2 - 4 m + b) / frak_k1 with a = -sin 2q and
     b = 2 frak_k1 / cos^2 q; an RK4 step takes (a, b) at its midpoint, which
-    k2 and k3 share, and at its end, which is the next step's start.
+    k2 and k3 share, and at its end, which is the next step's start. One
+    loop steps both directions: the backward grid is exactly -q (sums
+    round sign-symmetrically), and sin is odd and cos even bit for bit, so
+    one sin 2q and one b per point serve both, the forward stages reading
+    a = -sin 2q and the backward a = sin 2q. The backward update m - half*k
+    gives the doubles of m + (-half)*k.
     """
     fk, sin, cos = float(spec.frak_k1), math.sin, math.cos
     two_fk = 2.0 * fk
     n = int(round(span / h))
     with np.errstate(divide="ignore", over="ignore"):
         m0 = float(claimed_m22(spec, 0.0))
+    half, sixth = 0.5 * h, h / 6.0
+    fwd, bwd = array("d", [m0]), array("d", [m0])
+    append, append_b = fwd.append, bwd.append
+    q, m, m_b = 0.0, m0, m0
+    sn, b = sin(2.0 * q), two_fk / cos(q) ** 2
+    for _ in range(n):
+        qm = q + half
+        snm, bm = sin(2.0 * qm), two_fk / cos(qm) ** 2
+        q += h
+        k1 = (-sn * m * m - 4.0 * m + b) / fk
+        x = m + half * k1
+        k2 = (-snm * x * x - 4.0 * x + bm) / fk
+        x = m + half * k2
+        k3 = (-snm * x * x - 4.0 * x + bm) / fk
+        x = m + h * k3
+        j1 = (sn * m_b * m_b - 4.0 * m_b + b) / fk
+        y = m_b - half * j1
+        j2 = (snm * y * y - 4.0 * y + bm) / fk
+        y = m_b - half * j2
+        j3 = (snm * y * y - 4.0 * y + bm) / fk
+        y = m_b - h * j3
+        sn, b = sin(2.0 * q), two_fk / cos(q) ** 2
+        m += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + (-sn * x * x - 4.0 * x + b) / fk)
+        m_b -= sixth * (j1 + 2.0 * j2 + 2.0 * j3 + (sn * y * y - 4.0 * y + b) / fk)
+        append(m)
+        append_b(m_b)
     rs = []
-    for hh in (h, -h):
-        half, sixth = 0.5 * hh, hh / 6.0
-        ms = array("d", [m0])
-        append, q, m = ms.append, 0.0, m0
-        a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
-        for _ in range(n):
-            qm = q + half
-            am, bm = -sin(2.0 * qm), two_fk / cos(qm) ** 2
-            q += hh
-            k1 = (a * m * m - 4.0 * m + b) / fk
-            x = m + half * k1
-            k2 = (am * x * x - 4.0 * x + bm) / fk
-            x = m + half * k2
-            k3 = (am * x * x - 4.0 * x + bm) / fk
-            x = m + hh * k3
-            a, b = -sin(2.0 * q), two_fk / cos(q) ** 2
-            m += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + (a * x * x - 4.0 * x + b) / fk)
-            append(m)
+    for hh, ms in ((h, fwd), (-h, bwd)):
         # the q the loop stepped through: add.accumulate sums left to right, as q += hh
         qs, ms = np.concatenate(([0.0], np.cumsum(np.full(n, hh)))), np.frombuffer(ms)
         with np.errstate(invalid="ignore", over="ignore"):

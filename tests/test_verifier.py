@@ -52,14 +52,18 @@ Covers:
     records on five presets at three (samples, seed) sizes are pinned
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
-    integrated-solution soundness < 1e-6 at SOUNDNESS_H; the one-loop
-    integrator equals the per-stage loop it replaced bit for bit (50 random
-    specs on two spans, a blow-up spec nan for nan), and the grid formed after
-    the loop equals the loop that appended q (200 random specs, two near
-    blow-up, nan for nan), cumsum equal to q += hh for both signs of h; a
-    checker fault (4 m scaled by 1 + 1e-6) fails the soundness control; a nan
-    soundness control, and constants that overflow to inf and nan, fail check
-    7 silently; under tracemalloc, check 7 on default peaks below 0.5 MiB
+    integrated-solution soundness < 1e-6 at SOUNDNESS_H; the one-pass
+    integrator (both directions on shared sin/cos) equals the per-stage loop
+    it replaced bit for bit (50 random specs on two spans, a blow-up spec nan
+    for nan), and the grid formed after the loop equals the two-pass loop that
+    appended q (200 random specs, two near blow-up): the returned maximum, nan
+    for nan, and every q2, m22 and dm22 each direction hands the residual (by
+    bytes, nans in the same places); cumsum equal to q += hh for both signs of
+    h; the shared pass's precondition, backward points equal to -q and sin odd,
+    cos even bit for bit at every point it evaluates (SOUNDNESS_H, 1e-3, 1e-4);
+    a checker fault (4 m scaled by 1 + 1e-6) fails the soundness control; a
+    nan soundness control, and constants that overflow to inf and nan, fail
+    check 7 silently; under tracemalloc, check 7 on default peaks below 0.5 MiB
   - pointwise residuals and d4 even in q2
 """
 import dataclasses
@@ -500,8 +504,9 @@ def test_sign_scans_hold_no_whole_grid():
 
 
 def test_check_7_holds_only_its_direction_arrays():
-    # one direction's grid and m (2001 points each at SOUNDNESS_H) and the
-    # residual's temporaries: 0.14 MiB on default
+    # both directions' m (2001 points each at SOUNDNESS_H), which the one pass
+    # fills together, one direction's grid and the residual's temporaries: 0.16 MiB
+    # on default
     opts = load_config(str(PRESETS / "default.yaml")).verify
     assert traced_peak(remark2_residual, opts.counterexample) < 0.5 * 2 ** 20
 
@@ -805,10 +810,13 @@ def test_integrated_solution_equals_per_stage_loop():
     assert math.isnan(got) and nans < len(cases) // 2
 
 
-def test_integrated_solution_equals_grid_in_loop():
-    # check 7's grid formed after its loop against the loop that appended q at every
-    # step: 200 random specs at SOUNDNESS_H and 1e-3 on two spans, two draws near
-    # blow-up and BLOWUP_SPEC, equal bit for bit, nan for nan
+def test_integrated_solution_equals_grid_in_loop(monkeypatch):
+    # check 7's one pass against the two-pass loop that appended q at every step:
+    # 200 random specs at SOUNDNESS_H and 1e-3 on two spans, two draws near blow-up
+    # and BLOWUP_SPEC. The returned maximum is equal bit for bit, nan for nan, and
+    # so is every (q2, m22, dm22) each direction hands _ode_residual: non-nan values
+    # by bytes, nans at the same places (a nan's sign may differ between runs of one
+    # sum, as CPython specialises its float add)
     rng = np.random.default_rng(39)
     cases = [(CounterexampleSpec(*np.exp(rng.uniform(-3, 2, 3)).tolist()), span, h)
              for _ in range(50) for span in (1.0, float(rng.uniform(0.05, 1.5)))
@@ -816,13 +824,49 @@ def test_integrated_solution_equals_grid_in_loop():
     cases += [(CounterexampleSpec(*spec), 1.0, verify.SOUNDNESS_H)
               for spec in ((0.668, 2.544, 2.316), (0.649, 2.715, 2.280))]
     cases += [(BLOWUP_SPEC, 1.0, verify.SOUNDNESS_H)]
+    seen, true = [], verify._ode_residual
+
+    def capture(spec, q2, m22, dm22):
+        seen.append([np.array(a, dtype=float) for a in (q2, m22, dm22)])
+        return true(spec, q2, m22, dm22)
+
+    monkeypatch.setattr(verify, "_ode_residual", capture)
     nans = 0
     for spec, span, h in cases:
+        seen.clear()
         got = verify._integrated_solution_residual(spec, span, h)
+        ours = seen[:]
+        seen.clear()
         want = grid_in_loop_integrated_residual(spec, span, h)
         assert got == want or math.isnan(got) and math.isnan(want), (spec, span, h, got, want)
         nans += math.isnan(got)
+        assert len(ours) == len(seen) == 2, (spec, span, h)
+        for direction, arrays in zip(("forward", "backward"), zip(ours, seen)):
+            for name, a, b in zip(("q2", "m22", "dm22"), *arrays):
+                at = np.isnan(a)
+                assert np.array_equal(at, np.isnan(b)), (spec, span, h, direction, name)
+                assert a[~at].tobytes() == b[~at].tobytes(), (spec, span, h, direction, name)
     assert len(cases) >= 200 and math.isnan(got) and nans < len(cases) // 2
+
+
+@pytest.mark.parametrize("h", [verify.SOUNDNESS_H, 1e-3, 1e-4])
+def test_shared_pass_needs_odd_sin_even_cos(h):
+    # check 7 integrates both directions in one pass on one sin 2q and one cos q per
+    # point. That gives the two-pass doubles only if the backward points are -q and
+    # libm's sin is odd and cos even, bit for bit, at every point the pass evaluates
+    n, half = int(round(1.0 / h)), 0.5 * h
+    why = "check 7's shared forward/backward pass needs"
+    q = q_b = 0.0
+    points = [0.0]
+    for _ in range(n):
+        assert q_b + -half == -(q + half), f"{why} a backward midpoint equal to -q_mid"
+        points.append(q + half)
+        q, q_b = q + h, q_b + -h
+        assert q_b == -q, f"{why} a backward grid equal to -q"
+        points.append(q)
+    for x in points:
+        assert math.sin(-2.0 * x).hex() == (-math.sin(2.0 * x)).hex(), f"{why} sin odd at {2.0 * x!r}"
+        assert math.cos(-x).hex() == math.cos(x).hex(), f"{why} cos even at {x!r}"
 
 
 @pytest.mark.parametrize("h", [verify.SOUNDNESS_H, 1e-3, 1e-4, 0.1, 0.0123456789])
