@@ -90,6 +90,10 @@ class AdaptiveState:
     def __post_init__(self):
         theta_hat = np.asarray(self.theta_hat, dtype=float).reshape(-1)
         gamma = np.asarray(self.gamma, dtype=float)
+        if not np.all(np.isfinite(theta_hat)):
+            raise ValueError("theta_hat must be finite")
+        if not np.all(np.isfinite(gamma)):   # an inf would invert to a frozen estimate
+            raise ValueError("gamma must be finite")
         ell = theta_hat.shape[0]
         if gamma.shape == ():
             gamma = float(gamma) * np.eye(ell)

@@ -204,17 +204,15 @@ def _load_adaptive(raw: dict, dist: DisturbanceSpec | None) -> AdaptiveState | N
                 for j, r in enumerate(gamma)]
         if len(rows) != ell:
             raise ConfigError(f"adaptive.gamma: expected {ell}x{ell} matrix")
-        gamma_arr = np.array(rows)
-    else:
+        gamma = rows
+    else:   # a scalar, which AdaptiveState takes as gamma * I
         gamma = _number(section, "adaptive", "gamma", defaults["gamma"])
         if gamma <= 0:
             raise ConfigError("adaptive.gamma: must be > 0")
-        gamma_arr = gamma * np.eye(ell)
     try:
-        state = AdaptiveState(theta_hat=np.array(theta_hat0), gamma=gamma_arr)
+        return AdaptiveState(theta_hat=np.array(theta_hat0), gamma=gamma)
     except ValueError as e:
         raise ConfigError(f"adaptive: {e}") from e
-    return state
 
 
 def _load_verify(raw: dict) -> VerifyOptions:

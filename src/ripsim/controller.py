@@ -70,7 +70,7 @@ class Coeffs:
     Fused control_terms and desired_hamiltonian, and shaping, form no binary
     operation of two parameter-only operands (fields, numbers, or names bound only
     from them) and negate none: each such value is a field here, which
-    tests/test_kernel.py checks on their source. verify._kinetic_residuals forms its
+    tests/test_kernel.py checks on their source. verify.kinetic_matching forms its
     own products of p1..p5 on purpose: it is an oracle for these closed forms,
     independent of them by route, and reads no Coeffs."""
 

@@ -11,9 +11,9 @@ cos(...) applied to another such expression:
 Evaluation follows IEEE float arithmetic: a product may overflow to
 inf, and sin/cos of inf is nan (where math.sin raises), as in numpy.
 Each term is compiled once, when it is parsed, into one Python function
-of (q1, q2, p1, p2), kept on its node as the plain attribute `compiled`
-(a nested node is compiled only when it is itself evaluated); the source is
-generated from the parsed tree alone.
+of (q1, q2, p1, p2), kept on its node as the plain attribute `compiled`; the
+source is generated from the parsed tree alone. Only parse_term's results
+are callable: a nested or hand-built node has no `compiled`.
 
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
@@ -79,21 +79,17 @@ class UnknownVariable(ParseError):
 
 
 class _Node:
-    """Evaluation shared by the node classes: the node compiled to one function.
+    """Evaluation shared by the node classes: the term compiled to one function.
 
-    The function of (q1, q2, p1, p2) is built once per node, on first use, and kept
-    as the plain instance attribute `compiled` (no class attribute of that name, so
-    the read in __call__ is an instance load); parse_term builds it for the term it
-    returns. Each node class runs its own copy of __call__ (_own_call), so CPython
-    specialises that load and the call of `compiled` for one class at a time.
+    parse_term builds the function of (q1, q2, p1, p2) for the term it returns and
+    keeps it as the plain instance attribute `compiled` (no class attribute of that
+    name, so the read in __call__ is an instance load). Each node class runs its own
+    copy of __call__ (_own_call), so CPython specialises that load and the call of
+    `compiled` for one class at a time.
     """
 
     def __call__(self, q1, q2, p1, p2):
-        try:
-            compiled = self.compiled
-        except AttributeError:   # the first evaluation of this node
-            compiled = _compiled(self)
-        return compiled(q1, q2, p1, p2)
+        return self.compiled(q1, q2, p1, p2)
 
 
 def _own_call(cls):
@@ -169,13 +165,6 @@ def _emit(node, lines: list, consts: dict) -> str:
             lines.append(f"{out} = {out} * {value}")
         return out
     raise TypeError(f"not a regressor node: {node!r}")
-
-
-def _compiled(node):
-    """The node compiled by _compile, kept on it as node.compiled."""
-    compiled = _compile(node)
-    object.__setattr__(node, "compiled", compiled)   # the nodes are frozen
-    return compiled
 
 
 def _compile(node):
@@ -285,7 +274,7 @@ def parse_term(text: str):
     kind, value, pos = toks[0]
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")
-    _compiled(node)   # compiled here, once, rather than on the first evaluation
+    object.__setattr__(node, "compiled", _compile(node))   # the nodes are frozen
     return node
 
 

@@ -10,7 +10,8 @@ that packs itself into the trace buffer (_row). Both open with one head
 (_head): one sin/cos pair of q2 for the controller and the plant, the term
 calls and the torque. Every sum is printed by codegen.summed, the rows of
 Gamma^{-1} f with their zero and unit entries folded out (_matvec). After
-the loop, _energies fills H, Hd and V_lyap in blocks of rows, on arrays.
+the loop, which only records and steps, _energies fills H, Hd and V_lyap in
+blocks of rows, on arrays, and the spot checks are read from the rows.
 If the trajectory leaves the region where Md is positive definite the run
 stops at the last completed step and the trace is flagged instead of
 clamping the control.
@@ -199,14 +200,14 @@ def _rk4_kernel(n: int):
                      "NonFiniteState": NonFiniteState})
 
 
-def _head(first: dict, own: dict, terms: tuple, robust: bool, *between: str):
+def _head(consts: dict, terms: tuple, robust: bool, *between: str):
     """The opening lines of the stage and the row, and the function's constants.
 
     x unpacked (theta_hat last, robust), s = sin(q2) and c = cos(q2) once, control_terms,
     the lines between, f{j} = c{j}(t{j}, q1, q2, p1c, p2c) per term and, robust, the
-    torque u + f^T theta_hat from u. The constants, in the factory's order: first, sin,
-    cos, control_terms, own, each term t{j} and its class's __call__ c{j}, read now (one
-    patched before run() builds the function is the one called).
+    torque u + f^T theta_hat from u. The constants, in the factory's order: sin, cos,
+    control_terms, each term t{j} and its class's __call__ c{j}, read now (one patched
+    before run() builds the function is the one called), then the caller's consts.
     """
     ell = len(terms)
     theta_hat = [f"th{j}" for j in range(ell)] if robust else []
@@ -216,9 +217,9 @@ def _head(first: dict, own: dict, terms: tuple, robust: bool, *between: str):
              *between,
              *(f"f{j} = c{j}(t{j}, q1, q2, p1c, p2c)" for j in range(ell)),
              *summed("u", [f"f{j} * {th}" for j, th in enumerate(theta_hat)], None)]
-    consts = {**first, "sin": math.sin, "cos": math.cos, "control_terms": control_terms,
-              **own, **numbered("t", terms), **numbered("c", [type(t).__call__ for t in terms])}
-    return lines, consts
+    return lines, {"sin": math.sin, "cos": math.cos, "control_terms": control_terms,
+                   **numbered("t", terms), **numbered("c", [type(t).__call__ for t in terms]),
+                   **consts}
 
 
 def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list[float],
@@ -233,15 +234,14 @@ def _stage(k: controller.Coeffs, params: RobotParams, terms: tuple, dtheta: list
     which takes the head's (s, c), is read here; every constant is a closure variable.
     """
     ell, rows = len(terms), range(len(ginv_rows))
-    lines, consts = _head({"k": k, "params": params},
-                          {"open_loop_rhs_flat": open_loop_rhs_flat}, terms, bool(ginv_rows))
     sums, weights, folded = _matvec("r", ginv_rows, "g", [f"f{j}" for j in range(ell)])
+    lines, consts = _head({"k": k, "params": params, "open_loop_rhs_flat": open_loop_rhs_flat,
+                           **numbered("dth", dtheta), **weights}, terms, bool(ginv_rows))
     lines += [*summed("d", [f"f{j} * dth{j}" for j in range(ell)]), *sums,
               "qd1, qd2, pd1, pd2 = open_loop_rhs_flat(params, s, c, p1c, p2c, u, d)",
               f"return {', '.join(['qd1', 'qd2', 'pd1', 'pd2', *(f'-pt1 * r{i}' for i in rows)])}"]
     return generate(f"closed-loop stage, {ell} terms{', adaptive' if rows else ''}"
-                    f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines,
-                    {**consts, **numbered("dth", dtheta), **weights})
+                    f"{', Gamma^-1 folded' if folded else ''}", "stage", "x", lines, consts)
 
 
 def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack, rec):
@@ -256,8 +256,8 @@ def _row(k: controller.Coeffs, dist: DisturbanceSpec | None, robust: bool, pack,
     dist.value and each term's class __call__ are read here and called in that order.
     """
     terms = dist.regressor.terms if robust else ()
-    own = {"pack": pack, "rec": rec, **({} if dist is None else {"value": dist.value})}
-    lines, consts = _head({"k": k}, own, terms, robust,
+    own = {"k": k, "pack": pack, "rec": rec, **({} if dist is None else {"value": dist.value})}
+    lines, consts = _head(own, terms, robust,
                           "d = 0.0" if dist is None else "d = value(q1, q2, p1c, p2c)")
     theta_hat = [f"th{j}" for j in range(len(terms))]
     lines += [*summed("dhat", [f"f{j} * {th}" for j, th in enumerate(theta_hat)]),
@@ -301,9 +301,10 @@ def _energies(k: controller.Coeffs, params: RobotParams, rec: np.ndarray, theta:
 def run(scenario: Scenario) -> Trace:
     """Integrate the scenario and record the full diagnostic trace.
 
-    Records each row (_row), then steps; _energies fills the kept rows' energies after
-    the loop. Stops early with status "region_exit" when the controller loses Md
-    definiteness; raises NonFiniteState if integration blows up.
+    The loop records each row (_row), then steps; a DefinitenessLost in either stops the
+    run with status "region_exit" and the rows recorded. _energies then fills their
+    energies, and the spot checks read every ceil(n / N_SPOT_CHECKS)-th row. Raises
+    NonFiniteState if integration blows up.
     """
     params, k = scenario.params, controller.coeffs(scenario.params, scenario.gains)
     mode = scenario.mode   # decides what is generated: nominal mode ignores a disturbance
@@ -332,29 +333,22 @@ def run(scenario: Scenario) -> Trace:
     if robust:
         x += scenario.adaptive.theta_hat.tolist()
 
-    spot_every = -(-n // N_SPOT_CHECKS)   # ceil(n / N_SPOT_CHECKS) >= 1
-    spots: list[tuple[float, float, float]] = []
-    status, reason = "ok", ""
-    rows = n + 1
-
-    for i in range(n + 1):
-        try:
-            row(x, i * size)
-        except DefinitenessLost as e:
-            status, reason, rows = "region_exit", str(e), i
-            break
-        if i % spot_every == 0:
-            spots.append((float(t_grid[i]), *_spot_residuals(k, x[1])))
-        if i == n:
-            break
-        try:
+    status, reason, rows = "ok", "", 0   # rows: the rows recorded
+    try:
+        while True:
+            row(x, rows * size)
+            rows += 1
+            if rows > n:
+                break
             x = step_rk4(rhs, x, dt)
-        except DefinitenessLost as e:
-            status, reason, rows = "region_exit", str(e), i + 1
-            break
+    except DefinitenessLost as e:
+        status, reason = "region_exit", str(e)
 
     rec = rec[:rows]
     _energies(k, params, rec, dtheta, gamma_rows)
+    every = -(-n // N_SPOT_CHECKS)   # ceil(n / N_SPOT_CHECKS) >= 1
+    spots = [(t, *_spot_residuals(k, q2))
+             for t, q2 in zip(t_grid[:rows:every].tolist(), rec[::every, 1].tolist())]
     return Trace(
         t=t_grid[:rows], q=rec[:, 0:2], p=rec[:, 2:4], u=rec[:, 4], d=rec[:, 5],
         d_hat=rec[:, 6], H=rec[:, -3], Hd=rec[:, -2], V_lyap=rec[:, -1],

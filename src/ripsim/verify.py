@@ -26,12 +26,13 @@ point by point, so the scan's results do not depend on the bounds.
 
 The closed-loop check compares the route simulate.run takes (control_terms'
 torque and open_loop_rhs_flat) with closed_loop_rhs_direct, which assembles
-the target form on stacked (N, 2, 2) matrices and solves all samples of a
-block in one batched np.linalg.solve. It runs that route on each block's
-arrays, through the definitions of the two float entry points
+the target form on stacked (N, 2, 2) matrices and solves all samples in
+one batched np.linalg.solve. It runs that route on the samples' arrays,
+through the definitions of the two float entry points
 (controller.control_terms_array, model.open_loop_rhs_array): element by
 element the doubles of the float calls, with sin, cos and atan from math.
-Both routes read one (sin, cos) pair per block (_trig).
+Both routes read one (sin, cos) pair per sample (_trig), and checks 1 and 6
+each take their grid or samples in one array pass.
 Those look their helpers up through the module, so a closed-form helper
 patched after import reaches this check (it does not reach the fused float
 entry points).
@@ -56,11 +57,12 @@ SOUNDNESS_TOL = 1e-6  # the residual checker on a truly integrated solution
 SOUNDNESS_H = 5e-4    # check 7's RK4 step; the residual's error falls as h**4 (README)
 FD_H = 1e-6
 CS_H = 1e-30          # complex step of check 2's grad Vd
-# Grid points per block. At 1 << 14 a block's float64 temporary is 128 KiB, glibc's
-# default mmap threshold, so each one is a fresh mmap that faults its pages in.
+# Grid points per block of the sign scans. At 1 << 14 a block's float64 temporary is
+# 128 KiB, glibc's default mmap threshold, so each one is a fresh mmap that faults its
+# pages in.
 SCAN_BLOCK = 1 << 12
 COS_ERR = 1e-12       # margin on np.cos at a block's ends, far above its ulp error
-# The suite's fixed sizes, each the default of the check that uses it; no config sets them.
+# The suite's fixed sizes; no config sets them.
 GRID_POINTS = 1000    # checks 1 and 7: points of the q2 grid
 Q2_SPAN = 1.5         # checks 1 and 2: q2 in [-Q2_SPAN, Q2_SPAN]
 Q1_SPAN = 3.0         # check 2: q1 in [-Q1_SPAN, Q1_SPAN]
@@ -123,9 +125,17 @@ def _max_and_arg(res: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     return float(res[k]), float(grid[k]) if res[k] > 0.0 else 0.0
 
 
-def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray) -> tuple[np.ndarray, ...]:
-    """|largest matrix entry|, |al1|, |al2|, |ode| of kinetic matching at each q2 with
-    the analytic q2-derivatives, and |largest matrix entry| with central differences."""
+def kinetic_matching(params: RobotParams, gains: ControllerGains) -> ResidualReport:
+    """Entrywise residual of the matrix matching equation over a q2 grid.
+
+    Also reports the three scalar rows (the two actuated ones defining
+    alpha and the unactuated ODE) separately in details. A second route
+    replaces every analytic q2-derivative with central differences (step
+    FD_H); its matrix residual goes into details and must stay at or
+    below TOL_FD, or the report fails.
+    """
+    q2 = grid = np.linspace(-Q2_SPAN, Q2_SPAN, GRID_POINTS)
+    k = controller.coeffs(params, gains)
     p2_, p3_, p4_, ps4 = k.p2, k.p3, k.p4, k.ps4
     s, c = np.sin(q2), np.cos(q2)
     sh = controller.shaping(k, s, c)
@@ -152,35 +162,18 @@ def _kinetic_residuals(k: controller.Coeffs, q2: np.ndarray) -> tuple[np.ndarray
     db4 = p3_ * (dps3 * c - ps3 * s)
     ode = (-2.0 * p2_ * ps3 * ps3 * s * c + 2.0 * p3_ * ps3 * ps4 * s
            + ps4 * db4)
-    return matrix(sh.a1, sh.a2, dd2, dd4), np.abs(al1), np.abs(al2), np.abs(ode), fd
-
-
-def kinetic_matching(params: RobotParams, gains: ControllerGains,
-                     n: int = GRID_POINTS) -> ResidualReport:
-    """Entrywise residual of the matrix matching equation over a q2 grid.
-
-    Also reports the three scalar rows (the two actuated ones defining
-    alpha and the unactuated ODE) separately in details. A second route
-    replaces every analytic q2-derivative with central differences (step
-    FD_H); its matrix residual goes into details and must stay at or
-    below TOL_FD, or the report fails.
-    """
-    grid, k = np.linspace(-Q2_SPAN, Q2_SPAN, n), controller.coeffs(params, gains)
-    matrix, al1, al2, ode, fd = (np.concatenate(col) for col in zip(*(
-        _kinetic_residuals(k, b) for b in np.split(grid, range(SCAN_BLOCK, n, SCAN_BLOCK)))))
-    worst, arg = _max_and_arg(matrix, grid)
+    worst, arg = _max_and_arg(matrix(sh.a1, sh.a2, dd2, dd4), grid)
     fd_worst = float(fd.max())
     return ResidualReport(
-        name="kinetic_matching", grid=f"{n} points on [-{Q2_SPAN}, {Q2_SPAN}]",
+        name="kinetic_matching", grid=f"{GRID_POINTS} points on [-{Q2_SPAN}, {Q2_SPAN}]",
         max_abs_residual=worst, arg_at_max=(arg,), tol=TOL_ANALYTIC,
         control=("fd control", fd_worst, TOL_FD),
-        details={"al1": float(al1.max()), "al2": float(al2.max()),
-                 "ode": float(ode.max()), "fd_max_abs_residual": fd_worst,
+        details={"al1": float(np.abs(al1).max()), "al2": float(np.abs(al2).max()),
+                 "ode": float(np.abs(ode).max()), "fd_max_abs_residual": fd_worst,
                  "fd_tol": TOL_FD})
 
 
-def potential_matching(params: RobotParams, gains: ControllerGains,
-                       n: int = PLANAR_POINTS) -> ResidualReport:
+def potential_matching(params: RobotParams, gains: ControllerGains) -> ResidualReport:
     """|psi3 dVd/dq1 + psi4 dVd/dq2 + p5 sin(q2)| over a (q1, q2) grid; the identity is exact.
 
     grad Vd is the complex step Im Vd(x + i CS_H) / CS_H, in q1 and in q2, of
@@ -190,6 +183,7 @@ def potential_matching(params: RobotParams, gains: ControllerGains,
     the row vanishes for any z offset. The control is the largest difference from
     _vd_gradient, which control_terms uses; it must stay at or below TOL_EXACT.
     """
+    n = PLANAR_POINTS
     q1 = np.linspace(-Q1_SPAN, Q1_SPAN, n)[:, None]
     q2 = np.linspace(-Q2_SPAN, Q2_SPAN, n)[None, :]
     s, c, k = np.sin(q2), np.cos(q2), controller.coeffs(params, gains)
@@ -363,8 +357,7 @@ def _pd_endpoint(params: RobotParams, gains: ControllerGains, n: int = PD_CELLS)
     return _sign_scan(params, gains, n, det_md)[1]
 
 
-def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
-                         n: int = MD_CELLS) -> ResidualReport:
+def md_definiteness_scan(params: RobotParams, gains: ControllerGains) -> ResidualReport:
     """Maximal symmetric interval around 0 with d1 > 0 and det Md > 0.
 
     Its endpoint can only fall short of rho (the det condition is
@@ -372,14 +365,14 @@ def md_definiteness_scan(params: RobotParams, gains: ControllerGains,
     than a grid cell, or with a nan residual when Md(0) is not PD (no interval).
     """
     rho = controller.region_rho(params, gains)
-    endpoint = _pd_endpoint(params, gains, n)
-    cell = math.pi / 2 / n
+    endpoint = _pd_endpoint(params, gains, MD_CELLS)
+    cell = math.pi / 2 / MD_CELLS
     overshoot = math.nan if math.isnan(endpoint) else max(0.0, endpoint - rho)
     k = controller.coeffs(params, gains)
     _, _, _, d2, d4, _ = controller.shape_terms(k, 0.0, 1.0)  # q2 = 0
     eigs = np.linalg.eigvalsh(np.array([[gains.k2, d2], [d2, d4]]))
     return ResidualReport(
-        name="md_definiteness", grid=f"{n} cells on [0, pi/2]",
+        name="md_definiteness", grid=f"{MD_CELLS} cells on [0, pi/2]",
         max_abs_residual=overshoot, arg_at_max=(endpoint,), tol=cell,
         details={"pd_endpoint": endpoint, "rho": rho,
                  "md_at_0_eigs": [float(e) for e in eigs],
@@ -478,33 +471,27 @@ def closed_loop_equivalence(params: RobotParams, gains: ControllerGains,
 
     Samples random in-region states and compares the open-loop RHS
     driven by the control law with the directly assembled shaped
-    dynamics; the matching construction makes them identical. Works in
-    blocks of at most SCAN_BLOCK states; each state's draws
-    (q1, q2, p1, p2) are those of four successive rng.uniform calls. The
-    residual is the largest component difference; a non-finite one is
-    reported (and fails) at its first sample; all are nan when Md(0) is not
-    PD.
+    dynamics; the matching construction makes them identical. All samples
+    are one array pass; each state's draws (q1, q2, p1, p2) are those of
+    four successive rng.uniform calls. The residual is the largest component
+    difference; a non-finite one is reported (and fails) at its first sample;
+    all are nan when Md(0) is not PD.
     """
     rng, k = np.random.default_rng(seed), controller.coeffs(params, gains)
     q2_max = 0.99 * _pd_endpoint(params, gains)
     low = np.array([-3.0, -q2_max, -2.0, -2.0])
-    high = -low
-    worst, arg = 0.0, (0.0, 0.0, 0.0, 0.0)
-    for start in range(0, n_samples, SCAN_BLOCK):
-        x = low + (high - low) * rng.random((min(SCAN_BLOCK, n_samples - start), 4))
-        # the plant under the feedback torque, on arrays through the defs of the float
-        # route simulate.run takes: element by element its doubles
-        q1, q2, p1, p2 = x.T
-        s, c = _trig(q2)
-        u, _ = controller.control_terms_array(k, q1, q2, s, c, p1, p2)
-        ctrl = np.stack(model.open_loop_rhs_array(params, s, c, p1, p2, u, 0.0), axis=1)
-        qd_d, pd_d = closed_loop_rhs_direct(params, gains, q1, s, c, p1, p2)
-        res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
-        i = int(np.argmax(res))  # the first nan, else the first maximum
-        if not res[i] <= worst:
-            worst, arg = float(res[i]), tuple(x[i].tolist())
-        if math.isnan(worst):
-            break
+    x = low + (-low - low) * rng.random((n_samples, 4))
+    # the plant under the feedback torque, on arrays through the defs of the float
+    # route simulate.run takes: element by element its doubles
+    q1, q2, p1, p2 = x.T
+    s, c = _trig(q2)
+    u, _ = controller.control_terms_array(k, q1, q2, s, c, p1, p2)
+    ctrl = np.stack(model.open_loop_rhs_array(params, s, c, p1, p2, u, 0.0), axis=1)
+    qd_d, pd_d = closed_loop_rhs_direct(params, gains, q1, s, c, p1, p2)
+    res = np.abs(ctrl - np.concatenate([qd_d, pd_d], axis=1)).max(axis=1)
+    i = int(np.argmax(res))  # the first nan, else the first maximum
+    worst = float(res[i])   # no location when every residual is 0, as in _max_and_arg
+    arg = (0.0, 0.0, 0.0, 0.0) if worst <= 0.0 else tuple(x[i].tolist())
     return ResidualReport(
         name="closed_loop_equivalence",
         grid=f"{n_samples} random states, |q2| < {q2_max:.4g}, seed {seed}",
@@ -607,17 +594,17 @@ def _integrated_solution_residual(spec: CounterexampleSpec, span: float = COUNTE
     return float(np.max(np.concatenate(rs)))
 
 
-def remark2_residual(spec: CounterexampleSpec, n: int = GRID_POINTS) -> ResidualReport:
+def remark2_residual(spec: CounterexampleSpec) -> ResidualReport:
     """Nonvanishing residual of the claimed prior-work solution.
 
-    max |R| on n points of [-COUNTEREXAMPLE_SPAN, COUNTEREXAMPLE_SPAN] must exceed
+    max |R| on GRID_POINTS points of [-COUNTEREXAMPLE_SPAN, COUNTEREXAMPLE_SPAN] must exceed
     1e-2 (the claimed m22 does not solve the ODE), and the soundness control in
     details must stay at or below 1e-6 on a genuinely integrated solution (nan
     fails). Extreme constants overflow the closed forms to inf and nan, which fail,
     without a warning.
     """
     span = COUNTEREXAMPLE_SPAN
-    grid = np.linspace(-span, span, n)
+    grid = np.linspace(-span, span, GRID_POINTS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = _ode_residual(spec, grid, claimed_m22(spec, grid),
                           _claimed_m22_derivative(spec, grid))
@@ -626,7 +613,7 @@ def remark2_residual(spec: CounterexampleSpec, n: int = GRID_POINTS) -> Residual
     k = int(np.argmax(np.abs(r)))
     control = _integrated_solution_residual(spec)
     return ResidualReport(
-        name="remark2_counterexample", grid=f"{n} points on [-{span}, {span}]",
+        name="remark2_counterexample", grid=f"{GRID_POINTS} points on [-{span}, {span}]",
         max_abs_residual=float(np.max(np.abs(r))), arg_at_max=(float(grid[k]),),
         tol=1e-2, kind="min_above",
         control=("soundness control", control, SOUNDNESS_TOL),

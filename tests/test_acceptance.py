@@ -64,7 +64,7 @@ def rand_draw(rng):
 def test_criterion_01_kinetic_matching_residual():
     cfg = preset("fig2")
     t0 = time.perf_counter()
-    report = kinetic_matching(cfg.params, cfg.gains, n=1000)   # on [-1.5, 1.5]
+    report = kinetic_matching(cfg.params, cfg.gains)   # 1000 points on [-1.5, 1.5]
     elapsed = time.perf_counter() - t0
     fd = report.details["fd_max_abs_residual"]
     print(f"kinetic matching: analytic {report.max_abs_residual:.3e} "
@@ -83,7 +83,7 @@ def test_criterion_02_riccati_residual():
 
 def test_criterion_03_potential_matching_exact():
     cfg = preset("fig2")
-    report = potential_matching(cfg.params, cfg.gains, n=100)
+    report = potential_matching(cfg.params, cfg.gains)   # 100 x 100 points
     print(f"potential matching: {report.max_abs_residual:.3e} (tol 1e-10)")
     assert report.passed and report.max_abs_residual < 1e-10
 
@@ -183,7 +183,7 @@ def test_criterion_10_counterexample_residual():
     rng = np.random.default_rng(102)
     for _ in range(10):
         spec = CounterexampleSpec(*np.exp(rng.uniform(-1.0, 1.0, 3)))
-        report = remark2_residual(spec, n=1000)   # on [-1, 1]
+        report = remark2_residual(spec)   # 1000 points on [-1, 1]
         assert report.max_abs_residual > 1e-2, spec
         assert report.details["integrated_solution_max_residual"] < 1e-6
     print("counterexample: |R| > 1e-2 on 10 draws, checker < 1e-6 on true solutions")

@@ -1,7 +1,8 @@
 """Disturbance model, parameter adaptation, robust control augmentation.
 
 Covers:
-  - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix), and
+  - DisturbanceSpec/AdaptiveState validation (dimensions, PD gain matrix, a
+    non-finite gain or initial estimate refused with no warning), and
     equality by value: two loads of fig4 (three terms) compare equal, as do
     their scenarios, and a changed theta, term, theta_hat or gamma unequal;
     hash() of a spec or a state, and so of fig4's Config and Scenario, raises
@@ -24,6 +25,7 @@ Covers:
 import dataclasses
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,23 @@ def test_adaptive_state_matrix_gamma_validation():
         AdaptiveState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         AdaptiveState(np.zeros(3), good)  # dim mismatch with theta_hat
+
+
+@pytest.mark.parametrize("theta_hat, gamma, message", [
+    (np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]], "gamma must be finite"),
+    (np.zeros(2), [[1.0, math.nan], [math.nan, 1.0]], "gamma must be finite"),
+    (np.zeros(2), math.inf, "gamma must be finite"),
+    (np.zeros(2), math.nan, "gamma must be finite"),
+    ([math.nan, 0.0], 1.0, "theta_hat must be finite"),
+    ([0.0, -math.inf], [[1.0, 0.0], [0.0, 1.0]], "theta_hat must be finite"),
+])
+def test_adaptive_state_rejects_non_finite(theta_hat, gamma, message):
+    # an inf in Gamma inverts to a zero row of Gamma^{-1}, a silently frozen estimate
+    # and an infinite V_lyap; a scalar inf would expand to inf * 0 = nan with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            AdaptiveState(theta_hat, gamma)
 
 
 def test_specs_and_states_compare_by_value():

@@ -625,21 +625,21 @@ def test_one_trig_pair_per_stage_and_row():
 # change to the generated code changes these, and says so in CHANGES.md.
 GENERATED_SHA256 = {
     "stage nominal":
-        "471c456d64ce5a76b9138f6beee5ab7d5a76408b64f7ac1ffecec774e7fd8b9b",
+        "f24829acaf781927471befee432b524c1d08ca14a465e7b03c2f624b663a7bbf",
     "stage disturbed 3":
-        "2eaacc0c1919c49f3bf6218b0a97799308c5bdb45658948bb751e9a3059b9e19",
+        "31ea0147392904818b31c9b34c51629beb69f68391d9cbf27767eeeca9f42708",
     "stage robust 3, Gamma = I":
-        "444bbb15e2ce9ef4d2e929264cdba865919f64f3c3368c3cd9993b90dbb7ed97",
+        "05875a7203000c56d242d08426aeceb6a6c89b8bc6ac135e097cf18f5e98bbc1",
     "stage robust 3, dense Gamma":
-        "eea65300ef8677a62aa997883602ba80483695fc729786374c8093c483ed1527",
+        "21aa00352f26a7674ad464dad8e9acac1bdd20bb626be36ee33637fcd7747f65",
     "stage robust 3, Gamma^-1 with 0.0 and 1.0":
-        "c77aba05a0ef711e222a4e185dec3c22e4296060d1329250c311727f64f82397",
+        "5bf19e04db98231a1ab1d777a855ab7856d1d1606e4fd13a22c66efa817a8e7a",
     "row nominal":
-        "8b9b93e5a92fe6205b9e32819b066ac4a3cabc3eebcd8e5cbd89c7ddb16ad5c8",
+        "bc31c9914934ba4ae5f3d46783b6133d8041e8284c3c94fb977455fc25c37bbb",
     "row disturbed":
-        "54c488a9d9f8357bbd45699e9d3a9b00a27efa16cda184a8deaa9c86ffa9bd4e",
+        "692cbe91ae8f8dd57a0357f0fa1acdb9cde248c75c80f5b225e1c78682030792",
     "row robust 3":
-        "95e5fc5d647f5888216783fc11f9ddf4be37811ca1dff1391b65dcbd2fed2287",
+        "8a769282fa41c386cd9dfabb98f6efae7e76af8ac8e5bd7d0dfd908854f852ae",
     "disturbance sum 3":
         "4012d167e3adf33cadddee5d74c72d62bac2479626403a1b01dd808b00a2de36",
     "rk4 4":

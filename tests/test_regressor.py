@@ -22,9 +22,9 @@ Covers:
     a draw refused at parse time is refused for its constant factors alone:
     the tree walk of the run at the error's position is not finite, and of
     an accepted draw every run of every product is finite
-  - a node keeps its compiled function as a plain instance attribute: no
-    class attribute named compiled, _compile runs once per node, and a
-    nested node is compiled only when it is itself called
+  - a term keeps its compiled function as a plain instance attribute: no
+    class attribute named compiled, and _compile runs once, in parse_term,
+    for the term alone; a nested or hand-built node is never compiled
   - each node class runs its own __call__: four distinct code objects with
     _Node.__call__'s instructions, and one class's __call__ patched reaches
     that class's terms alone
@@ -322,17 +322,16 @@ def test_compiled_function_is_a_plain_attribute_built_once(monkeypatch):
     for _ in range(3):
         assert term(0.3, 0.5, -0.2, 0.0) == first
     assert compiled == [term]
+    # parse_term compiles the term it returns and nothing else: a nested node or one
+    # built directly has no compiled function, and calling it raises
     nested, inner = term.factors[0], term.factors[0].arg
-    assert "compiled" not in nested.__dict__ and "compiled" not in inner.__dict__
-    assert nested(0.3, 0.5, -0.2, 0.0) == math.sin(0.3 * 0.5)
-    assert nested(0.1, 0.5, -0.2, 0.0) == math.sin(0.1 * 0.5)
-    assert compiled == [term, nested] and "compiled" in nested.__dict__
-    assert "compiled" not in inner.__dict__   # the product inside sin is not called
-    number = Number(2.5)   # a node built directly is compiled on its first call
-    assert "compiled" not in number.__dict__
-    assert number(0.0, 0.0, 0.0, 0.0) == number(1.0, 0.0, 0.0, 0.0) == 2.5
-    assert compiled == [term, nested, number] and "compiled" in number.__dict__
-    assert number == Number(2.5) and hash(number) == hash(Number(2.5))
+    number = Number(2.5)
+    for node in (nested, inner, number):
+        assert "compiled" not in node.__dict__
+        with pytest.raises(AttributeError, match="compiled"):
+            node(0.3, 0.5, -0.2, 0.0)
+    assert compiled == [term]
+    assert parse_term("2.5") == number and hash(parse_term("2.5")) == hash(number)
 
 
 def test_each_node_class_runs_its_own_call_code(monkeypatch):

@@ -19,7 +19,8 @@ Covers:
     n = 1..64 steps
   - region exit: flagged + truncated, never clamped;
     after an exit in a stage or on a recorded row every Trace array has
-    the same, fully written rows
+    the same, fully written rows; an exit at row 0 and one inside an RK4
+    step keep pinned rows, times, last state and spot-check times
   - Scenario validation and out-of-region warning
   - nominal mode ignores a configured disturbance: the same Trace arrays, bit
     for bit, as without one (d = 0)
@@ -37,7 +38,7 @@ Covers:
     simulate.ENERGY_BLOCK recorded rows, on arrays), the module attributes the
     benchmark's tracer wraps, and check 6 takes its torque and plant through
     controller.control_terms_array and model.open_loop_rhs_array (one call
-    each per block of samples, never control_law); a __call__ of the regressor
+    each per check, never control_law); a __call__ of the regressor
     node classes patched after import is the one run() evaluates: 18n + 6 calls
     over n steps of a 3-term robust run, and one that doubles a term gives the
     trace of that term written with a factor 2, also when it is patched after
@@ -54,7 +55,7 @@ import numpy as np
 import pytest
 
 import ripsim.simulate as sim
-from ripsim import controller, model, verify
+from ripsim import controller, model
 from ripsim.adaptive import AdaptiveState, DisturbanceSpec
 from ripsim.config import load_config
 from ripsim.controller import ControllerGains, DefinitenessLost, coeffs, control_terms
@@ -319,6 +320,49 @@ def test_region_exit_on_recorded_row_keeps_rows_complete(monkeypatch):
     assert_rows_complete(tr)
 
 
+# q1, q2, p1, p2, theta_hat of the last row the robust exit scenario keeps, over 1 s
+EXIT_LAST_STATE = ["-0x1.a4be1f9073be8p-1", "0x1.05f0e88fe3b35p-1", "-0x1.4a06619c31220p-8",
+                   "0x1.9d63dae317ad2p-4", "0x1.3ff11ba6a72e4p-2", "-0x1.136a2dc54fad8p-2"]
+
+
+@pytest.mark.parametrize("case", ["row_0", "rk4_step"])
+def test_region_exit_rows_and_spot_check_times_pinned(case, monkeypatch):
+    # an exit at row 0 (a start past the band) keeps no row and no spot check; one
+    # inside an RK4 step keeps the rows recorded before that step. Pinned: the rows, t,
+    # the last recorded state and the spot-check times, one every ceil(n / 8) kept rows
+    steps = []
+
+    def spy(rhs, x, dt):
+        try:
+            x = step_rk4(rhs, x, dt)
+        except DefinitenessLost:
+            steps.append("exit")
+            raise
+        steps.append("ok")
+        return x
+
+    monkeypatch.setattr(sim, "step_rk4", spy)
+    if case == "row_0":
+        with pytest.warns(UserWarning, match="outside"):
+            sc = nominal((0.0, 0.6), t_end=1.0)
+        rows = 0
+    else:
+        sc = dataclasses.replace(robust_exit_scenario(), t_end=1.0)
+        rows = 726
+    tr = run(sc)
+    assert tr.status == "region_exit" and len(tr.t) == rows
+    assert steps == (["ok"] * (rows - 1) + ["exit"] if rows else [])
+    assert tr.t.tolist() == (np.arange(rows) * 1e-3).tolist()
+    every = math.ceil(1000 / sim.N_SPOT_CHECKS)
+    assert every == 125
+    assert [t for t, _, _ in tr.spot_checks] == tr.t[::every].tolist()
+    assert len(tr.spot_checks) == (6 if rows else 0)
+    if rows:
+        assert tr.t[-1] == 0.725
+        assert [v.hex() for v in (*tr.q[-1], *tr.p[-1], *tr.theta_hat[-1])] == EXIT_LAST_STATE
+    assert_rows_complete(tr)
+
+
 def test_nominal_trace_has_empty_theta_columns():
     tr = run(nominal((0.1, 0.3), t_end=0.1))
     assert tr.theta_hat.shape == (101, 0)
@@ -435,9 +479,6 @@ def test_energies_and_torque_called_through_module_names(monkeypatch):
     assert calls["H"] == calls["Hd"] == 1 + 3   # blocks of 4, 4 and 3 rows
     assert closed_loop_equivalence(P_SYN, G_CONV, n_samples=50).passed
     assert calls == {"H": 4, "Hd": 4, "u": 0, "u_array": 1, "plant_array": 1}
-    monkeypatch.setattr(verify, "SCAN_BLOCK", 16)
-    assert closed_loop_equivalence(P_SYN, G_CONV, n_samples=50).passed
-    assert calls == {"H": 4, "Hd": 4, "u": 0, "u_array": 1 + 4, "plant_array": 1 + 4}
 
 
 def bits(values):

@@ -4,7 +4,8 @@ Covers:
   - the seven-report bundle: names, order, all passing on the synthetic set
   - a fixed suite: VerifyOptions has the fields seed and counterexample only,
     and its scan_cells is REGION_CELLS and cannot be set; each check's size
-    defaults to its module constant, and no check takes a span or step;
+    defaults to its module constant (a check with one size reads the
+    constant and takes none), and no check takes a span or step;
     check 5's step and svgplot's tick target are constants
   - kinetic matching: the analytic route (1e-8) and the finite-difference
     route in details (1e-5) must both hold; a coarse FD step fails the check
@@ -46,9 +47,9 @@ Covers:
     by 1 + 1e-6 in controller._md_inverse, patched after import, reaches the
     control route and fails on default; the batched check equals the per-sample loop it
     replaced bit for bit (five presets and the synthetic set, seeds 0-3,
-    alpha true and zeroed, across blocks); the block
+    alpha true and zeroed); the block
     draws equal successive rng.uniform draws; closed_loop_rhs_direct
-    equals plant + control_law composition; one _trig call per block; the
+    equals plant + control_law composition; one _trig call per check; the
     records on five presets at three (samples, seed) sizes are pinned
   - verify_all passes on every preset
   - Remark-2 counterexample: frozen R(0)=10, threshold over random draws,
@@ -151,23 +152,27 @@ def test_verify_options_hold_only_what_a_config_sets():
 
 
 @pytest.mark.parametrize("fn, params, size", [
-    (kinetic_matching, ["params", "gains", "n"], "GRID_POINTS"),
-    (potential_matching, ["params", "gains", "n"], "PLANAR_POINTS"),
+    (kinetic_matching, ["params", "gains"], "GRID_POINTS"),
+    (potential_matching, ["params", "gains"], "PLANAR_POINTS"),
     (region_scan, ["params", "gains", "cells"], "REGION_CELLS"),
     (region_report, ["params", "gains", "cells"], "REGION_CELLS"),
-    (md_definiteness_scan, ["params", "gains", "n"], "MD_CELLS"),
+    (md_definiteness_scan, ["params", "gains"], "MD_CELLS"),
     (_pd_endpoint, ["params", "gains", "n"], "PD_CELLS"),
     (closed_loop_equivalence, ["params", "gains", "n_samples", "seed"], "SAMPLES"),
-    (remark2_residual, ["spec", "n"], "GRID_POINTS"),
+    (remark2_residual, ["spec"], "GRID_POINTS"),
     (verify._integrated_solution_residual, ["spec", "span", "h"], "COUNTEREXAMPLE_SPAN"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_check_sizes_default_to_constants(fn, params, size):
     # each check's size (its first parameter with a default) defaults to its module
-    # constant, and it takes no span or step: verify_all and the CLI call the checks so
+    # constant, and it takes no span or step: verify_all and the CLI call the checks so;
+    # a check with one size in every call takes no size parameter and reads the constant
     sig = inspect.signature(fn).parameters
     assert list(sig) == params
-    assert next(p for p in sig.values() if p.default is not p.empty).default == \
-        getattr(verify, size)
+    defaults = [p.default for p in sig.values() if p.default is not p.empty]
+    if defaults:
+        assert defaults[0] == getattr(verify, size)
+    else:
+        assert size in fn.__code__.co_names
 
 
 def test_one_value_steps_are_constants():
@@ -293,10 +298,10 @@ def test_region_scan_empty():
 
 
 def test_md_definiteness_synthetic():
-    r = md_definiteness_scan(P_SYN, G_REF, n=10 ** 4)
+    r = md_definiteness_scan(P_SYN, G_REF)
     assert r.passed
     assert r.details["pd_at_0"] is True
-    assert r.details["pd_endpoint"] <= r.details["rho"] + math.pi / 2 / 10 ** 4
+    assert r.details["pd_endpoint"] <= r.details["rho"] + math.pi / 2 / verify.MD_CELLS
     ref = np.linalg.eigvalsh(np.array([[100.0, 19.0], [19.0, 8.0]]))
     assert r.details["md_at_0_eigs"] == pytest.approx(list(ref), rel=1e-12)
     assert min(r.details["md_at_0_eigs"]) > 0
@@ -306,7 +311,7 @@ def test_md_definiteness_fails_without_pd_origin():
     # det Md(0) = 1*8 - 19^2 < 0: there is no interval, and checks 4 and 6
     # fail (load_config rejects these gains; a library call does not)
     g = ControllerGains(1.0, 0.1, 1.0)
-    r = md_definiteness_scan(P_SYN, g, n=10 ** 4)
+    r = md_definiteness_scan(P_SYN, g)
     assert not r.passed and math.isnan(r.details["pd_endpoint"])
     assert r.details["pd_at_0"] is False
     assert not closed_loop_equivalence(P_SYN, g, n_samples=50).passed
@@ -513,8 +518,8 @@ def test_check_7_holds_only_its_direction_arrays():
 
 def test_md_interval_widens_with_k2():
     g10 = ControllerGains(1.0, 0.1, 1000.0)
-    a = md_definiteness_scan(P_SYN, G_REF, n=10 ** 4)
-    b = md_definiteness_scan(P_SYN, g10, n=10 ** 4)
+    a = md_definiteness_scan(P_SYN, G_REF)
+    b = md_definiteness_scan(P_SYN, g10)
     assert b.details["pd_endpoint"] >= a.details["pd_endpoint"]
 
 
@@ -646,27 +651,14 @@ def test_closed_loop_equivalence_equals_per_sample_loop(name, monkeypatch):
                        for seed in range(1, 4))
 
 
-def test_closed_loop_equivalence_blocks_equal_one_pass(monkeypatch):
-    params, gains = plant_and_gains("default")
-    monkeypatch.setattr(verify, "SCAN_BLOCK", 64)
-    for seed in range(4):
-        r = closed_loop_equivalence(params, gains, 300, seed)
-        assert (r.max_abs_residual, r.arg_at_max) == loop_closed_loop_equivalence(
-            params, gains, 300, seed)
-
-
 def test_check_6_takes_trig_once_per_block(monkeypatch):
-    # both routes of a block share one (sin, cos) pair: one _trig call per block
+    # both routes share one (sin, cos) pair per sample: one _trig call over all the
+    # samples, which are one block
     real, calls = verify._trig, []
     monkeypatch.setattr(verify, "_trig", lambda q2: calls.append(q2.size) or real(q2))
     params, gains = plant_and_gains("default")
     assert closed_loop_equivalence(params, gains, 1000).passed
     assert calls == [1000]
-    monkeypatch.setattr(verify, "SCAN_BLOCK", 16)
-    for n in (50, 64, 1000):
-        calls.clear()
-        closed_loop_equivalence(params, gains, n, 1)
-        assert len(calls) == -(-n // 16) and sum(calls) == n, (n, calls)
 
 
 CHECK6_Q2 = {"default": "1.068", "fig2": "1.015", "fig3": "1.015", "fig4": "1.015",
@@ -758,7 +750,7 @@ def test_remark2_random_draws():
     rng = np.random.default_rng(33)
     for _ in range(10):
         spec = CounterexampleSpec(*np.exp(rng.uniform(-1, 1, 3)))
-        r = remark2_residual(spec, n=400)
+        r = remark2_residual(spec)
         assert r.max_abs_residual > 1e-2
         assert r.details["integrated_solution_max_residual"] < 1e-6
 
