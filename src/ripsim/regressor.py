@@ -10,16 +10,18 @@ cos(...) applied to another such expression:
 
 Evaluation follows IEEE float arithmetic: a product may overflow to
 inf, and sin/cos of inf is nan (where math.sin raises), as in numpy.
-Each term is compiled once, when it is parsed, into one Python function
-of (q1, q2, p1, p2), kept on its node as the plain attribute `compiled`; the
-source is generated from the parsed tree alone. Only parse_term's results
-are callable: a nested or hand-built node has no `compiled`.
+The parser reads a term in one pass: each factor gives its node, the
+statements that evaluate it and its value when it reads no variable. The
+statements compile once, in parse_term, into one Python function of
+(q1, q2, p1, p2), kept on the term's node as the plain attribute `compiled`.
+Only parse_term's results are callable: a nested or hand-built node has no
+`compiled`.
 
 Sums are not part of the language: a disturbance d = f(q,p)^T theta is
 a weighted sum of regressor components by construction, with the
 weights living in theta. Extending the grammar (e.g. '+', powers) only
-requires new alternatives in _parse_factor, one AST node each (a dataclass
-under @_own_call) and its statements in _emit.
+requires new alternatives in _parse_factor, each with one AST node (a
+dataclass under @_own_call), its statements and its constant value.
 
 NUMBER is ASCII digits with an optional point and exponent, and must be
 finite as a double (1e999 is refused at its position); so must each maximal
@@ -135,54 +137,6 @@ class Product(_Node):
     factors: tuple
 
 
-def _emit(node, lines: list, consts: dict) -> str:
-    """Append the statements that evaluate node; return the name that holds its value.
-
-    Only names are printed: the variables and functions of the grammar,
-    temporaries and the names that literals are bound to. One statement per
-    operation, so nesting depth is not limited by the Python compiler.
-    """
-    if isinstance(node, Number):
-        name = f"_k{len(consts)}"
-        consts[name] = node.value
-        return name
-    if isinstance(node, Variable):
-        if node.name not in VARIABLES:
-            raise ValueError(f"unknown variable {node.name!r}")
-        return node.name
-    if isinstance(node, Call):
-        if node.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {node.fn!r}")
-        arg = _emit(node.arg, lines, consts)
-        out = f"_t{len(lines)}"  # numbered by statement, so unique
-        lines.append(f"{out} = {node.fn}({arg})")
-        return out
-    if isinstance(node, Product):
-        out = f"_t{len(lines)}"
-        lines.append(f"{out} = 1.0")
-        for f in node.factors:  # folded left to right from 1.0
-            value = _emit(f, lines, consts)
-            lines.append(f"{out} = {out} * {value}")
-        return out
-    raise TypeError(f"not a regressor node: {node!r}")
-
-
-def _compile(node):
-    """node as one Python function of (q1, q2, p1, p2), IEEE-equal to the tree walk.
-
-    The body runs with plain math.sin/cos, which raise ValueError where an
-    argument overflowed to +-inf. IEEE (and numpy) give nan there, and a nan
-    factor makes every enclosing product and sin/cos nan, so the term is nan.
-    """
-    consts: dict = {}
-    lines: list = []
-    result = _emit(node, lines, consts)
-    return generate("regressor term", "term", "q1, q2, p1, p2",
-                    ["try:", *(f"    {line}" for line in lines), f"    return {result}",
-                     "except ValueError:", "    return nan"],
-                    {**FUNCTIONS, "nan": math.nan, **consts})
-
-
 def _tokenize(text: str) -> collections.deque:
     """The (kind, value, pos) tokens of text, ending with ("end", "", len(text))."""
     toks = collections.deque()
@@ -195,13 +149,19 @@ def _tokenize(text: str) -> collections.deque:
     return toks
 
 
-def _parse_factor(toks: collections.deque, text: str, depth: int):
+def _parse_factor(toks: collections.deque, text: str, depth: int, lines: list, consts: dict):
+    """The factor at the front of toks, inside depth enclosing calls, as (node, name,
+    value): its statements are appended to lines and its literals bound in consts, name
+    holds its value once they have run, and value is that value when it reads no
+    variable, else None."""
     kind, value, pos = toks.popleft()
     if kind == "number":
         number = float(value)
         if not math.isfinite(number):
             raise ParseError(text, pos, f"number {value} overflows a double")
-        return Number(number)
+        name = f"_k{len(consts)}"
+        consts[name] = number
+        return Number(number), name, number
     if kind == "ident":
         if toks[0][0] == "lparen":
             if value not in FUNCTIONS:
@@ -209,72 +169,71 @@ def _parse_factor(toks: collections.deque, text: str, depth: int):
             lpos = toks.popleft()[2]
             if depth == MAX_NESTING:
                 raise ParseError(text, lpos, f"calls nested deeper than {MAX_NESTING}")
-            arg = _parse_expr(toks, text, depth + 1)
+            arg, arg_name, arg_value = _parse_expr(toks, text, depth + 1, lines, consts)
             ckind, _, cpos = toks.popleft()
             if ckind != "rparen":
                 raise ParseError(text, cpos, "expected ')'")
-            return Call(value, arg)
+            name = f"_t{len(lines)}"   # numbered by statement, so unique
+            lines.append(f"{name} = {value}({arg_name})")
+            return (Call(value, arg), name,
+                    None if arg_value is None else FUNCTIONS[value](arg_value))
         if value not in VARIABLES:
             raise UnknownVariable(text, pos, value)
-        return Variable(value)
+        return Variable(value), value, None
     raise ParseError(text, pos, "expected a number, variable, or sin/cos call")
 
 
-def _constant_runs(factors) -> list[list]:
-    """[index of its first factor, product] of each maximal run of constant factors,
-    left to right, each product folded left to right from 1.0."""
-    runs, last = [], -2   # last: the index of the last constant factor seen
-    for i, f in enumerate(factors):
-        value = _constant(f)
-        if value is not None:
-            if last != i - 1:
-                runs.append([i, 1.0])
+def _parse_expr(toks: collections.deque, text: str, depth: int, lines: list, consts: dict):
+    """The expr at the front of toks as _parse_factor's (node, name, value); a product
+    takes one statement per factor, folded left to right from 1.0. Once all its factors
+    are read, a product with a run of constant factors that multiply past a double
+    raises ParseError at the run's first factor (the first such run, left to right)."""
+    pos = toks[0][2]
+    node, name, value = _parse_factor(toks, text, depth, lines, consts)
+    if toks[0][0] != "star":
+        return node, name, value
+    out = f"_t{len(lines)}"
+    lines.append(f"{out} = 1.0")
+    factors, runs, last, reads = [], [], None, False   # runs: [first position, product]
+    while True:
+        factors.append(node)
+        lines.append(f"{out} = {out} * {name}")
+        if value is None:
+            reads = True
+        else:   # each maximal run of constant factors folded left to right from 1.0
+            if last is None:
+                runs.append([pos, 1.0])
             runs[-1][1] *= value
-            last = i
-    return runs
-
-
-def _constant(node):
-    """The value of a node that reads no variable, else None; its products are finite
-    (_parse_expr refuses the others), so sin/cos never see an infinity."""
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Call):
-        arg = _constant(node.arg)
-        return None if arg is None else FUNCTIONS[node.fn](arg)
-    if isinstance(node, Product):   # math.prod folds floats left to right from 1.0
-        values = [_constant(f) for f in node.factors]
-        return None if None in values else math.prod(values)
-    return None
-
-
-def _parse_expr(toks: collections.deque, text: str, depth: int):
-    """The expr at the front of toks, inside depth enclosing calls. A product with a
-    run of constant factors that multiply past a double raises ParseError at the
-    run's first factor (the first such run, left to right)."""
-    starts = [toks[0][2]]
-    factors = [_parse_factor(toks, text, depth)]
-    while toks[0][0] == "star":
+        last = value
+        if toks[0][0] != "star":
+            break
         toks.popleft()
-        starts.append(toks[0][2])
-        factors.append(_parse_factor(toks, text, depth))
-    if len(factors) == 1:
-        return factors[0]
-    for first, run in _constant_runs(factors):
+        pos = toks[0][2]
+        node, name, value = _parse_factor(toks, text, depth, lines, consts)
+    for first, run in runs:
         if not math.isfinite(run):
-            raise ParseError(text, starts[first],
-                             f"constant factors multiply to {run}, not a finite double")
-    return Product(tuple(factors))
+            raise ParseError(text, first, f"constant factors multiply to {run}, not a finite double")
+    return Product(tuple(factors)), out, None if reads else runs[0][1]
 
 
 def parse_term(text: str):
-    """Parse a single regressor component into an evaluable AST."""
-    toks = _tokenize(text)
-    node = _parse_expr(toks, text, 0)
+    """Parse a single regressor component into an evaluable AST, its `compiled` function
+    built from the statements the parser printed.
+
+    The body runs with plain math.sin/cos, which raise ValueError where an
+    argument overflowed to +-inf. IEEE (and numpy) give nan there, and a nan
+    factor makes every enclosing product and sin/cos nan, so the term is nan.
+    """
+    toks, lines, consts = _tokenize(text), [], {}
+    node, result, _ = _parse_expr(toks, text, 0, lines, consts)
     kind, value, pos = toks[0]
     if kind != "end":
         raise ParseError(text, pos, f"unexpected token {value!r} after expression")
-    object.__setattr__(node, "compiled", _compile(node))   # the nodes are frozen
+    object.__setattr__(node, "compiled", generate(   # the nodes are frozen
+        "regressor term", "term", "q1, q2, p1, p2",
+        ["try:", *(f"    {line}" for line in lines), f"    return {result}",
+         "except ValueError:", "    return nan"],
+        {**FUNCTIONS, "nan": math.nan, **consts}))
     return node
 
 

@@ -69,6 +69,9 @@ class Scenario:
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step dt")
         step_count(self.t_end, self.dt)
+        for name in ("q0", "qdot0"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.mode != "nominal" and self.disturbance is None:
             raise ValueError(f"mode {self.mode!r} requires a disturbance")
         if self.mode == "disturbed_robust":

@@ -22,16 +22,17 @@ Covers:
     a draw refused at parse time is refused for its constant factors alone:
     the tree walk of the run at the error's position is not finite, and of
     an accepted draw every run of every product is finite
+  - parse-error precedence: type, position and message head of a bad
+    character, an unknown name and constant runs, inside and around sin/cos
   - a term keeps its compiled function as a plain instance attribute: no
-    class attribute named compiled, and _compile runs once, in parse_term,
-    for the term alone; a nested or hand-built node is never compiled
+    class attribute named compiled, and one term function is generated, in
+    parse_term, for the term alone; a nested or hand-built node is never compiled
   - each node class runs its own __call__: four distinct code objects with
     _Node.__call__'s instructions, and one class's __call__ patched reaches
     that class's terms alone
   - RegressorSpec validation (at least one term)
 """
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,6 +199,31 @@ def test_finite_constant_factors_parse(text):
     assert same_double(t(1.0, 0.5, 0.25, 0.0), tree_eval(t, 1.0, 0.5, 0.25, 0.0))
 
 
+RUN = "constant factors multiply to"
+
+
+@pytest.mark.parametrize("text, error, pos, head", [
+    ("1e308*1e308*q1 $", ParseError, 15, "unexpected character '$'"),
+    ("1e308*1e308*q1*bad", UnknownVariable, 15, "unknown variable 'bad'"),
+    ("1e308*1e308*tan(q1)", ParseError, 12, "unknown function 'tan'"),
+    ("sin(1e308*1e308)*bad", ParseError, 4, f"{RUN} inf"),
+    ("1e308*1e308*q1*1e308*1e308", ParseError, 0, f"{RUN} inf"),
+    ("q1*1e308*1e308*sin(1e308*1e308)", ParseError, 19, f"{RUN} inf"),
+    ("2*3*sin(1e200*1e200*q1)*1e308*1e308", ParseError, 8, f"{RUN} inf"),
+    ("cos(1e308*1e308*0)*q1", ParseError, 4, f"{RUN} nan"),
+    ("sin(q1*1e308*1e308", ParseError, 7, f"{RUN} inf"),
+])
+def test_parse_error_precedence(text, error, pos, head):
+    # a bad character is refused before parsing; within a product every factor is
+    # parsed before its constant runs are checked, and an inner product is checked
+    # before the outer one goes on (or its ')' is looked for)
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert type(exc.value) is error and exc.value.pos == pos
+    assert str(exc.value).startswith(head)
+    assert str(exc.value).endswith(f" at position {pos} in {text!r}")
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError):
         parse_term("tan(q1)")
@@ -238,9 +264,29 @@ def variables_of(node):
 
 
 def unchecked_product(text, pos):
-    """The product that starts at text[pos], parsed with the constant check off."""
-    with mock.patch.object(regressor, "_constant_runs", lambda factors: []):
-        return regressor._parse_expr(regressor._tokenize(text[pos:]), text[pos:], 0)
+    """The product that starts at text[pos], parsed with no constant check: the grammar's
+    recursive descent over regressor's tokens, building the parser's nodes."""
+    toks = regressor._tokenize(text[pos:])
+
+    def factor():
+        kind, value, _ = toks.popleft()
+        if kind == "number":
+            return Number(float(value))
+        if toks[0][0] != "lparen":
+            return Variable(value)
+        toks.popleft()
+        arg = expr()
+        toks.popleft()   # ')'
+        return Call(value, arg)
+
+    def expr():
+        factors = [factor()]
+        while toks[0][0] == "star":
+            toks.popleft()
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+    return expr()
 
 
 def constant_runs(node):
@@ -302,14 +348,16 @@ def test_compiled_term_property(text, state):
 
 
 def counted_compiles(monkeypatch):
-    """The nodes _compile is called on, in order, from now on."""
-    compiled, compile_ = [], regressor._compile
+    """The functions regressor generates as terms, in order, from now on."""
+    compiled, generate = [], regressor.generate
 
-    def counting(node):
-        compiled.append(node)
-        return compile_(node)
+    def counting(label, *args):
+        function = generate(label, *args)
+        if label == "regressor term":
+            compiled.append(function)
+        return function
 
-    monkeypatch.setattr(regressor, "_compile", counting)
+    monkeypatch.setattr(regressor, "generate", counting)
     return compiled
 
 
@@ -317,11 +365,11 @@ def test_compiled_function_is_a_plain_attribute_built_once(monkeypatch):
     assert not any("compiled" in vars(cls) for cls in Product.__mro__)
     compiled = counted_compiles(monkeypatch)
     term = parse_term("sin(q1*q2)*cos(p1)*2")
-    assert compiled == [term] and "compiled" in term.__dict__
+    assert compiled == [term.compiled] and "compiled" in term.__dict__
     first = term(0.3, 0.5, -0.2, 0.0)
     for _ in range(3):
         assert term(0.3, 0.5, -0.2, 0.0) == first
-    assert compiled == [term]
+    assert compiled == [term.compiled]
     # parse_term compiles the term it returns and nothing else: a nested node or one
     # built directly has no compiled function, and calling it raises
     nested, inner = term.factors[0], term.factors[0].arg
@@ -330,7 +378,7 @@ def test_compiled_function_is_a_plain_attribute_built_once(monkeypatch):
         assert "compiled" not in node.__dict__
         with pytest.raises(AttributeError, match="compiled"):
             node(0.3, 0.5, -0.2, 0.0)
-    assert compiled == [term]
+    assert compiled == [term.compiled]
     assert parse_term("2.5") == number and hash(parse_term("2.5")) == hash(number)
 
 

@@ -21,7 +21,9 @@ Covers:
     after an exit in a stage or on a recorded row every Trace array has
     the same, fully written rows; an exit at row 0 and one inside an RK4
     step keep pinned rows, times, last state and spot-check times
-  - Scenario validation and out-of-region warning
+  - Scenario validation and out-of-region warning; a non-finite q0 or qdot0
+    is refused by name before any step, and a finite start whose first step
+    overflows still raises NonFiniteState
   - nominal mode ignores a configured disturbance: the same Trace arrays, bit
     for bit, as without one (d = 0)
   - a robust run with Gamma = I whose term overflows to inf at a finite stage
@@ -451,6 +453,17 @@ def test_scenario_validation():
         Scenario(params=P_SYN, gains=G_CONV, dt=0.0)
     with pytest.raises(ValueError, match="t_end"):
         Scenario(params=P_SYN, gains=G_CONV, dt=0.1, t_end=0.01)
+
+
+@pytest.mark.parametrize("field, value", [("q0", (math.nan, 0.0)), ("q0", (0.0, math.nan)),
+                                          ("qdot0", (math.inf, 0.0)), ("qdot0", (0.0, -math.inf))])
+def test_scenario_rejects_non_finite_start(field, value):
+    # these once ran: row 0 recorded nan, then the first step raised NonFiniteState
+    sc = load_config(PRESETS / "fig2.yaml").scenario()
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        dataclasses.replace(sc, **{field: value})
+    with pytest.raises(NonFiniteState):
+        run(dataclasses.replace(sc, qdot0=(1.7e308, 0.0), t_end=0.01))
 
 
 def test_energies_and_torque_called_through_module_names(monkeypatch):
